@@ -15,7 +15,6 @@ from .bifurcation import (
     classify_conditions,
     classify_reduced_origin,
     detect_branches,
-    index_jump_report,
     morse_inequality_audit,
     necessary_test,
     orbit_group,

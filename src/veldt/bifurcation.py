@@ -23,7 +23,7 @@ from .errors import (
     NotIsolatedError,
     ReductionFailureError,
 )
-from .functional import VariationalProblem, multistart_census, newton_polish
+from .functional import VariationalProblem, damped_newton, multistart_census, newton_polish
 from .galerkin import Discretization, Field
 from .reduction import ReductionSetup, make_reduction_setup, reduced_hessian_at_origin, solve_psi
 from .spectral import PencilSpectrum, decompose, index_jump, pencil_eigs
@@ -38,7 +38,6 @@ __all__ = [
     "CandidateReport",
     "BifurcationReport",
     "detect_branches",
-    "index_jump_report",
     "classify_reduced_origin",
     "MorseAudit",
     "morse_inequality_audit",
@@ -172,15 +171,6 @@ class Branch:
     samples: list = field(default_factory=list)
     orbit_tag: Optional[int] = None
 
-    def lams(self) -> np.ndarray:
-        return np.asarray([s.lam for s in self.samples])
-
-    def amplitudes(self) -> np.ndarray:
-        return np.asarray([s.amplitude for s in self.samples])
-
-    def sup_amplitudes(self) -> np.ndarray:
-        return np.asarray([s.amplitude_sup for s in self.samples])
-
 
 @dataclass
 class CandidateReport:
@@ -223,54 +213,41 @@ class BifurcationReport:
 
 
 def _reduced_newton(setup: ReductionSetup, lam, z0, tol=1e-10, psi_tol=1e-11, max_iter=40):
-    """Newton on the reduced gradient with the exact eliminated Jacobian."""
+    """Newton on the reduced gradient with the exact eliminated Jacobian.
+
+    Each trial solves the complement equation warm-started from the accepted
+    point; a trial whose complement solve fails is rejected like one that does
+    not decrease the residual.  Trials are projected into the trust ball.
+    """
     Z = setup.kernel_basis
     W = setup.complement_basis
+    rho = setup.trust_radius
     func = setup.functional_at(lam)
-    z = np.array(z0, dtype=float)
-    sample = solve_psi(setup, lam, z, tol=psi_tol)
-    coeffs = setup.lift(z, sample.y)
-    g = Z.T @ func.gradient_dual(coeffs)
-    gnorm = float(np.linalg.norm(g))
-    y_warm = sample.y
-    for _ in range(max_iter):
-        if gnorm <= tol:
-            return z, y_warm, gnorm, True
-        B = func.hessian_dual(coeffs)
-        Jzz = Z.T @ B @ Z
-        Jzw = Z.T @ B @ W
-        Jww = W.T @ B @ W
-        M = Jzz - Jzw @ np.linalg.solve(Jww, Jzw.T)
+
+    def evaluate(z, accepted):
         try:
-            step = np.linalg.solve(M, -g)
-        except np.linalg.LinAlgError:
-            return z, y_warm, gnorm, False
-        step_norm = float(np.linalg.norm(step))
-        cap = 0.5 * setup.trust_radius
-        if step_norm > cap:
-            step *= cap / step_norm
-        t = 1.0
-        improved = False
-        for _ in range(25):
-            z_trial = z + t * step
-            if np.linalg.norm(z_trial) > setup.trust_radius:
-                z_trial *= setup.trust_radius / np.linalg.norm(z_trial)
-            try:
-                s_trial = solve_psi(setup, lam, z_trial, tol=psi_tol, w0=y_warm)
-            except ReductionFailureError:
-                t *= 0.5
-                continue
-            c_trial = setup.lift(z_trial, s_trial.y)
-            g_trial = Z.T @ func.gradient_dual(c_trial)
-            gnorm_trial = float(np.linalg.norm(g_trial))
-            if gnorm_trial < gnorm * (1 - 1e-4 * t) or gnorm_trial <= tol:
-                z, coeffs, g, gnorm, y_warm = z_trial, c_trial, g_trial, gnorm_trial, s_trial.y
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            return z, y_warm, gnorm, gnorm <= tol
-    return z, y_warm, gnorm, gnorm <= tol
+            sample = solve_psi(setup, lam, z, tol=psi_tol, w0=None if accepted is None else accepted[1])
+        except ReductionFailureError:
+            if accepted is None:
+                raise
+            return np.inf, None
+        coeffs = setup.lift(z, sample.y)
+        g = Z.T @ func.gradient_dual(coeffs)
+        return float(np.linalg.norm(g)), (coeffs, sample.y, g)
+
+    def solve(z, state):
+        coeffs, _, g = state
+        B = func.hessian_dual(coeffs)
+        Jzw = Z.T @ B @ W
+        M = Z.T @ B @ Z - Jzw @ np.linalg.solve(W.T @ B @ W, Jzw.T)
+        return np.linalg.solve(M, -g)
+
+    def project(z):
+        norm = np.linalg.norm(z)
+        return z * (rho / norm) if norm > rho else z
+
+    result = damped_newton(evaluate, solve, z0, tol, max_iter, step_cap=0.5 * rho, project=project)
+    return result.coeffs, result.state[1], result.converged
 
 
 def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=1e-11):
@@ -292,7 +269,7 @@ def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=1e-11):
     found = []
     for z0 in starts:
         try:
-            z, y, gnorm, ok = _reduced_newton(setup, lam, z0, psi_tol=psi_tol)
+            z, y, ok = _reduced_newton(setup, lam, z0, psi_tol=psi_tol)
         except (ReductionFailureError, ConfigurationError):
             continue
         if not ok:
@@ -414,43 +391,40 @@ def detect_branches(
         # numerically indistinguishable from the trivial solution
         trivial_tol = max(1e-8, 1e-4 * setup.trust_radius, (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0))
         gaps = []
+
+        def solutions_at(lam):
+            """Distinct polished nontrivial solutions within the amplitude cap, or None on a gap."""
+            try:
+                found = _reduced_multistart(setup, lam, n_starts, rng, psi_tol=psi_tol)
+            except ReductionFailureError as exc:
+                gaps.append({"lam": float(lam), "reason": str(exc)})
+                return None
+            packed = []
+            for z, y in found:
+                sample = _polish_and_pack(problem, setup, lam, z, y, trivial_tol)
+                if sample is None or sample.amplitude > amplitude_cap:
+                    continue
+                if any(disc.norm(sample.coeffs - other.coeffs) < DEDUPE_TOL for other in packed):
+                    continue
+                packed.append(sample)
+            return packed
+
         lam_grid = [l for l in np.linspace(lo, hi, grid) if abs(l - lam_star) <= setup.lambda_box]
         side_samples: dict = {"left": {}, "right": {}}
         counts = {}
         for lam in lam_grid:
             if abs(lam - lam_star) < 1e-12:
                 continue
-            try:
-                found = _reduced_multistart(setup, lam, n_starts, rng, psi_tol=psi_tol)
-            except ReductionFailureError as exc:
-                gaps.append({"lam": float(lam), "reason": str(exc)})
+            packed = solutions_at(lam)
+            if packed is None:
                 continue
-            packed = []
-            for z, y in found:
-                sample = _polish_and_pack(problem, setup, lam, z, y, trivial_tol)
-                if sample is None or sample.amplitude > amplitude_cap:
-                    continue
-                if any(
-                    disc.norm(sample.coeffs - other.coeffs) < DEDUPE_TOL for other in packed
-                ):
-                    continue
-                packed.append(sample)
             counts[float(lam)] = len(packed)
             side = "left" if lam < lam_star else "right"
             if packed:
                 side_samples[side][float(lam)] = packed
 
         # solutions at the eigenvalue itself
-        at_star = []
-        try:
-            found = _reduced_multistart(setup, lam_star, n_starts, rng, psi_tol=psi_tol)
-            for z, y in found:
-                sample = _polish_and_pack(problem, setup, lam_star, z, y, trivial_tol)
-                if sample is not None and sample.amplitude <= amplitude_cap:
-                    if not any(disc.norm(sample.coeffs - o.coeffs) < DEDUPE_TOL for o in at_star):
-                        at_star.append(sample)
-        except ReductionFailureError as exc:
-            gaps.append({"lam": lam_star, "reason": str(exc)})
+        at_star = solutions_at(lam_star) or []
 
         unbounded = False
         for lam, count in counts.items():
@@ -493,11 +467,6 @@ def detect_branches(
         )
 
     return BifurcationReport(window=(lo, hi), pencil_summary=pencil.summary(), candidates=reports)
-
-
-def index_jump_report(pencil: PencilSpectrum, lam_star: float, eps: float, mode: str = "positive_definite") -> dict:
-    """Index jump across a candidate, packaged for report embedding."""
-    return index_jump(pencil, lam_star, eps, mode=mode).summary()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ the Gram matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -17,11 +17,14 @@ from .catalog import ModelProblem
 from .errors import DiscretizationError
 from .galerkin import Discretization, Field, assemble_functional, assemble_gradient, assemble_hessian
 
+HALVINGS = 25  # step-length halvings before a Newton step counts as stalled
+
 __all__ = [
     "DiscretizedFunctional",
     "CombinedFunctional",
     "VariationalProblem",
     "gradient_norm",
+    "damped_newton",
     "newton_polish",
     "NewtonResult",
     "CriticalPoint",
@@ -45,9 +48,6 @@ class DiscretizedFunctional:
 
     def hessian_dual(self, coeffs: np.ndarray) -> np.ndarray:
         return assemble_hessian(self.lagrangian, self.disc.field(coeffs)).B
-
-    def hessian_split(self, coeffs: np.ndarray):
-        return assemble_hessian(self.lagrangian, self.disc.field(coeffs))
 
 
 class CombinedFunctional:
@@ -106,10 +106,13 @@ class VariationalProblem:
         return CombinedFunctional(self.energy, self.constraints, lam)
 
 
+def _dual_norm(disc: Discretization, ell: np.ndarray) -> float:
+    return float(np.sqrt(max(ell @ disc.solve_gram(ell), 0.0)))
+
+
 def gradient_norm(func, coeffs: np.ndarray) -> float:
     """Sobolev norm of the gradient: |grad L| = sqrt(ell . gram^-1 ell)."""
-    ell = func.gradient_dual(coeffs)
-    return float(np.sqrt(max(ell @ func.disc.solve_gram(ell), 0.0)))
+    return _dual_norm(func.disc, func.gradient_dual(coeffs))
 
 
 @dataclass
@@ -118,50 +121,66 @@ class NewtonResult:
     residual: float
     converged: bool
     iterations: int
+    state: Any = None  # what ``evaluate`` returned at ``coeffs``
 
 
-def newton_polish(
-    func,
-    coeffs0: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    max_step: Optional[float] = None,
-) -> NewtonResult:
+def damped_newton(evaluate, solve, x0, tol: float, max_iter: int, step_cap: Optional[float] = None, project=None):
+    """Damped Newton iteration driven by a residual callback and a step callback.
+
+    ``evaluate(x, state)`` returns ``(residual, state)`` at x, where the
+    incoming ``state`` is that of the accepted point (None at ``x0``) so a
+    trial can warm-start from it; an infinite residual rejects the trial.
+    ``solve(x, state)`` returns the Newton step at the accepted point.  Steps
+    longer than ``step_cap`` (Euclidean) are shortened, trial points pass
+    through ``project`` when given, and the step length is halved until the
+    residual decreases sufficiently.  The iteration stops converged once the
+    residual is at most ``tol``, and unconverged on a singular system or a
+    failed line search (``iterations`` then counts the stalled step).
+    """
+    x = np.array(x0, dtype=float)
+    res, state = evaluate(x, None)
+    for it in range(max_iter):
+        if res <= tol:
+            return NewtonResult(coeffs=x, residual=res, converged=True, iterations=it, state=state)
+        try:
+            step = solve(x, state)
+        except np.linalg.LinAlgError:
+            return NewtonResult(coeffs=x, residual=res, converged=False, iterations=it, state=state)
+        if step_cap is not None:
+            step_norm = float(np.linalg.norm(step))
+            if step_norm > step_cap:
+                step *= step_cap / step_norm
+        t = 1.0
+        for _ in range(HALVINGS):
+            trial = x + t * step
+            if project is not None:
+                trial = project(trial)
+            trial_res, trial_state = evaluate(trial, state)
+            if trial_res < res * (1.0 - 1e-4 * t) or trial_res <= tol:
+                x, res, state = trial, trial_res, trial_state
+                break
+            t *= 0.5
+        else:
+            return NewtonResult(coeffs=x, residual=res, converged=False, iterations=it + 1, state=state)
+    return NewtonResult(coeffs=x, residual=res, converged=res <= tol, iterations=max_iter, state=state)
+
+
+def newton_polish(func, coeffs0: np.ndarray, tol: float = 1e-12, max_iter: int = 50) -> NewtonResult:
     """Damped Newton iteration on the gradient, in coefficient space.
 
     The step solves the dual Hessian system directly (geometry independent);
-    the residual is measured in the Sobolev norm.  Backtracks by halving until
-    the residual drops; gives up after ``max_iter`` outer steps.
+    the residual is the Sobolev norm of the gradient, whose load vector is
+    carried from each accepted trial into the next step.
     """
-    disc = func.disc
-    c = np.array(coeffs0, dtype=float)
-    res = gradient_norm(func, c)
-    for it in range(max_iter):
-        if res <= tol:
-            return NewtonResult(coeffs=c, residual=res, converged=True, iterations=it)
+
+    def evaluate(c, _):
         ell = func.gradient_dual(c)
-        B = func.hessian_dual(c)
-        try:
-            step = np.linalg.solve(B, -ell)
-        except np.linalg.LinAlgError:
-            return NewtonResult(coeffs=c, residual=res, converged=False, iterations=it)
-        if max_step is not None:
-            step_norm = disc.norm(step)
-            if step_norm > max_step:
-                step *= max_step / step_norm
-        t = 1.0
-        improved = False
-        for _ in range(30):
-            trial = c + t * step
-            trial_res = gradient_norm(func, trial)
-            if trial_res < res * (1.0 - 1e-4 * t) or trial_res <= tol:
-                c, res = trial, trial_res
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            return NewtonResult(coeffs=c, residual=res, converged=res <= tol, iterations=it + 1)
-    return NewtonResult(coeffs=c, residual=res, converged=res <= tol, iterations=max_iter)
+        return _dual_norm(func.disc, ell), ell
+
+    def solve(c, ell):
+        return np.linalg.solve(func.hessian_dual(c), -ell)
+
+    return damped_newton(evaluate, solve, coeffs0, tol, max_iter)
 
 
 @dataclass

@@ -168,11 +168,6 @@ class Discretization:
     def zero_field(self) -> "Field":
         return self.field(np.zeros(self.dim))
 
-    def coefficient_field(self, component: int, k: int, amplitude: float = 1.0) -> "Field":
-        c = np.zeros(self.dim)
-        c[component * self.K + k] = amplitude
-        return self.field(c)
-
     def boundary_residual(self) -> float:
         """Largest violation of the declared boundary conditions by any basis function."""
         return float(self.meta.get("boundary_residual", 0.0))
@@ -209,20 +204,8 @@ class Field:
         object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
 
-    def norm_m2(self) -> float:
-        return self.disc.norm(self.coeffs)
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.disc.values(self.coeffs))))
-
-    def __add__(self, other: "Field") -> "Field":
-        return Field(disc=self.disc, coeffs=self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Field") -> "Field":
-        return Field(disc=self.disc, coeffs=self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar: float) -> "Field":
-        return Field(disc=self.disc, coeffs=float(scalar) * self.coeffs)
 
 
 # ---------------------------------------------------------------------------

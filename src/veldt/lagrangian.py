@@ -8,7 +8,6 @@ the vectorized callbacks stored on a :class:`Lagrangian`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -59,11 +58,6 @@ class MultiIndex:
 
     def __getitem__(self, i):
         return self.entries[i]
-
-
-def _grade_count(n: int, k: int) -> int:
-    # number of multi-indices of exact length k in n variables
-    return math.comb(n + k - 1, n - 1)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .functional import (
     CombinedFunctional,
     DiscretizedFunctional,
     VariationalProblem,
+    damped_newton,
     gradient_norm,
     multistart_census,
 )
@@ -62,7 +63,8 @@ class ReductionSetup:
     ``complement_basis`` completes them to a full orthonormal system.  Kernel
     coordinates z live in R^nu through the kernel basis.  ``lambda_box`` bounds
     |lam - lam_star| per parameter and ``trust_radius`` bounds |z| and the
-    complement correction.
+    complement correction.  ``energy`` may be any functional handle; with no
+    constraints it is the reduced functional itself.
     """
 
     energy: DiscretizedFunctional
@@ -211,17 +213,12 @@ class ReductionResult:
 
 def _complement_newton(setup, func, z, tol_abs, y0, max_iter):
     W = setup.complement_basis
-    y = np.zeros(W.shape[1]) if y0 is None else np.array(y0, dtype=float)
-    rho = setup.trust_radius
 
-    def residual(yv):
-        return W.T @ func.gradient_dual(setup.lift(z, yv))
+    def evaluate(y, _):
+        r = W.T @ func.gradient_dual(setup.lift(z, y))
+        return float(np.linalg.norm(r)), r
 
-    r = residual(y)
-    rnorm = float(np.linalg.norm(r))
-    for it in range(max_iter):
-        if rnorm <= tol_abs:
-            return y, rnorm, it
+    def solve(y, r):
         J = W.T @ func.hessian_dual(setup.lift(z, y)) @ W
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > 1e12:
@@ -229,31 +226,18 @@ def _complement_newton(setup, func, z, tol_abs, y0, max_iter):
                 f"complement block of the second variation is singular (cond {cond:.3e}); "
                 "the kernel basis is wrong or the nullity changed"
             )
-        step = np.linalg.solve(J, -r)
-        step_norm = float(np.linalg.norm(step))
-        if step_norm > rho:
-            step *= rho / step_norm
-        t = 1.0
-        improved = False
-        for _ in range(25):
-            y_trial = y + t * step
-            r_trial = residual(y_trial)
-            rnorm_trial = float(np.linalg.norm(r_trial))
-            if rnorm_trial < rnorm * (1 - 1e-4 * t) or rnorm_trial <= tol_abs:
-                y, r, rnorm = y_trial, r_trial, rnorm_trial
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    if rnorm <= tol_abs:
-        return y, rnorm, max_iter
-    raise ReductionFailureError(
-        f"complement Newton stalled at residual {rnorm:.3e} (tolerance {tol_abs:.3e}); "
-        "the point may lie outside the reduction neighbourhood",
-        residual=rnorm,
-        iterations=max_iter,
-    )
+        return np.linalg.solve(J, -r)
+
+    y0 = np.zeros(W.shape[1]) if y0 is None else y0
+    result = damped_newton(evaluate, solve, y0, tol_abs, max_iter, step_cap=setup.trust_radius)
+    if not result.converged:
+        raise ReductionFailureError(
+            f"complement Newton stalled at residual {result.residual:.3e} (tolerance {tol_abs:.3e}); "
+            "the point may lie outside the reduction neighbourhood",
+            residual=result.residual,
+            iterations=result.iterations,
+        )
+    return result
 
 
 def solve_psi(
@@ -280,8 +264,8 @@ def solve_psi(
         )
     func = setup.functional_at(lam)
     scale = 1.0 + gradient_norm(func, setup.lift(z))
-    y, rnorm, iters = _complement_newton(setup, func, z, tol * scale, w0, max_iter)
-    return PsiSample(lam=lam, z=z, y=y, residual=rnorm, iterations=iters)
+    result = _complement_newton(setup, func, z, tol * scale, w0, max_iter)
+    return PsiSample(lam=lam, z=z, y=result.coeffs, residual=result.residual, iterations=result.iterations)
 
 
 def _with_reduced_data(setup, func, sample):
@@ -567,7 +551,7 @@ def marino_prodi_perturb(
     # lower bound for the reduced gradient on the cutoff annulus, scanned coarsely
     W = dec.eigenvectors[:, np.abs(dec.eigenvalues) > 2 * dec.gap]
     probe_setup = ReductionSetup(
-        energy=_Wrapped(func),
+        energy=func,
         constraints=[],
         u0=u0,
         lam_star=np.zeros(0),
@@ -639,23 +623,6 @@ def marino_prodi_perturb(
                 tilt_bound=tilt_bound,
                 warning=warning or "census kept degenerate or out-of-window critical points",
             )
-
-
-class _Wrapped:
-    """Present a bare functional handle as an energy with no constraints."""
-
-    def __init__(self, func):
-        self.func = func
-        self.disc = func.disc
-
-    def value(self, coeffs):
-        return self.func.value(coeffs)
-
-    def gradient_dual(self, coeffs):
-        return self.func.gradient_dual(coeffs)
-
-    def hessian_dual(self, coeffs):
-        return self.func.hessian_dual(coeffs)
 
 
 def _annulus_directions(nu: int, rng) -> list:

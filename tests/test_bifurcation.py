@@ -6,7 +6,7 @@ from veldt import (
     classify_conditions,
     classify_reduced_origin,
     detect_branches,
-    index_jump_report,
+    index_jump,
     make_reduction_setup,
     morse_inequality_audit,
     necessary_test,
@@ -196,7 +196,7 @@ def test_candidate_set_matches_pencil_in_window(prob_p2, prob_p1_64, p4, beam8):
 
 def test_index_jump_report_embedding(prob_p1_64):
     pencil, _, _ = _pencil(prob_p1_64)
-    record = index_jump_report(pencil, 1.0, 0.1)
+    record = index_jump(pencil, 1.0, 0.1).summary()
     assert (record["mu_minus"], record["mu_plus"], record["nullity"]) == (0, 1, 1)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -316,3 +318,30 @@ def test_tilt_bad_radii(degenerate_p2):
     problem, func = degenerate_p2
     with pytest.raises(ConfigurationError):
         marino_prodi_perturb(func, problem.u0, r=0.2, delta_inner=0.4)
+
+
+class _FlippedHessian:
+    """A functional whose Newton steps point uphill: the Hessian sign is flipped."""
+
+    def __init__(self, func):
+        self.func = func
+        self.disc = func.disc
+
+    def value(self, coeffs):
+        return self.func.value(coeffs)
+
+    def gradient_dual(self, coeffs):
+        return self.func.gradient_dual(coeffs)
+
+    def hessian_dual(self, coeffs):
+        return -self.func.hessian_dual(coeffs)
+
+
+def test_psi_stall_reports_iterations_run(setup_p2):
+    flipped = dataclasses.replace(
+        setup_p2, energy=_FlippedHessian(setup_p2.functional_at([1.0])), constraints=[], lam_star=np.zeros(0)
+    )
+    with pytest.raises(ReductionFailureError) as err:
+        solve_psi(flipped, np.zeros(0), np.array([0.2]), max_iter=50)
+    assert err.value.iterations == 1
+    assert err.value.residual > 0
