@@ -32,6 +32,7 @@ from .galerkin import (
     estimate_sobolev_constant,
     field_from_json,
     field_to_json,
+    hessian_split,
     matrix_to_csv,
     q_compactness_audit,
 )

@@ -251,7 +251,11 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, tol=1e-10, psi_tol=1e-11, ma
 
 
 def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=1e-11):
-    """Distinct reduced critical points from a deterministic + random start set."""
+    """Distinct reduced critical points from a deterministic + random start set.
+
+    A start whose solve raises is skipped; when every start raised, the
+    parameter value is unreachable and ``ReductionFailureError`` is raised.
+    """
     nu = setup.nullity
     rho = setup.trust_radius
     starts = [np.zeros(nu)]
@@ -267,16 +271,23 @@ def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=1e-11):
         for row, frac in zip(extra, np.linspace(0.2, 0.9, extra.shape[0])):
             starts.append(frac * rho * row)
     found = []
+    failures = []
     for z0 in starts:
         try:
             z, y, ok = _reduced_newton(setup, lam, z0, psi_tol=psi_tol)
-        except (ReductionFailureError, ConfigurationError):
+        except (ReductionFailureError, ConfigurationError) as exc:
+            failures.append(exc)
             continue
         if not ok:
             continue
         if any(np.linalg.norm(z - zf) < 1e-7 * max(1.0, rho) for zf, _ in found):
             continue
         found.append((z, y))
+    if len(failures) == len(starts):
+        raise ReductionFailureError(
+            f"every one of the {len(starts)} reduced starts raised at lam = {np.atleast_1d(lam).tolist()}; "
+            f"last: {failures[-1]}"
+        ) from failures[-1]
     return found
 
 
@@ -429,7 +440,11 @@ def detect_branches(
         unbounded = False
         for lam, count in counts.items():
             if count >= solution_cap:
-                refined = _reduced_multistart(setup, lam, 2 * n_starts, rng, psi_tol=psi_tol)
+                try:
+                    refined = _reduced_multistart(setup, lam, 2 * n_starts, rng, psi_tol=psi_tol)
+                except ReductionFailureError as exc:
+                    gaps.append({"lam": lam, "reason": str(exc)})
+                    continue
                 if len(refined) > count:
                     unbounded = True
                     break

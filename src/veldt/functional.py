@@ -47,7 +47,7 @@ class DiscretizedFunctional:
         return ell
 
     def hessian_dual(self, coeffs: np.ndarray) -> np.ndarray:
-        return assemble_hessian(self.lagrangian, self.disc.field(coeffs)).B
+        return assemble_hessian(self.lagrangian, self.disc.field(coeffs))
 
 
 class CombinedFunctional:

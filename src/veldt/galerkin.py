@@ -30,6 +30,7 @@ __all__ = [
     "assemble_functional",
     "assemble_gradient",
     "assemble_hessian",
+    "hessian_split",
     "estimate_sobolev_constant",
     "q_compactness_audit",
     "QDecayProfile",
@@ -485,6 +486,56 @@ def assemble_gradient(lag: Lagrangian, u: Field):
     return ell, riesz
 
 
+# np.isclose(p, 2.0) without its per-call array overhead
+_P2_TOL = 1e-8 + 2e-5
+
+
+def _jet_hessian(lag: Lagrangian, u: Field) -> np.ndarray:
+    """Jet Hessian of the integrand at the quadrature nodes, shape (Q, N, A, N, A).
+
+    Requires p = 2: away from the quadratic case the derivative of the
+    gradient map exists only directionally and no bilinear-form matrix
+    represents it.
+    """
+    disc = u.disc
+    _check_signature(lag, disc)
+    if abs(lag.growth.p - 2.0) > _P2_TOL:
+        raise CapabilityError(
+            f"second variation assembly needs p = 2 (directional-only differentiability at p = {lag.growth.p})"
+        )
+    return lag.hessian_at(disc.nodes, disc.jets(u.coeffs))
+
+
+def _second_variation(disc: Discretization, hess: np.ndarray, pairs: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum over nodes of w_q D_q^T H_q D_q, unsymmetrised, shape (dim, dim).
+
+    ``D_q`` is the (A, K) derivative table at node q and ``H_q`` the jet
+    Hessian there.  ``pairs`` is an optional (A, A) 0/1 mask that keeps only
+    the (alpha, beta) blocks it marks.  A batched matmul contracts beta at
+    every node; one (A*Q) x K GEMM then contracts the node and alpha axes
+    together.
+    """
+    Q, N, A = hess.shape[:3]
+    K = disc.K
+    wh = disc.weights[:, None, None, None, None] * hess
+    if pairs is not None:
+        wh = wh * pairs[None, None, :, None, :]
+    # half[q, i, a, j, l] = sum_b wh[q, i, a, j, b] dtab[b, q, l]
+    half = np.matmul(wh.reshape(Q, N * A * N, A), disc.dtab.transpose(1, 0, 2))
+    half = half.reshape(Q, N, A, N * K).transpose(2, 0, 1, 3).reshape(A * Q, N * N * K)
+    out = disc.dtab.reshape(A * Q, K).T @ half  # out[k, (i, j, l)]
+    return out.reshape(K, N, N, K).transpose(1, 0, 2, 3).reshape(N * K, N * K)
+
+
+def _symmetric(mat: np.ndarray) -> np.ndarray:
+    return 0.5 * (mat + mat.T)
+
+
+def assemble_hessian(lag: Lagrangian, u: Field) -> np.ndarray:
+    """Second variation at u: the symmetric dual matrix B (requires p = 2)."""
+    return _symmetric(_second_variation(u.disc, _jet_hessian(lag, u)))
+
+
 @dataclass(frozen=True, eq=False)
 class HessianSplit:
     """Second variation at a field, with its positive/compact decomposition.
@@ -492,8 +543,8 @@ class HessianSplit:
     ``B`` is the full bilinear form; ``P`` keeps the top-order block plus the
     lower-order identity; ``Q`` collects every pair touching a lower-order
     derivative minus that same identity, so B = P + Q holds by construction
-    and is re-verified entrywise.  ``C0_estimate`` is the smallest generalized
-    eigenvalue of (P, gram).
+    and is re-verified entrywise.  ``C0_estimate`` is the smallest
+    generalized eigenvalue of (P, gram).
     """
 
     B: np.ndarray
@@ -503,42 +554,23 @@ class HessianSplit:
     split_defect: float
 
 
-def assemble_hessian(lag: Lagrangian, u: Field) -> HessianSplit:
-    """Second variation at u with the principal-plus-compact split.
+def hessian_split(lag: Lagrangian, u: Field) -> HessianSplit:
+    """Second variation at u with the principal-plus-compact split, for audits.
 
-    Requires p = 2: away from the quadratic case the derivative of the
-    gradient map exists only directionally and no bilinear-form matrix
-    represents it.
+    The top-order and lower-order blocks come from the kernel of
+    :func:`assemble_hessian` with complementary pair masks.  Every order is at
+    most m, so the two masks cover every (alpha, beta) pair once and their sum
+    is B; ``split_defect`` is the entrywise relative gap between B and P + Q.
     """
     disc = u.disc
-    _check_signature(lag, disc)
-    if not np.isclose(lag.growth.p, 2.0):
-        raise CapabilityError(
-            f"second variation assembly needs p = 2 (directional-only differentiability at p = {lag.growth.p})"
-        )
-    xi = disc.jets(u.coeffs)
-    hess = lag.hessian_at(disc.nodes, xi)  # (Q, N, A, N, A)
+    hess = _jet_hessian(lag, u)
     orders = disc.index_set.orders()
-    A = len(orders)
-    N = disc.n_components
-    K = disc.K
-
-    def pair_sum(mask_fn):
-        out = np.zeros((N, K, N, K))
-        for a in range(A):
-            for b in range(A):
-                if not mask_fn(orders[a], orders[b]):
-                    continue
-                wh = disc.weights[:, None, None] * hess[:, :, a, :, b]  # (Q, N, N)
-                out += np.einsum("qij,qk,ql->ikjl", wh, disc.dtab[a], disc.dtab[b])
-        return out.reshape(disc.dim, disc.dim)
-
-    m = disc.m
-    B_top = pair_sum(lambda oa, ob: oa == m and ob == m)
-    B_low = pair_sum(lambda oa, ob: oa + ob < 2 * m)
-    P = 0.5 * (B_top + B_top.T) + disc.gram_lower
-    Qm = 0.5 * (B_low + B_low.T) - disc.gram_lower
-    B = 0.5 * (B_top + B_low + B_top.T + B_low.T)
+    top = orders == disc.m
+    B_top = _second_variation(disc, hess, np.outer(top, top))
+    B_low = _second_variation(disc, hess, np.add.outer(orders, orders) < 2 * disc.m)
+    P = _symmetric(B_top) + disc.gram_lower
+    Qm = _symmetric(B_low) - disc.gram_lower
+    B = _symmetric(B_top + B_low)
     defect = float(np.max(np.abs(B - (P + Qm))) / max(np.max(np.abs(B)), 1e-300))
     c0 = float(eigh(P, disc.gram, eigvals_only=True, subset_by_index=[0, 0])[0])
     return HessianSplit(B=B, P=P, Q=Qm, C0_estimate=c0, split_defect=defect)
@@ -575,8 +607,7 @@ def q_compactness_audit(lag: Lagrangian, u: Field, disc: Optional[Discretization
     peak (meaningful for K >= 32; smaller spaces report data only).
     """
     disc = disc or u.disc
-    split = assemble_hessian(lag, u)
-    Qop = disc.solve_gram(split.Q)
+    Qop = disc.solve_gram(hessian_split(lag, u).Q)
     ratios = np.empty(disc.dim)
     for k in range(disc.dim):
         e = np.zeros(disc.dim)

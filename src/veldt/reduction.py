@@ -220,7 +220,9 @@ def _complement_newton(setup, func, z, tol_abs, y0, max_iter):
 
     def solve(y, r):
         J = W.T @ func.hessian_dual(setup.lift(z, y)) @ W
-        cond = np.linalg.cond(J)
+        # J is symmetric, so its 2-norm condition number is max|eig| / min|eig|
+        mags = np.abs(np.linalg.eigvalsh(0.5 * (J + J.T)))
+        cond = mags.max() / mags.min() if mags.min() > 0 else np.inf
         if not np.isfinite(cond) or cond > 1e12:
             raise DegenerateKernelError(
                 f"complement block of the second variation is singular (cond {cond:.3e}); "

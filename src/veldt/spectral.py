@@ -21,7 +21,7 @@ from .errors import (
     HypothesisViolationError,
     IndexJumpMismatchError,
 )
-from .galerkin import Discretization, Field, assemble_hessian
+from .galerkin import Discretization, Field, assemble_hessian, hessian_split
 
 __all__ = [
     "SpectralDecomposition",
@@ -150,12 +150,24 @@ class SplitContinuityReport:
     c0_estimate: float
     p_slope: Optional[float]
     q_slope: Optional[float]
+    split_defect: float
     passed: bool
 
 
 def _operator_norm(delta_dual: np.ndarray, gram: np.ndarray) -> float:
     vals = scipy.linalg.eigh(0.5 * (delta_dual + delta_dual.T), gram, eigvals_only=True)
     return float(np.max(np.abs(vals)))
+
+
+# P + Q and the assembled B sum the same pair blocks in different orders
+SPLIT_DEFECT_TOL = 1e-12
+
+
+def _split_at(lag, u: Field):
+    """The split at u and the entrywise relative gap of P + Q to the assembled B."""
+    split = hessian_split(lag, u)
+    B = assemble_hessian(lag, u)
+    return split, float(np.max(np.abs(B - (split.P + split.Q))) / max(np.max(np.abs(B)), 1e-300))
 
 
 def split_continuity_audit(
@@ -171,21 +183,24 @@ def split_continuity_audit(
     Samples approach u0 along a random ray at geometrically shrinking
     distances.  Reports the operator-norm deviation of P and Q from their
     values at u0, the worst smallest eigenvalue of (P, gram) as the uniform
-    positivity estimate, and log-log slopes of the deviation trends.
+    positivity estimate, and log-log slopes of the deviation trends.  At
+    every point P + Q must reproduce the second variation the solvers
+    assemble, which checks that the split's pair masks cover every pair once.
     """
     rng = rng or np.random.default_rng(0)
     direction = rng.standard_normal(disc.dim)
     direction /= disc.norm(direction)
-    base = assemble_hessian(lag, u0)
+    base, defect = _split_at(lag, u0)
     distances = radius * 0.5 ** np.arange(n_samples)
     p_dev = np.empty(n_samples)
     q_dev = np.empty(n_samples)
     c0 = base.C0_estimate
     for j, t in enumerate(distances):
-        split = assemble_hessian(lag, disc.field(u0.coeffs + t * direction))
+        split, gap = _split_at(lag, disc.field(u0.coeffs + t * direction))
         p_dev[j] = _operator_norm(split.P - base.P, disc.gram)
         q_dev[j] = _operator_norm(split.Q - base.Q, disc.gram)
         c0 = min(c0, split.C0_estimate)
+        defect = max(defect, gap)
 
     def slope(dev):
         mask = dev > 1e-13
@@ -197,7 +212,7 @@ def split_continuity_audit(
     def trend_ok(dev):
         return bool(dev[-1] <= max(0.25 * dev[0], 1e-12))
 
-    passed = c0 > 0 and trend_ok(p_dev) and trend_ok(q_dev)
+    passed = c0 > 0 and trend_ok(p_dev) and trend_ok(q_dev) and defect <= SPLIT_DEFECT_TOL
     return SplitContinuityReport(
         sample_distances=distances,
         p_deviations=p_dev,
@@ -205,6 +220,7 @@ def split_continuity_audit(
         c0_estimate=float(c0),
         p_slope=slope(p_dev),
         q_slope=slope(q_dev),
+        split_defect=defect,
         passed=passed,
     )
 

@@ -17,6 +17,7 @@ from veldt import (
     assemble_hessian,
     build_space,
     detect_branches,
+    hessian_split,
     index_jump,
     lipschitz_audit,
     make_reduction_setup,
@@ -105,7 +106,7 @@ def test_criterion_2_derivative_oracles():
             ) / (2 * h)
             pairing = float(ell @ v)
             worst_grad = max(worst_grad, abs(fd - pairing) / max(abs(pairing), 1.0))
-            B = assemble_hessian(lag, disc.field(u)).B
+            B = assemble_hessian(lag, disc.field(u))
             _, gp = assemble_gradient(lag, disc.field(u + h * v))
             _, gm = assemble_gradient(lag, disc.field(u - h * v))
             fd_vec = (gp.coeffs - gm.coeffs) / (2 * h)
@@ -129,14 +130,14 @@ def test_criterion_3_split_contract():
         for _ in range(17):
             u = rng.standard_normal(disc.dim)
             u *= rng.uniform(0.0, 3.0) / disc.norm(u)
-            split = assemble_hessian(lag, disc.field(u))
+            split = hessian_split(lag, disc.field(u))
             worst_defect = max(worst_defect, split.split_defect)
             min_c0 = min(min_c0, split.C0_estimate)
     p2 = model_problem("P2").lagrangian
     sine = np.zeros(disc.dim)
     sine[0] = 1.0
     tail = q_compactness_audit(p2, disc.field(sine), disc)
-    split = assemble_hessian(p2, disc.field(sine))
+    split = hessian_split(p2, disc.field(sine))
     C1 = 0.5 * split.C0_estimate
     batch = rng.standard_normal((100, disc.dim))
     deficits = [

@@ -155,6 +155,30 @@ def test_branch_refinement_stability(prob_p2):
             assert np.allclose(a_fine, a_coarse, rtol=5e-3)
 
 
+def test_refinement_failure_is_recorded_as_gap(prob_p2, monkeypatch):
+    import veldt.bifurcation
+    from veldt.errors import ReductionFailureError
+
+    solve_psi = veldt.bifurcation.solve_psi
+    seen_star = []
+
+    def failing_after_star(setup, lam, z, **kwargs):
+        # the pass at lambda* ends the grid sweep; every later solve off it is a refinement start
+        at_star = abs(float(np.atleast_1d(lam)[0]) - 1.0) < 1e-9
+        if at_star:
+            seen_star.append(True)
+        elif seen_star:
+            raise ReductionFailureError("refinement start refused")
+        return solve_psi(setup, lam, z, **kwargs)
+
+    monkeypatch.setattr(veldt.bifurcation, "solve_psi", failing_after_star)
+    report = detect_branches(prob_p2, (0.9, 1.1), grid=5, solution_cap=1, rng=np.random.default_rng(0))
+    (cand,) = report.candidates
+    assert [g["lam"] for g in cand.gaps] == pytest.approx([1.05, 1.1])
+    assert all("refinement start refused" in g["reason"] for g in cand.gaps)
+    assert cand.alternative == "iv"
+
+
 def test_p3_quasilinear_pitchfork(p3):
     # state-dependent stiffness: one-mode reduced energy
     # (pi/4)(1-lam) a^2 + (pi/16) a^4, so the branch amplitude is sqrt(2(lam-1))

@@ -179,6 +179,34 @@ def test_bifurcate_scenario(tmp_path):
         assert a == pytest.approx(2 * np.sqrt((1.0833333333333333 - 1) / 3), rel=0.02)
 
 
+def test_bifurcate_records_gap_when_every_start_fails(tmp_path, monkeypatch):
+    import veldt.bifurcation
+    from veldt.errors import ReductionFailureError
+
+    solve_psi = veldt.bifurcation.solve_psi
+
+    def failing_off_star(setup, lam, z, **kwargs):
+        if abs(float(np.atleast_1d(lam)[0]) - 1.0) > 1e-9:
+            raise ReductionFailureError("complement solve refused off the eigenvalue")
+        return solve_psi(setup, lam, z, **kwargs)
+
+    monkeypatch.setattr(veldt.bifurcation, "solve_psi", failing_off_star)
+    cfg = {
+        "problem": "P2",
+        "scenario": "bifurcate",
+        "discretization": {"domain": [0, "pi"], "m": 1, "bc": "dirichlet", "K": 12},
+        "params": {"window": [0.9, 1.1], "grid": 5},
+    }
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert run(path, out, strict=True) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] != "pass"
+    gaps = report["result"]["bifurcation"]["candidates"][0]["gaps"]
+    assert [g["lam"] for g in gaps] == pytest.approx([0.9, 0.95, 1.05, 1.1])
+    assert all("complement solve refused" in g["reason"] for g in gaps)
+
+
 def test_morse_scenario(tmp_path):
     cfg = {
         "problem": "P2",

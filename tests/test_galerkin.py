@@ -11,6 +11,7 @@ from veldt import (
     estimate_sobolev_constant,
     field_from_json,
     field_to_json,
+    hessian_split,
     matrix_to_csv,
     model_problem,
     q_compactness_audit,
@@ -194,16 +195,16 @@ def test_gradient_matches_functional_differences_beam(beam8, p4, rng):
 
 
 def test_hessian_p1_eigenvalues(disc16, p1):
-    split = assemble_hessian(p1.lagrangian, disc16.zero_field())
-    eigs = np.sort(scipy.linalg.eigh(split.B, disc16.gram, eigvals_only=True))
+    B = assemble_hessian(p1.lagrangian, disc16.zero_field())
+    eigs = np.sort(scipy.linalg.eigh(B, disc16.gram, eigvals_only=True))
     expected = np.sort([k**2 / (1.0 + k**2) for k in range(1, 17)])
     assert np.allclose(eigs, expected, rtol=1e-10)
 
 
 def test_hessian_zero_jet_reductions(disc16, p1, p2, p3):
-    B1 = assemble_hessian(p1.lagrangian, disc16.zero_field()).B
-    assert np.allclose(assemble_hessian(p3.lagrangian, disc16.zero_field()).B, B1, atol=1e-12)
-    assert np.allclose(assemble_hessian(p2.lagrangian, disc16.zero_field()).B, B1, atol=1e-12)
+    B1 = assemble_hessian(p1.lagrangian, disc16.zero_field())
+    assert np.allclose(assemble_hessian(p3.lagrangian, disc16.zero_field()), B1, atol=1e-12)
+    assert np.allclose(assemble_hessian(p2.lagrangian, disc16.zero_field()), B1, atol=1e-12)
 
 
 def test_hessian_requires_quadratic_exponent(disc16):
@@ -213,6 +214,8 @@ def test_hessian_requires_quadratic_exponent(disc16):
     )
     with pytest.raises(CapabilityError):
         assemble_hessian(lag, disc16.zero_field())
+    with pytest.raises(CapabilityError):
+        hessian_split(lag, disc16.zero_field())
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P3"])
@@ -221,7 +224,7 @@ def test_split_contract_on_random_fields(name, disc16, rng):
     for _ in range(17):
         u = rng.standard_normal(disc16.dim)
         u *= rng.uniform(0, 3.0) / disc16.norm(u)
-        split = assemble_hessian(lag, disc16.field(u))
+        split = hessian_split(lag, disc16.field(u))
         assert split.split_defect < 1e-12
         assert split.C0_estimate > 0
         assert np.allclose(split.B, split.B.T)
@@ -233,7 +236,7 @@ def test_split_contract_beam(beam8, p4, rng):
     for _ in range(5):
         u = rng.standard_normal(beam8.dim)
         u *= rng.uniform(0, 3.0) / beam8.norm(u)
-        split = assemble_hessian(p4.lagrangian, beam8.field(u))
+        split = hessian_split(p4.lagrangian, beam8.field(u))
         assert split.split_defect < 1e-12
         assert split.C0_estimate > 0
 
@@ -247,7 +250,7 @@ def test_hessian_matches_gradient_differences(name, disc16, rng):
         u *= 1.5 / disc16.norm(u)
         v = rng.standard_normal(disc16.dim)
         v /= disc16.norm(v)
-        B = assemble_hessian(lag, disc16.field(u)).B
+        B = assemble_hessian(lag, disc16.field(u))
         _, gp = assemble_gradient(lag, disc16.field(u + h * v))
         _, gm = assemble_gradient(lag, disc16.field(u - h * v))
         fd = (gp.coeffs - gm.coeffs) / (2 * h)
@@ -258,7 +261,7 @@ def test_hessian_matches_gradient_differences(name, disc16, rng):
 def test_garding_bound_on_random_directions(disc32, p2, rng):
     u = rng.standard_normal(disc32.dim)
     u *= 1.0 / disc32.norm(u)
-    split = assemble_hessian(p2.lagrangian, disc32.field(u))
+    split = hessian_split(p2.lagrangian, disc32.field(u))
     C1 = 0.5 * split.C0_estimate
     # calibrate the lower-order constant on one batch, then verify on a fresh one
     samples = rng.standard_normal((100, disc32.dim))
@@ -356,17 +359,21 @@ def test_two_dimensional_functional_value():
     assert val == pytest.approx(np.pi**2 / 4, rel=1e-12)
 
 
-def test_two_dimensional_gradient_consistency(rng):
-    disc = build_space(((0.0, np.pi), (0.0, np.pi)), 1, "dirichlet", 4)
-    iset = disc.index_set
+def _well2d(iset):
+    # gradient energy plus a quartic well on the square
     vy = iset.position((0, 1))
     vx = iset.position((1, 0))
     v0 = iset.position((0, 0))
-    lag = make_polynomial_lagrangian(
+    return make_polynomial_lagrangian(
         2, 1, 1,
         [(0.5, ((vx, 2),)), (0.5, ((vy, 2),)), (0.25, ((v0, 4),))],
         name="well2d", g1=shifted_power_envelope(3.0, 2.0), g2=constant_envelope(1.0),
     )
+
+
+def test_two_dimensional_gradient_consistency(rng):
+    disc = build_space(((0.0, np.pi), (0.0, np.pi)), 1, "dirichlet", 4)
+    lag = _well2d(disc.index_set)
     h = 1e-5
     for _ in range(5):
         u = rng.standard_normal(disc.dim)
@@ -379,7 +386,7 @@ def test_two_dimensional_gradient_consistency(rng):
             - assemble_functional(lag, disc.field(u - h * v))
         ) / (2 * h)
         assert fd == pytest.approx(float(ell @ v), rel=1e-6, abs=1e-10)
-    split = assemble_hessian(lag, disc.field(u))
+    split = hessian_split(lag, disc.field(u))
     assert split.split_defect < 1e-12
     assert split.C0_estimate > 0
 
@@ -415,7 +422,7 @@ def test_system_assembly_consistency(rng):
             - assemble_functional(lag, disc.field(u - h * v))
         ) / (2 * h)
         assert fd == pytest.approx(float(ell @ v), rel=1e-6, abs=1e-10)
-        B = assemble_hessian(lag, disc.field(u)).B
+        B = assemble_hessian(lag, disc.field(u))
         _, gp = assemble_gradient(lag, disc.field(u + h * v))
         _, gm = assemble_gradient(lag, disc.field(u - h * v))
         fd_vec = (gp.coeffs - gm.coeffs) / (2 * h)
@@ -428,9 +435,84 @@ def test_system_cross_component_hessian_block():
 
     disc = build_space((0.0, np.pi), 1, "dirichlet", 4, n_components=2)
     lag = _coupled_system(enumerate_multi_indices(1, 1))
-    split = assemble_hessian(lag, disc.zero_field())
+    split = hessian_split(lag, disc.zero_field())
     K = disc.K
     # the coupling puts the scalar mass matrix in the off-diagonal block
     mass = np.diag([np.pi / 2] * K)
     assert np.allclose(split.B[:K, K:], mass, atol=1e-12)
     assert split.split_defect < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the stacked second-variation kernel against the per-pair reference loop
+
+
+def _pair_loop(disc, hess, keep):
+    """Reference assembly: one three-operand einsum per kept (alpha, beta) pair."""
+    orders = disc.index_set.orders()
+    N, K = disc.n_components, disc.K
+    out = np.zeros((N, K, N, K))
+    for a in range(len(orders)):
+        for b in range(len(orders)):
+            if not keep(orders[a], orders[b]):
+                continue
+            wh = disc.weights[:, None, None] * hess[:, :, a, :, b]
+            out += np.einsum("qij,qk,ql->ikjl", wh, disc.dtab[a], disc.dtab[b])
+    out = out.reshape(disc.dim, disc.dim)
+    return 0.5 * (out + out.T)
+
+
+def _cross_coupled_system(iset):
+    # a first-order/zero-order coupling makes the off-diagonal blocks nonsymmetric
+    A = len(iset)
+    v1_a = 0 * A + iset.position((1,))
+    v1_b = 1 * A + iset.position((1,))
+    v0_a = 0 * A + iset.position((0,))
+    v0_b = 1 * A + iset.position((0,))
+    return make_polynomial_lagrangian(
+        1, 1, 2,
+        [(0.5, ((v1_a, 2),)), (0.5, ((v1_b, 2),)), (1.0, ((v1_a, 1), (v0_b, 1))), (0.25, ((v0_a, 2), (v0_b, 2)))],
+        name="cross_coupled", g1=constant_envelope(2.0), g2=constant_envelope(1.0),
+    )
+
+
+def _kernel_case(case):
+    from veldt.lagrangian import enumerate_multi_indices
+
+    iset = enumerate_multi_indices(1, 1)
+    if case == "sine":
+        return build_space((0.0, np.pi), 1, "dirichlet", 16), model_problem("P2").lagrangian
+    if case == "beam":
+        return build_space((0.0, 1.0), 2, "dirichlet", 8), model_problem("P4").lagrangian
+    if case == "fourier":
+        return build_space((0.0, 2.0 * np.pi), 1, "periodic", 9), model_problem("P3").lagrangian
+    if case == "coupled":
+        return build_space((0.0, np.pi), 1, "dirichlet", 8, n_components=2), _coupled_system(iset)
+    if case == "cross_coupled":
+        return build_space((0.0, np.pi), 1, "dirichlet", 8, n_components=2), _cross_coupled_system(iset)
+    square = build_space(((0.0, np.pi), (0.0, np.pi)), 1, "dirichlet", 6)
+    return square, _well2d(square.index_set)
+
+
+@pytest.mark.parametrize("case", ["sine", "beam", "fourier", "coupled", "cross_coupled", "square"])
+def test_kernel_matches_pair_loop(case, rng):
+    disc, lag = _kernel_case(case)
+    m = disc.m
+    for _ in range(3):
+        u = rng.standard_normal(disc.dim)
+        u = disc.field(u * rng.uniform(0.5, 2.0) / disc.norm(u))
+        hess = lag.hessian_at(disc.nodes, disc.jets(u.coeffs))
+        reference = _pair_loop(disc, hess, lambda oa, ob: True)
+        B = assemble_hessian(lag, u)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(B - reference)) <= 1e-13 * scale
+
+        split = hessian_split(lag, u)
+        assert np.max(np.abs(split.B - B)) <= 1e-13 * scale
+        assert split.split_defect < 1e-12
+        assert np.array_equal(split.P, split.P.T)
+        assert np.array_equal(split.Q, split.Q.T)
+        P_ref = _pair_loop(disc, hess, lambda oa, ob: oa == m and ob == m) + disc.gram_lower
+        Q_ref = _pair_loop(disc, hess, lambda oa, ob: oa + ob < 2 * m) - disc.gram_lower
+        assert np.max(np.abs(split.P - P_ref)) <= 1e-13 * scale
+        assert np.max(np.abs(split.Q - Q_ref)) <= 1e-13 * scale

@@ -129,6 +129,16 @@ def test_psi_reports_nonconvergence(setup_p2):
     assert err.value.residual is not None
 
 
+def test_psi_rejects_kernel_direction_in_complement(setup_p2):
+    # a kernel column in the complement basis makes the complement block singular
+    widened = dataclasses.replace(
+        setup_p2, complement_basis=np.column_stack([setup_p2.complement_basis, setup_p2.kernel_basis])
+    )
+    w0 = np.full(widened.complement_basis.shape[1], 1e-8)
+    with pytest.raises(DegenerateKernelError, match="complement block of the second variation is singular"):
+        solve_psi(widened, [1.0], np.zeros(1), w0=w0)
+
+
 def test_psi_uniqueness_probe(setup_p2, rng):
     z = np.array([0.3])
     baseline = solve_psi(setup_p2, [1.0], z)

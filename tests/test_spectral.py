@@ -122,6 +122,26 @@ def test_split_audit_p2_linear_slope(p2, disc32):
     assert report.q_slope == pytest.approx(1.0, abs=0.2)
 
 
+def test_split_audit_fails_when_split_misses_assembled_hessian(p2, disc32, monkeypatch):
+    import dataclasses
+
+    import veldt.spectral
+
+    hessian_split = veldt.spectral.hessian_split
+    report = split_continuity_audit(p2.lagrangian, disc32.zero_field(), disc32)
+    assert report.passed and report.split_defect < 1e-14
+
+    def unshifted(lag, u):
+        # Q without the lower-order identity that P borrows
+        split = hessian_split(lag, u)
+        return dataclasses.replace(split, Q=split.Q + u.disc.gram_lower)
+
+    monkeypatch.setattr(veldt.spectral, "hessian_split", unshifted)
+    report = split_continuity_audit(p2.lagrangian, disc32.zero_field(), disc32)
+    assert not report.passed
+    assert report.split_defect > 1e-6
+
+
 # ---------------------------------------------------------------------------
 # the pencil
 
