@@ -231,9 +231,8 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, tol=1e-10, psi_tol=1e-11, ma
             if accepted is None:
                 raise
             return np.inf, None
-        coeffs = setup.lift(z, sample.y)
-        g = Z.T @ func.gradient_dual(coeffs)
-        return float(np.linalg.norm(g)), (coeffs, sample.y, g)
+        g = Z.T @ sample.load
+        return float(np.linalg.norm(g)), (setup.lift(z, sample.y), sample.y, g)
 
     def solve(z, state):
         coeffs, _, g = state
@@ -668,10 +667,13 @@ def _fourier_mode_data(disc: Discretization):
 
 
 def _shifted_coeffs(disc: Discretization, coeffs: np.ndarray, t: float) -> np.ndarray:
+    """Coefficients of the field translated by t; an even-K space's unpaired
+    trailing cosine has no sine partner and stays unshifted (``orbit_group``
+    rejects fields that use it)."""
     (a, b) = disc.domain
     L = b - a
     out = coeffs.reshape(disc.n_components, disc.K).copy()
-    pairs, lone = _fourier_mode_data(disc)
+    pairs, _ = _fourier_mode_data(disc)
     for j, ic, isin in pairs:
         phi = 2 * np.pi * j * t / L
         c, s = np.cos(phi), np.sin(phi)
@@ -679,9 +681,6 @@ def _shifted_coeffs(disc: Discretization, coeffs: np.ndarray, t: float) -> np.nd
         bs = out[:, isin].copy()
         out[:, ic] = ac * c + bs * s
         out[:, isin] = -ac * s + bs * c
-    if lone is not None:
-        # an unpaired trailing cosine mode cannot be shifted exactly; leave it
-        pass
     return out.reshape(disc.dim)
 
 
@@ -692,12 +691,25 @@ def orbit_group(solutions: Sequence[Field], disc: Discretization, tol: float = 1
     a fine shift grid with parabolic refinement (the distance is a smooth
     trigonometric polynomial of the shift).  Constant fields are fixed points
     of the action and each forms its own orbit unless it coincides with
-    another constant.
+    another constant.  On an even-K space the trailing cosine has no sine
+    partner, so the space is not translation invariant: a field whose part
+    in that mode exceeds ``tol`` of its norm is rejected.
     """
     if disc.bc != "periodic":
         raise CapabilityError("orbit grouping requires a periodic discretization")
     if disc.n != 1:
         raise CapabilityError("orbit grouping is implemented for one spatial dimension")
+    _, lone = _fourier_mode_data(disc)
+    if lone is not None:
+        for i, u in enumerate(solutions):
+            part = np.zeros((disc.n_components, disc.K))
+            part[:, lone] = u.coeffs.reshape(disc.n_components, disc.K)[:, lone]
+            share = disc.norm(part.reshape(disc.dim)) / max(disc.norm(u.coeffs), 1e-300)
+            if share > tol:
+                raise CapabilityError(
+                    f"solution {i} has {share:.3e} of its norm in the unpaired cosine "
+                    f"mode of the even K={disc.K} periodic space, which translations do not preserve; use odd K"
+                )
     n = len(solutions)
     (a, b) = disc.domain
     L = b - a

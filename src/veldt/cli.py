@@ -271,7 +271,8 @@ def run_spectrum(cfg, model, rng, out_dir):
         profile = q_compactness_audit(model.lagrangian, u0, disc)
         report["q_decay"] = {"passed": profile.passed, "ratios_head": profile.ratios[:8].tolist()}
         report["checks"].append("compact-tail-decay")
-    passed = all(
+    # eigenvalues dropped as complex leave the reported spectrum incomplete
+    passed = pencil.dropped_complex == 0 and all(
         entry.get("passed", True)
         for key in ("split_audit", "q_decay")
         for entry in [report.get(key, {})]
@@ -400,7 +401,7 @@ def run_bifurcate(cfg, model, rng, out_dir):
         ["lam_star", "branch", "side", "lam", "amplitude", "amplitude_sup", "morse_index", "nullity", "orbit_tag"],
         rows,
     )
-    passed = all(not cand.gaps for cand in report_obj.candidates)
+    passed = report_obj.pencil_summary["dropped_complex"] == 0 and all(not cand.gaps for cand in report_obj.candidates)
     report = {
         "bifurcation": report_obj.summary(),
         "checks": ["pencil-necessary-test", "index-jump-identity", "branch-residual-contract"],

@@ -15,7 +15,16 @@ import numpy as np
 
 from .catalog import ModelProblem
 from .errors import DiscretizationError
-from .galerkin import Discretization, Field, assemble_functional, assemble_gradient, assemble_hessian
+from .galerkin import (
+    Discretization,
+    Field,
+    _check_signature,
+    _require_p2,
+    assemble_functional,
+    assemble_gradient,
+    assemble_hessian,
+)
+from .lagrangian import Lagrangian, _require_finite
 
 HALVINGS = 25  # step-length halvings before a Newton step counts as stalled
 
@@ -43,15 +52,55 @@ class DiscretizedFunctional:
         return assemble_functional(self.lagrangian, self.disc.field(coeffs))
 
     def gradient_dual(self, coeffs: np.ndarray) -> np.ndarray:
-        ell, _ = assemble_gradient(self.lagrangian, self.disc.field(coeffs))
-        return ell
+        return assemble_gradient(self.lagrangian, self.disc.field(coeffs))
 
     def hessian_dual(self, coeffs: np.ndarray) -> np.ndarray:
         return assemble_hessian(self.lagrangian, self.disc.field(coeffs))
 
 
-class CombinedFunctional:
-    """The parameterized family F - sum_j lambda_j G_j at a fixed parameter."""
+def _combined_lagrangian(energy: Lagrangian, constraints: Sequence[Lagrangian], lam: np.ndarray) -> Lagrangian:
+    """The integrand f - sum_j lam_j g_j, so that one quadrature pass assembles it.
+
+    Each callback evaluates every term's raw callback and checks that term's
+    output under its own tag, as assembling the term alone would; the Hessian
+    callback first requires p = 2 of every term.
+    """
+    terms = [(1.0, energy)] + [(-lj, g) for lj, g in zip(lam, constraints)]
+
+    def combined(tag):
+        def callback(x, xi):
+            if tag == "hess_f":
+                for _, lag in terms:
+                    _require_p2(lag)
+            out = 0.0
+            for weight, lag in terms:
+                term = np.asarray(getattr(lag, tag)(x, xi), dtype=float)
+                _require_finite(term, x, tag)
+                out = out + weight * term
+            return out
+
+        return callback
+
+    return Lagrangian(
+        n=energy.n,
+        m=energy.m,
+        N=energy.N,
+        f=combined("f"),
+        grad_f=combined("grad_f"),
+        hess_f=combined("hess_f"),
+        growth=energy.growth,
+        name=energy.name,
+        nonlinearity_degree=max(lag.nonlinearity_degree for _, lag in terms),
+    )
+
+
+class CombinedFunctional(DiscretizedFunctional):
+    """The parameterized family F - sum_j lambda_j G_j at a fixed parameter.
+
+    Every evaluation assembles the single combined integrand: one jet
+    evaluation, one callback pass and one contraction per call, whatever the
+    number of constraints.
+    """
 
     def __init__(self, energy: DiscretizedFunctional, constraints: Sequence[DiscretizedFunctional], lam):
         self.energy = energy
@@ -61,25 +110,10 @@ class CombinedFunctional:
             raise DiscretizationError(
                 f"parameter vector length {self.lam.shape} does not match {len(self.constraints)} constraints"
             )
-        self.disc = energy.disc
-
-    def value(self, coeffs: np.ndarray) -> float:
-        out = self.energy.value(coeffs)
-        for lj, gj in zip(self.lam, self.constraints):
-            out -= lj * gj.value(coeffs)
-        return out
-
-    def gradient_dual(self, coeffs: np.ndarray) -> np.ndarray:
-        out = self.energy.gradient_dual(coeffs)
-        for lj, gj in zip(self.lam, self.constraints):
-            out = out - lj * gj.gradient_dual(coeffs)
-        return out
-
-    def hessian_dual(self, coeffs: np.ndarray) -> np.ndarray:
-        out = self.energy.hessian_dual(coeffs)
-        for lj, gj in zip(self.lam, self.constraints):
-            out = out - lj * gj.hessian_dual(coeffs)
-        return out
+        for term in [energy, *self.constraints]:
+            _check_signature(term.lagrangian, energy.disc)
+        lagrangian = _combined_lagrangian(energy.lagrangian, [g.lagrangian for g in self.constraints], self.lam)
+        super().__init__(lagrangian, energy.disc)
 
 
 @dataclass(eq=False)

@@ -154,7 +154,9 @@ class Discretization:
     def jets(self, coeffs: np.ndarray) -> np.ndarray:
         """Jet values at quadrature nodes, shape (Q, N, A)."""
         c = np.asarray(coeffs, dtype=float).reshape(self.n_components, self.K)
-        return np.einsum("ik,aqk->qia", c, self.dtab)
+        A, Q, K = self.dtab.shape
+        # one (A*Q) x K GEMM against the stacked tables, then (A, Q, N) -> (Q, N, A)
+        return (self.dtab.reshape(A * Q, K) @ c.T).reshape(A, Q, self.n_components).transpose(1, 2, 0)
 
     def values(self, coeffs: np.ndarray) -> np.ndarray:
         """Point values at quadrature nodes, shape (Q, N)."""
@@ -470,20 +472,19 @@ def assemble_functional(lag: Lagrangian, u: Field) -> float:
     return float(disc.weights @ vals)
 
 
-def assemble_gradient(lag: Lagrangian, u: Field):
-    """First variation at u: the dual load vector and its Riesz representative.
+def assemble_gradient(lag: Lagrangian, u: Field) -> np.ndarray:
+    """First variation at u: the dual load vector.
 
-    The load pairs the jet gradient of the integrand against basis derivative
-    tables; the representative solves the Gram system and lives in the same
-    space as u.
+    The load pairs the jet gradient of the integrand against the basis
+    derivative tables.  Its Riesz representative, when needed, is
+    ``u.disc.solve_gram(load)``.
     """
     disc = u.disc
     _check_signature(lag, disc)
-    xi = disc.jets(u.coeffs)
-    grad = lag.gradient_at(disc.nodes, xi)  # (Q, N, A)
-    ell = np.einsum("q,qia,aqk->ik", disc.weights, grad, disc.dtab).reshape(disc.dim)
-    riesz = disc.field(disc.solve_gram(ell))
-    return ell, riesz
+    grad = lag.gradient_at(disc.nodes, disc.jets(u.coeffs))  # (Q, N, A)
+    A, Q, K = disc.dtab.shape
+    wg = (disc.weights[:, None, None] * grad).transpose(2, 0, 1).reshape(A * Q, disc.n_components)
+    return (wg.T @ disc.dtab.reshape(A * Q, K)).reshape(disc.dim)
 
 
 # np.isclose(p, 2.0) without its per-call array overhead
@@ -499,11 +500,15 @@ def _jet_hessian(lag: Lagrangian, u: Field) -> np.ndarray:
     """
     disc = u.disc
     _check_signature(lag, disc)
+    _require_p2(lag)
+    return lag.hessian_at(disc.nodes, disc.jets(u.coeffs))
+
+
+def _require_p2(lag: Lagrangian):
     if abs(lag.growth.p - 2.0) > _P2_TOL:
         raise CapabilityError(
             f"second variation assembly needs p = 2 (directional-only differentiability at p = {lag.growth.p})"
         )
-    return lag.hessian_at(disc.nodes, disc.jets(u.coeffs))
 
 
 def _second_variation(disc: Discretization, hess: np.ndarray, pairs: Optional[np.ndarray] = None) -> np.ndarray:

@@ -30,6 +30,7 @@ from .functional import (
     CombinedFunctional,
     DiscretizedFunctional,
     VariationalProblem,
+    _dual_norm,
     damped_newton,
     gradient_norm,
     multistart_census,
@@ -85,7 +86,9 @@ class ReductionSetup:
     def nullity(self) -> int:
         return self.kernel_basis.shape[1]
 
-    def functional_at(self, lam) -> CombinedFunctional:
+    def functional_at(self, lam):
+        if not self.constraints:
+            return self.energy
         return CombinedFunctional(self.energy, self.constraints, lam)
 
     def check_lambda(self, lam) -> np.ndarray:
@@ -180,6 +183,7 @@ class PsiSample:
     y: np.ndarray
     residual: float
     iterations: int
+    load: np.ndarray  # dual gradient of L_lam at the corrected point
     value: Optional[float] = None
     gradient: Optional[np.ndarray] = None
 
@@ -211,14 +215,21 @@ class ReductionResult:
         return rows
 
 
-def _complement_newton(setup, func, z, tol_abs, y0, max_iter):
+def _complement_newton(setup, func, z, tol_abs, y0, max_iter, load0=None):
+    """Damped Newton for the complement coordinates; the state is the full load vector.
+
+    ``load0``, when given, is the load already assembled at ``y0``.
+    """
     W = setup.complement_basis
 
-    def evaluate(y, _):
-        r = W.T @ func.gradient_dual(setup.lift(z, y))
-        return float(np.linalg.norm(r)), r
+    def evaluate(y, accepted):
+        if accepted is None and load0 is not None:
+            ell = load0
+        else:
+            ell = func.gradient_dual(setup.lift(z, y))
+        return float(np.linalg.norm(W.T @ ell)), ell
 
-    def solve(y, r):
+    def solve(y, ell):
         J = W.T @ func.hessian_dual(setup.lift(z, y)) @ W
         # J is symmetric, so its 2-norm condition number is max|eig| / min|eig|
         mags = np.abs(np.linalg.eigvalsh(0.5 * (J + J.T)))
@@ -228,7 +239,7 @@ def _complement_newton(setup, func, z, tol_abs, y0, max_iter):
                 f"complement block of the second variation is singular (cond {cond:.3e}); "
                 "the kernel basis is wrong or the nullity changed"
             )
-        return np.linalg.solve(J, -r)
+        return np.linalg.solve(J, -(W.T @ ell))
 
     y0 = np.zeros(W.shape[1]) if y0 is None else y0
     result = damped_newton(evaluate, solve, y0, tol_abs, max_iter, step_cap=setup.trust_radius)
@@ -254,7 +265,8 @@ def solve_psi(
 
     The residual contract is |P_perp grad L_lam| < tol * (1 + |grad L_lam at
     u0 + z|) in the Sobolev norm.  ``w0`` (complement coordinates) warm-starts
-    the Newton iteration; steps are capped by the trust radius.
+    the Newton iteration; steps are capped by the trust radius.  Without it the
+    iteration starts at y = 0, where the load of the scale gradient is reused.
     """
     lam = setup.check_lambda(lam)
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -265,15 +277,17 @@ def solve_psi(
             f"|z| = {np.linalg.norm(z):.3e} exceeds the trust radius {setup.trust_radius:.3e}"
         )
     func = setup.functional_at(lam)
-    scale = 1.0 + gradient_norm(func, setup.lift(z))
-    result = _complement_newton(setup, func, z, tol * scale, w0, max_iter)
-    return PsiSample(lam=lam, z=z, y=result.coeffs, residual=result.residual, iterations=result.iterations)
+    ell0 = func.gradient_dual(setup.lift(z))
+    scale = 1.0 + _dual_norm(setup.disc, ell0)
+    result = _complement_newton(setup, func, z, tol * scale, w0, max_iter, load0=ell0 if w0 is None else None)
+    return PsiSample(
+        lam=lam, z=z, y=result.coeffs, residual=result.residual, iterations=result.iterations, load=result.state
+    )
 
 
 def _with_reduced_data(setup, func, sample):
-    coeffs = setup.lift(sample.z, sample.y)
-    sample.value = func.value(coeffs)
-    sample.gradient = setup.kernel_basis.T @ func.gradient_dual(coeffs)
+    sample.value = func.value(setup.lift(sample.z, sample.y))
+    sample.gradient = setup.kernel_basis.T @ sample.load
     return sample
 
 

@@ -271,6 +271,7 @@ class PencilSpectrum:
             "multiplicities": self.multiplicities.tolist(),
             "kernel_dim": int(self.kernel.shape[1]),
             "max_residual": float(np.max(self.residuals)) if self.residuals.size else 0.0,
+            "dropped_complex": int(self.dropped_complex),
         }
 
 

@@ -347,6 +347,19 @@ def test_orbit_group_is_an_equivalence(periodic5):
     assert d[0, 1] < 1e-8 and d[1, 2] < 1e-8 and d[0, 2] < 1e-8
 
 
+def test_orbit_group_rejects_unpaired_mode_of_even_k():
+    # K = 6: constant, (cos x, sin x), (cos 2x, sin 2x), then cos 3x without its sine
+    disc = build_space((0.0, 2.0 * np.pi), 1, "periodic", 6)
+    sinx = disc.field([0, 0, 1, 0, 0, 0])
+    cosx = disc.field([0, 1, 0, 0, 0, 0])
+    assert orbit_group([sinx, cosx], disc).n_orbits == 1
+    cos3x = disc.field([0, 1, 0, 0, 0, 1e-3])
+    with pytest.raises(CapabilityError, match="unpaired cosine"):
+        orbit_group([sinx, cos3x], disc)
+    below_tol = disc.field([0, 1, 0, 0, 0, 1e-12])
+    assert orbit_group([sinx, below_tol], disc).n_orbits == 1
+
+
 def test_orbit_group_requires_periodic(disc16):
     with pytest.raises(CapabilityError):
         orbit_group([disc16.zero_field()], disc16)

@@ -106,9 +106,38 @@ def test_spectrum_scenario(tmp_path):
     eigs = [float(r.split(",")[0]) for r in rows[:5]]
     for k, lam in enumerate(eigs, start=1):
         assert abs(lam - k**2) / k**2 < 1e-3
+    assert report["result"]["pencil"]["dropped_complex"] == 0
     table = report["result"]["morse_table"]
     assert table[0] == {"lam": 2.5, "morse_index": 1, "nullity": 0}
     assert table[1] == {"lam": 4.0, "morse_index": 1, "nullity": 1}
+
+
+@pytest.mark.parametrize("scenario", ["spectrum", "bifurcate"])
+def test_audit_fails_on_dropped_complex_eigenvalues(tmp_path, scenario):
+    # F = (u1'^2 - u2'^2) / 2 is indefinite and G = u1 u2 couples the components,
+    # so F^-1 G has the imaginary pair +-i/k^2 on every sine mode k
+    factor = lambda comp, alpha, power: {"component": comp, "alpha": [alpha], "power": power}
+    doc = {
+        "n": 1, "m": 1, "N": 2,
+        "integrand": {"terms": [
+            {"coef": 0.5, "factors": [factor(0, 1, 2)]},
+            {"coef": -0.5, "factors": [factor(1, 1, 2)]},
+        ]},
+        "constraint": {"terms": [{"coef": 1.0, "factors": [factor(0, 0, 1), factor(1, 0, 1)]}]},
+    }
+    cfg = {
+        "problem": doc,
+        "scenario": scenario,
+        "discretization": {"domain": [0, "pi"], "m": 1, "bc": "dirichlet", "K": 8},
+        "params": {"window": [0.5, 1.5]},
+    }
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert run(path, tmp_path / "soft") == 0
+    report = json.loads((tmp_path / "soft" / "report.json").read_text())
+    pencil = report["result"]["pencil"] if scenario == "spectrum" else report["result"]["bifurcation"]["pencil"]
+    assert pencil["dropped_complex"] == 16
+    assert report["status"] == "audit_failed"
+    assert run(path, tmp_path / "hard", strict=True) == 2
 
 
 def test_validate_scenario(tmp_path):

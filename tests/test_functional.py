@@ -1,9 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from veldt.functional import VariationalProblem, damped_newton, gradient_norm, newton_polish
+from veldt.catalog import _mass_constraint, model_problem
+from veldt.errors import CapabilityError, ConfigurationError, EvaluationError
+from veldt.functional import (
+    CombinedFunctional,
+    DiscretizedFunctional,
+    VariationalProblem,
+    damped_newton,
+    gradient_norm,
+    newton_polish,
+)
+from veldt.galerkin import build_space
+from veldt.lagrangian import GrowthSpec, enumerate_multi_indices
+
+from test_galerkin import _coupled_system, _well2d
 
 
 def _affine(A, root):
@@ -95,3 +109,85 @@ def test_newton_polish_linear_problem_one_iteration(p1, disc32):
     assert result.iterations == 1
     assert result.residual <= 1e-12
     assert gradient_norm(func, result.coeffs) == result.residual
+
+
+# ---------------------------------------------------------------------------
+# the one-pass combined functional against the explicit two-pass F - lam G
+
+
+def _pair(model):
+    return model.lagrangian, model.constraint
+
+
+def _oracle_cases():
+    sine = build_space((0.0, np.pi), 1, "dirichlet", 16)
+    cases = [(name, *_pair(model_problem(name)), sine) for name in ("P1", "P2", "P3")]
+    cases.append(("beam", *_pair(model_problem("P4")), build_space((0.0, 1.0), 2, "dirichlet", 8)))
+    cases.append(
+        (
+            "coupled",
+            _coupled_system(enumerate_multi_indices(1, 1)),
+            _mass_constraint(1, 1, 2),
+            build_space((0.0, np.pi), 1, "dirichlet", 8, n_components=2),
+        )
+    )
+    square = build_space(((0.0, np.pi), (0.0, np.pi)), 1, "dirichlet", 6)
+    cases.append(("sine2d", _well2d(square.index_set), _mass_constraint(2, 1, 1), square))
+    return cases
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.05])
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
+def test_combined_matches_two_pass(case, lam):
+    _, f, g, disc = case
+    F, G = DiscretizedFunctional(f, disc), DiscretizedFunctional(g, disc)
+    combined = CombinedFunctional(F, [G], [lam])
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        c = rng.standard_normal(disc.dim)
+        c *= rng.uniform(0.3, 1.5) / disc.norm(c)
+        value = F.value(c) - lam * G.value(c)
+        assert abs(combined.value(c) - value) <= 1e-13 * max(abs(value), 1.0)
+        for one_pass, two_pass in (
+            (combined.gradient_dual(c), F.gradient_dual(c) - lam * G.gradient_dual(c)),
+            (combined.hessian_dual(c), F.hessian_dual(c) - lam * G.hessian_dual(c)),
+        ):
+            assert np.max(np.abs(one_pass - two_pass)) <= 1e-13 * np.max(np.abs(two_pass))
+
+
+def _mass_functional(disc, **changes):
+    return DiscretizedFunctional(dataclasses.replace(_mass_constraint(1, 1, 1), **changes), disc)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.05])
+def test_combined_reports_non_finite_constraint_output(p2, disc16, lam):
+    def nan_like(shape_tail):
+        return lambda x, xi: np.full((np.shape(xi)[0],) + shape_tail, np.nan)
+
+    A = len(disc16.index_set)
+    bad = _mass_functional(disc16, f=nan_like(()), grad_f=nan_like((1, A)), hess_f=nan_like((1, A, 1, A)))
+    combined = CombinedFunctional(DiscretizedFunctional(p2.lagrangian, disc16), [bad], [lam])
+    c = np.zeros(disc16.dim)
+    c[0] = 0.5
+    for evaluate, tag in (
+        (combined.value, "f"),
+        (combined.gradient_dual, "grad_f"),
+        (combined.hessian_dual, "hess_f"),
+    ):
+        with pytest.raises(EvaluationError, match=f"^{tag} produced a non-finite value"):
+            evaluate(c)
+
+
+def test_combined_hessian_requires_p2_of_every_term(p2, disc16):
+    cubic = _mass_functional(disc16, growth=GrowthSpec.canonical(1, 1, p=3.0))
+    combined = CombinedFunctional(DiscretizedFunctional(p2.lagrangian, disc16), [cubic], [1.05])
+    c = np.full(disc16.dim, 0.05)
+    combined.gradient_dual(c)
+    with pytest.raises(CapabilityError):
+        combined.hessian_dual(c)
+
+
+def test_combined_checks_every_term_signature(p1, p4, disc16):
+    beam_constraint = DiscretizedFunctional(p4.constraint, disc16)
+    with pytest.raises(ConfigurationError):
+        CombinedFunctional(DiscretizedFunctional(p1.lagrangian, disc16), [beam_constraint], [1.0])

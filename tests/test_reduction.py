@@ -13,6 +13,8 @@ from veldt import (
     sample_reduced,
     solve_psi,
 )
+import veldt.bifurcation
+import veldt.functional
 from veldt.errors import ConfigurationError, DegenerateKernelError, ReductionFailureError
 from veldt.functional import VariationalProblem, gradient_norm
 
@@ -355,3 +357,48 @@ def test_psi_stall_reports_iterations_run(setup_p2):
         solve_psi(flipped, np.zeros(0), np.array([0.2]), max_iter=50)
     assert err.value.iterations == 1
     assert err.value.residual > 0
+
+
+# ---------------------------------------------------------------------------
+# load vectors are assembled once per point
+
+
+def _count_gradient_assemblies(monkeypatch):
+    calls = []
+    original = veldt.functional.assemble_gradient
+
+    def counted(lag, u):
+        calls.append(u)
+        return original(lag, u)
+
+    monkeypatch.setattr(veldt.functional, "assemble_gradient", counted)
+    return calls
+
+
+def test_psi_reuses_scale_load_at_converged_start(setup_p2, monkeypatch):
+    calls = _count_gradient_assemblies(monkeypatch)
+    sample = solve_psi(setup_p2, [1.0], np.zeros(1))
+    assert sample.iterations == 0
+    assert len(calls) == 1
+    np.testing.assert_array_equal(sample.load, np.zeros(setup_p2.disc.dim))
+
+
+def test_reduced_newton_reads_gradient_from_complement_solve(setup_p2, monkeypatch):
+    calls = _count_gradient_assemblies(monkeypatch)
+    original = veldt.bifurcation.solve_psi
+    marks = []  # assembly count at the start and at the end of every complement solve
+
+    def watched(*args, **kwargs):
+        marks.append(len(calls))
+        sample = original(*args, **kwargs)
+        marks.append(len(calls))
+        return sample
+
+    monkeypatch.setattr(veldt.bifurcation, "solve_psi", watched)
+    z, _, converged = veldt.bifurcation._reduced_newton(setup_p2, [1.1], np.array([0.5]))
+    marks.append(len(calls))
+    assert converged and z[0] == pytest.approx(0.6485, abs=1e-3)
+    assert len(marks) > 3
+    # nothing is assembled after a complement solve ends and before the next
+    # one starts, nor after the last one
+    assert marks[1::2] == marks[2::2]

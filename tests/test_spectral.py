@@ -278,6 +278,16 @@ def _synthetic_pencil():
 def test_synthetic_pencil_eigenvalues():
     pencil, _, _, _ = _synthetic_pencil()
     assert pencil.eigenvalues.tolist() == pytest.approx([2.0, 3.0])
+    assert pencil.summary()["dropped_complex"] == 0
+
+
+def test_indefinite_pencil_reports_dropped_complex_pair():
+    # on the first two coordinates F^-1 G = [[0, 1], [-1, 0]], with eigenvalues +-i
+    F = np.diag([1.0, -1.0, 2.0])
+    G = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    pencil = pencil_eigs(F, G, np.eye(3))
+    assert pencil.summary()["dropped_complex"] == 2
+    assert pencil.eigenvalues.tolist() == pytest.approx([2.0])
 
 
 def test_invariant_subspace_morse_formula():
