@@ -23,9 +23,16 @@ from .errors import (
     NotIsolatedError,
     ReductionFailureError,
 )
-from .functional import VariationalProblem, damped_newton, multistart_census, newton_polish
+from .functional import (
+    DEDUPE_TOL,
+    RESIDUAL_CONTRACT,
+    VariationalProblem,
+    damped_newton,
+    multistart_census,
+    newton_polish,
+)
 from .galerkin import Discretization, Field
-from .reduction import ReductionSetup, make_reduction_setup, reduced_hessian_at_origin, solve_psi
+from .reduction import COMPLEMENT_TOL, ReductionSetup, make_reduction_setup, reduced_hessian_at_origin, solve_psi
 from .spectral import PencilSpectrum, decompose, index_jump, pencil_eigs
 
 __all__ = [
@@ -45,8 +52,9 @@ __all__ = [
     "orbit_group",
 ]
 
-RESIDUAL_CONTRACT = 1e-9
-DEDUPE_TOL = 1e-6
+INVARIANCE_TOL = 1e-8  # relative eigenspace-invariance defect that still counts as class (c)
+ORIGIN_PSI_TOL = 1e-12  # complement tolerance of the reduced-origin classification
+ORIGIN_DIRECTIONS = 8  # random sphere directions per radius when the kernel is not a line
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +117,6 @@ def classify_conditions(
     G_hess: np.ndarray,
     pencil: PencilSpectrum,
     lam_star: float,
-    invariance_tol: float = 1e-8,
 ) -> ConditionClassification:
     """Which definiteness route applies at this candidate.
 
@@ -143,7 +150,7 @@ def classify_conditions(
     basis = pencil.eigenspaces[idx]
     restricted = np.linalg.eigvalsh(basis.T @ F_hess @ basis)
     definite = bool(np.all(restricted > 0) or np.all(restricted < 0))
-    if defect <= invariance_tol * max(scale, 1e-300) and definite:
+    if defect <= INVARIANCE_TOL * max(scale, 1e-300) and definite:
         return ConditionClassification("c", n_pos, n_neg, defect, definite)
     return ConditionClassification("none", n_pos, n_neg, defect, definite)
 
@@ -212,7 +219,7 @@ class BifurcationReport:
         }
 
 
-def _reduced_newton(setup: ReductionSetup, lam, z0, tol=1e-10, psi_tol=1e-11, max_iter=40):
+def _reduced_newton(setup: ReductionSetup, lam, z0, tol=1e-10, psi_tol=COMPLEMENT_TOL, max_iter=40):
     """Newton on the reduced gradient with the exact eliminated Jacobian.
 
     Each trial solves the complement equation warm-started from the accepted
@@ -249,7 +256,7 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, tol=1e-10, psi_tol=1e-11, ma
     return result.coeffs, result.state[1], result.converged
 
 
-def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=1e-11):
+def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
     """Distinct reduced critical points from a deterministic + random start set.
 
     A start whose solve raises is skipped; when every start raised, the
@@ -294,7 +301,7 @@ def _polish_and_pack(problem, setup, lam, z, y, trivial_tol):
     disc = problem.disc
     func = setup.functional_at(lam if np.ndim(lam) else [lam])
     lifted = setup.lift(z, y)
-    polish = newton_polish(func, lifted, tol=1e-12)
+    polish = newton_polish(func, lifted)
     if not polish.converged or polish.residual > RESIDUAL_CONTRACT:
         return None
     coeffs = polish.coeffs
@@ -353,8 +360,6 @@ def detect_branches(
     n_starts: int = 4,
     solution_cap: int = 16,
     rng: Optional[np.random.Generator] = None,
-    psi_tol: float = 1e-11,
-    jump_eps: Optional[float] = None,
 ) -> BifurcationReport:
     """Sweep a parameter window for branch points of F' = lam G'.
 
@@ -394,8 +399,7 @@ def detect_branches(
         condition = classify_conditions(F_h, G_h, pencil, lam_star)
         others = np.abs(pencil.eigenvalues[pencil.eigenvalues != lam_star] - lam_star)
         separation = float(np.min(others)) if others.size else 1.0
-        eps = jump_eps if jump_eps is not None else min(0.1, 0.4 * separation)
-        jump = index_jump(pencil, lam_star, eps).summary()
+        jump = index_jump(pencil, lam_star, min(0.1, 0.4 * separation)).summary()
         setup = make_reduction_setup(problem, lam_star, kernel_dim=mult)
         # below the cube root of the residual contract a degenerate origin is
         # numerically indistinguishable from the trivial solution
@@ -405,7 +409,7 @@ def detect_branches(
         def solutions_at(lam):
             """Distinct polished nontrivial solutions within the amplitude cap, or None on a gap."""
             try:
-                found = _reduced_multistart(setup, lam, n_starts, rng, psi_tol=psi_tol)
+                found = _reduced_multistart(setup, lam, n_starts, rng)
             except ReductionFailureError as exc:
                 gaps.append({"lam": float(lam), "reason": str(exc)})
                 return None
@@ -440,7 +444,7 @@ def detect_branches(
         for lam, count in counts.items():
             if count >= solution_cap:
                 try:
-                    refined = _reduced_multistart(setup, lam, 2 * n_starts, rng, psi_tol=psi_tol)
+                    refined = _reduced_multistart(setup, lam, 2 * n_starts, rng)
                 except ReductionFailureError as exc:
                     gaps.append({"lam": lam, "reason": str(exc)})
                     continue
@@ -491,8 +495,6 @@ def classify_reduced_origin(
     setup: ReductionSetup,
     lam,
     radii: Optional[Sequence[float]] = None,
-    n_directions: int = 8,
-    psi_tol: float = 1e-12,
     rng: Optional[np.random.Generator] = None,
 ) -> str:
     """Classify the origin of the reduced functional as min, max, or saddle.
@@ -509,7 +511,7 @@ def classify_reduced_origin(
     radii = list(radii) if radii is not None else [0.02 * rho, 0.05 * rho, 0.1 * rho]
     r_min = min(radii)
 
-    found = _reduced_multistart(setup, lam, 3, rng, psi_tol=psi_tol)
+    found = _reduced_multistart(setup, lam, 3, rng, psi_tol=ORIGIN_PSI_TOL)
     # below the cube root of the gradient tolerance a degenerate origin cannot
     # be told apart from a genuine neighbour; such finds count as the origin
     origin_tol = max(1e-3 * r_min, (10 * 1e-10) ** (1.0 / 3.0))
@@ -521,7 +523,7 @@ def classify_reduced_origin(
             )
 
     func = setup.functional_at(lam)
-    center_sample = solve_psi(setup, lam, np.zeros(nu), tol=psi_tol)
+    center_sample = solve_psi(setup, lam, np.zeros(nu), tol=ORIGIN_PSI_TOL)
     center = func.value(setup.lift(np.zeros(nu), center_sample.y))
 
     if nu == 1:
@@ -532,14 +534,14 @@ def classify_reduced_origin(
             e = np.zeros(nu)
             e[i] = 1.0
             dirs.extend([e, -e])
-        extra = rng.standard_normal((n_directions, nu))
+        extra = rng.standard_normal((ORIGIN_DIRECTIONS, nu))
         dirs.extend(row / np.linalg.norm(row) for row in extra)
 
     above = below = 0
     total = 0
     for r in radii:
         for d in dirs:
-            sample = solve_psi(setup, lam, r * d, tol=psi_tol)
+            sample = solve_psi(setup, lam, r * d, tol=ORIGIN_PSI_TOL)
             val = func.value(setup.lift(r * d, sample.y))
             total += 1
             if val > center:
@@ -555,18 +557,16 @@ def classify_reduced_origin(
 
     try:
         H = reduced_hessian_at_origin(setup, lam)
-        eigs = np.linalg.eigvalsh(H)
-        scale = max(float(np.max(np.abs(eigs))), 1e-300)
-        if np.min(np.abs(eigs)) > 1e-8 * scale:
-            expected = "local_min" if np.all(eigs > 0) else ("local_max" if np.all(eigs < 0) else "saddle")
-            if expected != label:
-                raise IdentityViolationError(
-                    f"sphere classification {label} contradicts the nondegenerate reduced Hessian ({expected})"
-                )
-    except IdentityViolationError:
-        raise
-    except Exception:
-        pass  # Hessian formula unavailable away from the common-critical setting
+    except ReductionFailureError:
+        return label  # a complement solve of the finite-difference probe failed; no cross-check
+    eigs = np.linalg.eigvalsh(H)
+    scale = max(float(np.max(np.abs(eigs))), 1e-300)
+    if np.min(np.abs(eigs)) > 1e-8 * scale:
+        expected = "local_min" if np.all(eigs > 0) else ("local_max" if np.all(eigs < 0) else "saddle")
+        if expected != label:
+            raise IdentityViolationError(
+                f"sphere classification {label} contradicts the nondegenerate reduced Hessian ({expected})"
+            )
     return label
 
 
@@ -598,8 +598,6 @@ def morse_inequality_audit(
     func,
     seeds: Sequence[np.ndarray],
     window: Optional[tuple] = None,
-    residual_tol: float = RESIDUAL_CONTRACT,
-    kernel_gap: Optional[float] = None,
 ) -> MorseAudit:
     """Alternating-sum audit of a full critical-point census.
 
@@ -609,7 +607,7 @@ def morse_inequality_audit(
     alternating sum must equal one.  A degenerate census point aborts the
     audit with the witness attached: tilt it away and rerun.
     """
-    points = multistart_census(func, seeds, residual_tol=residual_tol, kernel_gap=kernel_gap)
+    points = multistart_census(func, seeds)
     if window is not None:
         a, b = window
         points = [cp for cp in points if a <= cp.value <= b]

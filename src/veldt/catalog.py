@@ -49,6 +49,14 @@ def constant_envelope(value: float):
 # polynomial integrands
 
 
+def _merged_factors(factors) -> tuple:
+    """Factors sorted by variable, with the powers of a repeated variable added up."""
+    powers: dict = {}
+    for var, power in factors:
+        powers[int(var)] = powers.get(int(var), 0) + int(power)
+    return tuple(sorted((var, power) for var, power in powers.items() if power != 0))
+
+
 class PolynomialIntegrand:
     """Polynomial in the flattened jet variables with term-wise differentiation.
 
@@ -58,11 +66,7 @@ class PolynomialIntegrand:
 
     def __init__(self, n_vars: int, terms):
         self.n_vars = n_vars
-        self.terms = [
-            (float(c), tuple(sorted((int(v), int(p)) for v, p in factors if p != 0)))
-            for c, factors in terms
-            if c != 0.0
-        ]
+        self.terms = [(float(c), _merged_factors(factors)) for c, factors in terms if c != 0.0]
 
     def diff(self, var: int) -> "PolynomialIntegrand":
         out = []

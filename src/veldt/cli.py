@@ -29,6 +29,7 @@ from .functional import VariationalProblem
 from .galerkin import build_space, estimate_sobolev_constant, q_compactness_audit
 from .lagrangian import Jet, check_growth, enumerate_multi_indices, ps_certificate
 from .reduction import (
+    COMPLEMENT_TOL,
     lipschitz_audit,
     make_reduction_setup,
     marino_prodi_perturb,
@@ -116,13 +117,12 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def version_and_provenance(cfg: dict, seed: int, threads: int) -> dict:
+def version_and_provenance(cfg: dict, seed: int) -> dict:
     return {
         "toolkit": "veldt",
         "version": __version__,
         "config_hash": config_hash(cfg),
         "seed": int(seed),
-        "threads": int(threads),
     }
 
 
@@ -259,7 +259,7 @@ def run_spectrum(cfg, model, rng, out_dir):
         report["sobolev_constant"] = estimate_sobolev_constant(disc)
         report["checks"].append("embedding-constant")
     if params.get("split_audit", False):
-        audit = split_continuity_audit(model.lagrangian, u0, disc, rng=rng)
+        audit = split_continuity_audit(model.lagrangian, u0, rng=rng)
         report["split_audit"] = {
             "passed": audit.passed,
             "c0_estimate": audit.c0_estimate,
@@ -268,7 +268,7 @@ def run_spectrum(cfg, model, rng, out_dir):
         }
         report["checks"].append("split-continuity-audit")
     if params.get("q_decay", False):
-        profile = q_compactness_audit(model.lagrangian, u0, disc)
+        profile = q_compactness_audit(model.lagrangian, u0)
         report["q_decay"] = {"passed": profile.passed, "ratios_head": profile.ratios[:8].tolist()}
         report["checks"].append("compact-tail-decay")
     # eigenvalues dropped as complex leave the reported spectrum incomplete
@@ -296,7 +296,7 @@ def run_reduce(cfg, model, rng, out_dir):
         lambda_box=params.get("lambda_box"),
         trust_radius=params.get("trust_radius"),
     )
-    tol = float(params.get("psi_tol", 1e-11))
+    tol = float(params.get("psi_tol", COMPLEMENT_TOL))
     z_count = int(params.get("z_count", 21))
     z_radius = float(params.get("z_radius", 0.5 * setup.trust_radius))
     lam_offsets = params.get("lambda_offsets", [-0.05, -0.025, 0.0, 0.025, 0.05])
@@ -493,7 +493,7 @@ RUNNERS = {
 # entry point
 
 
-def run(config_path, out_dir, seed: int = 0, threads: int = 1, strict: bool = False) -> int:
+def run(config_path, out_dir, seed: int = 0, strict: bool = False) -> int:
     config_path = Path(config_path)
     out_dir = Path(out_dir)
     try:
@@ -505,7 +505,7 @@ def run(config_path, out_dir, seed: int = 0, threads: int = 1, strict: bool = Fa
         return 3
 
     rng = np.random.default_rng(seed)
-    provenance = version_and_provenance(cfg, seed, threads)
+    provenance = version_and_provenance(cfg, seed)
     try:
         report, passed, lines = RUNNERS[cfg["scenario"]](cfg, model, rng, out_dir)
     except ConfigurationError as exc:
@@ -542,10 +542,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the run configuration JSON")
     parser.add_argument("--out", default="veldt-out", help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1, help="recorded in provenance; execution is single threaded")
     parser.add_argument("--strict", action="store_true", help="audit failures exit nonzero")
     args = parser.parse_args(argv)
-    return run(args.config, args.out, seed=args.seed, threads=args.threads, strict=args.strict)
+    return run(args.config, args.out, seed=args.seed, strict=args.strict)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,10 @@ from .galerkin import (
 from .lagrangian import Lagrangian, _require_finite
 
 HALVINGS = 25  # step-length halvings before a Newton step counts as stalled
+NEWTON_TOL = 1e-12  # gradient norm at which a full-space polish has converged
+NEWTON_MAX_ITER = 50  # iteration budget of a full-space polish
+RESIDUAL_CONTRACT = 1e-9  # largest gradient norm a critical point may keep (census, branch, base point)
+DEDUPE_TOL = 1e-6  # Sobolev distance below which two critical points are one
 
 __all__ = [
     "DiscretizedFunctional",
@@ -199,12 +203,13 @@ def damped_newton(evaluate, solve, x0, tol: float, max_iter: int, step_cap: Opti
     return NewtonResult(coeffs=x, residual=res, converged=res <= tol, iterations=max_iter, state=state)
 
 
-def newton_polish(func, coeffs0: np.ndarray, tol: float = 1e-12, max_iter: int = 50) -> NewtonResult:
+def newton_polish(func, coeffs0: np.ndarray) -> NewtonResult:
     """Damped Newton iteration on the gradient, in coefficient space.
 
     The step solves the dual Hessian system directly (geometry independent);
     the residual is the Sobolev norm of the gradient, whose load vector is
-    carried from each accepted trial into the next step.
+    carried from each accepted trial into the next step.  The iteration
+    converges at a residual of ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` steps.
     """
 
     def evaluate(c, _):
@@ -214,7 +219,7 @@ def newton_polish(func, coeffs0: np.ndarray, tol: float = 1e-12, max_iter: int =
     def solve(c, ell):
         return np.linalg.solve(func.hessian_dual(c), -ell)
 
-    return damped_newton(evaluate, solve, coeffs0, tol, max_iter)
+    return damped_newton(evaluate, solve, coeffs0, NEWTON_TOL, NEWTON_MAX_ITER)
 
 
 @dataclass
@@ -241,15 +246,12 @@ def multistart_census(
     seeds: Sequence[np.ndarray],
     center: Optional[np.ndarray] = None,
     radius: Optional[float] = None,
-    residual_tol: float = 1e-10,
-    dedupe_tol: float = 1e-6,
-    newton_tol: float = 1e-12,
-    kernel_gap: Optional[float] = None,
 ) -> list:
     """Polish every seed and collect distinct critical points.
 
-    Restricts to the ball of ``radius`` around ``center`` when given;
-    deduplicates at ``dedupe_tol`` in the Sobolev norm; attaches Morse data
+    Keeps polished points within ``RESIDUAL_CONTRACT``; restricts to the ball
+    of ``radius`` around ``center`` when given; deduplicates at
+    ``DEDUPE_TOL`` in the Sobolev norm; attaches Morse data
     from the spectral decomposition of the Hessian at each survivor.
     """
     from .spectral import decompose  # local import to avoid a cycle
@@ -258,15 +260,15 @@ def multistart_census(
     center = np.zeros(disc.dim) if center is None else np.asarray(center, dtype=float)
     found = []
     for seed in seeds:
-        result = newton_polish(func, seed, tol=newton_tol)
-        if not result.converged or result.residual > residual_tol:
+        result = newton_polish(func, seed)
+        if not result.converged or result.residual > RESIDUAL_CONTRACT:
             continue
         dist = disc.norm(result.coeffs - center)
         if radius is not None and dist > radius:
             continue
-        if any(disc.norm(result.coeffs - other.coeffs) < dedupe_tol for other in found):
+        if any(disc.norm(result.coeffs - other.coeffs) < DEDUPE_TOL for other in found):
             continue
-        dec = decompose(func.hessian_dual(result.coeffs), disc.gram, gap=kernel_gap)
+        dec = decompose(func.hessian_dual(result.coeffs), disc.gram)
         found.append(
             CriticalPoint(
                 coeffs=result.coeffs,

@@ -220,63 +220,38 @@ def _gauss_nodes(a: float, b: float, count: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def _trig_tables(omega, phase, m, start):
+    """Derivative tables of order 0..m of trigonometric modes, shape (m + 1, Q, K).
+
+    Column k is sin(phase[:, k]) when ``start`` is 0 and cos(phase[:, k])
+    when it is 1 (``start`` may be an array over the columns); its j-th
+    derivative is omega**j times entry (start + j) % 4 of the cycle
+    sin, cos, -sin, -cos.
+    """
+    s, c = np.sin(phase), np.cos(phase)
+    cycle = np.stack((s, c, -s, -c))
+    cols = np.arange(phase.shape[1])
+    # row-major like the other tables, so the assembly GEMMs see one layout
+    return np.ascontiguousarray([omega**j * cycle[(start + j) % 4, :, cols].T for j in range(m + 1)])
+
+
 def _sine_tables(a, b, K, m, nodes):
-    L = b - a
-    ks = np.arange(1, K + 1)
-    omega = ks * np.pi / L
-    phase = np.outer(nodes - a, omega)  # (Q, K)
-    tabs = []
-    for j in range(m + 1):
-        fac = omega**j
-        if j % 4 == 0:
-            tabs.append(fac * np.sin(phase))
-        elif j % 4 == 1:
-            tabs.append(fac * np.cos(phase))
-        elif j % 4 == 2:
-            tabs.append(-fac * np.sin(phase))
-        else:
-            tabs.append(-fac * np.cos(phase))
-    return np.stack(tabs, axis=0)
+    omega = np.arange(1, K + 1) * np.pi / (b - a)
+    return _trig_tables(omega, np.outer(nodes - a, omega), m, 0)
 
 
 def _cosine_tables(a, b, K, m, nodes):
-    L = b - a
-    ks = np.arange(0, K)
-    omega = ks * np.pi / L
-    phase = np.outer(nodes - a, omega)
-    tabs = []
-    for j in range(m + 1):
-        fac = omega**j
-        if j % 4 == 0:
-            tabs.append(fac * np.cos(phase))
-        elif j % 4 == 1:
-            tabs.append(-fac * np.sin(phase))
-        elif j % 4 == 2:
-            tabs.append(-fac * np.cos(phase))
-        else:
-            tabs.append(fac * np.sin(phase))
-    return np.stack(tabs, axis=0)
+    omega = np.arange(0, K) * np.pi / (b - a)
+    return _trig_tables(omega, np.outer(nodes - a, omega), m, 1)
 
 
 def _fourier_tables(a, b, K, m, nodes):
     # constant mode, then cos/sin pairs at increasing frequency
-    L = b - a
-    Q = nodes.shape[0]
-    tabs = np.zeros((m + 1, Q, K))
+    ks = np.arange(1, K)
+    omega = 2.0 * np.pi * ((ks + 1) // 2) / (b - a)
+    tabs = np.zeros((m + 1, nodes.shape[0], K))
     tabs[0, :, 0] = 1.0
-    for k in range(1, K):
-        j = (k + 1) // 2
-        omega = 2.0 * np.pi * j / L
-        phase = omega * (nodes - a)
-        is_cos = k % 2 == 1
-        for d in range(m + 1):
-            fac = omega**d
-            if is_cos:
-                cycle = (-np.sin(phase), -np.cos(phase), np.sin(phase), np.cos(phase))
-                tabs[d, :, k] = fac * (np.cos(phase) if d % 4 == 0 else cycle[d % 4 - 1])
-            else:
-                cycle = (np.cos(phase), -np.sin(phase), -np.cos(phase), np.sin(phase))
-                tabs[d, :, k] = fac * (np.sin(phase) if d % 4 == 0 else cycle[d % 4 - 1])
+    tabs[:, :, 1:] = _trig_tables(omega, np.outer(nodes - a, omega), m, ks % 2)
     return tabs
 
 
@@ -581,15 +556,13 @@ def hessian_split(lag: Lagrangian, u: Field) -> HessianSplit:
     return HessianSplit(B=B, P=P, Q=Qm, C0_estimate=c0, split_defect=defect)
 
 
-def estimate_sobolev_constant(disc: Discretization, p: float = 2.0) -> float:
-    """Discrete embedding constant: max of int |u|^2 over int |D^m u|^2.
+def estimate_sobolev_constant(disc: Discretization) -> float:
+    """Discrete embedding constant for p = 2: max of int |u|^2 over int |D^m u|^2.
 
     Computed as the largest generalized eigenvalue of (mass, top-order form)
     on the basis span; nondecreasing in K.  Only the quadratic case has this
     Rayleigh-quotient form.
     """
-    if not np.isclose(p, 2.0):
-        raise CapabilityError("the discrete embedding estimate is implemented for p = 2 only")
     if disc.bc != "dirichlet":
         raise CapabilityError("the embedding estimate requires dirichlet boundary conditions")
     vals = eigh(disc.mass, disc.gram_top, eigvals_only=True)
@@ -603,7 +576,7 @@ class QDecayProfile:
     note: str = ""
 
 
-def q_compactness_audit(lag: Lagrangian, u: Field, disc: Optional[Discretization] = None) -> QDecayProfile:
+def q_compactness_audit(lag: Lagrangian, u: Field) -> QDecayProfile:
     """Tail decay of the compact part: r_k = |Q e_k| / |e_k| in the Sobolev norm.
 
     A finite-dimensional stand-in for complete continuity: Q touches only
@@ -611,7 +584,7 @@ def q_compactness_audit(lag: Lagrangian, u: Field, disc: Optional[Discretization
     vectors must fade.  Passes when the last ratio is below a tenth of the
     peak (meaningful for K >= 32; smaller spaces report data only).
     """
-    disc = disc or u.disc
+    disc = u.disc
     Qop = disc.solve_gram(hessian_split(lag, u).Q)
     ratios = np.empty(disc.dim)
     for k in range(disc.dim):

@@ -181,6 +181,8 @@ def low_order_magnitude(index_set: MultiIndexSet, values: np.ndarray, p: float) 
 # ---------------------------------------------------------------------------
 # growth data
 
+PAIR_FRACTION = 0.5  # where an interaction exponent sits in its open interval
+
 
 def _as_envelope(g) -> Callable[[np.ndarray], np.ndarray]:
     if callable(g):
@@ -215,14 +217,13 @@ class GrowthSpec:
         g1: Optional[Callable] = None,
         g2: Optional[Callable] = None,
         p_border: Optional[float] = None,
-        pair_fraction: float = 0.5,
     ) -> "GrowthSpec":
         """Build the exponent tables from (n, m, p).
 
         ``p_border`` fixes the free exponent on the borderline grade
         |gamma| = m - n/p when that grade exists (default p + 2).  Interaction
-        exponents constrained only to an open interval default to its midpoint
-        (``pair_fraction`` = 0.5).
+        exponents constrained only to an open interval (0, upper) take its
+        midpoint, ``PAIR_FRACTION`` times upper.
         """
         if p < 2:
             raise ConfigurationError(f"p must be >= 2, got {p}")
@@ -243,7 +244,7 @@ class GrowthSpec:
         p_pair = np.empty((A, A))
         for a, ka in enumerate(orders):
             for b, kb in enumerate(orders):
-                p_pair[a, b] = _pair_exponent(ka, kb, m, cut, p_gamma[a], p_gamma[b], pair_fraction)
+                p_pair[a, b] = _pair_exponent(ka, kb, m, cut, p_gamma[a], p_gamma[b])
         spec = cls(
             index_set=iset,
             p=float(p),
@@ -314,7 +315,7 @@ class GrowthSpec:
                 raise ConfigurationError(f"envelope {name} must be nondecreasing")
 
 
-def _pair_exponent(ka, kb, m, cut, pa, pb, fraction):
+def _pair_exponent(ka, kb, m, cut, pa, pb):
     lo_a = ka < cut - 1e-12
     lo_b = kb < cut - 1e-12
     if ka == m and kb == m:
@@ -327,7 +328,7 @@ def _pair_exponent(ka, kb, m, cut, pa, pb, fraction):
         return 1.0
     # both above the cut but |alpha| + |beta| < 2m: open interval, take a point inside
     upper = 1 - 1 / pa - 1 / pb
-    return fraction * upper
+    return PAIR_FRACTION * upper
 
 
 # ---------------------------------------------------------------------------

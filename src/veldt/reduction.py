@@ -27,6 +27,7 @@ from .errors import (
     ReductionFailureError,
 )
 from .functional import (
+    RESIDUAL_CONTRACT,
     CombinedFunctional,
     DiscretizedFunctional,
     VariationalProblem,
@@ -54,6 +55,11 @@ __all__ = [
     "MarinoProdiResult",
     "marino_prodi_perturb",
 ]
+
+COMPLEMENT_TOL = 1e-11  # relative residual contract of the complement equation
+HESSIAN_FD_STEP = 1e-4  # kernel step of the reduced-Hessian finite-difference probe
+HESSIAN_FD_PSI_TOL = 1e-13  # complement tolerance inside that probe
+TILT_RETRIES = 5  # fresh tilt directions tried after a failed census
 
 
 @dataclass(eq=False)
@@ -117,10 +123,10 @@ def make_reduction_setup(
     kernel_dim: Optional[int] = None,
     lambda_box: Optional[float] = None,
     trust_radius: Optional[float] = None,
-    base_tol: float = 1e-9,
 ) -> ReductionSetup:
     """Build a reduction around a common critical point of F and every G_j.
 
+    The base point must be critical for every term to ``RESIDUAL_CONTRACT``.
     The kernel of B = F'' - sum lam*_j G_j'' at u0 is detected spectrally
     (``kernel_dim`` forces the dimension when the default threshold is too
     conservative).  For a single parameter, the default box half-width is 0.45
@@ -138,7 +144,7 @@ def make_reduction_setup(
     u0 = problem.u0
     for name, func in [("energy", energy)] + [(f"constraint_{j}", g) for j, g in enumerate(constraints)]:
         res = gradient_norm(func, u0.coeffs)
-        if res > base_tol:
+        if res > RESIDUAL_CONTRACT:
             raise ConfigurationError(f"base point is not critical for {name}: residual {res:.3e}")
 
     family = CombinedFunctional(energy, constraints, lam_star)
@@ -257,7 +263,7 @@ def solve_psi(
     setup: ReductionSetup,
     lam,
     z,
-    tol: float = 1e-11,
+    tol: float = COMPLEMENT_TOL,
     w0: Optional[np.ndarray] = None,
     max_iter: int = 50,
 ) -> PsiSample:
@@ -291,13 +297,13 @@ def _with_reduced_data(setup, func, sample):
     return sample
 
 
-def reduced_value(setup: ReductionSetup, lam, z, tol: float = 1e-11) -> float:
+def reduced_value(setup: ReductionSetup, lam, z) -> float:
     func = setup.functional_at(setup.check_lambda(lam))
-    sample = _with_reduced_data(setup, func, solve_psi(setup, lam, z, tol=tol))
+    sample = _with_reduced_data(setup, func, solve_psi(setup, lam, z))
     return float(sample.value)
 
 
-def reduced_gradient(setup: ReductionSetup, lam, z, tol: float = 1e-11) -> np.ndarray:
+def reduced_gradient(setup: ReductionSetup, lam, z, tol: float = COMPLEMENT_TOL) -> np.ndarray:
     """Kernel-coordinate gradient of the reduced functional.
 
     Equals the pairing of grad L_lam at the corrected point with the kernel
@@ -309,17 +315,11 @@ def reduced_gradient(setup: ReductionSetup, lam, z, tol: float = 1e-11) -> np.nd
     return sample.gradient
 
 
-def sample_reduced(
-    setup: ReductionSetup,
-    lam,
-    z_list: Sequence,
-    tol: float = 1e-11,
-    result: Optional[ReductionResult] = None,
-) -> ReductionResult:
+def sample_reduced(setup: ReductionSetup, lam, z_list: Sequence, tol: float = COMPLEMENT_TOL) -> ReductionResult:
     """Evaluate the reduced functional on a z-grid, warm-starting outward from 0."""
     lam = setup.check_lambda(lam)
     func = setup.functional_at(lam)
-    result = result or ReductionResult(setup=setup)
+    result = ReductionResult(setup=setup)
     zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in z_list]
     order = np.argsort([np.linalg.norm(z) for z in zs])
     warm = {}
@@ -346,7 +346,6 @@ def lipschitz_audit(
     n_pairs: int = 25,
     rng: Optional[np.random.Generator] = None,
     radius: Optional[float] = None,
-    tol: float = 1e-11,
 ) -> LipschitzAudit:
     """Sampled Lipschitz ratio of the correction map; the contract is <= 3."""
     rng = rng or np.random.default_rng(0)
@@ -361,20 +360,14 @@ def lipschitz_audit(
                 z *= radius / nz
         if np.linalg.norm(z1 - z2) < 1e-12:
             continue
-        s1 = solve_psi(setup, lam, z1, tol=tol)
-        s2 = solve_psi(setup, lam, z2, tol=tol)
+        s1 = solve_psi(setup, lam, z1)
+        s2 = solve_psi(setup, lam, z2)
         ratio = float(np.linalg.norm(s1.y - s2.y) / np.linalg.norm(z1 - z2))
         worst = max(worst, ratio)
     return LipschitzAudit(max_ratio=worst, passed=worst <= 3.0, n_pairs=n_pairs)
 
 
-def reduced_hessian_at_origin(
-    setup: ReductionSetup,
-    lam,
-    fd_step: float = 1e-4,
-    check_tol: float = 1e-4,
-    fd_tol: float = 1e-13,
-) -> np.ndarray:
+def reduced_hessian_at_origin(setup: ReductionSetup, lam, check_tol: float = 1e-4) -> np.ndarray:
     """Closed-form reduced second variation at z = 0.
 
     For a common critical point the reduced Hessian at the origin is
@@ -396,15 +389,15 @@ def reduced_hessian_at_origin(
         for b in range(nu):
             zp = np.zeros(nu)
             zp[b] = h
-            gp = reduced_gradient(setup, lam, zp, tol=fd_tol)
-            gm = reduced_gradient(setup, lam, -zp, tol=fd_tol)
+            gp = reduced_gradient(setup, lam, zp, tol=HESSIAN_FD_PSI_TOL)
+            gm = reduced_gradient(setup, lam, -zp, tol=HESSIAN_FD_PSI_TOL)
             fd[:, b] = (gp - gm) / (2 * h)
         return 0.5 * (fd + fd.T)
 
     # two-step probe with the quadratic truncation term extrapolated away,
     # so the check stays meaningful when the formula value is zero
-    fd = (4.0 * probe(fd_step) - probe(2.0 * fd_step)) / 3.0
-    floor = 1e3 * fd_tol / fd_step
+    fd = (4.0 * probe(HESSIAN_FD_STEP) - probe(2.0 * HESSIAN_FD_STEP)) / 3.0
+    floor = 1e3 * HESSIAN_FD_PSI_TOL / HESSIAN_FD_STEP
     scale = max(float(np.max(np.abs(M))), float(np.max(np.abs(fd))), floor)
     defect = float(np.max(np.abs(M - fd))) / scale
     if defect > check_tol:
@@ -541,10 +534,6 @@ def marino_prodi_perturb(
     delta_inner: float,
     b: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
-    n_retries: int = 5,
-    kernel_gap: Optional[float] = None,
-    census_seeds: Optional[list] = None,
-    residual_tol: float = 1e-9,
 ) -> MarinoProdiResult:
     """Tilt an isolated degenerate critical point into a nondegenerate census.
 
@@ -553,11 +542,11 @@ def marino_prodi_perturb(
     of the perturbed functional is nondegenerate with Morse index inside
     [mu, mu + nu] for the Morse index mu and nullity nu of u0.  A degenerate
     find triggers a resample of the tilt vector (when ``b`` was not supplied),
-    up to ``n_retries`` times; persistent failure is reported, not raised.
+    up to ``TILT_RETRIES`` times; persistent failure is reported, not raised.
     """
     disc = func.disc
     rng = rng or np.random.default_rng(0)
-    dec = decompose(func.hessian_dual(u0.coeffs), disc.gram, gap=kernel_gap)
+    dec = decompose(func.hessian_dual(u0.coeffs), disc.gram)
     Z = dec.kernel_vectors
     nu = dec.nullity
     mu = dec.morse_index
@@ -606,15 +595,8 @@ def marino_prodi_perturb(
                 f"annulus bound {tilt_bound:.3e}; far critical points may appear"
             )
         perturbed = PerturbedFunctional(func, u0, Z, r=r, delta=delta_inner, b_coords=b_coords)
-        seeds = census_seeds if census_seeds is not None else _default_mp_seeds(u0, Z, delta_inner, r, rng, disc)
-        points = multistart_census(
-            perturbed,
-            seeds,
-            center=u0.coeffs,
-            radius=r,
-            residual_tol=residual_tol,
-            kernel_gap=kernel_gap,
-        )
+        seeds = _default_mp_seeds(u0, Z, delta_inner, r, rng, disc)
+        points = multistart_census(perturbed, seeds, center=u0.coeffs, radius=r)
         degenerate = [cp for cp in points if cp.nullity > 0]
         in_window = all(mu <= cp.morse_index <= mu + nu for cp in points if cp.nullity == 0)
         if not degenerate and in_window and points:
@@ -628,7 +610,7 @@ def marino_prodi_perturb(
                 tilt_bound=tilt_bound,
                 warning=warning,
             )
-        if b_given or attempts > n_retries:
+        if b_given or attempts > TILT_RETRIES:
             return MarinoProdiResult(
                 perturbed=perturbed,
                 critical_points=points,

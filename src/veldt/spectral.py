@@ -21,7 +21,7 @@ from .errors import (
     HypothesisViolationError,
     IndexJumpMismatchError,
 )
-from .galerkin import Discretization, Field, assemble_hessian, hessian_split
+from .galerkin import Field, assemble_hessian, hessian_split
 
 __all__ = [
     "SpectralDecomposition",
@@ -48,12 +48,12 @@ def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SpectralDecomposition:
-    """Eigenpairs of (B, gram), with Morse data and spectral projectors.
+    """Eigenpairs of (B, gram), with Morse data and the kernel basis.
 
     ``gap`` is half the kernel threshold actually used; eigenvalues with
     |mu| <= 2*gap were classified as kernel.  ``realized_gap`` is the smallest
-    non-kernel |mu|, reported so a thin margin is visible.  Projectors act on
-    coefficient vectors and are orthogonal in the Gram inner product.
+    non-kernel |mu|, reported so a thin margin is visible.  Eigenvectors are
+    orthonormal in the Gram inner product.
     """
 
     eigenvalues: np.ndarray
@@ -62,9 +62,6 @@ class SpectralDecomposition:
     nullity: int
     gap: float
     realized_gap: float
-    projector_positive: np.ndarray
-    projector_zero: np.ndarray
-    projector_negative: np.ndarray
     kernel_vectors: np.ndarray
 
     def summary(self) -> dict:
@@ -77,28 +74,21 @@ class SpectralDecomposition:
         }
 
 
-def decompose(
-    B: np.ndarray,
-    gram: np.ndarray,
-    kernel_dim_hint: Optional[int] = None,
-    gap: Optional[float] = None,
-) -> SpectralDecomposition:
+def decompose(B: np.ndarray, gram: np.ndarray, kernel_dim_hint: Optional[int] = None) -> SpectralDecomposition:
     """Generalized symmetric eigensolve with kernel classification.
 
-    The kernel threshold is ``gap`` when given; otherwise 1e-8 times the
-    spectral radius, or, with ``kernel_dim_hint``, the midpoint between the
-    hinted smallest-|mu| cluster and the rest.  A hinted kernel whose cluster
-    is not separated from the rest by a factor of ten is rejected: refine the
-    discretization instead of guessing.
+    The kernel threshold is 1e-8 times the spectral radius, or, with
+    ``kernel_dim_hint``, the midpoint between the hinted smallest-|mu| cluster
+    and the rest.  A hinted kernel whose cluster is not separated from the
+    rest by a factor of ten is rejected: refine the discretization instead of
+    guessing.
     """
     B = 0.5 * (B + B.T)
     mus, vecs = scipy.linalg.eigh(B, gram)
     vecs = _sign_normalize(vecs)
     radius = float(np.max(np.abs(mus))) if mus.size else 0.0
 
-    if gap is not None:
-        threshold = float(gap)
-    elif kernel_dim_hint is not None and kernel_dim_hint > 0:
+    if kernel_dim_hint is not None and kernel_dim_hint > 0:
         if kernel_dim_hint >= mus.size:
             threshold = radius + 1.0
         else:
@@ -115,25 +105,15 @@ def decompose(
         threshold = 1e-8 * max(radius, 1e-300)
 
     kernel_mask = np.abs(mus) <= threshold
-    neg_mask = mus < -threshold
-    pos_mask = ~kernel_mask & ~neg_mask
     nonkernel = np.abs(mus[~kernel_mask])
     realized = float(np.min(nonkernel)) if nonkernel.size else np.inf
-
-    def projector(mask):
-        V = vecs[:, mask]
-        return V @ V.T @ gram
-
     return SpectralDecomposition(
         eigenvalues=mus,
         eigenvectors=vecs,
-        morse_index=int(np.count_nonzero(neg_mask)),
+        morse_index=int(np.count_nonzero(mus < -threshold)),
         nullity=int(np.count_nonzero(kernel_mask)),
         gap=0.5 * threshold,
         realized_gap=realized,
-        projector_positive=projector(pos_mask),
-        projector_zero=projector(kernel_mask),
-        projector_negative=projector(neg_mask),
         kernel_vectors=vecs[:, kernel_mask],
     )
 
@@ -161,6 +141,7 @@ def _operator_norm(delta_dual: np.ndarray, gram: np.ndarray) -> float:
 
 # P + Q and the assembled B sum the same pair blocks in different orders
 SPLIT_DEFECT_TOL = 1e-12
+SPLIT_SAMPLES = 6  # points on the ray of the split-continuity audit
 
 
 def _split_at(lag, u: Field):
@@ -173,27 +154,26 @@ def _split_at(lag, u: Field):
 def split_continuity_audit(
     lag,
     u0: Field,
-    disc: Discretization,
     radius: float = 0.5,
-    n_samples: int = 6,
     rng: Optional[np.random.Generator] = None,
 ) -> SplitContinuityReport:
     """Probe continuity of the split and uniform positivity near a base point.
 
-    Samples approach u0 along a random ray at geometrically shrinking
-    distances.  Reports the operator-norm deviation of P and Q from their
-    values at u0, the worst smallest eigenvalue of (P, gram) as the uniform
+    ``SPLIT_SAMPLES`` samples approach u0 along a random ray at geometrically
+    shrinking distances.  Reports the operator-norm deviation of P and Q from
+    their values at u0, the worst smallest eigenvalue of (P, gram) as the uniform
     positivity estimate, and log-log slopes of the deviation trends.  At
     every point P + Q must reproduce the second variation the solvers
     assemble, which checks that the split's pair masks cover every pair once.
     """
     rng = rng or np.random.default_rng(0)
+    disc = u0.disc
     direction = rng.standard_normal(disc.dim)
     direction /= disc.norm(direction)
     base, defect = _split_at(lag, u0)
-    distances = radius * 0.5 ** np.arange(n_samples)
-    p_dev = np.empty(n_samples)
-    q_dev = np.empty(n_samples)
+    distances = radius * 0.5 ** np.arange(SPLIT_SAMPLES)
+    p_dev = np.empty(SPLIT_SAMPLES)
+    q_dev = np.empty(SPLIT_SAMPLES)
     c0 = base.C0_estimate
     for j, t in enumerate(distances):
         split, gap = _split_at(lag, disc.field(u0.coeffs + t * direction))
@@ -228,6 +208,11 @@ def split_continuity_audit(
 # ---------------------------------------------------------------------------
 # the eigenvalue pencil F'' v = lambda G'' v
 
+PENCIL_COND_LIMIT = 1e12  # largest condition number of F'' the pencil accepts
+GROUP_RTOL = 1e-6  # relative spacing below which eigenvalues form one group
+PENCIL_KERNEL_RTOL = 1e-10  # |theta| / max|theta| below which a direction is kernel
+PENCIL_RESIDUAL_TOL = 1e-6  # largest relative eigenpair residual accepted
+
 
 @dataclass(eq=False)
 class PencilSpectrum:
@@ -247,7 +232,6 @@ class PencilSpectrum:
     F_hess: np.ndarray
     G_hess: np.ndarray
     gram: np.ndarray
-    group_rtol: float
     residuals: np.ndarray
     dropped_complex: int = 0
 
@@ -260,7 +244,7 @@ class PencilSpectrum:
             return False
         idx, dist = self.nearest(lam)
         scale = max(abs(lam), abs(self.eigenvalues[idx]), 1.0)
-        return dist <= 10.0 * self.group_rtol * scale
+        return dist <= 10.0 * GROUP_RTOL * scale
 
     def b_lambda(self, lam: float) -> np.ndarray:
         return self.F_hess - lam * self.G_hess
@@ -283,15 +267,7 @@ def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return _sign_normalize(np.linalg.solve(R.T, q))
 
 
-def pencil_eigs(
-    F_hess: np.ndarray,
-    G_hess: np.ndarray,
-    gram: np.ndarray,
-    cond_limit: float = 1e12,
-    group_rtol: float = 1e-6,
-    kernel_rtol: float = 1e-10,
-    residual_tol: float = 1e-6,
-) -> PencilSpectrum:
+def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> PencilSpectrum:
     """Solve the generalized pencil and cluster eigenvalues by multiplicity.
 
     Works with the compact operator [F'']^{-1} G'': its nonzero eigenvalues
@@ -303,7 +279,7 @@ def pencil_eigs(
     F = 0.5 * (np.asarray(F_hess, dtype=float) + np.asarray(F_hess, dtype=float).T)
     G = 0.5 * (np.asarray(G_hess, dtype=float) + np.asarray(G_hess, dtype=float).T)
     cond = np.linalg.cond(F)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > PENCIL_COND_LIMIT:
         raise HypothesisViolationError(
             f"the energy second variation is numerically singular (cond {cond:.3e}); "
             "the pencil needs an invertible base form"
@@ -327,7 +303,7 @@ def pencil_eigs(
         thetas, vecs = thetas[order], vecs[:, order]
 
     theta_scale = float(np.max(np.abs(thetas))) if thetas.size else 0.0
-    null_mask = np.abs(thetas) <= kernel_rtol * max(theta_scale, 1e-300)
+    null_mask = np.abs(thetas) <= PENCIL_KERNEL_RTOL * max(theta_scale, 1e-300)
     kernel = _gram_orthonormalize(vecs[:, null_mask], gram)
 
     lams = 1.0 / thetas[~null_mask]
@@ -338,7 +314,7 @@ def pencil_eigs(
     groups = []
     start = 0
     for i in range(1, lams.size + 1):
-        if i == lams.size or abs(lams[i] - lams[i - 1]) > group_rtol * max(1.0, abs(lams[i]), abs(lams[i - 1])):
+        if i == lams.size or abs(lams[i] - lams[i - 1]) > GROUP_RTOL * max(1.0, abs(lams[i]), abs(lams[i - 1])):
             groups.append((start, i))
             start = i
 
@@ -360,9 +336,9 @@ def pencil_eigs(
             residuals.append(r_norm / max(scale, 1e-300))
 
     residuals = np.asarray(residuals)
-    if residuals.size and np.max(residuals) > residual_tol:
+    if residuals.size and np.max(residuals) > PENCIL_RESIDUAL_TOL:
         raise HypothesisViolationError(
-            f"pencil residual {np.max(residuals):.3e} exceeds {residual_tol:.1e}; "
+            f"pencil residual {np.max(residuals):.3e} exceeds {PENCIL_RESIDUAL_TOL:.1e}; "
             "eigenspaces are unreliable at this resolution"
         )
 
@@ -374,7 +350,6 @@ def pencil_eigs(
         F_hess=F,
         G_hess=G,
         gram=np.asarray(gram, dtype=float),
-        group_rtol=group_rtol,
         residuals=residuals,
         dropped_complex=dropped,
     )
@@ -408,7 +383,7 @@ def morse_index_by_formula(
     negative part on the constraint kernel.
     """
     for lam_n in pencil.eigenvalues:
-        if abs(lam - lam_n) <= 10.0 * pencil.group_rtol * max(abs(lam), abs(lam_n), 1.0):
+        if abs(lam - lam_n) <= 10.0 * GROUP_RTOL * max(abs(lam), abs(lam_n), 1.0):
             raise EigenvalueCollisionError(
                 f"query value {lam} collides with pencil eigenvalue {lam_n}; offset it"
             )
@@ -459,7 +434,7 @@ def index_jump(pencil: PencilSpectrum, lam_star: float, eps: float, mode: str = 
     """
     idx, dist = pencil.nearest(lam_star)
     scale = max(abs(lam_star), 1.0)
-    if dist > 10.0 * pencil.group_rtol * scale:
+    if dist > 10.0 * GROUP_RTOL * scale:
         raise EigenvalueCollisionError(f"{lam_star} is not a pencil eigenvalue (nearest at distance {dist:.3e})")
     others = np.abs(np.delete(pencil.eigenvalues, idx) - pencil.eigenvalues[idx])
     if others.size and eps >= 0.5 * np.min(others):

@@ -5,6 +5,14 @@ from veldt import build_space, model_problem
 from veldt.functional import VariationalProblem
 
 
+def pytest_configure(config):
+    # hypothesis caches the constants it scans from local modules while
+    # collecting; keep that cache inside pytest's own cache directory
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    set_hypothesis_home_dir(config.rootpath / ".pytest_cache" / "hypothesis")
+
+
 @pytest.fixture(scope="session")
 def p1():
     return model_problem("P1")

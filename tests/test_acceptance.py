@@ -136,7 +136,7 @@ def test_criterion_3_split_contract():
     p2 = model_problem("P2").lagrangian
     sine = np.zeros(disc.dim)
     sine[0] = 1.0
-    tail = q_compactness_audit(p2, disc.field(sine), disc)
+    tail = q_compactness_audit(p2, disc.field(sine))
     split = hessian_split(p2, disc.field(sine))
     C1 = 0.5 * split.C0_estimate
     batch = rng.standard_normal((100, disc.dim))

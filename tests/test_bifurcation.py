@@ -13,9 +13,15 @@ from veldt import (
     orbit_group,
     pencil_eigs,
 )
-from veldt.bifurcation import RESIDUAL_CONTRACT
-from veldt.errors import CapabilityError, DegenerateCriticalPointError, NotIsolatedError
-from veldt.functional import VariationalProblem
+import veldt.bifurcation
+from veldt.errors import (
+    CapabilityError,
+    DegenerateCriticalPointError,
+    EvaluationError,
+    NotIsolatedError,
+    ReductionFailureError,
+)
+from veldt.functional import RESIDUAL_CONTRACT, VariationalProblem
 from veldt.cli import _census_seeds
 
 
@@ -250,6 +256,26 @@ def test_origin_not_isolated_when_probe_radius_reaches_branch(setup_p2_origin):
     rho = setup_p2_origin.trust_radius
     with pytest.raises(NotIsolatedError):
         classify_reduced_origin(setup_p2_origin, [1.05], radii=[0.6 * rho, 0.7 * rho, 0.8 * rho])
+
+
+def _raising(error):
+    def hessian(setup, lam):
+        raise error
+
+    return hessian
+
+
+def test_origin_hessian_cross_check_propagates_evaluation_error(setup_p2_origin, monkeypatch):
+    broken = _raising(EvaluationError("non-finite integrand output"))
+    monkeypatch.setattr(veldt.bifurcation, "reduced_hessian_at_origin", broken)
+    with pytest.raises(EvaluationError):
+        classify_reduced_origin(setup_p2_origin, [0.95])
+
+
+def test_origin_keeps_sphere_label_when_hessian_probe_solve_fails(setup_p2_origin, monkeypatch):
+    failed = _raising(ReductionFailureError("complement Newton stalled", residual=1.0, iterations=3))
+    monkeypatch.setattr(veldt.bifurcation, "reduced_hessian_at_origin", failed)
+    assert classify_reduced_origin(setup_p2_origin, [0.95]) == "local_min"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from veldt import (
 )
 from veldt.catalog import constant_envelope, make_polynomial_lagrangian, shifted_power_envelope
 from veldt.errors import CapabilityError, ConfigurationError, DiscretizationError
-from veldt.galerkin import clamped_mode_parameters
+from veldt.galerkin import _cosine_tables, _fourier_tables, _sine_tables, clamped_mode_parameters
 import scipy.linalg
 
 
@@ -43,6 +43,40 @@ def test_periodic_space_has_constant_mode_and_diagonal_gram():
     assert np.allclose(disc.dtab[0, :, 0], 1.0)
     off = disc.gram - np.diag(np.diag(disc.gram))
     assert np.max(np.abs(off)) < 1e-12
+
+
+def _reference_trig_tables(omega, phase, m, is_cos):
+    """Column by column: the d-th derivative of sin (cos) is omega**d times sin, cos, -sin, -cos in turn."""
+    s, c = np.sin(phase), np.cos(phase)
+    tabs = np.empty((m + 1,) + phase.shape)
+    for d in range(m + 1):
+        fac = omega**d
+        for k in range(phase.shape[1]):
+            turn = (d + int(is_cos[k])) % 4
+            base = (c if turn % 2 else s)[:, k]
+            tabs[d, :, k] = fac[k] * (base if turn < 2 else -base)
+    return tabs
+
+
+@pytest.mark.parametrize("K", [5, 6, 32])
+def test_trig_tables_match_columnwise_phase_cycle(K):
+    a, b = 0.3, 2.1
+    nodes = np.linspace(a, b, 17)
+    ks = np.arange(1, K)
+    fourier_omega = 2.0 * np.pi * ((ks + 1) // 2) / (b - a)
+    for m in range(6):
+        omega = np.arange(1, K + 1) * np.pi / (b - a)
+        sine = _reference_trig_tables(omega, np.outer(nodes - a, omega), m, np.zeros(K))
+        omega = np.arange(K) * np.pi / (b - a)
+        cosine = _reference_trig_tables(omega, np.outer(nodes - a, omega), m, np.ones(K))
+        fourier = np.zeros((m + 1, nodes.size, K))
+        fourier[0, :, 0] = 1.0
+        fourier[:, :, 1:] = _reference_trig_tables(fourier_omega, np.outer(nodes - a, fourier_omega), m, ks % 2)
+        for build, expected in ((_sine_tables, sine), (_cosine_tables, cosine), (_fourier_tables, fourier)):
+            table = build(a, b, K, m, nodes)
+            assert np.array_equal(table, expected), (build.__name__, m)
+            # the assembly GEMMs round differently on a transposed layout
+            assert table.flags.c_contiguous, build.__name__
 
 
 def test_clamped_basis_vanishes_with_slope_at_both_ends():
@@ -303,17 +337,17 @@ def test_sobolev_constant_requires_dirichlet():
 
 
 def test_q_decay_closed_form(disc64, p1, p3):
-    profile = q_compactness_audit(p1.lagrangian, disc64.zero_field(), disc64)
+    profile = q_compactness_audit(p1.lagrangian, disc64.zero_field())
     expected = np.array([1.0 / (1 + k**2) for k in range(1, 65)])
     assert np.allclose(profile.ratios, expected, rtol=1e-10)
     assert profile.passed
-    profile3 = q_compactness_audit(p3.lagrangian, disc64.zero_field(), disc64)
+    profile3 = q_compactness_audit(p3.lagrangian, disc64.zero_field())
     assert np.allclose(profile3.ratios, expected, rtol=1e-10)
 
 
 def test_q_decay_p2_at_sine(disc64, p2):
     u = _mode_field(disc64, 1)
-    profile = q_compactness_audit(p2.lagrangian, u, disc64)
+    profile = q_compactness_audit(p2.lagrangian, u)
     assert profile.passed
     assert profile.ratios[-1] < 0.01 * np.max(profile.ratios)
 

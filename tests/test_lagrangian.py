@@ -179,6 +179,16 @@ def test_catalog_derivatives_match_finite_differences(name, rng):
         assert np.max(np.abs(fd_hess[:, 0, :] - hess[:, 0, a, 0, :]) / scale_h[:, 0, :]) < 1e-6
 
 
+def test_repeated_factor_is_the_power_of_its_variable(rng):
+    # u * u' * u must differentiate as u^2 * u', not as a product with one u dropped
+    repeated = make_polynomial_lagrangian(1, 1, 1, [(1.0, ((0, 1), (1, 1), (0, 1)))])
+    power = make_polynomial_lagrangian(1, 1, 1, [(1.0, ((0, 2), (1, 1)))])
+    xi = rng.uniform(-2, 2, size=(50, 1, 2))
+    x = np.full(50, 0.3)
+    for method in ("value_at", "gradient_at", "hessian_at"):
+        assert np.array_equal(getattr(repeated, method)(x, xi), getattr(power, method)(x, xi)), method
+
+
 # ---------------------------------------------------------------------------
 # growth exponents and sampled checks
 

@@ -68,12 +68,20 @@ def test_decompose_partition_and_orthonormality(p1_pencil, rng):
 
 
 def test_projector_completeness(p1_pencil, rng):
+    """The Gram-orthonormal eigenbasis resolves the identity, and the kernel and index counts partition it."""
     pencil, F, G, disc = p1_pencil
     dec = decompose(F - 4.0 * G, disc.gram)
-    total = dec.projector_positive + dec.projector_zero + dec.projector_negative
+    V = dec.eigenvectors
+    total = V @ V.T @ disc.gram
     for _ in range(100):
         v = rng.standard_normal(disc.dim)
         assert np.max(np.abs(total @ v - v)) < 1e-12
+    assert np.max(np.abs(V.T @ disc.gram @ V - np.eye(disc.dim))) < 1e-12
+    kernel = np.abs(dec.eigenvalues) <= 2 * dec.gap
+    assert np.array_equal(dec.kernel_vectors, V[:, kernel])
+    assert dec.nullity == np.count_nonzero(kernel) == 1
+    positives = np.count_nonzero(dec.eigenvalues > 2 * dec.gap)
+    assert dec.morse_index + dec.nullity + positives == disc.dim
 
 
 def test_decompose_hint_accepts_separated_kernel(p1_pencil):
@@ -102,14 +110,14 @@ def test_decompose_gap_reporting(p1_pencil):
 
 
 def test_split_audit_p3_uniform_positivity(p3, disc32):
-    report = split_continuity_audit(p3.lagrangian, disc32.zero_field(), disc32, radius=0.5)
+    report = split_continuity_audit(p3.lagrangian, disc32.zero_field(), radius=0.5)
     assert report.passed
     assert report.c0_estimate >= 1.0 - 1e-9
     assert report.p_deviations[-1] <= 0.25 * report.p_deviations[0]
 
 
 def test_split_audit_p1_constant_coefficients(p1, disc32):
-    report = split_continuity_audit(p1.lagrangian, disc32.zero_field(), disc32)
+    report = split_continuity_audit(p1.lagrangian, disc32.zero_field())
     assert report.passed
     assert np.max(report.p_deviations) == 0.0
     assert np.max(report.q_deviations) == 0.0
@@ -117,7 +125,7 @@ def test_split_audit_p1_constant_coefficients(p1, disc32):
 
 def test_split_audit_p2_linear_slope(p2, disc32):
     u0 = disc32.field([1.0] + [0.0] * (disc32.dim - 1))
-    report = split_continuity_audit(p2.lagrangian, u0, disc32, radius=0.25)
+    report = split_continuity_audit(p2.lagrangian, u0, radius=0.25)
     assert report.passed
     assert report.q_slope == pytest.approx(1.0, abs=0.2)
 
@@ -128,7 +136,7 @@ def test_split_audit_fails_when_split_misses_assembled_hessian(p2, disc32, monke
     import veldt.spectral
 
     hessian_split = veldt.spectral.hessian_split
-    report = split_continuity_audit(p2.lagrangian, disc32.zero_field(), disc32)
+    report = split_continuity_audit(p2.lagrangian, disc32.zero_field())
     assert report.passed and report.split_defect < 1e-14
 
     def unshifted(lag, u):
@@ -137,7 +145,7 @@ def test_split_audit_fails_when_split_misses_assembled_hessian(p2, disc32, monke
         return dataclasses.replace(split, Q=split.Q + u.disc.gram_lower)
 
     monkeypatch.setattr(veldt.spectral, "hessian_split", unshifted)
-    report = split_continuity_audit(p2.lagrangian, disc32.zero_field(), disc32)
+    report = split_continuity_audit(p2.lagrangian, disc32.zero_field())
     assert not report.passed
     assert report.split_defect > 1e-6
 
