@@ -27,8 +27,9 @@ from .functional import (
     DEDUPE_TOL,
     RESIDUAL_CONTRACT,
     VariationalProblem,
+    _census_order,
+    _distinct_points,
     damped_newton,
-    multistart_census,
     newton_polish,
 )
 from .galerkin import Discretization, Field
@@ -604,19 +605,24 @@ def morse_inequality_audit(
     Counts census points by Morse index.  With the connected-sublevel
     convention (a coercive functional with a single minimum cell) the
     alternating partial sums must stay at or above (-1)^l and the full
-    alternating sum must equal one.  A degenerate census point aborts the
-    audit with the witness attached: tilt it away and rerun.
+    alternating sum must equal one.  A degenerate census point inside
+    ``window`` aborts the audit as soon as it is found, before the remaining
+    seeds are polished, with the point attached as the witness: tilt it away
+    and rerun.  The audit aborts exactly when the full census would hold such a
+    point; the witness is the first one in seed order, so it can differ from
+    the first in census order when the window holds two or more.
     """
-    points = multistart_census(func, seeds)
-    if window is not None:
-        a, b = window
-        points = [cp for cp in points if a <= cp.value <= b]
-    for cp in points:
+    points = []
+    for cp in _distinct_points(func, seeds):
+        if window is not None and not window[0] <= cp.value <= window[1]:
+            continue
         if cp.nullity > 0:
             raise DegenerateCriticalPointError(
                 f"census found a degenerate critical point (nullity {cp.nullity}) at value {cp.value:.6g}",
                 witness=cp,
             )
+        points.append(cp)
+    points.sort(key=_census_order)
     counts: dict = {}
     for cp in points:
         counts[cp.morse_index] = counts.get(cp.morse_index, 0) + 1

@@ -1,13 +1,17 @@
 """Built-in model problems and the declarative problem-document loader.
 
-Model integrands are polynomials in the jet variables, stored as explicit
-term lists and differentiated term by term at load time.  The same engine
-backs user documents, so a JSON problem gets analytic derivative callbacks
-without any runtime automatic differentiation.
+Model integrands are polynomials in the jet variables, given as term lists
+and compiled at load time into an exponent matrix (monomials x jet variables)
+with coefficient columns for f, its gradient and its Hessian; a callback is
+one power table, one gather-product and one matmul.  The same engine backs
+user documents, so a JSON problem gets exact derivative callbacks without any
+runtime automatic differentiation, and F - lambda G merges its polynomial
+terms into one compiled monomial set.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,67 +61,98 @@ def _merged_factors(factors) -> tuple:
     return tuple(sorted((var, power) for var, power in powers.items() if power != 0))
 
 
+@functools.lru_cache(maxsize=64)
+def _monomial_tables(N: int, A: int, structure: tuple) -> tuple:
+    """Compile terms with the merged factor tuples ``structure``, coefficients aside.
+
+    Per derivative order (value, gradient, upper Hessian triangle): the
+    exponent matrix E (S monomials, N*A), its largest entry, and the integer
+    factors (S, outputs, terms) that carry term coefficients to coefficient
+    columns; differentiating in v multiplies by the power of v and lowers it.
+    Also the (v, w) -> upper-triangle column index.  Cached, so polynomials
+    with the same factors (F - lambda G along a sweep) share their tables.
+    """
+    V = N * A
+    upper = [(v, w) for v in range(V) for w in range(v, V)]
+    orders = ([()], [(v,) for v in range(V)], upper)
+    blocks = []
+    for outputs in orders:
+        rows, entries = {}, []
+        for t, factors in enumerate(structure):
+            for col, drop in enumerate(outputs):
+                exps, factor = [0] * V, 1
+                for var, power in factors:
+                    exps[var] = power
+                for v in drop:
+                    factor *= exps[v]
+                    exps[v] -= 1
+                if factor:
+                    entries.append((rows.setdefault(tuple(exps), len(rows)), col, t, factor))
+        table = np.zeros((len(rows), len(outputs), len(structure)))
+        for row, col, t, factor in entries:
+            table[row, col, t] = factor
+        E = np.array(list(rows), dtype=np.intp).reshape(len(rows), V)
+        blocks.append((E, int(E.max(initial=0)), table))
+    mirror = np.zeros((V, V), dtype=np.intp)
+    mirror[np.triu_indices(V)] = np.arange(len(upper))  # triu_indices lists ``upper`` in order
+    return tuple(blocks), np.maximum(mirror, mirror.T).ravel()
+
+
 class PolynomialIntegrand:
-    """Polynomial in the flattened jet variables with term-wise differentiation.
+    """Polynomial in the flattened jet variables, compiled once into monomial tables.
 
     A term is ``(coef, ((var, power), ...))`` where ``var = i * A + a`` indexes
-    component i and multi-index position a.  Instances are immutable in use.
+    component i and multi-index position a.  ``f``, ``grad_f`` and ``hess_f``
+    are the :class:`Lagrangian` callbacks: one power table x_v^k, one
+    gather-product into the (S, Q) monomial table and one matmul each.  The
+    Hessian mirrors its upper triangle, so it is exactly symmetric.  Instances
+    are immutable in use.
     """
 
-    def __init__(self, n_vars: int, terms):
-        self.n_vars = n_vars
-        self.terms = [(float(c), _merged_factors(factors)) for c, factors in terms if c != 0.0]
+    def __init__(self, N: int, A: int, terms):
+        self.N, self.A = N, A
+        self.terms = [(float(c), _merged_factors(factors)) for c, factors in terms]
+        blocks, self._mirror = _monomial_tables(N, A, tuple(f for _, f in self.terms))
+        coefs = np.array([c for c, _ in self.terms])
+        self._blocks = [(E, degree, table @ coefs) for E, degree, table in blocks]
 
-    def diff(self, var: int) -> "PolynomialIntegrand":
-        out = []
-        for coef, factors in self.terms:
-            fdict = dict(factors)
-            p = fdict.get(var, 0)
-            if p == 0:
-                continue
-            fdict[var] = p - 1
-            out.append((coef * p, tuple(fdict.items())))
-        return PolynomialIntegrand(self.n_vars, out)
+    @classmethod
+    def of(cls, lag: Lagrangian) -> Optional["PolynomialIntegrand"]:
+        """The compiled polynomial whose methods are all three callbacks of
+        ``lag``, or None (hand-written callbacks, or one of them replaced)."""
+        poly = getattr(lag.f, "__self__", None)
+        if isinstance(poly, cls) and (lag.grad_f, lag.hess_f) == (poly.grad_f, poly.hess_f):
+            return poly
+        return None
 
-    def __call__(self, flat_xi: np.ndarray) -> np.ndarray:
-        # flat_xi: (Q, n_vars)
-        acc = np.zeros(flat_xi.shape[0])
-        for coef, factors in self.terms:
-            term = np.full(flat_xi.shape[0], coef)
-            for var, power in factors:
-                term = term * flat_xi[:, var] ** power
-            acc += term
-        return acc
+    @classmethod
+    def combined(cls, weighted) -> "PolynomialIntegrand":
+        """sum_j w_j p_j over ``(w_j, p_j)`` pairs of one signature, as one compiled
+        polynomial.  Terms of a zero weight stay, so their overflow still shows."""
+        first = weighted[0][1]
+        return cls(first.N, first.A, [(w * c, factors) for w, poly in weighted for c, factors in poly.terms])
 
     def max_degree(self) -> int:
         return max((sum(p for _, p in factors) for _, factors in self.terms), default=0)
 
+    def _contract(self, order: int, xi) -> np.ndarray:
+        # (Q, outputs) = monomials(xi)^T @ coefficient columns of one derivative order
+        flat = np.asarray(xi, dtype=float).reshape(-1, self.N * self.A).T
+        exponents, degree, coefficients = self._blocks[order]
+        powers = np.empty((degree + 1,) + flat.shape)  # powers[k, v, q] = xi_v(q)^k
+        powers[0] = 1.0
+        for k in range(1, degree + 1):
+            np.multiply(powers[k - 1], flat, out=powers[k])
+        return powers[exponents, np.arange(flat.shape[0])].prod(axis=1).T @ coefficients
 
-def _polynomial_callbacks(poly: PolynomialIntegrand, N: int, A: int):
-    grads = [poly.diff(v) for v in range(N * A)]
-    hesss = [[grads[v].diff(w) for w in range(N * A)] for v in range(N * A)]
+    def f(self, x, xi) -> np.ndarray:
+        return self._contract(0, xi)[:, 0]
 
-    def f(x, xi):
-        flat = np.asarray(xi, dtype=float).reshape(-1, N * A)
-        return poly(flat)
+    def grad_f(self, x, xi) -> np.ndarray:
+        return self._contract(1, xi).reshape(-1, self.N, self.A)
 
-    def grad_f(x, xi):
-        flat = np.asarray(xi, dtype=float).reshape(-1, N * A)
-        out = np.stack([g(flat) for g in grads], axis=-1)
-        return out.reshape(flat.shape[0], N, A)
-
-    def hess_f(x, xi):
-        flat = np.asarray(xi, dtype=float).reshape(-1, N * A)
-        Q = flat.shape[0]
-        out = np.empty((Q, N * A, N * A))
-        for v in range(N * A):
-            for w in range(v, N * A):
-                vals = hesss[v][w](flat)
-                out[:, v, w] = vals
-                out[:, w, v] = vals
-        return out.reshape(Q, N, A, N, A)
-
-    return f, grad_f, hess_f
+    def hess_f(self, x, xi) -> np.ndarray:
+        return self._contract(2, xi)[:, self._mirror].reshape(-1, self.N, self.A, self.N, self.A)
 
 
 def make_polynomial_lagrangian(
@@ -131,19 +166,17 @@ def make_polynomial_lagrangian(
     g1=None,
     g2=None,
 ) -> Lagrangian:
-    iset = enumerate_multi_indices(n, m)
-    A = len(iset)
-    poly = PolynomialIntegrand(N * A, terms)
-    f, grad_f, hess_f = _polynomial_callbacks(poly, N, A)
+    A = len(enumerate_multi_indices(n, m))
+    poly = PolynomialIntegrand(N, A, [(c, factors) for c, factors in terms if c != 0.0])
     if growth is None:
         growth = GrowthSpec.canonical(n, m, p=p, g1=g1, g2=g2)
     return Lagrangian(
         n=n,
         m=m,
         N=N,
-        f=f,
-        grad_f=grad_f,
-        hess_f=hess_f,
+        f=poly.f,
+        grad_f=poly.grad_f,
+        hess_f=poly.hess_f,
         growth=growth,
         name=name,
         nonlinearity_degree=max(poly.max_degree(), 1),
@@ -173,12 +206,14 @@ def _mass_constraint(n: int, m: int, N: int) -> Lagrangian:
     )
 
 
-def _var(iset, component: int, alpha_entries) -> int:
-    A = len(iset)
-    return component * A + iset.position(alpha_entries)
-
-
-MODEL_NAMES = ("P1", "P2", "P3", "P4")
+# name: (m, terms in the jet variables of u, whose index is the derivative order, g1)
+_MODELS = {
+    "P1": (1, [(0.5, ((1, 2),))], constant_envelope(1.0)),
+    "P2": (1, [(0.5, ((1, 2),)), (0.25, ((0, 4),))], shifted_power_envelope(3.0, 2.0)),
+    "P3": (1, [(0.5, ((1, 2),)), (0.5, ((0, 2), (1, 2)))], shifted_power_envelope(2.0, 2.0)),
+    "P4": (2, [(0.5, ((2, 2),))], constant_envelope(1.0)),
+}
+MODEL_NAMES = tuple(_MODELS)
 
 
 def model_problem(name: str) -> ModelProblem:
@@ -191,39 +226,11 @@ def model_problem(name: str) -> ModelProblem:
     All pair with the mass constraint 0.5 * u^2.
     """
     key = name.upper()
-    if key == "P1":
-        iset = enumerate_multi_indices(1, 1)
-        f = make_polynomial_lagrangian(
-            1, 1, 1, [(0.5, ((_var(iset, 0, (1,)), 2),))],
-            name="P1", g1=constant_envelope(1.0), g2=constant_envelope(1.0),
-        )
-        return ModelProblem("P1", f, _mass_constraint(1, 1, 1))
-    if key == "P2":
-        iset = enumerate_multi_indices(1, 1)
-        f = make_polynomial_lagrangian(
-            1, 1, 1,
-            [(0.5, ((_var(iset, 0, (1,)), 2),)), (0.25, ((_var(iset, 0, (0,)), 4),))],
-            name="P2", g1=shifted_power_envelope(3.0, 2.0), g2=constant_envelope(1.0),
-        )
-        return ModelProblem("P2", f, _mass_constraint(1, 1, 1))
-    if key == "P3":
-        iset = enumerate_multi_indices(1, 1)
-        v0 = _var(iset, 0, (0,))
-        v1 = _var(iset, 0, (1,))
-        f = make_polynomial_lagrangian(
-            1, 1, 1,
-            [(0.5, ((v1, 2),)), (0.5, ((v0, 2), (v1, 2)))],
-            name="P3", g1=shifted_power_envelope(2.0, 2.0), g2=constant_envelope(1.0),
-        )
-        return ModelProblem("P3", f, _mass_constraint(1, 1, 1))
-    if key == "P4":
-        iset = enumerate_multi_indices(1, 2)
-        f = make_polynomial_lagrangian(
-            1, 2, 1, [(0.5, ((_var(iset, 0, (2,)), 2),))],
-            name="P4", g1=constant_envelope(1.0), g2=constant_envelope(1.0),
-        )
-        return ModelProblem("P4", f, _mass_constraint(1, 2, 1))
-    raise ConfigurationError(f"unknown model problem {name!r}; known: {MODEL_NAMES}")
+    if key not in _MODELS:
+        raise ConfigurationError(f"unknown model problem {name!r}; known: {MODEL_NAMES}")
+    m, terms, g1 = _MODELS[key]
+    f = make_polynomial_lagrangian(1, m, 1, terms, name=key, g1=g1, g2=constant_envelope(1.0))
+    return ModelProblem(key, f, _mass_constraint(1, m, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +322,9 @@ def load_problem(doc) -> ModelProblem:
         if not isinstance(cdoc, dict) or "terms" not in cdoc:
             raise ConfigurationError("constraint must be {'terms': [...]}")
         terms = _terms_from_doc(cdoc["terms"], iset, N)
-        top = set()
-        for a, alpha in enumerate(iset):
-            if alpha.order == m:
-                for i in range(N):
-                    top.add(i * len(iset) + a)
-        for _, factors in terms:
-            if any(v in top for v, _ in factors):
-                raise ConfigurationError("constraint integrand must not involve top-order derivatives")
+        top_order = iset.orders() == m
+        if any(top_order[var % len(iset)] for _, factors in terms for var, _ in factors):
+            raise ConfigurationError("constraint integrand must not involve top-order derivatives")
         constraint = make_polynomial_lagrangian(
             n, m, N, terms, name=str(cdoc.get("name", "constraint")),
             g1=constant_envelope(1.0), g2=constant_envelope(1.0),

@@ -13,7 +13,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .catalog import ModelProblem
+from .catalog import ModelProblem, PolynomialIntegrand
 from .errors import DiscretizationError
 from .galerkin import (
     Discretization,
@@ -65,11 +65,18 @@ class DiscretizedFunctional:
 def _combined_lagrangian(energy: Lagrangian, constraints: Sequence[Lagrangian], lam: np.ndarray) -> Lagrangian:
     """The integrand f - sum_j lam_j g_j, so that one quadrature pass assembles it.
 
-    Each callback evaluates every term's raw callback and checks that term's
-    output under its own tag, as assembling the term alone would; the Hessian
-    callback first requires p = 2 of every term.
+    The polynomial terms merge into one compiled monomial set with weights 1
+    and -lam_j; hand-written callbacks stay entries of their own in the same
+    summing loop.  Each callback checks the sum once and, only when it is not
+    finite, evaluates the terms one by one so the error names the failing term
+    as assembling it alone would; the Hessian callback first requires p = 2 of
+    every term.
     """
     terms = [(1.0, energy)] + [(-lj, g) for lj, g in zip(lam, constraints)]
+    compiled = [(w, PolynomialIntegrand.of(lag), lag) for w, lag in terms]
+    polynomial = [(w, poly) for w, poly, _ in compiled if poly is not None]
+    entries = [(1.0, PolynomialIntegrand.combined(polynomial))] if polynomial else []
+    entries += [(w, lag) for w, poly, lag in compiled if poly is None]
 
     def combined(tag):
         def callback(x, xi):
@@ -77,10 +84,11 @@ def _combined_lagrangian(energy: Lagrangian, constraints: Sequence[Lagrangian], 
                 for _, lag in terms:
                     _require_p2(lag)
             out = 0.0
-            for weight, lag in terms:
-                term = np.asarray(getattr(lag, tag)(x, xi), dtype=float)
-                _require_finite(term, x, tag)
-                out = out + weight * term
+            for weight, entry in entries:
+                out = out + weight * np.asarray(getattr(entry, tag)(x, xi), dtype=float)
+            if not np.isfinite(out).all():
+                for _, lag in terms:
+                    _require_finite(np.asarray(getattr(lag, tag)(x, xi), dtype=float), x, tag)
             return out
 
         return callback
@@ -172,8 +180,9 @@ def damped_newton(evaluate, solve, x0, tol: float, max_iter: int, step_cap: Opti
     longer than ``step_cap`` (Euclidean) are shortened, trial points pass
     through ``project`` when given, and the step length is halved until the
     residual decreases sufficiently.  The iteration stops converged once the
-    residual is at most ``tol``, and unconverged on a singular system or a
-    failed line search (``iterations`` then counts the stalled step).
+    residual is at most ``tol``, and unconverged on a singular system, a
+    failed line search or a trial that projects back onto the current point
+    (``iterations`` then counts the stalled step).
     """
     x = np.array(x0, dtype=float)
     res, state = evaluate(x, None)
@@ -193,6 +202,8 @@ def damped_newton(evaluate, solve, x0, tol: float, max_iter: int, step_cap: Opti
             trial = x + t * step
             if project is not None:
                 trial = project(trial)
+                if np.array_equal(trial, x):  # the projection undid the step
+                    return NewtonResult(coeffs=x, residual=res, converged=False, iterations=it + 1, state=state)
             trial_res, trial_state = evaluate(trial, state)
             if trial_res < res * (1.0 - 1e-4 * t) or trial_res <= tol:
                 x, res, state = trial, trial_res, trial_state
@@ -241,19 +252,9 @@ class CriticalPoint:
         }
 
 
-def multistart_census(
-    func,
-    seeds: Sequence[np.ndarray],
-    center: Optional[np.ndarray] = None,
-    radius: Optional[float] = None,
-) -> list:
-    """Polish every seed and collect distinct critical points.
-
-    Keeps polished points within ``RESIDUAL_CONTRACT``; restricts to the ball
-    of ``radius`` around ``center`` when given; deduplicates at
-    ``DEDUPE_TOL`` in the Sobolev norm; attaches Morse data
-    from the spectral decomposition of the Hessian at each survivor.
-    """
+def _distinct_points(func, seeds, center=None, radius=None):
+    """Polish the seeds in order and yield each new distinct critical point, as
+    ``multistart_census`` collects them."""
     from .spectral import decompose  # local import to avoid a cycle
 
     disc = func.disc
@@ -279,5 +280,25 @@ def multistart_census(
                 distance_from_center=dist,
             )
         )
-    found.sort(key=lambda cp: (round(cp.value, 12), cp.distance_from_center))
-    return found
+        yield found[-1]
+
+
+def _census_order(cp: CriticalPoint) -> tuple:
+    return (round(cp.value, 12), cp.distance_from_center)
+
+
+def multistart_census(
+    func,
+    seeds: Sequence[np.ndarray],
+    center: Optional[np.ndarray] = None,
+    radius: Optional[float] = None,
+) -> list:
+    """Polish every seed and collect distinct critical points.
+
+    Keeps polished points within ``RESIDUAL_CONTRACT``; restricts to the ball
+    of ``radius`` around ``center`` when given; deduplicates at
+    ``DEDUPE_TOL`` in the Sobolev norm, in seed order; attaches Morse data
+    from the spectral decomposition of the Hessian at each survivor; sorts
+    by value, then by distance from ``center``.
+    """
+    return sorted(_distinct_points(func, seeds, center, radius), key=_census_order)

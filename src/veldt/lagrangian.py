@@ -383,7 +383,7 @@ class Lagrangian:
 
 
 def _require_finite(values: np.ndarray, x, tag: str):
-    if np.all(np.isfinite(values)):
+    if np.isfinite(values).all():
         return
     bad = np.argwhere(~np.isfinite(values))
     first = tuple(bad[0].tolist())

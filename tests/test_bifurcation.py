@@ -14,6 +14,7 @@ from veldt import (
     pencil_eigs,
 )
 import veldt.bifurcation
+import veldt.functional
 from veldt.errors import (
     CapabilityError,
     DegenerateCriticalPointError,
@@ -318,6 +319,41 @@ def test_census_aborts_on_degenerate_point(prob_p2_48):
     with pytest.raises(DegenerateCriticalPointError) as err:
         _audit(prob_p2_48, 1.0, np.random.default_rng(0))
     assert err.value.witness is not None
+
+
+def _counting_polish(monkeypatch):
+    """Record the coefficients of every full-space polish the census runs."""
+    polished = []
+    polish = veldt.functional.newton_polish
+
+    def counting(func, seed):
+        result = polish(func, seed)
+        polished.append(result.coeffs)
+        return result
+
+    monkeypatch.setattr(veldt.functional, "newton_polish", counting)
+    return polished
+
+
+def test_census_stops_at_its_first_degenerate_find(prob_p2_48, monkeypatch):
+    # at lambda = 1 the origin is degenerate, and the first seed is the origin
+    polished = _counting_polish(monkeypatch)
+    func = prob_p2_48.at_parameter([1.0])
+    seeds = _census_seeds(prob_p2_48, [1.0], [0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0], 8, np.random.default_rng(0))
+    with pytest.raises(DegenerateCriticalPointError) as err:
+        morse_inequality_audit(func, seeds)
+    assert len(polished) == 1 < len(seeds)
+    assert err.value.witness.nullity == 1
+    np.testing.assert_array_equal(err.value.witness.coeffs, polished[-1])
+
+
+def test_degenerate_point_outside_window_does_not_abort(prob_p2_48, monkeypatch):
+    polished = _counting_polish(monkeypatch)
+    func = prob_p2_48.at_parameter([1.0])
+    seeds = _census_seeds(prob_p2_48, [1.0], [0.25, 0.5, 1.0], 2, np.random.default_rng(0))
+    audit = morse_inequality_audit(func, seeds, window=(0.5, 1.0))  # the origin has value 0
+    assert len(polished) == len(seeds)
+    assert audit.points == [] and audit.counts == {}
 
 
 def test_census_window_filter(prob_p2_48):

@@ -345,6 +345,15 @@ def test_q_decay_closed_form(disc64, p1, p3):
     assert np.allclose(profile3.ratios, expected, rtol=1e-10)
 
 
+def test_q_decay_ratios_are_column_norms(disc16, p2):
+    u = disc16.field(np.random.default_rng(3).standard_normal(disc16.dim) * 0.3)
+    profile = q_compactness_audit(p2.lagrangian, u)
+    Qop = disc16.solve_gram(hessian_split(p2.lagrangian, u).Q)
+    for k, e in enumerate(np.eye(disc16.dim)):
+        expected = disc16.norm(Qop @ e) / disc16.norm(e)
+        assert abs(profile.ratios[k] - expected) <= 1e-14 * expected
+
+
 def test_q_decay_p2_at_sine(disc64, p2):
     u = _mode_field(disc64, 1)
     profile = q_compactness_audit(p2.lagrangian, u)
