@@ -24,17 +24,22 @@ from .errors import (
     ReductionFailureError,
 )
 from .functional import (
-    DEDUPE_TOL,
     RESIDUAL_CONTRACT,
     VariationalProblem,
     _census_order,
     _distinct_points,
     damped_newton,
-    newton_polish,
 )
 from .galerkin import Discretization, Field
-from .reduction import COMPLEMENT_TOL, ReductionSetup, make_reduction_setup, reduced_hessian_at_origin, solve_psi
-from .spectral import PencilSpectrum, decompose, index_jump, pencil_eigs
+from .reduction import (
+    COMPLEMENT_TOL,
+    ReductionSetup,
+    _directions,
+    make_reduction_setup,
+    reduced_hessian_at_origin,
+    solve_psi,
+)
+from .spectral import PencilSpectrum, index_jump, pencil_eigs
 
 __all__ = [
     "NecessaryVerdict",
@@ -56,6 +61,8 @@ __all__ = [
 INVARIANCE_TOL = 1e-8  # relative eigenspace-invariance defect that still counts as class (c)
 ORIGIN_PSI_TOL = 1e-12  # complement tolerance of the reduced-origin classification
 ORIGIN_DIRECTIONS = 8  # random sphere directions per radius when the kernel is not a line
+REDUCED_NEWTON_TOL = 1e-10  # reduced-gradient norm at which a reduced Newton solve has converged
+REDUCED_NEWTON_MAX_ITER = 40  # iteration budget of a reduced Newton solve
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +120,15 @@ class ConditionClassification:
         }
 
 
-def classify_conditions(
-    F_hess: np.ndarray,
-    G_hess: np.ndarray,
-    pencil: PencilSpectrum,
-    lam_star: float,
-) -> ConditionClassification:
-    """Which definiteness route applies at this candidate.
+def classify_conditions(pencil: PencilSpectrum, lam_star: float) -> ConditionClassification:
+    """Which definiteness route applies at this candidate, for the pencil's base form F''.
 
     (a) base form positive definite, (b) negative definite, (c) every pencil
     eigenspace invariant under the base form with a definite restriction on
     the crossing eigenspace; otherwise none.
     """
-    gram = pencil.gram
-    vals = scipy.linalg.eigh(0.5 * (F_hess + F_hess.T), gram, eigvals_only=True)
+    F_hess, gram = pencil.F_hess, pencil.gram
+    vals = scipy.linalg.eigh(F_hess, gram, eigvals_only=True)
     n_pos = int(np.count_nonzero(vals > 0))
     n_neg = int(np.count_nonzero(vals < 0))
     if n_neg == 0 and n_pos == vals.size:
@@ -137,7 +139,7 @@ def classify_conditions(
     # (c): eigenspace invariance in the Sobolev operator norm
     R = np.linalg.cholesky(gram).T
     Rinv = np.linalg.inv(R)
-    F_op = np.linalg.solve(gram, 0.5 * (F_hess + F_hess.T))
+    F_op = np.linalg.solve(gram, F_hess)
     scale = np.linalg.norm(R @ F_op @ Rinv, 2)
     defect = 0.0
     spaces = list(pencil.eigenspaces)
@@ -220,7 +222,7 @@ class BifurcationReport:
         }
 
 
-def _reduced_newton(setup: ReductionSetup, lam, z0, tol=1e-10, psi_tol=COMPLEMENT_TOL, max_iter=40):
+def _reduced_newton(setup: ReductionSetup, lam, z0, psi_tol=COMPLEMENT_TOL):
     """Newton on the reduced gradient with the exact eliminated Jacobian.
 
     Each trial solves the complement equation warm-started from the accepted
@@ -253,7 +255,9 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, tol=1e-10, psi_tol=COMPLEMEN
         norm = np.linalg.norm(z)
         return z * (rho / norm) if norm > rho else z
 
-    result = damped_newton(evaluate, solve, z0, tol, max_iter, step_cap=0.5 * rho, project=project)
+    result = damped_newton(
+        evaluate, solve, z0, REDUCED_NEWTON_TOL, REDUCED_NEWTON_MAX_ITER, step_cap=0.5 * rho, project=project
+    )
     return result.coeffs, result.state[1], result.converged
 
 
@@ -296,31 +300,6 @@ def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
             f"last: {failures[-1]}"
         ) from failures[-1]
     return found
-
-
-def _polish_and_pack(problem, setup, lam, z, y, trivial_tol):
-    disc = problem.disc
-    func = setup.functional_at(lam if np.ndim(lam) else [lam])
-    lifted = setup.lift(z, y)
-    polish = newton_polish(func, lifted)
-    if not polish.converged or polish.residual > RESIDUAL_CONTRACT:
-        return None
-    coeffs = polish.coeffs
-    amplitude = disc.norm(coeffs - setup.u0.coeffs)
-    if amplitude < trivial_tol:
-        return None
-    dec = decompose(func.hessian_dual(coeffs), disc.gram)
-    diff = disc.field(coeffs - setup.u0.coeffs)
-    return BranchSample(
-        lam=float(np.atleast_1d(lam)[0]),
-        coeffs=coeffs,
-        amplitude=amplitude,
-        amplitude_sup=diff.sup_norm(),
-        kernel_coords=setup.kernel_coordinates(coeffs),
-        morse_index=dec.morse_index,
-        nullity=dec.nullity,
-        residual=polish.residual,
-    )
 
 
 def _assemble_branches(lam_star, side_samples, side):
@@ -385,8 +364,9 @@ def detect_branches(
     if not hi > lo:
         raise ConfigurationError(f"empty window ({lo}, {hi})")
     disc = problem.disc
-    F_h = problem.energy.hessian_dual(problem.u0.coeffs)
-    G_h = problem.constraints[0].hessian_dual(problem.u0.coeffs)
+    u0 = problem.u0.coeffs
+    F_h = problem.energy.hessian_dual(u0)
+    G_h = problem.constraints[0].hessian_dual(u0)
     pencil = pencil_eigs(F_h, G_h, disc.gram)
     candidates = [
         (float(lam), int(mult))
@@ -397,7 +377,7 @@ def detect_branches(
     reports = []
     for lam_star, mult in candidates:
         verdict = necessary_test(pencil, lam_star)
-        condition = classify_conditions(F_h, G_h, pencil, lam_star)
+        condition = classify_conditions(pencil, lam_star)
         others = np.abs(pencil.eigenvalues[pencil.eigenvalues != lam_star] - lam_star)
         separation = float(np.min(others)) if others.size else 1.0
         jump = index_jump(pencil, lam_star, min(0.1, 0.4 * separation)).summary()
@@ -407,22 +387,30 @@ def detect_branches(
         trivial_tol = max(1e-8, 1e-4 * setup.trust_radius, (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0))
         gaps = []
 
-        def solutions_at(lam):
+        def solutions_at(lam, n):
             """Distinct polished nontrivial solutions within the amplitude cap, or None on a gap."""
             try:
-                found = _reduced_multistart(setup, lam, n_starts, rng)
+                found = _reduced_multistart(setup, lam, n, rng)
             except ReductionFailureError as exc:
                 gaps.append({"lam": float(lam), "reason": str(exc)})
                 return None
-            packed = []
-            for z, y in found:
-                sample = _polish_and_pack(problem, setup, lam, z, y, trivial_tol)
-                if sample is None or sample.amplitude > amplitude_cap:
-                    continue
-                if any(disc.norm(sample.coeffs - other.coeffs) < DEDUPE_TOL for other in packed):
-                    continue
-                packed.append(sample)
-            return packed
+            lifted = [setup.lift(z, y) for z, y in found]
+            points = _distinct_points(
+                setup.functional_at(lam), lifted, center=u0, radius=amplitude_cap, inner=trivial_tol
+            )
+            return [
+                BranchSample(
+                    lam=float(lam),
+                    coeffs=cp.coeffs,
+                    amplitude=cp.distance_from_center,
+                    amplitude_sup=disc.field(cp.coeffs - u0).sup_norm(),
+                    kernel_coords=setup.kernel_coordinates(cp.coeffs),
+                    morse_index=cp.morse_index,
+                    nullity=cp.nullity,
+                    residual=cp.residual,
+                )
+                for cp in points
+            ]
 
         lam_grid = [l for l in np.linspace(lo, hi, grid) if abs(l - lam_star) <= setup.lambda_box]
         side_samples: dict = {"left": {}, "right": {}}
@@ -430,7 +418,7 @@ def detect_branches(
         for lam in lam_grid:
             if abs(lam - lam_star) < 1e-12:
                 continue
-            packed = solutions_at(lam)
+            packed = solutions_at(lam, n_starts)
             if packed is None:
                 continue
             counts[float(lam)] = len(packed)
@@ -439,17 +427,13 @@ def detect_branches(
                 side_samples[side][float(lam)] = packed
 
         # solutions at the eigenvalue itself
-        at_star = solutions_at(lam_star) or []
+        at_star = solutions_at(lam_star, n_starts) or []
 
         unbounded = False
         for lam, count in counts.items():
             if count >= solution_cap:
-                try:
-                    refined = _reduced_multistart(setup, lam, 2 * n_starts, rng)
-                except ReductionFailureError as exc:
-                    gaps.append({"lam": lam, "reason": str(exc)})
-                    continue
-                if len(refined) > count:
+                refined = solutions_at(lam, 2 * n_starts)
+                if refined is not None and len(refined) > count:
                     unbounded = True
                     break
 
@@ -515,7 +499,7 @@ def classify_reduced_origin(
     found = _reduced_multistart(setup, lam, 3, rng, psi_tol=ORIGIN_PSI_TOL)
     # below the cube root of the gradient tolerance a degenerate origin cannot
     # be told apart from a genuine neighbour; such finds count as the origin
-    origin_tol = max(1e-3 * r_min, (10 * 1e-10) ** (1.0 / 3.0))
+    origin_tol = max(1e-3 * r_min, (10 * REDUCED_NEWTON_TOL) ** (1.0 / 3.0))
     for z, _ in found:
         zn = float(np.linalg.norm(z))
         if origin_tol < zn < r_min:
@@ -527,17 +511,7 @@ def classify_reduced_origin(
     center_sample = solve_psi(setup, lam, np.zeros(nu), tol=ORIGIN_PSI_TOL)
     center = func.value(setup.lift(np.zeros(nu), center_sample.y))
 
-    if nu == 1:
-        dirs = [np.array([1.0]), np.array([-1.0])]
-    else:
-        dirs = []
-        for i in range(nu):
-            e = np.zeros(nu)
-            e[i] = 1.0
-            dirs.extend([e, -e])
-        extra = rng.standard_normal((ORIGIN_DIRECTIONS, nu))
-        dirs.extend(row / np.linalg.norm(row) for row in extra)
-
+    dirs = _directions(nu, ORIGIN_DIRECTIONS if nu > 1 else 0, rng)
     above = below = 0
     total = 0
     for r in radii:
@@ -691,11 +665,11 @@ def _shifted_coeffs(disc: Discretization, coeffs: np.ndarray, t: float) -> np.nd
 def orbit_group(solutions: Sequence[Field], disc: Discretization, tol: float = 1e-8) -> OrbitGrouping:
     """Group periodic solutions identified up to translation.
 
-    For each pair the squared distance |u - (shift by t) v| is minimized over
-    a fine shift grid with parabolic refinement (the distance is a smooth
-    trigonometric polynomial of the shift).  Constant fields are fixed points
-    of the action and each forms its own orbit unless it coincides with
-    another constant.  On an even-K space the trailing cosine has no sine
+    For each pair the squared distance |u - (shift by t) v|^2 is a
+    trigonometric polynomial of the shift: it is evaluated on a 720-point
+    shift grid and its best grid point refined by Newton.  Constant fields are
+    fixed points of the action and each forms its own orbit unless it
+    coincides with another constant.  On an even-K space the trailing cosine has no sine
     partner, so the space is not translation invariant: a field whose part
     in that mode exceeds ``tol`` of its norm is rejected.
     """
@@ -717,60 +691,44 @@ def orbit_group(solutions: Sequence[Field], disc: Discretization, tol: float = 1
     n = len(solutions)
     (a, b) = disc.domain
     L = b - a
-    omega = 2.0 * np.pi / L
+    pairs, _ = _fourier_mode_data(disc)
+    freqs, ic, isin = np.array(pairs, dtype=int).reshape(-1, 3).T
+    w = 2.0 * np.pi / L * freqs
+    weight = np.diag(disc.gram).reshape(disc.n_components, disc.K)[:, ic]
+    grid = np.linspace(0.0, L, 720, endpoint=False)
+    grid_cos, grid_sin = np.cos(np.outer(grid, w)), np.sin(np.outer(grid, w))
     min_d = np.zeros((n, n))
     shifts = {}
 
-    def correlation_coeffs(ui, vj):
-        # (u, shift_t v) = const + sum_j [P_j cos(j w t) + Q_j sin(j w t)]
-        cu = ui.reshape(disc.n_components, disc.K)
-        cv = vj.reshape(disc.n_components, disc.K)
-        gdiag = np.diag(disc.gram).reshape(disc.n_components, disc.K)
-        pairs, _ = _fourier_mode_data(disc)
-        const = float(np.sum(gdiag[:, 0] * cu[:, 0] * cv[:, 0]))
-        P, Q, freqs = [], [], []
-        for j, ic, isin in pairs:
-            g = gdiag[:, ic]
-            P.append(float(np.sum(g * (cu[:, ic] * cv[:, ic] + cu[:, isin] * cv[:, isin]))))
-            Q.append(float(np.sum(g * (cu[:, ic] * cv[:, isin] - cu[:, isin] * cv[:, ic]))))
-            freqs.append(j)
-        return const, np.asarray(P), np.asarray(Q), np.asarray(freqs, dtype=float)
-
-    def refine(i, j, t0):
-        # Newton on the derivative of the squared distance, a smooth
-        # trigonometric polynomial of the shift; the final distance is taken
-        # from coefficient differences, which do not cancel catastrophically
-        ui, vj = solutions[i].coeffs, solutions[j].coeffs
-        _, P, Q, freqs = correlation_coeffs(ui, vj)
-
-        def direct(t):
-            return disc.norm(ui - _shifted_coeffs(disc, vj, t))
-
-        t = t0
-        for _ in range(40):
-            ph = freqs * omega * t
-            d1 = 2.0 * float((freqs * omega) @ (P * np.sin(ph) - Q * np.cos(ph)))
-            d2 = 2.0 * float(((freqs * omega) ** 2) @ (P * np.cos(ph) + Q * np.sin(ph)))
-            if d2 <= 0 or not np.isfinite(d1 / d2):
-                break
-            step = d1 / d2
-            t -= step
-            if abs(step) < 1e-15 * max(1.0, abs(t)):
-                break
-        if direct(t) <= direct(t0):
-            return t, direct(t)
-        return t0, direct(t0)
-
-    grid = np.linspace(0.0, L, 720, endpoint=False)
     for i in range(n):
         for j in range(i + 1, n):
-            vals = np.array(
-                [disc.norm(solutions[i].coeffs - _shifted_coeffs(disc, solutions[j].coeffs, t)) for t in grid]
-            )
-            k = int(np.argmin(vals))
-            best_t, d = refine(i, j, float(grid[k]))
+            ui, vj = solutions[i].coeffs, solutions[j].coeffs
+            # (u, shift_t v) = const + sum_k [P_k cos(w_k t) + Q_k sin(w_k t)], and
+            # |u - shift_t v|^2 = |u|^2 + |v|^2 - 2 (u, shift_t v): the best grid
+            # shift maximizes this correlation polynomial
+            cu = ui.reshape(disc.n_components, disc.K)
+            cv = vj.reshape(disc.n_components, disc.K)
+            P = np.sum(weight * (cu[:, ic] * cv[:, ic] + cu[:, isin] * cv[:, isin]), axis=0)
+            Q = np.sum(weight * (cu[:, ic] * cv[:, isin] - cu[:, isin] * cv[:, ic]), axis=0)
+            t0 = t = float(grid[np.argmax(grid_cos @ P + grid_sin @ Q)])
+            # Newton on the derivative of the squared distance; the final distance
+            # is taken from coefficient differences, which do not cancel catastrophically
+            for _ in range(40):
+                ph = w * t
+                d1 = 2.0 * float(w @ (P * np.sin(ph) - Q * np.cos(ph)))
+                d2 = 2.0 * float((w**2) @ (P * np.cos(ph) + Q * np.sin(ph)))
+                if d2 <= 0 or not np.isfinite(d1 / d2):
+                    break
+                step = d1 / d2
+                t -= step
+                if abs(step) < 1e-15 * max(1.0, abs(t)):
+                    break
+            d = disc.norm(ui - _shifted_coeffs(disc, vj, t))
+            d_grid = disc.norm(ui - _shifted_coeffs(disc, vj, t0))
+            if d > d_grid:
+                t, d = t0, d_grid
             min_d[i, j] = min_d[j, i] = d
-            shifts[(i, j)] = best_t % L
+            shifts[(i, j)] = t % L
 
     parent = list(range(n))
 

@@ -252,9 +252,16 @@ class CriticalPoint:
         }
 
 
-def _distinct_points(func, seeds, center=None, radius=None):
-    """Polish the seeds in order and yield each new distinct critical point, as
-    ``multistart_census`` collects them."""
+def _distinct_points(func, seeds, center=None, radius=None, inner=0.0):
+    """Polish the seeds in order and yield each new distinct critical point.
+
+    A polished point is kept when it meets ``RESIDUAL_CONTRACT``, lies at
+    least ``inner`` from ``center`` (the branch sampler drops the trivial
+    solution this way), at most ``radius`` from it, and at least
+    ``DEDUPE_TOL`` from every point kept before; only kept points are
+    decomposed.  The census, the Morse audit, the tilted census and the branch
+    sampler all collect their points here.
+    """
     from .spectral import decompose  # local import to avoid a cycle
 
     disc = func.disc
@@ -265,7 +272,7 @@ def _distinct_points(func, seeds, center=None, radius=None):
         if not result.converged or result.residual > RESIDUAL_CONTRACT:
             continue
         dist = disc.norm(result.coeffs - center)
-        if radius is not None and dist > radius:
+        if dist < inner or (radius is not None and dist > radius):
             continue
         if any(disc.norm(result.coeffs - other.coeffs) < DEDUPE_TOL for other in found):
             continue

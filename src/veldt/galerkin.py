@@ -140,9 +140,6 @@ class Discretization:
         except Exception as exc:  # pragma: no cover - SPD invariant makes this unreachable
             raise DiscretizationError(f"Gram solve failed: {exc}") from exc
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(a @ self.gram @ b)
-
     def norm(self, a: np.ndarray) -> float:
         return float(np.sqrt(max(a @ self.gram @ a, 0.0)))
 

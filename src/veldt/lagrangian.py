@@ -437,7 +437,6 @@ class GrowthReport:
     violations: list
     fitted_g1: Optional[tuple] = None  # (knots t, values)
     fitted_g2: Optional[tuple] = None
-    derived_envelopes: Optional[dict] = None
 
     def summary(self) -> dict:
         return {
@@ -534,9 +533,6 @@ def check_growth(lag: Lagrangian, samples: Sequence) -> GrowthReport:
                 }
             )
 
-    g1_fun = spec.g1 if spec.g1 is not None else (lambda u: float(np.interp(u, *fitted_g1)))
-    derived = _derived_envelopes(g1_fun, A, t)
-
     return GrowthReport(
         passed=not violations,
         hessian_ratios=hess_ratios,
@@ -544,7 +540,6 @@ def check_growth(lag: Lagrangian, samples: Sequence) -> GrowthReport:
         violations=violations,
         fitted_g1=fitted_g1,
         fitted_g2=fitted_g2,
-        derived_envelopes=derived,
     )
 
 
@@ -566,29 +561,6 @@ def _fit_lower_envelope(t, demand):
     vals = np.maximum(vals, 1e-12)
     per_sample = np.interp(t, knots, vals)
     return per_sample, (knots, vals)
-
-
-def _derived_envelopes(g1, A, t_samples):
-    # composite envelopes implied by g1 and the multi-index count
-    M = A
-
-    def g3(t):
-        g = g1(t)
-        return 1 + g * (t**2 * M + t * (M + 1) ** 2) + g * t * (M + 1) + g * (M + 1) ** 2
-
-    def g4(t):
-        return g1(t) * t + g1(t)
-
-    def g5(t):
-        return (M + 1) * g1(t) * (t + 1)
-
-    ts = np.unique(np.asarray(t_samples, dtype=float))
-    return {
-        "t": ts.tolist(),
-        "g3": [float(g3(ti)) for ti in ts],
-        "g4": [float(g4(ti)) for ti in ts],
-        "g5": [float(g5(ti)) for ti in ts],
-    }
 
 
 # ---------------------------------------------------------------------------

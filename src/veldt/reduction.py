@@ -82,7 +82,6 @@ class ReductionSetup:
     complement_basis: np.ndarray
     lambda_box: float
     trust_radius: float
-    spectral_gap: float
 
     @property
     def disc(self):
@@ -174,7 +173,6 @@ def make_reduction_setup(
         complement_basis=W,
         lambda_box=float(box),
         trust_radius=float(rho),
-        spectral_gap=float(dec.realized_gap),
     )
 
 
@@ -564,11 +562,10 @@ def marino_prodi_perturb(
         complement_basis=W,
         lambda_box=1.0,
         trust_radius=max(delta_inner * 2, 1e-6),
-        spectral_gap=float(dec.realized_gap),
     )
     grad_floor = np.inf
     for radius_frac in (0.5, 0.75, 1.0):
-        for direction in _annulus_directions(nu, rng):
+        for direction in _directions(nu, max(2 * nu, 4), rng):
             z = direction * delta_inner * radius_frac
             try:
                 g = reduced_gradient(probe_setup, np.zeros(0), z, tol=1e-12)
@@ -623,15 +620,14 @@ def marino_prodi_perturb(
             )
 
 
-def _annulus_directions(nu: int, rng) -> list:
+def _directions(nu: int, n_random: int, rng) -> list:
+    """Probe directions in R^nu: the signed coordinate axes, then ``n_random``
+    normalized Gaussian rows drawn from ``rng`` (no draw when it is zero)."""
     dirs = []
-    for i in range(nu):
-        e = np.zeros(nu)
-        e[i] = 1.0
+    for e in np.eye(nu):
         dirs.extend([e, -e])
-    extra = rng.standard_normal((max(2 * nu, 4), nu))
-    for row in extra:
-        dirs.append(row / np.linalg.norm(row))
+    if n_random:
+        dirs.extend(row / np.linalg.norm(row) for row in rng.standard_normal((n_random, nu)))
     return dirs
 
 

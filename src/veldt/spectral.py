@@ -259,12 +259,12 @@ class PencilSpectrum:
         }
 
 
-def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
+def _gram_orthonormalize(vectors: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Gram-orthonormal basis of the columns' span; ``chol`` is the lower Cholesky factor of the Gram matrix."""
     if vectors.size == 0:
-        return vectors.reshape(gram.shape[0], 0)
-    R = np.linalg.cholesky(gram)
-    q, _ = np.linalg.qr(R.T @ vectors)
-    return _sign_normalize(np.linalg.solve(R.T, q))
+        return vectors.reshape(chol.shape[0], 0)
+    q, _ = np.linalg.qr(chol.T @ vectors)
+    return _sign_normalize(np.linalg.solve(chol.T, q))
 
 
 def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> PencilSpectrum:
@@ -304,7 +304,8 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
 
     theta_scale = float(np.max(np.abs(thetas))) if thetas.size else 0.0
     null_mask = np.abs(thetas) <= PENCIL_KERNEL_RTOL * max(theta_scale, 1e-300)
-    kernel = _gram_orthonormalize(vecs[:, null_mask], gram)
+    chol = np.linalg.cholesky(gram)
+    kernel = _gram_orthonormalize(vecs[:, null_mask], chol)
 
     lams = 1.0 / thetas[~null_mask]
     lvecs = vecs[:, ~null_mask]
@@ -318,24 +319,18 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
             groups.append((start, i))
             start = i
 
-    reps, mults, spaces, residuals = [], [], [], []
-    for lo, hi in groups:
-        rep = float(np.mean(lams[lo:hi]))
-        basis = _gram_orthonormalize(lvecs[:, lo:hi], gram)
-        reps.append(rep)
-        mults.append(hi - lo)
-        spaces.append(basis)
-        for j in range(basis.shape[1]):
-            v = basis[:, j]
-            r = F @ v - rep * (G @ v)
-            r_norm = float(np.sqrt(max(r @ np.linalg.solve(gram, r), 0.0)))
-            scale = float(
-                np.sqrt(max((F @ v) @ np.linalg.solve(gram, F @ v), 0.0))
-                + abs(rep) * np.sqrt(max((G @ v) @ np.linalg.solve(gram, G @ v), 0.0))
-            )
-            residuals.append(r_norm / max(scale, 1e-300))
+    reps = [float(np.mean(lams[lo:hi])) for lo, hi in groups]
+    mults = [hi - lo for lo, hi in groups]
+    spaces = [_gram_orthonormalize(lvecs[:, lo:hi], chol) for lo, hi in groups]
 
-    residuals = np.asarray(residuals)
+    # relative residuals |F v - lam G v| / (|F v| + |lam| |G v|) in the dual
+    # norm |r| = |chol^-1 r|, for every eigenvector at once
+    V = np.hstack(spaces) if spaces else np.zeros((F.shape[0], 0))
+    col_lams = np.repeat(reps, mults)
+    FV, GV = F @ V, G @ V
+    blocks = scipy.linalg.solve_triangular(chol, np.hstack([FV, GV, FV - col_lams * GV]), lower=True)
+    f_norm, g_norm, r_norm = np.linalg.norm(blocks, axis=0).reshape(3, -1)
+    residuals = r_norm / np.maximum(f_norm + np.abs(col_lams) * g_norm, 1e-300)
     if residuals.size and np.max(residuals) > PENCIL_RESIDUAL_TOL:
         raise HypothesisViolationError(
             f"pencil residual {np.max(residuals):.3e} exceeds {PENCIL_RESIDUAL_TOL:.1e}; "

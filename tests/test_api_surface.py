@@ -4,11 +4,16 @@ Public means a name in a module's ``__all__`` (with the methods its classes
 define) or a public function of ``veldt.cli``.  Dataclass ``__init__``
 methods are private names and not counted.  A knob added or removed shows up
 as a one-line change in ``DEFAULTED`` below, not as a silent signature change.
+The named constants that replace knobs must match the README "Tolerances"
+table by name, module and value.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import veldt
 
@@ -71,3 +76,32 @@ def test_public_keyword_surface_is_pinned():
             found[qualname] = names
     assert found == DEFAULTED
     assert sum(len(names) for names in found.values()) == 44
+
+
+def _module_constants():
+    """(name, module) -> value of every public upper-case numeric constant a module defines."""
+    found = {}
+    for info in pkgutil.iter_modules(veldt.__path__):
+        module = importlib.import_module(f"veldt.{info.name}")
+        for node in ast.parse(inspect.getsource(module)).body:
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)):
+                continue
+            name = node.targets[0].id
+            value = getattr(module, name)
+            if re.fullmatch(r"[A-Z][A-Z0-9_]*", name) and type(value) in (int, float):
+                found[(name, info.name)] = value
+    return found
+
+
+def _tolerance_table():
+    """(name, module) -> value of every row of the README "Tolerances" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| `(\w+)` \|", section, flags=re.MULTILINE)
+    table = {(name, module): float(value) for name, value, module in rows}
+    assert len(table) == len(rows), "a constant is listed twice"
+    return table
+
+
+def test_tolerance_table_lists_every_module_constant():
+    assert _tolerance_table() == _module_constants()

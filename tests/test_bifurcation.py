@@ -22,6 +22,7 @@ from veldt.errors import (
     NotIsolatedError,
     ReductionFailureError,
 )
+from veldt.catalog import load_problem
 from veldt.functional import RESIDUAL_CONTRACT, VariationalProblem
 from veldt.cli import _census_seeds
 
@@ -56,13 +57,13 @@ def test_necessary_test_values(prob_p1_64):
 
 def test_classify_positive_definite(prob_p1_64):
     pencil, F, G = _pencil(prob_p1_64)
-    assert classify_conditions(F, G, pencil, 1.0).klass == "a"
+    assert classify_conditions(pencil, 1.0).klass == "a"
 
 
 def test_classify_negative_definite(prob_p1_64):
     pencil, F, G = _pencil(prob_p1_64)
     neg_pencil = pencil_eigs(-F, -G, prob_p1_64.disc.gram)
-    assert classify_conditions(-F, -G, neg_pencil, 1.0).klass == "b"
+    assert classify_conditions(neg_pencil, 1.0).klass == "b"
 
 
 def test_classify_invariant_subspaces_block():
@@ -70,7 +71,7 @@ def test_classify_invariant_subspaces_block():
     F = np.diag([1.0, -1.0])
     G = np.diag([0.5, -1.0 / 3.0])
     pencil = pencil_eigs(F, G, gram)
-    result = classify_conditions(F, G, pencil, 2.0)
+    result = classify_conditions(pencil, 2.0)
     assert result.klass == "c"
     assert result.definite_on_crossing
 
@@ -82,7 +83,7 @@ def test_classify_none_when_crossing_indefinite():
     G = np.diag([0.5, -0.5, 0.25])
     pencil = pencil_eigs(F, G, gram)
     assert pencil.multiplicities[0] == 2
-    result = classify_conditions(F, G, pencil, 2.0)
+    result = classify_conditions(pencil, 2.0)
     assert result.klass == "none"
 
 
@@ -184,6 +185,33 @@ def test_refinement_failure_is_recorded_as_gap(prob_p2, monkeypatch):
     assert [g["lam"] for g in cand.gaps] == pytest.approx([1.05, 1.1])
     assert all("refinement start refused" in g["reason"] for g in cand.gaps)
     assert cand.alternative == "iv"
+
+
+def _term(coef, alpha, power):
+    return {"coef": coef, "factors": [{"component": 0, "alpha": [alpha], "power": power}]}
+
+
+def test_solution_cap_does_not_invent_alternative_ii():
+    # transcritical: f = u'^2/2 + u^3/3 + u^4/4 with the mass constraint.  The
+    # refinement must count solutions as the sweep does, without the trivial
+    # one and those beyond the amplitude cap, so a cap of one changes no label
+    model = load_problem(
+        {
+            "n": 1,
+            "m": 1,
+            "N": 1,
+            "integrand": {"terms": [_term(0.5, 1, 2), _term(1.0 / 3.0, 0, 3), _term(0.25, 0, 4)]},
+            "constraint": {"terms": [_term(0.5, 0, 2)]},
+        }
+    )
+    problem = VariationalProblem(model=model, disc=build_space((0.0, np.pi), 1, "dirichlet", 16))
+
+    def label(**kwargs):
+        report = detect_branches(problem, (0.9999, 1.3), grid=4, rng=np.random.default_rng(0), **kwargs)
+        (cand,) = report.candidates
+        return cand.alternative
+
+    assert label(solution_cap=1) == label()
 
 
 def test_p3_quasilinear_pitchfork(p3):
@@ -407,6 +435,67 @@ def test_orbit_group_is_an_equivalence(periodic5):
     d = grouping.min_distances
     assert np.allclose(d, d.T)
     assert d[0, 1] < 1e-8 and d[1, 2] < 1e-8 and d[0, 2] < 1e-8
+
+
+def _orbit_distance_by_scan(disc, u, v):
+    # reference search: direct distances at 720 grid shifts, then Newton on the
+    # squared distance from the best of them
+    L = disc.domain[1] - disc.domain[0]
+    shifted = veldt.bifurcation._shifted_coeffs
+    grid = np.linspace(0.0, L, 720, endpoint=False)
+    t0 = float(grid[int(np.argmin([disc.norm(u - shifted(disc, v, t)) for t in grid]))])
+    pairs, _ = veldt.bifurcation._fourier_mode_data(disc)
+    g = np.diag(disc.gram).reshape(disc.n_components, disc.K)
+    cu, cv = u.reshape(g.shape), v.reshape(g.shape)
+    P = np.array([np.sum(g[:, c] * (cu[:, c] * cv[:, c] + cu[:, s] * cv[:, s])) for _, c, s in pairs])
+    Q = np.array([np.sum(g[:, c] * (cu[:, c] * cv[:, s] - cu[:, s] * cv[:, c])) for _, c, s in pairs])
+    w = 2.0 * np.pi / L * np.array([j for j, _, _ in pairs], dtype=float)
+    t = t0
+    for _ in range(40):
+        d1 = 2.0 * float(w @ (P * np.sin(w * t) - Q * np.cos(w * t)))
+        d2 = 2.0 * float((w**2) @ (P * np.cos(w * t) + Q * np.sin(w * t)))
+        if d2 <= 0:
+            break
+        t -= d1 / d2
+        if abs(d1 / d2) < 1e-15 * max(1.0, abs(t)):
+            break
+    return min(disc.norm(u - shifted(disc, v, t)), disc.norm(u - shifted(disc, v, t0)))
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("n_components, length", [(1, 2.0 * np.pi), (2, 3.0)])
+def test_orbit_group_matches_grid_scan(seed, n_components, length):
+    disc = build_space((0.0, length), 1, "periodic", 9, n_components=n_components)
+    rng = np.random.default_rng(seed)
+    shifted = veldt.bifurcation._shifted_coeffs
+    u, v = rng.standard_normal((2, disc.dim))
+    # only frequencies 2 and 4: invariant under a half-period shift
+    half = np.zeros((n_components, 9))
+    half[:, [3, 4, 7, 8]] = rng.standard_normal((n_components, 4))
+    half = half.reshape(disc.dim)
+    constant = np.zeros((n_components, 9))
+    constant[:, 0] = rng.standard_normal(n_components)
+    coeffs = [
+        u,
+        shifted(disc, u, rng.uniform(0.0, length)),
+        v,
+        half,
+        shifted(disc, half, rng.uniform(0.0, length)),
+        shifted(disc, u, rng.uniform(0.0, length)),
+        constant.reshape(disc.dim),
+    ]
+    grouping = orbit_group([disc.field(c) for c in coeffs], disc)
+
+    n = len(coeffs)
+    reference = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            reference[i, j] = reference[j, i] = _orbit_distance_by_scan(disc, coeffs[i], coeffs[j])
+    assert np.max(np.abs(grouping.min_distances - reference)) < 1e-12
+    linked = {(i, j) for i in range(n) for j in range(i + 1, n) if reference[i, j] < 1e-8}
+    assert linked == {(0, 1), (0, 5), (1, 5), (3, 4)}
+    assert grouping.classes == [[0, 1, 5], [2], [3, 4], [6]]
+    assert grouping.fixed_points == [6]
 
 
 def test_orbit_group_rejects_unpaired_mode_of_even_k():

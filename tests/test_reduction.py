@@ -17,6 +17,7 @@ import veldt.bifurcation
 import veldt.functional
 from veldt.errors import ConfigurationError, DegenerateKernelError, ReductionFailureError
 from veldt.functional import VariationalProblem, gradient_norm
+from veldt.reduction import _directions
 
 
 @pytest.fixture(scope="module")
@@ -402,3 +403,17 @@ def test_reduced_newton_reads_gradient_from_complement_solve(setup_p2, monkeypat
     # nothing is assembled after a complement solve ends and before the next
     # one starts, nor after the last one
     assert marks[1::2] == marks[2::2]
+
+
+def test_probe_directions_are_signed_axes_then_normalized_draws():
+    rng = np.random.default_rng(3)
+    rows = np.random.default_rng(3).standard_normal((3, 2))
+    expected = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]] + [r / np.linalg.norm(r) for r in rows]
+    dirs = _directions(2, 3, rng)
+    assert len(dirs) == len(expected)
+    for got, want in zip(dirs, expected):
+        np.testing.assert_array_equal(got, want)
+    # no random rows, no draw: the generator state is left as it was
+    state = rng.bit_generator.state
+    assert [d.tolist() for d in _directions(1, 0, rng)] == [[1.0], [-1.0]]
+    assert rng.bit_generator.state == state

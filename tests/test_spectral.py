@@ -199,6 +199,33 @@ def test_pencil_eigenspace_residuals(p1_pencil):
     assert np.max(pencil.residuals) < 1e-6
 
 
+def _residuals_per_vector(pencil):
+    # one eigenvector at a time, dual norms through LU solves with the Gram matrix
+    F, G, gram = pencil.F_hess, pencil.G_hess, pencil.gram
+    out = []
+    for rep, basis in zip(pencil.eigenvalues, pencil.eigenspaces):
+        for v in basis.T:
+            r = F @ v - rep * (G @ v)
+            r_norm = np.sqrt(max(r @ np.linalg.solve(gram, r), 0.0))
+            scale = np.sqrt(max((F @ v) @ np.linalg.solve(gram, F @ v), 0.0)) + abs(rep) * np.sqrt(
+                max((G @ v) @ np.linalg.solve(gram, G @ v), 0.0)
+            )
+            out.append(r_norm / max(scale, 1e-300))
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"])
+@pytest.mark.parametrize("K", [16, 64, 128])
+def test_pencil_block_residuals_match_per_vector_loop(name, K):
+    m = 2 if name == "P4" else 1
+    disc = build_space((0.0, 1.0) if m == 2 else (0.0, np.pi), m, "dirichlet", K)
+    F, G = _hessians(VariationalProblem(model=model_problem(name), disc=disc))
+    pencil = pencil_eigs(F, G, disc.gram)
+    reference = _residuals_per_vector(pencil)
+    assert pencil.residuals.shape == reference.shape == (disc.dim,)
+    assert np.allclose(pencil.residuals, reference, rtol=1e-10, atol=0.0)
+
+
 @pytest.mark.parametrize("name,lam", [("P1", 2.5), ("P1", 4.0), ("P2", 2.5)])
 def test_morse_data_stable_under_refinement(name, lam):
     counts = []
