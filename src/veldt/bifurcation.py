@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CapabilityError,
@@ -28,6 +27,7 @@ from .functional import (
     VariationalProblem,
     _census_order,
     _distinct_points,
+    _star_seeds,
     damped_newton,
 )
 from .galerkin import Discretization, Field
@@ -39,7 +39,7 @@ from .reduction import (
     reduced_hessian_at_origin,
     solve_psi,
 )
-from .spectral import PencilSpectrum, index_jump, pencil_eigs
+from .spectral import PencilSpectrum, _restricted_inertia, index_jump, pencil_eigs
 
 __all__ = [
     "NecessaryVerdict",
@@ -128,12 +128,10 @@ def classify_conditions(pencil: PencilSpectrum, lam_star: float) -> ConditionCla
     the crossing eigenspace; otherwise none.
     """
     F_hess, gram = pencil.F_hess, pencil.gram
-    vals = scipy.linalg.eigh(F_hess, gram, eigvals_only=True)
-    n_pos = int(np.count_nonzero(vals > 0))
-    n_neg = int(np.count_nonzero(vals < 0))
-    if n_neg == 0 and n_pos == vals.size:
+    n_pos, n_neg = pencil.base_inertia
+    if n_pos == gram.shape[0]:
         return ConditionClassification("a", n_pos, n_neg, 0.0, True)
-    if n_pos == 0 and n_neg == vals.size:
+    if n_neg == gram.shape[0]:
         return ConditionClassification("b", n_pos, n_neg, 0.0, True)
 
     # (c): eigenspace invariance in the Sobolev operator norm
@@ -150,9 +148,8 @@ def classify_conditions(pencil: PencilSpectrum, lam_star: float) -> ConditionCla
         A = (np.eye(gram.shape[0]) - Pi) @ F_op @ Pi
         defect = max(defect, float(np.linalg.norm(R @ A @ Rinv, 2)))
     idx, _ = pencil.nearest(lam_star)
-    basis = pencil.eigenspaces[idx]
-    restricted = np.linalg.eigvalsh(basis.T @ F_hess @ basis)
-    definite = bool(np.all(restricted > 0) or np.all(restricted < 0))
+    # definite: F'' has one sign on the whole crossing eigenspace
+    definite = int(pencil.multiplicities[idx]) in _restricted_inertia(pencil, pencil.eigenspaces[idx])
     if defect <= INVARIANCE_TOL * max(scale, 1e-300) and definite:
         return ConditionClassification("c", n_pos, n_neg, defect, definite)
     return ConditionClassification("none", n_pos, n_neg, defect, definite)
@@ -269,13 +266,7 @@ def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
     """
     nu = setup.nullity
     rho = setup.trust_radius
-    starts = [np.zeros(nu)]
-    for i in range(nu):
-        e = np.zeros(nu)
-        e[i] = 1.0
-        for frac in np.linspace(1.0 / n_starts, 0.9, n_starts):
-            starts.append(frac * rho * e)
-            starts.append(-frac * rho * e)
+    starts = _star_seeds(np.zeros(nu), np.eye(nu), np.linspace(1.0 / n_starts, 0.9, n_starts) * rho)
     if nu > 1:
         extra = rng.standard_normal((2 * n_starts, nu))
         extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
@@ -306,9 +297,10 @@ def _assemble_branches(lam_star, side_samples, side):
     """Chain per-parameter solutions into branches by kernel-coordinate proximity.
 
     Each branch accepts at most one sample per parameter value, the nearest
-    within a bound that scales with the branch's current amplitude (branch
-    spacing near a simple crossing is twice the amplitude, so 0.8 of it
-    separates a symmetric pair while following square-root growth).
+    within 0.8 times the larger amplitude of the two samples.  The two samples of
+    a symmetric pair are a_last + a_new apart, more than that bound, so the
+    pair stays apart, while a branch whose amplitude grows by a factor up to
+    five between grid values (square-root or linear growth) stays one branch.
     """
     branches = []
     for lam in sorted(side_samples, key=lambda l: abs(l - lam_star)):
@@ -319,7 +311,8 @@ def _assemble_branches(lam_star, side_samples, side):
                 if bi in taken:
                     continue
                 last = branch.samples[-1]
-                bound = max(0.8 * float(np.linalg.norm(last.kernel_coords)), 1e-3)
+                reach = max(np.linalg.norm(last.kernel_coords), np.linalg.norm(sample.kernel_coords))
+                bound = max(0.8 * float(reach), 1e-3)
                 dist = float(np.linalg.norm(sample.kernel_coords - last.kernel_coords))
                 if dist <= bound and (best is None or dist < best[0]):
                     best = (dist, bi)
@@ -368,19 +361,14 @@ def detect_branches(
     F_h = problem.energy.hessian_dual(u0)
     G_h = problem.constraints[0].hessian_dual(u0)
     pencil = pencil_eigs(F_h, G_h, disc.gram)
-    candidates = [
-        (float(lam), int(mult))
-        for lam, mult in zip(pencil.eigenvalues, pencil.multiplicities)
-        if lo <= lam <= hi
-    ]
 
     reports = []
-    for lam_star, mult in candidates:
+    for idx in np.flatnonzero((lo <= pencil.eigenvalues) & (pencil.eigenvalues <= hi)):
+        lam_star, mult = float(pencil.eigenvalues[idx]), int(pencil.multiplicities[idx])
         verdict = necessary_test(pencil, lam_star)
         condition = classify_conditions(pencil, lam_star)
-        others = np.abs(pencil.eigenvalues[pencil.eigenvalues != lam_star] - lam_star)
-        separation = float(np.min(others)) if others.size else 1.0
-        jump = index_jump(pencil, lam_star, min(0.1, 0.4 * separation)).summary()
+        # a lone eigenvalue has infinite separation, which leaves eps at 0.1
+        jump = index_jump(pencil, lam_star, min(0.1, 0.4 * pencil.separation(idx))).summary()
         setup = make_reduction_setup(problem, lam_star, kernel_dim=mult)
         # below the cube root of the residual contract a degenerate origin is
         # numerically indistinguishable from the trivial solution

@@ -25,7 +25,7 @@ from . import __version__
 from .bifurcation import detect_branches, morse_inequality_audit, orbit_group
 from .catalog import load_problem
 from .errors import ConfigurationError, DegenerateCriticalPointError, VeldtError
-from .functional import VariationalProblem
+from .functional import VariationalProblem, _star_seeds
 from .galerkin import build_space, estimate_sobolev_constant, q_compactness_audit
 from .lagrangian import Jet, check_growth, enumerate_multi_indices, ps_certificate
 from .reduction import (
@@ -420,13 +420,7 @@ def _census_seeds(problem, lam, amplitudes, n_random, rng):
     u0 = problem.u0
     func = problem.at_parameter(lam)
     dec = decompose(func.hessian_dual(u0.coeffs), disc.gram)
-    seeds = [u0.coeffs.copy()]
-    n_dirs = min(6, disc.dim)
-    for j in range(n_dirs):
-        v = dec.eigenvectors[:, j]
-        for amp in amplitudes:
-            seeds.append(u0.coeffs + amp * v)
-            seeds.append(u0.coeffs - amp * v)
+    seeds = _star_seeds(u0.coeffs, dec.eigenvectors[:, : min(6, disc.dim)].T, amplitudes)
     for _ in range(n_random):
         d = rng.standard_normal(disc.dim)
         d /= disc.norm(d)

@@ -290,6 +290,16 @@ def _distinct_points(func, seeds, center=None, radius=None, inner=0.0):
         yield found[-1]
 
 
+def _star_seeds(center, directions, amplitudes) -> list:
+    """Multistart seeds: a copy of ``center``, then center + a d and center - a d
+    for every direction d (outer loop) and amplitude a (inner loop)."""
+    seeds = [np.array(center, dtype=float)]
+    for d in directions:
+        for a in amplitudes:
+            seeds += [center + a * d, center - a * d]
+    return seeds
+
+
 def _census_order(cp: CriticalPoint) -> tuple:
     return (round(cp.value, 12), cp.distance_from_center)
 

@@ -32,6 +32,7 @@ from .functional import (
     DiscretizedFunctional,
     VariationalProblem,
     _dual_norm,
+    _star_seeds,
     damped_newton,
     gradient_norm,
     multistart_census,
@@ -60,6 +61,7 @@ COMPLEMENT_TOL = 1e-11  # relative residual contract of the complement equation
 HESSIAN_FD_STEP = 1e-4  # kernel step of the reduced-Hessian finite-difference probe
 HESSIAN_FD_PSI_TOL = 1e-13  # complement tolerance inside that probe
 TILT_RETRIES = 5  # fresh tilt directions tried after a failed census
+COMPLEMENT_COND_LIMIT = 1e12  # largest condition number of the complement block a Newton step accepts
 
 
 @dataclass(eq=False)
@@ -71,7 +73,8 @@ class ReductionSetup:
     coordinates z live in R^nu through the kernel basis.  ``lambda_box`` bounds
     |lam - lam_star| per parameter and ``trust_radius`` bounds |z| and the
     complement correction.  ``energy`` may be any functional handle; with no
-    constraints it is the reduced functional itself.
+    constraints it is the reduced functional itself.  ``functional_at`` builds
+    the combined functional once per parameter value and reuses it.
     """
 
     energy: DiscretizedFunctional
@@ -82,6 +85,7 @@ class ReductionSetup:
     complement_basis: np.ndarray
     lambda_box: float
     trust_radius: float
+    _functionals: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def disc(self):
@@ -94,7 +98,10 @@ class ReductionSetup:
     def functional_at(self, lam):
         if not self.constraints:
             return self.energy
-        return CombinedFunctional(self.energy, self.constraints, lam)
+        key = np.atleast_1d(np.asarray(lam, dtype=float)).tobytes()
+        if key not in self._functionals:
+            self._functionals[key] = CombinedFunctional(self.energy, self.constraints, lam)
+        return self._functionals[key]
 
     def check_lambda(self, lam) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -151,17 +158,13 @@ def make_reduction_setup(
     dec = decompose(B, disc.gram, kernel_dim_hint=kernel_dim)
     if dec.nullity == 0:
         raise DegenerateKernelError("second variation at the base point has no kernel; nothing to reduce")
-    Z = dec.kernel_vectors
-    mask = np.abs(dec.eigenvalues) > 2 * dec.gap
-    W = dec.eigenvectors[:, mask]
 
     separation = 1.0
     if len(constraints) == 1:
         pencil = pencil_eigs(energy.hessian_dual(u0.coeffs), constraints[0].hessian_dual(u0.coeffs), disc.gram)
         idx, _ = pencil.nearest(float(lam_star[0]))
-        others = np.abs(np.delete(pencil.eigenvalues, idx) - pencil.eigenvalues[idx])
-        if others.size:
-            separation = float(np.min(others))
+        if len(pencil.eigenvalues) > 1:
+            separation = pencil.separation(idx)
     box = lambda_box if lambda_box is not None else min(0.45 * separation, 1.0)
     rho = trust_radius if trust_radius is not None else min(0.3 * separation, 1.0)
     return ReductionSetup(
@@ -169,8 +172,8 @@ def make_reduction_setup(
         constraints=constraints,
         u0=u0,
         lam_star=lam_star,
-        kernel_basis=Z,
-        complement_basis=W,
+        kernel_basis=dec.kernel_vectors,
+        complement_basis=dec.complement_vectors,
         lambda_box=float(box),
         trust_radius=float(rho),
     )
@@ -238,7 +241,7 @@ def _complement_newton(setup, func, z, tol_abs, y0, max_iter, load0=None):
         # J is symmetric, so its 2-norm condition number is max|eig| / min|eig|
         mags = np.abs(np.linalg.eigvalsh(0.5 * (J + J.T)))
         cond = mags.max() / mags.min() if mags.min() > 0 else np.inf
-        if not np.isfinite(cond) or cond > 1e12:
+        if not np.isfinite(cond) or cond > COMPLEMENT_COND_LIMIT:
             raise DegenerateKernelError(
                 f"complement block of the second variation is singular (cond {cond:.3e}); "
                 "the kernel basis is wrong or the nullity changed"
@@ -552,14 +555,13 @@ def marino_prodi_perturb(
         raise ConfigurationError("the base point is already nondegenerate; no tilt is needed")
 
     # lower bound for the reduced gradient on the cutoff annulus, scanned coarsely
-    W = dec.eigenvectors[:, np.abs(dec.eigenvalues) > 2 * dec.gap]
     probe_setup = ReductionSetup(
         energy=func,
         constraints=[],
         u0=u0,
         lam_star=np.zeros(0),
         kernel_basis=Z,
-        complement_basis=W,
+        complement_basis=dec.complement_vectors,
         lambda_box=1.0,
         trust_radius=max(delta_inner * 2, 1e-6),
     )
@@ -632,12 +634,7 @@ def _directions(nu: int, n_random: int, rng) -> list:
 
 
 def _default_mp_seeds(u0: Field, Z: np.ndarray, delta: float, r: float, rng, disc) -> list:
-    seeds = [u0.coeffs.copy()]
-    nu = Z.shape[1]
-    for i in range(nu):
-        for amp in (0.25 * delta, 0.5 * delta, delta, 0.5 * (delta + r)):
-            seeds.append(u0.coeffs + amp * Z[:, i])
-            seeds.append(u0.coeffs - amp * Z[:, i])
+    seeds = _star_seeds(u0.coeffs, Z.T, (0.25 * delta, 0.5 * delta, delta, 0.5 * (delta + r)))
     for _ in range(4):
         d = rng.standard_normal(disc.dim)
         d /= disc.norm(d)

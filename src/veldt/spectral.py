@@ -10,7 +10,7 @@ used by the bifurcation tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -63,6 +63,11 @@ class SpectralDecomposition:
     gap: float
     realized_gap: float
     kernel_vectors: np.ndarray
+
+    @property
+    def complement_vectors(self) -> np.ndarray:
+        """The eigenvectors outside the kernel: a Gram-orthonormal basis of its complement."""
+        return self.eigenvectors[:, np.abs(self.eigenvalues) > 2 * self.gap]
 
     def summary(self) -> dict:
         return {
@@ -220,9 +225,10 @@ class PencilSpectrum:
 
     ``eigenvalues[i]`` is the representative of the i-th multiplicity group
     (ascending), ``eigenspaces[i]`` holds its basis columns, ``kernel`` a
-    basis of the null space of the constraint form.  The defining matrices
-    ride along so downstream index computations can re-assemble
-    B_lambda = F - lambda G.
+    basis of the null space of the constraint form.  ``base_inertia`` counts
+    the positive and negative eigenvalues of F'' on the whole space.  The
+    defining matrices ride along so downstream index computations can
+    re-assemble B_lambda = F - lambda G.
     """
 
     eigenvalues: np.ndarray
@@ -233,6 +239,7 @@ class PencilSpectrum:
     G_hess: np.ndarray
     gram: np.ndarray
     residuals: np.ndarray
+    base_inertia: tuple
     dropped_complex: int = 0
 
     def nearest(self, lam: float):
@@ -245,6 +252,11 @@ class PencilSpectrum:
         idx, dist = self.nearest(lam)
         scale = max(abs(lam), abs(self.eigenvalues[idx]), 1.0)
         return dist <= 10.0 * GROUP_RTOL * scale
+
+    def separation(self, idx: int) -> float:
+        """Distance from group ``idx`` to the nearest other group; inf when it is the only one."""
+        others = np.abs(np.delete(self.eigenvalues, idx) - self.eigenvalues[idx])
+        return float(np.min(others)) if others.size else np.inf
 
     def b_lambda(self, lam: float) -> np.ndarray:
         return self.F_hess - lam * self.G_hess
@@ -346,6 +358,7 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
         G_hess=G,
         gram=np.asarray(gram, dtype=float),
         residuals=residuals,
+        base_inertia=(int(np.count_nonzero(f_eigs > 0)), int(np.count_nonzero(f_eigs < 0))),
         dropped_complex=dropped,
     )
 
@@ -363,39 +376,25 @@ def _restricted_inertia(pencil: PencilSpectrum, basis: np.ndarray):
     return int(np.count_nonzero(vals > tol)), int(np.count_nonzero(vals < -tol))
 
 
-def morse_index_by_formula(
-    pencil: PencilSpectrum,
-    lam: float,
-    mode: str = "positive_definite",
-    inertia: Optional[Sequence] = None,
-) -> int:
-    """Morse index of F - lambda G at the base point, by crossing counts.
+def morse_index_by_formula(pencil: PencilSpectrum, lam: float) -> int:
+    """Morse index of F - lambda G at the base point, by signed crossing counts.
 
-    An eigenspace at lambda_n turns negative exactly when lambda / lambda_n
-    exceeds one; for a spectrum on the positive axis this is the familiar
-    count of eigenvalues below lambda.  ``invariant_subspaces`` mode weights
-    each crossing by the inertia of the base form on that eigenspace, plus its
-    negative part on the constraint kernel.
+    F'' is block diagonal on the pencil eigenspaces and the kernel of G'', and
+    on the eigenspace at lambda_n the form F - lambda G is (1 - lambda /
+    lambda_n) F''.  An eigenspace is crossed when lambda / lambda_n exceeds one:
+    a crossed one contributes the positive inertia of F'' on it, an uncrossed
+    one its negative inertia, and the kernel of G'' the negative inertia of F''
+    there.  For a definite F'' this is the familiar count of eigenvalues crossed
+    (positive) or not yet crossed (negative, plus the kernel).
     """
-    for lam_n in pencil.eigenvalues:
-        if abs(lam - lam_n) <= 10.0 * GROUP_RTOL * max(abs(lam), abs(lam_n), 1.0):
-            raise EigenvalueCollisionError(
-                f"query value {lam} collides with pencil eigenvalue {lam_n}; offset it"
-            )
+    if pencil.matches(lam):
+        raise EigenvalueCollisionError(
+            f"query value {lam} collides with pencil eigenvalue "
+            f"{pencil.eigenvalues[pencil.nearest(lam)[0]]}; offset it"
+        )
     crossed = lam / pencil.eigenvalues > 1.0
-    if mode == "positive_definite":
-        return int(np.sum(pencil.multiplicities[crossed]))
-    if mode == "negative_definite":
-        return int(np.sum(pencil.multiplicities[~crossed])) + int(pencil.kernel.shape[1])
-    if mode == "invariant_subspaces":
-        if inertia is None:
-            inertia = [_restricted_inertia(pencil, basis) for basis in pencil.eigenspaces]
-        total = 0
-        for cross, (n_pos, n_neg) in zip(crossed, inertia):
-            total += n_neg if not cross else n_pos
-        _, k_neg = _restricted_inertia(pencil, pencil.kernel)
-        return total + k_neg
-    raise ValueError(f"unknown mode {mode!r}")
+    signed = [_restricted_inertia(pencil, basis)[0 if cross else 1] for cross, basis in zip(crossed, pencil.eigenspaces)]
+    return sum(signed) + _restricted_inertia(pencil, pencil.kernel)[1]
 
 
 @dataclass
@@ -407,7 +406,6 @@ class IndexJump:
     nullity: int
     nullity_positive: int
     nullity_negative: int
-    mode: str
 
     def summary(self) -> dict:
         return {
@@ -416,23 +414,21 @@ class IndexJump:
             "mu_minus": self.mu_minus,
             "mu_plus": self.mu_plus,
             "nullity": self.nullity,
-            "mode": self.mode,
         }
 
 
-def index_jump(pencil: PencilSpectrum, lam_star: float, eps: float, mode: str = "positive_definite") -> IndexJump:
+def index_jump(pencil: PencilSpectrum, lam_star: float, eps: float) -> IndexJump:
     """Directly measured Morse indices on both sides of a pencil eigenvalue.
 
     Decomposes B at lambda_star -+ eps and asserts that the jump equals the
-    crossing multiplicity (or, in ``invariant_subspaces`` mode, the signed
-    inertia difference of the base form on the crossing eigenspace).
+    signed crossing count sign(lambda_star) (n+ - n-), where n+ and n- are the
+    positive and negative inertia of F'' on the crossing eigenspace (its
+    multiplicity, with sign, when F'' is definite).
     """
     idx, dist = pencil.nearest(lam_star)
-    scale = max(abs(lam_star), 1.0)
-    if dist > 10.0 * GROUP_RTOL * scale:
+    if not pencil.matches(lam_star):
         raise EigenvalueCollisionError(f"{lam_star} is not a pencil eigenvalue (nearest at distance {dist:.3e})")
-    others = np.abs(np.delete(pencil.eigenvalues, idx) - pencil.eigenvalues[idx])
-    if others.size and eps >= 0.5 * np.min(others):
+    if eps >= 0.5 * pencil.separation(idx):
         raise EigenvalueCollisionError(f"eps {eps} reaches into the neighbouring eigenvalue group")
     lam_rep = float(pencil.eigenvalues[idx])
     dec_minus = decompose(pencil.b_lambda(lam_rep - eps), pencil.gram)
@@ -440,8 +436,7 @@ def index_jump(pencil: PencilSpectrum, lam_star: float, eps: float, mode: str = 
     nu: int = int(pencil.multiplicities[idx])
     n_pos, n_neg = _restricted_inertia(pencil, pencil.eigenspaces[idx])
     direct = dec_plus.morse_index - dec_minus.morse_index
-    sign = 1 if lam_rep > 0 else -1
-    expected = sign * nu if mode != "invariant_subspaces" else sign * (n_pos - n_neg)
+    expected = (1 if lam_rep > 0 else -1) * (n_pos - n_neg)
     if direct != expected:
         raise IndexJumpMismatchError(
             f"direct index jump {direct} disagrees with the crossing count {expected} at {lam_rep}",
@@ -456,5 +451,4 @@ def index_jump(pencil: PencilSpectrum, lam_star: float, eps: float, mode: str = 
         nullity=nu,
         nullity_positive=n_pos,
         nullity_negative=n_neg,
-        mode=mode,
     )

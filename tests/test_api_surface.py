@@ -38,8 +38,6 @@ DEFAULTED = {
     "reduction.sample_reduced": ("tol",),
     "reduction.solve_psi": ("tol", "w0", "max_iter"),
     "spectral.decompose": ("kernel_dim_hint",),
-    "spectral.index_jump": ("mode",),
-    "spectral.morse_index_by_formula": ("mode", "inertia"),
     "spectral.split_continuity_audit": ("radius", "rng"),
 }
 
@@ -75,7 +73,7 @@ def test_public_keyword_surface_is_pinned():
         if names:
             found[qualname] = names
     assert found == DEFAULTED
-    assert sum(len(names) for names in found.values()) == 44
+    assert sum(len(names) for names in found.values()) == 41
 
 
 def _module_constants():

@@ -191,27 +191,66 @@ def _term(coef, alpha, power):
     return {"coef": coef, "factors": [{"component": 0, "alpha": [alpha], "power": power}]}
 
 
-def test_solution_cap_does_not_invent_alternative_ii():
-    # transcritical: f = u'^2/2 + u^3/3 + u^4/4 with the mass constraint.  The
-    # refinement must count solutions as the sweep does, without the trivial
-    # one and those beyond the amplitude cap, so a cap of one changes no label
+def _mass_document(disc, *terms):
+    """The integrand sum(terms) with the mass constraint u^2/2, on ``disc``."""
     model = load_problem(
-        {
-            "n": 1,
-            "m": 1,
-            "N": 1,
-            "integrand": {"terms": [_term(0.5, 1, 2), _term(1.0 / 3.0, 0, 3), _term(0.25, 0, 4)]},
-            "constraint": {"terms": [_term(0.5, 0, 2)]},
-        }
+        {"n": 1, "m": 1, "N": 1, "integrand": {"terms": list(terms)}, "constraint": {"terms": [_term(0.5, 0, 2)]}}
     )
-    problem = VariationalProblem(model=model, disc=build_space((0.0, np.pi), 1, "dirichlet", 16))
+    return VariationalProblem(model=model, disc=disc)
 
+
+def _shifted_p2(disc):
+    """f = u'^2/2 - (5/2) u^2 + u^4/4: P2 with lambda shifted by -5, so its
+    pencil k^2 - 5 has both signs and the base form F'' is indefinite."""
+    return _mass_document(disc, _term(0.5, 1, 2), _term(-2.5, 0, 2), _term(0.25, 0, 4))
+
+
+@pytest.fixture(scope="module")
+def transcritical(disc16):
+    # f = u'^2/2 + u^3/3 + u^4/4: the branch amplitude grows linearly in lam - 1
+    return _mass_document(disc16, _term(0.5, 1, 2), _term(1.0 / 3.0, 0, 3), _term(0.25, 0, 4))
+
+
+def test_solution_cap_does_not_invent_alternative_ii(transcritical):
+    # the refinement must count solutions as the sweep does, without the
+    # trivial one and those beyond the amplitude cap, so a cap of one changes
+    # no label
     def label(**kwargs):
-        report = detect_branches(problem, (0.9999, 1.3), grid=4, rng=np.random.default_rng(0), **kwargs)
+        report = detect_branches(transcritical, (0.9999, 1.3), grid=4, rng=np.random.default_rng(0), **kwargs)
         (cand,) = report.candidates
         return cand.alternative
 
     assert label(solution_cap=1) == label()
+
+
+def test_linearly_growing_branch_chains_into_one_branch_per_side(transcritical):
+    # the sample two grid steps out lies 0.09 from the first (amplitude 0.10),
+    # so a bound of 0.8 times the last amplitude alone split each side in two
+    report = detect_branches(transcritical, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
+    (cand,) = report.candidates
+    assert cand.summary()["n_branches"] == 2
+    grid = [float(l) for l in np.linspace(0.8, 1.3, 11) if abs(l - 1.0) > 1e-12]
+    for branch in cand.branches:
+        on_side = [l for l in grid if (l < 1.0) == (branch.side == "left")]
+        assert sorted(s.lam for s in branch.samples) == pytest.approx(on_side)
+
+
+def test_shifted_p2_reproduces_p2_branches(p2_report, disc32):
+    # the crossing at -4 has negative inertia of F'' and a negative eigenvalue
+    report = detect_branches(_shifted_p2(disc32), (-4.2, -3.7), grid=11, rng=np.random.default_rng(0))
+    (cand,) = report.candidates
+    (ref,) = p2_report.candidates
+    assert cand.lam_star + 5.0 == pytest.approx(ref.lam_star, abs=1e-12)
+    assert cand.condition.klass == "c"
+    assert (cand.jump["mu_minus"], cand.jump["mu_plus"]) == (ref.jump["mu_minus"], ref.jump["mu_plus"])
+    assert (cand.alternative, cand.solutions_at_star) == (ref.alternative, ref.solutions_at_star)
+    assert [b.side for b in cand.branches] == [b.side for b in ref.branches]
+    for branch, ref_branch in zip(cand.branches, ref.branches):
+        assert len(branch.samples) == len(ref_branch.samples)
+        for s, r in zip(branch.samples, ref_branch.samples):
+            assert s.lam + 5.0 == pytest.approx(r.lam, abs=1e-12)
+            assert s.amplitude == pytest.approx(r.amplitude, abs=1e-12)
+            assert (s.morse_index, s.nullity) == (r.morse_index, r.nullity)
 
 
 def test_p3_quasilinear_pitchfork(p3):

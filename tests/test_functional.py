@@ -10,6 +10,7 @@ from veldt.functional import (
     CombinedFunctional,
     DiscretizedFunctional,
     VariationalProblem,
+    _star_seeds,
     damped_newton,
     gradient_norm,
     newton_polish,
@@ -207,3 +208,13 @@ def test_combined_checks_every_term_signature(p1, p4, disc16):
     beam_constraint = DiscretizedFunctional(p4.constraint, disc16)
     with pytest.raises(ConfigurationError):
         CombinedFunctional(DiscretizedFunctional(p1.lagrangian, disc16), [beam_constraint], [1.0])
+
+
+def test_star_seeds_order_and_copy():
+    center = np.array([1.0, 2.0])
+    dirs = np.eye(2)
+    seeds = _star_seeds(center, dirs, (0.5, 2.0))
+    expected = [[1.0, 2.0], [1.5, 2.0], [0.5, 2.0], [3.0, 2.0], [-1.0, 2.0], [1.0, 2.5], [1.0, 1.5], [1.0, 4.0], [1.0, 0.0]]
+    assert [seed.tolist() for seed in seeds] == expected
+    seeds[0][0] = 9.0
+    assert center[0] == 1.0

@@ -405,6 +405,28 @@ def test_reduced_newton_reads_gradient_from_complement_solve(setup_p2, monkeypat
     assert marks[1::2] == marks[2::2]
 
 
+def test_functional_at_builds_one_combined_functional_per_parameter(setup_p2, monkeypatch):
+    builds = []
+    original = veldt.functional._combined_lagrangian
+
+    def counted(energy, constraints, lam):
+        builds.append(lam.tolist())
+        return original(energy, constraints, lam)
+
+    monkeypatch.setattr(veldt.functional, "_combined_lagrangian", counted)
+    setup = dataclasses.replace(setup_p2)  # a fresh cache
+    z, _, converged = veldt.bifurcation._reduced_newton(setup, [1.1], np.array([0.5]))
+    assert converged
+    for lam in (1.1, [1.1], np.array([1.1])):
+        solve_psi(setup, lam, z)
+    assert builds == [[1.1]]
+    assert setup.functional_at(1.1) is setup.functional_at(np.array([1.1]))
+    solve_psi(setup, [0.9], np.zeros(1))
+    assert builds == [[1.1], [0.9]]
+    dataclasses.replace(setup).functional_at(1.1)
+    assert builds == [[1.1], [0.9], [1.1]]
+
+
 def test_probe_directions_are_signed_axes_then_normalized_draws():
     rng = np.random.default_rng(3)
     rows = np.random.default_rng(3).standard_normal((3, 2))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from veldt.errors import (
 )
 from veldt.functional import VariationalProblem
 from veldt.galerkin import clamped_mode_parameters
+
+from test_bifurcation import _shifted_p2
 
 
 def _hessians(problem):
@@ -329,27 +333,39 @@ def test_invariant_subspace_morse_formula():
     pencil, F, G, gram = _synthetic_pencil()
     # between the crossings: crossed space contributes its positive part,
     # the uncrossed one its negative part
-    assert morse_index_by_formula(pencil, 2.5, mode="invariant_subspaces") == 2
+    assert morse_index_by_formula(pencil, 2.5) == 2
     direct = decompose(F - 2.5 * G, gram).morse_index
     assert direct == 2
-    assert morse_index_by_formula(pencil, 1.5, mode="invariant_subspaces") == 1
+    assert morse_index_by_formula(pencil, 1.5) == 1
     assert decompose(F - 1.5 * G, gram).morse_index == 1
 
 
 def test_signed_index_jump():
     pencil, _, _, _ = _synthetic_pencil()
-    jump = index_jump(pencil, 2.0, 0.1, mode="invariant_subspaces")
+    jump = index_jump(pencil, 2.0, 0.1)
     assert jump.mu_plus - jump.mu_minus == jump.nullity_positive - jump.nullity_negative == 1
-    jump3 = index_jump(pencil, 3.0, 0.1, mode="invariant_subspaces")
+    jump3 = index_jump(pencil, 3.0, 0.1)
     assert jump3.mu_plus - jump3.mu_minus == -1
     assert (jump3.nullity_positive, jump3.nullity_negative) == (0, 1)
 
 
-def test_positive_mode_mismatch_raises_on_signed_problem():
+def test_index_jump_mismatch_raises_when_pencil_and_forms_disagree():
+    # with G'' negated behind the pencil's back no direct crossing happens at
+    # 3.0, while the crossing count still reads the eigenspace found there
     pencil, _, _, _ = _synthetic_pencil()
+    tampered = dataclasses.replace(pencil, G_hess=-pencil.G_hess)
     with pytest.raises(IndexJumpMismatchError) as err:
-        index_jump(pencil, 3.0, 0.1, mode="positive_definite")
+        index_jump(tampered, 3.0, 0.1)
     assert err.value.direct != err.value.formula
+
+
+def test_morse_formula_matches_decompose_for_indefinite_base_form(disc32):
+    F, G = _hessians(_shifted_p2(disc32))
+    pencil = pencil_eigs(F, G, disc32.gram)
+    assert pencil.eigenvalues[:4].tolist() == pytest.approx([-4.0, -1.0, 4.0, 11.0], abs=1e-9)
+    for lam in [*np.linspace(-6.0, 30.0, 32), -0.5, 0.0, 0.5]:
+        assert morse_index_by_formula(pencil, lam) == decompose(F - lam * G, disc32.gram).morse_index
+    assert morse_index_by_formula(pencil, 0.0) == 2  # k = 1, 2 have k^2 < 5
 
 
 # ---------------------------------------------------------------------------
