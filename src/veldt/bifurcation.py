@@ -35,6 +35,7 @@ from .reduction import (
     COMPLEMENT_TOL,
     ReductionSetup,
     _directions,
+    _reduction_extent,
     make_reduction_setup,
     reduced_hessian_at_origin,
     solve_psi,
@@ -63,6 +64,7 @@ ORIGIN_PSI_TOL = 1e-12  # complement tolerance of the reduced-origin classificat
 ORIGIN_DIRECTIONS = 8  # random sphere directions per radius when the kernel is not a line
 REDUCED_NEWTON_TOL = 1e-10  # reduced-gradient norm at which a reduced Newton solve has converged
 REDUCED_NEWTON_MAX_ITER = 40  # iteration budget of a reduced Newton solve
+BRANCH_STARTS = 4  # deterministic reduced Newton starts per parameter value of a branch sweep
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +332,6 @@ def detect_branches(
     window: tuple,
     grid: int = 9,
     amplitude_cap: float = 3.0,
-    n_starts: int = 4,
     solution_cap: int = 16,
     rng: Optional[np.random.Generator] = None,
 ) -> BifurcationReport:
@@ -353,9 +354,9 @@ def detect_branches(
     asserted.
     """
     rng = rng or np.random.default_rng(0)
+    if len(window) != 2 or not float(window[1]) > float(window[0]):
+        raise ConfigurationError(f"window must be [lo, hi] with lo < hi, got {list(window)}")
     lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ConfigurationError(f"empty window ({lo}, {hi})")
     disc = problem.disc
     u0 = problem.u0.coeffs
     F_h = problem.energy.hessian_dual(u0)
@@ -369,7 +370,8 @@ def detect_branches(
         condition = classify_conditions(pencil, lam_star)
         # a lone eigenvalue has infinite separation, which leaves eps at 0.1
         jump = index_jump(pencil, lam_star, min(0.1, 0.4 * pencil.separation(idx))).summary()
-        setup = make_reduction_setup(problem, lam_star, kernel_dim=mult)
+        box, rho = _reduction_extent(pencil.separation(idx))
+        setup = make_reduction_setup(problem, lam_star, kernel_dim=mult, lambda_box=box, trust_radius=rho)
         # below the cube root of the residual contract a degenerate origin is
         # numerically indistinguishable from the trivial solution
         trivial_tol = max(1e-8, 1e-4 * setup.trust_radius, (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0))
@@ -406,7 +408,7 @@ def detect_branches(
         for lam in lam_grid:
             if abs(lam - lam_star) < 1e-12:
                 continue
-            packed = solutions_at(lam, n_starts)
+            packed = solutions_at(lam, BRANCH_STARTS)
             if packed is None:
                 continue
             counts[float(lam)] = len(packed)
@@ -415,12 +417,12 @@ def detect_branches(
                 side_samples[side][float(lam)] = packed
 
         # solutions at the eigenvalue itself
-        at_star = solutions_at(lam_star, n_starts) or []
+        at_star = solutions_at(lam_star, BRANCH_STARTS) or []
 
         unbounded = False
         for lam, count in counts.items():
             if count >= solution_cap:
-                refined = solutions_at(lam, 2 * n_starts)
+                refined = solutions_at(lam, 2 * BRANCH_STARTS)
                 if refined is not None and len(refined) > count:
                     unbounded = True
                     break

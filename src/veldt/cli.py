@@ -5,6 +5,8 @@ reduce, bifurcate, morse), and writes ``report.json`` (machine readable),
 ``summary.txt`` (human readable), and CSV plot data.  Single-threaded runs
 with a fixed config and seed are byte-deterministic: reports embed no
 timestamps, and every random draw goes through one seeded generator.
+``CONFIG_KEYS`` declares every key a config document may carry, with its
+default; any other key is a configuration error.
 
 Exit codes: 0 on a clean pass, 2 on numeric failures (module errors are
 embedded in the report) and, under ``--strict``, on soft audit failures,
@@ -39,7 +41,39 @@ from .reduction import (
 )
 from .spectral import decompose, split_continuity_audit, pencil_eigs
 
-SCENARIOS = ("validate", "spectrum", "reduce", "bifurcate", "morse")
+ORBIT_TOL = 1e-6  # translation distance below which two periodic branch samples are one orbit
+CENSUS_AMPLITUDES = (0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0)  # star-seed amplitudes of the morse census
+
+REQUIRED = "required"
+
+# Every key a config document may carry, with its default.  A dict-valued
+# entry is a block: absent unless given, its own keys merged when it is.
+# ``params`` holds one block per scenario and is always merged.  null counts
+# as absent everywhere.
+CONFIG_KEYS = {
+    "problem": REQUIRED,
+    "scenario": REQUIRED,
+    "discretization": {"domain": [0, "pi"], "m": None, "bc": "dirichlet", "K": 32, "quad_order": None},
+    "params": {
+        "validate": {
+            "sample_radius": 3.0,
+            "sample_count": 5,
+            "certificate": {"mode": REQUIRED, "params": None},
+        },
+        "spectrum": {"lambdas": [], "split_audit": False, "q_decay": False},
+        "reduce": {
+            "lam_star": REQUIRED,
+            "z_count": 21,
+            "z_radius": None,
+            "lambda_offsets": [-0.05, -0.025, 0.0, 0.025, 0.05],
+            "lipschitz_pairs": 20,
+            "uniqueness_starts": 10,
+        },
+        "bifurcate": {"window": REQUIRED, "grid": 9, "amplitude_cap": 3.0},
+        "morse": {"lam": 0.0, "n_random": 8, "window": None, "marino_prodi": {"r": 0.5, "delta_inner": 0.25}},
+    },
+}
+SCENARIOS = tuple(CONFIG_KEYS["params"])
 
 
 # ---------------------------------------------------------------------------
@@ -56,26 +90,41 @@ def _parse_extent(value):
     return float(value)
 
 
-def load_config(path: Path) -> dict:
+def _merged(block, keys: dict, where: str) -> dict:
+    """``block`` checked against its declared ``keys``, every absent key set to its default."""
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {block!r}")
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigurationError(f"unknown {where} key {unknown[0]!r}; known keys: {', '.join(keys)}")
+    merged = {}
+    for key, default in keys.items():
+        value = block.get(key)
+        if value is None and default is REQUIRED:
+            raise ConfigurationError(f"{where} needs {key!r}")
+        if isinstance(default, dict):
+            merged[key] = None if value is None else _merged(value, default, f"{where}.{key}")
+        else:
+            merged[key] = default if value is None else value
+    return merged
+
+
+def load_config(path: Path) -> tuple:
+    """The config document as written and the same document with every default filled in."""
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
-    scenario = cfg.get("scenario")
+    scenario = doc.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigurationError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    if "problem" not in cfg:
-        raise ConfigurationError("config must name a problem (catalog name, path, or inline document)")
-    params = cfg.get("params", {}) or {}
-    for key, value in params.items():
-        if key.endswith("tol") or key.endswith("tolerance"):
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigurationError(f"tolerance {key!r} must be positive, got {value!r}")
-    return cfg
+    keys = dict(CONFIG_KEYS, params=CONFIG_KEYS["params"][scenario])
+    params = doc.get("params")
+    return doc, _merged(dict(doc, params={} if params is None else params), keys, "config")
 
 
 def _resolve_problem(cfg, config_dir: Path):
@@ -92,25 +141,20 @@ def _resolve_problem(cfg, config_dir: Path):
     return load_problem(spec)
 
 
-def _build_disc(cfg, model):
-    block = cfg.get("discretization")
+def _build_disc(block, model):
     if block is None:
         raise ConfigurationError("config needs a 'discretization' block for this scenario")
-    raw_domain = block.get("domain", [0, "pi"])
-    arr = np.asarray(raw_domain, dtype=object)
-    if arr.ndim == 1:
+    raw_domain = block["domain"]
+    if np.asarray(raw_domain, dtype=object).ndim == 1:
         domain = tuple(_parse_extent(v) for v in raw_domain)
     else:
         domain = tuple(tuple(_parse_extent(v) for v in row) for row in raw_domain)
-    m = int(block.get("m", model.lagrangian.m))
-    if m != model.lagrangian.m:
-        raise ConfigurationError(
-            f"discretization order m={m} does not match the integrand order m={model.lagrangian.m}"
-        )
-    K = int(block.get("K", 32))
-    bc = block.get("bc", "dirichlet")
-    quad = block.get("quad_order")
-    return build_space(domain, m, bc, K, quad_order=quad, n_components=model.lagrangian.N)
+    m = model.lagrangian.m
+    if block["m"] is not None and int(block["m"]) != m:
+        raise ConfigurationError(f"discretization order m={int(block['m'])} does not match the integrand order m={m}")
+    return build_space(
+        domain, m, block["bc"], int(block["K"]), quad_order=block["quad_order"], n_components=model.lagrangian.N
+    )
 
 
 def config_hash(cfg: dict) -> str:
@@ -175,8 +219,8 @@ def write_csv(path: Path, header, rows) -> None:
 def _growth_samples(model, params, rng):
     lag = model.lagrangian
     iset = enumerate_multi_indices(lag.n, lag.m)
-    radius = float(params.get("sample_radius", 3.0))
-    count = int(params.get("sample_count", 5))
+    radius = float(params["sample_radius"])
+    count = int(params["sample_count"])
     A = len(iset)
     samples = []
     if lag.N * A <= 3:
@@ -191,8 +235,7 @@ def _growth_samples(model, params, rng):
     return samples
 
 
-def run_validate(cfg, model, rng, out_dir):
-    params = cfg.get("params", {}) or {}
+def run_validate(params, disc_block, model, rng, out_dir):
     samples = _growth_samples(model, params, rng)
     growth = check_growth(model.lagrangian, samples)
     report = {
@@ -201,13 +244,11 @@ def run_validate(cfg, model, rng, out_dir):
         "checks": ["growth-hessian-bound", "growth-ellipticity-bound"],
     }
     passed = growth.passed
-    cert_cfg = params.get("certificate")
-    if cert_cfg:
-        cert_params = dict(cert_cfg.get("params", {}))
-        if cert_cfg.get("mode") == "pairing_bound" and "sobolev_constant" not in cert_params:
-            if cfg.get("discretization"):
-                disc = _build_disc(cfg, model)
-                cert_params["sobolev_constant"] = estimate_sobolev_constant(disc)
+    cert_cfg = params["certificate"]
+    if cert_cfg is not None:
+        cert_params = dict(cert_cfg["params"] or {})
+        if cert_cfg["mode"] == "pairing_bound" and "sobolev_constant" not in cert_params and disc_block is not None:
+            cert_params["sobolev_constant"] = estimate_sobolev_constant(_build_disc(disc_block, model))
         cert = ps_certificate(model.lagrangian, cert_cfg["mode"], cert_params)
         report["certificate"] = {
             "mode": cert.mode,
@@ -232,9 +273,8 @@ def run_validate(cfg, model, rng, out_dir):
     return report, passed, lines
 
 
-def run_spectrum(cfg, model, rng, out_dir):
-    params = cfg.get("params", {}) or {}
-    disc = _build_disc(cfg, model)
+def run_spectrum(params, disc_block, model, rng, out_dir):
+    disc = _build_disc(disc_block, model)
     problem = VariationalProblem(model=model, disc=disc)
     u0 = problem.u0
     F_h = problem.energy.hessian_dual(u0.coeffs)
@@ -247,18 +287,17 @@ def run_spectrum(cfg, model, rng, out_dir):
     }
     rows = [(lam, mult) for lam, mult in zip(pencil.eigenvalues, pencil.multiplicities)]
     write_csv(out_dir / "spectrum.csv", ["eigenvalue", "multiplicity"], rows)
-    lams = params.get("lambdas", [])
     morse_table = []
-    for lam in lams:
+    for lam in params["lambdas"]:
         dec = decompose(pencil.b_lambda(float(lam)), disc.gram)
         morse_table.append({"lam": float(lam), "morse_index": dec.morse_index, "nullity": dec.nullity})
     if morse_table:
         report["morse_table"] = morse_table
         report["checks"].append("morse-count")
-    if params.get("sobolev", True) and disc.bc == "dirichlet":
+    if disc.bc == "dirichlet":
         report["sobolev_constant"] = estimate_sobolev_constant(disc)
         report["checks"].append("embedding-constant")
-    if params.get("split_audit", False):
+    if params["split_audit"]:
         audit = split_continuity_audit(model.lagrangian, u0, rng=rng)
         report["split_audit"] = {
             "passed": audit.passed,
@@ -267,7 +306,7 @@ def run_spectrum(cfg, model, rng, out_dir):
             "q_slope": audit.q_slope,
         }
         report["checks"].append("split-continuity-audit")
-    if params.get("q_decay", False):
+    if params["q_decay"]:
         profile = q_compactness_audit(model.lagrangian, u0)
         report["q_decay"] = {"passed": profile.passed, "ratios_head": profile.ratios[:8].tolist()}
         report["checks"].append("compact-tail-decay")
@@ -283,23 +322,11 @@ def run_spectrum(cfg, model, rng, out_dir):
     return report, passed, lines
 
 
-def run_reduce(cfg, model, rng, out_dir):
-    params = cfg.get("params", {}) or {}
-    if "lam_star" not in params:
-        raise ConfigurationError("reduce scenario needs params.lam_star")
-    disc = _build_disc(cfg, model)
-    problem = VariationalProblem(model=model, disc=disc)
-    setup = make_reduction_setup(
-        problem,
-        float(params["lam_star"]),
-        kernel_dim=params.get("kernel_dim"),
-        lambda_box=params.get("lambda_box"),
-        trust_radius=params.get("trust_radius"),
-    )
-    tol = float(params.get("psi_tol", COMPLEMENT_TOL))
-    z_count = int(params.get("z_count", 21))
-    z_radius = float(params.get("z_radius", 0.5 * setup.trust_radius))
-    lam_offsets = params.get("lambda_offsets", [-0.05, -0.025, 0.0, 0.025, 0.05])
+def run_reduce(params, disc_block, model, rng, out_dir):
+    problem = VariationalProblem(model=model, disc=_build_disc(disc_block, model))
+    setup = make_reduction_setup(problem, float(params["lam_star"]))
+    z_count = int(params["z_count"])
+    z_radius = 0.5 * setup.trust_radius if params["z_radius"] is None else float(params["z_radius"])
     zs = [np.array([z]) for z in np.linspace(-z_radius, z_radius, z_count)] if setup.nullity == 1 else [
         r * d
         for r in np.linspace(0, z_radius, max(z_count // 4, 2))
@@ -307,9 +334,8 @@ def run_reduce(cfg, model, rng, out_dir):
     ]
     rows = []
     max_res = 0.0
-    for off in lam_offsets:
-        lam = setup.lam_star + float(off)
-        result = sample_reduced(setup, lam, zs, tol=tol)
+    for off in params["lambda_offsets"]:
+        result = sample_reduced(setup, setup.lam_star + float(off), zs)
         max_res = max(max_res, result.max_residual())
         rows.extend(result.to_rows())
     header = (
@@ -319,22 +345,21 @@ def run_reduce(cfg, model, rng, out_dir):
     )
     write_csv(out_dir / "reduced.csv", header, rows)
 
-    lip = lipschitz_audit(setup, setup.lam_star, n_pairs=int(params.get("lipschitz_pairs", 20)), rng=rng)
-    probe_lam = setup.lam_star + float(params.get("hessian_offset", min(0.05, 0.5 * setup.lambda_box)))
-    H = reduced_hessian_at_origin(setup, probe_lam)
+    lip = lipschitz_audit(setup, setup.lam_star, n_pairs=int(params["lipschitz_pairs"]), rng=rng)
+    H = reduced_hessian_at_origin(setup, setup.lam_star + min(0.05, 0.5 * setup.lambda_box))
 
     # uniqueness probe: independent complement starts must land on one correction
     z_probe = np.zeros(setup.nullity)
     z_probe[0] = min(0.5 * z_radius, setup.trust_radius * 0.4)
-    baseline = solve_psi(setup, setup.lam_star, z_probe, tol=tol)
+    baseline = solve_psi(setup, setup.lam_star, z_probe)
     spread = 0.0
-    for _ in range(int(params.get("uniqueness_starts", 10))):
+    for _ in range(int(params["uniqueness_starts"])):
         w0 = rng.standard_normal(setup.complement_basis.shape[1])
         w0 *= 0.5 * setup.trust_radius / max(np.linalg.norm(w0), 1e-300)
-        probe = solve_psi(setup, setup.lam_star, z_probe, tol=tol, w0=w0)
+        probe = solve_psi(setup, setup.lam_star, z_probe, w0=w0)
         spread = max(spread, float(np.linalg.norm(probe.y - baseline.y)))
 
-    passed = max_res <= tol * 10 and lip.passed and spread < 1e-8
+    passed = max_res <= COMPLEMENT_TOL * 10 and lip.passed and spread < 1e-8
     report = {
         "lam_star": setup.lam_star.tolist(),
         "nullity": setup.nullity,
@@ -360,19 +385,14 @@ def run_reduce(cfg, model, rng, out_dir):
     return report, passed, lines
 
 
-def run_bifurcate(cfg, model, rng, out_dir):
-    params = cfg.get("params", {}) or {}
-    window = params.get("window")
-    if not window or len(window) != 2:
-        raise ConfigurationError("bifurcate scenario needs params.window = [lo, hi]")
-    disc = _build_disc(cfg, model)
+def run_bifurcate(params, disc_block, model, rng, out_dir):
+    disc = _build_disc(disc_block, model)
     problem = VariationalProblem(model=model, disc=disc)
     report_obj = detect_branches(
         problem,
-        (float(window[0]), float(window[1])),
-        grid=int(params.get("grid", 9)),
-        amplitude_cap=float(params.get("amplitude_cap", 3.0)),
-        n_starts=int(params.get("n_starts", 4)),
+        tuple(params["window"]),
+        grid=int(params["grid"]),
+        amplitude_cap=float(params["amplitude_cap"]),
         rng=rng,
     )
     rows = []
@@ -380,7 +400,7 @@ def run_bifurcate(cfg, model, rng, out_dir):
         for b_id, branch in enumerate(cand.branches):
             if disc.bc == "periodic" and branch.samples:
                 tails = [disc.field(s.coeffs) for s in branch.samples]
-                grouping = orbit_group(tails, disc, tol=float(params.get("orbit_tol", 1e-6)))
+                grouping = orbit_group(tails, disc, tol=ORBIT_TOL)
                 branch.orbit_tag = grouping.n_orbits
             for s in branch.samples:
                 rows.append(
@@ -428,33 +448,21 @@ def _census_seeds(problem, lam, amplitudes, n_random, rng):
     return seeds
 
 
-def run_morse(cfg, model, rng, out_dir):
-    params = cfg.get("params", {}) or {}
-    lam = float(params.get("lam", 0.0))
-    disc = _build_disc(cfg, model)
-    problem = VariationalProblem(model=model, disc=disc)
+def run_morse(params, disc_block, model, rng, out_dir):
+    lam = float(params["lam"])
+    problem = VariationalProblem(model=model, disc=_build_disc(disc_block, model))
     func = problem.at_parameter([lam])
-    seeds = _census_seeds(
-        problem,
-        [lam],
-        params.get("amplitudes", [0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0]),
-        int(params.get("n_random", 8)),
-        rng,
-    )
-    window = tuple(params.get("window")) if params.get("window") else None
+    seeds = _census_seeds(problem, [lam], CENSUS_AMPLITUDES, int(params["n_random"]), rng)
+    window = tuple(params["window"]) if params["window"] else None
     report: dict = {"lam": lam, "checks": ["morse-alternating-sum", "census-nondegeneracy"]}
     try:
         audit = morse_inequality_audit(func, seeds, window=window)
     except DegenerateCriticalPointError as exc:
-        mp_cfg = params.get("marino_prodi")
-        if not mp_cfg:
+        mp_cfg = params["marino_prodi"]
+        if mp_cfg is None:
             raise
         result = marino_prodi_perturb(
-            func,
-            problem.u0,
-            r=float(mp_cfg.get("r", 0.5)),
-            delta_inner=float(mp_cfg.get("delta_inner", 0.25)),
-            rng=rng,
+            func, problem.u0, r=float(mp_cfg["r"]), delta_inner=float(mp_cfg["delta_inner"]), rng=rng
         )
         report["marino_prodi"] = {
             "passed": result.passed,
@@ -491,7 +499,7 @@ def run(config_path, out_dir, seed: int = 0, strict: bool = False) -> int:
     config_path = Path(config_path)
     out_dir = Path(out_dir)
     try:
-        cfg = load_config(config_path)
+        doc, cfg = load_config(config_path)
         out_dir.mkdir(parents=True, exist_ok=True)
         model = _resolve_problem(cfg, config_path.parent)
     except (ConfigurationError, OSError) as exc:
@@ -499,9 +507,9 @@ def run(config_path, out_dir, seed: int = 0, strict: bool = False) -> int:
         return 3
 
     rng = np.random.default_rng(seed)
-    provenance = version_and_provenance(cfg, seed)
+    provenance = version_and_provenance(doc, seed)
     try:
-        report, passed, lines = RUNNERS[cfg["scenario"]](cfg, model, rng, out_dir)
+        report, passed, lines = RUNNERS[cfg["scenario"]](cfg["params"], cfg["discretization"], model, rng, out_dir)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.optimize import brentq
 
 from .errors import CapabilityError, ConfigurationError, DiscretizationError
 from .lagrangian import Lagrangian, MultiIndexSet, enumerate_multi_indices
@@ -48,6 +47,8 @@ _BEAM_ROOT_CACHE: dict = {}
 
 def clamped_mode_parameters(count: int) -> np.ndarray:
     """First ``count`` positive roots of cos(mu)*cosh(mu) = 1."""
+    from scipy.optimize import brentq  # only clamped spaces need it; kept off the import path
+
     out = []
     for k in range(1, count + 1):
         if k in _BEAM_ROOT_CACHE:

@@ -575,6 +575,15 @@ class PSReport:
     detail: dict = field(default_factory=dict)
 
 
+# the parameters each certificate mode reads, besides the jet-grid keys
+_CERTIFICATE_KEYS = {
+    "coercive": ("c0", "c1"),
+    "pairing_bound": ("kappa", "c0", "c1", "upsilon", "sobolev_constant"),
+    "zero_slice_bound": ("r", "C", "phi"),
+}
+_GRID_KEYS = ("radius", "count", "x", "seed")
+
+
 def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
     """Scan one of the compactness-condition inequalities on a jet grid.
 
@@ -587,9 +596,17 @@ def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
     * ``zero_slice_bound``: F(x, xi-hat, 0) <= phi + C * sum_{|a|<m} |xi_a|^r with
       1 <= r < 2, scanned with the top-order slice zeroed.
 
-    A pass is sampled evidence on the grid, not a proof.
+    A pass is sampled evidence on the grid, not a proof.  The grid takes
+    ``radius``, ``count``, ``x`` and ``seed``; any other key a mode does not read
+    is refused.
     """
+    if mode not in _CERTIFICATE_KEYS:
+        raise ConfigurationError(f"unknown certificate mode {mode!r}")
     params = dict(params or {})
+    known = _CERTIFICATE_KEYS[mode] + _GRID_KEYS
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ConfigurationError(f"mode {mode} does not read {unknown[0]!r}; known keys: {', '.join(known)}")
     grid = _jet_grid(lag, params)
     xs, xis = grid
     iset = lag.index_set
@@ -640,21 +657,19 @@ def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
             detail={"pointwise_margin": pointwise_margin, "embedding_gap": gap},
         )
 
-    if mode == "zero_slice_bound":
-        r = float(params.get("r", 1.0))
-        if not (1 <= r < 2):
-            raise ConfigurationError(f"mode zero_slice_bound requires 1 <= r < 2, got r={r}")
-        C = float(params.get("C", 1.0))
-        phi = float(params.get("phi", 0.0))
-        xi0 = xis.copy()
-        xi0[:, :, top] = 0.0
-        values = lag.value_at(xs, xi0)
-        low = ~top
-        bound = phi + C * np.sum(np.abs(xi0[:, :, low]) ** r, axis=(1, 2))
-        margin = float(np.min(bound - values))
-        return PSReport(mode=mode, passed=margin >= -1e-12, margin=margin, detail={"C": C, "r": r, "phi": phi})
-
-    raise ConfigurationError(f"unknown certificate mode {mode!r}")
+    # zero_slice_bound
+    r = float(params.get("r", 1.0))
+    if not (1 <= r < 2):
+        raise ConfigurationError(f"mode zero_slice_bound requires 1 <= r < 2, got r={r}")
+    C = float(params.get("C", 1.0))
+    phi = float(params.get("phi", 0.0))
+    xi0 = xis.copy()
+    xi0[:, :, top] = 0.0
+    values = lag.value_at(xs, xi0)
+    low = ~top
+    bound = phi + C * np.sum(np.abs(xi0[:, :, low]) ** r, axis=(1, 2))
+    margin = float(np.min(bound - values))
+    return PSReport(mode=mode, passed=margin >= -1e-12, margin=margin, detail={"C": C, "r": r, "phi": phi})
 
 
 def _jet_grid(lag: Lagrangian, params: dict):

@@ -137,7 +137,8 @@ def make_reduction_setup(
     (``kernel_dim`` forces the dimension when the default threshold is too
     conservative).  For a single parameter, the default box half-width is 0.45
     times the distance to the nearest other pencil eigenvalue and the default
-    trust radius 0.3 times that distance, both capped at 1.
+    trust radius 0.3 times that distance, both capped at 1; when both are given
+    the pencil is not solved.
     """
     disc = problem.disc
     energy = problem.energy
@@ -159,14 +160,11 @@ def make_reduction_setup(
     if dec.nullity == 0:
         raise DegenerateKernelError("second variation at the base point has no kernel; nothing to reduce")
 
-    separation = 1.0
-    if len(constraints) == 1:
+    separation = np.inf
+    if len(constraints) == 1 and (lambda_box is None or trust_radius is None):
         pencil = pencil_eigs(energy.hessian_dual(u0.coeffs), constraints[0].hessian_dual(u0.coeffs), disc.gram)
-        idx, _ = pencil.nearest(float(lam_star[0]))
-        if len(pencil.eigenvalues) > 1:
-            separation = pencil.separation(idx)
-    box = lambda_box if lambda_box is not None else min(0.45 * separation, 1.0)
-    rho = trust_radius if trust_radius is not None else min(0.3 * separation, 1.0)
+        separation = pencil.separation(pencil.nearest(float(lam_star[0]))[0])
+    box, rho = _reduction_extent(separation)
     return ReductionSetup(
         energy=energy,
         constraints=constraints,
@@ -174,9 +172,18 @@ def make_reduction_setup(
         lam_star=lam_star,
         kernel_basis=dec.kernel_vectors,
         complement_basis=dec.complement_vectors,
-        lambda_box=float(box),
-        trust_radius=float(rho),
+        lambda_box=float(box if lambda_box is None else lambda_box),
+        trust_radius=float(rho if trust_radius is None else trust_radius),
     )
+
+
+def _reduction_extent(separation: float) -> tuple:
+    """Default (box half-width, trust radius): 0.45 and 0.3 times the pencil separation, capped at 1.
+
+    A lone pencil group, or a reduction in several parameters, counts as separation 1.
+    """
+    separation = 1.0 if np.isinf(separation) else separation
+    return min(0.45 * separation, 1.0), min(0.3 * separation, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +323,8 @@ def reduced_gradient(setup: ReductionSetup, lam, z, tol: float = COMPLEMENT_TOL)
     return sample.gradient
 
 
-def sample_reduced(setup: ReductionSetup, lam, z_list: Sequence, tol: float = COMPLEMENT_TOL) -> ReductionResult:
-    """Evaluate the reduced functional on a z-grid, warm-starting outward from 0."""
+def sample_reduced(setup: ReductionSetup, lam, z_list: Sequence) -> ReductionResult:
+    """Evaluate the reduced functional on a z-grid, warm-starting outward from 0, to ``COMPLEMENT_TOL``."""
     lam = setup.check_lambda(lam)
     func = setup.functional_at(lam)
     result = ReductionResult(setup=setup)
@@ -328,7 +335,7 @@ def sample_reduced(setup: ReductionSetup, lam, z_list: Sequence, tol: float = CO
         z = zs[i]
         key = tuple(np.round(z / max(np.linalg.norm(z), 1e-300), 6)) if np.linalg.norm(z) > 0 else None
         w0 = warm.get(key)
-        sample = solve_psi(setup, lam, z, tol=tol, w0=w0)
+        sample = solve_psi(setup, lam, z, w0=w0)
         warm[key] = sample.y
         result.samples.append(_with_reduced_data(setup, func, sample))
     return result

@@ -385,8 +385,14 @@ def morse_index_by_formula(pencil: PencilSpectrum, lam: float) -> int:
     a crossed one contributes the positive inertia of F'' on it, an uncrossed
     one its negative inertia, and the kernel of G'' the negative inertia of F''
     there.  For a definite F'' this is the familiar count of eigenvalues crossed
-    (positive) or not yet crossed (negative, plus the kernel).
+    (positive) or not yet crossed (negative, plus the kernel).  Directions the
+    pencil dropped as complex lie in no eigenspace, so a pencil with any is refused.
     """
+    if pencil.dropped_complex:
+        raise HypothesisViolationError(
+            f"the pencil dropped {pencil.dropped_complex} complex eigenvalues; their directions "
+            "lie in no eigenspace, so the crossing count cannot see them"
+        )
     if pencil.matches(lam):
         raise EigenvalueCollisionError(
             f"query value {lam} collides with pencil eigenvalue "

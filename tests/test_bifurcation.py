@@ -15,6 +15,7 @@ from veldt import (
 )
 import veldt.bifurcation
 import veldt.functional
+import veldt.reduction
 from veldt.errors import (
     CapabilityError,
     DegenerateCriticalPointError,
@@ -25,6 +26,7 @@ from veldt.errors import (
 from veldt.catalog import load_problem
 from veldt.functional import RESIDUAL_CONTRACT, VariationalProblem
 from veldt.cli import _census_seeds
+from veldt.reduction import _reduction_extent
 
 
 def _pencil(problem):
@@ -290,6 +292,22 @@ def test_candidate_set_matches_pencil_in_window(prob_p2, prob_p1_64, p4, beam8):
     report4 = detect_branches(problem4, (400.0, 600.0), grid=5, rng=np.random.default_rng(0))
     assert len(report4.candidates) == 1
     assert report4.candidates[0].lam_star == pytest.approx(500.5639017404, rel=1e-6)
+
+
+def test_detect_branches_solves_the_pencil_once_per_sweep(prob_p2, monkeypatch):
+    # the candidate's reduction takes its box and trust radius from the sweep's pencil
+    pencil, _, _ = _pencil(prob_p2)
+    idx, _ = pencil.nearest(1.0)
+    setup = make_reduction_setup(prob_p2, float(pencil.eigenvalues[idx]))
+    assert (setup.lambda_box, setup.trust_radius) == _reduction_extent(pencil.separation(idx))
+    assert _reduction_extent(np.inf) == (0.45, 0.3)
+
+    calls = []
+    solve = veldt.reduction.pencil_eigs
+    monkeypatch.setattr(veldt.reduction, "pencil_eigs", lambda *args: calls.append(args) or solve(*args))
+    report = detect_branches(prob_p2, (0.9, 1.1), grid=3, rng=np.random.default_rng(0))
+    assert len(report.candidates) == 1
+    assert calls == []
 
 
 def test_index_jump_report_embedding(prob_p1_64):

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,12 +36,86 @@ def test_load_config_rejects_unknown_scenario(tmp_path):
         load_config(path)
 
 
-def test_load_config_rejects_nonpositive_tolerance(tmp_path):
+def test_load_config_rejects_retired_psi_tol(tmp_path):
     cfg = _spectrum_config()
     cfg["params"]["psi_tol"] = -1.0
     path = _write(tmp_path, "bad.json", cfg)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="psi_tol"):
         load_config(path)
+
+
+_DISC_K12 = {"domain": [0, "pi"], "m": 1, "bc": "dirichlet", "K": 12}
+
+
+def _unknown_key_cases():
+    morse = {"problem": "P2", "scenario": "morse", "discretization": _DISC_K12, "params": {"lam": 2.5, "n_random": 2}}
+    bifurcate = {"problem": "P2", "scenario": "bifurcate", "discretization": _DISC_K12,
+                 "params": {"window": [0.9, 1.1], "grid": 5}}
+    reduce = {"problem": "P2", "scenario": "reduce", "discretization": _DISC_K12,
+              "params": {"lam_star": 1.0, "z_count": 5, "lambda_offsets": [0.0], "lipschitz_pairs": 4,
+                         "uniqueness_starts": 2}}
+    spectrum = {"problem": "P1", "scenario": "spectrum", "discretization": _DISC_K12, "params": {"lambdas": [2.5]}}
+    tilt = {"problem": "P2", "scenario": "morse", "discretization": _DISC_K12,
+            "params": {"lam": 1.0, "n_random": 2, "marino_prodi": {"r": 0.5, "delta_inner": 0.25}}}
+
+    def edited(cfg, path, key, value):
+        cfg = json.loads(json.dumps(cfg))
+        block = cfg
+        for name in path:
+            block = block[name]
+        block[key] = value
+        return pytest.param(cfg, key, id=f"{cfg['scenario']}-{key}")
+
+    # settings that run, and pass, when the key is ignored
+    return [
+        edited({key: morse[key] for key in ("problem", "scenario", "discretization")}, (), "param", morse["params"]),
+        edited(bifurcate, ("params",), "gird", 3),
+        edited(spectrum, ("discretization",), "quad", 40),
+        edited(tilt, ("params", "marino_prodi"), "radius", 0.1),
+        edited(reduce, ("params",), "kernel_dim", 1),
+        edited(reduce, ("params",), "lambda_box", 0.3),
+        edited(reduce, ("params",), "trust_radius", 0.2),
+        edited(reduce, ("params",), "psi_tol", 1e-11),
+        edited(reduce, ("params",), "hessian_offset", 0.05),
+        edited(bifurcate, ("params",), "n_starts", 4),
+        edited(bifurcate, ("params",), "orbit_tol", 1e-6),
+        edited(morse, ("params",), "amplitudes", [0.5, 1.0]),
+        edited(spectrum, ("params",), "sobolev", False),
+    ]
+
+
+@pytest.mark.parametrize("cfg, key", _unknown_key_cases())
+def test_unknown_config_key_exits_3_naming_it(tmp_path, capsys, cfg, key):
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert run(path, tmp_path / "out") == 3
+    assert "unknown config" in capsys.readouterr().err
+    with pytest.raises(ConfigurationError, match=rf"key '{key}'; known keys: "):
+        load_config(path)
+
+
+def _readme_configs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    docs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)]
+    return [doc for doc in docs if "scenario" in doc]
+
+
+def _workload_configs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [config for config, _ in module.WORKLOADS.values()]
+
+
+def test_readme_and_benchmark_configs_load(tmp_path):
+    configs = _readme_configs() + _workload_configs()
+    assert sorted(cfg["scenario"] for cfg in configs) == sorted(
+        ["validate", "spectrum", "reduce", "bifurcate", "morse", "bifurcate", "morse", "spectrum"]
+    )
+    for i, cfg in enumerate(configs):
+        doc, merged = load_config(_write(tmp_path, f"cfg{i}.json", cfg))
+        assert doc == cfg
+        assert set(merged) == {"problem", "scenario", "discretization", "params"}
 
 
 def test_missing_config_exits_3(tmp_path):
@@ -129,7 +206,7 @@ def test_audit_fails_on_dropped_complex_eigenvalues(tmp_path, scenario):
         "problem": doc,
         "scenario": scenario,
         "discretization": {"domain": [0, "pi"], "m": 1, "bc": "dirichlet", "K": 8},
-        "params": {"window": [0.5, 1.5]},
+        "params": {"window": [0.5, 1.5]} if scenario == "bifurcate" else {},
     }
     path = _write(tmp_path, "cfg.json", cfg)
     assert run(path, tmp_path / "soft") == 0
@@ -288,7 +365,6 @@ def test_numeric_failure_exits_2(tmp_path):
         "problem": "P1",
         "scenario": "spectrum",
         "discretization": {"domain": [0, "2pi"], "m": 1, "bc": "periodic", "K": 8},
-        "params": {"sobolev": False},
     }
     path = _write(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"

@@ -352,3 +352,12 @@ def test_certificate_rejects_bad_exponent():
         ps_certificate(model_problem("P2").lagrangian, "zero_slice_bound", {"r": 2.0})
     with pytest.raises(ConfigurationError):
         ps_certificate(model_problem("P2").lagrangian, "coerciv", {})
+
+
+def test_certificate_rejects_parameters_its_mode_does_not_read():
+    lag = model_problem("P1").lagrangian
+    with pytest.raises(ConfigurationError, match="'c_0'"):
+        ps_certificate(lag, "coercive", {"c_0": 0.5})
+    with pytest.raises(ConfigurationError, match="'kappa'"):
+        ps_certificate(lag, "coercive", {"c0": 0.5, "kappa": 0.1})
+    assert ps_certificate(lag, "coercive", {"c0": 0.5, "radius": 2.0, "count": 5, "x": 0.3, "seed": 1}).passed

@@ -320,13 +320,34 @@ def test_synthetic_pencil_eigenvalues():
     assert pencil.summary()["dropped_complex"] == 0
 
 
-def test_indefinite_pencil_reports_dropped_complex_pair():
+def _dropped_pair_pencil():
     # on the first two coordinates F^-1 G = [[0, 1], [-1, 0]], with eigenvalues +-i
     F = np.diag([1.0, -1.0, 2.0])
     G = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    pencil = pencil_eigs(F, G, np.eye(3))
+    return pencil_eigs(F, G, np.eye(3)), F, G
+
+
+def test_indefinite_pencil_reports_dropped_complex_pair():
+    pencil, _, _ = _dropped_pair_pencil()
     assert pencil.summary()["dropped_complex"] == 2
     assert pencil.eigenvalues.tolist() == pytest.approx([2.0])
+
+
+def test_morse_formula_refuses_pencil_with_dropped_complex_eigenvalues():
+    pencil, F, G = _dropped_pair_pencil()
+    # the dropped directions carry one negative direction the crossing count cannot see
+    assert [decompose(F - lam * G, np.eye(3)).morse_index for lam in (0.0, 1.0, 3.0)] == [1, 1, 2]
+    for lam in (0.0, 1.0, 3.0):
+        with pytest.raises(HypothesisViolationError, match="dropped 2 complex eigenvalues"):
+            morse_index_by_formula(pencil, lam)
+
+
+def test_index_jump_is_exact_beside_a_dropped_complex_pair():
+    # the complex pair's inertia does not change along real lambda, so the
+    # jump at the real eigenvalue is the crossing count alone
+    pencil, _, _ = _dropped_pair_pencil()
+    jump = index_jump(pencil, 2.0, 0.1)
+    assert jump.mu_plus - jump.mu_minus == jump.nullity_positive - jump.nullity_negative == 1
 
 
 def test_invariant_subspace_morse_formula():
