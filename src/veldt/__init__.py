@@ -51,7 +51,6 @@ from .reduction import (
     lipschitz_audit,
     make_reduction_setup,
     marino_prodi_perturb,
-    reduced_gradient,
     reduced_hessian_at_origin,
     reduced_value,
     sample_reduced,

@@ -35,8 +35,7 @@ from .reduction import (
     COMPLEMENT_TOL,
     ReductionSetup,
     _directions,
-    _reduction_extent,
-    make_reduction_setup,
+    _reduction_setup,
     reduced_hessian_at_origin,
     solve_psi,
 )
@@ -178,7 +177,6 @@ class Branch:
     lam_star: float
     side: str  # "left", "right", or "at"
     samples: list = field(default_factory=list)
-    orbit_tag: Optional[int] = None
 
 
 @dataclass
@@ -235,20 +233,18 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, psi_tol=COMPLEMENT_TOL):
 
     def evaluate(z, accepted):
         try:
-            sample = solve_psi(setup, lam, z, tol=psi_tol, w0=None if accepted is None else accepted[1])
+            sample = solve_psi(setup, lam, z, tol=psi_tol, w0=None if accepted is None else accepted.y)
         except ReductionFailureError:
             if accepted is None:
                 raise
             return np.inf, None
-        g = Z.T @ sample.load
-        return float(np.linalg.norm(g)), (setup.lift(z, sample.y), sample.y, g)
+        return float(np.linalg.norm(sample.gradient)), sample
 
-    def solve(z, state):
-        coeffs, _, g = state
-        B = func.hessian_dual(coeffs)
+    def solve(z, sample):
+        B = func.hessian_dual(sample.coeffs)
         Jzw = Z.T @ B @ W
         M = Z.T @ B @ Z - Jzw @ np.linalg.solve(W.T @ B @ W, Jzw.T)
-        return np.linalg.solve(M, -g)
+        return np.linalg.solve(M, -sample.gradient)
 
     def project(z):
         norm = np.linalg.norm(z)
@@ -257,7 +253,7 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, psi_tol=COMPLEMENT_TOL):
     result = damped_newton(
         evaluate, solve, z0, REDUCED_NEWTON_TOL, REDUCED_NEWTON_MAX_ITER, step_cap=0.5 * rho, project=project
     )
-    return result.coeffs, result.state[1], result.converged
+    return result.coeffs, result.state.y, result.converged
 
 
 def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
@@ -354,9 +350,7 @@ def detect_branches(
     asserted.
     """
     rng = rng or np.random.default_rng(0)
-    if len(window) != 2 or not float(window[1]) > float(window[0]):
-        raise ConfigurationError(f"window must be [lo, hi] with lo < hi, got {list(window)}")
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = _check_window(window)
     disc = problem.disc
     u0 = problem.u0.coeffs
     F_h = problem.energy.hessian_dual(u0)
@@ -370,8 +364,7 @@ def detect_branches(
         condition = classify_conditions(pencil, lam_star)
         # a lone eigenvalue has infinite separation, which leaves eps at 0.1
         jump = index_jump(pencil, lam_star, min(0.1, 0.4 * pencil.separation(idx))).summary()
-        box, rho = _reduction_extent(pencil.separation(idx))
-        setup = make_reduction_setup(problem, lam_star, kernel_dim=mult, lambda_box=box, trust_radius=rho)
+        setup = _reduction_setup(problem, lam_star, mult, separation=pencil.separation(idx))
         # below the cube root of the residual contract a degenerate origin is
         # numerically indistinguishable from the trivial solution
         trivial_tol = max(1e-8, 1e-4 * setup.trust_radius, (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0))
@@ -462,6 +455,17 @@ def detect_branches(
     return BifurcationReport(window=(lo, hi), pencil_summary=pencil.summary(), candidates=reports)
 
 
+def _check_window(window) -> tuple:
+    """``(lo, hi)`` of a window given as [lo, hi] with lo < hi, else a configuration error."""
+    try:
+        lo, hi = (float(v) for v in window)
+    except (TypeError, ValueError):
+        lo = hi = np.nan
+    if not hi > lo:
+        raise ConfigurationError(f"window must be [lo, hi] with lo < hi, got {window!r}")
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # reduced-origin classification
 
@@ -498,16 +502,14 @@ def classify_reduced_origin(
             )
 
     func = setup.functional_at(lam)
-    center_sample = solve_psi(setup, lam, np.zeros(nu), tol=ORIGIN_PSI_TOL)
-    center = func.value(setup.lift(np.zeros(nu), center_sample.y))
+    center = func.value(solve_psi(setup, lam, np.zeros(nu), tol=ORIGIN_PSI_TOL).coeffs)
 
     dirs = _directions(nu, ORIGIN_DIRECTIONS if nu > 1 else 0, rng)
     above = below = 0
     total = 0
     for r in radii:
         for d in dirs:
-            sample = solve_psi(setup, lam, r * d, tol=ORIGIN_PSI_TOL)
-            val = func.value(setup.lift(r * d, sample.y))
+            val = func.value(solve_psi(setup, lam, r * d, tol=ORIGIN_PSI_TOL).coeffs)
             total += 1
             if val > center:
                 above += 1
@@ -569,13 +571,15 @@ def morse_inequality_audit(
     Counts census points by Morse index.  With the connected-sublevel
     convention (a coercive functional with a single minimum cell) the
     alternating partial sums must stay at or above (-1)^l and the full
-    alternating sum must equal one.  A degenerate census point inside
-    ``window`` aborts the audit as soon as it is found, before the remaining
-    seeds are polished, with the point attached as the witness: tilt it away
-    and rerun.  The audit aborts exactly when the full census would hold such a
-    point; the witness is the first one in seed order, so it can differ from
-    the first in census order when the window holds two or more.
+    alternating sum must equal one.  Only points with critical values in
+    ``window`` ([lo, hi] with lo < hi) count.  A degenerate one aborts the
+    audit as soon as it is found, before the remaining seeds are polished, with
+    the point attached as the witness: tilt it away and rerun.  The audit
+    aborts exactly when the full census would hold such a point; the witness is
+    the first one in seed order, so it can differ from the first in census
+    order when the window holds two or more.
     """
+    window = None if window is None else _check_window(window)
     points = []
     for cp in _distinct_points(func, seeds):
         if window is not None and not window[0] <= cp.value <= window[1]:

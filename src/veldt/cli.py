@@ -6,7 +6,8 @@ reduce, bifurcate, morse), and writes ``report.json`` (machine readable),
 with a fixed config and seed are byte-deterministic: reports embed no
 timestamps, and every random draw goes through one seeded generator.
 ``CONFIG_KEYS`` declares every key a config document may carry, with its
-default; any other key is a configuration error.
+default; any other key, or a value whose JSON type differs from the
+default's, is a configuration error.
 
 Exit codes: 0 on a clean pass, 2 on numeric failures (module errors are
 embedded in the report) and, under ``--strict``, on soft audit failures,
@@ -90,6 +91,14 @@ def _parse_extent(value):
     return float(value)
 
 
+def _typed(value, example, where: str):
+    """``value`` when it has the JSON type of ``example``; an integer passes for a float, a boolean only for a bool."""
+    kinds = (int, float) if isinstance(example, float) else type(example)
+    if not isinstance(value, kinds) or isinstance(value, bool) != isinstance(example, bool):
+        raise ConfigurationError(f"{where} must be of type {type(example).__name__}, got {value!r}")
+    return value
+
+
 def _merged(block, keys: dict, where: str) -> dict:
     """``block`` checked against its declared ``keys``, every absent key set to its default."""
     if not isinstance(block, dict):
@@ -104,8 +113,10 @@ def _merged(block, keys: dict, where: str) -> dict:
             raise ConfigurationError(f"{where} needs {key!r}")
         if isinstance(default, dict):
             merged[key] = None if value is None else _merged(value, default, f"{where}.{key}")
-        else:
+        elif value is None or default is None or default is REQUIRED:
             merged[key] = default if value is None else value
+        else:
+            merged[key] = _typed(value, default, f"{where}.{key}")
     return merged
 
 
@@ -150,10 +161,12 @@ def _build_disc(block, model):
     else:
         domain = tuple(tuple(_parse_extent(v) for v in row) for row in raw_domain)
     m = model.lagrangian.m
-    if block["m"] is not None and int(block["m"]) != m:
-        raise ConfigurationError(f"discretization order m={int(block['m'])} does not match the integrand order m={m}")
+    if block["m"] is not None and _typed(block["m"], 0, "config.discretization.m") != m:
+        raise ConfigurationError(f"discretization order m={block['m']} does not match the integrand order m={m}")
+    if block["quad_order"] is not None:
+        _typed(block["quad_order"], 0, "config.discretization.quad_order")
     return build_space(
-        domain, m, block["bc"], int(block["K"]), quad_order=block["quad_order"], n_components=model.lagrangian.N
+        domain, m, block["bc"], block["K"], quad_order=block["quad_order"], n_components=model.lagrangian.N
     )
 
 
@@ -246,7 +259,7 @@ def run_validate(params, disc_block, model, rng, out_dir):
     passed = growth.passed
     cert_cfg = params["certificate"]
     if cert_cfg is not None:
-        cert_params = dict(cert_cfg["params"] or {})
+        cert_params = dict(_typed(cert_cfg["params"] or {}, {}, "config.params.certificate.params"))
         if cert_cfg["mode"] == "pairing_bound" and "sobolev_constant" not in cert_params and disc_block is not None:
             cert_params["sobolev_constant"] = estimate_sobolev_constant(_build_disc(disc_block, model))
         cert = ps_certificate(model.lagrangian, cert_cfg["mode"], cert_params)
@@ -324,9 +337,10 @@ def run_spectrum(params, disc_block, model, rng, out_dir):
 
 def run_reduce(params, disc_block, model, rng, out_dir):
     problem = VariationalProblem(model=model, disc=_build_disc(disc_block, model))
-    setup = make_reduction_setup(problem, float(params["lam_star"]))
+    setup = make_reduction_setup(problem, float(_typed(params["lam_star"], 0.0, "config.params.lam_star")))
     z_count = int(params["z_count"])
-    z_radius = 0.5 * setup.trust_radius if params["z_radius"] is None else float(params["z_radius"])
+    z_radius = params["z_radius"]
+    z_radius = 0.5 * setup.trust_radius if z_radius is None else float(_typed(z_radius, 0.0, "config.params.z_radius"))
     zs = [np.array([z]) for z in np.linspace(-z_radius, z_radius, z_count)] if setup.nullity == 1 else [
         r * d
         for r in np.linspace(0, z_radius, max(z_count // 4, 2))
@@ -390,7 +404,7 @@ def run_bifurcate(params, disc_block, model, rng, out_dir):
     problem = VariationalProblem(model=model, disc=disc)
     report_obj = detect_branches(
         problem,
-        tuple(params["window"]),
+        params["window"],
         grid=int(params["grid"]),
         amplitude_cap=float(params["amplitude_cap"]),
         rng=rng,
@@ -398,10 +412,10 @@ def run_bifurcate(params, disc_block, model, rng, out_dir):
     rows = []
     for cand in report_obj.candidates:
         for b_id, branch in enumerate(cand.branches):
+            orbit_tag = -1
             if disc.bc == "periodic" and branch.samples:
                 tails = [disc.field(s.coeffs) for s in branch.samples]
-                grouping = orbit_group(tails, disc, tol=ORBIT_TOL)
-                branch.orbit_tag = grouping.n_orbits
+                orbit_tag = orbit_group(tails, disc, tol=ORBIT_TOL).n_orbits
             for s in branch.samples:
                 rows.append(
                     (
@@ -413,7 +427,7 @@ def run_bifurcate(params, disc_block, model, rng, out_dir):
                         s.amplitude_sup,
                         s.morse_index,
                         s.nullity,
-                        branch.orbit_tag if branch.orbit_tag is not None else -1,
+                        orbit_tag,
                     )
                 )
     write_csv(
@@ -453,7 +467,7 @@ def run_morse(params, disc_block, model, rng, out_dir):
     problem = VariationalProblem(model=model, disc=_build_disc(disc_block, model))
     func = problem.at_parameter([lam])
     seeds = _census_seeds(problem, [lam], CENSUS_AMPLITUDES, int(params["n_random"]), rng)
-    window = tuple(params["window"]) if params["window"] else None
+    window = params["window"]
     report: dict = {"lam": lam, "checks": ["morse-alternating-sum", "census-nondegeneracy"]}
     try:
         audit = morse_inequality_audit(func, seeds, window=window)

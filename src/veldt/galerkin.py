@@ -127,7 +127,11 @@ class Discretization:
     def __post_init__(self):
         for arr in (self.nodes, self.weights, self.dtab, self.gram, self.gram_lower, self.gram_top, self.mass):
             arr.setflags(write=False)
-        object.__setattr__(self, "_cho", cho_factor(self.gram))
+        try:
+            cho = cho_factor(self.gram)
+        except np.linalg.LinAlgError as exc:
+            raise DiscretizationError(f"Gram matrix is not positive definite: {exc}") from exc
+        object.__setattr__(self, "_cho", cho)
 
     # -- linear algebra in the Sobolev geometry ---------------------------
 
@@ -400,7 +404,7 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
         return 0.5 * (out + out.T)
 
     meta["boundary_residual"] = residual
-    disc = Discretization(
+    return Discretization(
         domain=domain_t,
         n=n,
         m=m,
@@ -418,10 +422,6 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
         mass=blockdiag(scalar_mass),
         meta=meta,
     )
-    eigs = np.linalg.eigvalsh(disc.gram)
-    if eigs[0] <= 0:
-        raise DiscretizationError(f"Gram matrix is not positive definite (min eig {eigs[0]:.3e})")
-    return disc
 
 
 # ---------------------------------------------------------------------------

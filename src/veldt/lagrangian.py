@@ -160,10 +160,6 @@ class Jet:
         mask = self.index_set.orders() < cut
         return self.values[:, mask]
 
-    @classmethod
-    def zero(cls, index_set: MultiIndexSet, n_components: int = 1) -> "Jet":
-        return cls(index_set=index_set, values=np.zeros((n_components, len(index_set))))
-
 
 def low_order_magnitude(index_set: MultiIndexSet, values: np.ndarray, p: float) -> np.ndarray:
     """Sum over components of |xi^k_o| for the low-order jet entries.

@@ -47,7 +47,6 @@ __all__ = [
     "ReductionResult",
     "solve_psi",
     "reduced_value",
-    "reduced_gradient",
     "sample_reduced",
     "LipschitzAudit",
     "lipschitz_audit",
@@ -58,8 +57,11 @@ __all__ = [
 ]
 
 COMPLEMENT_TOL = 1e-11  # relative residual contract of the complement equation
+COMPLEMENT_MAX_ITER = 50  # iteration budget of a complement solve
 HESSIAN_FD_STEP = 1e-4  # kernel step of the reduced-Hessian finite-difference probe
 HESSIAN_FD_PSI_TOL = 1e-13  # complement tolerance inside that probe
+HESSIAN_CHECK_TOL = 1e-4  # largest relative defect of the reduced-Hessian formula against that probe
+ANNULUS_PSI_TOL = 1e-12  # complement tolerance of the kernel-tilt annulus scan
 TILT_RETRIES = 5  # fresh tilt directions tried after a failed census
 COMPLEMENT_COND_LIMIT = 1e12  # largest condition number of the complement block a Newton step accepts
 
@@ -123,23 +125,21 @@ class ReductionSetup:
         return self.kernel_basis.T @ (self.disc.gram @ (coeffs - self.u0.coeffs))
 
 
-def make_reduction_setup(
-    problem: VariationalProblem,
-    lam_star,
-    kernel_dim: Optional[int] = None,
-    lambda_box: Optional[float] = None,
-    trust_radius: Optional[float] = None,
-) -> ReductionSetup:
+def make_reduction_setup(problem: VariationalProblem, lam_star, kernel_dim: Optional[int] = None) -> ReductionSetup:
     """Build a reduction around a common critical point of F and every G_j.
 
     The base point must be critical for every term to ``RESIDUAL_CONTRACT``.
     The kernel of B = F'' - sum lam*_j G_j'' at u0 is detected spectrally
     (``kernel_dim`` forces the dimension when the default threshold is too
-    conservative).  For a single parameter, the default box half-width is 0.45
-    times the distance to the nearest other pencil eigenvalue and the default
-    trust radius 0.3 times that distance, both capped at 1; when both are given
-    the pencil is not solved.
+    conservative).  For a single parameter, the box half-width is 0.45 times
+    the distance to the nearest other pencil eigenvalue and the trust radius
+    0.3 times that distance, both capped at 1.
     """
+    return _reduction_setup(problem, lam_star, kernel_dim)
+
+
+def _reduction_setup(problem, lam_star, kernel_dim, separation=None) -> ReductionSetup:
+    """``make_reduction_setup`` with the pencil separation supplied by a caller that already solved the pencil."""
     disc = problem.disc
     energy = problem.energy
     constraints = problem.constraints
@@ -160,10 +160,11 @@ def make_reduction_setup(
     if dec.nullity == 0:
         raise DegenerateKernelError("second variation at the base point has no kernel; nothing to reduce")
 
-    separation = np.inf
-    if len(constraints) == 1 and (lambda_box is None or trust_radius is None):
-        pencil = pencil_eigs(energy.hessian_dual(u0.coeffs), constraints[0].hessian_dual(u0.coeffs), disc.gram)
-        separation = pencil.separation(pencil.nearest(float(lam_star[0]))[0])
+    if separation is None:
+        separation = np.inf
+        if len(constraints) == 1:
+            pencil = pencil_eigs(energy.hessian_dual(u0.coeffs), constraints[0].hessian_dual(u0.coeffs), disc.gram)
+            separation = pencil.separation(pencil.nearest(float(lam_star[0]))[0])
     box, rho = _reduction_extent(separation)
     return ReductionSetup(
         energy=energy,
@@ -172,8 +173,8 @@ def make_reduction_setup(
         lam_star=lam_star,
         kernel_basis=dec.kernel_vectors,
         complement_basis=dec.complement_vectors,
-        lambda_box=float(box if lambda_box is None else lambda_box),
-        trust_radius=float(rho if trust_radius is None else trust_radius),
+        lambda_box=float(box),
+        trust_radius=float(rho),
     )
 
 
@@ -190,16 +191,24 @@ def _reduction_extent(separation: float) -> tuple:
 # the complement equation
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PsiSample:
+    """One complement solve at (lam, z): the correction y and what it implies.
+
+    ``coeffs`` is the corrected point u0 + z + psi(lam, z).  ``gradient`` is the
+    reduced gradient there in kernel coordinates, ``load`` paired with the
+    kernel basis; psi adds no term, because its image is orthogonal to the
+    kernel and the complement gradient vanishes at the corrected point.
+    """
+
     lam: np.ndarray
     z: np.ndarray
     y: np.ndarray
     residual: float
     iterations: int
     load: np.ndarray  # dual gradient of L_lam at the corrected point
-    value: Optional[float] = None
-    gradient: Optional[np.ndarray] = None
+    coeffs: np.ndarray
+    gradient: np.ndarray
 
     @property
     def correction_norm(self) -> float:
@@ -217,19 +226,16 @@ class ReductionResult:
         return max((s.residual for s in self.samples), default=0.0)
 
     def to_rows(self) -> list:
+        """One row per sample: lam, z, reduced value, reduced-gradient norm, residual, correction norm."""
         rows = []
         for s in self.samples:
-            rows.append(
-                list(s.lam)
-                + list(s.z)
-                + [s.value if s.value is not None else float("nan")]
-                + [float(np.linalg.norm(s.gradient)) if s.gradient is not None else float("nan")]
-                + [s.residual, s.correction_norm]
-            )
+            value = self.setup.functional_at(s.lam).value(s.coeffs)
+            grad_norm = float(np.linalg.norm(s.gradient))
+            rows.append(list(s.lam) + list(s.z) + [value, grad_norm, s.residual, s.correction_norm])
         return rows
 
 
-def _complement_newton(setup, func, z, tol_abs, y0, max_iter, load0=None):
+def _complement_newton(setup, func, z, tol_abs, y0, load0=None):
     """Damped Newton for the complement coordinates; the state is the full load vector.
 
     ``load0``, when given, is the load already assembled at ``y0``.
@@ -256,7 +262,7 @@ def _complement_newton(setup, func, z, tol_abs, y0, max_iter, load0=None):
         return np.linalg.solve(J, -(W.T @ ell))
 
     y0 = np.zeros(W.shape[1]) if y0 is None else y0
-    result = damped_newton(evaluate, solve, y0, tol_abs, max_iter, step_cap=setup.trust_radius)
+    result = damped_newton(evaluate, solve, y0, tol_abs, COMPLEMENT_MAX_ITER, step_cap=setup.trust_radius)
     if not result.converged:
         raise ReductionFailureError(
             f"complement Newton stalled at residual {result.residual:.3e} (tolerance {tol_abs:.3e}); "
@@ -273,9 +279,8 @@ def solve_psi(
     z,
     tol: float = COMPLEMENT_TOL,
     w0: Optional[np.ndarray] = None,
-    max_iter: int = 50,
 ) -> PsiSample:
-    """Solve the complement equation at (lam, z); returns the correction.
+    """Solve the complement equation at (lam, z) in at most ``COMPLEMENT_MAX_ITER`` Newton steps.
 
     The residual contract is |P_perp grad L_lam| < tol * (1 + |grad L_lam at
     u0 + z|) in the Sobolev norm.  ``w0`` (complement coordinates) warm-starts
@@ -293,40 +298,27 @@ def solve_psi(
     func = setup.functional_at(lam)
     ell0 = func.gradient_dual(setup.lift(z))
     scale = 1.0 + _dual_norm(setup.disc, ell0)
-    result = _complement_newton(setup, func, z, tol * scale, w0, max_iter, load0=ell0 if w0 is None else None)
+    result = _complement_newton(setup, func, z, tol * scale, w0, load0=ell0 if w0 is None else None)
     return PsiSample(
-        lam=lam, z=z, y=result.coeffs, residual=result.residual, iterations=result.iterations, load=result.state
+        lam=lam,
+        z=z,
+        y=result.coeffs,
+        residual=result.residual,
+        iterations=result.iterations,
+        load=result.state,
+        coeffs=setup.lift(z, result.coeffs),
+        gradient=setup.kernel_basis.T @ result.state,
     )
 
 
-def _with_reduced_data(setup, func, sample):
-    sample.value = func.value(setup.lift(sample.z, sample.y))
-    sample.gradient = setup.kernel_basis.T @ sample.load
-    return sample
-
-
 def reduced_value(setup: ReductionSetup, lam, z) -> float:
-    func = setup.functional_at(setup.check_lambda(lam))
-    sample = _with_reduced_data(setup, func, solve_psi(setup, lam, z))
-    return float(sample.value)
-
-
-def reduced_gradient(setup: ReductionSetup, lam, z, tol: float = COMPLEMENT_TOL) -> np.ndarray:
-    """Kernel-coordinate gradient of the reduced functional.
-
-    Equals the pairing of grad L_lam at the corrected point with the kernel
-    basis; the correction map contributes nothing because its image is
-    orthogonal to the kernel and the complement gradient vanishes there.
-    """
-    func = setup.functional_at(setup.check_lambda(lam))
-    sample = _with_reduced_data(setup, func, solve_psi(setup, lam, z, tol=tol))
-    return sample.gradient
+    sample = solve_psi(setup, lam, z)
+    return float(setup.functional_at(sample.lam).value(sample.coeffs))
 
 
 def sample_reduced(setup: ReductionSetup, lam, z_list: Sequence) -> ReductionResult:
     """Evaluate the reduced functional on a z-grid, warm-starting outward from 0, to ``COMPLEMENT_TOL``."""
     lam = setup.check_lambda(lam)
-    func = setup.functional_at(lam)
     result = ReductionResult(setup=setup)
     zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in z_list]
     order = np.argsort([np.linalg.norm(z) for z in zs])
@@ -337,7 +329,7 @@ def sample_reduced(setup: ReductionSetup, lam, z_list: Sequence) -> ReductionRes
         w0 = warm.get(key)
         sample = solve_psi(setup, lam, z, w0=w0)
         warm[key] = sample.y
-        result.samples.append(_with_reduced_data(setup, func, sample))
+        result.samples.append(sample)
     return result
 
 
@@ -375,13 +367,14 @@ def lipschitz_audit(
     return LipschitzAudit(max_ratio=worst, passed=worst <= 3.0, n_pairs=n_pairs)
 
 
-def reduced_hessian_at_origin(setup: ReductionSetup, lam, check_tol: float = 1e-4) -> np.ndarray:
+def reduced_hessian_at_origin(setup: ReductionSetup, lam) -> np.ndarray:
     """Closed-form reduced second variation at z = 0.
 
     For a common critical point the reduced Hessian at the origin is
     -sum_j (lam_j - lam*_j) * (G_j''(u0) restricted to the kernel); the
     correction map enters only at second order in the parameter offset.  A
-    finite-difference probe of the reduced gradient cross-checks the formula.
+    finite-difference probe of the reduced gradient cross-checks the formula
+    to ``HESSIAN_CHECK_TOL``.
     """
     lam = setup.check_lambda(lam)
     Z = setup.kernel_basis
@@ -397,8 +390,8 @@ def reduced_hessian_at_origin(setup: ReductionSetup, lam, check_tol: float = 1e-
         for b in range(nu):
             zp = np.zeros(nu)
             zp[b] = h
-            gp = reduced_gradient(setup, lam, zp, tol=HESSIAN_FD_PSI_TOL)
-            gm = reduced_gradient(setup, lam, -zp, tol=HESSIAN_FD_PSI_TOL)
+            gp = solve_psi(setup, lam, zp, tol=HESSIAN_FD_PSI_TOL).gradient
+            gm = solve_psi(setup, lam, -zp, tol=HESSIAN_FD_PSI_TOL).gradient
             fd[:, b] = (gp - gm) / (2 * h)
         return 0.5 * (fd + fd.T)
 
@@ -408,7 +401,7 @@ def reduced_hessian_at_origin(setup: ReductionSetup, lam, check_tol: float = 1e-
     floor = 1e3 * HESSIAN_FD_PSI_TOL / HESSIAN_FD_STEP
     scale = max(float(np.max(np.abs(M))), float(np.max(np.abs(fd))), floor)
     defect = float(np.max(np.abs(M - fd))) / scale
-    if defect > check_tol:
+    if defect > HESSIAN_CHECK_TOL:
         raise IdentityViolationError(
             f"reduced Hessian formula disagrees with finite differences (relative defect {defect:.3e})"
         )
@@ -577,7 +570,7 @@ def marino_prodi_perturb(
         for direction in _directions(nu, max(2 * nu, 4), rng):
             z = direction * delta_inner * radius_frac
             try:
-                g = reduced_gradient(probe_setup, np.zeros(0), z, tol=1e-12)
+                g = solve_psi(probe_setup, np.zeros(0), z, tol=ANNULUS_PSI_TOL).gradient
             except ReductionFailureError:
                 continue
             grad_floor = min(grad_floor, float(np.linalg.norm(g)))
@@ -605,27 +598,19 @@ def marino_prodi_perturb(
         points = multistart_census(perturbed, seeds, center=u0.coeffs, radius=r)
         degenerate = [cp for cp in points if cp.nullity > 0]
         in_window = all(mu <= cp.morse_index <= mu + nu for cp in points if cp.nullity == 0)
-        if not degenerate and in_window and points:
+        passed = not degenerate and in_window and bool(points)
+        if passed or b_given or attempts > TILT_RETRIES:
+            if not passed:
+                warning = warning or "census kept degenerate or out-of-window critical points"
             return MarinoProdiResult(
                 perturbed=perturbed,
                 critical_points=points,
-                passed=True,
+                passed=passed,
                 b_coords=b_coords,
                 attempts=attempts,
                 morse_window=(mu, mu + nu),
                 tilt_bound=tilt_bound,
                 warning=warning,
-            )
-        if b_given or attempts > TILT_RETRIES:
-            return MarinoProdiResult(
-                perturbed=perturbed,
-                critical_points=points,
-                passed=False,
-                b_coords=b_coords,
-                attempts=attempts,
-                morse_window=(mu, mu + nu),
-                tilt_bound=tilt_bound,
-                warning=warning or "census kept degenerate or out-of-window critical points",
             )
 
 

@@ -33,14 +33,11 @@ DEFAULTED = {
     "functional.multistart_census": ("center", "radius"),
     "galerkin.build_space": ("quad_order", "n_components"),
     "lagrangian.GrowthSpec.canonical": ("p", "g1", "g2", "p_border"),
-    "lagrangian.Jet.zero": ("n_components",),
     "reduction.ReductionSetup.lift": ("y",),
     "reduction.lipschitz_audit": ("n_pairs", "rng", "radius"),
-    "reduction.make_reduction_setup": ("kernel_dim", "lambda_box", "trust_radius"),
+    "reduction.make_reduction_setup": ("kernel_dim",),
     "reduction.marino_prodi_perturb": ("b", "rng"),
-    "reduction.reduced_gradient": ("tol",),
-    "reduction.reduced_hessian_at_origin": ("check_tol",),
-    "reduction.solve_psi": ("tol", "w0", "max_iter"),
+    "reduction.solve_psi": ("tol", "w0"),
     "spectral.decompose": ("kernel_dim_hint",),
     "spectral.split_continuity_audit": ("radius", "rng"),
 }
@@ -77,7 +74,7 @@ def test_public_keyword_surface_is_pinned():
         if names:
             found[qualname] = names
     assert found == DEFAULTED
-    assert sum(len(names) for names in found.values()) == 39
+    assert sum(len(names) for names in found.values()) == 33
 
 
 def _module_constants():

@@ -93,6 +93,33 @@ def test_unknown_config_key_exits_3_naming_it(tmp_path, capsys, cfg, key):
         load_config(path)
 
 
+_SMALL_PARAMS = {
+    "bifurcate": {"window": [0.9, 1.1], "grid": 5},
+    "spectrum": {"lambdas": [2.5]},
+    "reduce": {"lam_star": 1.0, "z_count": 5, "lambda_offsets": [0.0], "lipschitz_pairs": 4, "uniqueness_starts": 2},
+    "morse": {"lam": 2.5, "n_random": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, block, key, value",
+    [
+        pytest.param("bifurcate", "params", "grid", "nine", id="bifurcate-grid"),
+        pytest.param("spectrum", "discretization", "K", "twelve", id="spectrum-K"),
+        pytest.param("reduce", "params", "z_radius", "big", id="reduce-z_radius"),
+        pytest.param("morse", "params", "window", [0.0], id="morse-window"),
+    ],
+)
+def test_mistyped_config_value_exits_3_naming_the_key(tmp_path, capsys, scenario, block, key, value):
+    params = dict(_SMALL_PARAMS[scenario])
+    cfg = {"problem": "P2", "scenario": scenario, "discretization": dict(_DISC_K12), "params": params}
+    cfg[block][key] = value
+    assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert re.search(rf"\b{key} must be", err)
+
+
 def _readme_configs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     docs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)]
@@ -371,6 +398,18 @@ def test_numeric_failure_exits_2(tmp_path):
     assert run(path, out) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["type"] == "HypothesisViolationError"
+
+
+def test_singular_gram_exits_2(tmp_path):
+    # three quadrature nodes cannot separate sixteen sine modes: the Gram matrix is singular
+    cfg = _spectrum_config(K=16)
+    cfg["discretization"]["quad_order"] = 3
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert run(path, out) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "DiscretizationError"
+    assert "Gram matrix is not positive definite" in report["error"]["message"]
 
 
 # ---------------------------------------------------------------------------

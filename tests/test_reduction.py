@@ -7,7 +7,6 @@ from veldt import (
     lipschitz_audit,
     make_reduction_setup,
     marino_prodi_perturb,
-    reduced_gradient,
     reduced_hessian_at_origin,
     reduced_value,
     sample_reduced,
@@ -15,6 +14,7 @@ from veldt import (
 )
 import veldt.bifurcation
 import veldt.functional
+import veldt.reduction
 from veldt.errors import ConfigurationError, DegenerateKernelError, ReductionFailureError
 from veldt.functional import VariationalProblem, gradient_norm
 from veldt.reduction import _directions
@@ -125,10 +125,11 @@ def test_psi_outside_lambda_box(setup_p2):
         solve_psi(setup_p2, [4.0], np.zeros(1))
 
 
-def test_psi_reports_nonconvergence(setup_p2):
+def test_psi_reports_nonconvergence(setup_p2, monkeypatch):
+    monkeypatch.setattr(veldt.reduction, "COMPLEMENT_MAX_ITER", 1)
     bad_start = 10.0 * np.ones(setup_p2.complement_basis.shape[1])
     with pytest.raises(ReductionFailureError) as err:
-        solve_psi(setup_p2, [1.0], np.array([0.2]), w0=bad_start, max_iter=1)
+        solve_psi(setup_p2, [1.0], np.array([0.2]), w0=bad_start)
     assert err.value.residual is not None
 
 
@@ -170,7 +171,7 @@ def test_reduced_normal_form_fit(setup_p2):
 
 def test_reduced_gradient_zero_at_origin(setup_p2):
     for lam in (0.9, 1.0, 1.2):
-        g = reduced_gradient(setup_p2, [lam], np.zeros(1))
+        g = solve_psi(setup_p2, [lam], np.zeros(1)).gradient
         assert np.max(np.abs(g)) < 1e-12
 
 
@@ -179,7 +180,7 @@ def test_reduced_gradient_matches_value_differences(setup_p2, rng):
     for _ in range(50):
         lam = [float(1.0 + rng.uniform(-0.5, 0.5))]
         z = rng.uniform(-0.4, 0.4, size=1)
-        g = reduced_gradient(setup_p2, lam, z)
+        g = solve_psi(setup_p2, lam, z).gradient
         fd = (
             reduced_value(setup_p2, lam, z + h) - reduced_value(setup_p2, lam, z - h)
         ) / (2 * h)
@@ -242,9 +243,10 @@ def test_reduced_hessian_sign_flip(setup_p2):
     assert Hp[0, 0] == pytest.approx(-Hm[0, 0], rel=1e-10)
 
 
-def test_reduced_hessian_formula_matches_probe_tightly(setup_p2):
+def test_reduced_hessian_formula_matches_probe_tightly(setup_p2, monkeypatch):
     # the finite-difference cross-check runs inside; a tight tolerance must hold
-    H = reduced_hessian_at_origin(setup_p2, [1.05], check_tol=1e-6)
+    monkeypatch.setattr(veldt.reduction, "HESSIAN_CHECK_TOL", 1e-6)
+    H = reduced_hessian_at_origin(setup_p2, [1.05])
     assert H.shape == (1, 1)
 
 
@@ -355,7 +357,7 @@ def test_psi_stall_reports_iterations_run(setup_p2):
         setup_p2, energy=_FlippedHessian(setup_p2.functional_at([1.0])), constraints=[], lam_star=np.zeros(0)
     )
     with pytest.raises(ReductionFailureError) as err:
-        solve_psi(flipped, np.zeros(0), np.array([0.2]), max_iter=50)
+        solve_psi(flipped, np.zeros(0), np.array([0.2]))
     assert err.value.iterations == 1
     assert err.value.residual > 0
 
@@ -374,6 +376,16 @@ def _count_gradient_assemblies(monkeypatch):
 
     monkeypatch.setattr(veldt.functional, "assemble_gradient", counted)
     return calls
+
+
+def test_psi_sample_records_corrected_point_and_reduced_gradient(setup_p2):
+    for w0 in (None, np.full(setup_p2.complement_basis.shape[1], 1e-3)):
+        sample = solve_psi(setup_p2, [1.05], np.array([0.3]), w0=w0)
+        assert sample.iterations > 0
+        np.testing.assert_array_equal(sample.coeffs, setup_p2.lift(sample.z, sample.y))
+        np.testing.assert_array_equal(sample.gradient, setup_p2.kernel_basis.T @ sample.load)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.gradient = np.zeros(1)
 
 
 def test_psi_reuses_scale_load_at_converged_start(setup_p2, monkeypatch):
