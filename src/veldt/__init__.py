@@ -30,10 +30,7 @@ from .galerkin import (
     assemble_hessian,
     build_space,
     estimate_sobolev_constant,
-    field_from_json,
-    field_to_json,
     hessian_split,
-    matrix_to_csv,
     q_compactness_audit,
 )
 from .lagrangian import (

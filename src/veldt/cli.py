@@ -81,13 +81,16 @@ SCENARIOS = tuple(CONFIG_KEYS["params"])
 # config handling
 
 
-def _parse_extent(value):
+def _parse_extent(value) -> float:
+    """A domain end point: a number, or a multiple of pi written like "2pi"; ValueError when it is neither."""
     if isinstance(value, str):
         text = value.strip().lower().replace(" ", "")
         if text.endswith("pi"):
             factor = text[:-2]
             return (float(factor) if factor not in ("", "+", "-") else float(factor + "1")) * np.pi
         return float(text)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not a number: {value!r}")
     return float(value)
 
 
@@ -96,6 +99,18 @@ def _typed(value, example, where: str):
     kinds = (int, float) if isinstance(example, float) else type(example)
     if not isinstance(value, kinds) or isinstance(value, bool) != isinstance(example, bool):
         raise ConfigurationError(f"{where} must be of type {type(example).__name__}, got {value!r}")
+    # a list holds numbers; the domain, whose default holds "pi", holds end points or rows of them
+    if isinstance(example, list):
+        extents = any(isinstance(item, str) for item in example)
+        rows = value if extents and all(isinstance(row, list) for row in value) else [value]
+        try:
+            for item in (item for row in rows for item in row):
+                if isinstance(item, str) and not extents:
+                    raise ValueError(f"not a number: {item!r}")
+                _parse_extent(item)
+        except ValueError:
+            what = 'numbers or multiples of pi such as "2pi"' if extents else "numbers"
+            raise ConfigurationError(f"{where} must be a list of {what}, got {value!r}") from None
     return value
 
 

@@ -27,6 +27,7 @@ from .galerkin import (
 from .lagrangian import Lagrangian, _require_finite
 
 HALVINGS = 25  # step-length halvings before a Newton step counts as stalled
+PROJECTION_STALL_RTOL = 1e-15  # relative distance at which a projected trial is the iterate, to the projection's rounding
 NEWTON_TOL = 1e-12  # gradient norm at which a full-space polish has converged
 NEWTON_MAX_ITER = 50  # iteration budget of a full-space polish
 RESIDUAL_CONTRACT = 1e-9  # largest gradient norm a critical point may keep (census, branch, base point)
@@ -182,7 +183,7 @@ def damped_newton(evaluate, solve, x0, tol: float, max_iter: int, step_cap: Opti
     residual decreases sufficiently.  The iteration stops converged once the
     residual is at most ``tol``, and unconverged on a singular system, a
     failed line search or a trial that projects back onto the current point
-    (``iterations`` then counts the stalled step).
+    up to rounding (``iterations`` then counts the stalled step).
     """
     x = np.array(x0, dtype=float)
     res, state = evaluate(x, None)
@@ -202,7 +203,7 @@ def damped_newton(evaluate, solve, x0, tol: float, max_iter: int, step_cap: Opti
             trial = x + t * step
             if project is not None:
                 trial = project(trial)
-                if np.array_equal(trial, x):  # the projection undid the step
+                if np.linalg.norm(trial - x) <= PROJECTION_STALL_RTOL * np.linalg.norm(x):  # the projection undid the step
                     return NewtonResult(coeffs=x, residual=res, converged=False, iterations=it + 1, state=state)
             trial_res, trial_state = evaluate(trial, state)
             if trial_res < res * (1.0 - 1e-4 * t) or trial_res <= tol:

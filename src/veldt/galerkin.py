@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_factor, cho_solve, eigh
+from numpy.polynomial.legendre import legder, legval
+from scipy.linalg import block_diag, cho_factor, cho_solve, eigh, eigvalsh_tridiagonal
 
 from .errors import CapabilityError, ConfigurationError, DiscretizationError
 from .lagrangian import Lagrangian, MultiIndexSet, enumerate_multi_indices
@@ -33,9 +33,6 @@ __all__ = [
     "estimate_sobolev_constant",
     "q_compactness_audit",
     "QDecayProfile",
-    "matrix_to_csv",
-    "field_to_json",
-    "field_from_json",
 ]
 
 
@@ -217,9 +214,27 @@ class Field:
 # basis builders (1-D)
 
 
-def _gauss_nodes(a: float, b: float, count: int):
-    x, w = leggauss(count)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+def _leggauss(count: int):
+    """``numpy.polynomial.legendre.leggauss(count)``, with its first node estimates from a tridiagonal solve.
+
+    The estimates are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix, off-diagonal k / sqrt(4k^2 - 1) (Golub and Welsch), which numpy
+    solves as a dense matrix.  The Newton step, the weights (each factor scaled
+    against overflow), the symmetrisation and the normalisation follow numpy.
+    """
+    k = np.arange(1, count)
+    x = eigvalsh_tridiagonal(np.zeros(count), k / np.sqrt(4.0 * k * k - 1.0))
+    c = np.array([0] * count + [1])
+    dy, df = legval(x, c), legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
+    return x, w * (2.0 / w.sum())
+
+
+def _gauss_nodes(a: float, b: float, rule):
+    return 0.5 * (b - a) * rule[0] + 0.5 * (a + b), 0.5 * (b - a) * rule[1]
 
 
 def _trig_tables(omega, phase, m, start):
@@ -304,7 +319,7 @@ def _build_1d(a, b, m, bc, K, quad_order):
 
     numax = _max_frequency_units(kind, K)
     Q = int(quad_order) if quad_order else 4 * numax + 32
-    nodes, weights = _gauss_nodes(a, b, Q)
+    nodes, weights = _gauss_nodes(a, b, _leggauss(Q))
     dtab = table_fn(a, b, K, m, nodes)
     residual = _boundary_residual_1d(table_fn, a, b, K, m, bc)
     return nodes, weights, dtab, kind, residual
@@ -334,24 +349,18 @@ def _build_2d(domain, m, bc, K, quad_order):
     )[:K]
     kmax = max(max(p) for p in pairs)
     Q1 = int(quad_order) if quad_order else 4 * kmax + 16
-    x1, w1 = _gauss_nodes(a1, b1, Q1)
-    x2, w2 = _gauss_nodes(a2, b2, Q1)
+    rule = _leggauss(Q1)
+    x1, w1 = _gauss_nodes(a1, b1, rule)
+    x2, w2 = _gauss_nodes(a2, b2, rule)
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
     nodes = np.stack([X1.ravel(), X2.ravel()], axis=1)
     weights = np.outer(w1, w2).ravel()
-    L1, L2 = b1 - a1, b2 - a2
-    Q = nodes.shape[0]
-    dtab = np.zeros((3, Q, K))  # alphas ordered (0,0), (0,1), (1,0)
-    for k, (k1, k2) in enumerate(pairs):
-        o1 = k1 * np.pi / L1
-        o2 = k2 * np.pi / L2
-        s1 = np.sin(o1 * (nodes[:, 0] - a1))
-        c1 = np.cos(o1 * (nodes[:, 0] - a1))
-        s2 = np.sin(o2 * (nodes[:, 1] - a2))
-        c2 = np.cos(o2 * (nodes[:, 1] - a2))
-        dtab[0, :, k] = s1 * s2
-        dtab[1, :, k] = s1 * o2 * c2
-        dtab[2, :, k] = o1 * c1 * s2
+    k1, k2 = np.asarray(pairs).T
+    o1, o2 = k1 * np.pi / (b1 - a1), k2 * np.pi / (b2 - a2)
+    t1, t2 = np.outer(nodes[:, 0] - a1, o1), np.outer(nodes[:, 1] - a2, o2)
+    s1, s2 = np.sin(t1), np.sin(t2)
+    # alphas ordered (0,0), (0,1), (1,0)
+    dtab = np.stack([s1 * s2, s1 * o2 * np.cos(t2), o1 * np.cos(t1) * s2])
     return nodes, weights, dtab, "sine2d", 0.0, pairs
 
 
@@ -390,18 +399,18 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
     if dtab.shape[0] != len(iset):
         raise DiscretizationError("derivative table does not cover the multi-index set")
     orders = iset.orders()
-    scalar_blocks = np.einsum("q,aqj,aqk->jk", weights, dtab, dtab)
-    lower_sel = orders <= m - 1
-    scalar_lower = np.einsum("q,aqj,aqk->jk", weights, dtab[lower_sel], dtab[lower_sel])
-    top_sel = orders == m
-    scalar_top = np.einsum("q,aqj,aqk->jk", weights, dtab[top_sel], dtab[top_sel])
-    scalar_mass = np.einsum("q,qj,qk->jk", weights, dtab[0], dtab[0])
 
-    def blockdiag(mat):
-        out = np.zeros((n_components * K, n_components * K))
-        for i in range(n_components):
-            out[i * K : (i + 1) * K, i * K : (i + 1) * K] = mat
-        return 0.5 * (out + out.T)
+    def gram_block(sel):
+        # the sum over the selected alphas and the nodes of w_q D[a, q, j] D[a, q, k], as one GEMM
+        tabs = dtab[sel]
+        scalar = tabs.reshape(-1, K).T @ (weights[:, None] * tabs).reshape(-1, K)
+        return block_diag(*[0.5 * (scalar + scalar.T)] * n_components)
+
+    gram_lower = gram_block(orders <= m - 1)
+    gram_top = gram_block(orders == m)
+    # every order is at most m, so the lower and top orders cover every alpha
+    gram = gram_lower + gram_top
+    mass = gram_lower if m == 1 else gram_block(orders == 0)
 
     meta["boundary_residual"] = residual
     return Discretization(
@@ -416,10 +425,10 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
         nodes=nodes,
         weights=weights,
         dtab=dtab,
-        gram=blockdiag(scalar_blocks),
-        gram_lower=blockdiag(scalar_lower),
-        gram_top=blockdiag(scalar_top),
-        mass=blockdiag(scalar_mass),
+        gram=gram,
+        gram_lower=gram_lower,
+        gram_top=gram_top,
+        mass=mass,
         meta=meta,
     )
 
@@ -595,24 +604,3 @@ def q_compactness_audit(lag: Lagrangian, u: Field) -> QDecayProfile:
         passed = True
         note = "K below 32: decay reported, threshold not applied"
     return QDecayProfile(ratios=ratios, passed=passed, note=note)
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-
-
-def matrix_to_csv(matrix: np.ndarray, path) -> None:
-    np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",", fmt="%.17g")
-
-
-def field_to_json(u: Field) -> dict:
-    return {"fingerprint": u.disc.fingerprint(), "coeffs": u.coeffs.tolist()}
-
-
-def field_from_json(disc: Discretization, doc: dict) -> Field:
-    if doc.get("fingerprint") != disc.fingerprint():
-        raise DiscretizationError(
-            "field document was produced on a different discretization "
-            f"(fingerprint {doc.get('fingerprint')} vs {disc.fingerprint()})"
-        )
-    return disc.field(np.asarray(doc["coeffs"], dtype=float))

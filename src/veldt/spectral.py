@@ -37,13 +37,8 @@ __all__ = [
 
 
 def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        pivot = np.argmax(np.abs(col))
-        if col[pivot] < 0:
-            out[:, j] = -col
-    return out
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(pivots < 0, -1.0, 1.0)
 
 
 @dataclass(eq=False)
@@ -271,12 +266,15 @@ class PencilSpectrum:
         }
 
 
-def _gram_orthonormalize(vectors: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Gram-orthonormal basis of the columns' span; ``chol`` is the lower Cholesky factor of the Gram matrix."""
-    if vectors.size == 0:
-        return vectors.reshape(chol.shape[0], 0)
-    q, _ = np.linalg.qr(chol.T @ vectors)
-    return _sign_normalize(np.linalg.solve(chol.T, q))
+def _gram_orthonormalize(vectors: np.ndarray, chol: np.ndarray, bounds: list) -> np.ndarray:
+    """Columns that are Gram-orthonormal and span, group by group, the groups ``vectors[:, lo:hi]`` of ``bounds``.
+
+    ``chol`` is the lower Cholesky factor of the Gram matrix.  Each group takes
+    a QR in the image ``chol.T @ vectors``; one triangular solve maps them all back.
+    """
+    image = chol.T @ vectors
+    q = np.hstack([np.linalg.qr(image[:, lo:hi])[0] for lo, hi in bounds])
+    return _sign_normalize(scipy.linalg.solve_triangular(chol, q, lower=True, trans="T"))
 
 
 def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> PencilSpectrum:
@@ -316,9 +314,6 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
 
     theta_scale = float(np.max(np.abs(thetas))) if thetas.size else 0.0
     null_mask = np.abs(thetas) <= PENCIL_KERNEL_RTOL * max(theta_scale, 1e-300)
-    chol = np.linalg.cholesky(gram)
-    kernel = _gram_orthonormalize(vecs[:, null_mask], chol)
-
     lams = 1.0 / thetas[~null_mask]
     lvecs = vecs[:, ~null_mask]
     order = np.argsort(lams)
@@ -333,11 +328,15 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
 
     reps = [float(np.mean(lams[lo:hi])) for lo, hi in groups]
     mults = [hi - lo for lo, hi in groups]
-    spaces = [_gram_orthonormalize(lvecs[:, lo:hi], chol) for lo, hi in groups]
+    nk = int(np.count_nonzero(null_mask))
+    chol = np.linalg.cholesky(gram)
+    bounds = [(0, nk)] + [(nk + lo, nk + hi) for lo, hi in groups]  # the kernel, then the eigenspaces
+    basis = _gram_orthonormalize(np.hstack([vecs[:, null_mask], lvecs]), chol, bounds)
+    kernel, *spaces = [basis[:, lo:hi] for lo, hi in bounds]
 
     # relative residuals |F v - lam G v| / (|F v| + |lam| |G v|) in the dual
     # norm |r| = |chol^-1 r|, for every eigenvector at once
-    V = np.hstack(spaces) if spaces else np.zeros((F.shape[0], 0))
+    V = basis[:, nk:]
     col_lams = np.repeat(reps, mults)
     FV, GV = F @ V, G @ V
     blocks = scipy.linalg.solve_triangular(chol, np.hstack([FV, GV, FV - col_lams * GV]), lower=True)

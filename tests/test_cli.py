@@ -108,6 +108,10 @@ _SMALL_PARAMS = {
         pytest.param("spectrum", "discretization", "K", "twelve", id="spectrum-K"),
         pytest.param("reduce", "params", "z_radius", "big", id="reduce-z_radius"),
         pytest.param("morse", "params", "window", [0.0], id="morse-window"),
+        pytest.param("spectrum", "params", "lambdas", ["a"], id="spectrum-lambdas"),
+        pytest.param("spectrum", "discretization", "domain", [0, "tau"], id="spectrum-domain"),
+        pytest.param("spectrum", "discretization", "domain", [[0, "pi"], [0, True]], id="spectrum-domain-2d"),
+        pytest.param("reduce", "params", "lambda_offsets", ["x"], id="reduce-lambda_offsets"),
     ],
 )
 def test_mistyped_config_value_exits_3_naming_the_key(tmp_path, capsys, scenario, block, key, value):

@@ -105,17 +105,19 @@ def test_rejected_trial_halves_and_projection_applies():
 def test_projection_onto_the_iterate_stops_without_halvings():
     evaluate, solve = _affine(np.eye(2), np.array([2.0, 0.0]))
     start = np.array([1.0, 0.0])
-    evaluated = []
+    # a projection back onto the sphere the iterate lies on may land one ulp off it
+    for landed in (start, start + np.spacing(start)):
+        evaluated = []
 
-    def counting(x, state):
-        evaluated.append(x.copy())
-        return evaluate(x, state)
+        def counting(x, state):
+            evaluated.append(x.copy())
+            return evaluate(x, state)
 
-    result = damped_newton(counting, solve, start, tol=1e-12, max_iter=10, project=lambda z: start.copy())
-    assert len(evaluated) == 1  # the start; no trial is evaluated, let alone halved
-    assert not result.converged and result.iterations == 1
-    np.testing.assert_array_equal(result.coeffs, start)
-    assert result.residual == 1.0
+        result = damped_newton(counting, solve, start, tol=1e-12, max_iter=10, project=lambda z: landed.copy())
+        assert len(evaluated) == 1  # the start; no trial is evaluated, let alone halved
+        assert not result.converged and result.iterations == 1
+        np.testing.assert_array_equal(result.coeffs, start)
+        assert result.residual == 1.0
 
 
 def test_newton_polish_linear_problem_one_iteration(p1, disc32):

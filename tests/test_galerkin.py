@@ -1,7 +1,6 @@
-import json
-
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from veldt import (
     assemble_functional,
@@ -9,16 +8,13 @@ from veldt import (
     assemble_hessian,
     build_space,
     estimate_sobolev_constant,
-    field_from_json,
-    field_to_json,
     hessian_split,
-    matrix_to_csv,
     model_problem,
     q_compactness_audit,
 )
 from veldt.catalog import constant_envelope, make_polynomial_lagrangian, shifted_power_envelope
-from veldt.errors import CapabilityError, ConfigurationError, DiscretizationError
-from veldt.galerkin import _cosine_tables, _fourier_tables, _sine_tables, clamped_mode_parameters
+from veldt.errors import CapabilityError, ConfigurationError
+from veldt.galerkin import _cosine_tables, _fourier_tables, _leggauss, _sine_tables, clamped_mode_parameters
 import scipy.linalg
 
 
@@ -120,6 +116,41 @@ def test_two_dimensional_tensor_gram():
     pairs = disc.meta["mode_pairs"]
     expected = [(np.pi / 2) ** 2 * (1 + k1**2 + k2**2) for k1, k2 in pairs]
     assert np.allclose(np.diag(disc.gram), expected, rtol=1e-12)
+
+
+_GRAM_SPACES = {
+    "sine": ((0.0, np.pi), 1, "dirichlet", 24, 1),
+    "clamped": ((0.0, 1.0), 2, "dirichlet", 12, 1),
+    "fourier": ((0.0, 2.0 * np.pi), 2, "periodic", 9, 1),
+    "cosine": ((0.0, np.pi), 1, "full", 10, 1),
+    "sine2d": (((0.0, np.pi), (0.0, 2.0)), 1, "dirichlet", 9, 1),
+    "system": ((0.0, np.pi), 1, "dirichlet", 12, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_GRAM_SPACES))
+def test_gram_blocks_match_einsum_reference(name):
+    domain, m, bc, K, N = _GRAM_SPACES[name]
+    disc = build_space(domain, m, bc, K, n_components=N)
+    orders = disc.index_set.orders()
+    selections = {"gram": orders <= m, "gram_lower": orders < m, "gram_top": orders == m, "mass": orders == 0}
+    for block, sel in selections.items():
+        tabs = disc.dtab[sel]
+        reference = np.kron(np.eye(N), np.einsum("q,aqj,aqk->jk", disc.weights, tabs, tabs))
+        assert np.max(np.abs(getattr(disc, block) - reference)) <= 1e-13 * np.max(np.abs(reference)), block
+    assert np.array_equal(disc.gram, disc.gram_lower + disc.gram_top)
+
+
+@pytest.mark.parametrize("count", [48, 160, 544, 1056])
+def test_leggauss_matches_numpy_rule(count):
+    x, w = _leggauss(count)
+    x_ref, w_ref = leggauss(count)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(w_ref)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert w.sum() == pytest.approx(2.0, rel=1e-15)
+    # the highest even degree the rule integrates exactly; numpy's rule has the same 6e-11 error at 1056
+    assert w @ x ** (2 * count - 2) == pytest.approx(2.0 / (2 * count - 1), rel=1e-10)
 
 
 def test_field_validation():
@@ -362,28 +393,15 @@ def test_q_decay_p2_at_sine(disc64, p2):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# fingerprint
 
 
-def test_matrix_csv_roundtrip(tmp_path, disc16):
-    path = tmp_path / "gram.csv"
-    matrix_to_csv(disc16.gram, path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, disc16.gram)
-
-
-def test_field_json_roundtrip(disc16):
-    u = disc16.field(np.linspace(0, 1, disc16.dim))
-    doc = field_to_json(u)
-    again = field_from_json(disc16, json.loads(json.dumps(doc)))
-    assert np.array_equal(again.coeffs, u.coeffs)
-
-
-def test_field_json_fingerprint_mismatch(disc16):
-    other = build_space((0.0, np.pi), 1, "dirichlet", 12)
-    doc = field_to_json(other.field(np.zeros(12)))
-    with pytest.raises(DiscretizationError):
-        field_from_json(disc16, doc)
+def test_fingerprint_distinguishes_K_and_bc(disc16):
+    same = build_space((0.0, np.pi), 1, "dirichlet", 16)
+    fewer = build_space((0.0, np.pi), 1, "dirichlet", 12)
+    periodic = build_space((0.0, np.pi), 1, "periodic", 16)
+    assert same.fingerprint() == disc16.fingerprint()
+    assert len({disc16.fingerprint(), fewer.fingerprint(), periodic.fingerprint()}) == 3
 
 
 def test_two_dimensional_functional_value():

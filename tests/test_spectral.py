@@ -203,6 +203,31 @@ def test_pencil_eigenspace_residuals(p1_pencil):
     assert np.max(pencil.residuals) < 1e-6
 
 
+def _orthonormality_case(name):
+    if name == "periodic":
+        # cos and sin at each frequency k give lambda = 1 + 1/k^2 twice; the constant spans the kernel
+        disc = build_space((0.0, 2.0 * np.pi), 1, "periodic", 9)
+        return disc.gram, disc.gram_top, disc
+    if name == "P1-K128":
+        disc = build_space((0.0, np.pi), 1, "dirichlet", 128)
+        return (*_hessians(VariationalProblem(model=model_problem("P1"), disc=disc)), disc)
+    disc = build_space((0.0, np.pi), 1, "dirichlet", 32)
+    return (*_hessians(_shifted_p2(disc)), disc)
+
+
+@pytest.mark.parametrize("name", ["periodic", "P1-K128", "shifted-P2"])
+def test_pencil_eigenspaces_and_kernel_are_gram_orthonormal(name):
+    F, G, disc = _orthonormality_case(name)
+    pencil = pencil_eigs(F, G, disc.gram)
+    if name == "periodic":
+        assert pencil.multiplicities.tolist() == [2, 2, 2, 2]
+        assert pencil.eigenvalues.tolist() == pytest.approx(1.0 + 1.0 / np.arange(4, 0, -1) ** 2, rel=1e-12)
+        assert pencil.kernel.shape[1] == 1
+    V = np.hstack([pencil.kernel, *pencil.eigenspaces])
+    assert V.shape == (disc.dim, pencil.kernel.shape[1] + int(np.sum(pencil.multiplicities)))
+    assert np.max(np.abs(V.T @ disc.gram @ V - np.eye(V.shape[1]))) <= 1e-12
+
+
 def _residuals_per_vector(pencil):
     # one eigenvector at a time, dual norms through LU solves with the Gram matrix
     F, G, gram = pencil.F_hess, pencil.G_hess, pencil.gram
