@@ -35,12 +35,10 @@ from .galerkin import (
 )
 from .lagrangian import (
     GrowthSpec,
-    Jet,
     Lagrangian,
     MultiIndex,
     check_growth,
     enumerate_multi_indices,
-    eval_jet_derivatives,
     ps_certificate,
 )
 from .reduction import (

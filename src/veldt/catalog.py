@@ -248,6 +248,16 @@ def _envelope_from_doc(doc) -> Optional[object]:
     raise ConfigurationError(f"unknown envelope kind {kind!r}; use 'const' or 'shifted_power'")
 
 
+def _number(block: dict, key: str, default: Optional[float]) -> Optional[float]:
+    """``block[key]`` as a float, ``default`` when it is absent or null; a bool is not a number."""
+    value = block.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"growth.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _terms_from_doc(doc, iset, N):
     A = len(iset)
     terms = []
@@ -271,9 +281,9 @@ def load_problem(doc) -> ModelProblem:
     The document either names a catalog entry, ``{"integrand": "P2"}``, or
     spells out polynomial term lists for the integrand and (optionally) the
     constraint.  Term-list documents carry ``n``, ``m``, ``N`` and an optional
-    ``growth`` block with ``p``, envelope descriptors ``g1``/``g2``, and
-    ``p_border``.  Missing envelopes stay unset and are fitted from samples by
-    the growth checker.
+    ``growth`` block with the numbers ``p`` and ``p_border`` and the envelope
+    descriptors ``g1``/``g2``.  Missing envelopes stay unset and are fitted
+    from samples by the growth checker.
     """
     if isinstance(doc, (str, Path)):
         path = Path(doc)
@@ -305,10 +315,10 @@ def load_problem(doc) -> ModelProblem:
     growth = GrowthSpec.canonical(
         n,
         m,
-        p=float(gdoc.get("p", 2.0)),
+        p=_number(gdoc, "p", 2.0),
         g1=_envelope_from_doc(gdoc.get("g1")),
         g2=_envelope_from_doc(gdoc.get("g2")),
-        p_border=gdoc.get("p_border"),
+        p_border=_number(gdoc, "p_border", None),
     )
     f = make_polynomial_lagrangian(
         n, m, N, _terms_from_doc(integrand["terms"], iset, N),

@@ -6,8 +6,9 @@ reduce, bifurcate, morse), and writes ``report.json`` (machine readable),
 with a fixed config and seed are byte-deterministic: reports embed no
 timestamps, and every random draw goes through one seeded generator.
 ``CONFIG_KEYS`` declares every key a config document may carry, with its
-default; any other key, or a value whose JSON type differs from the
-default's, is a configuration error.
+default; any other key, a value whose JSON type differs from the
+default's, or a count below its bound in ``MINIMUMS`` is a configuration
+error.
 
 Exit codes: 0 on a clean pass, 2 on numeric failures (module errors are
 embedded in the report) and, under ``--strict``, on soft audit failures,
@@ -30,7 +31,7 @@ from .catalog import load_problem
 from .errors import ConfigurationError, DegenerateCriticalPointError, VeldtError
 from .functional import VariationalProblem, _star_seeds
 from .galerkin import build_space, estimate_sobolev_constant, q_compactness_audit
-from .lagrangian import Jet, check_growth, enumerate_multi_indices, ps_certificate
+from .lagrangian import check_growth, ps_certificate
 from .reduction import (
     COMPLEMENT_TOL,
     lipschitz_audit,
@@ -75,6 +76,19 @@ CONFIG_KEYS = {
     },
 }
 SCENARIOS = tuple(CONFIG_KEYS["params"])
+# The lower bound of every count-like key, by key name: (bound, inclusive).  A
+# value below it, or on it when the bound is exclusive, is a configuration
+# error; the bound's JSON type is the value's.
+MINIMUMS = {
+    "quad_order": (1, True),
+    "sample_count": (1, True),
+    "z_count": (1, True),
+    "lipschitz_pairs": (1, True),
+    "uniqueness_starts": (1, True),
+    "grid": (1, True),
+    "amplitude_cap": (0.0, False),
+    "n_random": (0, True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +129,7 @@ def _typed(value, example, where: str):
 
 
 def _merged(block, keys: dict, where: str) -> dict:
-    """``block`` checked against its declared ``keys``, every absent key set to its default."""
+    """``block`` checked against its declared ``keys`` and ``MINIMUMS``, every absent key set to its default."""
     if not isinstance(block, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {block!r}")
     unknown = sorted(set(block) - set(keys))
@@ -132,6 +146,12 @@ def _merged(block, keys: dict, where: str) -> dict:
             merged[key] = default if value is None else value
         else:
             merged[key] = _typed(value, default, f"{where}.{key}")
+        if key in MINIMUMS and merged[key] is not None:
+            bound, inclusive = MINIMUMS[key]
+            value = _typed(merged[key], bound, f"{where}.{key}")
+            if value < bound or (value == bound and not inclusive):
+                relation = "at least" if inclusive else "above"
+                raise ConfigurationError(f"{where}.{key} must be {relation} {bound}, got {value!r}")
     return merged
 
 
@@ -178,8 +198,6 @@ def _build_disc(block, model):
     m = model.lagrangian.m
     if block["m"] is not None and _typed(block["m"], 0, "config.discretization.m") != m:
         raise ConfigurationError(f"discretization order m={block['m']} does not match the integrand order m={m}")
-    if block["quad_order"] is not None:
-        _typed(block["quad_order"], 0, "config.discretization.quad_order")
     return build_space(
         domain, m, block["bc"], block["K"], quad_order=block["quad_order"], n_components=model.lagrangian.N
     )
@@ -245,27 +263,23 @@ def write_csv(path: Path, header, rows) -> None:
 
 
 def _growth_samples(model, params, rng):
+    """(x, xi) in the callbacks' layout: a jet grid, or uniform draws when the jet has more than 3 entries."""
     lag = model.lagrangian
-    iset = enumerate_multi_indices(lag.n, lag.m)
     radius = float(params["sample_radius"])
     count = int(params["sample_count"])
-    A = len(iset)
-    samples = []
+    A = len(lag.index_set)
     if lag.N * A <= 3:
         axes = [np.linspace(-radius, radius, count)] * (lag.N * A)
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
     else:
         pts = rng.uniform(-radius, radius, size=(count ** min(lag.N * A, 3), lag.N * A))
-    x = 0.5 if lag.n == 1 else np.full(lag.n, 0.5)
-    for row in pts:
-        samples.append((x, Jet(index_set=iset, values=row.reshape(lag.N, A))))
-    return samples
+    S = pts.shape[0]
+    return np.full((S,) if lag.n == 1 else (S, lag.n), 0.5), pts.reshape(S, lag.N, A)
 
 
 def run_validate(params, disc_block, model, rng, out_dir):
-    samples = _growth_samples(model, params, rng)
-    growth = check_growth(model.lagrangian, samples)
+    growth = check_growth(model.lagrangian, *_growth_samples(model, params, rng))
     report = {
         "growth": growth.summary(),
         "violations": growth.violations[:20],

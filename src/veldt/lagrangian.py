@@ -8,8 +8,9 @@ the vectorized callbacks stored on a :class:`Lagrangian`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,11 +20,8 @@ __all__ = [
     "MultiIndex",
     "MultiIndexSet",
     "enumerate_multi_indices",
-    "Jet",
     "GrowthSpec",
     "Lagrangian",
-    "JetDerivatives",
-    "eval_jet_derivatives",
     "GrowthReport",
     "check_growth",
     "PSReport",
@@ -129,80 +127,71 @@ def _compositions(n: int, k: int):
 
 
 # ---------------------------------------------------------------------------
-# jets
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Pointwise jet: values[i, a] = xi^i_alpha for the a-th multi-index.
-
-    The low-order slice ``low_order_part`` collects the entries with
-    |alpha| < m - n/p; those are the arguments of the growth envelopes.
-    """
-
-    index_set: MultiIndexSet
-    values: np.ndarray  # shape (N, A)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != len(self.index_set):
-            raise ConfigurationError(
-                f"jet values must have shape (N, {len(self.index_set)}), got {vals.shape}"
-            )
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[0]
-
-    def low_order_part(self, p: float) -> np.ndarray:
-        cut = self.index_set.m - self.index_set.n / p
-        mask = self.index_set.orders() < cut
-        return self.values[:, mask]
-
-
-def low_order_magnitude(index_set: MultiIndexSet, values: np.ndarray, p: float) -> np.ndarray:
-    """Sum over components of |xi^k_o| for the low-order jet entries.
-
-    ``values`` has shape (..., N, A); returns shape (...,).
-    """
-    cut = index_set.m - index_set.n / p
-    mask = index_set.orders() < cut
-    if not mask.any():
-        return np.zeros(np.asarray(values).shape[:-2])
-    sel = np.asarray(values)[..., mask]
-    return np.sqrt(np.sum(sel**2, axis=-1)).sum(axis=-1)
-
-
-# ---------------------------------------------------------------------------
 # growth data
 
 PAIR_FRACTION = 0.5  # where an interaction exponent sits in its open interval
-
-
-def _as_envelope(g) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(g):
-        return g
-    raise ConfigurationError("growth envelopes must be callables on [0, inf)")
 
 
 @dataclass(frozen=True)
 class GrowthSpec:
     """Exponent bookkeeping and monotone envelopes for one integrand.
 
-    ``p_gamma[a]`` is the integrability exponent attached to the a-th
-    multi-index (np.inf when unconstrained), ``q_gamma`` the dual exponents,
-    and ``p_pair[a, b]`` the interaction exponents entering the Hessian bound.
-    ``g1`` and ``g2`` are the nondecreasing positive envelope functions.
+    The grades |gamma| split at the Sobolev cut m - n/p.  A grade below it is
+    low order: ``p_gamma`` is np.inf there, and its jet entries are the
+    arguments of the envelopes.  A grade above it has p_gamma =
+    n p / (n - (m - |gamma|) p); a grade on it takes ``p_border`` (default
+    p + 2).  ``p_pair[a, b]`` bounds f_ab: 1 - 1/p_a - 1/p_b when either grade
+    is low or both are m, and ``PAIR_FRACTION`` of it, a point inside the open
+    interval (0, 1 - 1/p_a - 1/p_b), otherwise.  Both tables are derived from
+    (index_set, p, p_border) on construction.  ``g1`` and ``g2`` are the
+    nondecreasing positive envelope functions.
     """
 
     index_set: MultiIndexSet
     p: float
-    p_gamma: np.ndarray
-    q_gamma: np.ndarray
-    p_pair: np.ndarray
+    p_border: Optional[float] = None
     g1: Optional[Callable] = None
     g2: Optional[Callable] = None
+    p_gamma: np.ndarray = field(init=False, repr=False, compare=False)
+    p_pair: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        iset, p = self.index_set, float(self.p)
+        if p < 2:
+            raise ConfigurationError(f"p must be >= 2, got {p}")
+        orders = iset.orders()
+        cut = iset.m - iset.n / p
+        border = np.abs(orders - cut) < 1e-12
+        # the border pair (b, b) is free, so its interval (0, 1 - 2/p_border) must not be empty;
+        # every grade above the cut has p_gamma >= p >= 2, which leaves the other free intervals open
+        pb = p + 2.0 if self.p_border is None else self.p_border
+        if border.any() and not (np.isfinite(pb) and pb > 2):
+            raise ConfigurationError(
+                f"p_border must lie in (2, inf) when grade {orders[border][0]} sits on the cut "
+                f"m - n/p = {cut:g}, got {pb}"
+            )
+        with np.errstate(divide="ignore"):
+            above = np.where(orders > cut, iset.n * p / (iset.n - (iset.m - orders) * p), np.inf)
+        p_gamma = np.where(border, pb, above)
+        low = ~np.isfinite(p_gamma)
+        top = orders == iset.m
+        inv = 1.0 / p_gamma
+        upper = 1.0 - inv[:, None] - inv[None, :]
+        free = ~(low[:, None] | low[None, :] | (top[:, None] & top[None, :]))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p_gamma", p_gamma)
+        object.__setattr__(self, "p_pair", np.where(free, PAIR_FRACTION * upper, upper))
+        for g, name in ((self.g1, "g1"), (self.g2, "g2")):
+            if g is None:
+                continue
+            if not callable(g):
+                raise ConfigurationError("growth envelopes must be callables on [0, inf)")
+            ts = np.linspace(0.0, 10.0, 41)
+            vals = np.asarray([float(g(t)) for t in ts])
+            if np.any(vals <= 0):
+                raise ConfigurationError(f"envelope {name} must be strictly positive")
+            if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
+                raise ConfigurationError(f"envelope {name} must be nondecreasing")
 
     @classmethod
     def canonical(
@@ -214,117 +203,8 @@ class GrowthSpec:
         g2: Optional[Callable] = None,
         p_border: Optional[float] = None,
     ) -> "GrowthSpec":
-        """Build the exponent tables from (n, m, p).
-
-        ``p_border`` fixes the free exponent on the borderline grade
-        |gamma| = m - n/p when that grade exists (default p + 2).  Interaction
-        exponents constrained only to an open interval (0, upper) take its
-        midpoint, ``PAIR_FRACTION`` times upper.
-        """
-        if p < 2:
-            raise ConfigurationError(f"p must be >= 2, got {p}")
-        iset = enumerate_multi_indices(n, m)
-        cut = m - n / p
-        orders = iset.orders()
-        A = len(iset)
-        p_gamma = np.full(A, np.inf)
-        q_gamma = np.ones(A)
-        for a, k in enumerate(orders):
-            if abs(k - cut) < 1e-12:
-                p_gamma[a] = p_border if p_border is not None else p + 2.0
-            elif cut < k <= m:
-                p_gamma[a] = n * p / (n - (m - k) * p)
-            if k >= cut - 1e-12:
-                p_gamma_a = p_gamma[a]
-                q_gamma[a] = p_gamma_a / (p_gamma_a - 1.0)
-        p_pair = np.empty((A, A))
-        for a, ka in enumerate(orders):
-            for b, kb in enumerate(orders):
-                p_pair[a, b] = _pair_exponent(ka, kb, m, cut, p_gamma[a], p_gamma[b])
-        spec = cls(
-            index_set=iset,
-            p=float(p),
-            p_gamma=p_gamma,
-            q_gamma=q_gamma,
-            p_pair=p_pair,
-            g1=_as_envelope(g1) if g1 is not None else None,
-            g2=_as_envelope(g2) if g2 is not None else None,
-        )
-        spec.validate()
-        return spec
-
-    def validate(self) -> None:
-        """Reject inconsistent exponent tables before any numeric work."""
-        iset = self.index_set
-        n, m, p = iset.n, iset.m, self.p
-        cut = m - n / p
-        orders = iset.orders()
-        for a, k in enumerate(orders):
-            if cut < k <= m and abs(k - cut) > 1e-12:
-                expected = n * p / (n - (m - k) * p)
-                if not np.isclose(self.p_gamma[a], expected):
-                    raise ConfigurationError(
-                        f"p_gamma for |gamma|={k} must be {expected}, got {self.p_gamma[a]}"
-                    )
-            if k >= cut - 1e-12:
-                pg = self.p_gamma[a]
-                if not np.isfinite(pg) or pg <= 1:
-                    raise ConfigurationError(f"p_gamma for |gamma|={k} must lie in (1, inf)")
-                if not np.isclose(self.q_gamma[a], pg / (pg - 1)):
-                    raise ConfigurationError(f"q_gamma for |gamma|={k} must be dual to p_gamma")
-            elif not np.isclose(self.q_gamma[a], 1.0):
-                raise ConfigurationError(f"q_gamma below the low-order cut must be 1")
-        for a, ka in enumerate(orders):
-            for b, kb in enumerate(orders):
-                val = self.p_pair[a, b]
-                if not np.isclose(val, self.p_pair[b, a]):
-                    raise ConfigurationError("interaction exponents must be symmetric")
-                if ka == m and kb == m:
-                    expected = 1 - 1 / self.p_gamma[a] - 1 / self.p_gamma[b]
-                    if not np.isclose(val, expected):
-                        raise ConfigurationError(
-                            f"p_pair for |alpha|=|beta|=m must be {expected}, got {val}"
-                        )
-                elif ka >= cut - 1e-12 and kb < cut - 1e-12:
-                    if not np.isclose(val, 1 - 1 / self.p_gamma[a]):
-                        raise ConfigurationError("p_pair in the mixed regime must be 1 - 1/p_alpha")
-                elif ka < cut - 1e-12 and kb >= cut - 1e-12:
-                    if not np.isclose(val, 1 - 1 / self.p_gamma[b]):
-                        raise ConfigurationError("p_pair in the mixed regime must be 1 - 1/p_beta")
-                elif ka < cut - 1e-12 and kb < cut - 1e-12:
-                    if not np.isclose(val, 1.0):
-                        raise ConfigurationError("p_pair in the low regime must be 1")
-                else:
-                    upper = 1 - 1 / self.p_gamma[a] - 1 / self.p_gamma[b]
-                    if not (0 < val < upper):
-                        raise ConfigurationError(
-                            f"p_pair for |alpha|={ka}, |beta|={kb} must lie in (0, {upper}), got {val}"
-                        )
-        for g, name in ((self.g1, "g1"), (self.g2, "g2")):
-            if g is None:
-                continue
-            ts = np.linspace(0.0, 10.0, 41)
-            vals = np.asarray([float(g(t)) for t in ts])
-            if np.any(vals <= 0):
-                raise ConfigurationError(f"envelope {name} must be strictly positive")
-            if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
-                raise ConfigurationError(f"envelope {name} must be nondecreasing")
-
-
-def _pair_exponent(ka, kb, m, cut, pa, pb):
-    lo_a = ka < cut - 1e-12
-    lo_b = kb < cut - 1e-12
-    if ka == m and kb == m:
-        return 1 - 1 / pa - 1 / pb
-    if not lo_a and lo_b:
-        return 1 - 1 / pa
-    if lo_a and not lo_b:
-        return 1 - 1 / pb
-    if lo_a and lo_b:
-        return 1.0
-    # both above the cut but |alpha| + |beta| < 2m: open interval, take a point inside
-    upper = 1 - 1 / pa - 1 / pb
-    return PAIR_FRACTION * upper
+        """The growth data of an order-m integrand in n variables."""
+        return cls(enumerate_multi_indices(n, m), p, p_border=p_border, g1=g1, g2=g2)
 
 
 # ---------------------------------------------------------------------------
@@ -392,28 +272,6 @@ def _require_finite(values: np.ndarray, x, tag: str):
     )
 
 
-@dataclass(frozen=True)
-class JetDerivatives:
-    value: float
-    gradient: np.ndarray  # (N, A)
-    hessian: np.ndarray  # (N, A, N, A)
-
-
-def eval_jet_derivatives(lag: Lagrangian, x, jet: Jet) -> JetDerivatives:
-    """Evaluate f and its first and second jet derivatives at one point."""
-    if jet.values.shape != (lag.N, len(lag.index_set)):
-        raise ConfigurationError("jet shape does not match the integrand signature")
-    xq = np.asarray([x], dtype=float) if lag.n == 1 else np.asarray([x], dtype=float).reshape(1, lag.n)
-    xi = jet.values[None, :, :]
-    value = float(lag.value_at(xq, xi)[0])
-    gradient = lag.gradient_at(xq, xi)[0]
-    hessian = lag.hessian_at(xq, xi)[0]
-    sym_gap = np.max(np.abs(hessian - hessian.transpose(2, 3, 0, 1)))
-    if sym_gap > 1e-12 * max(1.0, float(np.max(np.abs(hessian)))):
-        raise EvaluationError(f"hess_f is not symmetric under (i,alpha) <-> (j,beta): gap {sym_gap}", x=x)
-    return JetDerivatives(value=value, gradient=gradient, hessian=hessian)
-
-
 # ---------------------------------------------------------------------------
 # growth checks (sampled evidence, not certificates)
 
@@ -444,34 +302,43 @@ class GrowthReport:
         }
 
 
-def check_growth(lag: Lagrangian, samples: Sequence) -> GrowthReport:
-    """Check the two growth inequalities on a list of (x, Jet) samples.
+def check_growth(lag: Lagrangian, x: np.ndarray, xi: np.ndarray) -> GrowthReport:
+    """Check the two growth inequalities on S sampled jets.
 
+    ``x`` and ``xi`` are laid out as for the callbacks: ``x`` has shape (S,)
+    for one spatial dimension or (S, n) otherwise, ``xi`` has shape (S, N, A).
     The Hessian bound is violated when |f_ab| exceeds
     g1(|xi_o|) * (1 + sum |xi_gamma|^{p_gamma})^{p_ab}; the ellipticity bound
     when the principal quadratic form drops below
-    g2(|xi_o|) * (1 + sum_{|gamma|=m} |xi_gamma|)^{p-2}.  When an envelope is
+    g2(|xi_o|) * (1 + sum_{|gamma|=m} |xi_gamma|)^{p-2}.  Here xi_o are the
+    low-order entries, those with p_gamma infinite.  When an envelope is
     missing, a minimal monotone step envelope is fitted from the samples and
-    reported; a fit trivially passes and is marked as such.
+    reported; a fit trivially passes and is marked as such.  A Hessian that is
+    not symmetric under (i, alpha) <-> (j, beta) raises EvaluationError.
     """
-    if not samples:
-        raise ConfigurationError("growth check requires at least one sample")
     spec = lag.growth
-    spec.validate()
-    iset = spec.index_set
-    orders = iset.orders()
-    A = len(iset)
+    A = len(spec.index_set)
     N = lag.N
-    cut = iset.m - iset.n / spec.p
-    mid_mask = orders >= cut - 1e-12
-    top_mask = orders == iset.m
-
-    xs = np.asarray([s[0] for s in samples], dtype=float)
-    xis = np.stack([s[1].values for s in samples], axis=0)  # (S, N, A)
-    S = xis.shape[0]
+    xs = np.asarray(x, dtype=float)
+    xis = np.asarray(xi, dtype=float)
+    S = xis.shape[0] if xis.ndim == 3 else 0
+    if S == 0 or xis.shape != (S, N, A) or xs.shape != ((S,) if lag.n == 1 else (S, lag.n)):
+        x_shape = "(S,)" if lag.n == 1 else f"(S, {lag.n})"
+        raise ConfigurationError(
+            f"growth check needs S >= 1 samples, x of shape {x_shape} and xi of shape (S, {N}, {A}); "
+            f"got x {xs.shape} and xi {xis.shape}"
+        )
     hess = lag.hessian_at(xs, xis)  # (S, N, A, N, A)
+    gaps = np.max(np.abs(hess - hess.transpose(0, 3, 4, 1, 2)), axis=(1, 2, 3, 4))
+    bad = np.flatnonzero(gaps > 1e-12 * np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2, 3, 4))))
+    if bad.size:
+        s = bad[0]
+        raise EvaluationError(f"hess_f is not symmetric under (i,alpha) <-> (j,beta): gap {gaps[s]}", x=xs[s])
 
-    t = low_order_magnitude(iset, xis, spec.p)  # (S,)
+    mid_mask = np.isfinite(spec.p_gamma)
+    top_mask = spec.index_set.orders() == spec.index_set.m
+    # envelope argument: sum over components of the norm of the low-order entries
+    t = np.sqrt(np.sum(xis[:, :, ~mid_mask] ** 2, axis=-1)).sum(axis=-1)  # (S,)
     # growth weight: 1 + sum over components and constrained gammas of |xi|^{p_gamma}
     pg = spec.p_gamma[mid_mask]
     weight = 1.0 + np.sum(np.abs(xis[:, :, mid_mask]) ** pg, axis=(1, 2))  # (S,)
@@ -578,6 +445,7 @@ _CERTIFICATE_KEYS = {
     "zero_slice_bound": ("r", "C", "phi"),
 }
 _GRID_KEYS = ("radius", "count", "x", "seed")
+_INTEGER_KEYS = ("count", "seed")  # every other parameter is a number
 
 
 def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
@@ -594,7 +462,8 @@ def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
 
     A pass is sampled evidence on the grid, not a proof.  The grid takes
     ``radius``, ``count``, ``x`` and ``seed``; any other key a mode does not read
-    is refused.
+    is refused.  ``count`` and ``seed`` are integers, every other parameter is a
+    number, and a bool is neither.
     """
     if mode not in _CERTIFICATE_KEYS:
         raise ConfigurationError(f"unknown certificate mode {mode!r}")
@@ -603,6 +472,11 @@ def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
     unknown = sorted(set(params) - set(known))
     if unknown:
         raise ConfigurationError(f"mode {mode} does not read {unknown[0]!r}; known keys: {', '.join(known)}")
+    for key, value in params.items():
+        integral = key in _INTEGER_KEYS
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+            kind = "an integer" if integral else "a number"
+            raise ConfigurationError(f"certificate parameter {key} must be {kind}, got {value!r}")
     grid = _jet_grid(lag, params)
     xs, xis = grid
     iset = lag.index_set

@@ -1,9 +1,10 @@
-"""The public keyword surface: every defaulted parameter of a public function or method.
+"""The public surface: every public name and every defaulted parameter of a public function or method.
 
 Public means a name in a module's ``__all__`` (with the methods its classes
 define) or a public function of ``veldt.cli``.  Dataclass ``__init__``
-methods are private names and not counted.  A knob added or removed shows up
-as a one-line change in ``DEFAULTED`` below, not as a silent signature change.
+methods are private names and not counted.  A name or a knob added or removed
+shows up as a one-line change in ``PUBLIC_NAMES`` or ``DEFAULTED`` below, not
+as a silent change of the package.
 The named constants that replace knobs must match the README "Tolerances"
 table by name, module and value, and the config keys the CLI declares must
 match the README "Config reference" table by block, key and default.
@@ -21,6 +22,48 @@ from pathlib import Path
 
 import veldt
 from veldt.cli import CONFIG_KEYS, REQUIRED
+
+# the names of ``veldt.__all__`` (one line per source module) and of each module's ``__all__``
+PUBLIC_NAMES = {
+    "veldt": """
+        bifurcation catalog errors functional galerkin lagrangian reduction spectral
+        BifurcationReport Branch classify_conditions classify_reduced_origin detect_branches
+        morse_inequality_audit necessary_test orbit_group
+        ModelProblem load_problem model_problem
+        CombinedFunctional DiscretizedFunctional VariationalProblem newton_polish
+        Discretization Field HessianSplit assemble_functional assemble_gradient assemble_hessian build_space
+        estimate_sobolev_constant hessian_split q_compactness_audit
+        GrowthSpec Lagrangian MultiIndex check_growth enumerate_multi_indices ps_certificate
+        ReductionSetup lipschitz_audit make_reduction_setup marino_prodi_perturb reduced_hessian_at_origin
+        reduced_value sample_reduced solve_psi
+        PencilSpectrum SpectralDecomposition decompose split_continuity_audit index_jump morse_index_by_formula
+        pencil_eigs
+    """,
+    "bifurcation": """
+        NecessaryVerdict necessary_test ConditionClassification classify_conditions BranchSample Branch
+        CandidateReport BifurcationReport detect_branches classify_reduced_origin MorseAudit
+        morse_inequality_audit OrbitGrouping orbit_group
+    """,
+    "catalog": "PolynomialIntegrand ModelProblem model_problem load_problem shifted_power_envelope constant_envelope MODEL_NAMES",
+    "functional": """
+        DiscretizedFunctional CombinedFunctional VariationalProblem gradient_norm damped_newton newton_polish
+        NewtonResult CriticalPoint multistart_census
+    """,
+    "galerkin": """
+        Discretization Field HessianSplit build_space assemble_functional assemble_gradient assemble_hessian
+        hessian_split estimate_sobolev_constant q_compactness_audit QDecayProfile
+    """,
+    "lagrangian": "MultiIndex MultiIndexSet enumerate_multi_indices GrowthSpec Lagrangian GrowthReport check_growth PSReport ps_certificate",
+    "reduction": """
+        ReductionSetup make_reduction_setup PsiSample ReductionResult solve_psi reduced_value sample_reduced
+        LipschitzAudit lipschitz_audit reduced_hessian_at_origin PerturbedFunctional MarinoProdiResult
+        marino_prodi_perturb
+    """,
+    "spectral": """
+        SpectralDecomposition decompose SplitContinuityReport split_continuity_audit PencilSpectrum pencil_eigs
+        morse_index_by_formula IndexJump index_jump
+    """,
+}
 
 DEFAULTED = {
     "bifurcation.classify_reduced_origin": ("radii", "rng"),
@@ -41,6 +84,18 @@ DEFAULTED = {
     "spectral.decompose": ("kernel_dim_hint",),
     "spectral.split_continuity_audit": ("radius", "rng"),
 }
+
+
+def test_public_name_set_is_pinned():
+    found = {"veldt": veldt.__all__}
+    for info in pkgutil.iter_modules(veldt.__path__):
+        module = importlib.import_module(f"veldt.{info.name}")
+        if hasattr(module, "__all__"):
+            found[info.name] = module.__all__
+    assert all(len(set(names)) == len(names) for names in found.values()), "a name is listed twice"
+    assert {key: set(names) for key, names in found.items()} == {
+        key: set(names.split()) for key, names in PUBLIC_NAMES.items()
+    }
 
 
 def _defaulted(fn):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from veldt.cli import config_hash, load_config, main, run, to_jsonable
+from veldt.cli import MINIMUMS, config_hash, load_config, main, run, to_jsonable
 from veldt.catalog import load_problem, model_problem
 from veldt.errors import ConfigurationError
 
@@ -122,6 +122,83 @@ def test_mistyped_config_value_exits_3_naming_the_key(tmp_path, capsys, scenario
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert re.search(rf"\b{key} must be", err)
+
+
+_BOUND_CASES = [
+    pytest.param("validate", "params", "sample_count", -1, "at least 1", id="validate-sample_count"),
+    pytest.param("spectrum", "discretization", "quad_order", -3, "at least 1", id="spectrum-quad_order"),
+    pytest.param("spectrum", "discretization", "quad_order", 0, "at least 1", id="spectrum-quad_order-zero"),
+    pytest.param("reduce", "params", "z_count", 0, "at least 1", id="reduce-z_count"),
+    pytest.param("reduce", "params", "lipschitz_pairs", -1, "at least 1", id="reduce-lipschitz_pairs"),
+    pytest.param("reduce", "params", "uniqueness_starts", 0, "at least 1", id="reduce-uniqueness_starts"),
+    pytest.param("bifurcate", "params", "grid", -2, "at least 1", id="bifurcate-grid"),
+    pytest.param("bifurcate", "params", "grid", 0, "at least 1", id="bifurcate-grid-zero"),
+    pytest.param("bifurcate", "params", "amplitude_cap", -1, "above 0.0", id="bifurcate-amplitude_cap"),
+    pytest.param("bifurcate", "params", "amplitude_cap", 0, "above 0.0", id="bifurcate-amplitude_cap-zero"),
+    pytest.param("morse", "params", "n_random", -1, "at least 0", id="morse-n_random"),
+]
+
+
+@pytest.mark.parametrize("scenario, block, key, value, relation", _BOUND_CASES)
+def test_count_out_of_range_exits_3_naming_the_key(tmp_path, capsys, scenario, block, key, value, relation):
+    params = dict(_SMALL_PARAMS.get(scenario, {}))
+    cfg = {"problem": "P2", "scenario": scenario, "discretization": dict(_DISC_K12), "params": params}
+    cfg[block][key] = value
+    assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert f"{key} must be {relation}, got {value}" in err
+
+
+def test_count_on_its_bound_loads(tmp_path):
+    for scenario, block, key, _, _ in (case.values for case in _BOUND_CASES):
+        cfg = {"problem": "P2", "scenario": scenario, "discretization": dict(_DISC_K12),
+               "params": dict(_SMALL_PARAMS.get(scenario, {}))}
+        bound, inclusive = MINIMUMS[key]
+        cfg[block][key] = bound if inclusive else bound + 0.5
+        assert load_config(_write(tmp_path, "cfg.json", cfg))[1][block][key] == cfg[block][key]
+
+
+def _border_document(growth):
+    # (n, m) = (2, 1): at p = 2 the zero-order grade sits on the cut m - n/p = 0
+    factor = lambda alpha, power: {"component": 0, "alpha": alpha, "power": power}
+    return {"n": 2, "m": 1, "N": 1, "growth": growth, "integrand": {"terms": [
+        {"coef": 0.5, "factors": [factor([1, 0], 2)]}, {"coef": 0.5, "factors": [factor([0, 1], 2)]}]}}
+
+
+@pytest.mark.parametrize(
+    "growth, key, message",
+    [
+        pytest.param({"p": "two"}, "p", "must be a number", id="p-string"),
+        pytest.param({"p": True}, "p", "must be a number", id="p-bool"),
+        pytest.param({"p_border": "x"}, "p_border", "must be a number", id="p_border-string"),
+        pytest.param({"p_border": True}, "p_border", "must be a number", id="p_border-bool"),
+        pytest.param({"p_border": 1.5}, "p_border", r"must lie in \(2, inf\)", id="p_border-range"),
+    ],
+)
+def test_mistyped_growth_number_exits_3_naming_the_key(tmp_path, capsys, growth, key, message):
+    cfg = {"problem": _border_document(growth), "scenario": "validate", "params": {"sample_count": 3}}
+    assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert re.search(rf"\b{key} {message}", err)
+
+
+@pytest.mark.parametrize(
+    "params, key, kind",
+    [
+        pytest.param({"c0": "x"}, "c0", "a number", id="c0-string"),
+        pytest.param({"c1": False}, "c1", "a number", id="c1-bool"),
+        pytest.param({"radius": [1]}, "radius", "a number", id="radius-list"),
+        pytest.param({"count": 2.5}, "count", "an integer", id="count-float"),
+        pytest.param({"count": "7"}, "count", "an integer", id="count-string"),
+        pytest.param({"seed": 1.0}, "seed", "an integer", id="seed-float"),
+    ],
+)
+def test_mistyped_certificate_parameter_exits_3_naming_it(tmp_path, capsys, params, key, kind):
+    certificate = {"mode": "coercive", "params": params}
+    cfg = {"problem": "P1", "scenario": "validate", "params": {"sample_count": 3, "certificate": certificate}}
+    assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out") == 3
+    assert f"parameter {key} must be {kind}, got " in capsys.readouterr().err
 
 
 def _readme_configs():

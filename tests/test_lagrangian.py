@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,9 @@ import pytest
 
 from veldt import (
     GrowthSpec,
-    Jet,
     Lagrangian,
     check_growth,
     enumerate_multi_indices,
-    eval_jet_derivatives,
     model_problem,
     ps_certificate,
 )
@@ -63,33 +62,30 @@ def test_enumeration_rejects_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
-# jets and pointwise derivatives
+# pointwise derivatives
 
 
-def _jet(values):
-    iset = enumerate_multi_indices(1, 1)
-    return Jet(index_set=iset, values=np.asarray(values, dtype=float))
+def _at(lag, method, jet, x=0.5):
+    # one sample in the callbacks' layout: x (1,), xi (1, N, A)
+    return getattr(lag, method)(np.array([x]), np.asarray([jet], dtype=float))[0]
 
 
 def test_jet_shape_is_enforced():
-    iset = enumerate_multi_indices(1, 1)
+    # check_growth takes jets in the callbacks' layout and refuses any other
+    lag = model_problem("P1").lagrangian
+    with pytest.raises(ConfigurationError, match=r"xi of shape \(S, 1, 2\)"):
+        check_growth(lag, np.array([0.5]), np.zeros((1, 1, 3)))
+    with pytest.raises(ConfigurationError, match=r"x of shape \(S,\)"):
+        check_growth(lag, np.full((1, 2), 0.5), np.zeros((1, 1, 2)))
     with pytest.raises(ConfigurationError):
-        Jet(index_set=iset, values=np.zeros((1, 3)))
-
-
-def test_jet_low_order_part_depends_on_p_only():
-    iset = enumerate_multi_indices(1, 2)
-    jet = Jet(index_set=iset, values=np.array([[1.0, 2.0, 3.0]]))
-    # cut m - n/p = 1.5 keeps orders 0 and 1
-    assert jet.low_order_part(2.0).tolist() == [[1.0, 2.0]]
+        check_growth(lag, np.array([0.5]), np.zeros((1, 2)))
 
 
 def test_p3_jet_derivatives_at_zero_slope():
     lag = model_problem("P3").lagrangian
-    d = eval_jet_derivatives(lag, 0.5, _jet([[0.0, 2.0]]))
-    assert d.value == pytest.approx(2.0)
-    assert d.gradient[0].tolist() == pytest.approx([0.0, 2.0])
-    h = d.hessian.reshape(2, 2)
+    assert _at(lag, "value_at", [[0.0, 2.0]]) == pytest.approx(2.0)
+    assert _at(lag, "gradient_at", [[0.0, 2.0]])[0].tolist() == pytest.approx([0.0, 2.0])
+    h = _at(lag, "hessian_at", [[0.0, 2.0]]).reshape(2, 2)
     assert h[1, 1] == pytest.approx(1.0)
     assert h[0, 1] == pytest.approx(0.0)
     assert h[0, 0] == pytest.approx(4.0)
@@ -97,23 +93,20 @@ def test_p3_jet_derivatives_at_zero_slope():
 
 def test_p3_jet_derivatives_zero_jet():
     lag = model_problem("P3").lagrangian
-    d = eval_jet_derivatives(lag, 0.1, _jet([[0.0, 0.0]]))
-    assert d.value == 0.0
-    assert np.all(d.gradient == 0.0)
-    assert d.hessian.reshape(2, 2)[1, 1] == pytest.approx(1.0)
+    assert _at(lag, "value_at", [[0.0, 0.0]], x=0.1) == 0.0
+    assert np.all(_at(lag, "gradient_at", [[0.0, 0.0]], x=0.1) == 0.0)
+    assert _at(lag, "hessian_at", [[0.0, 0.0]], x=0.1).reshape(2, 2)[1, 1] == pytest.approx(1.0)
 
 
 def test_p3_jet_derivatives_at_ones():
     lag = model_problem("P3").lagrangian
-    d = eval_jet_derivatives(lag, 0.5, _jet([[1.0, 1.0]]))
-    assert d.value == pytest.approx(1.0)
-    assert d.gradient[0].tolist() == pytest.approx([1.0, 2.0])
-    h = d.hessian.reshape(2, 2)
+    assert _at(lag, "value_at", [[1.0, 1.0]]) == pytest.approx(1.0)
+    assert _at(lag, "gradient_at", [[1.0, 1.0]])[0].tolist() == pytest.approx([1.0, 2.0])
+    h = _at(lag, "hessian_at", [[1.0, 1.0]]).reshape(2, 2)
     assert (h[0, 1], h[1, 1], h[0, 0]) == pytest.approx((2.0, 2.0, 1.0))
 
 
 def test_non_finite_callback_is_reported_with_location():
-    iset = enumerate_multi_indices(1, 1)
     growth = GrowthSpec.canonical(1, 1)
     def inv(x, xi):
         with np.errstate(divide="ignore"):
@@ -127,8 +120,8 @@ def test_non_finite_callback_is_reported_with_location():
         growth=growth,
     )
     with pytest.raises(EvaluationError) as err:
-        eval_jet_derivatives(lag, 0.25, Jet(index_set=iset, values=np.zeros((1, 2))))
-    assert err.value.x is not None
+        _at(lag, "value_at", [[0.0, 0.0]], x=0.25)
+    assert err.value.x == 0.25
 
 
 def test_asymmetric_hessian_callback_is_rejected():
@@ -146,9 +139,9 @@ def test_asymmetric_hessian_callback_is_rejected():
         hess_f=bad_hess,
         growth=growth,
     )
-    iset = enumerate_multi_indices(1, 1)
-    with pytest.raises(EvaluationError):
-        eval_jet_derivatives(lag, 0.0, Jet(index_set=iset, values=np.zeros((1, 2))))
+    with pytest.raises(EvaluationError, match="not symmetric") as err:
+        check_growth(lag, np.array([0.0, 0.75]), np.zeros((2, 1, 2)))
+    assert err.value.x == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +190,6 @@ def test_growth_spec_exponents_m1_n1_p2():
     spec = GrowthSpec.canonical(1, 1, p=2.0)
     assert spec.p_gamma[1] == pytest.approx(2.0)
     assert not np.isfinite(spec.p_gamma[0])
-    assert spec.q_gamma.tolist() == pytest.approx([1.0, 2.0])
     assert spec.p_pair[1, 1] == pytest.approx(0.0)
     assert spec.p_pair[0, 1] == pytest.approx(0.5)
     assert spec.p_pair[0, 0] == pytest.approx(1.0)
@@ -216,17 +208,75 @@ def test_growth_spec_exponents_m1_n2_borderline():
     assert 0 < spec.p_pair[pos0, pos0] < 1 - 0.5
 
 
+def _pair_by_grade(spec):
+    """grade pair -> the one interaction exponent every index pair of those grades carries."""
+    orders = spec.index_set.orders()
+    table = {}
+    for (a, b), value in np.ndenumerate(spec.p_pair):
+        assert table.setdefault((orders[a], orders[b]), value) == value
+    return table
+
+
+def test_growth_tables_n1_m2_p2_closed_form():
+    # cut 2 - 1/2 = 1.5: grades 0 and 1 are low, grade 2 carries p
+    spec = GrowthSpec.canonical(1, 2, p=2.0)
+    assert spec.p_gamma.tolist() == [np.inf, np.inf, 2.0]
+    pairs = _pair_by_grade(spec)
+    assert pairs[0, 0] == pairs[0, 1] == pairs[1, 1] == 1.0
+    assert pairs[0, 2] == pairs[2, 1] == 0.5
+    assert pairs[2, 2] == 0.0
+
+
+def test_growth_tables_n3_m2_p2_closed_form():
+    # cut 2 - 3/2 = 0.5: grade 1 carries 3*2/(3 - 2) = 6, grade 2 carries 6/3 = 2
+    spec = GrowthSpec.canonical(3, 2, p=2.0)
+    orders = spec.index_set.orders()
+    assert not np.isfinite(spec.p_gamma[orders == 0]).any()
+    assert spec.p_gamma[orders == 1] == pytest.approx([6.0] * 3)
+    assert spec.p_gamma[orders == 2] == pytest.approx([2.0] * 6)
+    pairs = _pair_by_grade(spec)
+    assert pairs[1, 1] == pytest.approx(1 / 3)  # half of 1 - 1/6 - 1/6
+    assert pairs[1, 2] == pytest.approx(1 / 6)  # half of 1 - 1/6 - 1/2
+    assert pairs[0, 1] == pytest.approx(5 / 6)
+    assert pairs[2, 2] == 0.0
+
+
+def test_growth_tables_n2_m2_p2_border_closed_form():
+    # cut 2 - 2/2 = 1: grade 1 sits on it and takes the default p_border p + 2 = 4
+    spec = GrowthSpec.canonical(2, 2, p=2.0)
+    orders = spec.index_set.orders()
+    assert spec.p_gamma[orders == 1].tolist() == [4.0, 4.0]
+    pairs = _pair_by_grade(spec)
+    assert pairs[1, 1] == pytest.approx(0.25)  # half of 1 - 1/4 - 1/4
+    assert pairs[1, 2] == pytest.approx(0.125)  # half of 1 - 1/4 - 1/2
+    assert pairs[0, 1] == pytest.approx(0.75)  # 1 - 1/4
+
+
+def test_growth_tables_are_rederived_on_replace():
+    spec = GrowthSpec.canonical(2, 2, p=3.0, g1=constant_envelope(1.0), g2=constant_envelope(1.0))
+    bare = dataclasses.replace(spec, g1=None, g2=None)
+    assert bare.g1 is None and bare.g2 is None
+    assert bare.p_gamma is not spec.p_gamma
+    assert np.array_equal(bare.p_gamma, spec.p_gamma)
+    assert np.array_equal(bare.p_pair, spec.p_pair)
+
+
 def test_growth_spec_rejects_tampered_exponents():
+    # the tables are derived, so there is no way to pass inconsistent ones
     spec = GrowthSpec.canonical(1, 1, p=2.0)
-    bad = GrowthSpec(
-        index_set=spec.index_set,
-        p=spec.p,
-        p_gamma=np.array([np.inf, 3.0]),  # top grade must carry p_gamma = 2
-        q_gamma=spec.q_gamma,
-        p_pair=spec.p_pair,
-    )
-    with pytest.raises(ConfigurationError):
-        bad.validate()
+    with pytest.raises(TypeError):
+        GrowthSpec(spec.index_set, 2.0, p_gamma=np.array([np.inf, 3.0]))
+    with pytest.raises(TypeError):
+        GrowthSpec(spec.index_set, 2.0, p_pair=spec.p_pair)
+
+
+def test_growth_spec_refuses_a_border_exponent_that_empties_an_interval():
+    # (n, m, p) = (2, 1, 2) puts grade 0 on the cut; the border pair needs 1 - 2/p_border > 0
+    with pytest.raises(ConfigurationError, match=r"p_border must lie in \(2, inf\)"):
+        GrowthSpec.canonical(2, 1, p=2.0, p_border=1.5)
+    with pytest.raises(ConfigurationError, match="p_border"):
+        GrowthSpec.canonical(2, 1, p=2.0, p_border=np.inf)
+    assert GrowthSpec.canonical(1, 1, p=2.0, p_border=1.5).p_gamma.tolist() == [np.inf, 2.0]  # no grade on the cut
 
 
 def test_growth_spec_rejects_decreasing_envelope():
@@ -234,14 +284,28 @@ def test_growth_spec_rejects_decreasing_envelope():
         GrowthSpec.canonical(1, 1, g1=lambda t: 1.0 / (1.0 + t))
 
 
+def test_jet_low_order_part_depends_on_p_only():
+    # grades below the cut m - n/p have an infinite p_gamma; their entries alone make up |xi_o|,
+    # the envelope argument, so the fitted envelope's one knot is their norm
+    for n, m, p, low in [(1, 2, 2.0, [0, 1]), (1, 2, 4.0, [0, 1]), (3, 2, 2.0, [0]), (2, 2, 2.0, [0]), (2, 2, 6.0, [0, 1])]:
+        lag = make_polynomial_lagrangian(n, m, 1, [(0.5, ((len(enumerate_multi_indices(n, m)) - 1, 2),))], p=p)
+        orders = lag.index_set.orders()
+        is_low = np.isin(orders, low)
+        assert np.array_equal(~np.isfinite(lag.growth.p_gamma), is_low)
+        xi = np.arange(1.0, orders.size + 1.0)[None, None, :]
+        x = np.array([0.5]) if n == 1 else np.full((1, n), 0.5)
+        knots, _ = check_growth(lag, x, xi).fitted_g1
+        assert knots.tolist() == [np.sqrt(np.sum(xi[0, 0, is_low] ** 2))]
+
+
 def _dense_samples(radius=3.0, count=9):
-    iset = enumerate_multi_indices(1, 1)
     grid = np.linspace(-radius, radius, count)
-    return [(0.5, Jet(index_set=iset, values=np.array([[a, b]]))) for a in grid for b in grid]
+    xi = np.array([[[a, b]] for a in grid for b in grid])
+    return np.full(len(xi), 0.5), xi
 
 
 def test_growth_check_passes_for_p3():
-    report = check_growth(model_problem("P3").lagrangian, _dense_samples())
+    report = check_growth(model_problem("P3").lagrangian, *_dense_samples())
     assert report.passed
     assert np.max(report.hessian_ratios) <= 1.0
     assert np.min(report.ellipticity_ratios) >= 1.0
@@ -249,7 +313,7 @@ def test_growth_check_passes_for_p3():
 
 def test_growth_check_quadratic_is_sharp():
     # pure gradient energy: the ellipticity ratio is exactly one at unit envelope
-    report = check_growth(model_problem("P1").lagrangian, _dense_samples())
+    report = check_growth(model_problem("P1").lagrangian, *_dense_samples())
     assert report.passed
     assert np.min(report.ellipticity_ratios) == pytest.approx(1.0)
 
@@ -259,7 +323,7 @@ def test_growth_check_flags_degenerate_quartic():
         1, 1, 1, [(0.25, ((1, 4),))], name="quartic_slope",
         g1=constant_envelope(100.0), g2=constant_envelope(1.0),
     )
-    report = check_growth(lag, _dense_samples())
+    report = check_growth(lag, *_dense_samples())
     assert not report.passed
     kinds = {v["kind"] for v in report.violations}
     assert "ellipticity_bound" in kinds
@@ -267,15 +331,8 @@ def test_growth_check_flags_degenerate_quartic():
 
 def test_growth_check_fits_envelopes_when_missing():
     base = model_problem("P2").lagrangian
-    spec = base.growth
-    stripped = Lagrangian(
-        n=1, m=1, N=1, f=base.f, grad_f=base.grad_f, hess_f=base.hess_f,
-        growth=GrowthSpec(
-            index_set=spec.index_set, p=spec.p, p_gamma=spec.p_gamma,
-            q_gamma=spec.q_gamma, p_pair=spec.p_pair,
-        ),
-    )
-    report = check_growth(stripped, _dense_samples())
+    stripped = dataclasses.replace(base, growth=dataclasses.replace(base.growth, g1=None, g2=None))
+    report = check_growth(stripped, *_dense_samples())
     assert report.passed  # a fitted envelope is consistent by construction
     assert report.fitted_g1 is not None
     knots, vals = report.fitted_g1
@@ -283,12 +340,12 @@ def test_growth_check_fits_envelopes_when_missing():
 
 
 def test_growth_check_requires_samples():
-    with pytest.raises(ConfigurationError):
-        check_growth(model_problem("P1").lagrangian, [])
+    with pytest.raises(ConfigurationError, match="S >= 1 samples"):
+        check_growth(model_problem("P1").lagrangian, np.zeros(0), np.zeros((0, 1, 2)))
 
 
 def test_growth_report_is_marked_sampled_only():
-    report = check_growth(model_problem("P1").lagrangian, _dense_samples(count=3))
+    report = check_growth(model_problem("P1").lagrangian, *_dense_samples(count=3))
     assert report.summary()["sampled_only"] is True
 
 
