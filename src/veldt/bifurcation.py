@@ -256,15 +256,36 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, psi_tol=COMPLEMENT_TOL):
     return result.coeffs, result.state.y, result.converged
 
 
+def _mirror(outcome):
+    """The outcome of a reduced Newton solve from -z0 on a sign-symmetric setup,
+    given the outcome ``(z, y, converged)`` or the exception of the solve from z0.
+
+    The coordinates are negated as 0.0 - v, not -v: a component that the solve
+    leaves at +0.0 (the kernel direction a star start does not touch) is +0.0
+    from either start.
+    """
+    if isinstance(outcome, Exception):
+        return outcome
+    z, y, ok = outcome
+    return 0.0 - z, 0.0 - y, ok
+
+
 def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
     """Distinct reduced critical points from a deterministic + random start set.
 
     A start whose solve raises is skipped; when every start raised, the
     parameter value is unreachable and ``ReductionFailureError`` is raised.
+    On a sign-symmetric setup the minus start of each star pair is not solved:
+    its outcome is the plus start's, mirrored (z and the correction negated,
+    the same converged flag, or the same failure).  There every load is odd
+    and every second variation even in the coefficients, and IEEE rounding
+    is sign-symmetric, so the mirror equals the solve bit for bit.
     """
     nu = setup.nullity
     rho = setup.trust_radius
     starts = _star_seeds(np.zeros(nu), np.eye(nu), np.linspace(1.0 / n_starts, 0.9, n_starts) * rho)
+    # the star seeds are the origin, then (+, -) pairs: the minus starts sit at the even indices
+    mirrored = range(2, len(starts), 2) if setup.sign_symmetric else range(0)
     if nu > 1:
         extra = rng.standard_normal((2 * n_starts, nu))
         extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
@@ -272,12 +293,18 @@ def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
             starts.append(frac * rho * row)
     found = []
     failures = []
-    for z0 in starts:
-        try:
-            z, y, ok = _reduced_newton(setup, lam, z0, psi_tol=psi_tol)
-        except (ReductionFailureError, ConfigurationError) as exc:
-            failures.append(exc)
+    for i, z0 in enumerate(starts):
+        if i in mirrored:
+            outcome = _mirror(outcome)
+        else:
+            try:
+                outcome = _reduced_newton(setup, lam, z0, psi_tol=psi_tol)
+            except (ReductionFailureError, ConfigurationError) as exc:
+                outcome = exc
+        if isinstance(outcome, Exception):
+            failures.append(outcome)
             continue
+        z, y, ok = outcome
         if not ok:
             continue
         if any(np.linalg.norm(z - zf) < 1e-7 * max(1.0, rho) for zf, _ in found):

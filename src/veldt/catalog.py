@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -135,6 +136,11 @@ class PolynomialIntegrand:
     def max_degree(self) -> int:
         return max((sum(p for _, p in factors) for _, factors in self.terms), default=0)
 
+    @property
+    def even(self) -> bool:
+        """True when every term has even total degree, so that f(-xi) = f(xi) exactly."""
+        return all(sum(p for _, p in factors) % 2 == 0 for _, factors in self.terms)
+
     def _contract(self, order: int, xi) -> np.ndarray:
         # (Q, outputs) = monomials(xi)^T @ coefficient columns of one derivative order
         flat = np.asarray(xi, dtype=float).reshape(-1, self.N * self.A).T
@@ -237,40 +243,70 @@ def model_problem(name: str) -> ModelProblem:
 # declarative documents
 
 
-def _envelope_from_doc(doc) -> Optional[object]:
+def _envelope_from_doc(doc, name: str) -> Optional[object]:
     if doc is None:
         return None
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"growth.{name} must be an envelope object, got {doc!r}")
     kind = doc.get("kind")
+    where = f"growth.{name}."
     if kind == "const":
-        return constant_envelope(float(doc["value"]))
+        return constant_envelope(_number(doc, "value", where))
     if kind == "shifted_power":
-        return shifted_power_envelope(float(doc["scale"]), float(doc["power"]))
+        return shifted_power_envelope(_number(doc, "scale", where), _number(doc, "power", where))
     raise ConfigurationError(f"unknown envelope kind {kind!r}; use 'const' or 'shifted_power'")
 
 
-def _number(block: dict, key: str, default: Optional[float]) -> Optional[float]:
+_REQUIRED = object()
+
+
+def _number(block: dict, key: str, where: str, default=_REQUIRED) -> Optional[float]:
     """``block[key]`` as a float, ``default`` when it is absent or null; a bool is not a number."""
     value = block.get(key)
     if value is None:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{where}{key} is required")
         return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"growth.{key} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{where}{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; a bool, a float or a string is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _objects(value, name: str) -> list:
+    """``value`` when it is a list of JSON objects, else a configuration error."""
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise ConfigurationError(f"{name} must be a list of objects, got {value!r}")
+    return value
 
 
 def _terms_from_doc(doc, iset, N):
     A = len(iset)
     terms = []
-    for raw in doc:
-        coef = float(raw["coef"])
+    for raw in _objects(doc, "terms"):
+        coef = _number(raw, "coef", "term ")
         factors = []
-        for fac in raw.get("factors", []):
-            comp = int(fac.get("component", 0))
-            if not 0 <= comp < N:
+        for fac in _objects(raw.get("factors", []), "term factors"):
+            comp = _integer(fac.get("component", 0), "factor component", 0)
+            if comp >= N:
                 raise ConfigurationError(f"component {comp} out of range for N={N}")
-            alpha = tuple(int(a) for a in fac["alpha"])
-            var = comp * A + iset.position(alpha)
-            factors.append((var, int(fac["power"])))
+            alpha = fac.get("alpha")
+            if not isinstance(alpha, (list, tuple)):
+                raise ConfigurationError(f"factor alpha must be a list of integers, got {alpha!r}")
+            alpha = tuple(_integer(a, "factor alpha entry", 0) for a in alpha)
+            try:
+                position = iset.position(alpha)
+            except KeyError:
+                raise ConfigurationError(
+                    f"factor alpha {list(alpha)} is not a multi-index of order <= {iset.m} in {iset.n} variables"
+                ) from None
+            factors.append((comp * A + position, _integer(fac.get("power"), "factor power", 1)))
         terms.append((coef, tuple(factors)))
     return terms
 
@@ -306,7 +342,7 @@ def load_problem(doc) -> ModelProblem:
     for key in ("n", "m", "N"):
         if key not in doc:
             raise ConfigurationError(f"problem document missing required field {key!r}")
-    n, m, N = int(doc["n"]), int(doc["m"]), int(doc["N"])
+    n, m, N = (_integer(doc[key], key, 1) for key in ("n", "m", "N"))
     if not isinstance(integrand, dict) or "terms" not in integrand:
         raise ConfigurationError("integrand must be a model name or {'terms': [...]}")
     iset = enumerate_multi_indices(n, m)
@@ -315,10 +351,10 @@ def load_problem(doc) -> ModelProblem:
     growth = GrowthSpec.canonical(
         n,
         m,
-        p=_number(gdoc, "p", 2.0),
-        g1=_envelope_from_doc(gdoc.get("g1")),
-        g2=_envelope_from_doc(gdoc.get("g2")),
-        p_border=_number(gdoc, "p_border", None),
+        p=_number(gdoc, "p", "growth.", 2.0),
+        g1=_envelope_from_doc(gdoc.get("g1"), "g1"),
+        g2=_envelope_from_doc(gdoc.get("g2"), "g2"),
+        p_border=_number(gdoc, "p_border", "growth.", None),
     )
     f = make_polynomial_lagrangian(
         n, m, N, _terms_from_doc(integrand["terms"], iset, N),

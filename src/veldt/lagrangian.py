@@ -462,8 +462,8 @@ def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
 
     A pass is sampled evidence on the grid, not a proof.  The grid takes
     ``radius``, ``count``, ``x`` and ``seed``; any other key a mode does not read
-    is refused.  ``count`` and ``seed`` are integers, every other parameter is a
-    number, and a bool is neither.
+    is refused.  ``count`` (at least 1) and ``seed`` are integers, every other
+    parameter is a number, and a bool is neither.
     """
     if mode not in _CERTIFICATE_KEYS:
         raise ConfigurationError(f"unknown certificate mode {mode!r}")
@@ -477,6 +477,8 @@ def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
             kind = "an integer" if integral else "a number"
             raise ConfigurationError(f"certificate parameter {key} must be {kind}, got {value!r}")
+    if params.get("count", 1) < 1:
+        raise ConfigurationError(f"certificate parameter count must be at least 1, got {params['count']!r}")
     grid = _jet_grid(lag, params)
     xs, xis = grid
     iset = lag.index_set

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .catalog import PolynomialIntegrand
 from .errors import (
     ConfigurationError,
     DegenerateKernelError,
@@ -104,6 +105,25 @@ class ReductionSetup:
         if key not in self._functionals:
             self._functionals[key] = CombinedFunctional(self.energy, self.constraints, lam)
         return self._functionals[key]
+
+    @property
+    def sign_symmetric(self) -> bool:
+        """True when L_lam(u0 - v) = L_lam(u0 + v) for every lam and v, read from the terms.
+
+        That is: u0 is exactly zero, and the energy and every constraint are
+        plain functionals of a compiled polynomial integrand whose terms all
+        have even total degree.  A callback integrand, a kernel tilt or any
+        other functional handle counts as not symmetric.
+        """
+        if np.any(self.u0.coeffs):
+            return False
+        for func in [self.energy, *self.constraints]:
+            if type(func) is not DiscretizedFunctional:
+                return False
+            poly = PolynomialIntegrand.of(func.lagrangian)
+            if poly is None or not poly.even:
+                return False
+        return True
 
     def check_lambda(self, lam) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))

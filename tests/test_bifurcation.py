@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,10 @@ from veldt.errors import (
     NotIsolatedError,
     ReductionFailureError,
 )
-from veldt.catalog import load_problem
-from veldt.functional import RESIDUAL_CONTRACT, VariationalProblem
+from veldt.catalog import ModelProblem, load_problem
+from veldt.functional import RESIDUAL_CONTRACT, VariationalProblem, _star_seeds
 from veldt.cli import _census_seeds
-from veldt.reduction import _reduction_extent
+from veldt.reduction import PerturbedFunctional, _reduction_extent
 
 
 def _pencil(problem):
@@ -314,6 +316,113 @@ def test_index_jump_report_embedding(prob_p1_64):
     pencil, _, _ = _pencil(prob_p1_64)
     record = index_jump(pencil, 1.0, 0.1).summary()
     assert (record["mu_minus"], record["mu_plus"], record["nullity"]) == (0, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# sign symmetry: a minus start is the mirror of its plus start
+
+
+def _two_p2():
+    """Two P2 copies coupled by u0^2 u1^2 / 2, with the mass constraint, at K = 16:
+    an even problem whose pencil eigenvalue 1 has multiplicity two."""
+    factor = lambda comp, alpha, power: {"component": comp, "alpha": [alpha], "power": power}
+    terms = [{"coef": c, "factors": [factor(i, a, k)]} for i in (0, 1) for c, a, k in ((0.5, 1, 2), (0.25, 0, 4))]
+    terms.append({"coef": 0.5, "factors": [factor(0, 0, 2), factor(1, 0, 2)]})
+    model = load_problem({"n": 1, "m": 1, "N": 2, "integrand": {"terms": terms}})
+    return VariationalProblem(model=model, disc=build_space((0.0, np.pi), 1, "dirichlet", 16, n_components=2))
+
+
+def _solve_from(setup, lam, z0):
+    try:
+        return veldt.bifurcation._reduced_newton(setup, lam, z0)
+    except ReductionFailureError as exc:
+        return exc
+
+
+def _assert_bitwise_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros count
+
+
+@pytest.mark.parametrize("case", ["p2", "two_p2"])
+def test_mirrored_start_is_the_minus_solve_bit_for_bit(case, prob_p2, monkeypatch):
+    problem = prob_p2 if case == "p2" else _two_p2()
+    setup = make_reduction_setup(problem, 1.0)
+    assert setup.sign_symmetric
+    nu, rho = setup.nullity, setup.trust_radius
+    assert nu == (1 if case == "p2" else 2)
+    n = veldt.bifurcation.BRANCH_STARTS
+    starts = _star_seeds(np.zeros(nu), np.eye(nu), np.linspace(1.0 / n, 0.9, n) * rho)
+    multistart = veldt.bifurcation._reduced_multistart
+    for lam in ([0.9], [1.05], [1.3]):
+        for plus, minus in zip(starts[1::2], starts[2::2]):
+            mirrored, solved = veldt.bifurcation._mirror(_solve_from(setup, lam, plus)), _solve_from(setup, lam, minus)
+            if isinstance(solved, Exception):
+                assert (type(mirrored), str(mirrored)) == (type(solved), str(solved))
+                continue
+            z, y, ok = mirrored
+            _assert_bitwise_equal(z, solved[0])
+            _assert_bitwise_equal(y, solved[1])
+            assert ok == solved[2]
+        # and the multistart keeps the same points, in the same order, as solving every start
+        found = multistart(setup, lam, n, np.random.default_rng(0))
+        with monkeypatch.context() as m:
+            m.setattr(veldt.reduction.ReductionSetup, "sign_symmetric", property(lambda self: False))
+            reference = multistart(setup, lam, n, np.random.default_rng(0))
+        assert len(found) == len(reference)
+        for (z, y), (z_ref, y_ref) in zip(found, reference):
+            _assert_bitwise_equal(z, z_ref)
+            _assert_bitwise_equal(y, y_ref)
+
+
+def test_catalog_models_are_sign_symmetric(p1, p2, p3, p4, disc32, beam8):
+    for model, disc in ((p1, disc32), (p2, disc32), (p3, disc32), (p4, beam8)):
+        problem = VariationalProblem(model=model, disc=disc)
+        pencil, _, _ = _pencil(problem)
+        assert make_reduction_setup(problem, float(pencil.eigenvalues[0])).sign_symmetric, model.name
+
+
+def test_sign_symmetry_needs_even_compiled_terms_and_a_zero_base_point(p2, prob_p2, transcritical):
+    assert not make_reduction_setup(transcritical, 1.0).sign_symmetric  # the cubic term u^3/3
+    lag = p2.lagrangian
+    by_hand = dataclasses.replace(lag, f=lambda x, xi: lag.f(x, xi))  # the same values, but a callback
+    problem = VariationalProblem(model=ModelProblem("by_hand", by_hand, p2.constraint), disc=prob_p2.disc)
+    assert not make_reduction_setup(problem, 1.0).sign_symmetric
+    setup = make_reduction_setup(prob_p2, 1.0)
+    assert setup.sign_symmetric
+    tilted = PerturbedFunctional(setup.energy, setup.u0, setup.kernel_basis, r=0.5, delta=0.25, b_coords=np.ones(1))
+    assert not dataclasses.replace(setup, energy=tilted).sign_symmetric
+    shifted = prob_p2.disc.field(1e-3 * setup.kernel_basis[:, 0])
+    assert not dataclasses.replace(setup, u0=shifted).sign_symmetric
+
+
+def _counting_reduced_solves(monkeypatch):
+    calls = []
+    solve = veldt.bifurcation._reduced_newton
+    monkeypatch.setattr(veldt.bifurcation, "_reduced_newton", lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    return calls
+
+
+def test_even_sweep_solves_each_start_pair_once(prob_p2, monkeypatch):
+    # the README bifurcate config: 11 parameter values, each with the origin and
+    # four plus starts solved and four minus starts mirrored; 99 without the mirror
+    calls = _counting_reduced_solves(monkeypatch)
+    detect_branches(prob_p2, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
+    assert len(calls) == 55
+
+
+def test_cubic_sweep_solves_every_start_and_stays_asymmetric(disc32, monkeypatch):
+    cubic = _mass_document(disc32, _term(0.5, 1, 2), _term(1.0 / 3.0, 0, 3), _term(0.25, 0, 4))
+    calls = _counting_reduced_solves(monkeypatch)
+    report = detect_branches(cubic, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
+    assert len(calls) == 99
+    (cand,) = report.candidates
+    assert sorted(b.side for b in cand.branches) == ["left", "right"]
+    for branch in cand.branches:
+        # one transcritical solution per parameter value, with no mirror partner
+        assert len({s.lam for s in branch.samples}) == len(branch.samples)
+        signs = {float(np.sign(s.kernel_coords[0])) for s in branch.samples}
+        assert signs == ({-1.0} if branch.side == "left" else {1.0})
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,8 @@ def test_mistyped_growth_number_exits_3_naming_the_key(tmp_path, capsys, growth,
         pytest.param({"count": 2.5}, "count", "an integer", id="count-float"),
         pytest.param({"count": "7"}, "count", "an integer", id="count-string"),
         pytest.param({"seed": 1.0}, "seed", "an integer", id="seed-float"),
+        pytest.param({"count": 0}, "count", "at least 1", id="count-zero"),
+        pytest.param({"count": -1}, "count", "at least 1", id="count-negative"),
     ],
 )
 def test_mistyped_certificate_parameter_exits_3_naming_it(tmp_path, capsys, params, key, kind):
@@ -199,6 +201,63 @@ def test_mistyped_certificate_parameter_exits_3_naming_it(tmp_path, capsys, para
     cfg = {"problem": "P1", "scenario": "validate", "params": {"sample_count": 3, "certificate": certificate}}
     assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out") == 3
     assert f"parameter {key} must be {kind}, got " in capsys.readouterr().err
+
+
+def _term_document(edit):
+    """A P2 term-list document with mass constraint after ``edit(doc)``."""
+    factor = lambda alpha, power: {"component": 0, "alpha": [alpha], "power": power}
+    doc = {"n": 1, "m": 1, "N": 1,
+           "integrand": {"terms": [{"coef": 0.5, "factors": [factor(1, 2)]},
+                                   {"coef": 0.25, "factors": [factor(0, 4)]}]},
+           "growth": {"g1": {"kind": "shifted_power", "scale": 3.0, "power": 2.0},
+                      "g2": {"kind": "const", "value": 1.0}}}
+    edit(doc)
+    return doc
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        block = doc
+        for step in path:
+            block = block[step]
+        block[key] = value
+
+    return edit
+
+
+_QUARTIC = ("integrand", "terms", 1)
+_QUARTIC_FACTOR = _QUARTIC + ("factors", 0)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_set("n", 1.7), "n must be an integer", id="n-float"),
+        pytest.param(_set("m", True), "m must be an integer", id="m-bool"),
+        pytest.param(_set("N", "1"), "N must be an integer", id="N-string"),
+        pytest.param(_set(*_QUARTIC_FACTOR, "component", 0.0), "component must be an integer", id="component-float"),
+        pytest.param(_set(*_QUARTIC_FACTOR, "alpha", [0.0]), "alpha entry must be an integer", id="alpha-float"),
+        pytest.param(_set(*_QUARTIC_FACTOR, "alpha", [2]), r"alpha \[2\] is not a multi-index", id="alpha-order"),
+        pytest.param(_set(*_QUARTIC_FACTOR, "power", 2.6), "power must be an integer", id="power-float"),
+        pytest.param(_set(*_QUARTIC_FACTOR, "power", -1), "power must be an integer of at least 1", id="power-negative"),
+        pytest.param(_set(*_QUARTIC_FACTOR, "power", 0), "power must be an integer of at least 1", id="power-zero"),
+        pytest.param(_set(*_QUARTIC, "coef", "0.25"), "coef must be a number", id="coef-string"),
+        pytest.param(_set(*_QUARTIC, "coef", None), "coef is required", id="coef-missing"),
+        pytest.param(_set("integrand", "terms", [1]), "terms must be a list of objects", id="term-number"),
+        pytest.param(_set(*_QUARTIC, "factors", {"power": 4}), "factors must be a list of objects", id="factors-object"),
+        pytest.param(_set("growth", "g2", "value", "x"), r"g2\.value must be a number", id="const-value-string"),
+        pytest.param(_set("growth", "g1", "scale", "3"), r"g1\.scale must be a number", id="scale-string"),
+        pytest.param(_set("growth", "g1", "power", True), r"g1\.power must be a number", id="envelope-power-bool"),
+    ],
+)
+def test_mistyped_problem_document_value_exits_3_naming_the_key(tmp_path, capsys, edit, message):
+    cfg = {"problem": _term_document(edit), "scenario": "validate", "params": {"sample_count": 3}}
+    assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert re.search(rf"\b{message}", err), err
 
 
 def _readme_configs():
