@@ -35,7 +35,7 @@ from .reduction import (
     COMPLEMENT_TOL,
     ReductionSetup,
     _directions,
-    _reduction_setup,
+    make_reduction_setup,
     reduced_hessian_at_origin,
     solve_psi,
 )
@@ -64,6 +64,8 @@ ORIGIN_DIRECTIONS = 8  # random sphere directions per radius when the kernel is 
 REDUCED_NEWTON_TOL = 1e-10  # reduced-gradient norm at which a reduced Newton solve has converged
 REDUCED_NEWTON_MAX_ITER = 40  # iteration budget of a reduced Newton solve
 BRANCH_STARTS = 4  # deterministic reduced Newton starts per parameter value of a branch sweep
+SOLUTION_CAP = 16  # solutions per parameter value from which a branch sweep refines its starts to test for (ii)
+ORBIT_TOL = 1e-6  # translation distance below which two periodic solutions are one orbit
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,7 @@ def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
         found.append((z, y))
     if len(failures) == len(starts):
         raise ReductionFailureError(
-            f"every one of the {len(starts)} reduced starts raised at lam = {np.atleast_1d(lam).tolist()}; "
+            f"every one of the {len(starts)} reduced starts raised at lam = {[float(lam)]}; "
             f"last: {failures[-1]}"
         ) from failures[-1]
     return found
@@ -355,7 +357,6 @@ def detect_branches(
     window: tuple,
     grid: int = 9,
     amplitude_cap: float = 3.0,
-    solution_cap: int = 16,
     rng: Optional[np.random.Generator] = None,
 ) -> BifurcationReport:
     """Sweep a parameter window for branch points of F' = lam G'.
@@ -367,8 +368,8 @@ def detect_branches(
 
     * ``iii``  nontrivial solutions on both sides of the eigenvalue,
     * ``iv``   at least two distinct nontrivial solutions on one side,
-    * ``ii``   the per-parameter solution count exceeds the cap and keeps
-      growing under multistart refinement (reported, capped),
+    * ``ii``   the per-parameter solution count reaches ``SOLUTION_CAP`` and
+      keeps growing under multistart refinement (reported, capped),
     * ``i``    nontrivial solutions at the eigenvalue itself,
     * ``undetected`` otherwise.
 
@@ -381,7 +382,7 @@ def detect_branches(
     disc = problem.disc
     u0 = problem.u0.coeffs
     F_h = problem.energy.hessian_dual(u0)
-    G_h = problem.constraints[0].hessian_dual(u0)
+    G_h = problem.constraint.hessian_dual(u0)
     pencil = pencil_eigs(F_h, G_h, disc.gram)
 
     reports = []
@@ -391,7 +392,7 @@ def detect_branches(
         condition = classify_conditions(pencil, lam_star)
         # a lone eigenvalue has infinite separation, which leaves eps at 0.1
         jump = index_jump(pencil, lam_star, min(0.1, 0.4 * pencil.separation(idx))).summary()
-        setup = _reduction_setup(problem, lam_star, mult, separation=pencil.separation(idx))
+        setup = make_reduction_setup(problem, lam_star, mult)
         # below the cube root of the residual contract a degenerate origin is
         # numerically indistinguishable from the trivial solution
         trivial_tol = max(1e-8, 1e-4 * setup.trust_radius, (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0))
@@ -441,7 +442,7 @@ def detect_branches(
 
         unbounded = False
         for lam, count in counts.items():
-            if count >= solution_cap:
+            if count >= SOLUTION_CAP:
                 refined = solutions_at(lam, 2 * BRANCH_STARTS)
                 if refined is not None and len(refined) > count:
                     unbounded = True
@@ -683,7 +684,7 @@ def _shifted_coeffs(disc: Discretization, coeffs: np.ndarray, t: float) -> np.nd
     return out.reshape(disc.dim)
 
 
-def orbit_group(solutions: Sequence[Field], disc: Discretization, tol: float = 1e-8) -> OrbitGrouping:
+def orbit_group(solutions: Sequence[Field], disc: Discretization) -> OrbitGrouping:
     """Group periodic solutions identified up to translation.
 
     For each pair the squared distance |u - (shift by t) v|^2 is a
@@ -692,7 +693,7 @@ def orbit_group(solutions: Sequence[Field], disc: Discretization, tol: float = 1
     fixed points of the action and each forms its own orbit unless it
     coincides with another constant.  On an even-K space the trailing cosine has no sine
     partner, so the space is not translation invariant: a field whose part
-    in that mode exceeds ``tol`` of its norm is rejected.
+    in that mode exceeds ``ORBIT_TOL`` of its norm is rejected.
     """
     if disc.bc != "periodic":
         raise CapabilityError("orbit grouping requires a periodic discretization")
@@ -704,7 +705,7 @@ def orbit_group(solutions: Sequence[Field], disc: Discretization, tol: float = 1
             part = np.zeros((disc.n_components, disc.K))
             part[:, lone] = u.coeffs.reshape(disc.n_components, disc.K)[:, lone]
             share = disc.norm(part.reshape(disc.dim)) / max(disc.norm(u.coeffs), 1e-300)
-            if share > tol:
+            if share > ORBIT_TOL:
                 raise CapabilityError(
                     f"solution {i} has {share:.3e} of its norm in the unpaired cosine "
                     f"mode of the even K={disc.K} periodic space, which translations do not preserve; use odd K"
@@ -761,7 +762,7 @@ def orbit_group(solutions: Sequence[Field], disc: Discretization, tol: float = 1
 
     for i in range(n):
         for j in range(i + 1, n):
-            if min_d[i, j] < tol:
+            if min_d[i, j] < ORBIT_TOL:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
@@ -775,7 +776,7 @@ def orbit_group(solutions: Sequence[Field], disc: Discretization, tol: float = 1
         c = u.coeffs.reshape(disc.n_components, disc.K)
         osc = np.sqrt(np.sum(c[:, 1:] ** 2))
         scale = max(np.sqrt(np.sum(c**2)), 1e-300)
-        if osc <= tol * max(1.0, scale):
+        if osc <= ORBIT_TOL * max(1.0, scale):
             fixed.append(i)
 
     return OrbitGrouping(

@@ -133,9 +133,6 @@ class PolynomialIntegrand:
         first = weighted[0][1]
         return cls(first.N, first.A, [(w * c, factors) for w, poly in weighted for c, factors in poly.terms])
 
-    def max_degree(self) -> int:
-        return max((sum(p for _, p in factors) for _, factors in self.terms), default=0)
-
     @property
     def even(self) -> bool:
         """True when every term has even total degree, so that f(-xi) = f(xi) exactly."""
@@ -185,7 +182,6 @@ def make_polynomial_lagrangian(
         hess_f=poly.hess_f,
         growth=growth,
         name=name,
-        nonlinearity_degree=max(poly.max_degree(), 1),
     )
 
 

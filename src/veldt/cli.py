@@ -43,7 +43,6 @@ from .reduction import (
 )
 from .spectral import decompose, split_continuity_audit, pencil_eigs
 
-ORBIT_TOL = 1e-6  # translation distance below which two periodic branch samples are one orbit
 CENSUS_AMPLITUDES = (0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0)  # star-seed amplitudes of the morse census
 
 REQUIRED = "required"
@@ -320,7 +319,7 @@ def run_spectrum(params, disc_block, model, rng, out_dir):
     problem = VariationalProblem(model=model, disc=disc)
     u0 = problem.u0
     F_h = problem.energy.hessian_dual(u0.coeffs)
-    G_h = problem.constraints[0].hessian_dual(u0.coeffs)
+    G_h = problem.constraint.hessian_dual(u0.coeffs)
     pencil = pencil_eigs(F_h, G_h, disc.gram)
     report = {
         "pencil": pencil.summary(),
@@ -381,11 +380,7 @@ def run_reduce(params, disc_block, model, rng, out_dir):
         result = sample_reduced(setup, setup.lam_star + float(off), zs)
         max_res = max(max_res, result.max_residual())
         rows.extend(result.to_rows())
-    header = (
-        [f"lam_{j}" for j in range(setup.lam_star.size)]
-        + [f"z_{a}" for a in range(setup.nullity)]
-        + ["value", "grad_norm", "residual", "correction_norm"]
-    )
+    header = ["lam_0"] + [f"z_{a}" for a in range(setup.nullity)] + ["value", "grad_norm", "residual", "correction_norm"]
     write_csv(out_dir / "reduced.csv", header, rows)
 
     lip = lipschitz_audit(setup, setup.lam_star, n_pairs=int(params["lipschitz_pairs"]), rng=rng)
@@ -404,7 +399,7 @@ def run_reduce(params, disc_block, model, rng, out_dir):
 
     passed = max_res <= COMPLEMENT_TOL * 10 and lip.passed and spread < 1e-8
     report = {
-        "lam_star": setup.lam_star.tolist(),
+        "lam_star": [setup.lam_star],
         "nullity": setup.nullity,
         "trust_radius": setup.trust_radius,
         "lambda_box": setup.lambda_box,
@@ -440,11 +435,8 @@ def run_bifurcate(params, disc_block, model, rng, out_dir):
     )
     rows = []
     for cand in report_obj.candidates:
+        tags = _orbit_tags(cand, disc) if disc.bc == "periodic" else {}
         for b_id, branch in enumerate(cand.branches):
-            orbit_tag = -1
-            if disc.bc == "periodic" and branch.samples:
-                tails = [disc.field(s.coeffs) for s in branch.samples]
-                orbit_tag = orbit_group(tails, disc, tol=ORBIT_TOL).n_orbits
             for s in branch.samples:
                 rows.append(
                     (
@@ -456,7 +448,7 @@ def run_bifurcate(params, disc_block, model, rng, out_dir):
                         s.amplitude_sup,
                         s.morse_index,
                         s.nullity,
-                        orbit_tag,
+                        tags.get(id(s), -1),
                     )
                 )
     write_csv(
@@ -478,10 +470,23 @@ def run_bifurcate(params, disc_block, model, rng, out_dir):
     return report, passed, lines
 
 
-def _census_seeds(problem, lam, amplitudes, n_random, rng):
+def _orbit_tags(cand, disc) -> dict:
+    """id of each branch sample of a candidate -> the index of its translation orbit
+    among the candidate's samples at the same parameter value."""
+    by_lam: dict = {}
+    for branch in cand.branches:
+        for s in branch.samples:
+            by_lam.setdefault(s.lam, []).append(s)
+    tags = {}
+    for group in by_lam.values():
+        for tag, members in enumerate(orbit_group([disc.field(s.coeffs) for s in group], disc).classes):
+            tags.update((id(group[i]), tag) for i in members)
+    return tags
+
+
+def _census_seeds(problem, func, amplitudes, n_random, rng):
     disc = problem.disc
     u0 = problem.u0
-    func = problem.at_parameter(lam)
     dec = decompose(func.hessian_dual(u0.coeffs), disc.gram)
     seeds = _star_seeds(u0.coeffs, dec.eigenvectors[:, : min(6, disc.dim)].T, amplitudes)
     for _ in range(n_random):
@@ -494,8 +499,8 @@ def _census_seeds(problem, lam, amplitudes, n_random, rng):
 def run_morse(params, disc_block, model, rng, out_dir):
     lam = float(params["lam"])
     problem = VariationalProblem(model=model, disc=_build_disc(disc_block, model))
-    func = problem.at_parameter([lam])
-    seeds = _census_seeds(problem, [lam], CENSUS_AMPLITUDES, int(params["n_random"]), rng)
+    func = problem.at_parameter(lam)
+    seeds = _census_seeds(problem, func, CENSUS_AMPLITUDES, int(params["n_random"]), rng)
     window = params["window"]
     report: dict = {"lam": lam, "checks": ["morse-alternating-sum", "census-nondegeneracy"]}
     try:

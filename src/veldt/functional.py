@@ -14,7 +14,6 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .catalog import ModelProblem, PolynomialIntegrand
-from .errors import DiscretizationError
 from .galerkin import (
     Discretization,
     Field,
@@ -63,17 +62,17 @@ class DiscretizedFunctional:
         return assemble_hessian(self.lagrangian, self.disc.field(coeffs))
 
 
-def _combined_lagrangian(energy: Lagrangian, constraints: Sequence[Lagrangian], lam: np.ndarray) -> Lagrangian:
-    """The integrand f - sum_j lam_j g_j, so that one quadrature pass assembles it.
+def _combined_lagrangian(energy: Lagrangian, constraint: Lagrangian, lam: float) -> Lagrangian:
+    """The integrand f - lam g, so that one quadrature pass assembles it.
 
     The polynomial terms merge into one compiled monomial set with weights 1
-    and -lam_j; hand-written callbacks stay entries of their own in the same
+    and -lam; a hand-written callback stays an entry of its own in the same
     summing loop.  Each callback checks the sum once and, only when it is not
     finite, evaluates the terms one by one so the error names the failing term
     as assembling it alone would; the Hessian callback first requires p = 2 of
-    every term.
+    both terms.
     """
-    terms = [(1.0, energy)] + [(-lj, g) for lj, g in zip(lam, constraints)]
+    terms = [(1.0, energy), (-lam, constraint)]
     compiled = [(w, PolynomialIntegrand.of(lag), lag) for w, lag in terms]
     polynomial = [(w, poly) for w, poly, _ in compiled if poly is not None]
     entries = [(1.0, PolynomialIntegrand.combined(polynomial))] if polynomial else []
@@ -103,30 +102,23 @@ def _combined_lagrangian(energy: Lagrangian, constraints: Sequence[Lagrangian], 
         hess_f=combined("hess_f"),
         growth=energy.growth,
         name=energy.name,
-        nonlinearity_degree=max(lag.nonlinearity_degree for _, lag in terms),
     )
 
 
 class CombinedFunctional(DiscretizedFunctional):
-    """The parameterized family F - sum_j lambda_j G_j at a fixed parameter.
+    """The parameterized family F - lambda G at a fixed parameter.
 
     Every evaluation assembles the single combined integrand: one jet
-    evaluation, one callback pass and one contraction per call, whatever the
-    number of constraints.
+    evaluation, one callback pass and one contraction per call.
     """
 
-    def __init__(self, energy: DiscretizedFunctional, constraints: Sequence[DiscretizedFunctional], lam):
+    def __init__(self, energy: DiscretizedFunctional, constraint: DiscretizedFunctional, lam: float):
         self.energy = energy
-        self.constraints = list(constraints)
-        self.lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if self.lam.shape != (len(self.constraints),):
-            raise DiscretizationError(
-                f"parameter vector length {self.lam.shape} does not match {len(self.constraints)} constraints"
-            )
-        for term in [energy, *self.constraints]:
+        self.constraint = constraint
+        self.lam = float(lam)
+        for term in (energy, constraint):
             _check_signature(term.lagrangian, energy.disc)
-        lagrangian = _combined_lagrangian(energy.lagrangian, [g.lagrangian for g in self.constraints], self.lam)
-        super().__init__(lagrangian, energy.disc)
+        super().__init__(_combined_lagrangian(energy.lagrangian, constraint.lagrangian, self.lam), energy.disc)
 
 
 @dataclass(eq=False)
@@ -146,11 +138,11 @@ class VariationalProblem:
         return DiscretizedFunctional(self.model.lagrangian, self.disc)
 
     @property
-    def constraints(self) -> list:
-        return [DiscretizedFunctional(self.model.constraint, self.disc)]
+    def constraint(self) -> DiscretizedFunctional:
+        return DiscretizedFunctional(self.model.constraint, self.disc)
 
-    def at_parameter(self, lam) -> CombinedFunctional:
-        return CombinedFunctional(self.energy, self.constraints, lam)
+    def at_parameter(self, lam: float) -> CombinedFunctional:
+        return CombinedFunctional(self.energy, self.constraint, lam)
 
 
 def _dual_norm(disc: Discretization, ell: np.ndarray) -> float:

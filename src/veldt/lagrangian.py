@@ -236,7 +236,6 @@ class Lagrangian:
     hess_f: Callable
     growth: GrowthSpec
     name: str = "custom"
-    nonlinearity_degree: int = 4  # frequency multiplier used to size quadratures
 
     @property
     def index_set(self) -> MultiIndexSet:

@@ -1,8 +1,8 @@
 """Finite-dimensional reduction onto the kernel of a degenerate second variation.
 
 Convention used throughout: the parameterized family is
-L_lam = F - sum_j lam_j * G_j.  At a common critical point u0 whose second
-variation B = F''(u0) - sum_j lam*_j G_j''(u0) has kernel H0, the complement
+L_lam = F - lam * G.  At a common critical point u0 whose second
+variation B = F''(u0) - lam* G''(u0) has kernel H0, the complement
 equation
 
     P_perp grad L_lam(u0 + z + w) = 0,    w in the Sobolev-orthogonal
@@ -74,16 +74,16 @@ class ReductionSetup:
     ``kernel_basis`` columns are Sobolev-orthonormal and span H0;
     ``complement_basis`` completes them to a full orthonormal system.  Kernel
     coordinates z live in R^nu through the kernel basis.  ``lambda_box`` bounds
-    |lam - lam_star| per parameter and ``trust_radius`` bounds |z| and the
-    complement correction.  ``energy`` may be any functional handle; with no
-    constraints it is the reduced functional itself.  ``functional_at`` builds
-    the combined functional once per parameter value and reuses it.
+    |lam - lam_star| and ``trust_radius`` bounds |z| and the complement
+    correction.  ``energy`` may be any functional handle; with no
+    ``constraint`` it is the reduced functional itself.  ``functional_at``
+    builds the combined functional once per parameter value and reuses it.
     """
 
     energy: DiscretizedFunctional
-    constraints: list
+    constraint: Optional[DiscretizedFunctional]
     u0: Field
-    lam_star: np.ndarray
+    lam_star: float
     kernel_basis: np.ndarray
     complement_basis: np.ndarray
     lambda_box: float
@@ -98,26 +98,28 @@ class ReductionSetup:
     def nullity(self) -> int:
         return self.kernel_basis.shape[1]
 
-    def functional_at(self, lam):
-        if not self.constraints:
+    def functional_at(self, lam: float):
+        if self.constraint is None:
             return self.energy
-        key = np.atleast_1d(np.asarray(lam, dtype=float)).tobytes()
-        if key not in self._functionals:
-            self._functionals[key] = CombinedFunctional(self.energy, self.constraints, lam)
-        return self._functionals[key]
+        lam = float(lam)
+        if lam not in self._functionals:
+            self._functionals[lam] = CombinedFunctional(self.energy, self.constraint, lam)
+        return self._functionals[lam]
 
     @property
     def sign_symmetric(self) -> bool:
         """True when L_lam(u0 - v) = L_lam(u0 + v) for every lam and v, read from the terms.
 
-        That is: u0 is exactly zero, and the energy and every constraint are
+        That is: u0 is exactly zero, and the energy and the constraint are
         plain functionals of a compiled polynomial integrand whose terms all
         have even total degree.  A callback integrand, a kernel tilt or any
         other functional handle counts as not symmetric.
         """
         if np.any(self.u0.coeffs):
             return False
-        for func in [self.energy, *self.constraints]:
+        for func in (self.energy, self.constraint):
+            if func is None:
+                continue
             if type(func) is not DiscretizedFunctional:
                 return False
             poly = PolynomialIntegrand.of(func.lagrangian)
@@ -125,11 +127,9 @@ class ReductionSetup:
                 return False
         return True
 
-    def check_lambda(self, lam) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if lam.shape != self.lam_star.shape:
-            raise ConfigurationError(f"parameter vector must have shape {self.lam_star.shape}")
-        if np.any(np.abs(lam - self.lam_star) > self.lambda_box * (1 + 1e-12)):
+    def check_lambda(self, lam: float) -> float:
+        lam = float(lam)
+        if abs(lam - self.lam_star) > self.lambda_box * (1 + 1e-12):
             raise ConfigurationError(
                 f"parameter {lam} leaves the box of half-width {self.lambda_box} around {self.lam_star}"
             )
@@ -145,50 +145,36 @@ class ReductionSetup:
         return self.kernel_basis.T @ (self.disc.gram @ (coeffs - self.u0.coeffs))
 
 
-def make_reduction_setup(problem: VariationalProblem, lam_star, kernel_dim: Optional[int] = None) -> ReductionSetup:
-    """Build a reduction around a common critical point of F and every G_j.
+def make_reduction_setup(problem: VariationalProblem, lam_star: float, kernel_dim: Optional[int] = None) -> ReductionSetup:
+    """Build a reduction around a common critical point of F and G.
 
-    The base point must be critical for every term to ``RESIDUAL_CONTRACT``.
-    The kernel of B = F'' - sum lam*_j G_j'' at u0 is detected spectrally
+    The base point must be critical for both terms to ``RESIDUAL_CONTRACT``.
+    The kernel of B = F'' - lam* G'' at u0 is detected spectrally
     (``kernel_dim`` forces the dimension when the default threshold is too
-    conservative).  For a single parameter, the box half-width is 0.45 times
-    the distance to the nearest other pencil eigenvalue and the trust radius
-    0.3 times that distance, both capped at 1.
+    conservative).  The box half-width is 0.45 times the distance to the
+    nearest other pencil eigenvalue and the trust radius 0.3 times that
+    distance, both capped at 1.
     """
-    return _reduction_setup(problem, lam_star, kernel_dim)
-
-
-def _reduction_setup(problem, lam_star, kernel_dim, separation=None) -> ReductionSetup:
-    """``make_reduction_setup`` with the pencil separation supplied by a caller that already solved the pencil."""
     disc = problem.disc
     energy = problem.energy
-    constraints = problem.constraints
-    lam_star = np.atleast_1d(np.asarray(lam_star, dtype=float))
-    if lam_star.shape != (len(constraints),):
-        raise ConfigurationError(
-            f"lam_star must supply one value per constraint ({len(constraints)}), got {lam_star.shape}"
-        )
+    constraint = problem.constraint
+    lam_star = float(lam_star)
     u0 = problem.u0
-    for name, func in [("energy", energy)] + [(f"constraint_{j}", g) for j, g in enumerate(constraints)]:
+    for name, func in (("energy", energy), ("constraint", constraint)):
         res = gradient_norm(func, u0.coeffs)
         if res > RESIDUAL_CONTRACT:
             raise ConfigurationError(f"base point is not critical for {name}: residual {res:.3e}")
 
-    family = CombinedFunctional(energy, constraints, lam_star)
-    B = family.hessian_dual(u0.coeffs)
+    B = CombinedFunctional(energy, constraint, lam_star).hessian_dual(u0.coeffs)
     dec = decompose(B, disc.gram, kernel_dim_hint=kernel_dim)
     if dec.nullity == 0:
         raise DegenerateKernelError("second variation at the base point has no kernel; nothing to reduce")
 
-    if separation is None:
-        separation = np.inf
-        if len(constraints) == 1:
-            pencil = pencil_eigs(energy.hessian_dual(u0.coeffs), constraints[0].hessian_dual(u0.coeffs), disc.gram)
-            separation = pencil.separation(pencil.nearest(float(lam_star[0]))[0])
-    box, rho = _reduction_extent(separation)
+    pencil = pencil_eigs(energy.hessian_dual(u0.coeffs), constraint.hessian_dual(u0.coeffs), disc.gram)
+    box, rho = _reduction_extent(pencil.separation(pencil.nearest(lam_star)[0]))
     return ReductionSetup(
         energy=energy,
-        constraints=constraints,
+        constraint=constraint,
         u0=u0,
         lam_star=lam_star,
         kernel_basis=dec.kernel_vectors,
@@ -201,7 +187,7 @@ def _reduction_setup(problem, lam_star, kernel_dim, separation=None) -> Reductio
 def _reduction_extent(separation: float) -> tuple:
     """Default (box half-width, trust radius): 0.45 and 0.3 times the pencil separation, capped at 1.
 
-    A lone pencil group, or a reduction in several parameters, counts as separation 1.
+    A lone pencil group counts as separation 1.
     """
     separation = 1.0 if np.isinf(separation) else separation
     return min(0.45 * separation, 1.0), min(0.3 * separation, 1.0)
@@ -221,7 +207,7 @@ class PsiSample:
     kernel and the complement gradient vanishes at the corrected point.
     """
 
-    lam: np.ndarray
+    lam: float
     z: np.ndarray
     y: np.ndarray
     residual: float
@@ -251,7 +237,7 @@ class ReductionResult:
         for s in self.samples:
             value = self.setup.functional_at(s.lam).value(s.coeffs)
             grad_norm = float(np.linalg.norm(s.gradient))
-            rows.append(list(s.lam) + list(s.z) + [value, grad_norm, s.residual, s.correction_norm])
+            rows.append([s.lam, *s.z, value, grad_norm, s.residual, s.correction_norm])
         return rows
 
 
@@ -391,7 +377,7 @@ def reduced_hessian_at_origin(setup: ReductionSetup, lam) -> np.ndarray:
     """Closed-form reduced second variation at z = 0.
 
     For a common critical point the reduced Hessian at the origin is
-    -sum_j (lam_j - lam*_j) * (G_j''(u0) restricted to the kernel); the
+    -(lam - lam*) * (G''(u0) restricted to the kernel); the
     correction map enters only at second order in the parameter offset.  A
     finite-difference probe of the reduced gradient cross-checks the formula
     to ``HESSIAN_CHECK_TOL``.
@@ -400,9 +386,8 @@ def reduced_hessian_at_origin(setup: ReductionSetup, lam) -> np.ndarray:
     Z = setup.kernel_basis
     nu = setup.nullity
     M = np.zeros((nu, nu))
-    for dl, g in zip(lam - setup.lam_star, setup.constraints):
-        if dl != 0.0:
-            M -= dl * (Z.T @ g.hessian_dual(setup.u0.coeffs) @ Z)
+    if lam != setup.lam_star:
+        M -= (lam - setup.lam_star) * (Z.T @ setup.constraint.hessian_dual(setup.u0.coeffs) @ Z)
     M = 0.5 * (M + M.T)
 
     def probe(h):
@@ -553,7 +538,6 @@ def marino_prodi_perturb(
     u0: Field,
     r: float,
     delta_inner: float,
-    b: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> MarinoProdiResult:
     """Tilt an isolated degenerate critical point into a nondegenerate census.
@@ -562,8 +546,8 @@ def marino_prodi_perturb(
     the ball of radius ``r`` around u0, and verifies that every critical point
     of the perturbed functional is nondegenerate with Morse index inside
     [mu, mu + nu] for the Morse index mu and nullity nu of u0.  A degenerate
-    find triggers a resample of the tilt vector (when ``b`` was not supplied),
-    up to ``TILT_RETRIES`` times; persistent failure is reported, not raised.
+    find triggers a resample of the tilt vector, up to ``TILT_RETRIES`` times;
+    persistent failure is reported, not raised.
     """
     disc = func.disc
     rng = rng or np.random.default_rng(0)
@@ -577,9 +561,9 @@ def marino_prodi_perturb(
     # lower bound for the reduced gradient on the cutoff annulus, scanned coarsely
     probe_setup = ReductionSetup(
         energy=func,
-        constraints=[],
+        constraint=None,
         u0=u0,
-        lam_star=np.zeros(0),
+        lam_star=0.0,
         kernel_basis=Z,
         complement_basis=dec.complement_vectors,
         lambda_box=1.0,
@@ -590,38 +574,25 @@ def marino_prodi_perturb(
         for direction in _directions(nu, max(2 * nu, 4), rng):
             z = direction * delta_inner * radius_frac
             try:
-                g = solve_psi(probe_setup, np.zeros(0), z, tol=ANNULUS_PSI_TOL).gradient
+                g = solve_psi(probe_setup, 0.0, z, tol=ANNULUS_PSI_TOL).gradient
             except ReductionFailureError:
                 continue
             grad_floor = min(grad_floor, float(np.linalg.norm(g)))
     tilt_bound = grad_floor / 5.0 if np.isfinite(grad_floor) else 0.0
 
     attempts = 0
-    warning = None
-    b_given = b is not None
     while True:
         attempts += 1
-        if b_given:
-            b_coords = np.asarray(b, dtype=float)
-        else:
-            direction = rng.standard_normal(nu)
-            direction /= np.linalg.norm(direction)
-            magnitude = 0.5 * tilt_bound if tilt_bound > 0 else 1e-6
-            b_coords = magnitude * direction
-        if tilt_bound > 0 and np.linalg.norm(b_coords) >= tilt_bound:
-            warning = (
-                f"tilt magnitude {np.linalg.norm(b_coords):.3e} is not below the "
-                f"annulus bound {tilt_bound:.3e}; far critical points may appear"
-            )
+        direction = rng.standard_normal(nu)
+        direction /= np.linalg.norm(direction)
+        b_coords = (0.5 * tilt_bound if tilt_bound > 0 else 1e-6) * direction
         perturbed = PerturbedFunctional(func, u0, Z, r=r, delta=delta_inner, b_coords=b_coords)
         seeds = _default_mp_seeds(u0, Z, delta_inner, r, rng, disc)
         points = multistart_census(perturbed, seeds, center=u0.coeffs, radius=r)
         degenerate = [cp for cp in points if cp.nullity > 0]
         in_window = all(mu <= cp.morse_index <= mu + nu for cp in points if cp.nullity == 0)
         passed = not degenerate and in_window and bool(points)
-        if passed or b_given or attempts > TILT_RETRIES:
-            if not passed:
-                warning = warning or "census kept degenerate or out-of-window critical points"
+        if passed or attempts > TILT_RETRIES:
             return MarinoProdiResult(
                 perturbed=perturbed,
                 critical_points=points,
@@ -630,7 +601,7 @@ def marino_prodi_perturb(
                 attempts=attempts,
                 morse_window=(mu, mu + nu),
                 tilt_bound=tilt_bound,
-                warning=warning,
+                warning=None if passed else "census kept degenerate or out-of-window critical points",
             )
 
 

@@ -45,7 +45,7 @@ def _problem(name, disc):
 
 def _pencil_of(problem):
     F = problem.energy.hessian_dual(problem.u0.coeffs)
-    G = problem.constraints[0].hessian_dual(problem.u0.coeffs)
+    G = problem.constraint.hessian_dual(problem.u0.coeffs)
     return pencil_eigs(F, G, problem.disc.gram), F, G
 
 
@@ -180,18 +180,18 @@ def test_criterion_5_reduction_contract():
     worst = 0.0
     for lam in (0.95, 0.98, 1.0, 1.02, 1.05):
         for z in np.linspace(-0.3, 0.3, 21):
-            sample = solve_psi(setup, [lam], np.array([z]), tol=5e-12)
+            sample = solve_psi(setup, lam, np.array([z]), tol=5e-12)
             worst = max(worst, sample.residual)
     zero_ok = all(
-        solve_psi(setup, [lam], np.zeros(1)).correction_norm == 0.0 for lam in (0.9, 1.0, 1.1)
+        solve_psi(setup, lam, np.zeros(1)).correction_norm == 0.0 for lam in (0.9, 1.0, 1.1)
     )
-    lip = lipschitz_audit(setup, [1.0], n_pairs=25, rng=rng)
-    base = solve_psi(setup, [1.0], np.array([0.25]), tol=5e-12)
+    lip = lipschitz_audit(setup, 1.0, n_pairs=25, rng=rng)
+    base = solve_psi(setup, 1.0, np.array([0.25]), tol=5e-12)
     spread = 0.0
     for _ in range(10):
         w0 = rng.standard_normal(setup.complement_basis.shape[1])
         w0 *= 0.4 * setup.trust_radius / np.linalg.norm(w0)
-        probe = solve_psi(setup, [1.0], np.array([0.25]), tol=5e-12, w0=w0)
+        probe = solve_psi(setup, 1.0, np.array([0.25]), tol=5e-12, w0=w0)
         spread = max(spread, float(np.linalg.norm(probe.y - base.y)))
     _report(
         5,
@@ -209,7 +209,7 @@ def test_criterion_6_reduced_normal_form():
     for lam in (0.95, 1.05):
         amps = np.linspace(0.0, 0.3, 13)
         vals = [
-            reduced_value(setup, [lam], np.array([a * np.sqrt(np.pi)])) for a in amps
+            reduced_value(setup, lam, np.array([a * np.sqrt(np.pi)])) for a in amps
         ]
         design = np.stack([amps**2, amps**4], axis=1)
         coef, *_ = np.linalg.lstsq(design, np.asarray(vals), rcond=None)
@@ -256,12 +256,12 @@ def test_criterion_8_morse_identity():
     disc = build_space((0.0, np.pi), 1, "dirichlet", 48)
     problem = _problem("P2", disc)
     rng = np.random.default_rng(8)
-    func = problem.at_parameter([2.5])
-    seeds = _census_seeds(problem, [2.5], [0.25, 0.5, 1.0, 2.0, 3.0], 6, rng)
+    func = problem.at_parameter(2.5)
+    seeds = _census_seeds(problem, func, [0.25, 0.5, 1.0, 2.0, 3.0], 6, rng)
     audit = morse_inequality_audit(func, seeds)
     mid_ok = audit.alternating_total == 1 and audit.counts == {0: 2, 1: 1}
-    func_low = problem.at_parameter([0.5])
-    seeds_low = _census_seeds(problem, [0.5], [0.25, 0.5, 1.0, 2.0], 6, rng)
+    func_low = problem.at_parameter(0.5)
+    seeds_low = _census_seeds(problem, func_low, [0.25, 0.5, 1.0, 2.0], 6, rng)
     audit_low = morse_inequality_audit(func_low, seeds_low)
     low_ok = audit_low.counts == {0: 1} and audit_low.points[0].distance_from_center < 1e-9
     _report(
@@ -275,7 +275,7 @@ def test_criterion_8_morse_identity():
 def test_criterion_9_kernel_tilt():
     disc = build_space((0.0, np.pi), 1, "dirichlet", 32)
     problem = _problem("P2", disc)
-    func = problem.at_parameter([1.0])
+    func = problem.at_parameter(1.0)
     all_ok = True
     details = []
     for seed in range(5):

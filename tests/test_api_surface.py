@@ -67,9 +67,8 @@ PUBLIC_NAMES = {
 
 DEFAULTED = {
     "bifurcation.classify_reduced_origin": ("radii", "rng"),
-    "bifurcation.detect_branches": ("grid", "amplitude_cap", "solution_cap", "rng"),
+    "bifurcation.detect_branches": ("grid", "amplitude_cap", "rng"),
     "bifurcation.morse_inequality_audit": ("window",),
-    "bifurcation.orbit_group": ("tol",),
     "cli.main": ("argv",),
     "cli.run": ("seed", "strict"),
     "functional.damped_newton": ("step_cap", "project"),
@@ -79,7 +78,7 @@ DEFAULTED = {
     "reduction.ReductionSetup.lift": ("y",),
     "reduction.lipschitz_audit": ("n_pairs", "rng", "radius"),
     "reduction.make_reduction_setup": ("kernel_dim",),
-    "reduction.marino_prodi_perturb": ("b", "rng"),
+    "reduction.marino_prodi_perturb": ("rng",),
     "reduction.solve_psi": ("tol", "w0"),
     "spectral.decompose": ("kernel_dim_hint",),
     "spectral.split_continuity_audit": ("radius", "rng"),
@@ -129,7 +128,7 @@ def test_public_keyword_surface_is_pinned():
         if names:
             found[qualname] = names
     assert found == DEFAULTED
-    assert sum(len(names) for names in found.values()) == 33
+    assert sum(len(names) for names in found.values()) == 30
 
 
 def _module_constants():

@@ -34,7 +34,7 @@ from veldt.reduction import PerturbedFunctional, _reduction_extent
 def _pencil(problem):
     u0 = problem.u0.coeffs
     F = problem.energy.hessian_dual(u0)
-    G = problem.constraints[0].hessian_dual(u0)
+    G = problem.constraint.hessian_dual(u0)
     return pencil_eigs(F, G, problem.disc.gram), F, G
 
 
@@ -127,7 +127,7 @@ def test_p2_branch_symmetry(p2_report, prob_p2):
     for s1, s2 in zip(b1.samples, b2.samples):
         assert s1.lam == s2.lam
         # mirrored solutions of an even functional carry equal values
-        func = prob_p2.at_parameter([s1.lam])
+        func = prob_p2.at_parameter(s1.lam)
         assert abs(func.value(s1.coeffs) - func.value(s2.coeffs)) < 1e-10
         assert np.allclose(s1.coeffs, -s2.coeffs, atol=1e-8)
 
@@ -184,7 +184,8 @@ def test_refinement_failure_is_recorded_as_gap(prob_p2, monkeypatch):
         return solve_psi(setup, lam, z, **kwargs)
 
     monkeypatch.setattr(veldt.bifurcation, "solve_psi", failing_after_star)
-    report = detect_branches(prob_p2, (0.9, 1.1), grid=5, solution_cap=1, rng=np.random.default_rng(0))
+    monkeypatch.setattr(veldt.bifurcation, "SOLUTION_CAP", 1)
+    report = detect_branches(prob_p2, (0.9, 1.1), grid=5, rng=np.random.default_rng(0))
     (cand,) = report.candidates
     assert [g["lam"] for g in cand.gaps] == pytest.approx([1.05, 1.1])
     assert all("refinement start refused" in g["reason"] for g in cand.gaps)
@@ -215,16 +216,18 @@ def transcritical(disc16):
     return _mass_document(disc16, _term(0.5, 1, 2), _term(1.0 / 3.0, 0, 3), _term(0.25, 0, 4))
 
 
-def test_solution_cap_does_not_invent_alternative_ii(transcritical):
+def test_solution_cap_does_not_invent_alternative_ii(transcritical, monkeypatch):
     # the refinement must count solutions as the sweep does, without the
     # trivial one and those beyond the amplitude cap, so a cap of one changes
     # no label
-    def label(**kwargs):
-        report = detect_branches(transcritical, (0.9999, 1.3), grid=4, rng=np.random.default_rng(0), **kwargs)
+    def label():
+        report = detect_branches(transcritical, (0.9999, 1.3), grid=4, rng=np.random.default_rng(0))
         (cand,) = report.candidates
         return cand.alternative
 
-    assert label(solution_cap=1) == label()
+    default = label()
+    monkeypatch.setattr(veldt.bifurcation, "SOLUTION_CAP", 1)
+    assert label() == default
 
 
 def test_linearly_growing_branch_chains_into_one_branch_per_side(transcritical):
@@ -296,20 +299,28 @@ def test_candidate_set_matches_pencil_in_window(prob_p2, prob_p1_64, p4, beam8):
     assert report4.candidates[0].lam_star == pytest.approx(500.5639017404, rel=1e-6)
 
 
-def test_detect_branches_solves_the_pencil_once_per_sweep(prob_p2, monkeypatch):
-    # the candidate's reduction takes its box and trust radius from the sweep's pencil
+def test_reduction_extent_follows_the_pencil_separation(prob_p2):
+    # the candidate's reduction takes its box and trust radius from the separation in its pencil
     pencil, _, _ = _pencil(prob_p2)
     idx, _ = pencil.nearest(1.0)
     setup = make_reduction_setup(prob_p2, float(pencil.eigenvalues[idx]))
     assert (setup.lambda_box, setup.trust_radius) == _reduction_extent(pencil.separation(idx))
     assert _reduction_extent(np.inf) == (0.45, 0.3)
 
+
+def test_detect_branches_builds_one_reduction_setup_per_candidate(prob_p2, monkeypatch):
+    # the sweep reduces through the public constructor, with the candidate's multiplicity as kernel dimension
     calls = []
-    solve = veldt.reduction.pencil_eigs
-    monkeypatch.setattr(veldt.reduction, "pencil_eigs", lambda *args: calls.append(args) or solve(*args))
-    report = detect_branches(prob_p2, (0.9, 1.1), grid=3, rng=np.random.default_rng(0))
-    assert len(report.candidates) == 1
-    assert calls == []
+    build = veldt.bifurcation.make_reduction_setup
+
+    def counted(problem, lam_star, kernel_dim=None):
+        calls.append((lam_star, kernel_dim))
+        return build(problem, lam_star, kernel_dim)
+
+    monkeypatch.setattr(veldt.bifurcation, "make_reduction_setup", counted)
+    report = detect_branches(prob_p2, (0.9, 4.1), grid=3, rng=np.random.default_rng(0))
+    assert [(c.lam_star, c.multiplicity) for c in report.candidates] == calls
+    assert [round(lam, 6) for lam, _ in calls] == [1.0, 4.0]
 
 
 def test_index_jump_report_embedding(prob_p1_64):
@@ -354,7 +365,7 @@ def test_mirrored_start_is_the_minus_solve_bit_for_bit(case, prob_p2, monkeypatc
     n = veldt.bifurcation.BRANCH_STARTS
     starts = _star_seeds(np.zeros(nu), np.eye(nu), np.linspace(1.0 / n, 0.9, n) * rho)
     multistart = veldt.bifurcation._reduced_multistart
-    for lam in ([0.9], [1.05], [1.3]):
+    for lam in (0.9, 1.05, 1.3):
         for plus, minus in zip(starts[1::2], starts[2::2]):
             mirrored, solved = veldt.bifurcation._mirror(_solve_from(setup, lam, plus)), _solve_from(setup, lam, minus)
             if isinstance(solved, Exception):
@@ -435,22 +446,22 @@ def setup_p2_origin(prob_p2):
 
 
 def test_origin_is_minimum_below_crossing(setup_p2_origin):
-    assert classify_reduced_origin(setup_p2_origin, [0.95]) == "local_min"
+    assert classify_reduced_origin(setup_p2_origin, 0.95) == "local_min"
 
 
 def test_origin_is_maximum_above_crossing(setup_p2_origin):
-    assert classify_reduced_origin(setup_p2_origin, [1.05]) == "local_max"
+    assert classify_reduced_origin(setup_p2_origin, 1.05) == "local_max"
 
 
 def test_origin_at_crossing_is_minimum_of_quartic(setup_p2_origin):
     # the reduced functional degenerates to its quartic part at the crossing
-    assert classify_reduced_origin(setup_p2_origin, [1.0]) == "local_min"
+    assert classify_reduced_origin(setup_p2_origin, 1.0) == "local_min"
 
 
 def test_origin_not_isolated_when_probe_radius_reaches_branch(setup_p2_origin):
     rho = setup_p2_origin.trust_radius
     with pytest.raises(NotIsolatedError):
-        classify_reduced_origin(setup_p2_origin, [1.05], radii=[0.6 * rho, 0.7 * rho, 0.8 * rho])
+        classify_reduced_origin(setup_p2_origin, 1.05, radii=[0.6 * rho, 0.7 * rho, 0.8 * rho])
 
 
 def _raising(error):
@@ -464,13 +475,13 @@ def test_origin_hessian_cross_check_propagates_evaluation_error(setup_p2_origin,
     broken = _raising(EvaluationError("non-finite integrand output"))
     monkeypatch.setattr(veldt.bifurcation, "reduced_hessian_at_origin", broken)
     with pytest.raises(EvaluationError):
-        classify_reduced_origin(setup_p2_origin, [0.95])
+        classify_reduced_origin(setup_p2_origin, 0.95)
 
 
 def test_origin_keeps_sphere_label_when_hessian_probe_solve_fails(setup_p2_origin, monkeypatch):
     failed = _raising(ReductionFailureError("complement Newton stalled", residual=1.0, iterations=3))
     monkeypatch.setattr(veldt.bifurcation, "reduced_hessian_at_origin", failed)
-    assert classify_reduced_origin(setup_p2_origin, [0.95]) == "local_min"
+    assert classify_reduced_origin(setup_p2_origin, 0.95) == "local_min"
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +495,8 @@ def prob_p2_48(p2):
 
 
 def _audit(problem, lam, rng):
-    func = problem.at_parameter([lam])
-    seeds = _census_seeds(problem, [lam], [0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0], 8, rng)
+    func = problem.at_parameter(lam)
+    seeds = _census_seeds(problem, func, [0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0], 8, rng)
     return morse_inequality_audit(func, seeds)
 
 
@@ -532,8 +543,8 @@ def _counting_polish(monkeypatch):
 def test_census_stops_at_its_first_degenerate_find(prob_p2_48, monkeypatch):
     # at lambda = 1 the origin is degenerate, and the first seed is the origin
     polished = _counting_polish(monkeypatch)
-    func = prob_p2_48.at_parameter([1.0])
-    seeds = _census_seeds(prob_p2_48, [1.0], [0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0], 8, np.random.default_rng(0))
+    func = prob_p2_48.at_parameter(1.0)
+    seeds = _census_seeds(prob_p2_48, func, [0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0], 8, np.random.default_rng(0))
     with pytest.raises(DegenerateCriticalPointError) as err:
         morse_inequality_audit(func, seeds)
     assert len(polished) == 1 < len(seeds)
@@ -543,16 +554,16 @@ def test_census_stops_at_its_first_degenerate_find(prob_p2_48, monkeypatch):
 
 def test_degenerate_point_outside_window_does_not_abort(prob_p2_48, monkeypatch):
     polished = _counting_polish(monkeypatch)
-    func = prob_p2_48.at_parameter([1.0])
-    seeds = _census_seeds(prob_p2_48, [1.0], [0.25, 0.5, 1.0], 2, np.random.default_rng(0))
+    func = prob_p2_48.at_parameter(1.0)
+    seeds = _census_seeds(prob_p2_48, func, [0.25, 0.5, 1.0], 2, np.random.default_rng(0))
     audit = morse_inequality_audit(func, seeds, window=(0.5, 1.0))  # the origin has value 0
     assert len(polished) == len(seeds)
     assert audit.points == [] and audit.counts == {}
 
 
 def test_census_window_filter(prob_p2_48):
-    func = prob_p2_48.at_parameter([2.5])
-    seeds = _census_seeds(prob_p2_48, [2.5], [0.25, 0.5, 1.0, 2.0, 3.0], 4, np.random.default_rng(0))
+    func = prob_p2_48.at_parameter(2.5)
+    seeds = _census_seeds(prob_p2_48, func, [0.25, 0.5, 1.0, 2.0, 3.0], 4, np.random.default_rng(0))
     audit = morse_inequality_audit(func, seeds, window=(-2.0, -0.5))
     assert audit.counts == {0: 2}
     assert not audit.identity_holds  # a window that cuts the minimum cell need not sum to one

@@ -425,6 +425,7 @@ def test_reduce_scenario(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "pass"
     assert report["result"]["lipschitz"]["passed"] is True
+    assert report["result"]["lam_star"] == [1.0]
     rows = (out / "reduced.csv").read_text().strip().splitlines()
     assert rows[0] == "lam_0,z_0,value,grad_norm,residual,correction_norm"
     assert len(rows) == 1 + 3 * 9
@@ -450,6 +451,28 @@ def test_bifurcate_scenario(tmp_path):
     amp_sup = [float(r.split(",")[5]) for r in rows if abs(float(r.split(",")[3]) - 1.0833333333333333) < 1e-6]
     for a in amp_sup:
         assert a == pytest.approx(2 * np.sqrt((1.0833333333333333 - 1) / 3), rel=0.02)
+    assert {r.split(",")[8] for r in rows} == {"-1"}  # no orbits off periodic spaces
+
+
+def test_periodic_orbit_tags_group_translates_at_each_parameter(tmp_path):
+    # f = u'^2/2 + u^2/2 + u^4/4 with the mass constraint on the circle: the
+    # eigenvalue 2 has the kernel {cos x, sin x}, and every solution at one
+    # parameter value is a translate of every other, whatever branch holds it
+    term = lambda coef, alpha, power: {"coef": coef, "factors": [{"component": 0, "alpha": [alpha], "power": power}]}
+    cfg = {
+        "problem": {"n": 1, "m": 1, "N": 1, "integrand": {"terms": [term(0.5, 1, 2), term(0.5, 0, 2), term(0.25, 0, 4)]}},
+        "scenario": "bifurcate",
+        "discretization": {"domain": [0, "2pi"], "m": 1, "bc": "periodic", "K": 9},
+        "params": {"window": [1.99, 2.01], "grid": 9},
+    }
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", cfg), out) == 0
+    rows = [r.split(",") for r in (out / "branches.csv").read_text().strip().splitlines()[1:]]
+    per_lam = {}
+    for r in rows:
+        per_lam.setdefault(r[3], []).append(r[8])
+    assert len(per_lam) >= 2 and all(len(tags) > 1 for tags in per_lam.values())
+    assert {r[8] for r in rows} == {"0"}
 
 
 def test_bifurcate_records_gap_when_every_start_fails(tmp_path, monkeypatch):

@@ -160,7 +160,7 @@ def _oracle_cases():
 def test_combined_matches_two_pass(case, lam):
     _, f, g, disc = case
     F, G = DiscretizedFunctional(f, disc), DiscretizedFunctional(g, disc)
-    combined = CombinedFunctional(F, [G], [lam])
+    combined = CombinedFunctional(F, G, lam)
     rng = np.random.default_rng(11)
     for _ in range(3):
         c = rng.standard_normal(disc.dim)
@@ -185,7 +185,7 @@ def test_combined_reports_non_finite_constraint_output(p2, disc16, lam):
 
     A = len(disc16.index_set)
     bad = _mass_functional(disc16, f=nan_like(()), grad_f=nan_like((1, A)), hess_f=nan_like((1, A, 1, A)))
-    combined = CombinedFunctional(DiscretizedFunctional(p2.lagrangian, disc16), [bad], [lam])
+    combined = CombinedFunctional(DiscretizedFunctional(p2.lagrangian, disc16), bad, lam)
     c = np.zeros(disc16.dim)
     c[0] = 0.5
     for evaluate, tag in (
@@ -199,7 +199,7 @@ def test_combined_reports_non_finite_constraint_output(p2, disc16, lam):
 
 def test_combined_hessian_requires_p2_of_every_term(p2, disc16):
     cubic = _mass_functional(disc16, growth=GrowthSpec.canonical(1, 1, p=3.0))
-    combined = CombinedFunctional(DiscretizedFunctional(p2.lagrangian, disc16), [cubic], [1.05])
+    combined = CombinedFunctional(DiscretizedFunctional(p2.lagrangian, disc16), cubic, 1.05)
     c = np.full(disc16.dim, 0.05)
     combined.gradient_dual(c)
     with pytest.raises(CapabilityError):
@@ -209,7 +209,7 @@ def test_combined_hessian_requires_p2_of_every_term(p2, disc16):
 def test_combined_checks_every_term_signature(p1, p4, disc16):
     beam_constraint = DiscretizedFunctional(p4.constraint, disc16)
     with pytest.raises(ConfigurationError):
-        CombinedFunctional(DiscretizedFunctional(p1.lagrangian, disc16), [beam_constraint], [1.0])
+        CombinedFunctional(DiscretizedFunctional(p1.lagrangian, disc16), beam_constraint, 1.0)
 
 
 def test_star_seeds_order_and_copy():

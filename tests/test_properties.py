@@ -259,7 +259,7 @@ def test_overflowing_constraint_term_keeps_its_tag(lam):
     model = load_problem(doc)
     disc = build_space((0.0, np.pi), 1, "dirichlet", 6)
     F, G = DiscretizedFunctional(model.lagrangian, disc), DiscretizedFunctional(model.constraint, disc)
-    combined = CombinedFunctional(F, [G], [lam])
+    combined = CombinedFunctional(F, G, lam)
     c = np.zeros(disc.dim)
     c[0] = 1e80
     F.hessian_dual(c)  # the energy alone is finite

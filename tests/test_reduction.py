@@ -17,7 +17,8 @@ import veldt.functional
 import veldt.reduction
 from veldt.errors import ConfigurationError, DegenerateKernelError, ReductionFailureError
 from veldt.functional import VariationalProblem, gradient_norm
-from veldt.reduction import _directions
+from veldt.reduction import PerturbedFunctional, _directions
+from veldt.spectral import decompose
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,7 @@ def test_setup_requires_kernel(p2, disc32):
 
 @pytest.mark.parametrize("lam", [0.9, 1.0, 1.3])
 def test_psi_vanishes_at_zero(setup_p2, lam):
-    sample = solve_psi(setup_p2, [lam], np.zeros(1))
+    sample = solve_psi(setup_p2, lam, np.zeros(1))
     assert sample.correction_norm == 0.0
     assert sample.iterations == 0
 
@@ -76,39 +77,39 @@ def test_psi_vanishes_at_zero_p4(p4, beam8):
     problem = VariationalProblem(model=p4, disc=beam8)
     lam1 = 500.5639017404
     setup = make_reduction_setup(problem, lam1, kernel_dim=1)
-    sample = solve_psi(setup, [lam1], np.zeros(1))
+    sample = solve_psi(setup, lam1, np.zeros(1))
     assert sample.correction_norm == 0.0
 
 
 def test_psi_vanishes_at_zero_remaining_catalog(setup_p1, setup_p3):
     for setup in (setup_p1, setup_p3):
         for off in (-0.4, 0.0, 0.4):
-            sample = solve_psi(setup, [1.0 + off], np.zeros(1))
+            sample = solve_psi(setup, 1.0 + off, np.zeros(1))
             assert sample.correction_norm == 0.0
 
 
 def test_psi_is_zero_for_linear_problem(setup_p1):
     for lam in (0.7, 1.0, 1.4):
         for z in (0.1, -0.4, 0.8):
-            sample = solve_psi(setup_p1, [lam], np.array([z]))
+            sample = solve_psi(setup_p1, lam, np.array([z]))
             assert sample.correction_norm < 1e-13
 
 
 def test_psi_cubic_smallness(setup_p2, disc32):
-    sample = solve_psi(setup_p2, [1.05], np.array([0.2]))
+    sample = solve_psi(setup_p2, 1.05, np.array([0.2]))
     # orthogonal to the kernel and third order in the kernel amplitude
     Z = setup_p2.kernel_basis
     w_field = setup_p2.complement_basis @ sample.y
     assert abs(float(Z[:, 0] @ disc32.gram @ w_field)) < 1e-14
-    small = solve_psi(setup_p2, [1.05], np.array([0.1]))
+    small = solve_psi(setup_p2, 1.05, np.array([0.1]))
     ratio = sample.correction_norm / small.correction_norm
     assert ratio == pytest.approx(8.0, rel=0.2)
-    assert sample.residual < 1e-11 * (1 + gradient_norm(setup_p2.functional_at([1.05]), setup_p2.lift([0.2])))
+    assert sample.residual < 1e-11 * (1 + gradient_norm(setup_p2.functional_at(1.05), setup_p2.lift([0.2])))
 
 
 def test_psi_residual_contract_on_box(setup_p2, rng):
     for _ in range(20):
-        lam = [float(setup_p2.lam_star[0] + rng.uniform(-1, 1) * setup_p2.lambda_box)]
+        lam = setup_p2.lam_star + rng.uniform(-1, 1) * setup_p2.lambda_box
         z = rng.uniform(-0.5, 0.5, size=1)
         sample = solve_psi(setup_p2, lam, z)
         scale = 1 + gradient_norm(setup_p2.functional_at(lam), setup_p2.lift(z))
@@ -117,19 +118,19 @@ def test_psi_residual_contract_on_box(setup_p2, rng):
 
 def test_psi_outside_trust_radius(setup_p2):
     with pytest.raises(ConfigurationError):
-        solve_psi(setup_p2, [1.0], np.array([setup_p2.trust_radius * 2]))
+        solve_psi(setup_p2, 1.0, np.array([setup_p2.trust_radius * 2]))
 
 
 def test_psi_outside_lambda_box(setup_p2):
     with pytest.raises(ConfigurationError):
-        solve_psi(setup_p2, [4.0], np.zeros(1))
+        solve_psi(setup_p2, 4.0, np.zeros(1))
 
 
 def test_psi_reports_nonconvergence(setup_p2, monkeypatch):
     monkeypatch.setattr(veldt.reduction, "COMPLEMENT_MAX_ITER", 1)
     bad_start = 10.0 * np.ones(setup_p2.complement_basis.shape[1])
     with pytest.raises(ReductionFailureError) as err:
-        solve_psi(setup_p2, [1.0], np.array([0.2]), w0=bad_start)
+        solve_psi(setup_p2, 1.0, np.array([0.2]), w0=bad_start)
     assert err.value.residual is not None
 
 
@@ -140,16 +141,16 @@ def test_psi_rejects_kernel_direction_in_complement(setup_p2):
     )
     w0 = np.full(widened.complement_basis.shape[1], 1e-8)
     with pytest.raises(DegenerateKernelError, match="complement block of the second variation is singular"):
-        solve_psi(widened, [1.0], np.zeros(1), w0=w0)
+        solve_psi(widened, 1.0, np.zeros(1), w0=w0)
 
 
 def test_psi_uniqueness_probe(setup_p2, rng):
     z = np.array([0.3])
-    baseline = solve_psi(setup_p2, [1.0], z)
+    baseline = solve_psi(setup_p2, 1.0, z)
     for _ in range(10):
         w0 = rng.standard_normal(setup_p2.complement_basis.shape[1])
         w0 *= 0.4 * setup_p2.trust_radius / np.linalg.norm(w0)
-        probe = solve_psi(setup_p2, [1.0], z, w0=w0)
+        probe = solve_psi(setup_p2, 1.0, z, w0=w0)
         assert np.linalg.norm(probe.y - baseline.y) < 1e-8
 
 
@@ -162,7 +163,7 @@ def test_reduced_normal_form_fit(setup_p2):
     lam = 1.05
     amps = np.linspace(0.0, 0.3, 13)
     zs = amps * np.sqrt(np.pi)
-    vals = [reduced_value(setup_p2, [lam], np.array([z])) for z in zs]
+    vals = [reduced_value(setup_p2, lam, np.array([z])) for z in zs]
     design = np.stack([amps**2, amps**4], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.asarray(vals), rcond=None)
     assert coef[0] == pytest.approx((np.pi / 4) * (1 - lam), rel=0.01)
@@ -171,14 +172,14 @@ def test_reduced_normal_form_fit(setup_p2):
 
 def test_reduced_gradient_zero_at_origin(setup_p2):
     for lam in (0.9, 1.0, 1.2):
-        g = solve_psi(setup_p2, [lam], np.zeros(1)).gradient
+        g = solve_psi(setup_p2, lam, np.zeros(1)).gradient
         assert np.max(np.abs(g)) < 1e-12
 
 
 def test_reduced_gradient_matches_value_differences(setup_p2, rng):
     h = 1e-4
     for _ in range(50):
-        lam = [float(1.0 + rng.uniform(-0.5, 0.5))]
+        lam = 1.0 + rng.uniform(-0.5, 0.5)
         z = rng.uniform(-0.4, 0.4, size=1)
         g = solve_psi(setup_p2, lam, z).gradient
         fd = (
@@ -189,7 +190,7 @@ def test_reduced_gradient_matches_value_differences(setup_p2, rng):
 
 def test_sample_reduced_grid(setup_p2):
     zs = [np.array([z]) for z in np.linspace(-0.4, 0.4, 21)]
-    result = sample_reduced(setup_p2, [1.05], zs)
+    result = sample_reduced(setup_p2, 1.05, zs)
     assert len(result.samples) == 21
     assert result.max_residual() < 2e-11
     rows = result.to_rows()
@@ -201,19 +202,19 @@ def test_sample_reduced_grid(setup_p2):
 
 
 def test_lipschitz_zero_for_linear(setup_p1):
-    audit = lipschitz_audit(setup_p1, [1.0], n_pairs=10)
+    audit = lipschitz_audit(setup_p1, 1.0, n_pairs=10)
     assert audit.max_ratio < 1e-12
     assert audit.passed
 
 
 def test_lipschitz_small_near_crossing(setup_p2):
-    audit = lipschitz_audit(setup_p2, [1.0], n_pairs=25, radius=0.2)
+    audit = lipschitz_audit(setup_p2, 1.0, n_pairs=25, radius=0.2)
     assert audit.max_ratio < 0.5
     assert audit.passed
 
 
 def test_lipschitz_p3_within_contract(setup_p3):
-    audit = lipschitz_audit(setup_p3, [1.0], n_pairs=25, radius=0.1)
+    audit = lipschitz_audit(setup_p3, 1.0, n_pairs=25, radius=0.1)
     assert audit.max_ratio <= 3.0
     assert audit.passed
 
@@ -223,12 +224,12 @@ def test_lipschitz_p3_within_contract(setup_p3):
 
 
 def test_reduced_hessian_vanishes_at_crossing(setup_p2):
-    H = reduced_hessian_at_origin(setup_p2, [1.0])
+    H = reduced_hessian_at_origin(setup_p2, 1.0)
     assert np.max(np.abs(H)) == 0.0
 
 
 def test_reduced_hessian_offset_value(setup_p2, disc32):
-    H = reduced_hessian_at_origin(setup_p2, [1.05])
+    H = reduced_hessian_at_origin(setup_p2, 1.05)
     # in the normalized kernel coordinate the constraint form averages to 1/2;
     # scaling back to the raw sine coefficient recovers the factor pi/2
     assert H[0, 0] == pytest.approx(-0.05 * 0.5, rel=1e-10)
@@ -238,15 +239,15 @@ def test_reduced_hessian_offset_value(setup_p2, disc32):
 
 
 def test_reduced_hessian_sign_flip(setup_p2):
-    Hp = reduced_hessian_at_origin(setup_p2, [1.05])
-    Hm = reduced_hessian_at_origin(setup_p2, [0.95])
+    Hp = reduced_hessian_at_origin(setup_p2, 1.05)
+    Hm = reduced_hessian_at_origin(setup_p2, 0.95)
     assert Hp[0, 0] == pytest.approx(-Hm[0, 0], rel=1e-10)
 
 
 def test_reduced_hessian_formula_matches_probe_tightly(setup_p2, monkeypatch):
     # the finite-difference cross-check runs inside; a tight tolerance must hold
     monkeypatch.setattr(veldt.reduction, "HESSIAN_CHECK_TOL", 1e-6)
-    H = reduced_hessian_at_origin(setup_p2, [1.05])
+    H = reduced_hessian_at_origin(setup_p2, 1.05)
     assert H.shape == (1, 1)
 
 
@@ -257,16 +258,17 @@ def test_reduced_hessian_formula_matches_probe_tightly(setup_p2, monkeypatch):
 @pytest.fixture(scope="module")
 def degenerate_p2(p2, disc32):
     problem = VariationalProblem(model=p2, disc=disc32)
-    return problem, problem.at_parameter([1.0])
+    return problem, problem.at_parameter(1.0)
 
 
 def test_tilt_zero_vector_is_identity(degenerate_p2, rng):
     problem, func = degenerate_p2
-    result = marino_prodi_perturb(func, problem.u0, r=0.5, delta_inner=0.25, b=np.zeros(1))
+    Z = decompose(func.hessian_dual(problem.u0.coeffs), problem.disc.gram).kernel_vectors
+    perturbed = PerturbedFunctional(func, problem.u0, Z, r=0.5, delta=0.25, b_coords=np.zeros(1))
     for _ in range(5):
         c = rng.standard_normal(problem.disc.dim) * 0.1
-        assert result.perturbed.value(c) == func.value(c)
-        assert np.array_equal(result.perturbed.gradient_dual(c), func.gradient_dual(c))
+        assert perturbed.value(c) == func.value(c)
+        assert np.array_equal(perturbed.gradient_dual(c), func.gradient_dual(c))
 
 
 def test_tilt_gradient_and_hessian_are_consistent(degenerate_p2, rng):
@@ -324,7 +326,7 @@ def test_tilt_is_active_inside(degenerate_p2):
 
 def test_tilt_rejects_nondegenerate_base(p2, disc32):
     problem = VariationalProblem(model=p2, disc=disc32)
-    func = problem.at_parameter([0.5])
+    func = problem.at_parameter(0.5)
     with pytest.raises(ConfigurationError):
         marino_prodi_perturb(func, problem.u0, r=0.5, delta_inner=0.25)
 
@@ -354,10 +356,10 @@ class _FlippedHessian:
 
 def test_psi_stall_reports_iterations_run(setup_p2):
     flipped = dataclasses.replace(
-        setup_p2, energy=_FlippedHessian(setup_p2.functional_at([1.0])), constraints=[], lam_star=np.zeros(0)
+        setup_p2, energy=_FlippedHessian(setup_p2.functional_at(1.0)), constraint=None, lam_star=0.0
     )
     with pytest.raises(ReductionFailureError) as err:
-        solve_psi(flipped, np.zeros(0), np.array([0.2]))
+        solve_psi(flipped, 0.0, np.array([0.2]))
     assert err.value.iterations == 1
     assert err.value.residual > 0
 
@@ -380,7 +382,7 @@ def _count_gradient_assemblies(monkeypatch):
 
 def test_psi_sample_records_corrected_point_and_reduced_gradient(setup_p2):
     for w0 in (None, np.full(setup_p2.complement_basis.shape[1], 1e-3)):
-        sample = solve_psi(setup_p2, [1.05], np.array([0.3]), w0=w0)
+        sample = solve_psi(setup_p2, 1.05, np.array([0.3]), w0=w0)
         assert sample.iterations > 0
         np.testing.assert_array_equal(sample.coeffs, setup_p2.lift(sample.z, sample.y))
         np.testing.assert_array_equal(sample.gradient, setup_p2.kernel_basis.T @ sample.load)
@@ -390,7 +392,7 @@ def test_psi_sample_records_corrected_point_and_reduced_gradient(setup_p2):
 
 def test_psi_reuses_scale_load_at_converged_start(setup_p2, monkeypatch):
     calls = _count_gradient_assemblies(monkeypatch)
-    sample = solve_psi(setup_p2, [1.0], np.zeros(1))
+    sample = solve_psi(setup_p2, 1.0, np.zeros(1))
     assert sample.iterations == 0
     assert len(calls) == 1
     np.testing.assert_array_equal(sample.load, np.zeros(setup_p2.disc.dim))
@@ -408,7 +410,7 @@ def test_reduced_newton_reads_gradient_from_complement_solve(setup_p2, monkeypat
         return sample
 
     monkeypatch.setattr(veldt.bifurcation, "solve_psi", watched)
-    z, _, converged = veldt.bifurcation._reduced_newton(setup_p2, [1.1], np.array([0.5]))
+    z, _, converged = veldt.bifurcation._reduced_newton(setup_p2, 1.1, np.array([0.5]))
     marks.append(len(calls))
     assert converged and z[0] == pytest.approx(0.6485, abs=1e-3)
     assert len(marks) > 3
@@ -421,22 +423,22 @@ def test_functional_at_builds_one_combined_functional_per_parameter(setup_p2, mo
     builds = []
     original = veldt.functional._combined_lagrangian
 
-    def counted(energy, constraints, lam):
-        builds.append(lam.tolist())
-        return original(energy, constraints, lam)
+    def counted(energy, constraint, lam):
+        builds.append(lam)
+        return original(energy, constraint, lam)
 
     monkeypatch.setattr(veldt.functional, "_combined_lagrangian", counted)
     setup = dataclasses.replace(setup_p2)  # a fresh cache
-    z, _, converged = veldt.bifurcation._reduced_newton(setup, [1.1], np.array([0.5]))
+    z, _, converged = veldt.bifurcation._reduced_newton(setup, 1.1, np.array([0.5]))
     assert converged
-    for lam in (1.1, [1.1], np.array([1.1])):
+    for lam in (1.1, np.float64(1.1)):
         solve_psi(setup, lam, z)
-    assert builds == [[1.1]]
-    assert setup.functional_at(1.1) is setup.functional_at(np.array([1.1]))
-    solve_psi(setup, [0.9], np.zeros(1))
-    assert builds == [[1.1], [0.9]]
+    assert builds == [1.1]
+    assert setup.functional_at(1.1) is setup.functional_at(np.float64(1.1))
+    solve_psi(setup, 0.9, np.zeros(1))
+    assert builds == [1.1, 0.9]
     dataclasses.replace(setup).functional_at(1.1)
-    assert builds == [[1.1], [0.9], [1.1]]
+    assert builds == [1.1, 0.9, 1.1]
 
 
 def test_probe_directions_are_signed_axes_then_normalized_draws():

@@ -27,7 +27,7 @@ from test_bifurcation import _shifted_p2
 def _hessians(problem):
     u0 = problem.u0.coeffs
     F = problem.energy.hessian_dual(u0)
-    G = problem.constraints[0].hessian_dual(u0)
+    G = problem.constraint.hessian_dual(u0)
     return F, G
 
 
@@ -427,5 +427,5 @@ def test_nondegenerate_origin_gives_nonsingular_reduced_hessian(p2, disc32):
     for lam in (0.95, 1.05):
         dec = decompose(F - lam * G, disc32.gram)
         assert dec.nullity == 0
-        H = reduced_hessian_at_origin(setup, [lam])
+        H = reduced_hessian_at_origin(setup, lam)
         assert np.min(np.abs(np.linalg.eigvalsh(H))) > 1e-8
