@@ -4,19 +4,19 @@ A :class:`Discretization` carries a scalar basis with derivative tables at
 quadrature nodes, replicated over field components, together with the Gram
 matrix of the order-m Sobolev inner product.  Assemblies return dual-space
 objects (load vectors, bilinear-form matrices); Riesz representatives are
-obtained through the cached Cholesky factor of the Gram matrix.
+obtained through the Cholesky factor of the Gram matrix and its inverse,
+computed once per space.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
-from scipy.linalg import block_diag, cho_factor, cho_solve, eigh, eigvalsh_tridiagonal
 
 from .errors import CapabilityError, ConfigurationError, DiscretizationError
 from .lagrangian import Lagrangian, MultiIndexSet, enumerate_multi_indices
@@ -90,6 +90,36 @@ def _clamped_mode_table(mu: float, s: np.ndarray, order: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Gram factors
+
+# id(gram) -> (weak reference to gram, L, W) for every live read-only Gram matrix
+_GRAM_FACTORS: dict = {}
+
+
+def _gram_factors(gram: np.ndarray):
+    """Lower Cholesky factor L of a symmetric positive definite matrix and its inverse W = L^-1.
+
+    Then gram^-1 = W^T W, and the generalized problem A x = mu gram x is the
+    symmetric problem of the congruence W A W^T, with x = W^T y.  A read-only
+    matrix (every ``Discretization`` Gram is one) is factored once: its pair is
+    kept, keyed by identity, for as long as the matrix lives.
+    """
+    gram = np.asarray(gram, dtype=float)
+    entry = _GRAM_FACTORS.get(id(gram))
+    if entry is not None and entry[0]() is gram:
+        return entry[1], entry[2]
+    try:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise DiscretizationError(f"Gram matrix is not positive definite: {exc}") from exc
+    W = np.tril(np.linalg.inv(L))
+    if not gram.flags.writeable:
+        key = id(gram)
+        _GRAM_FACTORS[key] = (weakref.ref(gram, lambda _: _GRAM_FACTORS.pop(key, None)), L, W)
+    return L, W
+
+
+# ---------------------------------------------------------------------------
 # discretization
 
 
@@ -124,11 +154,7 @@ class Discretization:
     def __post_init__(self):
         for arr in (self.nodes, self.weights, self.dtab, self.gram, self.gram_lower, self.gram_top, self.mass):
             arr.setflags(write=False)
-        try:
-            cho = cho_factor(self.gram)
-        except np.linalg.LinAlgError as exc:
-            raise DiscretizationError(f"Gram matrix is not positive definite: {exc}") from exc
-        object.__setattr__(self, "_cho", cho)
+        _gram_factors(self.gram)
 
     # -- linear algebra in the Sobolev geometry ---------------------------
 
@@ -137,10 +163,11 @@ class Discretization:
         return self.n_components * self.K
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        try:
-            return cho_solve(self._cho, rhs)
-        except Exception as exc:  # pragma: no cover - SPD invariant makes this unreachable
-            raise DiscretizationError(f"Gram solve failed: {exc}") from exc
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise DiscretizationError("Gram solve failed: the right-hand side is not finite")
+        _, W = _gram_factors(self.gram)
+        return W.T @ (W @ rhs)
 
     def norm(self, a: np.ndarray) -> float:
         return float(np.sqrt(max(a @ self.gram @ a, 0.0)))
@@ -215,22 +242,40 @@ class Field:
 
 
 def _leggauss(count: int):
-    """``numpy.polynomial.legendre.leggauss(count)``, with its first node estimates from a tridiagonal solve.
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    The estimates are the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix, off-diagonal k / sqrt(4k^2 - 1) (Golub and Welsch), which numpy
-    solves as a dense matrix.  The Newton step, the weights (each factor scaled
-    against overflow), the symmetrisation and the normalisation follow numpy.
+    Newton's method on the three-term recurrence from Tricomi's initial
+    guesses, over the nodes in (0, 1) and the middle node (Hale and Townsend,
+    SIAM J. Sci. Comput. 35(2), 2013).  The weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the polished nodes, and the rule is mirrored
+    so that it is exactly symmetric.
     """
-    k = np.arange(1, count)
-    x = eigvalsh_tridiagonal(np.zeros(count), k / np.sqrt(4.0 * k * k - 1.0))
-    c = np.array([0] * count + [1])
-    dy, df = legval(x, c), legval(x, legder(c))
-    x -= dy / df
-    fm = legval(x, c[1:])
-    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
-    w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
-    return x, w * (2.0 / w.sum())
+    n = count
+    k = np.arange(1, n // 2 + 1)
+    theta = (4 * k - 1) * np.pi / (4 * n + 2)
+    x = (1 - (n - 1) / (8.0 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384.0 * n**4)) * np.cos(theta)
+    x = np.append(x, [0.0] * (n % 2))  # descending, the middle node last
+    ks = np.arange(2, n + 1)
+    recurrence = list(zip(((2 * ks - 1) / ks).tolist(), ((ks - 1) / ks).tolist()))
+
+    def legendre(x):
+        """P_n(x) and P_n'(x), with P_k = (2k - 1)/k x P_(k-1) - (k - 1)/k P_(k-2)."""
+        p0, p1 = np.ones_like(x), x
+        for a, b in recurrence:
+            p0, p1 = p1, a * x * p1 - b * p0
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    # the guesses are within 2e-3 even at n = 2, and Newton converges quadratically
+    for _ in range(8):
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    _, dp = legendre(x)
+    w = 2.0 / ((1 - x * x) * dp * dp)
+    half = n // 2
+    return np.concatenate([-x[:half], x[half:], x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
 
 
 def _gauss_nodes(a: float, b: float, rule):
@@ -404,7 +449,11 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
         # the sum over the selected alphas and the nodes of w_q D[a, q, j] D[a, q, k], as one GEMM
         tabs = dtab[sel]
         scalar = tabs.reshape(-1, K).T @ (weights[:, None] * tabs).reshape(-1, K)
-        return block_diag(*[0.5 * (scalar + scalar.T)] * n_components)
+        scalar = 0.5 * (scalar + scalar.T)
+        block = np.zeros((n_components * K, n_components * K))
+        for i in range(n_components):
+            block[i * K : (i + 1) * K, i * K : (i + 1) * K] = scalar
+        return block
 
     gram_lower = gram_block(orders <= m - 1)
     gram_top = gram_block(orders == m)
@@ -559,7 +608,8 @@ def hessian_split(lag: Lagrangian, u: Field) -> HessianSplit:
     Qm = _symmetric(B_low) - disc.gram_lower
     B = _symmetric(B_top + B_low)
     defect = float(np.max(np.abs(B - (P + Qm))) / max(np.max(np.abs(B)), 1e-300))
-    c0 = float(eigh(P, disc.gram, eigvals_only=True, subset_by_index=[0, 0])[0])
+    _, W = _gram_factors(disc.gram)
+    c0 = float(np.linalg.eigvalsh(W @ P @ W.T)[0])
     return HessianSplit(B=B, P=P, Q=Qm, C0_estimate=c0, split_defect=defect)
 
 
@@ -572,8 +622,8 @@ def estimate_sobolev_constant(disc: Discretization) -> float:
     """
     if disc.bc != "dirichlet":
         raise CapabilityError("the embedding estimate requires dirichlet boundary conditions")
-    vals = eigh(disc.mass, disc.gram_top, eigvals_only=True)
-    return float(vals[-1])
+    _, W = _gram_factors(disc.gram_top)
+    return float(np.linalg.eigvalsh(W @ disc.mass @ W.T)[-1])
 
 
 @dataclass

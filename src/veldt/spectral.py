@@ -2,9 +2,11 @@
 
 All eigenproblems are posed in the Sobolev geometry: a dual bilinear-form
 matrix B paired with the Gram matrix defines the operator gram^-1 B, and
-``decompose`` solves the symmetric generalized problem B c = mu * gram * c.
-The pencil machinery handles F'' v = lambda G'' v and the index bookkeeping
-used by the bifurcation tests.
+``decompose`` solves the symmetric generalized problem B c = mu * gram * c
+as the symmetric problem of the congruence W B W^T, where W is the inverse
+of the Gram matrix's Cholesky factor, computed once per space.  The pencil
+machinery handles F'' v = lambda G'' v and the index bookkeeping used by the
+bifurcation tests.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateKernelError,
@@ -21,7 +22,7 @@ from .errors import (
     HypothesisViolationError,
     IndexJumpMismatchError,
 )
-from .galerkin import Field, assemble_hessian, hessian_split
+from .galerkin import Field, _gram_factors, assemble_hessian, hessian_split
 
 __all__ = [
     "SpectralDecomposition",
@@ -34,6 +35,12 @@ __all__ = [
     "IndexJump",
     "index_jump",
 ]
+
+
+def _congruence_eigh(A: np.ndarray, W: np.ndarray):
+    """Eigenpairs of A x = mu S x for S^-1 = W^T W: eigh of the congruence W A W^T, with x = W^T y."""
+    mus, Y = np.linalg.eigh(W @ A @ W.T)
+    return mus, W.T @ Y
 
 
 def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
@@ -84,7 +91,7 @@ def decompose(B: np.ndarray, gram: np.ndarray, kernel_dim_hint: Optional[int] = 
     guessing.
     """
     B = 0.5 * (B + B.T)
-    mus, vecs = scipy.linalg.eigh(B, gram)
+    mus, vecs = _congruence_eigh(B, _gram_factors(gram)[1])
     vecs = _sign_normalize(vecs)
     radius = float(np.max(np.abs(mus))) if mus.size else 0.0
 
@@ -135,7 +142,8 @@ class SplitContinuityReport:
 
 
 def _operator_norm(delta_dual: np.ndarray, gram: np.ndarray) -> float:
-    vals = scipy.linalg.eigh(0.5 * (delta_dual + delta_dual.T), gram, eigvals_only=True)
+    _, W = _gram_factors(gram)
+    vals = np.linalg.eigvalsh(W @ (0.5 * (delta_dual + delta_dual.T)) @ W.T)
     return float(np.max(np.abs(vals)))
 
 
@@ -266,15 +274,15 @@ class PencilSpectrum:
         }
 
 
-def _gram_orthonormalize(vectors: np.ndarray, chol: np.ndarray, bounds: list) -> np.ndarray:
+def _gram_orthonormalize(vectors: np.ndarray, L: np.ndarray, W: np.ndarray, bounds: list) -> np.ndarray:
     """Columns that are Gram-orthonormal and span, group by group, the groups ``vectors[:, lo:hi]`` of ``bounds``.
 
-    ``chol`` is the lower Cholesky factor of the Gram matrix.  Each group takes
-    a QR in the image ``chol.T @ vectors``; one triangular solve maps them all back.
+    ``L`` is the lower Cholesky factor of the Gram matrix and ``W`` its inverse.
+    Each group takes a QR in the image ``L.T @ vectors``; ``W.T`` maps them all back.
     """
-    image = chol.T @ vectors
+    image = L.T @ vectors
     q = np.hstack([np.linalg.qr(image[:, lo:hi])[0] for lo, hi in bounds])
-    return _sign_normalize(scipy.linalg.solve_triangular(chol, q, lower=True, trans="T"))
+    return _sign_normalize(W.T @ q)
 
 
 def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> PencilSpectrum:
@@ -295,16 +303,17 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
             "the pencil needs an invertible base form"
         )
 
-    f_eigs = scipy.linalg.eigh(F, gram, eigvals_only=True)
+    L, W = _gram_factors(gram)
+    f_eigs = np.linalg.eigvalsh(W @ F @ W.T)
     dropped = 0
     if f_eigs[0] > 0 or f_eigs[-1] < 0:
         sign = 1.0 if f_eigs[0] > 0 else -1.0
-        R = np.linalg.cholesky(sign * F)
-        M = np.linalg.solve(R, np.linalg.solve(R, (sign * G).T).T)
-        thetas, Y = np.linalg.eigh(0.5 * (M + M.T))
-        vecs = np.linalg.solve(R.T, Y)
+        # with R the Cholesky factor of sign F: eigh of R^-1 (sign G) R^-T, vectors R^-T Y
+        thetas, vecs = _congruence_eigh(sign * G, _gram_factors(sign * F)[1])
     else:
-        thetas_c, vecs_c = scipy.linalg.eig(G, F)
+        from scipy.linalg import eig  # only an indefinite pencil needs the QZ solve; kept off the import path
+
+        thetas_c, vecs_c = eig(G, F)
         keep = np.abs(thetas_c.imag) <= 1e-8 * np.maximum(np.abs(thetas_c), 1.0)
         dropped = int(np.count_nonzero(~keep))
         thetas = thetas_c[keep].real
@@ -329,17 +338,16 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
     reps = [float(np.mean(lams[lo:hi])) for lo, hi in groups]
     mults = [hi - lo for lo, hi in groups]
     nk = int(np.count_nonzero(null_mask))
-    chol = np.linalg.cholesky(gram)
     bounds = [(0, nk)] + [(nk + lo, nk + hi) for lo, hi in groups]  # the kernel, then the eigenspaces
-    basis = _gram_orthonormalize(np.hstack([vecs[:, null_mask], lvecs]), chol, bounds)
+    basis = _gram_orthonormalize(np.hstack([vecs[:, null_mask], lvecs]), L, W, bounds)
     kernel, *spaces = [basis[:, lo:hi] for lo, hi in bounds]
 
     # relative residuals |F v - lam G v| / (|F v| + |lam| |G v|) in the dual
-    # norm |r| = |chol^-1 r|, for every eigenvector at once
+    # norm |r| = |W r|, for every eigenvector at once
     V = basis[:, nk:]
     col_lams = np.repeat(reps, mults)
     FV, GV = F @ V, G @ V
-    blocks = scipy.linalg.solve_triangular(chol, np.hstack([FV, GV, FV - col_lams * GV]), lower=True)
+    blocks = W @ np.hstack([FV, GV, FV - col_lams * GV])
     f_norm, g_norm, r_norm = np.linalg.norm(blocks, axis=0).reshape(3, -1)
     residuals = r_norm / np.maximum(f_norm + np.abs(col_lams) * g_norm, 1e-300)
     if residuals.size and np.max(residuals) > PENCIL_RESIDUAL_TOL:

@@ -23,6 +23,8 @@ from pathlib import Path
 import veldt
 from veldt.cli import CONFIG_KEYS, REQUIRED
 
+from test_cli import _readme_configs, _workload_configs
+
 # the names of ``veldt.__all__`` (one line per source module) and of each module's ``__all__``
 PUBLIC_NAMES = {
     "veldt": """
@@ -164,12 +166,65 @@ def test_tolerance_table_lists_every_module_constant():
     assert _tolerance_table() == _module_constants()
 
 
-def test_cold_cli_import_leaves_scipy_optimize_out():
-    code = "import sys, veldt.cli; print('scipy.optimize' in sys.modules)"
+# runs each config path in argv through ``cli.run`` and prints the loaded scipy modules after the import and after each run
+_SCIPY_PROBE = """
+import json, sys
+import veldt.cli as cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+print(json.dumps(loaded()))
+for path in sys.argv[1:]:
+    code = cli.run(path, path + ".out", seed=0)
+    print(json.dumps({"config": path, "code": code, "scipy": loaded()}))
+"""
+
+
+def _scipy_probe(paths):
     src = str(Path(veldt.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *map(str, paths)],
+        env={"PYTHONPATH": src, "OMP_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+    )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    cold, *runs = [json.loads(line) for line in out.stdout.splitlines()]
+    return cold, runs
+
+
+def test_cold_cli_import_leaves_scipy_optimize_out(tmp_path):
+    # no README scenario and no benchmark workload imports any of scipy
+    configs = _readme_configs() + _workload_configs()
+    paths = [tmp_path / f"cfg{i}.json" for i in range(len(configs))]
+    for path, cfg in zip(paths, configs):
+        path.write_text(json.dumps(cfg))
+    cold, runs = _scipy_probe(paths)
+    assert cold == []
+    assert len(runs) == 8
+    for run in runs:
+        assert (run["code"], run["scipy"]) == (0, []), run["config"]
+
+
+def test_clamped_space_loads_only_scipy_optimize(tmp_path):
+    cfg = {
+        "problem": "P4",
+        "scenario": "spectrum",
+        "discretization": {"domain": [0, 1], "m": 2, "bc": "dirichlet", "K": 12},
+        "params": {"lambdas": [100.0]},
+    }
+    path = tmp_path / "clamped.json"
+    path.write_text(json.dumps(cfg))
+    _, (run,) = _scipy_probe([path])
+    alone = subprocess.run(
+        [sys.executable, "-c", "import json, sys, scipy.optimize; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert alone.returncode == 0, alone.stderr
+    assert run["code"] == 0
+    assert run["scipy"] == [name for name in json.loads(alone.stdout) if name.startswith("scipy")]
 
 
 def _declared_config_keys():

@@ -1,6 +1,6 @@
+import mpmath
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from veldt import (
     assemble_functional,
@@ -13,7 +13,7 @@ from veldt import (
     q_compactness_audit,
 )
 from veldt.catalog import constant_envelope, make_polynomial_lagrangian, shifted_power_envelope
-from veldt.errors import CapabilityError, ConfigurationError
+from veldt.errors import CapabilityError, ConfigurationError, DiscretizationError
 from veldt.galerkin import _cosine_tables, _fourier_tables, _leggauss, _sine_tables, clamped_mode_parameters
 import scipy.linalg
 
@@ -141,16 +141,50 @@ def test_gram_blocks_match_einsum_reference(name):
     assert np.array_equal(disc.gram, disc.gram_lower + disc.gram_top)
 
 
+def _mpmath_gauss_rule(count, nodes):
+    """40-digit Gauss-Legendre nodes and weights nearest the given nodes, as mpmath numbers.
+
+    One recurrence at each double node x gives P_n, P_n' and, by Legendre's
+    equation, P_n''.  The Newton step h = -P_n / P_n' then carries the node,
+    and a first-order Taylor step the weight 2 / ((1 - x^2) P_n'^2), to the
+    exact rule; both neglect terms of order h^2 n^4, below 1e-25 here.
+    """
+    with mpmath.workdps(40):
+        n = count
+        recurrence = [(mpmath.mpf(2 * k - 1) / k, mpmath.mpf(k - 1) / k) for k in range(2, n + 1)]
+        rule = []
+        for node in nodes:
+            x = mpmath.mpf(float(node))
+            p0, p1 = mpmath.mpf(1), x
+            for a, b in recurrence:
+                p0, p1 = p1, a * x * p1 - b * p0
+            s = 1 - x * x
+            dp = n * (p0 - x * p1) / s
+            ddp = (2 * x * dp - n * (n + 1) * p1) / s
+            h = -p1 / dp
+            weight = 2 / (s * dp * dp)
+            rule.append((x + h, weight * (1 + (2 * x / s - 2 * ddp / dp) * h)))
+        return rule
+
+
 @pytest.mark.parametrize("count", [48, 160, 544, 1056])
-def test_leggauss_matches_numpy_rule(count):
+def test_leggauss_matches_mpmath_reference(count):
     x, w = _leggauss(count)
-    x_ref, w_ref = leggauss(count)
-    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
-    assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(w_ref)
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0)
+    # the rule is exactly symmetric, so the nodes in [0, 1) decide it
+    half = slice(count // 2, None)
+    reference = _mpmath_gauss_rule(count, x[half])
+    node_error = max(abs(mpmath.mpf(float(a)) - ref) for a, (ref, _) in zip(x[half], reference))
+    weight_error = mpmath.sqrt(
+        sum((mpmath.mpf(float(a)) - ref) ** 2 for a, (_, ref) in zip(w[half], reference))
+        / sum(ref**2 for _, ref in reference)
+    )
+    assert node_error <= 2.2e-16
+    assert weight_error <= 1e-14
     assert w.sum() == pytest.approx(2.0, rel=1e-15)
-    # the highest even degree the rule integrates exactly; numpy's rule has the same 6e-11 error at 1056
-    assert w @ x ** (2 * count - 2) == pytest.approx(2.0 / (2 * count - 1), rel=1e-10)
+    # the highest even degree the rule integrates exactly
+    assert w @ x ** (2 * count - 2) == pytest.approx(2.0 / (2 * count - 1), rel=1e-12)
 
 
 def test_field_validation():
@@ -159,6 +193,24 @@ def test_field_validation():
         disc.field(np.zeros(5))
     with pytest.raises(ConfigurationError):
         disc.field(np.full(8, np.nan))
+
+
+def test_solve_gram_is_backward_accurate_on_an_ill_conditioned_gram(rng):
+    disc = build_space((0.0, 1.0), 2, "dirichlet", 48)
+    assert np.linalg.cond(disc.gram) > 5e5
+    for rhs in (rng.standard_normal(disc.dim), rng.standard_normal((disc.dim, 3))):
+        x = disc.solve_gram(rhs)
+        assert x.shape == rhs.shape
+        residual = np.linalg.norm(disc.gram @ x - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
+        assert np.max(residual) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_gram_rejects_a_non_finite_rhs(disc16, bad):
+    rhs = np.ones(disc16.dim)
+    rhs[3] = bad
+    with pytest.raises(DiscretizationError):
+        disc16.solve_gram(rhs)
 
 
 # ---------------------------------------------------------------------------

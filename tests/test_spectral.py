@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from veldt import (
+    assemble_hessian,
     build_space,
     decompose,
     split_continuity_audit,
@@ -21,7 +23,7 @@ from veldt.errors import (
 from veldt.functional import VariationalProblem
 from veldt.galerkin import clamped_mode_parameters
 
-from test_bifurcation import _shifted_p2
+from test_bifurcation import _shifted_p2, _two_p2
 
 
 def _hessians(problem):
@@ -69,6 +71,34 @@ def test_decompose_partition_and_orthonormality(p1_pencil, rng):
     assert dec.morse_index + dec.nullity + positives == K
     gramized = dec.eigenvectors.T @ disc.gram @ dec.eigenvectors
     assert np.max(np.abs(gramized - np.eye(K))) < 1e-10
+
+
+def _oracle_form(name, rng):
+    """A dense second variation at a random field, with its space."""
+    if name == "periodic":
+        # the top-order form: k^2 / (1 + k^2) twice at each frequency k, and 0 on the constant
+        disc = build_space((0.0, 2.0 * np.pi), 1, "periodic", 9)
+        return disc.gram_top, disc
+    if name == "sine-K128":
+        disc, lag = build_space((0.0, np.pi), 1, "dirichlet", 128), model_problem("P3").lagrangian
+    elif name == "clamped-K24":
+        disc, lag = build_space((0.0, 1.0), 2, "dirichlet", 24), model_problem("P4").lagrangian
+    else:
+        problem = _two_p2()
+        disc, lag = problem.disc, problem.energy.lagrangian
+    u = disc.field(0.3 * rng.standard_normal(disc.dim) / np.sqrt(np.diag(disc.gram)))
+    return assemble_hessian(lag, u), disc
+
+
+@pytest.mark.parametrize("name", ["sine-K128", "clamped-K24", "periodic", "N2"])
+def test_decompose_matches_scipy_generalized_eigh(name, rng):
+    B, disc = _oracle_form(name, rng)
+    dec = decompose(B, disc.gram)
+    reference = scipy.linalg.eigh(B, disc.gram, eigvals_only=True)
+    radius = np.max(np.abs(reference))
+    assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-12 * radius
+    V = dec.eigenvectors
+    assert np.max(np.abs(V.T @ disc.gram @ V - np.eye(disc.dim))) <= 1e-12
 
 
 def test_projector_completeness(p1_pencil, rng):
@@ -171,6 +201,35 @@ def test_pencil_p4_clamped_fundamental(p4, beam8):
     pencil = pencil_eigs(F, G, beam8.gram)
     mu1 = clamped_mode_parameters(1)[0]
     assert pencil.eigenvalues[0] == pytest.approx(mu1**4, rel=5e-3)
+
+
+def test_pencil_p4_clamped_spectrum_is_mu_to_the_fourth(p4):
+    # the clamped modes are the eigenfunctions, so every pencil eigenvalue is exact up to rounding
+    disc = build_space((0.0, 1.0), 2, "dirichlet", 24)
+    F, G = _hessians(VariationalProblem(model=p4, disc=disc))
+    pencil = pencil_eigs(F, G, disc.gram)
+    mu = clamped_mode_parameters(24)
+    assert pencil.multiplicities.tolist() == [1] * 24
+    assert np.max(np.abs(pencil.eigenvalues - mu**4) / mu**4) <= 1e-12
+
+
+def test_gram_is_factored_once_per_space(p3, monkeypatch):
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        factored.append(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    disc = build_space((0.0, np.pi), 1, "dirichlet", 32)
+    problem = VariationalProblem(model=p3, disc=disc)
+    F, G = _hessians(problem)
+    decompose(F - 2.5 * G, disc.gram)
+    pencil = pencil_eigs(F, G, disc.gram)
+    decompose(pencil.b_lambda(4.5), pencil.gram)
+    assert split_continuity_audit(p3.lagrangian, problem.u0).passed
+    assert sum(1 for a in factored if a.shape == disc.gram.shape and np.array_equal(a, disc.gram)) == 1
 
 
 def test_pencil_identity_collapses_to_single_group(disc16, p1):
