@@ -30,7 +30,7 @@ from .functional import (
     _star_seeds,
     damped_newton,
 )
-from .galerkin import Discretization, Field
+from .galerkin import Discretization, Field, _gram_factors
 from .reduction import (
     COMPLEMENT_TOL,
     ReductionSetup,
@@ -137,10 +137,11 @@ def classify_conditions(pencil: PencilSpectrum, lam_star: float) -> ConditionCla
     if n_neg == gram.shape[0]:
         return ConditionClassification("b", n_pos, n_neg, 0.0, True)
 
-    # (c): eigenspace invariance in the Sobolev operator norm
-    R = np.linalg.cholesky(gram).T
-    Rinv = np.linalg.inv(R)
-    F_op = np.linalg.solve(gram, F_hess)
+    # (c): eigenspace invariance in the Sobolev operator norm, with the space's
+    # kept factors: gram = R^T R for R = L^T, and gram^-1 = W^T W for W = L^-1
+    L, W = _gram_factors(gram)
+    R, Rinv = L.T, W.T
+    F_op = W.T @ (W @ F_hess)
     scale = np.linalg.norm(R @ F_op @ Rinv, 2)
     defect = 0.0
     spaces = list(pencil.eigenspaces)
@@ -226,7 +227,10 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, psi_tol=COMPLEMENT_TOL):
 
     Each trial solves the complement equation warm-started from the accepted
     point; a trial whose complement solve fails is rejected like one that does
-    not decrease the residual.  Trials are projected into the trust ball.
+    not decrease the residual.  Trials are projected into the trust ball.  The
+    Newton state is the trial's ``PsiSample``, and the Schur step assembles
+    the second variation at its ``point``, the Field the complement solve
+    accepted last.
     """
     Z = setup.kernel_basis
     W = setup.complement_basis
@@ -243,7 +247,7 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, psi_tol=COMPLEMENT_TOL):
         return float(np.linalg.norm(sample.gradient)), sample
 
     def solve(z, sample):
-        B = func.hessian_dual(sample.coeffs)
+        B = func.hessian_dual(sample.point)
         Jzw = Z.T @ B @ W
         M = Z.T @ B @ Z - Jzw @ np.linalg.solve(W.T @ B @ W, Jzw.T)
         return np.linalg.solve(M, -sample.gradient)
@@ -530,14 +534,14 @@ def classify_reduced_origin(
             )
 
     func = setup.functional_at(lam)
-    center = func.value(solve_psi(setup, lam, np.zeros(nu), tol=ORIGIN_PSI_TOL).coeffs)
+    center = func.value(solve_psi(setup, lam, np.zeros(nu), tol=ORIGIN_PSI_TOL).point)
 
     dirs = _directions(nu, ORIGIN_DIRECTIONS if nu > 1 else 0, rng)
     above = below = 0
     total = 0
     for r in radii:
         for d in dirs:
-            val = func.value(solve_psi(setup, lam, r * d, tol=ORIGIN_PSI_TOL).coeffs)
+            val = func.value(solve_psi(setup, lam, r * d, tol=ORIGIN_PSI_TOL).point)
             total += 1
             if val > center:
                 above += 1

@@ -107,7 +107,8 @@ class PolynomialIntegrand:
     are the :class:`Lagrangian` callbacks: one power table x_v^k, one
     gather-product into the (S, Q) monomial table and one matmul each.  The
     Hessian mirrors its upper triangle, so it is exactly symmetric.  Instances
-    are immutable in use.
+    are immutable in use; the one thing they keep is the power table of the
+    last read-only jet array, replaced as a whole, so sharing one is safe.
     """
 
     def __init__(self, N: int, A: int, terms):
@@ -116,6 +117,8 @@ class PolynomialIntegrand:
         blocks, self._mirror = _monomial_tables(N, A, tuple(f for _, f in self.terms))
         coefs = np.array([c for c, _ in self.terms])
         self._blocks = [(E, degree, table @ coefs) for E, degree, table in blocks]
+        self._columns = np.arange(N * A)
+        self._last_powers = None  # (read-only jets, their power table)
 
     @classmethod
     def of(cls, lag: Lagrangian) -> Optional["PolynomialIntegrand"]:
@@ -138,15 +141,31 @@ class PolynomialIntegrand:
         """True when every term has even total degree, so that f(-xi) = f(xi) exactly."""
         return all(sum(p for _, p in factors) % 2 == 0 for _, factors in self.terms)
 
-    def _contract(self, order: int, xi) -> np.ndarray:
-        # (Q, outputs) = monomials(xi)^T @ coefficient columns of one derivative order
-        flat = np.asarray(xi, dtype=float).reshape(-1, self.N * self.A).T
-        exponents, degree, coefficients = self._blocks[order]
-        powers = np.empty((degree + 1,) + flat.shape)  # powers[k, v, q] = xi_v(q)^k
+    def _powers(self, xi, degree: int) -> np.ndarray:
+        """The table powers[k, v, q] = xi_v(q)^k for k <= at least ``degree``.
+
+        The table of the last read-only jet array (a Field's jets) is kept, so
+        the gradient and the Hessian at one field raise its jets once; a
+        writable array may change between calls and is never kept.
+        """
+        xi = np.asarray(xi, dtype=float)
+        last = self._last_powers
+        if last is not None and last[0] is xi and last[1].shape[0] > degree:
+            return last[1]
+        flat = xi.reshape(-1, self.N * self.A).T
+        powers = np.empty((degree + 1,) + flat.shape)
         powers[0] = 1.0
         for k in range(1, degree + 1):
             np.multiply(powers[k - 1], flat, out=powers[k])
-        return powers[exponents, np.arange(flat.shape[0])].prod(axis=1).T @ coefficients
+        if not xi.flags.writeable:
+            self._last_powers = (xi, powers)
+        return powers
+
+    def _contract(self, order: int, xi) -> np.ndarray:
+        # (Q, outputs) = monomials(xi)^T @ coefficient columns of one derivative order
+        exponents, degree, coefficients = self._blocks[order]
+        powers = self._powers(xi, degree)
+        return powers[exponents, self._columns].prod(axis=1).T @ coefficients
 
     def f(self, x, xi) -> np.ndarray:
         return self._contract(0, xi)[:, 0]

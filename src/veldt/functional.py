@@ -1,7 +1,8 @@
 """Discrete energy functionals and Newton machinery shared across modules.
 
 Every functional handle exposes ``value``, ``gradient_dual`` and
-``hessian_dual`` over coefficient vectors, plus the owning discretization.
+``hessian_dual`` at a point (a coefficient vector or a Field), plus the
+owning discretization.
 Dual objects live in the load-vector space; norms and projections go through
 the Gram matrix.
 """
@@ -14,7 +15,9 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .catalog import ModelProblem, PolynomialIntegrand
+from .errors import EvaluationError
 from .galerkin import (
+    _P2_TOL,
     Discretization,
     Field,
     _check_signature,
@@ -23,7 +26,7 @@ from .galerkin import (
     assemble_gradient,
     assemble_hessian,
 )
-from .lagrangian import Lagrangian, _require_finite
+from .lagrangian import Lagrangian
 
 HALVINGS = 25  # step-length halvings before a Newton step counts as stalled
 PROJECTION_STALL_RTOL = 1e-15  # relative distance at which a projected trial is the iterate, to the projection's rounding
@@ -46,31 +49,35 @@ __all__ = [
 
 
 class DiscretizedFunctional:
-    """A single integrand over a fixed discretization."""
+    """A single integrand over a fixed discretization.
+
+    Every method takes a point: a coefficient vector, or a Field of ``disc``.
+    A Field carries its jets, so the value, load and second variation at one
+    field share a single jet pass.
+    """
 
     def __init__(self, lagrangian, disc: Discretization):
         self.lagrangian = lagrangian
         self.disc = disc
 
-    def value(self, coeffs: np.ndarray) -> float:
-        return assemble_functional(self.lagrangian, self.disc.field(coeffs))
+    def value(self, u) -> float:
+        return assemble_functional(self.lagrangian, self.disc.field(u))
 
-    def gradient_dual(self, coeffs: np.ndarray) -> np.ndarray:
-        return assemble_gradient(self.lagrangian, self.disc.field(coeffs))
+    def gradient_dual(self, u) -> np.ndarray:
+        return assemble_gradient(self.lagrangian, self.disc.field(u))
 
-    def hessian_dual(self, coeffs: np.ndarray) -> np.ndarray:
-        return assemble_hessian(self.lagrangian, self.disc.field(coeffs))
+    def hessian_dual(self, u) -> np.ndarray:
+        return assemble_hessian(self.lagrangian, self.disc.field(u))
 
 
 def _combined_lagrangian(energy: Lagrangian, constraint: Lagrangian, lam: float) -> Lagrangian:
     """The integrand f - lam g, so that one quadrature pass assembles it.
 
     The polynomial terms merge into one compiled monomial set with weights 1
-    and -lam; a hand-written callback stays an entry of its own in the same
-    summing loop.  Each callback checks the sum once and, only when it is not
-    finite, evaluates the terms one by one so the error names the failing term
-    as assembling it alone would; the Hessian callback first requires p = 2 of
-    both terms.
+    and -lam.  When both terms are compiled, the callbacks are the merged
+    polynomial's own methods; a hand-written callback is added to it in a
+    summing loop.  Every choice is made here, once: a term whose p is not 2
+    makes the Hessian callback refuse with that term's ``CapabilityError``.
     """
     terms = [(1.0, energy), (-lam, constraint)]
     compiled = [(w, PolynomialIntegrand.of(lag), lag) for w, lag in terms]
@@ -79,19 +86,21 @@ def _combined_lagrangian(energy: Lagrangian, constraint: Lagrangian, lam: float)
     entries += [(w, lag) for w, poly, lag in compiled if poly is None]
 
     def combined(tag):
+        if len(polynomial) == len(terms):
+            return getattr(entries[0][1], tag)
+
         def callback(x, xi):
-            if tag == "hess_f":
-                for _, lag in terms:
-                    _require_p2(lag)
             out = 0.0
             for weight, entry in entries:
                 out = out + weight * np.asarray(getattr(entry, tag)(x, xi), dtype=float)
-            if not np.isfinite(out).all():
-                for _, lag in terms:
-                    _require_finite(np.asarray(getattr(lag, tag)(x, xi), dtype=float), x, tag)
             return out
 
         return callback
+
+    refused = next((lag for _, lag in terms if abs(lag.growth.p - 2.0) > _P2_TOL), None)
+
+    def refuse(x, xi):
+        _require_p2(refused)
 
     return Lagrangian(
         n=energy.n,
@@ -99,7 +108,7 @@ def _combined_lagrangian(energy: Lagrangian, constraint: Lagrangian, lam: float)
         N=energy.N,
         f=combined("f"),
         grad_f=combined("grad_f"),
-        hess_f=combined("hess_f"),
+        hess_f=combined("hess_f") if refused is None else refuse,
         growth=energy.growth,
         name=energy.name,
     )
@@ -109,7 +118,10 @@ class CombinedFunctional(DiscretizedFunctional):
     """The parameterized family F - lambda G at a fixed parameter.
 
     Every evaluation assembles the single combined integrand: one jet
-    evaluation, one callback pass and one contraction per call.
+    evaluation, one callback pass and one contraction per call, with one
+    finiteness check of the sum.  A non-finite sum is traced back to its
+    term: each term is assembled alone at the same point, so the error is the
+    one that term raises on its own.
     """
 
     def __init__(self, energy: DiscretizedFunctional, constraint: DiscretizedFunctional, lam: float):
@@ -119,6 +131,24 @@ class CombinedFunctional(DiscretizedFunctional):
         for term in (energy, constraint):
             _check_signature(term.lagrangian, energy.disc)
         super().__init__(_combined_lagrangian(energy.lagrangian, constraint.lagrangian, self.lam), energy.disc)
+
+    def _naming_terms(self, method: str, u):
+        try:
+            return getattr(super(), method)(u)
+        except EvaluationError:
+            u = self.disc.field(u)
+            for term in (self.energy, self.constraint):
+                getattr(term, method)(u)
+            raise
+
+    def value(self, u) -> float:
+        return self._naming_terms("value", u)
+
+    def gradient_dual(self, u) -> np.ndarray:
+        return self._naming_terms("gradient_dual", u)
+
+    def hessian_dual(self, u) -> np.ndarray:
+        return self._naming_terms("hessian_dual", u)
 
 
 @dataclass(eq=False)
@@ -211,17 +241,22 @@ def newton_polish(func, coeffs0: np.ndarray) -> NewtonResult:
     """Damped Newton iteration on the gradient, in coefficient space.
 
     The step solves the dual Hessian system directly (geometry independent);
-    the residual is the Sobolev norm of the gradient, whose load vector is
-    carried from each accepted trial into the next step.  The iteration
-    converges at a residual of ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` steps.
+    the residual is the Sobolev norm of the gradient.  The Newton state is the
+    evaluated point and its load vector, ``(Field, load)``: the step at an
+    accepted trial assembles the Hessian at that same Field, from the jets its
+    load was assembled from.  The iteration converges at a residual of
+    ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` steps.
     """
+    disc = func.disc
 
     def evaluate(c, _):
-        ell = func.gradient_dual(c)
-        return _dual_norm(func.disc, ell), ell
+        point = disc.field(c)
+        ell = func.gradient_dual(point)
+        return _dual_norm(disc, ell), (point, ell)
 
-    def solve(c, ell):
-        return np.linalg.solve(func.hessian_dual(c), -ell)
+    def solve(c, state):
+        point, ell = state
+        return np.linalg.solve(func.hessian_dual(point), -ell)
 
     return damped_newton(evaluate, solve, coeffs0, NEWTON_TOL, NEWTON_MAX_ITER)
 
@@ -252,8 +287,9 @@ def _distinct_points(func, seeds, center=None, radius=None, inner=0.0):
     least ``inner`` from ``center`` (the branch sampler drops the trivial
     solution this way), at most ``radius`` from it, and at least
     ``DEDUPE_TOL`` from every point kept before; only kept points are
-    decomposed.  The census, the Morse audit, the tilted census and the branch
-    sampler all collect their points here.
+    decomposed, and their value and second variation are assembled at the
+    Field the polish ended on.  The census, the Morse audit, the tilted
+    census and the branch sampler all collect their points here.
     """
     from .spectral import decompose  # local import to avoid a cycle
 
@@ -269,12 +305,13 @@ def _distinct_points(func, seeds, center=None, radius=None, inner=0.0):
             continue
         if any(disc.norm(result.coeffs - other.coeffs) < DEDUPE_TOL for other in found):
             continue
-        dec = decompose(func.hessian_dual(result.coeffs), disc.gram)
+        point, _ = result.state
+        dec = decompose(func.hessian_dual(point), disc.gram)
         found.append(
             CriticalPoint(
                 coeffs=result.coeffs,
                 residual=result.residual,
-                value=func.value(result.coeffs),
+                value=func.value(point),
                 morse_index=dec.morse_index,
                 nullity=dec.nullity,
                 distance_from_center=dist,

@@ -164,7 +164,7 @@ class Discretization:
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        if not np.all(np.isfinite(rhs)):
+        if not np.isfinite(rhs).all():
             raise DiscretizationError("Gram solve failed: the right-hand side is not finite")
         _, W = _gram_factors(self.gram)
         return W.T @ (W @ rhs)
@@ -184,11 +184,13 @@ class Discretization:
         # one (A*Q) x K GEMM against the stacked tables, then (A, Q, N) -> (Q, N, A)
         return (self.dtab.reshape(A * Q, K) @ c.T).reshape(A, Q, self.n_components).transpose(1, 2, 0)
 
-    def values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Point values at quadrature nodes, shape (Q, N)."""
-        return self.jets(coeffs)[:, :, 0]
-
     def field(self, coeffs) -> "Field":
+        """The field with these coefficients; a Field of this space is returned as it is,
+        so the jets it carries are reused."""
+        if isinstance(coeffs, Field):
+            if coeffs.disc is not self:
+                raise ConfigurationError("the field belongs to another discretization")
+            return coeffs
         c = np.asarray(coeffs, dtype=float)
         if c.size != self.dim:
             raise ConfigurationError(f"expected {self.dim} coefficients, got {c.size}")
@@ -219,22 +221,33 @@ class Discretization:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Coefficient vector in a fixed discretization (component-major layout)."""
+    """Coefficient vector in a fixed discretization (component-major layout).
+
+    A field owns a read-only copy of its coefficients, so it is immutable: a
+    later write to the caller's array does not reach it.  Its ``jets`` (the
+    jet values at the quadrature nodes, shape (Q, N, A), read-only) are
+    computed once, on construction, and every assembly at the field reads
+    them.
+    """
 
     disc: Discretization
     coeffs: np.ndarray
+    jets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)
         if c.shape != (self.disc.dim,):
             raise ConfigurationError(f"field coefficients must have shape ({self.disc.dim},), got {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ConfigurationError("field coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
+        xi = self.disc.jets(c)
+        xi.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "jets", xi)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.disc.values(self.coeffs))))
+        return float(np.max(np.abs(self.jets[:, :, 0])))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +511,7 @@ def assemble_functional(lag: Lagrangian, u: Field) -> float:
     """Quadrature value of the energy integral at the field u."""
     disc = u.disc
     _check_signature(lag, disc)
-    xi = disc.jets(u.coeffs)
-    vals = lag.value_at(disc.nodes, xi)
+    vals = lag.value_at(disc.nodes, u.jets)
     return float(disc.weights @ vals)
 
 
@@ -512,7 +524,7 @@ def assemble_gradient(lag: Lagrangian, u: Field) -> np.ndarray:
     """
     disc = u.disc
     _check_signature(lag, disc)
-    grad = lag.gradient_at(disc.nodes, disc.jets(u.coeffs))  # (Q, N, A)
+    grad = lag.gradient_at(disc.nodes, u.jets)  # (Q, N, A)
     A, Q, K = disc.dtab.shape
     wg = (disc.weights[:, None, None] * grad).transpose(2, 0, 1).reshape(A * Q, disc.n_components)
     return (wg.T @ disc.dtab.reshape(A * Q, K)).reshape(disc.dim)
@@ -532,7 +544,7 @@ def _jet_hessian(lag: Lagrangian, u: Field) -> np.ndarray:
     disc = u.disc
     _check_signature(lag, disc)
     _require_p2(lag)
-    return lag.hessian_at(disc.nodes, disc.jets(u.coeffs))
+    return lag.hessian_at(disc.nodes, u.jets)
 
 
 def _require_p2(lag: Lagrangian):

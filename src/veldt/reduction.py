@@ -201,10 +201,12 @@ def _reduction_extent(separation: float) -> tuple:
 class PsiSample:
     """One complement solve at (lam, z): the correction y and what it implies.
 
-    ``coeffs`` is the corrected point u0 + z + psi(lam, z).  ``gradient`` is the
-    reduced gradient there in kernel coordinates, ``load`` paired with the
-    kernel basis; psi adds no term, because its image is orthogonal to the
-    kernel and the complement gradient vanishes at the corrected point.
+    ``point`` is the corrected point u0 + z + psi(lam, z), the Field the
+    complement Newton accepted last, so an assembly there reuses its jets.
+    ``gradient`` is the reduced gradient there in kernel coordinates,
+    ``load`` paired with the kernel basis; psi adds no term, because its image
+    is orthogonal to the kernel and the complement gradient vanishes at the
+    corrected point.
     """
 
     lam: float
@@ -213,8 +215,12 @@ class PsiSample:
     residual: float
     iterations: int
     load: np.ndarray  # dual gradient of L_lam at the corrected point
-    coeffs: np.ndarray
+    point: Field
     gradient: np.ndarray
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.point.coeffs
 
     @property
     def correction_norm(self) -> float:
@@ -235,28 +241,33 @@ class ReductionResult:
         """One row per sample: lam, z, reduced value, reduced-gradient norm, residual, correction norm."""
         rows = []
         for s in self.samples:
-            value = self.setup.functional_at(s.lam).value(s.coeffs)
+            value = self.setup.functional_at(s.lam).value(s.point)
             grad_norm = float(np.linalg.norm(s.gradient))
             rows.append([s.lam, *s.z, value, grad_norm, s.residual, s.correction_norm])
         return rows
 
 
-def _complement_newton(setup, func, z, tol_abs, y0, load0=None):
-    """Damped Newton for the complement coordinates; the state is the full load vector.
+def _complement_newton(setup, func, z, tol_abs, y0, start=None):
+    """Damped Newton for the complement coordinates.
 
-    ``load0``, when given, is the load already assembled at ``y0``.
+    The state is the evaluated point and its full load vector, ``(Field,
+    load)``; the step assembles the Hessian at that Field.  ``start``, when
+    given, is the state already evaluated at ``y0``.
     """
     W = setup.complement_basis
+    disc = setup.disc
 
     def evaluate(y, accepted):
-        if accepted is None and load0 is not None:
-            ell = load0
+        if accepted is None and start is not None:
+            point, ell = start
         else:
-            ell = func.gradient_dual(setup.lift(z, y))
-        return float(np.linalg.norm(W.T @ ell)), ell
+            point = disc.field(setup.lift(z, y))
+            ell = func.gradient_dual(point)
+        return float(np.linalg.norm(W.T @ ell)), (point, ell)
 
-    def solve(y, ell):
-        J = W.T @ func.hessian_dual(setup.lift(z, y)) @ W
+    def solve(y, state):
+        point, ell = state
+        J = W.T @ func.hessian_dual(point) @ W
         # J is symmetric, so its 2-norm condition number is max|eig| / min|eig|
         mags = np.abs(np.linalg.eigvalsh(0.5 * (J + J.T)))
         cond = mags.max() / mags.min() if mags.min() > 0 else np.inf
@@ -291,7 +302,8 @@ def solve_psi(
     The residual contract is |P_perp grad L_lam| < tol * (1 + |grad L_lam at
     u0 + z|) in the Sobolev norm.  ``w0`` (complement coordinates) warm-starts
     the Newton iteration; steps are capped by the trust radius.  Without it the
-    iteration starts at y = 0, where the load of the scale gradient is reused.
+    iteration starts at y = 0, where the point and load of the scale gradient
+    are reused.
     """
     lam = setup.check_lambda(lam)
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -302,24 +314,26 @@ def solve_psi(
             f"|z| = {np.linalg.norm(z):.3e} exceeds the trust radius {setup.trust_radius:.3e}"
         )
     func = setup.functional_at(lam)
-    ell0 = func.gradient_dual(setup.lift(z))
+    point0 = setup.disc.field(setup.lift(z))
+    ell0 = func.gradient_dual(point0)
     scale = 1.0 + _dual_norm(setup.disc, ell0)
-    result = _complement_newton(setup, func, z, tol * scale, w0, load0=ell0 if w0 is None else None)
+    result = _complement_newton(setup, func, z, tol * scale, w0, start=(point0, ell0) if w0 is None else None)
+    point, load = result.state
     return PsiSample(
         lam=lam,
         z=z,
         y=result.coeffs,
         residual=result.residual,
         iterations=result.iterations,
-        load=result.state,
-        coeffs=setup.lift(z, result.coeffs),
-        gradient=setup.kernel_basis.T @ result.state,
+        load=load,
+        point=point,
+        gradient=setup.kernel_basis.T @ load,
     )
 
 
 def reduced_value(setup: ReductionSetup, lam, z) -> float:
     sample = solve_psi(setup, lam, z)
-    return float(setup.functional_at(sample.lam).value(sample.coeffs))
+    return float(setup.functional_at(sample.lam).value(sample.point))
 
 
 def sample_reduced(setup: ReductionSetup, lam, z_list: Sequence) -> ReductionResult:
@@ -437,7 +451,10 @@ class PerturbedFunctional:
     with beta supported in the ball of radius ``r`` (identically one inside
     ``delta``) and rho cutting off at |P0 d| = delta with slope below
     4/delta.  Gradient and Hessian corrections are analytic; inside the inner
-    ball the Hessian correction vanishes identically.
+    ball the Hessian correction vanishes identically.  The tilt's constant
+    vectors are formed once, and its geometry once per point: the geometry of
+    the last Field evaluated is kept, so the Hessian at an accepted Newton
+    point reuses the geometry of its gradient.
     """
 
     def __init__(self, base, u0: Field, kernel_basis: np.ndarray, r: float, delta: float, b_coords: np.ndarray):
@@ -450,47 +467,52 @@ class PerturbedFunctional:
         self.r = float(r)
         self.delta = float(delta)
         self.b = np.asarray(b_coords, dtype=float)
-
-    def _geometry(self, coeffs):
-        d = coeffs - self.u0.coeffs
         gram = self.disc.gram
-        gd = gram @ d
-        zc = self.Z.T @ gd  # kernel coordinates of d
+        self._b_lift = self.Z @ self.b  # the kernel lift of b, d/du of (b, P0 d)
+        self._b_dual = gram @ self._b_lift
+        self._P0_dual = gram @ self.Z @ self.Z.T @ gram
+        self._last = None  # (Field, its geometry)
+
+    def _geometry(self, u: Field):
+        """(d, gram d, kernel coordinates of d, |d|, |P0 d|, (b, P0 d), beta jet, rho jet) at u."""
+        last = self._last
+        if last is not None and last[0] is u:
+            return last[1]
+        d = u.coeffs - self.u0.coeffs
+        gd = self.disc.gram @ d
+        zc = self.Z.T @ gd
         q = float(np.linalg.norm(zc))
         n = float(np.sqrt(max(d @ gd, 0.0)))
         s = float(self.b @ zc)
-        return d, zc, n, q, s
-
-    def _factors(self, n, q):
         beta = _smoothfall(n, self.delta, self.r)
         rho = _smoothfall(q, 0.5 * self.delta, self.delta)
-        return beta, rho
+        geometry = (d, gd, zc, n, q, s, beta, rho)
+        self._last = (u, geometry)
+        return geometry
 
-    def value(self, coeffs):
-        _, _, n, q, s = self._geometry(coeffs)
-        (beta, _, _), (rho, _, _) = self._factors(n, q)
-        return self.base.value(coeffs) + beta * rho * s
+    def value(self, u):
+        u = self.disc.field(u)
+        _, _, _, _, _, s, (beta, _, _), (rho, _, _) = self._geometry(u)
+        return self.base.value(u) + beta * rho * s
 
-    def gradient_dual(self, coeffs):
-        d, zc, n, q, s = self._geometry(coeffs)
-        (beta, dbeta, _), (rho, drho, _) = self._factors(n, q)
-        gram = self.disc.gram
-        out = self.base.gradient_dual(coeffs)
+    def gradient_dual(self, u):
+        u = self.disc.field(u)
+        d, gd, zc, n, q, s, (beta, dbeta, _), (rho, drho, _) = self._geometry(u)
+        out = self.base.gradient_dual(u)
         if beta == 0.0:
             return out
-        # d/du of (b, P0 d): the kernel lift of b
-        out = out + beta * rho * (gram @ (self.Z @ self.b))
+        out = out + beta * rho * self._b_dual
         if dbeta != 0.0 and n > 0:
-            out = out + dbeta * rho * s / n * (gram @ d)
+            out = out + dbeta * rho * s / n * gd
         if drho != 0.0 and q > 0:
-            out = out + beta * drho * s / q * (gram @ (self.Z @ zc))
+            out = out + beta * drho * s / q * (self.disc.gram @ (self.Z @ zc))
         return out
 
-    def hessian_dual(self, coeffs):
-        d, zc, n, q, s = self._geometry(coeffs)
-        (beta, dbeta, ddbeta), (rho, drho, ddrho) = self._factors(n, q)
+    def hessian_dual(self, u):
+        u = self.disc.field(u)
+        d, _, zc, n, q, s, (beta, dbeta, ddbeta), (rho, drho, ddrho) = self._geometry(u)
         gram = self.disc.gram
-        out = self.base.hessian_dual(coeffs)
+        out = self.base.hessian_dual(u)
         if beta == 0.0 or (dbeta == 0.0 and drho == 0.0):
             # inside the plateau the tilt is linear; outside the support it is zero
             return out
@@ -502,8 +524,7 @@ class PerturbedFunctional:
 
         n_hat = d / n if n > 0 else np.zeros_like(d)
         q_hat = (self.Z @ zc) / q if q > 0 else np.zeros_like(d)
-        b_lift = self.Z @ self.b
-        P0_dual = gram @ self.Z @ self.Z.T @ gram
+        b_lift = self._b_lift
 
         H = np.zeros_like(out)
         # grad phi = g1 n_hat + g2 q_hat + g3 b_lift with
@@ -515,7 +536,7 @@ class PerturbedFunctional:
         if drho != 0.0:
             dg2 = dbeta * drho * s * n_hat + beta * ddrho * s * q_hat + beta * drho * b_lift
             H += outer(q_hat, dg2)
-            H += beta * drho * s * (P0_dual - outer(q_hat, q_hat)) / q
+            H += beta * drho * s * (self._P0_dual - outer(q_hat, q_hat)) / q
         dg3 = dbeta * rho * n_hat + beta * drho * q_hat
         H += outer(b_lift, dg3)
         return out + 0.5 * (H + H.T)

@@ -210,6 +210,24 @@ def _shifted_p2(disc):
     return _mass_document(disc, _term(0.5, 1, 2), _term(-2.5, 0, 2), _term(0.25, 0, 4))
 
 
+def test_shifted_p2_sweep_factors_the_gram_once(monkeypatch):
+    # route (c) of classify_conditions reads the space's kept factors, so the
+    # only factorization of the Gram is the one the space makes when it is built
+    factored = []
+    original = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        factored.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    disc = build_space((0.0, np.pi), 1, "dirichlet", 32)
+    report = detect_branches(_shifted_p2(disc), (3.8, 4.2), grid=5, rng=np.random.default_rng(0))
+    (cand,) = report.candidates
+    assert cand.condition.klass == "c"
+    assert sum(a.shape == disc.gram.shape and np.array_equal(a, disc.gram) for a in factored) == 1
+
+
 @pytest.fixture(scope="module")
 def transcritical(disc16):
     # f = u'^2/2 + u^3/3 + u^4/4: the branch amplitude grows linearly in lam - 1

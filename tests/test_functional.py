@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import veldt.functional
 from veldt.catalog import _mass_constraint, model_problem
 from veldt.errors import CapabilityError, ConfigurationError, EvaluationError
 from veldt.functional import (
@@ -13,9 +14,10 @@ from veldt.functional import (
     _star_seeds,
     damped_newton,
     gradient_norm,
+    multistart_census,
     newton_polish,
 )
-from veldt.galerkin import build_space
+from veldt.galerkin import Discretization, assemble_hessian, build_space
 from veldt.lagrangian import GrowthSpec, enumerate_multi_indices
 
 from test_galerkin import _coupled_system, _well2d
@@ -197,6 +199,32 @@ def test_combined_reports_non_finite_constraint_output(p2, disc16, lam):
             evaluate(c)
 
 
+def test_combined_names_the_first_failing_term_in_order(p2, disc16):
+    # the constraint is non-finite at node 0 and the energy at the last node: the
+    # sum fails first at node 0, but the energy is the first term to fail alone
+    def nan_at(node, callback):
+        def out(x, xi):
+            values = np.array(callback(x, xi), dtype=float)
+            values[node] = np.nan
+            return values
+
+        return out
+
+    def broken(lag, node):
+        return dataclasses.replace(lag, **{tag: nan_at(node, getattr(lag, tag)) for tag in ("f", "grad_f", "hess_f")})
+
+    F = DiscretizedFunctional(broken(p2.lagrangian, -1), disc16)
+    G = DiscretizedFunctional(broken(p2.constraint, 0), disc16)
+    combined = CombinedFunctional(F, G, 1.05)
+    u = disc16.field(np.full(disc16.dim, 0.05))
+    for name in ("value", "gradient_dual", "hessian_dual"):
+        with pytest.raises(EvaluationError) as alone:
+            getattr(F, name)(u)
+        with pytest.raises(EvaluationError) as err:
+            getattr(combined, name)(u)
+        assert str(err.value) == str(alone.value) and f"node index {len(disc16.nodes) - 1}," in str(err.value)
+
+
 def test_combined_hessian_requires_p2_of_every_term(p2, disc16):
     cubic = _mass_functional(disc16, growth=GrowthSpec.canonical(1, 1, p=3.0))
     combined = CombinedFunctional(DiscretizedFunctional(p2.lagrangian, disc16), cubic, 1.05)
@@ -220,3 +248,136 @@ def test_star_seeds_order_and_copy():
     assert [seed.tolist() for seed in seeds] == expected
     seeds[0][0] = 9.0
     assert center[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# a Newton point is evaluated once
+
+
+def _count_jet_passes(monkeypatch):
+    passes = []
+    original = Discretization.jets
+
+    def counted(disc, coeffs):
+        passes.append(np.array(coeffs))
+        return original(disc, coeffs)
+
+    monkeypatch.setattr(Discretization, "jets", counted)
+    return passes
+
+
+def _count_assemblies(monkeypatch, name):
+    fields = []
+    original = getattr(veldt.functional, name)
+
+    def counted(lag, u):
+        fields.append(u)
+        return original(lag, u)
+
+    monkeypatch.setattr(veldt.functional, name, counted)
+    return fields
+
+
+def _nontrivial_start(disc):
+    # below the branch of P2 at lam = 1.5 (sine amplitude 2 sqrt(1/6) = 0.82), off the axis
+    c = np.zeros(disc.dim)
+    c[0], c[2] = 0.5, 0.05
+    return c
+
+
+def test_polish_makes_one_jet_pass_per_evaluated_point(p2, disc16, monkeypatch):
+    func = VariationalProblem(model=p2, disc=disc16).at_parameter(1.5)
+    passes = _count_jet_passes(monkeypatch)
+    loads = _count_assemblies(monkeypatch, "assemble_gradient")
+    hessians = _count_assemblies(monkeypatch, "assemble_hessian")
+    values = _count_assemblies(monkeypatch, "assemble_functional")
+    result = newton_polish(func, _nontrivial_start(disc16))
+    assert result.converged and result.iterations >= 3
+    assert len(hessians) == result.iterations
+    # every point gets one load and one jet pass; the step's Hessian is assembled at that same field
+    assert len(passes) == len(loads)
+    assert all(any(h is u for u in loads) for h in hessians)
+    point, load = result.state
+    assert point is loads[-1] and np.array_equal(point.coeffs, result.coeffs)
+    np.testing.assert_array_equal(load, func.gradient_dual(result.coeffs))
+
+    # the census decomposes and values each kept point at the field the polish ended on
+    del passes[:], loads[:], hessians[:]
+    (cp,) = multistart_census(func, [_nontrivial_start(disc16)])
+    assert len(passes) == len(loads) and len(values) == 1
+    assert values[0] is loads[-1] and hessians[-1] is loads[-1]
+    assert cp.value == func.value(cp.coeffs)
+
+
+def _hand_written(lag):
+    """The same integrand behind callbacks that are not a compiled polynomial's methods."""
+    return dataclasses.replace(
+        lag,
+        f=lambda x, xi: lag.f(x, xi),
+        grad_f=lambda x, xi: lag.grad_f(x, xi),
+        hess_f=lambda x, xi: lag.hess_f(x, xi),
+    )
+
+
+@pytest.mark.parametrize("kind", ["compiled", "hand-written"])
+def test_hessian_at_a_carried_point_equals_a_fresh_assembly(p2, disc16, kind, rng):
+    wrap = _hand_written if kind == "hand-written" else (lambda lag: lag)
+    F = DiscretizedFunctional(wrap(p2.lagrangian), disc16)
+    G = DiscretizedFunctional(wrap(p2.constraint), disc16)
+    for func in (F, CombinedFunctional(F, G, 1.05)):
+        points = [disc16.field(0.6 * rng.standard_normal(disc16.dim)) for _ in range(4)]
+        for u in points:
+            func.gradient_dual(u)
+        # the last point's jets were raised to powers last; every other point must not read them
+        for u in points[::-1] + points:
+            fresh = assemble_hessian(func.lagrangian, disc16.field(u.coeffs))
+            assert np.array_equal(func.hessian_dual(u), fresh)
+
+
+def test_power_table_of_a_writable_jet_array_is_not_kept(p2, disc16, rng):
+    lag = VariationalProblem(model=p2, disc=disc16).at_parameter(1.05).lagrangian
+    xi = disc16.jets(rng.standard_normal(disc16.dim))
+    lag.gradient_at(disc16.nodes, xi)
+    xi *= 2.0  # the same array, new values
+    np.testing.assert_array_equal(lag.hessian_at(disc16.nodes, xi), lag.hessian_at(disc16.nodes, xi.copy()))
+
+
+class _ScaledHessian:
+    """A functional whose second variation is scaled, to steer a Newton step anywhere."""
+
+    def __init__(self, func, scale):
+        self.func, self.disc, self.scale = func, func.disc, scale
+
+    def value(self, u):
+        return self.func.value(u)
+
+    def gradient_dual(self, u):
+        return self.func.gradient_dual(u)
+
+    def hessian_dual(self, u):
+        return self.scale * self.func.hessian_dual(u)
+
+
+def test_carried_points_keep_the_typed_errors(p2, disc16):
+    func = VariationalProblem(model=p2, disc=disc16).at_parameter(1.5)
+    c0 = _nontrivial_start(disc16)
+    # a non-finite trial point
+    with pytest.raises(ConfigurationError, match="^field coefficients must be finite$"):
+        newton_polish(_ScaledHessian(func, np.nan), c0)
+    # a trial whose load overflows in the quartic term: the error is the one the energy raises alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError) as err:
+            newton_polish(_ScaledHessian(func, 1e-200), c0)
+        bad = err.value
+        step = np.linalg.solve(1e-200 * func.hessian_dual(c0), -func.gradient_dual(c0))
+        with pytest.raises(EvaluationError) as alone:
+            func.energy.gradient_dual(c0 + step)
+    assert str(bad).startswith("grad_f produced a non-finite value") and str(bad) == str(alone.value)
+    # a second variation at p != 2, of the energy and of the constraint
+    cubic = GrowthSpec.canonical(1, 1, p=3.0)
+    message = r"^second variation assembly needs p = 2 \(directional-only differentiability at p = 3.0\)$"
+    energy = DiscretizedFunctional(dataclasses.replace(p2.lagrangian, growth=cubic), disc16)
+    constraint = DiscretizedFunctional(dataclasses.replace(p2.constraint, growth=cubic), disc16)
+    for f in (energy, CombinedFunctional(energy, func.constraint, 1.5), CombinedFunctional(func.energy, constraint, 1.5)):
+        with pytest.raises(CapabilityError, match=message):
+            newton_polish(f, c0)

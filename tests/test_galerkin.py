@@ -14,7 +14,7 @@ from veldt import (
 )
 from veldt.catalog import constant_envelope, make_polynomial_lagrangian, shifted_power_envelope
 from veldt.errors import CapabilityError, ConfigurationError, DiscretizationError
-from veldt.galerkin import _cosine_tables, _fourier_tables, _leggauss, _sine_tables, clamped_mode_parameters
+from veldt.galerkin import Field, _cosine_tables, _fourier_tables, _leggauss, _sine_tables, clamped_mode_parameters
 import scipy.linalg
 
 
@@ -193,6 +193,24 @@ def test_field_validation():
         disc.field(np.zeros(5))
     with pytest.raises(ConfigurationError):
         disc.field(np.full(8, np.nan))
+
+
+def test_field_copies_the_coefficients_it_is_given():
+    disc = build_space((0.0, np.pi), 1, "dirichlet", 8)
+    c = np.linspace(0.1, 0.8, disc.dim)
+    u = disc.field(c)
+    c[0] = 1.0  # a later write to the caller's array does not reach the field
+    assert u.coeffs[0] == 0.1
+    np.testing.assert_array_equal(u.jets, disc.jets(u.coeffs))
+    v = Field(disc=disc, coeffs=c)
+    assert c.flags.writeable  # the caller's own array stays writable
+    c[1] = 5.0
+    assert v.coeffs[:2].tolist() == [1.0, 0.2]
+    for arr in (u.coeffs, u.jets, v.coeffs, v.jets):
+        assert not arr.flags.writeable
+    assert disc.field(v) is v  # a field of the space is taken as it is, with its jets
+    with pytest.raises(ConfigurationError, match="another discretization"):
+        build_space((0.0, np.pi), 1, "dirichlet", 8).field(v)
 
 
 def test_solve_gram_is_backward_accurate_on_an_ill_conditioned_gram(rng):

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import veldt.functional
 import veldt.reduction
 from veldt.errors import ConfigurationError, DegenerateKernelError, ReductionFailureError
 from veldt.functional import VariationalProblem, gradient_norm
+from veldt.galerkin import Discretization
 from veldt.reduction import PerturbedFunctional, _directions
 from veldt.spectral import decompose
 
@@ -453,3 +456,109 @@ def test_probe_directions_are_signed_axes_then_normalized_draws():
     state = rng.bit_generator.state
     assert [d.tolist() for d in _directions(1, 0, rng)] == [[1.0], [-1.0]]
     assert rng.bit_generator.state == state
+
+
+# ---------------------------------------------------------------------------
+# a Newton point is evaluated once
+
+
+def _count_jet_passes(monkeypatch):
+    passes = []
+    original = Discretization.jets
+
+    def counted(disc, coeffs):
+        passes.append(np.array(coeffs))
+        return original(disc, coeffs)
+
+    monkeypatch.setattr(Discretization, "jets", counted)
+    return passes
+
+
+def _count_hessian_assemblies(monkeypatch):
+    fields = []
+    original = veldt.functional.assemble_hessian
+
+    def counted(lag, u):
+        fields.append(u)
+        return original(lag, u)
+
+    monkeypatch.setattr(veldt.functional, "assemble_hessian", counted)
+    return fields
+
+
+def test_complement_and_reduced_newton_make_one_jet_pass_per_point(setup_p2, monkeypatch):
+    passes = _count_jet_passes(monkeypatch)
+    loads = _count_gradient_assemblies(monkeypatch)
+    hessians = _count_hessian_assemblies(monkeypatch)
+    samples = []
+    for w0 in (None, np.full(setup_p2.complement_basis.shape[1], 1e-3)):
+        samples.append(solve_psi(setup_p2, 1.05, np.array([0.3]), w0=w0))
+        # the sample's point is the field the complement Newton evaluated last
+        assert samples[-1].iterations > 0 and samples[-1].point is loads[-1]
+    z, _, converged = veldt.bifurcation._reduced_newton(setup_p2, 1.1, np.array([0.5]))
+    assert converged
+    # each point gets one load and one jet pass; the complement step and the
+    # Schur step assemble their Hessians at a field whose load was assembled
+    assert len(passes) == len(loads) and len(hessians) > 2 * len(samples)
+    assert all(any(h is u for u in loads) for h in hessians)
+
+
+def test_tilt_hessian_at_a_carried_point_equals_a_fresh_assembly(degenerate_p2, rng):
+    problem, func = degenerate_p2
+    disc = problem.disc
+    Z = decompose(func.hessian_dual(problem.u0.coeffs), disc.gram).kernel_vectors
+    args = (func, problem.u0, Z)
+    kwargs = dict(r=0.6, delta=0.3, b_coords=np.array([0.01]))
+    perturbed = PerturbedFunctional(*args, **kwargs)
+    points = []
+    for scale in (0.2, 0.35, 0.5, 0.7):  # plateau, cutoff annulus, bump shoulder, outside the support
+        d = rng.standard_normal(disc.dim)
+        points.append(disc.field(problem.u0.coeffs + d * (scale / disc.norm(d))))
+    for u in points:
+        perturbed.gradient_dual(u)
+    # the tilt keeps the geometry of the last point only; every other point must not read it
+    for u in points[::-1] + points:
+        fresh = PerturbedFunctional(*args, **kwargs)
+        assert np.array_equal(perturbed.hessian_dual(u), fresh.hessian_dual(u.coeffs))
+        assert np.array_equal(perturbed.gradient_dual(u), fresh.gradient_dual(u.coeffs))
+        assert perturbed.value(u) == fresh.value(u.coeffs)
+
+
+def test_kept_tables_hold_when_threads_share_a_functional(degenerate_p2, rng):
+    # the tilt keeps one geometry and the merged polynomial one power table; a
+    # thread that reads the other thread's entry would assemble a wrong matrix
+    problem, func = degenerate_p2
+    disc = problem.disc
+    Z = decompose(func.hessian_dual(problem.u0.coeffs), disc.gram).kernel_vectors
+    args = (func, problem.u0, Z)
+    kwargs = dict(r=0.6, delta=0.3, b_coords=np.array([0.01]))
+    shared = PerturbedFunctional(*args, **kwargs)
+    points = []
+    for scale in (0.2, 0.35, 0.5, 0.3, 0.45, 0.55):  # the plateau, the cutoff annulus and the bump shoulder
+        d = rng.standard_normal(disc.dim)
+        points.append(disc.field(problem.u0.coeffs + d * (scale / disc.norm(d))))
+    expected = []
+    for u in points:
+        fresh = PerturbedFunctional(*args, **kwargs)
+        expected.append((fresh.gradient_dual(u.coeffs), fresh.hessian_dual(u.coeffs)))
+    wrong = []
+
+    def work(offset):
+        for k in range(40):
+            i = (offset + k) % len(points)
+            grad, hess = shared.gradient_dual(points[i]), shared.hessian_dual(points[i])
+            if not (np.array_equal(grad, expected[i][0]) and np.array_equal(hess, expected[i][1])):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
