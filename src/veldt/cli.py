@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bifurcation import detect_branches, morse_inequality_audit, orbit_group
-from .catalog import load_problem
+from .catalog import MODEL_NAMES, load_problem, model_problem
 from .errors import ConfigurationError, DegenerateCriticalPointError, VeldtError
 from .functional import VariationalProblem, _star_seeds
 from .galerkin import build_space, estimate_sobolev_constant, q_compactness_audit
@@ -173,17 +173,16 @@ def load_config(path: Path) -> tuple:
 
 
 def _resolve_problem(cfg, config_dir: Path):
+    """The problem a config names: a document file relative to the config's directory, else a catalog name."""
     spec = cfg["problem"]
-    if isinstance(spec, str) and not spec.upper().startswith("P"):
-        candidate = (config_dir / spec) if not Path(spec).is_absolute() else Path(spec)
-        if not candidate.exists():
-            raise ConfigurationError(f"problem document not found: {candidate}")
-        spec = candidate
-    elif isinstance(spec, str):
-        candidate = (config_dir / spec) if not Path(spec).is_absolute() else Path(spec)
-        if candidate.exists():
-            spec = candidate
-    return load_problem(spec)
+    if not isinstance(spec, str):
+        return load_problem(spec)
+    path = config_dir / spec
+    if path.is_file():
+        return load_problem(path)
+    if spec.upper() in MODEL_NAMES:
+        return model_problem(spec)
+    raise ConfigurationError(f"problem {spec!r} is neither a document at {path} nor a catalog name {MODEL_NAMES}")
 
 
 def _build_disc(block, model):

@@ -39,32 +39,28 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # clamped modes: roots of cos(mu)*cosh(mu) = 1 and stable evaluation
 
-_BEAM_ROOT_CACHE: dict = {}
-
 
 def clamped_mode_parameters(count: int) -> np.ndarray:
-    """First ``count`` positive roots of cos(mu)*cosh(mu) = 1."""
-    from scipy.optimize import brentq  # only clamped spaces need it; kept off the import path
+    """First ``count`` positive roots of cos(mu)*cosh(mu) = 1, correctly rounded.
 
-    out = []
-    for k in range(1, count + 1):
-        if k in _BEAM_ROOT_CACHE:
-            out.append(_BEAM_ROOT_CACHE[k])
-            continue
-        center = (k + 0.5) * np.pi
-        f = lambda mu: np.cos(mu) - 1.0 / np.cosh(mu)
-        root = brentq(f, center - 0.6, center + 0.6, xtol=1e-15, rtol=8.9e-16)
-        _BEAM_ROOT_CACHE[k] = root
-        out.append(root)
-    return np.asarray(out)
+    Newton's method on cos(mu) - 1/cosh(mu) runs on all roots at once from
+    (k + 1/2) pi, which is within 0.02 of the k-th root; three steps reach the
+    rounded root for every k <= 200, and further steps leave it in place.
+    """
+    mu = (np.arange(1, count + 1) + 0.5) * np.pi
+    for _ in range(6):
+        sech = 1.0 / np.cosh(mu)
+        mu = mu - (np.cos(mu) - sech) / (np.tanh(mu) * sech - np.sin(mu))
+    return mu
 
 
-def _clamped_mode_table(mu: float, s: np.ndarray, order: int) -> np.ndarray:
-    """Derivatives (in s) of the clamped mode, evaluated without cancellation.
+def _clamped_mode_table(mu: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
+    """Derivatives (in s) of the clamped modes, evaluated without cancellation.
 
     The mode is cosh(t) - cos(t) - sigma*(sinh(t) - sin(t)) with t = mu*s.
     Hyperbolic combinations are expanded in exponentials so that the small
     coefficient (1 - sigma) multiplies the growing exponential explicitly.
+    Every operation is elementwise, so ``mu`` and ``s`` broadcast.
     """
     t = mu * s
     sinh_mu = np.sinh(mu)
@@ -333,13 +329,8 @@ def _fourier_tables(a, b, K, m, nodes):
 def _beam_tables(a, b, K, m, nodes):
     L = b - a
     mus = clamped_mode_parameters(K)
-    s = (nodes - a) / L
-    Q = nodes.shape[0]
-    tabs = np.zeros((m + 1, Q, K))
-    for k, mu in enumerate(mus):
-        for d in range(m + 1):
-            tabs[d, :, k] = _clamped_mode_table(mu, s, d) / L**d
-    return tabs
+    s = (nodes - a)[:, None] / L
+    return np.stack([_clamped_mode_table(mus, s, d) / L**d for d in range(m + 1)])
 
 
 def _max_frequency_units(basis_kind: str, K: int) -> int:

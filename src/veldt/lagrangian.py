@@ -63,15 +63,11 @@ class MultiIndexSet:
     """All multi-indices with |alpha| <= m in n variables, graded-lexicographic.
 
     Grades ascend; within a grade the tuples are sorted lexicographically.
-    ``counts_cumulative[k]`` is the number of indices of length <= k and
-    ``counts_exact[k]`` the number of length exactly k.
     """
 
     n: int
     m: int
     indices: tuple
-    counts_cumulative: tuple
-    counts_exact: tuple
 
     def __len__(self):
         return len(self.indices)
@@ -100,20 +96,8 @@ def enumerate_multi_indices(n: int, m: int) -> MultiIndexSet:
     """
     if n < 1 or m < 1:
         raise ConfigurationError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    indices = []
-    exact = []
-    for k in range(m + 1):
-        grade = sorted(_compositions(n, k))
-        exact.append(len(grade))
-        indices.extend(MultiIndex(entries=g) for g in grade)
-    cumulative = tuple(np.cumsum(exact).tolist())
-    return MultiIndexSet(
-        n=n,
-        m=m,
-        indices=tuple(indices),
-        counts_cumulative=cumulative,
-        counts_exact=tuple(exact),
-    )
+    indices = tuple(MultiIndex(entries=g) for k in range(m + 1) for g in sorted(_compositions(n, k)))
+    return MultiIndexSet(n=n, m=m, indices=indices)
 
 
 def _compositions(n: int, k: int):

@@ -247,19 +247,42 @@ class ReductionResult:
         return rows
 
 
-def _complement_newton(setup, func, z, tol_abs, y0, start=None):
-    """Damped Newton for the complement coordinates.
+def solve_psi(
+    setup: ReductionSetup,
+    lam,
+    z,
+    tol: float = COMPLEMENT_TOL,
+    w0: Optional[np.ndarray] = None,
+) -> PsiSample:
+    """Solve the complement equation at (lam, z) in at most ``COMPLEMENT_MAX_ITER`` damped Newton steps.
 
-    The state is the evaluated point and its full load vector, ``(Field,
-    load)``; the step assembles the Hessian at that Field.  ``start``, when
-    given, is the state already evaluated at ``y0``.
+    The Newton start is u0 + z + W y0 with y0 = ``w0`` (complement
+    coordinates), or y0 = 0 when ``w0`` is not given.  The residual contract is
+    |P_perp grad L_lam| < tol * (1 + |grad L_lam at the start|) in the Sobolev
+    norm; the start is evaluated once, and its point and load are also the
+    first Newton state.  The state is the evaluated point and its full load
+    vector, ``(Field, load)``; the step assembles the Hessian at that Field and
+    is capped by the trust radius.
     """
-    W = setup.complement_basis
+    lam = setup.check_lambda(lam)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape != (setup.nullity,):
+        raise ConfigurationError(f"kernel coordinates must have shape ({setup.nullity},)")
+    if np.linalg.norm(z) > setup.trust_radius * (1 + 1e-12):
+        raise ConfigurationError(
+            f"|z| = {np.linalg.norm(z):.3e} exceeds the trust radius {setup.trust_radius:.3e}"
+        )
+    func = setup.functional_at(lam)
     disc = setup.disc
+    W = setup.complement_basis
+    y0 = np.zeros(W.shape[1]) if w0 is None else w0
+    start = disc.field(setup.lift(z, w0))
+    start_load = func.gradient_dual(start)
+    tol_abs = tol * (1.0 + _dual_norm(disc, start_load))
 
     def evaluate(y, accepted):
-        if accepted is None and start is not None:
-            point, ell = start
+        if accepted is None:
+            point, ell = start, start_load
         else:
             point = disc.field(setup.lift(z, y))
             ell = func.gradient_dual(point)
@@ -278,7 +301,6 @@ def _complement_newton(setup, func, z, tol_abs, y0, start=None):
             )
         return np.linalg.solve(J, -(W.T @ ell))
 
-    y0 = np.zeros(W.shape[1]) if y0 is None else y0
     result = damped_newton(evaluate, solve, y0, tol_abs, COMPLEMENT_MAX_ITER, step_cap=setup.trust_radius)
     if not result.converged:
         raise ReductionFailureError(
@@ -287,37 +309,6 @@ def _complement_newton(setup, func, z, tol_abs, y0, start=None):
             residual=result.residual,
             iterations=result.iterations,
         )
-    return result
-
-
-def solve_psi(
-    setup: ReductionSetup,
-    lam,
-    z,
-    tol: float = COMPLEMENT_TOL,
-    w0: Optional[np.ndarray] = None,
-) -> PsiSample:
-    """Solve the complement equation at (lam, z) in at most ``COMPLEMENT_MAX_ITER`` Newton steps.
-
-    The residual contract is |P_perp grad L_lam| < tol * (1 + |grad L_lam at
-    u0 + z|) in the Sobolev norm.  ``w0`` (complement coordinates) warm-starts
-    the Newton iteration; steps are capped by the trust radius.  Without it the
-    iteration starts at y = 0, where the point and load of the scale gradient
-    are reused.
-    """
-    lam = setup.check_lambda(lam)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (setup.nullity,):
-        raise ConfigurationError(f"kernel coordinates must have shape ({setup.nullity},)")
-    if np.linalg.norm(z) > setup.trust_radius * (1 + 1e-12):
-        raise ConfigurationError(
-            f"|z| = {np.linalg.norm(z):.3e} exceeds the trust radius {setup.trust_radius:.3e}"
-        )
-    func = setup.functional_at(lam)
-    point0 = setup.disc.field(setup.lift(z))
-    ell0 = func.gradient_dual(point0)
-    scale = 1.0 + _dual_norm(setup.disc, ell0)
-    result = _complement_newton(setup, func, z, tol * scale, w0, start=(point0, ell0) if w0 is None else None)
     point, load = result.state
     return PsiSample(
         lam=lam,

@@ -291,8 +291,9 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
     Works with the compact operator [F'']^{-1} G'': its nonzero eigenvalues
     invert to the pencil eigenvalues and its null space is the kernel of the
     constraint form.  When F'' is definite the problem is symmetrized through
-    a Cholesky congruence; otherwise a general eigensolve is used and residual
-    checks guard the results.
+    a Cholesky congruence; otherwise the nonsymmetric F''^{-1} G'' (F'' passed
+    the condition check) goes to a general eigensolve, its complex eigenvalues
+    are dropped and counted, and residual checks guard the results.
     """
     F = 0.5 * (np.asarray(F_hess, dtype=float) + np.asarray(F_hess, dtype=float).T)
     G = 0.5 * (np.asarray(G_hess, dtype=float) + np.asarray(G_hess, dtype=float).T)
@@ -311,9 +312,7 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
         # with R the Cholesky factor of sign F: eigh of R^-1 (sign G) R^-T, vectors R^-T Y
         thetas, vecs = _congruence_eigh(sign * G, _gram_factors(sign * F)[1])
     else:
-        from scipy.linalg import eig  # only an indefinite pencil needs the QZ solve; kept off the import path
-
-        thetas_c, vecs_c = eig(G, F)
+        thetas_c, vecs_c = np.linalg.eig(np.linalg.solve(F, G))
         keep = np.abs(thetas_c.imag) <= 1e-8 * np.maximum(np.abs(thetas_c), 1.0)
         dropped = int(np.count_nonzero(~keep))
         thetas = thetas_c[keep].real

@@ -23,7 +23,7 @@ from pathlib import Path
 import veldt
 from veldt.cli import CONFIG_KEYS, REQUIRED
 
-from test_cli import _readme_configs, _workload_configs
+from test_cli import _dropped_complex_config, _dropped_complex_pencil, _readme_configs, _workload_configs
 
 # the names of ``veldt.__all__`` (one line per source module) and of each module's ``__all__``
 PUBLIC_NAMES = {
@@ -166,65 +166,51 @@ def test_tolerance_table_lists_every_module_constant():
     assert _tolerance_table() == _module_constants()
 
 
-# runs each config path in argv through ``cli.run`` and prints the loaded scipy modules after the import and after each run
-_SCIPY_PROBE = """
+# blocks every import of scipy, then runs each config path in argv through ``cli.run`` and prints its exit code
+_SCIPY_BLOCKED = """
 import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
 import veldt.cli as cli
 
-def loaded():
-    return sorted(name for name in sys.modules if name.startswith("scipy"))
-
-print(json.dumps(loaded()))
 for path in sys.argv[1:]:
-    code = cli.run(path, path + ".out", seed=0)
-    print(json.dumps({"config": path, "code": code, "scipy": loaded()}))
+    print(json.dumps({"config": path, "code": cli.run(path, path + ".out", seed=0)}))
 """
 
 
-def _scipy_probe(paths):
-    src = str(Path(veldt.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *map(str, paths)],
-        env={"PYTHONPATH": src, "OMP_NUM_THREADS": "1"},
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    cold, *runs = [json.loads(line) for line in out.stdout.splitlines()]
-    return cold, runs
-
-
-def test_cold_cli_import_leaves_scipy_optimize_out(tmp_path):
-    # no README scenario and no benchmark workload imports any of scipy
-    configs = _readme_configs() + _workload_configs()
-    paths = [tmp_path / f"cfg{i}.json" for i in range(len(configs))]
-    for path, cfg in zip(paths, configs):
-        path.write_text(json.dumps(cfg))
-    cold, runs = _scipy_probe(paths)
-    assert cold == []
-    assert len(runs) == 8
-    for run in runs:
-        assert (run["code"], run["scipy"]) == (0, []), run["config"]
-
-
-def test_clamped_space_loads_only_scipy_optimize(tmp_path):
-    cfg = {
+def test_every_scenario_runs_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency: the README scenarios, the benchmark
+    # workloads, a clamped space and an indefinite pencil run without scipy
+    clamped = {
         "problem": "P4",
         "scenario": "spectrum",
         "discretization": {"domain": [0, 1], "m": 2, "bc": "dirichlet", "K": 12},
         "params": {"lambdas": [100.0]},
     }
-    path = tmp_path / "clamped.json"
-    path.write_text(json.dumps(cfg))
-    _, (run,) = _scipy_probe([path])
-    alone = subprocess.run(
-        [sys.executable, "-c", "import json, sys, scipy.optimize; print(json.dumps(sorted(sys.modules)))"],
+    dropped = [_dropped_complex_config(scenario) for scenario in ("spectrum", "bifurcate")]
+    configs = _readme_configs() + _workload_configs() + [clamped] + dropped
+    paths = [tmp_path / f"cfg{i}.json" for i in range(len(configs))]
+    for path, cfg in zip(paths, configs):
+        path.write_text(json.dumps(cfg))
+    src = str(Path(veldt.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED, *map(str, paths)],
+        env={"PYTHONPATH": src, "OMP_NUM_THREADS": "1"},
         capture_output=True,
         text=True,
     )
-    assert alone.returncode == 0, alone.stderr
-    assert run["code"] == 0
-    assert run["scipy"] == [name for name in json.loads(alone.stdout) if name.startswith("scipy")]
+    assert out.returncode == 0, out.stderr
+    runs = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [run["code"] for run in runs] == [0] * len(configs), out.stderr
+    reports = [json.loads(Path(run["config"] + ".out", "report.json").read_text()) for run in runs]
+    assert [report["status"] for report in reports] == ["pass"] * (len(configs) - 2) + ["audit_failed"] * 2
+    assert [_dropped_complex_pencil(report)["dropped_complex"] for report in reports[-2:]] == [16, 16]
 
 
 def _declared_config_keys():

@@ -289,11 +289,12 @@ def test_missing_config_exits_3(tmp_path):
     assert run(tmp_path / "nope.json", tmp_path / "out") == 3
 
 
-def test_missing_problem_document_exits_3(tmp_path):
+def test_missing_problem_document_exits_3(tmp_path, capsys):
     cfg = _spectrum_config()
     cfg["problem"] = "problems/nonexistent.json"
     path = _write(tmp_path, "cfg.json", cfg)
     assert run(path, tmp_path / "out") == 3
+    assert str(tmp_path / "problems" / "nonexistent.json") in capsys.readouterr().err
 
 
 def test_config_hash_changes_with_K():
@@ -356,10 +357,12 @@ def test_spectrum_scenario(tmp_path):
     assert table[1] == {"lam": 4.0, "morse_index": 1, "nullity": 1}
 
 
-@pytest.mark.parametrize("scenario", ["spectrum", "bifurcate"])
-def test_audit_fails_on_dropped_complex_eigenvalues(tmp_path, scenario):
-    # F = (u1'^2 - u2'^2) / 2 is indefinite and G = u1 u2 couples the components,
-    # so F^-1 G has the imaginary pair +-i/k^2 on every sine mode k
+def _dropped_complex_config(scenario):
+    """A K = 8 config whose pencil has 16 complex eigenvalues.
+
+    F = (u1'^2 - u2'^2) / 2 is indefinite and G = u1 u2 couples the components,
+    so F^-1 G has the imaginary pair +-i/k^2 on every sine mode k.
+    """
     factor = lambda comp, alpha, power: {"component": comp, "alpha": [alpha], "power": power}
     doc = {
         "n": 1, "m": 1, "N": 2,
@@ -369,17 +372,24 @@ def test_audit_fails_on_dropped_complex_eigenvalues(tmp_path, scenario):
         ]},
         "constraint": {"terms": [{"coef": 1.0, "factors": [factor(0, 0, 1), factor(1, 0, 1)]}]},
     }
-    cfg = {
+    return {
         "problem": doc,
         "scenario": scenario,
         "discretization": {"domain": [0, "pi"], "m": 1, "bc": "dirichlet", "K": 8},
         "params": {"window": [0.5, 1.5]} if scenario == "bifurcate" else {},
     }
-    path = _write(tmp_path, "cfg.json", cfg)
+
+
+def _dropped_complex_pencil(report):
+    return report["result"]["pencil"] if report["scenario"] == "spectrum" else report["result"]["bifurcation"]["pencil"]
+
+
+@pytest.mark.parametrize("scenario", ["spectrum", "bifurcate"])
+def test_audit_fails_on_dropped_complex_eigenvalues(tmp_path, scenario):
+    path = _write(tmp_path, "cfg.json", _dropped_complex_config(scenario))
     assert run(path, tmp_path / "soft") == 0
     report = json.loads((tmp_path / "soft" / "report.json").read_text())
-    pencil = report["result"]["pencil"] if scenario == "spectrum" else report["result"]["bifurcation"]["pencil"]
-    assert pencil["dropped_complex"] == 16
+    assert _dropped_complex_pencil(report)["dropped_complex"] == 16
     assert report["status"] == "audit_failed"
     assert run(path, tmp_path / "hard", strict=True) == 2
 

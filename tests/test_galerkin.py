@@ -86,6 +86,15 @@ def test_clamped_parameters_solve_characteristic_equation():
     assert mus[0] == pytest.approx(4.7300407448627040, rel=1e-12)
 
 
+def test_clamped_parameters_are_correctly_rounded():
+    # against 40-digit roots, each Newton root is the double nearest the exact one
+    mus = clamped_mode_parameters(200)
+    with mpmath.workdps(40):
+        for k, mu in enumerate(mus, start=1):
+            exact = mpmath.findroot(lambda x: mpmath.cos(x) - 1 / mpmath.cosh(x), (k + 0.5) * mpmath.pi)
+            assert abs(mpmath.mpf(float(mu)) - exact) <= np.spacing(mu) / 2, k
+
+
 def test_quadrature_is_exact_for_declared_products():
     # top-frequency sine products integrate to closed forms at machine level
     disc = build_space((0.0, np.pi), 1, "dirichlet", 24)

@@ -23,20 +23,20 @@ from veldt.errors import ConfigurationError, DependencyError, EvaluationError
 def test_enumeration_n2_m1():
     iset = enumerate_multi_indices(2, 1)
     assert len(iset) == 3
-    assert iset.counts_cumulative[1] == 3
+    assert np.count_nonzero(iset.orders() <= 1) == 3
 
 
 def test_enumeration_n1_m2():
     iset = enumerate_multi_indices(1, 2)
     assert [a.entries for a in iset] == [(0,), (1,), (2,)]
-    assert iset.counts_cumulative[2] == 3
-    assert iset.counts_exact[2] == 1
+    assert np.count_nonzero(iset.orders() <= 2) == 3
+    assert np.count_nonzero(iset.orders() == 2) == 1
 
 
 def test_enumeration_n2_m2_counts():
     iset = enumerate_multi_indices(2, 2)
-    assert iset.counts_cumulative[2] == 6
-    assert iset.counts_exact[2] == 3
+    assert np.count_nonzero(iset.orders() <= 2) == 6
+    assert np.count_nonzero(iset.orders() == 2) == 3
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4)])
@@ -44,8 +44,8 @@ def test_cumulative_counts_are_binomial_sums(n, m):
     iset = enumerate_multi_indices(n, m)
     for k in range(m + 1):
         expected = sum(math.comb(n + j - 1, n - 1) for j in range(k + 1))
-        assert iset.counts_cumulative[k] == expected
-        assert sum(1 for a in iset if a.order == k) == iset.counts_exact[k]
+        assert np.count_nonzero(iset.orders() <= k) == expected
+        assert np.count_nonzero(iset.orders() == k) == math.comb(n + k - 1, n - 1)
 
 
 def test_enumeration_is_deterministic():

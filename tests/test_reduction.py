@@ -401,6 +401,16 @@ def test_psi_reuses_scale_load_at_converged_start(setup_p2, monkeypatch):
     np.testing.assert_array_equal(sample.load, np.zeros(setup_p2.disc.dim))
 
 
+def test_warm_started_psi_evaluates_its_start_once(setup_p2, monkeypatch):
+    # the start u0 + z + W w0 gives both the tolerance scale and the first Newton state
+    calls = _count_gradient_assemblies(monkeypatch)
+    w0 = np.full(setup_p2.complement_basis.shape[1], 1e-3)
+    sample = solve_psi(setup_p2, 1.05, np.array([0.3]), w0=w0)
+    assert sample.iterations > 0
+    assert len(calls) == sample.iterations + 1
+    np.testing.assert_array_equal(calls[0].coeffs, setup_p2.lift(np.array([0.3]), w0))
+
+
 def test_reduced_newton_reads_gradient_from_complement_solve(setup_p2, monkeypatch):
     calls = _count_gradient_assemblies(monkeypatch)
     original = veldt.bifurcation.solve_psi

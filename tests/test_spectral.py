@@ -464,6 +464,17 @@ def test_index_jump_mismatch_raises_when_pencil_and_forms_disagree():
     assert err.value.direct != err.value.formula
 
 
+@pytest.mark.parametrize("K", [32, 128])
+def test_indefinite_pencil_matches_shifted_sine_spectrum(K):
+    # F'' = S - 5M is indefinite and G'' = M, so the pencil is k^2 - 5 on the sine modes
+    disc = build_space((0.0, np.pi), 1, "dirichlet", K)
+    pencil = pencil_eigs(*_hessians(_shifted_p2(disc)), disc.gram)
+    exact = np.arange(1, K + 1) ** 2 - 5.0
+    assert pencil.base_inertia == (K - 2, 2)
+    assert pencil.dropped_complex == 0 and pencil.multiplicities.tolist() == [1] * K
+    assert np.max(np.abs(pencil.eigenvalues - exact) / np.abs(exact)) <= 1e-12
+
+
 def test_morse_formula_matches_decompose_for_indefinite_base_form(disc32):
     F, G = _hessians(_shifted_p2(disc32))
     pencil = pencil_eigs(F, G, disc32.gram)
