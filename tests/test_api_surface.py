@@ -166,6 +166,63 @@ def test_tolerance_table_lists_every_module_constant():
     assert _tolerance_table() == _module_constants()
 
 
+
+# runs each config path in argv through ``cli.run`` and prints the loaded scipy modules after the import and after each run
+_SCIPY_PROBE = """
+import json, sys
+import veldt.cli as cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+print(json.dumps(loaded()))
+for path in sys.argv[1:]:
+    code = cli.run(path, path + ".out", seed=0)
+    print(json.dumps({"config": path, "code": code, "scipy": loaded()}))
+"""
+
+
+def _scipy_probe(paths):
+    src = str(Path(veldt.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *map(str, paths)],
+        env={"PYTHONPATH": src, "OMP_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    cold, *runs = [json.loads(line) for line in out.stdout.splitlines()]
+    return cold, runs
+
+
+def test_cold_cli_import_leaves_scipy_optimize_out(tmp_path):
+    # no README scenario and no benchmark workload imports any of scipy
+    configs = _readme_configs() + _workload_configs()
+    paths = [tmp_path / f"cfg{i}.json" for i in range(len(configs))]
+    for path, cfg in zip(paths, configs):
+        path.write_text(json.dumps(cfg))
+    cold, runs = _scipy_probe(paths)
+    assert cold == []
+    assert len(runs) == 8
+    for run in runs:
+        assert (run["code"], run["scipy"]) == (0, []), run["config"]
+
+
+def test_clamped_space_loads_only_scipy_optimize(tmp_path):
+    # the clamped mode parameters come from a numpy Newton iteration, so a
+    # clamped run loads not even scipy.optimize: none of scipy at all
+    cfg = {
+        "problem": "P4",
+        "scenario": "spectrum",
+        "discretization": {"domain": [0, 1], "m": 2, "bc": "dirichlet", "K": 12},
+        "params": {"lambdas": [100.0]},
+    }
+    path = tmp_path / "clamped.json"
+    path.write_text(json.dumps(cfg))
+    cold, (run,) = _scipy_probe([path])
+    assert cold == []
+    assert (run["code"], run["scipy"]) == (0, [])
+
 # blocks every import of scipy, then runs each config path in argv through ``cli.run`` and prints its exit code
 _SCIPY_BLOCKED = """
 import json, sys
