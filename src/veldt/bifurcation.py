@@ -39,7 +39,7 @@ from .reduction import (
     reduced_hessian_at_origin,
     solve_psi,
 )
-from .spectral import PencilSpectrum, _restricted_inertia, index_jump, pencil_eigs
+from .spectral import PencilSpectrum, _restricted_inertia, index_jump
 
 __all__ = [
     "NecessaryVerdict",
@@ -385,9 +385,7 @@ def detect_branches(
     lo, hi = _check_window(window)
     disc = problem.disc
     u0 = problem.u0.coeffs
-    F_h = problem.energy.hessian_dual(u0)
-    G_h = problem.constraint.hessian_dual(u0)
-    pencil = pencil_eigs(F_h, G_h, disc.gram)
+    pencil = problem.pencil
 
     reports = []
     for idx in np.flatnonzero((lo <= pencil.eigenvalues) & (pencil.eigenvalues <= hi)):

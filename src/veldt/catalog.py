@@ -334,16 +334,23 @@ def load_problem(doc) -> ModelProblem:
     constraint.  Term-list documents carry ``n``, ``m``, ``N`` and an optional
     ``growth`` block with the numbers ``p`` and ``p_border`` and the envelope
     descriptors ``g1``/``g2``.  Missing envelopes stay unset and are fitted
-    from samples by the growth checker.
+    from samples by the growth checker.  A string that is neither an existing
+    file, JSON text nor a catalog name is a ConfigurationError that names the
+    path tried.
     """
     if isinstance(doc, (str, Path)):
         path = Path(doc)
-        if path.exists():
+        if path.is_file():
             doc = json.loads(path.read_text())
         else:
             try:
                 doc = json.loads(str(doc))
             except json.JSONDecodeError:
+                if str(doc).upper() not in MODEL_NAMES:
+                    raise ConfigurationError(
+                        f"problem {str(doc)!r} is neither a document at {path.absolute()}, "
+                        f"JSON text nor a catalog name {MODEL_NAMES}"
+                    ) from None
                 return model_problem(str(doc))
     if isinstance(doc, str):
         return model_problem(doc)

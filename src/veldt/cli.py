@@ -41,7 +41,7 @@ from .reduction import (
     sample_reduced,
     solve_psi,
 )
-from .spectral import decompose, split_continuity_audit, pencil_eigs
+from .spectral import decompose, split_continuity_audit
 
 CENSUS_AMPLITUDES = (0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0)  # star-seed amplitudes of the morse census
 
@@ -277,7 +277,8 @@ def _growth_samples(model, params, rng):
 
 
 def run_validate(params, disc_block, model, rng, out_dir):
-    growth = check_growth(model.lagrangian, *_growth_samples(model, params, rng))
+    samples = _growth_samples(model, params, rng)
+    growth = check_growth(model.lagrangian, *samples)
     report = {
         "growth": growth.summary(),
         "violations": growth.violations[:20],
@@ -289,7 +290,7 @@ def run_validate(params, disc_block, model, rng, out_dir):
         cert_params = dict(_typed(cert_cfg["params"] or {}, {}, "config.params.certificate.params"))
         if cert_cfg["mode"] == "pairing_bound" and "sobolev_constant" not in cert_params and disc_block is not None:
             cert_params["sobolev_constant"] = estimate_sobolev_constant(_build_disc(disc_block, model))
-        cert = ps_certificate(model.lagrangian, cert_cfg["mode"], cert_params)
+        cert = ps_certificate(model.lagrangian, *samples, cert_cfg["mode"], cert_params)
         report["certificate"] = {
             "mode": cert.mode,
             "passed": cert.passed,
@@ -317,9 +318,7 @@ def run_spectrum(params, disc_block, model, rng, out_dir):
     disc = _build_disc(disc_block, model)
     problem = VariationalProblem(model=model, disc=disc)
     u0 = problem.u0
-    F_h = problem.energy.hessian_dual(u0.coeffs)
-    G_h = problem.constraint.hessian_dual(u0.coeffs)
-    pencil = pencil_eigs(F_h, G_h, disc.gram)
+    pencil = problem.pencil
     report = {
         "pencil": pencil.summary(),
         "checks": ["pencil-spectrum"],

@@ -9,6 +9,7 @@ the Gram matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -27,6 +28,7 @@ from .galerkin import (
     assemble_hessian,
 )
 from .lagrangian import Lagrangian
+from .spectral import PencilSpectrum, decompose, pencil_eigs
 
 HALVINGS = 25  # step-length halvings before a Newton step counts as stalled
 PROJECTION_STALL_RTOL = 1e-15  # relative distance at which a projected trial is the iterate, to the projection's rounding
@@ -151,9 +153,13 @@ class CombinedFunctional(DiscretizedFunctional):
         return self._naming_terms("hessian_dual", u)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class VariationalProblem:
-    """A model problem bound to a discretization and a base point."""
+    """A model problem bound to a discretization and a base point.
+
+    ``pencil`` is the spectrum of F''(u0) v = lambda G''(u0) v, solved on
+    first use and kept, so every reader of one problem shares one solve.
+    """
 
     model: ModelProblem
     disc: Discretization
@@ -161,7 +167,12 @@ class VariationalProblem:
 
     def __post_init__(self):
         if self.u0 is None:
-            self.u0 = self.disc.zero_field()
+            object.__setattr__(self, "u0", self.disc.zero_field())
+
+    @functools.cached_property
+    def pencil(self) -> PencilSpectrum:
+        u0 = self.u0.coeffs
+        return pencil_eigs(self.energy.hessian_dual(u0), self.constraint.hessian_dual(u0), self.disc.gram)
 
     @property
     def energy(self) -> DiscretizedFunctional:
@@ -291,8 +302,6 @@ def _distinct_points(func, seeds, center=None, radius=None, inner=0.0):
     Field the polish ended on.  The census, the Morse audit, the tilted
     census and the branch sampler all collect their points here.
     """
-    from .spectral import decompose  # local import to avoid a cycle
-
     disc = func.disc
     center = np.zeros(disc.dim) if center is None else np.asarray(center, dtype=float)
     found = []

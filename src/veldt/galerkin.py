@@ -49,7 +49,7 @@ def clamped_mode_parameters(count: int) -> np.ndarray:
     """
     mu = (np.arange(1, count + 1) + 0.5) * np.pi
     for _ in range(6):
-        sech = 1.0 / np.cosh(mu)
+        sech = 2.0 * np.exp(-mu) / (1.0 + np.exp(-2.0 * mu))  # 1/cosh(mu) without cosh(mu), which overflows past mu = 710
         mu = mu - (np.cos(mu) - sech) / (np.tanh(mu) * sech - np.sin(mu))
     return mu
 
@@ -60,14 +60,16 @@ def _clamped_mode_table(mu: np.ndarray, s: np.ndarray, order: int) -> np.ndarray
     The mode is cosh(t) - cos(t) - sigma*(sinh(t) - sin(t)) with t = mu*s.
     Hyperbolic combinations are expanded in exponentials so that the small
     coefficient (1 - sigma) multiplies the growing exponential explicitly.
+    That product is formed as ((1 - sigma) e^mu) e^(t - mu), with every
+    exponent at most 0, so no mode overflows however large mu is.
     Every operation is elementwise, so ``mu`` and ``s`` broadcast.
     """
     t = mu * s
-    sinh_mu = np.sinh(mu)
-    # 1 - sigma computed from the difference form, avoiding cosh-sinh loss
-    one_minus_sigma = (np.cos(mu) - np.sin(mu) - np.exp(-mu)) / (sinh_mu - np.sin(mu))
-    sigma = 1.0 - one_minus_sigma
-    grow = one_minus_sigma * np.exp(t)
+    em = np.exp(-mu)
+    # (1 - sigma) e^mu from the difference form, avoiding cosh-sinh loss
+    scaled = (np.cos(mu) - np.sin(mu) - em) / (0.5 * (1.0 - em * em) - em * np.sin(mu))
+    sigma = 1.0 - scaled * em
+    grow = scaled * np.exp(t - mu)
     decay = (1.0 + sigma) * np.exp(-t)
     phase = order % 4
     if phase == 0:
@@ -419,10 +421,8 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
     ``domain`` is (a, b) in one dimension or ((a1, b1), (a2, b2)) in two.
     Supported combinations: 1-D dirichlet with m in {1, 2} (sine and clamped
     modes), 1-D periodic (real Fourier) for any m, 1-D full-space m=1
-    (cosine), and 2-D dirichlet m=1 (tensor sines).  ``bc='dirichlet_m'`` is
-    accepted as an alias for ``'dirichlet'``.
+    (cosine), and 2-D dirichlet m=1 (tensor sines).
     """
-    bc = {"dirichlet_m": "dirichlet"}.get(bc, bc)
     if K < 4:
         raise ConfigurationError(f"need K >= 4 basis functions, got K={K}")
     if m < 1:

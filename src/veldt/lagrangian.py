@@ -285,6 +285,21 @@ class GrowthReport:
         }
 
 
+def _samples(lag: Lagrangian, x, xi, check: str) -> tuple:
+    """``(x, xi)`` as float arrays, refused unless they hold S >= 1 jets in the callbacks' layout."""
+    xs = np.asarray(x, dtype=float)
+    xis = np.asarray(xi, dtype=float)
+    S = xis.shape[0] if xis.ndim == 3 else 0
+    A = len(lag.index_set)
+    if S == 0 or xis.shape != (S, lag.N, A) or xs.shape != ((S,) if lag.n == 1 else (S, lag.n)):
+        x_shape = "(S,)" if lag.n == 1 else f"(S, {lag.n})"
+        raise ConfigurationError(
+            f"{check} needs S >= 1 samples, x of shape {x_shape} and xi of shape (S, {lag.N}, {A}); "
+            f"got x {xs.shape} and xi {xis.shape}"
+        )
+    return xs, xis
+
+
 def check_growth(lag: Lagrangian, x: np.ndarray, xi: np.ndarray) -> GrowthReport:
     """Check the two growth inequalities on S sampled jets.
 
@@ -302,15 +317,8 @@ def check_growth(lag: Lagrangian, x: np.ndarray, xi: np.ndarray) -> GrowthReport
     spec = lag.growth
     A = len(spec.index_set)
     N = lag.N
-    xs = np.asarray(x, dtype=float)
-    xis = np.asarray(xi, dtype=float)
-    S = xis.shape[0] if xis.ndim == 3 else 0
-    if S == 0 or xis.shape != (S, N, A) or xs.shape != ((S,) if lag.n == 1 else (S, lag.n)):
-        x_shape = "(S,)" if lag.n == 1 else f"(S, {lag.n})"
-        raise ConfigurationError(
-            f"growth check needs S >= 1 samples, x of shape {x_shape} and xi of shape (S, {N}, {A}); "
-            f"got x {xs.shape} and xi {xis.shape}"
-        )
+    xs, xis = _samples(lag, x, xi, "growth check")
+    S = xis.shape[0]
     hess = lag.hessian_at(xs, xis)  # (S, N, A, N, A)
     gaps = np.max(np.abs(hess - hess.transpose(0, 3, 4, 1, 2)), axis=(1, 2, 3, 4))
     bad = np.flatnonzero(gaps > 1e-12 * np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2, 3, 4))))
@@ -421,20 +429,19 @@ class PSReport:
     detail: dict = field(default_factory=dict)
 
 
-# the parameters each certificate mode reads, besides the jet-grid keys
+# the parameters each certificate mode reads; each is a number
 _CERTIFICATE_KEYS = {
     "coercive": ("c0", "c1"),
     "pairing_bound": ("kappa", "c0", "c1", "upsilon", "sobolev_constant"),
     "zero_slice_bound": ("r", "C", "phi"),
 }
-_GRID_KEYS = ("radius", "count", "x", "seed")
-_INTEGER_KEYS = ("count", "seed")  # every other parameter is a number
 
 
-def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
-    """Scan one of the compactness-condition inequalities on a jet grid.
+def ps_certificate(lag: Lagrangian, x: np.ndarray, xi: np.ndarray, mode: str, params: dict) -> PSReport:
+    """Scan one of the compactness-condition inequalities on S sampled jets.
 
-    Modes:
+    ``x`` and ``xi`` are the samples of :func:`check_growth`, in the same
+    layout and refused on the same shape errors.  Modes:
 
     * ``coercive``: F(x, xi) >= c0 * sum_{|a|=m} |xi_a|^p - c1 pointwise.
     * ``pairing_bound``: F - kappa * sum F_a xi_a >= c0 * sum_{|a|=m} |xi_a|^p
@@ -443,27 +450,20 @@ def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
     * ``zero_slice_bound``: F(x, xi-hat, 0) <= phi + C * sum_{|a|<m} |xi_a|^r with
       1 <= r < 2, scanned with the top-order slice zeroed.
 
-    A pass is sampled evidence on the grid, not a proof.  The grid takes
-    ``radius``, ``count``, ``x`` and ``seed``; any other key a mode does not read
-    is refused.  ``count`` (at least 1) and ``seed`` are integers, every other
-    parameter is a number, and a bool is neither.
+    A pass is evidence on the samples, not a proof.  A key the mode does not
+    read is refused, and every parameter is a number; a bool is not.
     """
     if mode not in _CERTIFICATE_KEYS:
         raise ConfigurationError(f"unknown certificate mode {mode!r}")
     params = dict(params or {})
-    known = _CERTIFICATE_KEYS[mode] + _GRID_KEYS
+    known = _CERTIFICATE_KEYS[mode]
     unknown = sorted(set(params) - set(known))
     if unknown:
         raise ConfigurationError(f"mode {mode} does not read {unknown[0]!r}; known keys: {', '.join(known)}")
     for key, value in params.items():
-        integral = key in _INTEGER_KEYS
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
-            kind = "an integer" if integral else "a number"
-            raise ConfigurationError(f"certificate parameter {key} must be {kind}, got {value!r}")
-    if params.get("count", 1) < 1:
-        raise ConfigurationError(f"certificate parameter count must be at least 1, got {params['count']!r}")
-    grid = _jet_grid(lag, params)
-    xs, xis = grid
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(f"certificate parameter {key} must be a number, got {value!r}")
+    xs, xis = _samples(lag, x, xi, "certificate")
     iset = lag.index_set
     orders = iset.orders()
     top = orders == iset.m
@@ -525,22 +525,3 @@ def ps_certificate(lag: Lagrangian, mode: str, params: dict) -> PSReport:
     bound = phi + C * np.sum(np.abs(xi0[:, :, low]) ** r, axis=(1, 2))
     margin = float(np.min(bound - values))
     return PSReport(mode=mode, passed=margin >= -1e-12, margin=margin, detail={"C": C, "r": r, "phi": phi})
-
-
-def _jet_grid(lag: Lagrangian, params: dict):
-    radius = float(params.get("radius", 3.0))
-    count = int(params.get("count", 7))
-    axis = np.linspace(-radius, radius, count)
-    A = len(lag.index_set)
-    if lag.N * A > 4:
-        # keep the scan affordable in higher-dimensional jet spaces
-        rng = np.random.default_rng(int(params.get("seed", 0)))
-        pts = rng.uniform(-radius, radius, size=(count**2, lag.N, A))
-    else:
-        mesh = np.meshgrid(*([axis] * (lag.N * A)), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1).reshape(-1, lag.N, A)
-    if lag.n == 1:
-        xs = np.full(pts.shape[0], float(params.get("x", 0.5)))
-    else:
-        xs = np.full((pts.shape[0], lag.n), float(params.get("x", 0.5)))
-    return xs, pts

@@ -39,7 +39,7 @@ from .functional import (
     multistart_census,
 )
 from .galerkin import Field
-from .spectral import decompose, pencil_eigs
+from .spectral import decompose
 
 __all__ = [
     "ReductionSetup",
@@ -170,7 +170,7 @@ def make_reduction_setup(problem: VariationalProblem, lam_star: float, kernel_di
     if dec.nullity == 0:
         raise DegenerateKernelError("second variation at the base point has no kernel; nothing to reduce")
 
-    pencil = pencil_eigs(energy.hessian_dual(u0.coeffs), constraint.hessian_dual(u0.coeffs), disc.gram)
+    pencil = problem.pencil
     box, rho = _reduction_extent(pencil.separation(pencil.nearest(lam_star)[0]))
     return ReductionSetup(
         energy=energy,

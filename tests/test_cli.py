@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from veldt.cli import MINIMUMS, config_hash, load_config, main, run, to_jsonable
-from veldt.catalog import load_problem, model_problem
+from veldt.catalog import MODEL_NAMES, load_problem, model_problem
 from veldt.errors import ConfigurationError
 
 
@@ -184,23 +184,46 @@ def test_mistyped_growth_number_exits_3_naming_the_key(tmp_path, capsys, growth,
 
 
 @pytest.mark.parametrize(
-    "params, key, kind",
+    "params, message",
     [
-        pytest.param({"c0": "x"}, "c0", "a number", id="c0-string"),
-        pytest.param({"c1": False}, "c1", "a number", id="c1-bool"),
-        pytest.param({"radius": [1]}, "radius", "a number", id="radius-list"),
-        pytest.param({"count": 2.5}, "count", "an integer", id="count-float"),
-        pytest.param({"count": "7"}, "count", "an integer", id="count-string"),
-        pytest.param({"seed": 1.0}, "seed", "an integer", id="seed-float"),
-        pytest.param({"count": 0}, "count", "at least 1", id="count-zero"),
-        pytest.param({"count": -1}, "count", "at least 1", id="count-negative"),
+        pytest.param({"c0": "x"}, "parameter c0 must be a number, got ", id="c0-string"),
+        pytest.param({"c1": False}, "parameter c1 must be a number, got ", id="c1-bool"),
+        # the certificate scans the growth check's samples, so the old jet-grid keys are unknown keys
+        pytest.param({"radius": [1]}, "mode coercive does not read 'radius'", id="radius-list"),
+        pytest.param({"count": 2.5}, "mode coercive does not read 'count'", id="count-float"),
+        pytest.param({"count": "7"}, "mode coercive does not read 'count'", id="count-string"),
+        pytest.param({"seed": 1.0}, "mode coercive does not read 'seed'", id="seed-float"),
+        pytest.param({"count": 0}, "mode coercive does not read 'count'", id="count-zero"),
+        pytest.param({"count": -1}, "mode coercive does not read 'count'", id="count-negative"),
+        pytest.param({"x": 0.3}, "mode coercive does not read 'x'", id="x-number"),
     ],
 )
-def test_mistyped_certificate_parameter_exits_3_naming_it(tmp_path, capsys, params, key, kind):
+def test_mistyped_certificate_parameter_exits_3_naming_it(tmp_path, capsys, params, message):
     certificate = {"mode": "coercive", "params": params}
     cfg = {"problem": "P1", "scenario": "validate", "params": {"sample_count": 3, "certificate": certificate}}
     assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out") == 3
-    assert f"parameter {key} must be {kind}, got " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert message in err
+
+
+def test_certificate_scans_the_growth_samples_of_the_run_seed(tmp_path):
+    # N = 3, m = 1: six jet entries, so the samples are uniform draws from the run's generator
+    factor = lambda component, alpha: {"component": component, "alpha": [alpha], "power": 2}
+    terms = [{"coef": 0.5, "factors": [factor(i, alpha)]} for i in range(3) for alpha in (0, 1)]
+    doc = {"n": 1, "m": 1, "N": 3, "integrand": {"terms": terms}}
+    certificate = {"mode": "coercive", "params": {"c0": 0.5}}
+    path = _write(tmp_path, "cfg.json", {"problem": doc, "scenario": "validate",
+                                         "params": {"sample_count": 4, "certificate": certificate}})
+    margins = []
+    for seed in (0, 7):
+        assert run(path, tmp_path / f"out{seed}", seed=seed) == 0
+        result = json.loads((tmp_path / f"out{seed}" / "report.json").read_text())["result"]
+        assert result["certificate"]["passed"] is True
+        margins.append(result["certificate"]["margin"])
+    # the margin is min |u|^2 / 2 over the draws, so it moves with the seed
+    assert margins[0] != margins[1]
+    assert 0.0 < min(margins)
 
 
 def _term_document(edit):
@@ -333,6 +356,16 @@ def test_problem_document_rejects_top_order_constraint():
     }
     with pytest.raises(ConfigurationError):
         load_problem(doc)
+
+
+def test_missing_problem_path_names_the_path_tried(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    tried = re.escape(str(tmp_path / "problems" / "missing.json"))
+    with pytest.raises(ConfigurationError, match=rf"neither a document at {tried}, JSON text nor a catalog name"):
+        load_problem("problems/missing.json")
+    with pytest.raises(ConfigurationError, match=re.escape(str(MODEL_NAMES))):
+        load_problem(Path("problems") / "missing.json")
+    assert load_problem("p2").name == "P2"
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,34 @@ def test_clamped_parameters_are_correctly_rounded():
             assert abs(mpmath.mpf(float(mu)) - exact) <= np.spacing(mu) / 2, k
 
 
+def test_clamped_tables_stay_finite_and_exact_past_the_overflow(recwarn):
+    # mu passes 709.8 at k = 226, where cosh(mu) and e^mu overflow a double; the
+    # cancellation cosh - sigma sinh is about e^700, so the reference needs 400+ digits
+    for K in (226, 300):
+        disc = build_space((0.0, 1.0), 2, "dirichlet", K)
+        assert np.isfinite(disc.dtab).all() and np.isfinite(disc.gram).all(), K
+    disc = build_space((0.0, 1.0), 2, "dirichlet", 240)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    mus = clamped_mode_parameters(240)
+    picked = np.r_[np.arange(0, disc.nodes.size, 40), disc.nodes.size - 3 + np.arange(3)]
+    with mpmath.workdps(420):
+        for k in (225, 226, 240):
+            mu = mpmath.mpf(float(mus[k - 1]))
+            sigma = (mpmath.cosh(mu) - mpmath.cos(mu)) / (mpmath.sinh(mu) - mpmath.sin(mu))
+            for d in range(3):
+                exact = []
+                for q in picked:
+                    t = mu * mpmath.mpf(float(disc.nodes[q]))
+                    hyp, hyp_next = (mpmath.cosh(t), mpmath.sinh(t))[:: 1 - 2 * (d % 2)]
+                    trig = (-mpmath.cos(t), mpmath.sin(t), mpmath.cos(t), -mpmath.sin(t))
+                    # the d-th derivative in s of cosh t - cos t - sigma (sinh t - sin t), t = mu s
+                    exact.append(float((hyp + trig[d % 4] - sigma * (hyp_next + trig[(d + 3) % 4])) * mu**d))
+                exact = np.array(exact)
+                # the rounding of t = mu s alone moves a mode by about mu eps of its size
+                error = np.max(np.abs(disc.dtab[d, picked, k - 1] - exact)) / np.max(np.abs(exact))
+                assert error <= 2e-13, (k, d, error)
+
+
 def test_quadrature_is_exact_for_declared_products():
     # top-frequency sine products integrate to closed forms at machine level
     disc = build_space((0.0, np.pi), 1, "dirichlet", 24)

@@ -354,13 +354,14 @@ def test_growth_report_is_marked_sampled_only():
 
 
 def test_certificate_coercive_quadratic():
-    report = ps_certificate(model_problem("P1").lagrangian, "coercive", {"c0": 0.5})
+    report = ps_certificate(model_problem("P1").lagrangian, *_dense_samples(count=7), "coercive", {"c0": 0.5})
     assert report.passed
 
 
 def test_certificate_embedding_gap_failure():
     report = ps_certificate(
         model_problem("P1").lagrangian,
+        *_dense_samples(count=7),
         "pairing_bound",
         {"kappa": 0.0, "c0": 1.0, "c1": 2.0, "sobolev_constant": 1.0},
     )
@@ -370,7 +371,9 @@ def test_certificate_embedding_gap_failure():
 
 def test_certificate_missing_embedding_constant():
     with pytest.raises(DependencyError):
-        ps_certificate(model_problem("P1").lagrangian, "pairing_bound", {"kappa": 0.0, "c0": 1.0, "c1": 0.5})
+        ps_certificate(
+            model_problem("P1").lagrangian, *_dense_samples(count=7), "pairing_bound", {"kappa": 0.0, "c0": 1.0, "c1": 0.5}
+        )
 
 
 def _cosine_well():
@@ -395,26 +398,46 @@ def _cosine_well():
 
 
 def test_certificate_bounded_zero_slice_passes():
-    report = ps_certificate(_cosine_well(), "zero_slice_bound", {"phi": 1.0, "C": 1.0, "r": 1.0})
+    report = ps_certificate(_cosine_well(), *_dense_samples(count=7), "zero_slice_bound", {"phi": 1.0, "C": 1.0, "r": 1.0})
     assert report.passed
 
 
 def test_certificate_quartic_zero_slice_fails():
-    report = ps_certificate(model_problem("P2").lagrangian, "zero_slice_bound", {"phi": 0.0, "C": 1.0, "r": 1.0})
+    report = ps_certificate(
+        model_problem("P2").lagrangian, *_dense_samples(count=7), "zero_slice_bound", {"phi": 0.0, "C": 1.0, "r": 1.0}
+    )
     assert not report.passed
 
 
 def test_certificate_rejects_bad_exponent():
     with pytest.raises(ConfigurationError):
-        ps_certificate(model_problem("P2").lagrangian, "zero_slice_bound", {"r": 2.0})
+        ps_certificate(model_problem("P2").lagrangian, *_dense_samples(count=7), "zero_slice_bound", {"r": 2.0})
     with pytest.raises(ConfigurationError):
-        ps_certificate(model_problem("P2").lagrangian, "coerciv", {})
+        ps_certificate(model_problem("P2").lagrangian, *_dense_samples(count=7), "coerciv", {})
 
 
 def test_certificate_rejects_parameters_its_mode_does_not_read():
     lag = model_problem("P1").lagrangian
+    samples = _dense_samples(count=7)
     with pytest.raises(ConfigurationError, match="'c_0'"):
-        ps_certificate(lag, "coercive", {"c_0": 0.5})
+        ps_certificate(lag, *samples, "coercive", {"c_0": 0.5})
     with pytest.raises(ConfigurationError, match="'kappa'"):
-        ps_certificate(lag, "coercive", {"c0": 0.5, "kappa": 0.1})
-    assert ps_certificate(lag, "coercive", {"c0": 0.5, "radius": 2.0, "count": 5, "x": 0.3, "seed": 1}).passed
+        ps_certificate(lag, *samples, "coercive", {"c0": 0.5, "kappa": 0.1})
+    # the samples are the caller's: the old jet-grid keys are refused like any other
+    for key in ("radius", "count", "x", "seed"):
+        with pytest.raises(ConfigurationError, match=f"does not read '{key}'"):
+            ps_certificate(lag, *samples, "coercive", {"c0": 0.5, key: 1})
+    assert ps_certificate(lag, *samples, "coercive", {"c0": 0.5, "c1": 0}).passed
+
+
+def test_certificate_scans_the_samples_it_is_given():
+    lag = model_problem("P2").lagrangian  # f = u'^2/2 + u^4/4: at c0 = 1/2 the coercive margin is min u^4/4
+    x, xi = _dense_samples(count=7)
+    assert ps_certificate(lag, x, xi, "coercive", {"c0": 0.5}).margin == 0.0
+    away = xi.copy()
+    away[:, 0, 0] = 1.0 + np.abs(xi[:, 0, 0])  # no sample with |u| < 1 is left
+    assert ps_certificate(lag, x, away, "coercive", {"c0": 0.5}).margin == 0.25
+    with pytest.raises(ConfigurationError, match="certificate needs S >= 1 samples"):
+        ps_certificate(lag, x[:0], xi[:0], "coercive", {})
+    with pytest.raises(ConfigurationError, match="certificate needs S >= 1 samples"):
+        ps_certificate(lag, x, xi[:, :, :1], "coercive", {})

@@ -18,13 +18,15 @@ nodes and terms, far below any real error in a derivative.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from veldt import assemble_functional, assemble_gradient, assemble_hessian, build_space, hessian_split, load_problem
-from veldt.errors import EvaluationError
+from veldt.errors import EvaluationError, HypothesisViolationError
 from veldt.functional import CombinedFunctional, DiscretizedFunctional
 from veldt.lagrangian import enumerate_multi_indices
+from veldt.spectral import GROUP_RTOL, pencil_eigs
 
 EPS = np.finfo(float).eps
 STEP = 1e-2
@@ -49,8 +51,8 @@ def _alphas(n, m):
 
 
 @st.composite
-def cases(draw):
-    """A random polynomial document, a space it runs on, and a point and direction there."""
+def problems(draw):
+    """A random polynomial document with the mass constraint, a space it runs on, and a point and direction there."""
     n, m, bc, domain = draw(st.sampled_from(SPACES))
     N = draw(st.sampled_from([1, 2]))
     K = draw(st.integers(4, 6))
@@ -73,7 +75,12 @@ def cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = rng.standard_normal(disc.dim)
     v = rng.standard_normal(disc.dim)
-    return model.lagrangian, disc, 0.5 * u / disc.norm(u), v / disc.norm(v)
+    return model, disc, 0.5 * u / disc.norm(u), v / disc.norm(v)
+
+
+def cases():
+    """``problems`` with the document's integrand in place of the document."""
+    return problems().map(lambda case: (case[0].lagrangian, *case[1:]))
 
 
 def _richardson(f, u, v):
@@ -112,6 +119,26 @@ def test_load_and_hessian_match_central_differences(case):
     B = assemble_hessian(lag, disc.field(u))
     fd, size = _richardson(lambda c: assemble_gradient(lag, disc.field(c)), u, v)
     assert float(np.max(np.abs(fd - B @ v))) <= _rounding_bound(size)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_pencil_matches_generalized_eigh(case):
+    # the mass constraint makes G'' definite, so every pencil eigenvalue is real and
+    # the dim of them are the generalized eigenvalues of (F'', G'')
+    model, disc, u, _ = case
+    F = assemble_hessian(model.lagrangian, disc.field(u))
+    G = assemble_hessian(model.constraint, disc.field(u))
+    assume(np.linalg.cond(F) <= 1e8)  # so that the comparison below is well posed
+    try:
+        pencil = pencil_eigs(F, G, disc.gram)
+    except HypothesisViolationError:
+        return
+    assert pencil.dropped_complex == 0
+    assert int(np.sum(pencil.multiplicities)) == disc.dim
+    reference = scipy.linalg.eigh(F, G, eigvals_only=True)
+    representatives = np.repeat(pencil.eigenvalues, pencil.multiplicities)
+    assert np.all(np.abs(reference - representatives) <= GROUP_RTOL * np.maximum(1.0, np.abs(representatives)))
 
 
 # ---------------------------------------------------------------------------
