@@ -249,7 +249,7 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# basis builders (1-D)
+# space builder: one Gauss rule and one set of 1-D tables per axis
 
 
 def _leggauss(count: int):
@@ -287,10 +287,6 @@ def _leggauss(count: int):
     w = 2.0 / ((1 - x * x) * dp * dp)
     half = n // 2
     return np.concatenate([-x[:half], x[half:], x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
-
-
-def _gauss_nodes(a: float, b: float, rule):
-    return 0.5 * (b - a) * rule[0] + 0.5 * (a + b), 0.5 * (b - a) * rule[1]
 
 
 def _trig_tables(omega, phase, m, start):
@@ -335,84 +331,44 @@ def _beam_tables(a, b, K, m, nodes):
     return np.stack([_clamped_mode_table(mus, s, d) / L**d for d in range(m + 1)])
 
 
-def _max_frequency_units(basis_kind: str, K: int) -> int:
-    if basis_kind == "sine":
-        return K
-    if basis_kind == "cosine":
-        return max(K - 1, 1)
-    if basis_kind == "fourier":
-        return 2 * ((K + 1) // 2)
-    if basis_kind == "beam":
-        return K + 1
-    raise ConfigurationError(basis_kind)
+# (bc, m) -> basis kind, table function and the frequency units of its top mode
+# for K modes; m = None serves every order
+_BASES = {
+    ("dirichlet", 1): ("sine", _sine_tables, lambda K: K),
+    ("dirichlet", 2): ("beam", _beam_tables, lambda K: K + 1),
+    ("periodic", None): ("fourier", _fourier_tables, lambda K: 2 * ((K + 1) // 2)),
+    ("full", 1): ("cosine", _cosine_tables, lambda K: max(K - 1, 1)),
+}
 
 
-def _build_1d(a, b, m, bc, K, quad_order):
-    if bc == "dirichlet":
-        if m == 1:
-            kind = "sine"
-            table_fn = _sine_tables
-        elif m == 2:
-            kind = "beam"
-            table_fn = _beam_tables
-        else:
-            raise CapabilityError(f"dirichlet basis implemented for m in {{1, 2}}, got m={m}")
-    elif bc == "periodic":
-        kind = "fourier"
-        table_fn = _fourier_tables
-    elif bc == "full":
-        if m != 1:
-            raise CapabilityError("bc='full' is implemented for m=1 only")
-        kind = "cosine"
-        table_fn = _cosine_tables
-    else:
+def _axis(a, b, m, bc, K, quad_order):
+    """One interval's Gauss rule, derivative tables of order 0..m, basis kind and boundary residual.
+
+    The rule has Q = 4 * (frequency units of the top mode) + 32 nodes unless
+    ``quad_order`` sets Q.  The residual is the largest violation of the
+    boundary conditions by any table entry at the two ends, relative to the
+    largest end value (at least 1).
+    """
+    entry = _BASES.get((bc, m)) or _BASES.get((bc, None))
+    if entry is None:
+        orders = [order for known, order in _BASES if known == bc]
+        if orders:
+            raise CapabilityError(f"bc={bc!r} has a basis for m in {orders}, got m={m}")
         raise CapabilityError(f"unknown boundary condition {bc!r}; use dirichlet, periodic, or full")
-
-    numax = _max_frequency_units(kind, K)
-    Q = int(quad_order) if quad_order else 4 * numax + 32
-    nodes, weights = _gauss_nodes(a, b, _leggauss(Q))
-    dtab = table_fn(a, b, K, m, nodes)
-    residual = _boundary_residual_1d(table_fn, a, b, K, m, bc)
-    return nodes, weights, dtab, kind, residual
-
-
-def _boundary_residual_1d(table_fn, a, b, K, m, bc):
-    ends = np.asarray([a, b])
-    tabs = table_fn(a, b, K, m, ends)
-    scale = max(1.0, float(np.max(np.abs(tabs))))
+    kind, table_fn, units = entry
+    Q = int(quad_order) if quad_order else 4 * units(K) + 32
+    x, w = _leggauss(Q)
+    nodes, weights = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    ends = table_fn(a, b, K, m, np.asarray([a, b]))
+    scale = max(1.0, float(np.max(np.abs(ends))))
     if bc == "dirichlet":
         # functions and derivatives through order m-1 vanish at both ends
-        return float(np.max(np.abs(tabs[:m]))) / scale
-    if bc == "periodic":
-        return float(np.max(np.abs(tabs[:, 0, :] - tabs[:, 1, :]))) / scale
-    return 0.0
-
-
-def _build_2d(domain, m, bc, K, quad_order):
-    if m != 1 or bc != "dirichlet":
-        raise CapabilityError("two-dimensional spaces support m=1 with dirichlet conditions only")
-    (a1, b1), (a2, b2) = domain
-    # tensor sine modes ordered by k1^2 + k2^2, then lexicographically
-    side = int(np.ceil(np.sqrt(K))) + 2
-    pairs = sorted(
-        ((k1, k2) for k1 in range(1, side + 1) for k2 in range(1, side + 1)),
-        key=lambda kk: (kk[0] ** 2 + kk[1] ** 2, kk),
-    )[:K]
-    kmax = max(max(p) for p in pairs)
-    Q1 = int(quad_order) if quad_order else 4 * kmax + 16
-    rule = _leggauss(Q1)
-    x1, w1 = _gauss_nodes(a1, b1, rule)
-    x2, w2 = _gauss_nodes(a2, b2, rule)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    nodes = np.stack([X1.ravel(), X2.ravel()], axis=1)
-    weights = np.outer(w1, w2).ravel()
-    k1, k2 = np.asarray(pairs).T
-    o1, o2 = k1 * np.pi / (b1 - a1), k2 * np.pi / (b2 - a2)
-    t1, t2 = np.outer(nodes[:, 0] - a1, o1), np.outer(nodes[:, 1] - a2, o2)
-    s1, s2 = np.sin(t1), np.sin(t2)
-    # alphas ordered (0,0), (0,1), (1,0)
-    dtab = np.stack([s1 * s2, s1 * o2 * np.cos(t2), o1 * np.cos(t1) * s2])
-    return nodes, weights, dtab, "sine2d", 0.0, pairs
+        residual = float(np.max(np.abs(ends[:m]))) / scale
+    elif bc == "periodic":
+        residual = float(np.max(np.abs(ends[:, 0, :] - ends[:, 1, :]))) / scale
+    else:
+        residual = 0.0
+    return nodes, weights, table_fn(a, b, K, m, nodes), kind, residual
 
 
 def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = None, n_components: int = 1) -> Discretization:
@@ -428,25 +384,41 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
     if m < 1:
         raise ConfigurationError(f"need m >= 1, got m={m}")
     dom = np.asarray(domain, dtype=float)
-    meta: dict = {}
-    if dom.shape == (2,):
-        n = 1
-        a, b = float(dom[0]), float(dom[1])
+    if dom.shape not in ((2,), (2, 2)):
+        raise CapabilityError(f"domain must be an interval or a 2-D box, got shape {dom.shape}")
+    intervals = [(float(a), float(b)) for a, b in dom.reshape(-1, 2)]
+    for a, b in intervals:
         if not b > a:
             raise ConfigurationError(f"empty interval ({a}, {b})")
-        nodes, weights, dtab, kind, residual = _build_1d(a, b, m, bc, K, quad_order)
-        domain_t = (a, b)
-    elif dom.shape == (2, 2):
-        n = 2
-        nodes, weights, dtab, kind, residual, pairs = _build_2d(dom.tolist(), m, bc, K, quad_order)
-        domain_t = tuple((float(lo), float(hi)) for lo, hi in dom)
-        meta["mode_pairs"] = pairs
-    else:
-        raise CapabilityError(f"domain must be an interval or a 2-D box, got shape {dom.shape}")
-
+    n = len(intervals)
     iset = enumerate_multi_indices(n, m)
-    if dtab.shape[0] != len(iset):
-        raise DiscretizationError("derivative table does not cover the multi-index set")
+    meta: dict = {}
+    if n == 1:
+        domain_t = intervals[0]
+        nodes, weights, dtab, kind, residual = _axis(*domain_t, m, bc, K, quad_order)
+    else:
+        if (bc, m) != ("dirichlet", 1):
+            raise CapabilityError("two-dimensional spaces support m=1 with dirichlet conditions only")
+        domain_t = tuple(intervals)
+        # tensor modes ordered by k1^2 + k2^2, then lexicographically
+        side = int(np.ceil(np.sqrt(K))) + 2
+        pairs = sorted(
+            ((k1, k2) for k1 in range(1, side + 1) for k2 in range(1, side + 1)),
+            key=lambda kk: (kk[0] ** 2 + kk[1] ** 2, kk),
+        )[:K]
+        kmax = max(max(p) for p in pairs)
+        (x1, w1, t1, kind, r1), (x2, w2, t2, _, r2) = (_axis(a, b, m, bc, kmax, quad_order) for a, b in intervals)
+        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+        nodes = np.stack([X1.ravel(), X2.ravel()], axis=1)
+        weights = np.outer(w1, w2).ravel()
+        k1, k2 = np.asarray(pairs).T - 1
+        # D^(i,j)(phi_k1 psi_k2) = phi_k1^(i) psi_k2^(j) at every node pair, in the node order above
+        dtab = np.stack(
+            [(t1[i][:, None, k1] * t2[j][None, :, k2]).reshape(-1, K) for i, j in (alpha.entries for alpha in iset)]
+        )
+        kind, residual = kind + "2d", max(r1, r2)
+        meta["mode_pairs"] = pairs
+
     orders = iset.orders()
 
     def gram_block(sel):
@@ -599,7 +571,8 @@ def hessian_split(lag: Lagrangian, u: Field) -> HessianSplit:
     The top-order and lower-order blocks come from the kernel of
     :func:`assemble_hessian` with complementary pair masks.  Every order is at
     most m, so the two masks cover every (alpha, beta) pair once and their sum
-    is B; ``split_defect`` is the entrywise relative gap between B and P + Q.
+    is B; ``split_defect`` is the entrywise gap between B and P + Q, relative to
+    the largest entry of the three.
     """
     disc = u.disc
     hess = _jet_hessian(lag, u)
@@ -610,10 +583,19 @@ def hessian_split(lag: Lagrangian, u: Field) -> HessianSplit:
     P = _symmetric(B_top) + disc.gram_lower
     Qm = _symmetric(B_low) - disc.gram_lower
     B = _symmetric(B_top + B_low)
-    defect = float(np.max(np.abs(B - (P + Qm))) / max(np.max(np.abs(B)), 1e-300))
     _, W = _gram_factors(disc.gram)
     c0 = float(np.linalg.eigvalsh(W @ P @ W.T)[0])
-    return HessianSplit(B=B, P=P, Q=Qm, C0_estimate=c0, split_defect=defect)
+    return HessianSplit(B=B, P=P, Q=Qm, C0_estimate=c0, split_defect=_split_gap(B, P, Qm))
+
+
+def _split_gap(B: np.ndarray, P: np.ndarray, Q: np.ndarray) -> float:
+    """Largest entry of |B - (P + Q)|, relative to the largest entry of B, P or Q.
+
+    P and Q each carry the lower-order identity with opposite signs, so their
+    sum rounds at their own scale, which can be far above that of B.
+    """
+    scale = max(np.max(np.abs(B)), np.max(np.abs(P)), np.max(np.abs(Q)), 1e-300)
+    return float(np.max(np.abs(B - (P + Q))) / scale)
 
 
 def estimate_sobolev_constant(disc: Discretization) -> float:

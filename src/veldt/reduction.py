@@ -538,11 +538,8 @@ class MarinoProdiResult:
     perturbed: PerturbedFunctional
     critical_points: list
     passed: bool
-    b_coords: np.ndarray
     attempts: int
     morse_window: tuple
-    tilt_bound: float
-    warning: Optional[str] = None
 
 
 def marino_prodi_perturb(
@@ -609,11 +606,8 @@ def marino_prodi_perturb(
                 perturbed=perturbed,
                 critical_points=points,
                 passed=passed,
-                b_coords=b_coords,
                 attempts=attempts,
                 morse_window=(mu, mu + nu),
-                tilt_bound=tilt_bound,
-                warning=None if passed else "census kept degenerate or out-of-window critical points",
             )
 
 

@@ -22,7 +22,7 @@ from .errors import (
     HypothesisViolationError,
     IndexJumpMismatchError,
 )
-from .galerkin import Field, _gram_factors, assemble_hessian, hessian_split
+from .galerkin import Field, _gram_factors, _split_gap, assemble_hessian, hessian_split
 
 __all__ = [
     "SpectralDecomposition",
@@ -81,10 +81,13 @@ class SpectralDecomposition:
         }
 
 
+KERNEL_RTOL = 1e-8  # |mu| / spectral radius at or below which decompose counts a direction as kernel
+
+
 def decompose(B: np.ndarray, gram: np.ndarray, kernel_dim_hint: Optional[int] = None) -> SpectralDecomposition:
     """Generalized symmetric eigensolve with kernel classification.
 
-    The kernel threshold is 1e-8 times the spectral radius, or, with
+    The kernel threshold is ``KERNEL_RTOL`` times the spectral radius, or, with
     ``kernel_dim_hint``, the midpoint between the hinted smallest-|mu| cluster
     and the rest.  A hinted kernel whose cluster is not separated from the
     rest by a factor of ten is rejected: refine the discretization instead of
@@ -109,7 +112,7 @@ def decompose(B: np.ndarray, gram: np.ndarray, kernel_dim_hint: Optional[int] = 
                 )
             threshold = 0.5 * (inner + outer)
     else:
-        threshold = 1e-8 * max(radius, 1e-300)
+        threshold = KERNEL_RTOL * max(radius, 1e-300)
 
     kernel_mask = np.abs(mus) <= threshold
     nonkernel = np.abs(mus[~kernel_mask])
@@ -155,8 +158,7 @@ SPLIT_SAMPLES = 6  # points on the ray of the split-continuity audit
 def _split_at(lag, u: Field):
     """The split at u and the entrywise relative gap of P + Q to the assembled B."""
     split = hessian_split(lag, u)
-    B = assemble_hessian(lag, u)
-    return split, float(np.max(np.abs(B - (split.P + split.Q))) / max(np.max(np.abs(B)), 1e-300))
+    return split, _split_gap(assemble_hessian(lag, u), split.P, split.Q)
 
 
 def split_continuity_audit(
@@ -293,7 +295,8 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
     constraint form.  When F'' is definite the problem is symmetrized through
     a Cholesky congruence; otherwise the nonsymmetric F''^{-1} G'' (F'' passed
     the condition check) goes to a general eigensolve, its complex eigenvalues
-    are dropped and counted, and residual checks guard the results.
+    are dropped and counted, and residual checks guard the results.  An F''
+    with a subnormal eigenvalue in the Gram geometry is refused.
     """
     F = 0.5 * (np.asarray(F_hess, dtype=float) + np.asarray(F_hess, dtype=float).T)
     G = 0.5 * (np.asarray(G_hess, dtype=float) + np.asarray(G_hess, dtype=float).T)
@@ -306,6 +309,13 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
 
     L, W = _gram_factors(gram)
     f_eigs = np.linalg.eigvalsh(W @ F @ W.T)
+    # a subnormal eigenvalue has lost digits, and inverting it overflows F''^{-1} G''
+    smallest = float(np.min(np.abs(f_eigs)))
+    if smallest < np.finfo(float).tiny:
+        raise HypothesisViolationError(
+            f"the energy second variation has a subnormal eigenvalue ({smallest:.3e}); "
+            "the pencil needs a base form of normal floating-point size"
+        )
     dropped = 0
     if f_eigs[0] > 0 or f_eigs[-1] < 0:
         sign = 1.0 if f_eigs[0] > 0 else -1.0

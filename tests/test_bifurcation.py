@@ -22,6 +22,7 @@ from veldt.errors import (
     CapabilityError,
     DegenerateCriticalPointError,
     EvaluationError,
+    IdentityViolationError,
     NotIsolatedError,
     ReductionFailureError,
 )
@@ -500,6 +501,14 @@ def test_origin_keeps_sphere_label_when_hessian_probe_solve_fails(setup_p2_origi
     failed = _raising(ReductionFailureError("complement Newton stalled", residual=1.0, iterations=3))
     monkeypatch.setattr(veldt.bifurcation, "reduced_hessian_at_origin", failed)
     assert classify_reduced_origin(setup_p2_origin, 0.95) == "local_min"
+
+
+def test_origin_raises_when_sphere_label_contradicts_reduced_hessian(setup_p2_origin, monkeypatch):
+    # below the crossing the sphere finds a minimum; the negated Hessian says maximum
+    hessian = veldt.bifurcation.reduced_hessian_at_origin
+    monkeypatch.setattr(veldt.bifurcation, "reduced_hessian_at_origin", lambda setup, lam: -hessian(setup, lam))
+    with pytest.raises(IdentityViolationError, match="contradicts"):
+        classify_reduced_origin(setup_p2_origin, 0.95)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,23 @@ def test_two_dimensional_tensor_gram():
     assert np.allclose(np.diag(disc.gram), expected, rtol=1e-12)
 
 
+def test_two_dimensional_space_is_the_tensor_product_of_its_axes():
+    # the first nine modes by k1^2 + k2^2 reach k = 4, so each axis is the 1-D sine space of K = 4
+    box = ((0.0, np.pi), (0.5, 2.0))
+    disc = build_space(box, 1, "dirichlet", 9)
+    assert disc.meta["mode_pairs"] == [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4)]
+    x, y = (build_space(interval, 1, "dirichlet", 4) for interval in box)
+    X, Y = np.meshgrid(x.nodes, y.nodes, indexing="ij")
+    assert np.array_equal(disc.nodes, np.stack([X.ravel(), Y.ravel()], axis=1))
+    assert np.array_equal(disc.weights, np.outer(x.weights, y.weights).ravel())
+    for a, alpha in enumerate(disc.index_set):
+        i, j = alpha.entries
+        for k, (k1, k2) in enumerate(disc.meta["mode_pairs"]):
+            expected = np.outer(x.dtab[i, :, k1 - 1], y.dtab[j, :, k2 - 1]).ravel()
+            assert np.array_equal(disc.dtab[a, :, k], expected), (alpha.entries, k1, k2)
+    assert disc.boundary_residual() == max(x.boundary_residual(), y.boundary_residual())
+
+
 _GRAM_SPACES = {
     "sine": ((0.0, np.pi), 1, "dirichlet", 24, 1),
     "clamped": ((0.0, 1.0), 2, "dirichlet", 12, 1),

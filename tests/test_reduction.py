@@ -17,7 +17,7 @@ from veldt import (
 import veldt.bifurcation
 import veldt.functional
 import veldt.reduction
-from veldt.errors import ConfigurationError, DegenerateKernelError, ReductionFailureError
+from veldt.errors import ConfigurationError, DegenerateKernelError, IdentityViolationError, ReductionFailureError
 from veldt.functional import VariationalProblem, gradient_norm
 from veldt.galerkin import Discretization
 from veldt.reduction import PerturbedFunctional, _directions
@@ -252,6 +252,19 @@ def test_reduced_hessian_formula_matches_probe_tightly(setup_p2, monkeypatch):
     monkeypatch.setattr(veldt.reduction, "HESSIAN_CHECK_TOL", 1e-6)
     H = reduced_hessian_at_origin(setup_p2, 1.05)
     assert H.shape == (1, 1)
+
+
+def test_reduced_hessian_formula_raises_when_the_probe_disagrees(setup_p2, monkeypatch):
+    # a reduced gradient of twice its size makes the probe read twice the formula's -0.025
+    solve = veldt.reduction.solve_psi
+
+    def doubled(*args, **kwargs):
+        sample = solve(*args, **kwargs)
+        return dataclasses.replace(sample, gradient=2.0 * sample.gradient)
+
+    monkeypatch.setattr(veldt.reduction, "solve_psi", doubled)
+    with pytest.raises(IdentityViolationError, match="disagrees with finite differences"):
+        reduced_hessian_at_origin(setup_p2, 1.05)
 
 
 # ---------------------------------------------------------------------------

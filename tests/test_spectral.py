@@ -8,8 +8,10 @@ from veldt import (
     assemble_hessian,
     build_space,
     decompose,
+    hessian_split,
     split_continuity_audit,
     index_jump,
+    load_problem,
     model_problem,
     morse_index_by_formula,
     pencil_eigs,
@@ -22,6 +24,7 @@ from veldt.errors import (
 )
 from veldt.functional import VariationalProblem
 from veldt.galerkin import clamped_mode_parameters
+from veldt.spectral import SPLIT_DEFECT_TOL
 
 from test_bifurcation import _shifted_p2, _two_p2
 
@@ -184,6 +187,20 @@ def test_split_audit_fails_when_split_misses_assembled_hessian(p2, disc32, monke
     assert report.split_defect > 1e-6
 
 
+def test_split_defect_is_relative_to_the_split_of_a_tiny_hessian():
+    # B is at most about 1e-237 while P and Q carry the lower-order identity, about 1.57;
+    # P + Q matches B to rounding at that scale, so the split is exact
+    model = load_problem(
+        {"n": 1, "m": 1, "N": 1, "integrand": {"terms": [{"coef": 1e-239, "factors": [{"alpha": [1], "power": 2}]}]}}
+    )
+    disc = build_space((0.0, np.pi), 1, "dirichlet", 8)
+    split = hessian_split(model.lagrangian, disc.zero_field())
+    assert 0.0 < np.max(np.abs(split.B)) < 1e-236
+    assert split.split_defect <= SPLIT_DEFECT_TOL
+    report = split_continuity_audit(model.lagrangian, disc.zero_field())
+    assert report.passed and report.split_defect <= SPLIT_DEFECT_TOL
+
+
 # ---------------------------------------------------------------------------
 # the pencil
 
@@ -245,6 +262,27 @@ def test_pencil_rejects_singular_base_form(p1_pencil):
     pencil, F, G, disc = p1_pencil
     with pytest.raises(HypothesisViolationError):
         pencil_eigs(F - 1.0 * G, G, disc.gram)
+
+
+@pytest.fixture(scope="module")
+def p1_forms8(p1):
+    disc = build_space((0.0, np.pi), 1, "dirichlet", 8)
+    return (*_hessians(VariationalProblem(model=p1, disc=disc)), disc)
+
+
+def test_pencil_rejects_subnormal_definite_base_form(p1_forms8):
+    # the Cholesky congruence of an F'' of size 1e-308 and below overflows
+    F, G, disc = p1_forms8
+    with pytest.raises(HypothesisViolationError, match="subnormal"):
+        pencil_eigs(F * 1e-310, G, disc.gram)
+
+
+def test_pencil_rejects_subnormal_indefinite_base_form(p1_forms8):
+    # F'' - 5 G'' is indefinite, so the general eigensolve of F''^{-1} G'' runs, and that overflows
+    F, G, disc = p1_forms8
+    assert min(pencil_eigs(F - 5.0 * G, G, disc.gram).base_inertia) > 0
+    with pytest.raises(HypothesisViolationError, match="subnormal"):
+        pencil_eigs((F - 5.0 * G) * 1e-309, G, disc.gram)
 
 
 def test_pencil_convergence_under_refinement(p1):
