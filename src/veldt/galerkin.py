@@ -341,6 +341,23 @@ _BASES = {
 }
 
 
+def _tensor_modes(K: int, L1: float, L2: float) -> list:
+    """The K lowest sine mode pairs (k1, k2) of an L1 x L2 box, by (k1/L1)^2 + (k2/L2)^2, then lexicographically.
+
+    The k1 k2 - 1 pairs below (k1, k2) componentwise rank strictly lower, so
+    every pair among the K lowest has k1 k2 <= K.  Both lengths are binary
+    fractions, so (L1/L2)^2 = p/q with integers p and q, and the key
+    k1^2 q + k2^2 p is the frequency times L1^2 q in exact integers: equal
+    frequencies tie exactly and fall to the lexicographic order.
+    """
+    (a1, b1), (a2, b2) = L1.as_integer_ratio(), L2.as_integer_ratio()
+    p, q = (a1 * b2) ** 2, (b1 * a2) ** 2
+    return sorted(
+        ((k1, k2) for k1 in range(1, K + 1) for k2 in range(1, K // k1 + 1)),
+        key=lambda kk: (kk[0] ** 2 * q + kk[1] ** 2 * p, kk),
+    )[:K]
+
+
 def _axis(a, b, m, bc, K, quad_order):
     """One interval's Gauss rule, derivative tables of order 0..m, basis kind and boundary residual.
 
@@ -400,12 +417,7 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
         if (bc, m) != ("dirichlet", 1):
             raise CapabilityError("two-dimensional spaces support m=1 with dirichlet conditions only")
         domain_t = tuple(intervals)
-        # tensor modes ordered by k1^2 + k2^2, then lexicographically
-        side = int(np.ceil(np.sqrt(K))) + 2
-        pairs = sorted(
-            ((k1, k2) for k1 in range(1, side + 1) for k2 in range(1, side + 1)),
-            key=lambda kk: (kk[0] ** 2 + kk[1] ** 2, kk),
-        )[:K]
+        pairs = _tensor_modes(K, *(b - a for a, b in intervals))
         kmax = max(max(p) for p in pairs)
         (x1, w1, t1, kind, r1), (x2, w2, t2, _, r2) = (_axis(a, b, m, bc, kmax, quad_order) for a, b in intervals)
         X1, X2 = np.meshgrid(x1, x2, indexing="ij")

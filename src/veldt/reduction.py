@@ -39,7 +39,7 @@ from .functional import (
     multistart_census,
 )
 from .galerkin import Field
-from .spectral import decompose
+from .spectral import _condition_number, decompose
 
 __all__ = [
     "ReductionSetup",
@@ -291,9 +291,7 @@ def solve_psi(
     def solve(y, state):
         point, ell = state
         J = W.T @ func.hessian_dual(point) @ W
-        # J is symmetric, so its 2-norm condition number is max|eig| / min|eig|
-        mags = np.abs(np.linalg.eigvalsh(0.5 * (J + J.T)))
-        cond = mags.max() / mags.min() if mags.min() > 0 else np.inf
+        cond = _condition_number(0.5 * (J + J.T), COMPLEMENT_COND_LIMIT)
         if not np.isfinite(cond) or cond > COMPLEMENT_COND_LIMIT:
             raise DegenerateKernelError(
                 f"complement block of the second variation is singular (cond {cond:.3e}); "

@@ -43,6 +43,29 @@ def _congruence_eigh(A: np.ndarray, W: np.ndarray):
     return mus, W.T @ Y
 
 
+def _condition_number(S: np.ndarray, limit: float) -> float:
+    """The condition number max|eig| / min|eig| of the symmetric ``S``, or a proven bound on it of at most ``limit / 2``.
+
+    Every eigenvalue lies in a Gershgorin disc |lam - S_ii| <= r_i, with r_i
+    the off-diagonal absolute row sum.  When no disc reaches zero, min|eig| >=
+    min(|S_ii| - r_i) and max|eig| <= max(|S_ii| + r_i).  A ratio of those
+    bounds at most ``limit / 2`` is returned: the factor 2 covers the rounding
+    of an eigensolve, so comparing the result with ``limit`` accepts and
+    refuses as comparing the ``eigvalsh`` ratio would.  Otherwise the
+    ``eigvalsh`` ratio is returned, inf for a singular ``S``.
+    """
+    A = np.abs(S)
+    diag = A.diagonal()
+    radii = A.sum(axis=1) - diag
+    lower = (diag - radii).min()
+    if lower > 0:
+        bound = (diag + radii).max() / lower
+        if bound <= 0.5 * limit:
+            return float(bound)
+    mags = np.abs(np.linalg.eigvalsh(S))
+    return float(mags.max() / mags.min()) if mags.min() > 0 else np.inf
+
+
 def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
     return vectors * np.where(pivots < 0, -1.0, 1.0)
@@ -300,7 +323,7 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
     """
     F = 0.5 * (np.asarray(F_hess, dtype=float) + np.asarray(F_hess, dtype=float).T)
     G = 0.5 * (np.asarray(G_hess, dtype=float) + np.asarray(G_hess, dtype=float).T)
-    cond = np.linalg.cond(F)
+    cond = _condition_number(F, PENCIL_COND_LIMIT)
     if not np.isfinite(cond) or cond > PENCIL_COND_LIMIT:
         raise HypothesisViolationError(
             f"the energy second variation is numerically singular (cond {cond:.3e}); "
@@ -360,9 +383,19 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
     f_norm, g_norm, r_norm = np.linalg.norm(blocks, axis=0).reshape(3, -1)
     residuals = r_norm / np.maximum(f_norm + np.abs(col_lams) * g_norm, 1e-300)
     if residuals.size and np.max(residuals) > PENCIL_RESIDUAL_TOL:
+        lo, hi = groups[np.repeat(np.arange(len(groups)), mults)[np.argmax(residuals)]]
+        merged = lams[lo:hi]
+        detail = "eigenspaces are unreliable at this resolution"
+        # eigenvalues apart relative to their own size that only the floor max(1, |lambda|) held in one group
+        if np.any(np.diff(merged) > GROUP_RTOL * np.maximum(np.abs(merged[1:]), np.abs(merged[:-1]))):
+            floor = GROUP_RTOL * max(1.0, float(np.max(np.abs(merged))))
+            detail = (
+                f"its group merged {hi - lo} eigenvalues in [{merged[0]:.3e}, {merged[-1]:.3e}], spaced below "
+                f"the absolute grouping floor GROUP_RTOL * max(1, |lambda|) = {floor:.1e}; "
+                "the energy second variation may be too small for that floor"
+            )
         raise HypothesisViolationError(
-            f"pencil residual {np.max(residuals):.3e} exceeds {PENCIL_RESIDUAL_TOL:.1e}; "
-            "eigenspaces are unreliable at this resolution"
+            f"pencil residual {np.max(residuals):.3e} exceeds {PENCIL_RESIDUAL_TOL:.1e}; {detail}"
         )
 
     return PencilSpectrum(

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -439,6 +440,24 @@ def test_even_sweep_solves_each_start_pair_once(prob_p2, monkeypatch):
     calls = _counting_reduced_solves(monkeypatch)
     detect_branches(prob_p2, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
     assert len(calls) == 55
+
+
+def test_even_sweep_makes_no_eigensolve_in_the_reduction(prob_p2, monkeypatch):
+    # the complement Newton step decides its condition check by Gershgorin discs;
+    # an eigvalsh per step would count 343 calls made below veldt.reduction here
+    inside = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_globals.get("__name__") != "veldt.reduction":
+            frame = frame.f_back
+        inside.append(frame is not None)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    detect_branches(prob_p2, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
+    assert inside and sum(inside) == 0
 
 
 def test_cubic_sweep_solves_every_start_and_stays_asymmetric(disc32, monkeypatch):

@@ -308,6 +308,16 @@ def test_readme_and_benchmark_configs_load(tmp_path):
         assert set(merged) == {"problem", "scenario", "discretization", "params"}
 
 
+def test_tool_configs_load():
+    # the extra configs of tools/same_outputs.py: an indefinite complement block, a non-square 2-D box
+    paths = sorted((Path(__file__).resolve().parents[1] / "tools" / "configs").glob("*.json"))
+    assert [path.stem for path in paths] == ["p2_bifurcate_indefinite", "sine2d_spectrum_nonsquare"]
+    for path in paths:
+        doc, merged = load_config(path)
+        assert set(merged) == {"problem", "scenario", "discretization", "params"}
+    assert merged["discretization"]["domain"] == [[0, "pi"], [0, 2]]
+
+
 def test_missing_config_exits_3(tmp_path):
     assert run(tmp_path / "nope.json", tmp_path / "out") == 3
 

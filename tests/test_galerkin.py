@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,7 +16,15 @@ from veldt import (
 )
 from veldt.catalog import constant_envelope, make_polynomial_lagrangian, shifted_power_envelope
 from veldt.errors import CapabilityError, ConfigurationError, DiscretizationError
-from veldt.galerkin import Field, _cosine_tables, _fourier_tables, _leggauss, _sine_tables, clamped_mode_parameters
+from veldt.galerkin import (
+    Field,
+    _cosine_tables,
+    _fourier_tables,
+    _leggauss,
+    _sine_tables,
+    _tensor_modes,
+    clamped_mode_parameters,
+)
 import scipy.linalg
 
 
@@ -156,11 +166,11 @@ def test_two_dimensional_tensor_gram():
 
 
 def test_two_dimensional_space_is_the_tensor_product_of_its_axes():
-    # the first nine modes by k1^2 + k2^2 reach k = 4, so each axis is the 1-D sine space of K = 4
+    # the first nine modes by (k1/pi)^2 + (k2/1.5)^2 reach k = 5, so each axis is the 1-D sine space of K = 5
     box = ((0.0, np.pi), (0.5, 2.0))
     disc = build_space(box, 1, "dirichlet", 9)
-    assert disc.meta["mode_pairs"] == [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4)]
-    x, y = (build_space(interval, 1, "dirichlet", 4) for interval in box)
+    assert disc.meta["mode_pairs"] == [(1, 1), (2, 1), (3, 1), (1, 2), (4, 1), (2, 2), (3, 2), (5, 1), (4, 2)]
+    x, y = (build_space(interval, 1, "dirichlet", 5) for interval in box)
     X, Y = np.meshgrid(x.nodes, y.nodes, indexing="ij")
     assert np.array_equal(disc.nodes, np.stack([X.ravel(), Y.ravel()], axis=1))
     assert np.array_equal(disc.weights, np.outer(x.weights, y.weights).ravel())
@@ -170,6 +180,28 @@ def test_two_dimensional_space_is_the_tensor_product_of_its_axes():
             expected = np.outer(x.dtab[i, :, k1 - 1], y.dtab[j, :, k2 - 1]).ravel()
             assert np.array_equal(disc.dtab[a, :, k], expected), (alpha.entries, k1, k2)
     assert disc.boundary_residual() == max(x.boundary_residual(), y.boundary_residual())
+
+
+@pytest.mark.parametrize(
+    "K, L1, L2",
+    [(9, np.pi, 2.0), (40, 1.0, 3.0), (60, 2.0, 1.0), (50, 1.0, np.e), (576, 1.0, 1.0), (400, np.pi, np.pi)],
+)
+def test_tensor_modes_are_the_lowest_frequencies(K, L1, L2):
+    # brute force over the whole K x K grid, by the exact (k1/L1)^2 + (k2/L2)^2 and then the pair;
+    # on the rational boxes distinct pairs share a frequency, (1, 6) and (2, 3) on 1 x 3 among them
+    grid = [(k1, k2) for k1 in range(1, K + 1) for k2 in range(1, K + 1)]
+    if L1 == L2:
+        expected = sorted(grid, key=lambda kk: (kk[0] ** 2 + kk[1] ** 2, kk))[:K]
+    else:
+        a, b = Fraction(L1) ** -2, Fraction(L2) ** -2
+        expected = sorted(grid, key=lambda kk: (kk[0] ** 2 * a + kk[1] ** 2 * b, kk))[:K]
+    assert _tensor_modes(K, L1, L2) == expected
+
+
+def test_non_square_box_keeps_its_lowest_modes():
+    # (4, 1) has omega^2 = 16 + pi^2 / 4 = 18.5 on ((0, pi), (0, 2)); (1, 4) has 1 + 4 pi^2 = 40.5
+    pairs = build_space(((0.0, np.pi), (0.0, 2.0)), 1, "dirichlet", 9).meta["mode_pairs"]
+    assert (4, 1) in pairs and (1, 4) not in pairs
 
 
 _GRAM_SPACES = {

@@ -24,7 +24,7 @@ from veldt.errors import (
 )
 from veldt.functional import VariationalProblem
 from veldt.galerkin import clamped_mode_parameters
-from veldt.spectral import SPLIT_DEFECT_TOL
+from veldt.spectral import SPLIT_DEFECT_TOL, _condition_number
 
 from test_bifurcation import _shifted_p2, _two_p2
 
@@ -283,6 +283,67 @@ def test_pencil_rejects_subnormal_indefinite_base_form(p1_forms8):
     assert min(pencil_eigs(F - 5.0 * G, G, disc.gram).base_inertia) > 0
     with pytest.raises(HypothesisViolationError, match="subnormal"):
         pencil_eigs((F - 5.0 * G) * 1e-309, G, disc.gram)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e-10, 1e-16])
+def test_pencil_names_the_grouping_floor_of_a_tiny_base_form(p1_forms8, scale):
+    # every eigenvalue of F'' x scale is below 1e-5, so the absolute floor GROUP_RTOL
+    # merges eigenvalues that are far apart relative to their size
+    F, G, disc = p1_forms8
+    with pytest.raises(HypothesisViolationError, match=r"absolute grouping floor .* = 1\.0e-06") as info:
+        pencil_eigs(F * scale, G, disc.gram)
+    assert f"in [{scale:.3e}, " in str(info.value)
+
+
+def _random_symmetric(rng):
+    """A symmetric matrix of 1 to 40 rows with a condition number log-uniform in [1, 1e14]."""
+    n = int(rng.integers(1, 41))
+    cond = 10.0 ** rng.uniform(0.0, 14.0)
+    mags = np.exp(rng.uniform(0.0, np.log(cond), n))
+    mags[rng.integers(n)] = 1.0
+    mags[rng.integers(n)] = cond
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0) if rng.random() < 0.5 else np.ones(n)
+    kind = rng.integers(3)
+    if kind == 0:
+        # diagonally dominant: each row's off-diagonal sum below a share of its diagonal
+        E = rng.standard_normal((n, n))
+        E = 0.5 * (E + E.T)
+        np.fill_diagonal(E, 0.0)
+        E *= rng.uniform(0.0, 0.9) * np.min(mags) / max(np.max(np.sum(np.abs(E), axis=1)), 1.0)
+        return np.diag(signs * mags) + E
+    if kind == 1:
+        # dense Q D Q^T
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        S = (Q * (signs * mags)) @ Q.T
+        return 0.5 * (S + S.T)
+    # diagonal with one large off-diagonal pair, often indefinite
+    S = np.diag(signs * mags)
+    i, j = rng.integers(n, size=2)
+    S[i, j] = S[j, i] = S[i, j] + rng.standard_normal() * mags[i]
+    return S
+
+
+def test_condition_number_decides_as_the_eigenvalue_ratio():
+    rng = np.random.default_rng(20)
+    decided = 0
+    for _ in range(3000):
+        S = _random_symmetric(rng)
+        mags = np.abs(np.linalg.eigvalsh(S))
+        ratio = mags.max() / mags.min() if mags.min() > 0 else np.inf
+        limit = ratio * 10.0 ** rng.uniform(-1.0, 1.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(0.0, 14.0)
+        if abs(ratio / limit - 1.0) < 1e-6:
+            continue
+        cond = _condition_number(S, limit)
+        assert (cond > limit) == (ratio > limit), (S.shape, ratio, limit, cond)
+        assert cond >= ratio * (1.0 - 1e-9)
+        decided += cond != ratio
+    # the discs, not the eigensolve, decided a good share of the checks
+    assert decided > 300
+
+
+def test_condition_number_of_a_diagonal_matrix_needs_no_eigensolve(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert _condition_number(np.diag([-4.0, 1.0, 2.0]), 1e12) == 4.0
 
 
 def test_pencil_convergence_under_refinement(p1):

@@ -6,13 +6,15 @@ Run from the root of a veldt checkout:
 
 The parent revision is exported with ``paired_bench.export_parent`` into a
 throwaway directory; the working tree runs from its own ``src/``.  Both sides
-run every config document of the README, every benchmark workload config and
-each config path given on the command line, at seeds 0 and 7, through
-``python -m veldt.cli`` with BLAS on one thread.  For each run the script
-compares the exit code, ``report.json``, ``summary.txt`` and every CSV.  A
-differing ``report.json`` has each differing entry printed by its JSON path,
-numbers with their relative difference.  The script exits 1 when any run
-differs and 0 when every output is byte-identical.  All outputs go to the
+run every config document of the README, every benchmark workload config,
+every config in ``tools/configs/`` (cases that no README block or workload
+reaches: a bifurcation with an indefinite complement block, a 2-D space on a
+non-square box) and each config path given on the command line, at seeds 0
+and 7, through ``python -m veldt.cli`` with BLAS on one thread.  For each run
+the script compares the exit code, ``report.json``, ``summary.txt`` and every
+CSV.  A differing ``report.json`` has each differing entry printed by its JSON
+path, numbers with their relative difference.  The script exits 1 when any
+run differs and 0 when every output is byte-identical.  All outputs go to the
 throwaway directory, which is removed at the end, also when a run fails.
 """
 
@@ -33,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from paired_bench import ROOT, export_parent  # noqa: E402
 
 SEEDS = (0, 7)
+CONFIGS = ROOT / "tools" / "configs"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -105,6 +108,8 @@ def main(argv=None) -> int:
         for label, doc in {**readme_configs(), **workload_configs()}.items():
             configs[label] = scratch / f"{label}.json"
             configs[label].write_text(json.dumps(doc))
+        for path in sorted(CONFIGS.glob("*.json")):
+            configs[f"configs/{path.stem}"] = path
         for path in args.configs:
             configs[str(path)] = path.resolve()
         differing = 0
