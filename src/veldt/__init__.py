@@ -36,7 +36,6 @@ from .galerkin import (
 from .lagrangian import (
     GrowthSpec,
     Lagrangian,
-    MultiIndex,
     check_growth,
     enumerate_multi_indices,
     ps_certificate,

@@ -648,7 +648,6 @@ def morse_inequality_audit(
 @dataclass
 class OrbitGrouping:
     classes: list  # lists of solution indices
-    shifts: dict  # (i, j) -> aligning shift
     min_distances: np.ndarray
     fixed_points: list  # indices of constant fields
 
@@ -722,7 +721,6 @@ def orbit_group(solutions: Sequence[Field], disc: Discretization) -> OrbitGroupi
     grid = np.linspace(0.0, L, 720, endpoint=False)
     grid_cos, grid_sin = np.cos(np.outer(grid, w)), np.sin(np.outer(grid, w))
     min_d = np.zeros((n, n))
-    shifts = {}
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -752,7 +750,6 @@ def orbit_group(solutions: Sequence[Field], disc: Discretization) -> OrbitGroupi
             if d > d_grid:
                 t, d = t0, d_grid
             min_d[i, j] = min_d[j, i] = d
-            shifts[(i, j)] = t % L
 
     parent = list(range(n))
 
@@ -783,7 +780,6 @@ def orbit_group(solutions: Sequence[Field], disc: Discretization) -> OrbitGroupi
 
     return OrbitGrouping(
         classes=sorted(classes.values()),
-        shifts=shifts,
         min_distances=min_d,
         fixed_points=fixed,
     )

@@ -188,13 +188,13 @@ def make_polynomial_lagrangian(
     g1=None,
     g2=None,
 ) -> Lagrangian:
-    A = len(enumerate_multi_indices(n, m))
-    poly = PolynomialIntegrand(N, A, [(c, factors) for c, factors in terms if c != 0.0])
+    iset = enumerate_multi_indices(n, m)
     if growth is None:
-        growth = GrowthSpec.canonical(n, m, p=p, g1=g1, g2=g2)
+        growth = GrowthSpec(iset, p, g1=g1, g2=g2)
+    elif growth.index_set != iset:
+        raise ConfigurationError(f"growth data of another multi-index set than (n={n}, m={m})")
+    poly = PolynomialIntegrand(N, len(iset), [(c, factors) for c, factors in terms if c != 0.0])
     return Lagrangian(
-        n=n,
-        m=m,
         N=N,
         f=poly.f,
         grad_f=poly.grad_f,

@@ -105,8 +105,6 @@ def _combined_lagrangian(energy: Lagrangian, constraint: Lagrangian, lam: float)
         _require_p2(refused)
 
     return Lagrangian(
-        n=energy.n,
-        m=energy.m,
         N=energy.N,
         f=combined("f"),
         grad_f=combined("grad_f"),
@@ -280,15 +278,6 @@ class CriticalPoint:
     morse_index: int
     nullity: int
     distance_from_center: float = 0.0
-
-    def summary(self) -> dict:
-        return {
-            "residual": self.residual,
-            "value": self.value,
-            "morse_index": self.morse_index,
-            "nullity": self.nullity,
-            "distance_from_center": self.distance_from_center,
-        }
 
 
 def _distinct_points(func, seeds, center=None, radius=None, inner=0.0):

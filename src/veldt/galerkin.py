@@ -126,15 +126,13 @@ class Discretization:
     """A fixed Galerkin subspace with quadrature and derivative tables.
 
     ``dtab[a, q, k]`` is the alpha-th derivative of scalar basis function k at
-    quadrature node q, with the multi-index axis ordered as ``index_set``.
-    The same scalar basis serves every field component; Gram matrices are
-    block diagonal over components.  Instances are immutable and safe to share
-    across threads.
+    quadrature node q, with the multi-index axis ordered as ``index_set``;
+    n and m are read from that set.  The same scalar basis serves every field
+    component; Gram matrices are block diagonal over components.  Instances
+    are immutable and safe to share across threads.
     """
 
     domain: tuple
-    n: int
-    m: int
     n_components: int
     bc: str
     K: int
@@ -153,6 +151,14 @@ class Discretization:
         for arr in (self.nodes, self.weights, self.dtab, self.gram, self.gram_lower, self.gram_top, self.mass):
             arr.setflags(write=False)
         _gram_factors(self.gram)
+
+    @property
+    def n(self) -> int:
+        return self.index_set.n
+
+    @property
+    def m(self) -> int:
+        return self.index_set.m
 
     # -- linear algebra in the Sobolev geometry ---------------------------
 
@@ -425,9 +431,7 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
         weights = np.outer(w1, w2).ravel()
         k1, k2 = np.asarray(pairs).T - 1
         # D^(i,j)(phi_k1 psi_k2) = phi_k1^(i) psi_k2^(j) at every node pair, in the node order above
-        dtab = np.stack(
-            [(t1[i][:, None, k1] * t2[j][None, :, k2]).reshape(-1, K) for i, j in (alpha.entries for alpha in iset)]
-        )
+        dtab = np.stack([(t1[i][:, None, k1] * t2[j][None, :, k2]).reshape(-1, K) for i, j in iset])
         kind, residual = kind + "2d", max(r1, r2)
         meta["mode_pairs"] = pairs
 
@@ -452,8 +456,6 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
     meta["boundary_residual"] = residual
     return Discretization(
         domain=domain_t,
-        n=n,
-        m=m,
         n_components=n_components,
         bc=bc,
         K=K,
@@ -475,7 +477,9 @@ def build_space(domain, m: int, bc: str, K: int, quad_order: Optional[int] = Non
 
 
 def _check_signature(lag: Lagrangian, disc: Discretization):
-    if (lag.n, lag.m, lag.N) != (disc.n, disc.m, disc.n_components):
+    # one set object per (n, m), so identity settles the common case; equality catches a hand-built set
+    iset = lag.growth.index_set
+    if (iset is not disc.index_set and iset != disc.index_set) or lag.N != disc.n_components:
         raise ConfigurationError(
             f"integrand signature (n={lag.n}, m={lag.m}, N={lag.N}) does not match "
             f"discretization (n={disc.n}, m={disc.m}, N={disc.n_components})"

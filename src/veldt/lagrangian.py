@@ -8,6 +8,7 @@ the vectorized callbacks stored on a :class:`Lagrangian`.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import ConfigurationError, DependencyError, EvaluationError
 
 __all__ = [
-    "MultiIndex",
     "MultiIndexSet",
     "enumerate_multi_indices",
     "GrowthSpec",
@@ -34,35 +34,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """An n-tuple of non-negative integers; order() is the total derivative order."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        if any(e < 0 or int(e) != e for e in self.entries):
-            raise ConfigurationError(f"multi-index entries must be non-negative integers: {self.entries}")
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-
-    @property
-    def order(self) -> int:
-        return sum(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-
-@dataclass(frozen=True)
 class MultiIndexSet:
     """All multi-indices with |alpha| <= m in n variables, graded-lexicographic.
 
-    Grades ascend; within a grade the tuples are sorted lexicographically.
+    A multi-index is an n-tuple of non-negative integers.  Grades ascend;
+    within a grade the tuples are sorted lexicographically.
     """
 
     n: int
@@ -75,28 +51,30 @@ class MultiIndexSet:
     def __iter__(self):
         return iter(self.indices)
 
-    def __getitem__(self, i) -> MultiIndex:
+    def __getitem__(self, i) -> tuple:
         return self.indices[i]
 
     def position(self, alpha) -> int:
-        key = tuple(alpha.entries if isinstance(alpha, MultiIndex) else alpha)
-        for i, a in enumerate(self.indices):
-            if a.entries == key:
-                return i
-        raise KeyError(f"multi-index {key} not in set (n={self.n}, m={self.m})")
+        key = tuple(alpha)
+        if key not in self.indices:
+            raise KeyError(f"multi-index {key} not in set (n={self.n}, m={self.m})")
+        return self.indices.index(key)
 
     def orders(self) -> np.ndarray:
-        return np.array([a.order for a in self.indices], dtype=int)
+        return np.array([sum(a) for a in self.indices], dtype=int)
 
 
+@functools.lru_cache(maxsize=None)
 def enumerate_multi_indices(n: int, m: int) -> MultiIndexSet:
     """Enumerate all multi-indices of order <= m in n variables.
 
-    Deterministic graded-lexicographic order, grade ascending.
+    Deterministic graded-lexicographic order, grade ascending.  The set is
+    cached: each (n, m) has exactly one set object, which every integrand and
+    space of that signature shares.
     """
     if n < 1 or m < 1:
         raise ConfigurationError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    indices = tuple(MultiIndex(entries=g) for k in range(m + 1) for g in sorted(_compositions(n, k)))
+    indices = tuple(g for k in range(m + 1) for g in sorted(_compositions(n, k)))
     return MultiIndexSet(n=n, m=m, indices=indices)
 
 
@@ -207,13 +185,11 @@ class Lagrangian:
 
     where ``x`` has shape (Q,) for one spatial dimension or (Q, n) otherwise,
     and ``xi`` has shape (Q, N, A) with the multi-index axis ordered as in
-    ``index_set``.  No automatic differentiation happens here; the callbacks
-    are trusted analytics and are cross-checked by finite differences in the
-    test suite.
+    ``index_set``, the growth data's set; n and m are read from it.  No
+    automatic differentiation happens here; the callbacks are trusted
+    analytics and are cross-checked by finite differences in the test suite.
     """
 
-    n: int
-    m: int
     N: int
     f: Callable
     grad_f: Callable
@@ -224,6 +200,14 @@ class Lagrangian:
     @property
     def index_set(self) -> MultiIndexSet:
         return self.growth.index_set
+
+    @property
+    def n(self) -> int:
+        return self.growth.index_set.n
+
+    @property
+    def m(self) -> int:
+        return self.growth.index_set.m
 
     def value_at(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         out = np.asarray(self.f(x, xi), dtype=float)
@@ -342,7 +326,7 @@ def check_growth(lag: Lagrangian, x: np.ndarray, xi: np.ndarray) -> GrowthReport
             np.abs(hess) / weight[:, None, None, None, None] ** spec.p_pair[None, None, :, None, :],
             axis=(1, 2, 3, 4),
         )
-        g1_vals, fitted_g1 = _fit_upper_envelope(t, demand)
+        g1_vals, fitted_g1 = _monotone_envelope(t, demand, upper=True)
 
     bound = g1_vals[:, None, None, None, None] * weight[:, None, None, None, None] ** spec.p_pair[None, None, :, None, :]
     hess_ratios = np.abs(hess) / bound
@@ -360,7 +344,7 @@ def check_growth(lag: Lagrangian, x: np.ndarray, xi: np.ndarray) -> GrowthReport
         g2_vals = np.asarray([float(spec.g2(ti)) for ti in t])
     else:
         demand = min_eigs / rhs_base
-        g2_vals, fitted_g2 = _fit_lower_envelope(t, demand)
+        g2_vals, fitted_g2 = _monotone_envelope(t, demand, upper=False)
     ell_ratios = min_eigs / (g2_vals * rhs_base)
 
     violations = []
@@ -397,24 +381,19 @@ def check_growth(lag: Lagrangian, x: np.ndarray, xi: np.ndarray) -> GrowthReport
     )
 
 
-def _fit_upper_envelope(t, demand):
-    # minimal nondecreasing majorant of the scatter (t_i, demand_i)
-    order = np.argsort(t)
-    knots = t[order]
-    vals = np.maximum.accumulate(demand[order])
-    vals = np.maximum(vals, 1e-12)
-    per_sample = np.interp(t, knots, vals)
-    return per_sample, (knots, vals)
+def _monotone_envelope(t, demand, upper):
+    """The minimal nondecreasing majorant (``upper``) or the maximal nondecreasing minorant of
+    the scatter (t_i, demand_i), floored at 1e-12: its value at each sample and its (knots, values).
 
-
-def _fit_lower_envelope(t, demand):
-    # maximal nondecreasing positive minorant: min of demand over samples with larger t
-    order = np.argsort(t)
-    knots = t[order]
-    vals = np.minimum.accumulate(demand[order][::-1])[::-1]
+    Tied t share one knot, holding the group's max (majorant) or min (minorant) demand, so
+    every sample meets its own envelope value.
+    """
+    knots, inverse = np.unique(t, return_inverse=True)
+    vals = np.full(knots.size, -np.inf if upper else np.inf)
+    (np.maximum if upper else np.minimum).at(vals, inverse, demand)
+    vals = np.maximum.accumulate(vals) if upper else np.minimum.accumulate(vals[::-1])[::-1]
     vals = np.maximum(vals, 1e-12)
-    per_sample = np.interp(t, knots, vals)
-    return per_sample, (knots, vals)
+    return vals[inverse], (knots, vals)
 
 
 # ---------------------------------------------------------------------------

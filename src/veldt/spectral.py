@@ -94,15 +94,6 @@ class SpectralDecomposition:
         """The eigenvectors outside the kernel: a Gram-orthonormal basis of its complement."""
         return self.eigenvectors[:, np.abs(self.eigenvalues) > 2 * self.gap]
 
-    def summary(self) -> dict:
-        return {
-            "morse_index": int(self.morse_index),
-            "nullity": int(self.nullity),
-            "gap": float(self.gap),
-            "realized_gap": float(self.realized_gap) if np.isfinite(self.realized_gap) else None,
-            "eigenvalues": self.eigenvalues.tolist(),
-        }
-
 
 KERNEL_RTOL = 1e-8  # |mu| / spectral radius at or below which decompose counts a direction as kernel
 

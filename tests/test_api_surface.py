@@ -35,7 +35,7 @@ PUBLIC_NAMES = {
         CombinedFunctional DiscretizedFunctional VariationalProblem newton_polish
         Discretization Field HessianSplit assemble_functional assemble_gradient assemble_hessian build_space
         estimate_sobolev_constant hessian_split q_compactness_audit
-        GrowthSpec Lagrangian MultiIndex check_growth enumerate_multi_indices ps_certificate
+        GrowthSpec Lagrangian check_growth enumerate_multi_indices ps_certificate
         ReductionSetup lipschitz_audit make_reduction_setup marino_prodi_perturb reduced_hessian_at_origin
         reduced_value sample_reduced solve_psi
         PencilSpectrum SpectralDecomposition decompose split_continuity_audit index_jump morse_index_by_formula
@@ -55,7 +55,7 @@ PUBLIC_NAMES = {
         Discretization Field HessianSplit build_space assemble_functional assemble_gradient assemble_hessian
         hessian_split estimate_sobolev_constant q_compactness_audit QDecayProfile
     """,
-    "lagrangian": "MultiIndex MultiIndexSet enumerate_multi_indices GrowthSpec Lagrangian GrowthReport check_growth PSReport ps_certificate",
+    "lagrangian": "MultiIndexSet enumerate_multi_indices GrowthSpec Lagrangian GrowthReport check_growth PSReport ps_certificate",
     "reduction": """
         ReductionSetup make_reduction_setup PsiSample ReductionResult solve_psi reduced_value sample_reduced
         LipschitzAudit lipschitz_audit reduced_hessian_at_origin PerturbedFunctional MarinoProdiResult

@@ -309,13 +309,16 @@ def test_readme_and_benchmark_configs_load(tmp_path):
 
 
 def test_tool_configs_load():
-    # the extra configs of tools/same_outputs.py: an indefinite complement block, a non-square 2-D box
+    # the extra configs of tools/same_outputs.py: an indefinite complement block, translation orbits on a
+    # periodic space, a non-square 2-D box and a fitted ellipticity envelope with tied samples
     paths = sorted((Path(__file__).resolve().parents[1] / "tools" / "configs").glob("*.json"))
-    assert [path.stem for path in paths] == ["p2_bifurcate_indefinite", "sine2d_spectrum_nonsquare"]
-    for path in paths:
-        doc, merged = load_config(path)
-        assert set(merged) == {"problem", "scenario", "discretization", "params"}
-    assert merged["discretization"]["domain"] == [[0, "pi"], [0, 2]]
+    stems = ["p2_bifurcate_indefinite", "periodic_bifurcate_orbits", "sine2d_spectrum_nonsquare", "validate_fitted_envelope"]
+    assert [path.stem for path in paths] == stems
+    merged = {path.stem: load_config(path)[1] for path in paths}
+    for config in merged.values():
+        assert set(config) == {"problem", "scenario", "discretization", "params"}
+    assert merged["sine2d_spectrum_nonsquare"]["discretization"]["domain"] == [[0, "pi"], [0, 2]]
+    assert merged["periodic_bifurcate_orbits"]["discretization"]["bc"] == "periodic"
 
 
 def test_missing_config_exits_3(tmp_path):
@@ -461,6 +464,21 @@ def test_validate_strict_flags_envelope_violation(tmp_path):
     report = json.loads((tmp_path / "soft" / "report.json").read_text())
     assert report["status"] == "audit_failed"
     assert run(path, tmp_path / "hard", strict=True) == 2
+
+
+def test_validate_fitted_envelope_passes_tied_samples(tmp_path):
+    # f = (4 + u) u'^2 / 2 declares no envelopes; f_11 = 4 + u >= 1 on every radius-3 sample, and the
+    # grid's u and -u share one knot of the fitted ellipticity envelope
+    factor = lambda alpha, power: {"component": 0, "alpha": [alpha], "power": power}
+    terms = [{"coef": 2.0, "factors": [factor(1, 2)]}, {"coef": 0.5, "factors": [factor(0, 1), factor(1, 2)]}]
+    doc = {"n": 1, "m": 1, "N": 1, "integrand": {"terms": terms}}
+    cfg = {"problem": doc, "scenario": "validate", "params": {"sample_radius": 3.0}}
+    assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out", strict=True) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "pass"
+    growth = report["result"]["growth"]
+    assert (growth["passed"], growth["min_ellipticity_ratio"], growth["n_violations"]) == (True, 1.0, 0)
+    assert report["result"]["violations"] == []
 
 
 def test_reduce_scenario(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +15,8 @@ from veldt import (
     model_problem,
     q_compactness_audit,
 )
-from veldt.catalog import constant_envelope, make_polynomial_lagrangian, shifted_power_envelope
+from veldt.lagrangian import GrowthSpec, Lagrangian, MultiIndexSet
+from veldt.catalog import constant_envelope, load_problem, make_polynomial_lagrangian, shifted_power_envelope
 from veldt.errors import CapabilityError, ConfigurationError, DiscretizationError
 from veldt.galerkin import (
     Field,
@@ -175,10 +177,10 @@ def test_two_dimensional_space_is_the_tensor_product_of_its_axes():
     assert np.array_equal(disc.nodes, np.stack([X.ravel(), Y.ravel()], axis=1))
     assert np.array_equal(disc.weights, np.outer(x.weights, y.weights).ravel())
     for a, alpha in enumerate(disc.index_set):
-        i, j = alpha.entries
+        i, j = alpha
         for k, (k1, k2) in enumerate(disc.meta["mode_pairs"]):
             expected = np.outer(x.dtab[i, :, k1 - 1], y.dtab[j, :, k2 - 1]).ravel()
-            assert np.array_equal(disc.dtab[a, :, k], expected), (alpha.entries, k1, k2)
+            assert np.array_equal(disc.dtab[a, :, k], expected), (alpha, k1, k2)
     assert disc.boundary_residual() == max(x.boundary_residual(), y.boundary_residual())
 
 
@@ -340,6 +342,50 @@ def test_functional_p2_sine(disc16, p2):
 def test_functional_signature_mismatch(disc16, p4):
     with pytest.raises(ConfigurationError):
         assemble_functional(p4.lagrangian, disc16.zero_field())
+
+
+SIGNATURE_MISMATCH = r"^integrand signature \(n=1, m=2, N=1\) does not match discretization \(n=1, m=1, N=1\)$"
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "document"])
+def test_integrand_and_space_share_one_index_set(name):
+    if name == "document":
+        term = {"coef": 0.5, "factors": [{"component": 0, "alpha": [1, 0], "power": 2}]}
+        model = load_problem({"n": 2, "m": 1, "N": 1, "integrand": {"terms": [term]}})
+        disc = build_space(((0.0, np.pi), (0.0, 1.0)), 1, "dirichlet", 6)
+    else:
+        model = model_problem(name)
+        disc = build_space((0.0, 1.0), model.lagrangian.m, "dirichlet", 8)
+    assert model.lagrangian.index_set is disc.index_set
+    assert model.constraint.index_set is disc.index_set
+    assert (disc.n, disc.m) == (model.lagrangian.n, model.lagrangian.m)
+
+
+def test_hand_written_integrand_of_another_order_is_refused(disc16):
+    # the callbacks would accept the space's (Q, 1, 2) jets; the signature is read from the growth data
+    lag = Lagrangian(
+        N=1,
+        f=lambda x, xi: np.zeros(xi.shape[0]),
+        grad_f=lambda x, xi: np.zeros_like(xi),
+        hess_f=lambda x, xi: np.zeros(xi.shape[:1] + (1, 2, 1, 2)),
+        growth=GrowthSpec.canonical(1, 2),
+    )
+    for assemble in (assemble_functional, assemble_gradient, assemble_hessian):
+        with pytest.raises(ConfigurationError, match=SIGNATURE_MISMATCH):
+            assemble(lag, disc16.zero_field())
+
+
+def test_hand_built_index_set_is_compared_by_value(disc16, p1):
+    # an equal set built by hand is accepted; the same indices in another order are refused
+    u = disc16.field(np.arange(1.0, 17.0) / 16)
+    for indices, accepted in ((((0,), (1,)), True), (((1,), (0,)), False)):
+        growth = GrowthSpec(MultiIndexSet(n=1, m=1, indices=indices), 2.0)
+        lag = dataclasses.replace(p1.lagrangian, growth=growth)
+        if accepted:
+            assert assemble_functional(lag, u) == assemble_functional(p1.lagrangian, u)
+        else:
+            with pytest.raises(ConfigurationError, match="does not match"):
+                assemble_functional(lag, u)
 
 
 def test_functional_converges_monotonically_in_K(p2):

@@ -14,6 +14,7 @@ from veldt import (
 )
 from veldt.catalog import constant_envelope, make_polynomial_lagrangian
 from veldt.errors import ConfigurationError, DependencyError, EvaluationError
+from veldt.lagrangian import _monotone_envelope
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +29,7 @@ def test_enumeration_n2_m1():
 
 def test_enumeration_n1_m2():
     iset = enumerate_multi_indices(1, 2)
-    assert [a.entries for a in iset] == [(0,), (1,), (2,)]
+    assert list(iset) == [(0,), (1,), (2,)]
     assert np.count_nonzero(iset.orders() <= 2) == 3
     assert np.count_nonzero(iset.orders() == 2) == 1
 
@@ -51,7 +52,7 @@ def test_cumulative_counts_are_binomial_sums(n, m):
 def test_enumeration_is_deterministic():
     a = enumerate_multi_indices(2, 3)
     b = enumerate_multi_indices(2, 3)
-    assert [x.entries for x in a] == [x.entries for x in b]
+    assert list(a) == list(b)
 
 
 def test_enumeration_rejects_bad_arguments():
@@ -59,6 +60,34 @@ def test_enumeration_rejects_bad_arguments():
         enumerate_multi_indices(0, 1)
     with pytest.raises(ConfigurationError):
         enumerate_multi_indices(1, 0)
+
+
+def test_enumeration_gives_one_set_per_signature():
+    assert enumerate_multi_indices(2, 3) is enumerate_multi_indices(2, 3)
+    assert GrowthSpec.canonical(1, 2).index_set is enumerate_multi_indices(1, 2)
+    assert enumerate_multi_indices(1, 2) is not enumerate_multi_indices(2, 1)
+
+
+def test_position_looks_up_a_tuple():
+    iset = enumerate_multi_indices(2, 2)
+    assert [iset.position(alpha) for alpha in iset] == list(range(len(iset)))
+    assert iset.position([1, 1]) == iset.indices.index((1, 1))
+    with pytest.raises(KeyError, match=r"multi-index \(0, 3\) not in set \(n=2, m=2\)"):
+        iset.position((0, 3))
+
+
+def test_integrand_reads_its_signature_from_the_growth_data():
+    growth = GrowthSpec.canonical(2, 3)
+    lag = Lagrangian(N=2, f=None, grad_f=None, hess_f=None, growth=growth)
+    assert (lag.n, lag.m, lag.N) == (2, 3, 2)
+    assert lag.index_set is growth.index_set
+    with pytest.raises(TypeError):
+        Lagrangian(n=2, m=3, N=2, f=None, grad_f=None, hess_f=None, growth=growth)
+
+
+def test_polynomial_integrand_refuses_growth_data_of_another_set():
+    with pytest.raises(ConfigurationError, match=r"another multi-index set than \(n=1, m=1\)"):
+        make_polynomial_lagrangian(1, 1, 1, [(0.5, ((1, 2),))], growth=GrowthSpec.canonical(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +142,7 @@ def test_non_finite_callback_is_reported_with_location():
             return 1.0 / xi[:, 0, 0]
 
     lag = Lagrangian(
-        n=1, m=1, N=1,
+        N=1,
         f=inv,
         grad_f=lambda x, xi: np.zeros_like(xi),
         hess_f=lambda x, xi: np.zeros(xi.shape[:1] + (1, 2, 1, 2)),
@@ -133,7 +162,7 @@ def test_asymmetric_hessian_callback_is_rejected():
         return h
 
     lag = Lagrangian(
-        n=1, m=1, N=1,
+        N=1,
         f=lambda x, xi: np.zeros(xi.shape[0]),
         grad_f=lambda x, xi: np.zeros_like(xi),
         hess_f=bad_hess,
@@ -339,6 +368,21 @@ def test_growth_check_fits_envelopes_when_missing():
     assert np.all(np.diff(vals) >= 0)
 
 
+def test_monotone_envelope_gives_tied_samples_one_knot():
+    # the minorant of a tie is its group's least demand, the majorant its greatest
+    t = np.array([0.0, 1.0, 1.0, 1.0, 2.0])
+    demand = np.array([5.0, 1.0, 10.0, 28.0, 30.0])
+    lower, (knots, values) = _monotone_envelope(t, demand, upper=False)
+    assert lower.tolist() == [1.0, 1.0, 1.0, 1.0, 30.0]
+    assert (knots.tolist(), values.tolist()) == ([0.0, 1.0, 2.0], [1.0, 1.0, 30.0])
+    upper, (knots, values) = _monotone_envelope(t, demand, upper=True)
+    assert upper.tolist() == [5.0, 28.0, 28.0, 28.0, 30.0]
+    assert (knots.tolist(), values.tolist()) == ([0.0, 1.0, 2.0], [5.0, 28.0, 30.0])
+    # every sample meets its own envelope value, and the floor keeps a fit positive
+    assert np.all(lower <= demand) and np.all(upper >= demand)
+    assert _monotone_envelope(t, -demand, upper=False)[0].tolist() == [1e-12] * 5
+
+
 def test_growth_check_requires_samples():
     with pytest.raises(ConfigurationError, match="S >= 1 samples"):
         check_growth(model_problem("P1").lagrangian, np.zeros(0), np.zeros((0, 1, 2)))
@@ -394,7 +438,7 @@ def _cosine_well():
         out[:, 0, 1, 0, 1] = 1.0
         return out
 
-    return Lagrangian(n=1, m=1, N=1, f=f, grad_f=grad, hess_f=hess, growth=growth, name="cosine_well")
+    return Lagrangian(N=1, f=f, grad_f=grad, hess_f=hess, growth=growth, name="cosine_well")
 
 
 def test_certificate_bounded_zero_slice_passes():
