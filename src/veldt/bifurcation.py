@@ -63,6 +63,7 @@ ORIGIN_PSI_TOL = 1e-12  # complement tolerance of the reduced-origin classificat
 ORIGIN_DIRECTIONS = 8  # random sphere directions per radius when the kernel is not a line
 REDUCED_NEWTON_TOL = 1e-10  # reduced-gradient norm at which a reduced Newton solve has converged
 REDUCED_NEWTON_MAX_ITER = 40  # iteration budget of a reduced Newton solve
+REDUCED_DEDUPE_RTOL = 1e-7  # kernel distance over max(1, trust radius) below which two reduced critical points are one
 BRANCH_STARTS = 4  # deterministic reduced Newton starts per parameter value of a branch sweep
 SOLUTION_CAP = 16  # solutions per parameter value from which a branch sweep refines its starts to test for (ii)
 ORBIT_TOL = 1e-6  # translation distance below which two periodic solutions are one orbit
@@ -291,7 +292,7 @@ def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
     rho = setup.trust_radius
     starts = _star_seeds(np.zeros(nu), np.eye(nu), np.linspace(1.0 / n_starts, 0.9, n_starts) * rho)
     # the star seeds are the origin, then (+, -) pairs: the minus starts sit at the even indices
-    mirrored = range(2, len(starts), 2) if setup.sign_symmetric else range(0)
+    mirrored = range(2, len(starts), 2) if setup.problem.sign_symmetric else range(0)
     if nu > 1:
         extra = rng.standard_normal((2 * n_starts, nu))
         extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
@@ -313,7 +314,7 @@ def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
         z, y, ok = outcome
         if not ok:
             continue
-        if any(np.linalg.norm(z - zf) < 1e-7 * max(1.0, rho) for zf, _ in found):
+        if any(np.linalg.norm(z - zf) < REDUCED_DEDUPE_RTOL * max(1.0, rho) for zf, _ in found):
             continue
         found.append((z, y))
     if len(failures) == len(starts):
@@ -394,7 +395,7 @@ def detect_branches(
         condition = classify_conditions(pencil, lam_star)
         # a lone eigenvalue has infinite separation, which leaves eps at 0.1
         jump = index_jump(pencil, lam_star, min(0.1, 0.4 * pencil.separation(idx))).summary()
-        setup = make_reduction_setup(problem, lam_star, mult)
+        setup = make_reduction_setup(problem, lam_star)
         # below the cube root of the residual contract a degenerate origin is
         # numerically indistinguishable from the trivial solution
         trivial_tol = max(1e-8, 1e-4 * setup.trust_radius, (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0))

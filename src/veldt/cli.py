@@ -485,7 +485,7 @@ def _orbit_tags(cand, disc) -> dict:
 def _census_seeds(problem, func, amplitudes, n_random, rng):
     disc = problem.disc
     u0 = problem.u0
-    dec = decompose(func.hessian_dual(u0.coeffs), disc.gram)
+    dec = decompose(func.hessian_dual(u0), disc.gram)
     seeds = _star_seeds(u0.coeffs, dec.eigenvectors[:, : min(6, disc.dim)].T, amplitudes)
     for _ in range(n_random):
         d = rng.standard_normal(disc.dim)
@@ -508,7 +508,7 @@ def run_morse(params, disc_block, model, rng, out_dir):
         if mp_cfg is None:
             raise
         result = marino_prodi_perturb(
-            func, problem.u0, r=float(mp_cfg["r"]), delta_inner=float(mp_cfg["delta_inner"]), rng=rng
+            problem, lam, r=float(mp_cfg["r"]), delta_inner=float(mp_cfg["delta_inner"]), rng=rng
         )
         report["marino_prodi"] = {
             "passed": result.passed,

@@ -10,7 +10,7 @@ the Gram matrix.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -153,15 +153,19 @@ class CombinedFunctional(DiscretizedFunctional):
 
 @dataclass(frozen=True, eq=False)
 class VariationalProblem:
-    """A model problem bound to a discretization and a base point.
+    """A model problem bound to a discretization and a base point: the one place F - lambda G is built.
 
-    ``pencil`` is the spectrum of F''(u0) v = lambda G''(u0) v, solved on
-    first use and kept, so every reader of one problem shares one solve.
+    ``energy`` and ``constraint`` are built on first use and kept, and
+    ``at_parameter`` keeps one combined functional per float parameter, so
+    every reader of one problem shares them.  ``pencil`` is the spectrum of
+    F''(u0) v = lambda G''(u0) v, solved on first use and kept.  A copy made
+    with ``dataclasses.replace`` starts with nothing kept.
     """
 
     model: ModelProblem
     disc: Discretization
     u0: Field = None
+    _functionals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.u0 is None:
@@ -169,19 +173,32 @@ class VariationalProblem:
 
     @functools.cached_property
     def pencil(self) -> PencilSpectrum:
-        u0 = self.u0.coeffs
-        return pencil_eigs(self.energy.hessian_dual(u0), self.constraint.hessian_dual(u0), self.disc.gram)
+        return pencil_eigs(self.energy.hessian_dual(self.u0), self.constraint.hessian_dual(self.u0), self.disc.gram)
 
-    @property
+    @functools.cached_property
     def energy(self) -> DiscretizedFunctional:
         return DiscretizedFunctional(self.model.lagrangian, self.disc)
 
-    @property
+    @functools.cached_property
     def constraint(self) -> DiscretizedFunctional:
         return DiscretizedFunctional(self.model.constraint, self.disc)
 
     def at_parameter(self, lam: float) -> CombinedFunctional:
-        return CombinedFunctional(self.energy, self.constraint, lam)
+        lam = float(lam)
+        if lam not in self._functionals:
+            self._functionals[lam] = CombinedFunctional(self.energy, self.constraint, lam)
+        return self._functionals[lam]
+
+    @property
+    def sign_symmetric(self) -> bool:
+        """True when L_lam(u0 - v) = L_lam(u0 + v) for every lam and v, read from the terms.
+
+        That is: u0 is exactly zero, and the energy and the constraint are
+        compiled polynomial integrands whose terms all have even total degree.
+        A callback integrand counts as not symmetric.
+        """
+        polys = [PolynomialIntegrand.of(lag) for lag in (self.model.lagrangian, self.model.constraint)]
+        return not np.any(self.u0.coeffs) and all(poly is not None and poly.even for poly in polys)
 
 
 def _dual_norm(disc: Discretization, ell: np.ndarray) -> float:

@@ -480,10 +480,13 @@ def _check_signature(lag: Lagrangian, disc: Discretization):
     # one set object per (n, m), so identity settles the common case; equality catches a hand-built set
     iset = lag.growth.index_set
     if (iset is not disc.index_set and iset != disc.index_set) or lag.N != disc.n_components:
-        raise ConfigurationError(
+        message = (
             f"integrand signature (n={lag.n}, m={lag.m}, N={lag.N}) does not match "
             f"discretization (n={disc.n}, m={disc.m}, N={disc.n_components})"
         )
+        if (lag.n, lag.m, lag.N) == (disc.n, disc.m, disc.n_components):
+            message += f": the index orders differ, {list(iset)} against {list(disc.index_set)}"
+        raise ConfigurationError(message)
 
 
 def assemble_functional(lag: Lagrangian, u: Field) -> float:
@@ -631,7 +634,6 @@ def estimate_sobolev_constant(disc: Discretization) -> float:
 class QDecayProfile:
     ratios: np.ndarray
     passed: bool
-    note: str = ""
 
 
 def q_compactness_audit(lag: Lagrangian, u: Field) -> QDecayProfile:
@@ -647,11 +649,6 @@ def q_compactness_audit(lag: Lagrangian, u: Field) -> QDecayProfile:
     # the Sobolev norms of the columns Q e_k of Qop, over those of the e_k
     column_sq = np.einsum("ik,ik->k", disc.gram @ Qop, Qop)
     ratios = np.sqrt(np.maximum(column_sq, 0.0)) / np.sqrt(np.maximum(np.diag(disc.gram), 0.0))
-    peak = float(np.max(ratios))
-    if disc.K >= 32:
-        passed = bool(ratios[disc.K - 1] < 0.1 * peak)
-        note = ""
-    else:
-        passed = True
-        note = "K below 32: decay reported, threshold not applied"
-    return QDecayProfile(ratios=ratios, passed=passed, note=note)
+    # below K = 32 the decay is reported and the threshold not applied
+    passed = disc.K < 32 or bool(ratios[disc.K - 1] < 0.1 * float(np.max(ratios)))
+    return QDecayProfile(ratios=ratios, passed=passed)

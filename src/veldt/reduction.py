@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import PolynomialIntegrand
 from .errors import (
     ConfigurationError,
     DegenerateKernelError,
@@ -30,7 +29,6 @@ from .errors import (
 from .functional import (
     RESIDUAL_CONTRACT,
     CombinedFunctional,
-    DiscretizedFunctional,
     VariationalProblem,
     _dual_norm,
     _star_seeds,
@@ -69,63 +67,37 @@ COMPLEMENT_COND_LIMIT = 1e12  # largest condition number of the complement block
 
 @dataclass(eq=False)
 class ReductionSetup:
-    """Frozen ingredients of one reduction: base point, kernel, boxes.
+    """One reduction of a problem: its kernel at ``lam_star`` and the boxes.
 
     ``kernel_basis`` columns are Sobolev-orthonormal and span H0;
     ``complement_basis`` completes them to a full orthonormal system.  Kernel
     coordinates z live in R^nu through the kernel basis.  ``lambda_box`` bounds
     |lam - lam_star| and ``trust_radius`` bounds |z| and the complement
-    correction.  ``energy`` may be any functional handle; with no
-    ``constraint`` it is the reduced functional itself.  ``functional_at``
-    builds the combined functional once per parameter value and reuses it.
+    correction.  The discretization, the base point and the functional at each
+    parameter are the problem's.
     """
 
-    energy: DiscretizedFunctional
-    constraint: Optional[DiscretizedFunctional]
-    u0: Field
+    problem: VariationalProblem
     lam_star: float
     kernel_basis: np.ndarray
     complement_basis: np.ndarray
     lambda_box: float
     trust_radius: float
-    _functionals: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def disc(self):
-        return self.energy.disc
+        return self.problem.disc
+
+    @property
+    def u0(self) -> Field:
+        return self.problem.u0
 
     @property
     def nullity(self) -> int:
         return self.kernel_basis.shape[1]
 
-    def functional_at(self, lam: float):
-        if self.constraint is None:
-            return self.energy
-        lam = float(lam)
-        if lam not in self._functionals:
-            self._functionals[lam] = CombinedFunctional(self.energy, self.constraint, lam)
-        return self._functionals[lam]
-
-    @property
-    def sign_symmetric(self) -> bool:
-        """True when L_lam(u0 - v) = L_lam(u0 + v) for every lam and v, read from the terms.
-
-        That is: u0 is exactly zero, and the energy and the constraint are
-        plain functionals of a compiled polynomial integrand whose terms all
-        have even total degree.  A callback integrand, a kernel tilt or any
-        other functional handle counts as not symmetric.
-        """
-        if np.any(self.u0.coeffs):
-            return False
-        for func in (self.energy, self.constraint):
-            if func is None:
-                continue
-            if type(func) is not DiscretizedFunctional:
-                return False
-            poly = PolynomialIntegrand.of(func.lagrangian)
-            if poly is None or not poly.even:
-                return False
-        return True
+    def functional_at(self, lam: float) -> CombinedFunctional:
+        return self.problem.at_parameter(lam)
 
     def check_lambda(self, lam: float) -> float:
         lam = float(lam)
@@ -145,37 +117,35 @@ class ReductionSetup:
         return self.kernel_basis.T @ (self.disc.gram @ (coeffs - self.u0.coeffs))
 
 
-def make_reduction_setup(problem: VariationalProblem, lam_star: float, kernel_dim: Optional[int] = None) -> ReductionSetup:
+def make_reduction_setup(problem: VariationalProblem, lam_star: float) -> ReductionSetup:
     """Build a reduction around a common critical point of F and G.
 
-    The base point must be critical for both terms to ``RESIDUAL_CONTRACT``.
-    The kernel of B = F'' - lam* G'' at u0 is detected spectrally
-    (``kernel_dim`` forces the dimension when the default threshold is too
-    conservative).  The box half-width is 0.45 times the distance to the
-    nearest other pencil eigenvalue and the trust radius 0.3 times that
-    distance, both capped at 1.
+    The base point must be critical for both terms to ``RESIDUAL_CONTRACT``,
+    and ``lam_star`` must match a pencil eigenvalue: the kernel of
+    B = F'' - lam* G'' at u0 is that eigenvalue's eigenspace, so its
+    multiplicity is the kernel dimension ``decompose`` is given.  The box
+    half-width is 0.45 times the distance to the nearest other pencil
+    eigenvalue and the trust radius 0.3 times that distance, both capped at 1.
     """
-    disc = problem.disc
-    energy = problem.energy
-    constraint = problem.constraint
     lam_star = float(lam_star)
     u0 = problem.u0
-    for name, func in (("energy", energy), ("constraint", constraint)):
-        res = gradient_norm(func, u0.coeffs)
+    for name, func in (("energy", problem.energy), ("constraint", problem.constraint)):
+        res = gradient_norm(func, u0)
         if res > RESIDUAL_CONTRACT:
             raise ConfigurationError(f"base point is not critical for {name}: residual {res:.3e}")
 
-    B = CombinedFunctional(energy, constraint, lam_star).hessian_dual(u0.coeffs)
-    dec = decompose(B, disc.gram, kernel_dim_hint=kernel_dim)
-    if dec.nullity == 0:
-        raise DegenerateKernelError("second variation at the base point has no kernel; nothing to reduce")
-
     pencil = problem.pencil
-    box, rho = _reduction_extent(pencil.separation(pencil.nearest(lam_star)[0]))
+    if not pencil.matches(lam_star):
+        nearest = f"{pencil.eigenvalues[pencil.nearest(lam_star)[0]]:.6g}" if pencil.eigenvalues.size else "none"
+        raise DegenerateKernelError(
+            f"{lam_star} is not a pencil eigenvalue (nearest: {nearest}); the second variation there has no kernel"
+        )
+    idx, _ = pencil.nearest(lam_star)
+    B = problem.at_parameter(lam_star).hessian_dual(u0)
+    dec = decompose(B, problem.disc.gram, kernel_dim_hint=int(pencil.multiplicities[idx]))
+    box, rho = _reduction_extent(pencil.separation(idx))
     return ReductionSetup(
-        energy=energy,
-        constraint=constraint,
-        u0=u0,
+        problem=problem,
         lam_star=lam_star,
         kernel_basis=dec.kernel_vectors,
         complement_basis=dec.complement_vectors,
@@ -346,7 +316,6 @@ def sample_reduced(setup: ReductionSetup, lam, z_list: Sequence) -> ReductionRes
 class LipschitzAudit:
     max_ratio: float
     passed: bool
-    n_pairs: int
 
 
 def lipschitz_audit(
@@ -373,7 +342,7 @@ def lipschitz_audit(
         s2 = solve_psi(setup, lam, z2)
         ratio = float(np.linalg.norm(s1.y - s2.y) / np.linalg.norm(z1 - z2))
         worst = max(worst, ratio)
-    return LipschitzAudit(max_ratio=worst, passed=worst <= 3.0, n_pairs=n_pairs)
+    return LipschitzAudit(max_ratio=worst, passed=worst <= 3.0)
 
 
 def reduced_hessian_at_origin(setup: ReductionSetup, lam) -> np.ndarray:
@@ -390,7 +359,7 @@ def reduced_hessian_at_origin(setup: ReductionSetup, lam) -> np.ndarray:
     nu = setup.nullity
     M = np.zeros((nu, nu))
     if lam != setup.lam_star:
-        M -= (lam - setup.lam_star) * (Z.T @ setup.constraint.hessian_dual(setup.u0.coeffs) @ Z)
+        M -= (lam - setup.lam_star) * (Z.T @ setup.problem.constraint.hessian_dual(setup.u0) @ Z)
     M = 0.5 * (M + M.T)
 
     def probe(h):
@@ -541,24 +510,27 @@ class MarinoProdiResult:
 
 
 def marino_prodi_perturb(
-    func,
-    u0: Field,
+    problem: VariationalProblem,
+    lam: float,
     r: float,
     delta_inner: float,
     rng: Optional[np.random.Generator] = None,
 ) -> MarinoProdiResult:
-    """Tilt an isolated degenerate critical point into a nondegenerate census.
+    """Tilt an isolated degenerate critical point of F - lam G into a nondegenerate census.
 
-    Builds the localized kernel tilt, runs a multistart Newton census inside
-    the ball of radius ``r`` around u0, and verifies that every critical point
-    of the perturbed functional is nondegenerate with Morse index inside
-    [mu, mu + nu] for the Morse index mu and nullity nu of u0.  A degenerate
-    find triggers a resample of the tilt vector, up to ``TILT_RETRIES`` times;
-    persistent failure is reported, not raised.
+    Builds the localized kernel tilt of ``problem.at_parameter(lam)`` at the
+    base point u0, runs a multistart Newton census inside the ball of radius
+    ``r`` around u0, and verifies that every critical point of the perturbed
+    functional is nondegenerate with Morse index inside [mu, mu + nu] for the
+    Morse index mu and nullity nu of u0.  A degenerate find triggers a
+    resample of the tilt vector, up to ``TILT_RETRIES`` times; persistent
+    failure is reported, not raised.
     """
-    disc = func.disc
+    disc = problem.disc
+    u0 = problem.u0
+    func = problem.at_parameter(lam)
     rng = rng or np.random.default_rng(0)
-    dec = decompose(func.hessian_dual(u0.coeffs), disc.gram)
+    dec = decompose(func.hessian_dual(u0), disc.gram)
     Z = dec.kernel_vectors
     nu = dec.nullity
     mu = dec.morse_index
@@ -567,21 +539,14 @@ def marino_prodi_perturb(
 
     # lower bound for the reduced gradient on the cutoff annulus, scanned coarsely
     probe_setup = ReductionSetup(
-        energy=func,
-        constraint=None,
-        u0=u0,
-        lam_star=0.0,
-        kernel_basis=Z,
-        complement_basis=dec.complement_vectors,
-        lambda_box=1.0,
-        trust_radius=max(delta_inner * 2, 1e-6),
+        problem, func.lam, Z, dec.complement_vectors, lambda_box=0.0, trust_radius=max(delta_inner * 2, 1e-6)
     )
     grad_floor = np.inf
     for radius_frac in (0.5, 0.75, 1.0):
         for direction in _directions(nu, max(2 * nu, 4), rng):
             z = direction * delta_inner * radius_frac
             try:
-                g = solve_psi(probe_setup, 0.0, z, tol=ANNULUS_PSI_TOL).gradient
+                g = solve_psi(probe_setup, func.lam, z, tol=ANNULUS_PSI_TOL).gradient
             except ReductionFailureError:
                 continue
             grad_floor = min(grad_floor, float(np.linalg.norm(g)))

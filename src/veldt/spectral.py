@@ -148,7 +148,6 @@ def decompose(B: np.ndarray, gram: np.ndarray, kernel_dim_hint: Optional[int] = 
 
 @dataclass
 class SplitContinuityReport:
-    sample_distances: np.ndarray
     p_deviations: np.ndarray
     q_deviations: np.ndarray
     c0_estimate: float
@@ -218,7 +217,6 @@ def split_continuity_audit(
 
     passed = c0 > 0 and trend_ok(p_dev) and trend_ok(q_dev) and defect <= SPLIT_DEFECT_TOL
     return SplitContinuityReport(
-        sample_distances=distances,
         p_deviations=p_dev,
         q_deviations=q_dev,
         c0_estimate=float(c0),

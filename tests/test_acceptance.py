@@ -175,7 +175,7 @@ def test_criterion_4_index_jumps():
 def test_criterion_5_reduction_contract():
     disc = build_space((0.0, np.pi), 1, "dirichlet", 32)
     problem = _problem("P2", disc)
-    setup = make_reduction_setup(problem, 1.0, kernel_dim=1)
+    setup = make_reduction_setup(problem, 1.0)
     rng = np.random.default_rng(31)
     worst = 0.0
     for lam in (0.95, 0.98, 1.0, 1.02, 1.05):
@@ -204,7 +204,7 @@ def test_criterion_5_reduction_contract():
 def test_criterion_6_reduced_normal_form():
     disc = build_space((0.0, np.pi), 1, "dirichlet", 64)
     problem = _problem("P2", disc)
-    setup = make_reduction_setup(problem, 1.0, kernel_dim=1)
+    setup = make_reduction_setup(problem, 1.0)
     worst_quad = worst_quart = 0.0
     for lam in (0.95, 1.05):
         amps = np.linspace(0.0, 0.3, 13)
@@ -280,7 +280,7 @@ def test_criterion_9_kernel_tilt():
     details = []
     for seed in range(5):
         result = marino_prodi_perturb(
-            func, problem.u0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(seed)
+            problem, 1.0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(seed)
         )
         lo, hi = result.morse_window
         ok = (
@@ -293,7 +293,7 @@ def test_criterion_9_kernel_tilt():
         details.append(len(result.critical_points))
     rng = np.random.default_rng(99)
     exterior = 0.0
-    result = marino_prodi_perturb(func, problem.u0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(0))
+    result = marino_prodi_perturb(problem, 1.0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(0))
     for _ in range(10):
         d = rng.standard_normal(disc.dim)
         d *= rng.uniform(0.55, 3.0) / disc.norm(d)

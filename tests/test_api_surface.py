@@ -79,7 +79,6 @@ DEFAULTED = {
     "lagrangian.GrowthSpec.canonical": ("p", "g1", "g2", "p_border"),
     "reduction.ReductionSetup.lift": ("y",),
     "reduction.lipschitz_audit": ("n_pairs", "rng", "radius"),
-    "reduction.make_reduction_setup": ("kernel_dim",),
     "reduction.marino_prodi_perturb": ("rng",),
     "reduction.solve_psi": ("tol", "w0"),
     "spectral.decompose": ("kernel_dim_hint",),
@@ -130,7 +129,7 @@ def test_public_keyword_surface_is_pinned():
         if names:
             found[qualname] = names
     assert found == DEFAULTED
-    assert sum(len(names) for names in found.values()) == 30
+    assert sum(len(names) for names in found.values()) == 29
 
 
 def _module_constants():

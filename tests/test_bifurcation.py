@@ -18,7 +18,6 @@ from veldt import (
 )
 import veldt.bifurcation
 import veldt.functional
-import veldt.reduction
 from veldt.errors import (
     CapabilityError,
     DegenerateCriticalPointError,
@@ -30,7 +29,7 @@ from veldt.errors import (
 from veldt.catalog import ModelProblem, load_problem
 from veldt.functional import RESIDUAL_CONTRACT, VariationalProblem, _star_seeds
 from veldt.cli import _census_seeds
-from veldt.reduction import PerturbedFunctional, _reduction_extent
+from veldt.reduction import _reduction_extent
 
 
 def _pencil(problem):
@@ -329,13 +328,14 @@ def test_reduction_extent_follows_the_pencil_separation(prob_p2):
 
 
 def test_detect_branches_builds_one_reduction_setup_per_candidate(prob_p2, monkeypatch):
-    # the sweep reduces through the public constructor, with the candidate's multiplicity as kernel dimension
+    # the sweep reduces through the public constructor, whose kernel dimension is the candidate's multiplicity
     calls = []
     build = veldt.bifurcation.make_reduction_setup
 
-    def counted(problem, lam_star, kernel_dim=None):
-        calls.append((lam_star, kernel_dim))
-        return build(problem, lam_star, kernel_dim)
+    def counted(problem, lam_star):
+        setup = build(problem, lam_star)
+        calls.append((lam_star, setup.nullity))
+        return setup
 
     monkeypatch.setattr(veldt.bifurcation, "make_reduction_setup", counted)
     report = detect_branches(prob_p2, (0.9, 4.1), grid=3, rng=np.random.default_rng(0))
@@ -379,7 +379,7 @@ def _assert_bitwise_equal(got, want):
 def test_mirrored_start_is_the_minus_solve_bit_for_bit(case, prob_p2, monkeypatch):
     problem = prob_p2 if case == "p2" else _two_p2()
     setup = make_reduction_setup(problem, 1.0)
-    assert setup.sign_symmetric
+    assert problem.sign_symmetric
     nu, rho = setup.nullity, setup.trust_radius
     assert nu == (1 if case == "p2" else 2)
     n = veldt.bifurcation.BRANCH_STARTS
@@ -398,7 +398,7 @@ def test_mirrored_start_is_the_minus_solve_bit_for_bit(case, prob_p2, monkeypatc
         # and the multistart keeps the same points, in the same order, as solving every start
         found = multistart(setup, lam, n, np.random.default_rng(0))
         with monkeypatch.context() as m:
-            m.setattr(veldt.reduction.ReductionSetup, "sign_symmetric", property(lambda self: False))
+            m.setattr(veldt.functional.VariationalProblem, "sign_symmetric", property(lambda self: False))
             reference = multistart(setup, lam, n, np.random.default_rng(0))
         assert len(found) == len(reference)
         for (z, y), (z_ref, y_ref) in zip(found, reference):
@@ -408,23 +408,18 @@ def test_mirrored_start_is_the_minus_solve_bit_for_bit(case, prob_p2, monkeypatc
 
 def test_catalog_models_are_sign_symmetric(p1, p2, p3, p4, disc32, beam8):
     for model, disc in ((p1, disc32), (p2, disc32), (p3, disc32), (p4, beam8)):
-        problem = VariationalProblem(model=model, disc=disc)
-        pencil, _, _ = _pencil(problem)
-        assert make_reduction_setup(problem, float(pencil.eigenvalues[0])).sign_symmetric, model.name
+        assert VariationalProblem(model=model, disc=disc).sign_symmetric, model.name
 
 
 def test_sign_symmetry_needs_even_compiled_terms_and_a_zero_base_point(p2, prob_p2, transcritical):
-    assert not make_reduction_setup(transcritical, 1.0).sign_symmetric  # the cubic term u^3/3
+    assert not transcritical.sign_symmetric  # the cubic term u^3/3
     lag = p2.lagrangian
     by_hand = dataclasses.replace(lag, f=lambda x, xi: lag.f(x, xi))  # the same values, but a callback
     problem = VariationalProblem(model=ModelProblem("by_hand", by_hand, p2.constraint), disc=prob_p2.disc)
-    assert not make_reduction_setup(problem, 1.0).sign_symmetric
-    setup = make_reduction_setup(prob_p2, 1.0)
-    assert setup.sign_symmetric
-    tilted = PerturbedFunctional(setup.energy, setup.u0, setup.kernel_basis, r=0.5, delta=0.25, b_coords=np.ones(1))
-    assert not dataclasses.replace(setup, energy=tilted).sign_symmetric
-    shifted = prob_p2.disc.field(1e-3 * setup.kernel_basis[:, 0])
-    assert not dataclasses.replace(setup, u0=shifted).sign_symmetric
+    assert not problem.sign_symmetric
+    assert prob_p2.sign_symmetric
+    kernel = make_reduction_setup(prob_p2, 1.0).kernel_basis[:, 0]
+    assert not dataclasses.replace(prob_p2, u0=prob_p2.disc.field(1e-3 * kernel)).sign_symmetric
 
 
 def _counting_reduced_solves(monkeypatch):
@@ -480,7 +475,7 @@ def test_cubic_sweep_solves_every_start_and_stays_asymmetric(disc32, monkeypatch
 
 @pytest.fixture(scope="module")
 def setup_p2_origin(prob_p2):
-    return make_reduction_setup(prob_p2, 1.0, kernel_dim=1)
+    return make_reduction_setup(prob_p2, 1.0)
 
 
 def test_origin_is_minimum_below_crossing(setup_p2_origin):

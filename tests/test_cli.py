@@ -310,9 +310,16 @@ def test_readme_and_benchmark_configs_load(tmp_path):
 
 def test_tool_configs_load():
     # the extra configs of tools/same_outputs.py: an indefinite complement block, translation orbits on a
-    # periodic space, a non-square 2-D box and a fitted ellipticity envelope with tied samples
+    # periodic space, a multiplicity-2 kernel of a reduction, a non-square 2-D box and a fitted ellipticity
+    # envelope with tied samples
     paths = sorted((Path(__file__).resolve().parents[1] / "tools" / "configs").glob("*.json"))
-    stems = ["p2_bifurcate_indefinite", "periodic_bifurcate_orbits", "sine2d_spectrum_nonsquare", "validate_fitted_envelope"]
+    stems = [
+        "p2_bifurcate_indefinite",
+        "periodic_bifurcate_orbits",
+        "reduce_two_p2",
+        "sine2d_spectrum_nonsquare",
+        "validate_fitted_envelope",
+    ]
     assert [path.stem for path in paths] == stems
     merged = {path.stem: load_config(path)[1] for path in paths}
     for config in merged.values():

@@ -309,6 +309,14 @@ def test_polish_makes_one_jet_pass_per_evaluated_point(p2, disc16, monkeypatch):
     assert cp.value == func.value(cp.coeffs)
 
 
+def test_pencil_is_solved_from_the_jets_of_the_base_point(p2, disc16, monkeypatch):
+    # both second variations are assembled at the problem's u0 Field, not at a copy of its coefficients
+    problem = VariationalProblem(model=p2, disc=disc16)
+    passes = _count_jet_passes(monkeypatch)
+    problem.pencil
+    assert passes == []
+
+
 def _hand_written(lag):
     """The same integrand behind callbacks that are not a compiled polynomial's methods."""
     return dataclasses.replace(

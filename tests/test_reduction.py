@@ -23,23 +23,25 @@ from veldt.galerkin import Discretization
 from veldt.reduction import PerturbedFunctional, _directions
 from veldt.spectral import decompose
 
+from test_bifurcation import _two_p2
+
 
 @pytest.fixture(scope="module")
 def setup_p2(p2, disc32):
     problem = VariationalProblem(model=p2, disc=disc32)
-    return make_reduction_setup(problem, 1.0, kernel_dim=1)
+    return make_reduction_setup(problem, 1.0)
 
 
 @pytest.fixture(scope="module")
 def setup_p1(p1, disc32):
     problem = VariationalProblem(model=p1, disc=disc32)
-    return make_reduction_setup(problem, 1.0, kernel_dim=1)
+    return make_reduction_setup(problem, 1.0)
 
 
 @pytest.fixture(scope="module")
 def setup_p3(p3, disc32):
     problem = VariationalProblem(model=p3, disc=disc32)
-    return make_reduction_setup(problem, 1.0, kernel_dim=1)
+    return make_reduction_setup(problem, 1.0)
 
 
 def test_setup_geometry(setup_p2, disc32):
@@ -60,9 +62,21 @@ def test_setup_requires_critical_base(p2, disc32):
 
 
 def test_setup_requires_kernel(p2, disc32):
+    # 2.5 is no pencil eigenvalue; the refusal names the nearest one
     problem = VariationalProblem(model=p2, disc=disc32)
-    with pytest.raises(DegenerateKernelError):
+    nearest = problem.pencil.eigenvalues[problem.pencil.nearest(2.5)[0]]
+    with pytest.raises(DegenerateKernelError, match=f"2.5 is not a pencil eigenvalue \\(nearest: {nearest:.6g}\\)"):
         make_reduction_setup(problem, 2.5)
+
+
+def test_setup_reads_kernel_dimension_from_the_pencil():
+    # the coupled two-component P2 has a double eigenvalue 1, so the kernel is two-dimensional with no hint
+    problem = _two_p2()
+    setup = make_reduction_setup(problem, 1.0)
+    assert setup.nullity == 2
+    idx, _ = problem.pencil.nearest(1.0)
+    assert problem.pencil.multiplicities[idx] == 2
+    assert setup.problem is problem
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +93,7 @@ def test_psi_vanishes_at_zero(setup_p2, lam):
 def test_psi_vanishes_at_zero_p4(p4, beam8):
     problem = VariationalProblem(model=p4, disc=beam8)
     lam1 = 500.5639017404
-    setup = make_reduction_setup(problem, lam1, kernel_dim=1)
+    setup = make_reduction_setup(problem, lam1)
     sample = solve_psi(setup, lam1, np.zeros(1))
     assert sample.correction_norm == 0.0
 
@@ -290,7 +304,7 @@ def test_tilt_zero_vector_is_identity(degenerate_p2, rng):
 def test_tilt_gradient_and_hessian_are_consistent(degenerate_p2, rng):
     problem, func = degenerate_p2
     disc = problem.disc
-    result = marino_prodi_perturb(func, problem.u0, r=0.6, delta_inner=0.3, rng=np.random.default_rng(5))
+    result = marino_prodi_perturb(problem, 1.0, r=0.6, delta_inner=0.3, rng=np.random.default_rng(5))
     perturbed = result.perturbed
     h = 1e-6
     for scale in (0.2, 0.35, 0.5):  # plateau, cutoff annulus, bump shoulder
@@ -308,8 +322,9 @@ def test_tilt_gradient_and_hessian_are_consistent(degenerate_p2, rng):
 
 def test_tilt_census_is_nondegenerate_in_window(degenerate_p2):
     problem, func = degenerate_p2
-    result = marino_prodi_perturb(func, problem.u0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(7))
+    result = marino_prodi_perturb(problem, 1.0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(7))
     assert result.passed
+    assert result.perturbed.base is problem.at_parameter(1.0) is func  # the problem's own F - lam G is tilted
     assert len(result.critical_points) >= 1
     lo, hi = result.morse_window
     assert (lo, hi) == (0, 1)
@@ -321,7 +336,7 @@ def test_tilt_census_is_nondegenerate_in_window(degenerate_p2):
 def test_tilt_vanishes_outside_support(degenerate_p2, rng):
     problem, func = degenerate_p2
     disc = problem.disc
-    result = marino_prodi_perturb(func, problem.u0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(7))
+    result = marino_prodi_perturb(problem, 1.0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(7))
     for _ in range(10):
         d = rng.standard_normal(disc.dim)
         d *= rng.uniform(0.51, 3.0) / disc.norm(d)
@@ -334,7 +349,7 @@ def test_tilt_vanishes_outside_support(degenerate_p2, rng):
 def test_tilt_is_active_inside(degenerate_p2):
     problem, func = degenerate_p2
     disc = problem.disc
-    result = marino_prodi_perturb(func, problem.u0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(7))
+    result = marino_prodi_perturb(problem, 1.0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(7))
     z = 0.05 * result.perturbed.Z[:, 0]
     c = problem.u0.coeffs + z
     assert result.perturbed.value(c) != func.value(c)
@@ -342,15 +357,14 @@ def test_tilt_is_active_inside(degenerate_p2):
 
 def test_tilt_rejects_nondegenerate_base(p2, disc32):
     problem = VariationalProblem(model=p2, disc=disc32)
-    func = problem.at_parameter(0.5)
     with pytest.raises(ConfigurationError):
-        marino_prodi_perturb(func, problem.u0, r=0.5, delta_inner=0.25)
+        marino_prodi_perturb(problem, 0.5, r=0.5, delta_inner=0.25)
 
 
 def test_tilt_bad_radii(degenerate_p2):
-    problem, func = degenerate_p2
+    problem, _ = degenerate_p2
     with pytest.raises(ConfigurationError):
-        marino_prodi_perturb(func, problem.u0, r=0.2, delta_inner=0.4)
+        marino_prodi_perturb(problem, 1.0, r=0.2, delta_inner=0.4)
 
 
 class _FlippedHessian:
@@ -370,12 +384,11 @@ class _FlippedHessian:
         return -self.func.hessian_dual(coeffs)
 
 
-def test_psi_stall_reports_iterations_run(setup_p2):
-    flipped = dataclasses.replace(
-        setup_p2, energy=_FlippedHessian(setup_p2.functional_at(1.0)), constraint=None, lam_star=0.0
-    )
+def test_psi_stall_reports_iterations_run(setup_p2, monkeypatch):
+    flipped = dataclasses.replace(setup_p2)
+    monkeypatch.setattr(flipped, "functional_at", lambda lam: _FlippedHessian(setup_p2.functional_at(lam)))
     with pytest.raises(ReductionFailureError) as err:
-        solve_psi(flipped, 0.0, np.array([0.2]))
+        solve_psi(flipped, 1.0, np.array([0.2]))
     assert err.value.iterations == 1
     assert err.value.residual > 0
 
@@ -446,6 +459,7 @@ def test_reduced_newton_reads_gradient_from_complement_solve(setup_p2, monkeypat
 
 
 def test_functional_at_builds_one_combined_functional_per_parameter(setup_p2, monkeypatch):
+    # the cache is the problem's: setups of one problem share it, a replaced problem starts empty
     builds = []
     original = veldt.functional._combined_lagrangian
 
@@ -454,16 +468,19 @@ def test_functional_at_builds_one_combined_functional_per_parameter(setup_p2, mo
         return original(energy, constraint, lam)
 
     monkeypatch.setattr(veldt.functional, "_combined_lagrangian", counted)
-    setup = dataclasses.replace(setup_p2)  # a fresh cache
+    problem = dataclasses.replace(setup_p2.problem)  # a fresh cache
+    setup = dataclasses.replace(setup_p2, problem=problem)
     z, _, converged = veldt.bifurcation._reduced_newton(setup, 1.1, np.array([0.5]))
     assert converged
     for lam in (1.1, np.float64(1.1)):
         solve_psi(setup, lam, z)
     assert builds == [1.1]
-    assert setup.functional_at(1.1) is setup.functional_at(np.float64(1.1))
+    assert setup.functional_at(1.1) is problem.at_parameter(1.1) is problem.at_parameter(np.float64(1.1))
     solve_psi(setup, 0.9, np.zeros(1))
     assert builds == [1.1, 0.9]
     dataclasses.replace(setup).functional_at(1.1)
+    assert builds == [1.1, 0.9]
+    dataclasses.replace(problem).at_parameter(1.1)
     assert builds == [1.1, 0.9, 1.1]
 
 

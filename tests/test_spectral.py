@@ -591,7 +591,7 @@ def test_nondegenerate_origin_gives_nonsingular_reduced_hessian(p2, disc32):
     from veldt import make_reduction_setup, reduced_hessian_at_origin
 
     problem = VariationalProblem(model=p2, disc=disc32)
-    setup = make_reduction_setup(problem, 1.0, kernel_dim=1)
+    setup = make_reduction_setup(problem, 1.0)
     F, G = _hessians(problem)
     for lam in (0.95, 1.05):
         dec = decompose(F - lam * G, disc32.gram)

@@ -9,8 +9,9 @@ throwaway directory; the working tree runs from its own ``src/``.  Both sides
 run every config document of the README, every benchmark workload config,
 every config in ``tools/configs/`` (cases that no README block or workload
 reaches: a bifurcation with an indefinite complement block, translation orbits
-of a periodic bifurcation, a 2-D space on a non-square box, a ``validate`` run
-whose fitted ellipticity envelope has tied samples) and each config path given on the command line, at seeds 0
+of a periodic bifurcation, a ``reduce`` run on the coupled two-component P2
+whose kernel has dimension 2, a 2-D space on a non-square box, a ``validate``
+run whose fitted ellipticity envelope has tied samples) and each config path given on the command line, at seeds 0
 and 7, through ``python -m veldt.cli`` with BLAS on one thread.  For each run
 the script compares the exit code, ``report.json``, ``summary.txt`` and every
 CSV.  A differing ``report.json`` has each differing entry printed by its JSON
