@@ -182,26 +182,15 @@ def make_polynomial_lagrangian(
     m: int,
     N: int,
     terms,
-    growth: Optional[GrowthSpec] = None,
     name: str = "polynomial",
     p: float = 2.0,
+    p_border: Optional[float] = None,
     g1=None,
     g2=None,
 ) -> Lagrangian:
-    iset = enumerate_multi_indices(n, m)
-    if growth is None:
-        growth = GrowthSpec(iset, p, g1=g1, g2=g2)
-    elif growth.index_set != iset:
-        raise ConfigurationError(f"growth data of another multi-index set than (n={n}, m={m})")
-    poly = PolynomialIntegrand(N, len(iset), [(c, factors) for c, factors in terms if c != 0.0])
-    return Lagrangian(
-        N=N,
-        f=poly.f,
-        grad_f=poly.grad_f,
-        hess_f=poly.hess_f,
-        growth=growth,
-        name=name,
-    )
+    growth = GrowthSpec(enumerate_multi_indices(n, m), p, p_border=p_border, g1=g1, g2=g2)
+    poly = PolynomialIntegrand(N, len(growth.index_set), [(c, factors) for c, factors in terms if c != 0.0])
+    return Lagrangian(N=N, f=poly.f, grad_f=poly.grad_f, hess_f=poly.hess_f, growth=growth, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +247,42 @@ def model_problem(name: str) -> ModelProblem:
 # declarative documents
 
 
+def _read_json(path: Path, what: str) -> dict:
+    """The JSON object in the file at ``path``; text that is not JSON, or JSON that
+    is not an object, is a ConfigurationError that names ``what`` and the file."""
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _known(block, keys, where: str) -> dict:
+    """``block`` when it is a JSON object holding none but ``keys``, so a misspelt key never runs the default."""
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {block!r}")
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigurationError(f"unknown {where} key {unknown[0]!r}; known keys: {', '.join(keys)}")
+    return block
+
+
+# the fields of each envelope kind, in the order its constructor takes them
+_ENVELOPES = {"const": (constant_envelope, ("value",)), "shifted_power": (shifted_power_envelope, ("scale", "power"))}
+
+
 def _envelope_from_doc(doc, name: str) -> Optional[object]:
     if doc is None:
         return None
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"growth.{name} must be an envelope object, got {doc!r}")
-    kind = doc.get("kind")
-    where = f"growth.{name}."
-    if kind == "const":
-        return constant_envelope(_number(doc, "value", where))
-    if kind == "shifted_power":
-        return shifted_power_envelope(_number(doc, "scale", where), _number(doc, "power", where))
-    raise ConfigurationError(f"unknown envelope kind {kind!r}; use 'const' or 'shifted_power'")
+    where = f"growth.{name}"
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not (isinstance(kind, str) and kind in _ENVELOPES):
+        raise ConfigurationError(f"{where} must be an envelope object of kind 'const' or 'shifted_power', got {doc!r}")
+    make, fields = _ENVELOPES[kind]
+    _known(doc, ("kind",) + fields, where)
+    return make(*(_number(doc, key, where + ".") for key in fields))
 
 
 _REQUIRED = object()
@@ -301,13 +314,15 @@ def _objects(value, name: str) -> list:
     return value
 
 
-def _terms_from_doc(doc, iset, N):
+def _terms_from_doc(block, keys, where: str, iset, N):
+    """The term list of the integrand block ``block``, which holds none but ``keys``."""
     A = len(iset)
     terms = []
-    for raw in _objects(doc, "terms"):
-        coef = _number(raw, "coef", "term ")
+    for raw in _objects(_known(block, keys, where).get("terms"), f"{where}.terms"):
+        coef = _number(_known(raw, ("coef", "factors"), f"{where} term"), "coef", f"{where} term ")
         factors = []
-        for fac in _objects(raw.get("factors", []), "term factors"):
+        for fac in _objects(raw.get("factors", []), f"{where} term factors"):
+            _known(fac, ("component", "alpha", "power"), f"{where} factor")
             comp = _integer(fac.get("component", 0), "factor component", 0)
             if comp >= N:
                 raise ConfigurationError(f"component {comp} out of range for N={N}")
@@ -327,69 +342,52 @@ def _terms_from_doc(doc, iset, N):
 
 
 def load_problem(doc) -> ModelProblem:
-    """Build a ModelProblem from a declarative document (dict, JSON text, or path).
+    """Build a ModelProblem from a catalog name, a document path or a document dict.
 
-    The document either names a catalog entry, ``{"integrand": "P2"}``, or
-    spells out polynomial term lists for the integrand and (optionally) the
-    constraint.  Term-list documents carry ``n``, ``m``, ``N`` and an optional
-    ``growth`` block with the numbers ``p`` and ``p_border`` and the envelope
-    descriptors ``g1``/``g2``.  Missing envelopes stay unset and are fitted
-    from samples by the growth checker.  A string that is neither an existing
-    file, JSON text nor a catalog name is a ConfigurationError that names the
-    path tried.
+    A ``Path`` is a document path; a string is a catalog name when it spells
+    one (in any case) and a document path otherwise; a dict is a document.  A
+    document spells out polynomial term lists for the integrand and
+    (optionally) the constraint, and carries ``n``, ``m``, ``N`` and an
+    optional ``growth`` block with the numbers ``p`` and ``p_border`` and the
+    envelope descriptors ``g1``/``g2``.  Missing envelopes stay unset and are
+    fitted from samples by the growth checker.  Every object of a document
+    refuses a key it does not read.  A path that is no file, a file that is
+    not JSON or holds no JSON object, and any other input are
+    ConfigurationErrors; the first names the path tried.
     """
+    if isinstance(doc, str) and doc.upper() in MODEL_NAMES:
+        return model_problem(doc)
     if isinstance(doc, (str, Path)):
         path = Path(doc)
-        if path.is_file():
-            doc = json.loads(path.read_text())
-        else:
-            try:
-                doc = json.loads(str(doc))
-            except json.JSONDecodeError:
-                if str(doc).upper() not in MODEL_NAMES:
-                    raise ConfigurationError(
-                        f"problem {str(doc)!r} is neither a document at {path.absolute()}, "
-                        f"JSON text nor a catalog name {MODEL_NAMES}"
-                    ) from None
-                return model_problem(str(doc))
-    if isinstance(doc, str):
-        return model_problem(doc)
+        if not path.is_file():
+            raise ConfigurationError(
+                f"problem {str(doc)!r} is neither a document at {path.absolute()} nor a catalog name {MODEL_NAMES}"
+            )
+        doc = _read_json(path, "problem document")
     if not isinstance(doc, dict):
-        raise ConfigurationError("problem document must be a dict, JSON text, path, or model name")
-
-    integrand = doc.get("integrand")
-    if isinstance(integrand, str):
-        return model_problem(integrand)
+        raise ConfigurationError(f"a problem is a catalog name, a document path or a document object, got {doc!r}")
+    _known(doc, ("name", "n", "m", "N", "integrand", "constraint", "growth"), "problem document")
 
     for key in ("n", "m", "N"):
         if key not in doc:
             raise ConfigurationError(f"problem document missing required field {key!r}")
     n, m, N = (_integer(doc[key], key, 1) for key in ("n", "m", "N"))
-    if not isinstance(integrand, dict) or "terms" not in integrand:
-        raise ConfigurationError("integrand must be a model name or {'terms': [...]}")
     iset = enumerate_multi_indices(n, m)
-
-    gdoc = doc.get("growth", {}) or {}
-    growth = GrowthSpec.canonical(
-        n,
-        m,
+    gdoc = _known({} if doc.get("growth") is None else doc["growth"], ("p", "p_border", "g1", "g2"), "growth")
+    f = make_polynomial_lagrangian(
+        n, m, N, _terms_from_doc(doc.get("integrand"), ("terms",), "integrand", iset, N),
+        name=str(doc.get("name", "document")),
         p=_number(gdoc, "p", "growth.", 2.0),
+        p_border=_number(gdoc, "p_border", "growth.", None),
         g1=_envelope_from_doc(gdoc.get("g1"), "g1"),
         g2=_envelope_from_doc(gdoc.get("g2"), "g2"),
-        p_border=_number(gdoc, "p_border", "growth.", None),
-    )
-    f = make_polynomial_lagrangian(
-        n, m, N, _terms_from_doc(integrand["terms"], iset, N),
-        growth=growth, name=str(doc.get("name", "document")),
     )
 
     cdoc = doc.get("constraint")
     if cdoc is None:
         constraint = _mass_constraint(n, m, N)
     else:
-        if not isinstance(cdoc, dict) or "terms" not in cdoc:
-            raise ConfigurationError("constraint must be {'terms': [...]}")
-        terms = _terms_from_doc(cdoc["terms"], iset, N)
+        terms = _terms_from_doc(cdoc, ("name", "terms"), "constraint", iset, N)
         top_order = iset.orders() == m
         if any(top_order[var % len(iset)] for _, factors in terms for var, _ in factors):
             raise ConfigurationError("constraint integrand must not involve top-order derivatives")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bifurcation import detect_branches, morse_inequality_audit, orbit_group
-from .catalog import MODEL_NAMES, load_problem, model_problem
+from .catalog import MODEL_NAMES, _known, _read_json, load_problem
 from .errors import ConfigurationError, DegenerateCriticalPointError, VeldtError
 from .functional import VariationalProblem, _star_seeds
 from .galerkin import build_space, estimate_sobolev_constant, q_compactness_audit
@@ -129,11 +129,7 @@ def _typed(value, example, where: str):
 
 def _merged(block, keys: dict, where: str) -> dict:
     """``block`` checked against its declared ``keys`` and ``MINIMUMS``, every absent key set to its default."""
-    if not isinstance(block, dict):
-        raise ConfigurationError(f"{where} must be a JSON object, got {block!r}")
-    unknown = sorted(set(block) - set(keys))
-    if unknown:
-        raise ConfigurationError(f"unknown {where} key {unknown[0]!r}; known keys: {', '.join(keys)}")
+    _known(block, keys, where)
     merged = {}
     for key, default in keys.items():
         value = block.get(key)
@@ -158,12 +154,7 @@ def load_config(path: Path) -> tuple:
     """The config document as written and the same document with every default filled in."""
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config must be a JSON object")
+    doc = _read_json(path, "config")
     scenario = doc.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigurationError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
@@ -175,14 +166,9 @@ def load_config(path: Path) -> tuple:
 def _resolve_problem(cfg, config_dir: Path):
     """The problem a config names: a document file relative to the config's directory, else a catalog name."""
     spec = cfg["problem"]
-    if not isinstance(spec, str):
-        return load_problem(spec)
-    path = config_dir / spec
-    if path.is_file():
-        return load_problem(path)
-    if spec.upper() in MODEL_NAMES:
-        return model_problem(spec)
-    raise ConfigurationError(f"problem {spec!r} is neither a document at {path} nor a catalog name {MODEL_NAMES}")
+    if isinstance(spec, str) and ((config_dir / spec).is_file() or spec.upper() not in MODEL_NAMES):
+        spec = config_dir / spec
+    return load_problem(spec)
 
 
 def _build_disc(block, model):

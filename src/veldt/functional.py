@@ -156,8 +156,9 @@ class VariationalProblem:
     """A model problem bound to a discretization and a base point: the one place F - lambda G is built.
 
     ``energy`` and ``constraint`` are built on first use and kept, and
-    ``at_parameter`` keeps one combined functional per float parameter, so
-    every reader of one problem shares them.  ``pencil`` is the spectrum of
+    ``at_parameter`` keeps the combined functional of the last float
+    parameter it was asked for, so every reader of one problem shares them
+    and a sweep holds one functional at a time.  ``pencil`` is the spectrum of
     F''(u0) v = lambda G''(u0) v, solved on first use and kept.  A copy made
     with ``dataclasses.replace`` starts with nothing kept.
     """
@@ -186,6 +187,7 @@ class VariationalProblem:
     def at_parameter(self, lam: float) -> CombinedFunctional:
         lam = float(lam)
         if lam not in self._functionals:
+            self._functionals.clear()
             self._functionals[lam] = CombinedFunctional(self.energy, self.constraint, lam)
         return self._functionals[lam]
 

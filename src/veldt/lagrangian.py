@@ -408,11 +408,12 @@ class PSReport:
     detail: dict = field(default_factory=dict)
 
 
-# the parameters each certificate mode reads; each is a number
-_CERTIFICATE_KEYS = {
-    "coercive": ("c0", "c1"),
-    "pairing_bound": ("kappa", "c0", "c1", "upsilon", "sobolev_constant"),
-    "zero_slice_bound": ("r", "C", "phi"),
+# the parameters each certificate mode reads, each a number, with its default (None marks a required
+# one), in the order its scan unpacks them
+_CERTIFICATE_PARAMS = {
+    "coercive": {"c0": 1.0, "c1": 0.0},
+    "pairing_bound": {"kappa": None, "c0": None, "c1": None, "upsilon": 0.0, "sobolev_constant": None},
+    "zero_slice_bound": {"r": 1.0, "C": 1.0, "phi": 0.0},
 }
 
 
@@ -432,44 +433,41 @@ def ps_certificate(lag: Lagrangian, x: np.ndarray, xi: np.ndarray, mode: str, pa
     A pass is evidence on the samples, not a proof.  A key the mode does not
     read is refused, and every parameter is a number; a bool is not.
     """
-    if mode not in _CERTIFICATE_KEYS:
+    if mode not in _CERTIFICATE_PARAMS:
         raise ConfigurationError(f"unknown certificate mode {mode!r}")
     params = dict(params or {})
-    known = _CERTIFICATE_KEYS[mode]
-    unknown = sorted(set(params) - set(known))
+    defaults = _CERTIFICATE_PARAMS[mode]
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
-        raise ConfigurationError(f"mode {mode} does not read {unknown[0]!r}; known keys: {', '.join(known)}")
+        raise ConfigurationError(f"mode {mode} does not read {unknown[0]!r}; known keys: {', '.join(defaults)}")
     for key, value in params.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigurationError(f"certificate parameter {key} must be a number, got {value!r}")
     xs, xis = _samples(lag, x, xi, "certificate")
+    given = {**defaults, **params}
+    for key, value in given.items():
+        if value is None and key == "sobolev_constant":
+            raise DependencyError(
+                "mode pairing_bound needs the discrete embedding constant; "
+                "run estimate_sobolev_constant on a discretization first"
+            )
+        if value is None:
+            raise ConfigurationError(f"mode {mode} requires parameter {key!r}")
+    given = {key: float(value) for key, value in given.items()}
     iset = lag.index_set
     orders = iset.orders()
     top = orders == iset.m
     p = lag.growth.p
 
     if mode == "coercive":
-        c0 = float(params.get("c0", 1.0))
-        c1 = float(params.get("c1", 0.0))
+        c0, c1 = given.values()
         values = lag.value_at(xs, xis)
         lower = c0 * np.sum(np.abs(xis[:, :, top]) ** p, axis=(1, 2)) - c1
         margin = float(np.min(values - lower))
         return PSReport(mode=mode, passed=margin >= -1e-12, margin=margin, detail={"c0": c0, "c1": c1})
 
     if mode == "pairing_bound":
-        for key in ("kappa", "c0", "c1"):
-            if key not in params:
-                raise ConfigurationError(f"mode pairing_bound requires parameter {key!r}")
-        S_hat = params.get("sobolev_constant")
-        if S_hat is None:
-            raise DependencyError(
-                "mode pairing_bound needs the discrete embedding constant; "
-                "run estimate_sobolev_constant on a discretization first"
-            )
-        kappa = float(params["kappa"])
-        c0 = float(params["c0"])
-        c1 = float(params["c1"])
-        upsilon = float(params.get("upsilon", 0.0))
+        kappa, c0, c1, upsilon, S_hat = given.values()
         values = lag.value_at(xs, xis)
         grads = lag.gradient_at(xs, xis)
         pairing = np.sum(grads * xis, axis=(1, 2))
@@ -481,7 +479,7 @@ def ps_certificate(lag: Lagrangian, x: np.ndarray, xi: np.ndarray, mode: str, pa
             - upsilon
         )
         pointwise_margin = float(np.min(lhs - rhs))
-        gap = c0 - c1 * float(S_hat)
+        gap = c0 - c1 * S_hat
         passed = pointwise_margin >= -1e-12 and gap > 0
         margin = min(pointwise_margin, gap)
         return PSReport(
@@ -492,11 +490,9 @@ def ps_certificate(lag: Lagrangian, x: np.ndarray, xi: np.ndarray, mode: str, pa
         )
 
     # zero_slice_bound
-    r = float(params.get("r", 1.0))
+    r, C, phi = given.values()
     if not (1 <= r < 2):
         raise ConfigurationError(f"mode zero_slice_bound requires 1 <= r < 2, got r={r}")
-    C = float(params.get("C", 1.0))
-    phi = float(params.get("phi", 0.0))
     xi0 = xis.copy()
     xi0[:, :, top] = 0.0
     values = lag.value_at(xs, xi0)

@@ -49,6 +49,15 @@ def p2_report(prob_p2):
     return detect_branches(prob_p2, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
 
 
+def test_branch_sweep_keeps_one_combined_functional(p2, disc32):
+    # a functional keeps its compiled polynomial's last power table, so a sweep that kept one per
+    # grid parameter would hold them all once it returns
+    problem = VariationalProblem(model=p2, disc=disc32)
+    report = detect_branches(problem, (0.8, 4.3), grid=41, rng=np.random.default_rng(0))
+    assert [round(c.lam_star, 9) for c in report.candidates] == [1.0, 4.0]
+    assert len(problem._functionals) == 1
+
+
 # ---------------------------------------------------------------------------
 # necessary test and condition classes
 

@@ -381,11 +381,95 @@ def test_problem_document_rejects_top_order_constraint():
 def test_missing_problem_path_names_the_path_tried(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     tried = re.escape(str(tmp_path / "problems" / "missing.json"))
-    with pytest.raises(ConfigurationError, match=rf"neither a document at {tried}, JSON text nor a catalog name"):
+    with pytest.raises(ConfigurationError, match=rf"neither a document at {tried} nor a catalog name"):
         load_problem("problems/missing.json")
     with pytest.raises(ConfigurationError, match=re.escape(str(MODEL_NAMES))):
         load_problem(Path("problems") / "missing.json")
     assert load_problem("p2").name == "P2"
+
+
+def _misspell(*path):
+    """An edit that adds the key ``"x"`` to the object at ``path`` of a document."""
+    return _set(*path, "x", 1.0)
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        pytest.param(_misspell(), "problem document", id="top-level"),
+        pytest.param(_misspell("integrand"), "integrand", id="integrand"),
+        pytest.param(_misspell("constraint"), "constraint", id="constraint"),
+        pytest.param(_misspell("growth"), "growth", id="growth"),
+        pytest.param(_misspell("growth", "g1"), r"growth\.g1", id="envelope"),
+        pytest.param(_misspell(*_QUARTIC), "integrand term", id="term"),
+        pytest.param(_misspell(*_QUARTIC_FACTOR), "integrand factor", id="factor"),
+    ],
+)
+def test_problem_document_refuses_a_key_it_does_not_read(edit, where):
+    def constrained(doc):
+        doc["constraint"] = {"name": "mass", "terms": [{"coef": 0.5, "factors": [{"alpha": [0], "power": 2}]}]}
+
+    def misspelt(doc):
+        constrained(doc)
+        edit(doc)
+
+    assert load_problem(_term_document(constrained)).constraint.name == "mass"
+    with pytest.raises(ConfigurationError, match=rf"unknown {where} key 'x'; known keys: "):
+        load_problem(_term_document(misspelt))
+
+
+def test_misspelt_growth_block_exits_3_instead_of_fitting_the_envelopes(tmp_path, capsys):
+    # read as written, the declared g1 = 1 fails the Hessian bound; ignored, a fitted g1 would pass
+    doc = _term_document(lambda doc: doc.update(growht=doc.pop("growth")))
+    doc["growht"]["g1"] = {"kind": "const", "value": 1.0}
+    cfg = {"problem": "p2.json", "scenario": "validate", "params": {"sample_count": 3}}
+    _write(tmp_path, "p2.json", doc)
+    assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out") == 3
+    assert "unknown problem document key 'growht'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", ["{'n': 1}", "[1, 2]"], ids=["not-json", "list"])
+def test_problem_file_that_holds_no_json_object_exits_3_naming_it(tmp_path, capsys, text):
+    (tmp_path / "problem.json").write_text(text)
+    cfg = {"problem": "problem.json", "scenario": "validate", "params": {"sample_count": 3}}
+    assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: problem document ")
+    assert str(tmp_path / "problem.json") in err
+
+
+def test_json_text_and_a_named_integrand_are_not_problems(tmp_path, monkeypatch):
+    # JSON text is read as a path, and the integrand of a document is an object of terms
+    monkeypatch.chdir(tmp_path)
+    for text in ('"P2"', '{"integrand": "P2"}', json.dumps({"n": 1, "m": 1, "N": 1, "integrand": {"terms": []}})):
+        with pytest.raises(ConfigurationError, match="neither a document at .* nor a catalog name"):
+            load_problem(text)
+    with pytest.raises(ConfigurationError, match="integrand must be a JSON object, got 'P2'"):
+        load_problem({"n": 1, "m": 1, "N": 1, "integrand": "P2"})
+    with pytest.raises(ConfigurationError, match="missing required field 'n'"):
+        load_problem({"integrand": "P2"})
+
+
+def test_a_document_named_like_a_catalog_entry_wins_beside_the_config_only(tmp_path, monkeypatch):
+    # the document doubles the gradient energy of P2, so its first pencil eigenvalue is 2, not 1
+    doc = _term_document(_set(*_QUARTIC[:-1], 0, "coef", 1.0))
+    doc["name"] = "beside"
+    cfg = _spectrum_config(lambdas=())
+    cfg["problem"] = "P2"
+    (tmp_path / "P2").write_text(json.dumps(doc))
+    assert run(_write(tmp_path, "cfg.json", cfg), tmp_path / "out") == 0
+    eigenvalues = json.loads((tmp_path / "out" / "report.json").read_text())["result"]["pencil"]["eigenvalues"]
+    assert eigenvalues[0] == pytest.approx(2.0)
+    # a file that is no document still wins, and is refused by name
+    (tmp_path / "P2").write_text("not json")
+    assert run(tmp_path / "cfg.json", tmp_path / "out") == 3
+    # outside a config, a catalog name is never a path: a file in the working directory does not shadow it
+    monkeypatch.chdir(tmp_path)
+    assert load_problem("P2").name == "P2"
+    (tmp_path / "P2").write_text(json.dumps(doc))
+    assert load_problem("p2").name == "P2"
+    assert load_problem(Path("P2")).name == "beside"
 
 
 # ---------------------------------------------------------------------------

@@ -85,11 +85,6 @@ def test_integrand_reads_its_signature_from_the_growth_data():
         Lagrangian(n=2, m=3, N=2, f=None, grad_f=None, hess_f=None, growth=growth)
 
 
-def test_polynomial_integrand_refuses_growth_data_of_another_set():
-    with pytest.raises(ConfigurationError, match=r"another multi-index set than \(n=1, m=1\)"):
-        make_polynomial_lagrangian(1, 1, 1, [(0.5, ((1, 2),))], growth=GrowthSpec.canonical(1, 2))
-
-
 # ---------------------------------------------------------------------------
 # pointwise derivatives
 

@@ -459,7 +459,8 @@ def test_reduced_newton_reads_gradient_from_complement_solve(setup_p2, monkeypat
 
 
 def test_functional_at_builds_one_combined_functional_per_parameter(setup_p2, monkeypatch):
-    # the cache is the problem's: setups of one problem share it, a replaced problem starts empty
+    # the cache is the problem's and holds the last parameter: setups of one problem share it, a
+    # replaced problem starts empty, and a parameter asked for again after another is built again
     builds = []
     original = veldt.functional._combined_lagrangian
 
@@ -478,10 +479,13 @@ def test_functional_at_builds_one_combined_functional_per_parameter(setup_p2, mo
     assert setup.functional_at(1.1) is problem.at_parameter(1.1) is problem.at_parameter(np.float64(1.1))
     solve_psi(setup, 0.9, np.zeros(1))
     assert builds == [1.1, 0.9]
-    dataclasses.replace(setup).functional_at(1.1)
+    dataclasses.replace(setup).functional_at(0.9)
     assert builds == [1.1, 0.9]
-    dataclasses.replace(problem).at_parameter(1.1)
-    assert builds == [1.1, 0.9, 1.1]
+    assert list(problem._functionals) == [0.9]
+    dataclasses.replace(problem).at_parameter(0.9)
+    assert builds == [1.1, 0.9, 0.9]
+    setup.functional_at(1.1)
+    assert builds == [1.1, 0.9, 0.9, 1.1]
 
 
 def test_probe_directions_are_signed_axes_then_normalized_draws():

@@ -12,8 +12,11 @@ nothing under the checkout's ``perfbench/`` is written.  For each workload,
 parent first in even pairs, the change first in odd ones), and each side runs
 its own copy of the benchmark code.  The script prints, per workload and
 end-to-end metric, each side's median and quartiles, the change's win count
-(a tie counts for neither side) and whether the medians differ by more than
-the parent's interquartile range.  The throwaway directory is removed at the
+(a tie counts for neither side), whether the medians differ by more than
+the parent's interquartile range, and whether the change's median is worse
+than the parent's by more than the metric's ``bound`` in ``BENCHMARK.json``,
+taken as a share of the parent median: the regression a benchmark pipeline
+that enforces those bounds would reject.  The throwaway directory is removed at the
 end, also when a run fails.
 
 An archive rather than a ``git worktree`` holds the parent: a worktree is
@@ -75,7 +78,8 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def summarize(parent: list, change: list, better: str) -> dict:
+def summarize(parent: list, change: list, better: str, bound: float) -> dict:
+    """Medians, quartiles and win counts of paired runs of one metric, with the two flags."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -88,6 +92,7 @@ def summarize(parent: list, change: list, better: str) -> dict:
         "losses": losses,
         "pairs": len(parent),
         "median_gap_exceeds_parent_iqr": abs(c2 - p2) > p3 - p1,
+        "worse_beyond_bound": sign * (c2 - p2) > bound * abs(p2),
     }
 
 
@@ -105,7 +110,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    metrics = {m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in bench["end_to_end"]}
 
     scratch = Path(tempfile.mkdtemp(prefix="paired-bench-"))
     try:
@@ -121,16 +126,16 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     runs[workload][side].append(run_once(trees[side], workload, args.seed, args.seconds))
-            for name, (unit, better) in metrics.items():
+            for name, (unit, better, bound) in metrics.items():
                 parent = [r[name]["value"] for r in runs[workload]["parent"]]
                 change = [r[name]["value"] for r in runs[workload]["change"]]
-                s = summary.setdefault(workload, {})[name] = summarize(parent, change, better)
+                s = summary.setdefault(workload, {})[name] = summarize(parent, change, better, bound)
                 print(
                     f"{workload:14s} {name:12s} parent {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, "
                     f"{s['parent']['q3']:.4g}] change {s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
                     f"{s['change']['q3']:.4g}] {unit}, change wins {s['wins']}/{s['pairs']} "
                     f"(loses {s['losses']}), median gap {'exceeds' if s['median_gap_exceeds_parent_iqr'] else 'within'} "
-                    f"the parent IQR",
+                    f"the parent IQR, {'WORSE beyond' if s['worse_beyond_bound'] else 'within'} the {bound:.0%} bound",
                     flush=True,
                 )
         if args.json:
