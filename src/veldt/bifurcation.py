@@ -62,6 +62,7 @@ INVARIANCE_TOL = 1e-8  # relative eigenspace-invariance defect that still counts
 ORIGIN_PSI_TOL = 1e-12  # complement tolerance of the reduced-origin classification
 ORIGIN_DIRECTIONS = 8  # random sphere directions per radius when the kernel is not a line
 REDUCED_NEWTON_TOL = 1e-10  # reduced-gradient norm at which a reduced Newton solve has converged
+REDUCED_NEWTON_STOP_TOL = 1e-11  # full-gradient norm at which a reduced Newton solve stops, so its certificate seldom steps
 REDUCED_NEWTON_MAX_ITER = 40  # iteration budget of a reduced Newton solve
 REDUCED_DEDUPE_RTOL = 1e-7  # kernel distance over max(1, trust radius) below which two reduced critical points are one
 BRANCH_STARTS = 4  # deterministic reduced Newton starts per parameter value of a branch sweep
@@ -224,43 +225,49 @@ class BifurcationReport:
 
 
 def _reduced_newton(setup: ReductionSetup, lam, z0, psi_tol=COMPLEMENT_TOL):
-    """Newton on the reduced gradient with the exact eliminated Jacobian.
+    """One-level Newton for a reduced critical point, on the full gradient in the coordinates (z, y).
 
-    Each trial solves the complement equation warm-started from the accepted
-    point; a trial whose complement solve fails is rejected like one that does
-    not decrease the residual.  Trials are projected into the trust ball.  The
-    Newton state is the trial's ``PsiSample``, and the Schur step assembles
-    the second variation at its ``point``, the Field the complement solve
-    accepted last.
+    A reduced critical point is a critical point of L_lam in the reduction
+    neighbourhood.  So, from (z0, psi(z0)) (one cold complement solve, which
+    raises outside the neighbourhood), damped Newton runs on x = (z, y) with
+    the residual |V^T ell| for V = [Z W], the dual norm of the full gradient,
+    and the step V^T B V dx = -V^T ell, whose block elimination is the Schur
+    step for dz.  The state is ``(Field, load)``, z is projected into the
+    trust ball, and the iteration stops at ``REDUCED_NEWTON_STOP_TOL``.  One
+    warm complement solve certifies y = psi(z); the solve has converged when
+    its reduced gradient is at most ``REDUCED_NEWTON_TOL``.
     """
-    Z = setup.kernel_basis
-    W = setup.complement_basis
+    nu = setup.nullity
+    V = np.hstack([setup.kernel_basis, setup.complement_basis])
     rho = setup.trust_radius
     func = setup.functional_at(lam)
+    start = solve_psi(setup, lam, z0, tol=psi_tol)
 
-    def evaluate(z, accepted):
-        try:
-            sample = solve_psi(setup, lam, z, tol=psi_tol, w0=None if accepted is None else accepted.y)
-        except ReductionFailureError:
-            if accepted is None:
-                raise
-            return np.inf, None
-        return float(np.linalg.norm(sample.gradient)), sample
+    def evaluate(x, accepted):
+        if accepted is None:
+            point, ell = start.point, start.load
+        else:
+            point = setup.disc.field(setup.lift(x[:nu], x[nu:]))
+            ell = func.gradient_dual(point)
+        return float(np.linalg.norm(V.T @ ell)), (point, ell)
 
-    def solve(z, sample):
-        B = func.hessian_dual(sample.point)
-        Jzw = Z.T @ B @ W
-        M = Z.T @ B @ Z - Jzw @ np.linalg.solve(W.T @ B @ W, Jzw.T)
-        return np.linalg.solve(M, -sample.gradient)
+    def solve(x, state):
+        point, ell = state
+        return np.linalg.solve(V.T @ func.hessian_dual(point) @ V, -(V.T @ ell))
 
-    def project(z):
-        norm = np.linalg.norm(z)
-        return z * (rho / norm) if norm > rho else z
+    def project(x):
+        norm = np.linalg.norm(x[:nu])
+        return np.concatenate([x[:nu] * (rho / norm), x[nu:]]) if norm > rho else x
 
+    x0 = np.concatenate([start.z, start.y])
     result = damped_newton(
-        evaluate, solve, z0, REDUCED_NEWTON_TOL, REDUCED_NEWTON_MAX_ITER, step_cap=0.5 * rho, project=project
+        evaluate, solve, x0, REDUCED_NEWTON_STOP_TOL, REDUCED_NEWTON_MAX_ITER, step_cap=0.5 * rho, project=project
     )
-    return result.coeffs, result.state.y, result.converged
+    z, y = result.coeffs[:nu], result.coeffs[nu:]
+    if not result.converged:
+        return z, y, False
+    certificate = solve_psi(setup, lam, z, tol=psi_tol, w0=y)
+    return z, certificate.y, bool(np.linalg.norm(certificate.gradient) <= REDUCED_NEWTON_TOL)
 
 
 def _mirror(outcome):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -359,7 +360,7 @@ def load_problem(doc) -> ModelProblem:
         return model_problem(doc)
     if isinstance(doc, (str, Path)):
         path = Path(doc)
-        if not path.is_file():
+        if not os.path.isfile(path):  # Path.is_file raises on a name longer than the file system allows
             raise ConfigurationError(
                 f"problem {str(doc)!r} is neither a document at {path.absolute()} nor a catalog name {MODEL_NAMES}"
             )

@@ -446,6 +446,32 @@ def test_even_sweep_solves_each_start_pair_once(prob_p2, monkeypatch):
     assert len(calls) == 55
 
 
+def test_reduced_sweep_makes_two_complement_solves_per_converged_start(p2, monkeypatch):
+    # the small pitchfork of the benchmark self-check: P2 at K = 12, window [0.9, 1.1], grid 5.
+    # A solved start makes one cold complement solve and, when the one-level Newton
+    # converges, one warm certificate; the work is counted, so the pins hold on any machine
+    problem = VariationalProblem(model=p2, disc=build_space((0.0, np.pi), 1, "dirichlet", 12))
+    psi_calls, hessians, per_start = [], [], []
+    solve_psi = veldt.bifurcation.solve_psi
+    assemble_hessian = veldt.functional.assemble_hessian
+    reduced_newton = veldt.bifurcation._reduced_newton
+
+    def counted_solve(*args, **kwargs):
+        before = len(psi_calls)
+        z, y, ok = reduced_newton(*args, **kwargs)
+        per_start.append((ok, len(psi_calls) - before))
+        return z, y, ok
+
+    monkeypatch.setattr(veldt.bifurcation, "solve_psi", lambda *a, **kw: psi_calls.append(1) or solve_psi(*a, **kw))
+    monkeypatch.setattr(veldt.functional, "assemble_hessian", lambda lag, u: hessians.append(1) or assemble_hessian(lag, u))
+    monkeypatch.setattr(veldt.bifurcation, "_reduced_newton", counted_solve)
+    detect_branches(problem, (0.9, 1.1), grid=5, rng=np.random.default_rng(0))
+    assert len(per_start) == 25  # five parameter values, the origin and four plus starts each
+    assert all(n == (2 if ok else 1) for ok, n in per_start)
+    assert len(psi_calls) == sum(n for _, n in per_start) == 50
+    assert len(hessians) == 204
+
+
 def test_even_sweep_makes_no_eigensolve_in_the_reduction(prob_p2, monkeypatch):
     # the complement Newton step decides its condition check by Gershgorin discs;
     # an eigvalsh per step would count 343 calls made below veldt.reduction here

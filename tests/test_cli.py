@@ -388,6 +388,12 @@ def test_missing_problem_path_names_the_path_tried(tmp_path, monkeypatch):
     assert load_problem("p2").name == "P2"
 
 
+def test_overlong_problem_string_is_a_configuration_error():
+    # 310 characters is longer than a file name may be, so no file can have it
+    with pytest.raises(ConfigurationError, match=r"neither a document at .*x{310} nor a catalog name"):
+        load_problem("x" * 310)
+
+
 def _misspell(*path):
     """An edit that adds the key ``"x"`` to the object at ``path`` of a document."""
     return _set(*path, "x", 1.0)

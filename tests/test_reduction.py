@@ -437,25 +437,25 @@ def test_warm_started_psi_evaluates_its_start_once(setup_p2, monkeypatch):
     np.testing.assert_array_equal(calls[0].coeffs, setup_p2.lift(np.array([0.3]), w0))
 
 
-def test_reduced_newton_reads_gradient_from_complement_solve(setup_p2, monkeypatch):
-    calls = _count_gradient_assemblies(monkeypatch)
-    original = veldt.bifurcation.solve_psi
-    marks = []  # assembly count at the start and at the end of every complement solve
-
-    def watched(*args, **kwargs):
-        marks.append(len(calls))
-        sample = original(*args, **kwargs)
-        marks.append(len(calls))
-        return sample
-
-    monkeypatch.setattr(veldt.bifurcation, "solve_psi", watched)
-    z, _, converged = veldt.bifurcation._reduced_newton(setup_p2, 1.1, np.array([0.5]))
-    marks.append(len(calls))
+def test_one_level_reduced_newton_lands_on_the_complement_map(setup_p2):
+    # y is psi(z): an independent cold complement solve at the solve's z gives the
+    # same correction, and the reduced gradient there meets the reduced Newton tolerance
+    z, y, converged = veldt.bifurcation._reduced_newton(setup_p2, 1.1, np.array([0.5]))
     assert converged and z[0] == pytest.approx(0.6485, abs=1e-3)
-    assert len(marks) > 3
-    # nothing is assembled after a complement solve ends and before the next
-    # one starts, nor after the last one
-    assert marks[1::2] == marks[2::2]
+    reference = solve_psi(setup_p2, 1.1, z)
+    np.testing.assert_allclose(y, reference.y, rtol=0, atol=1e-10)
+    assert np.linalg.norm(reference.gradient) <= veldt.bifurcation.REDUCED_NEWTON_TOL
+
+
+def test_unconverged_one_level_solve_makes_no_certificate(setup_p2, monkeypatch):
+    # at lambda = 1.2 the branch leaves the trust ball: the solve stalls on its
+    # sphere after the cold start solve, and no certifying solve follows
+    calls = []
+    original = veldt.bifurcation.solve_psi
+    monkeypatch.setattr(veldt.bifurcation, "solve_psi", lambda *args, **kw: calls.append(kw) or original(*args, **kw))
+    z, _, converged = veldt.bifurcation._reduced_newton(setup_p2, 1.2, np.array([0.81]))
+    assert not converged and np.linalg.norm(z) == pytest.approx(setup_p2.trust_radius)
+    assert len(calls) == 1 and "w0" not in calls[0]
 
 
 def test_functional_at_builds_one_combined_functional_per_parameter(setup_p2, monkeypatch):
@@ -542,7 +542,7 @@ def test_complement_and_reduced_newton_make_one_jet_pass_per_point(setup_p2, mon
     z, _, converged = veldt.bifurcation._reduced_newton(setup_p2, 1.1, np.array([0.5]))
     assert converged
     # each point gets one load and one jet pass; the complement step and the
-    # Schur step assemble their Hessians at a field whose load was assembled
+    # one-level (z, y) step assemble their Hessians at a field whose load was assembled
     assert len(passes) == len(loads) and len(hessians) > 2 * len(samples)
     assert all(any(h is u for u in loads) for h in hessians)
 
