@@ -46,7 +46,6 @@ from .reduction import (
     make_reduction_setup,
     marino_prodi_perturb,
     reduced_hessian_at_origin,
-    reduced_value,
     sample_reduced,
     solve_psi,
 )

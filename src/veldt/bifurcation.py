@@ -367,15 +367,16 @@ def _assemble_branches(lam_star, side_samples, side):
 def detect_branches(
     problem: VariationalProblem,
     window: tuple,
-    grid: int = 9,
-    amplitude_cap: float = 3.0,
-    rng: Optional[np.random.Generator] = None,
+    grid: int,
+    amplitude_cap: float,
+    rng: np.random.Generator,
 ) -> BifurcationReport:
     """Sweep a parameter window for branch points of F' = lam G'.
 
     For every pencil eigenvalue in the window: build the reduction, solve the
-    reduced critical-point equation on a parameter grid through multistart
-    Newton, lift and polish solutions in the full space, deduplicate, chain
+    reduced critical-point equation on ``grid`` evenly spaced parameter values
+    of the window through multistart Newton, lift and polish solutions in the
+    full space, keep those within ``amplitude_cap`` of u0, deduplicate, chain
     them into branches, and label the observed alternative:
 
     * ``iii``  nontrivial solutions on both sides of the eigenvalue,
@@ -389,7 +390,6 @@ def detect_branches(
     discretization can blur one-sidedness, so no exclusive dichotomy is
     asserted.
     """
-    rng = rng or np.random.default_rng(0)
     lo, hi = _check_window(window)
     disc = problem.disc
     u0 = problem.u0.coeffs
@@ -602,7 +602,7 @@ class MorseAudit:
 def morse_inequality_audit(
     func,
     seeds: Sequence[np.ndarray],
-    window: Optional[tuple] = None,
+    window: Optional[tuple],
 ) -> MorseAudit:
     """Alternating-sum audit of a full critical-point census.
 
@@ -610,9 +610,10 @@ def morse_inequality_audit(
     convention (a coercive functional with a single minimum cell) the
     alternating partial sums must stay at or above (-1)^l and the full
     alternating sum must equal one.  Only points with critical values in
-    ``window`` ([lo, hi] with lo < hi) count.  A degenerate one aborts the
-    audit as soon as it is found, before the remaining seeds are polished, with
-    the point attached as the witness: tilt it away and rerun.  The audit
+    ``window`` ([lo, hi] with lo < hi) count, or every point when it is None.
+    A degenerate one aborts the audit as soon as it is found, before the
+    remaining seeds are polished, with the point attached as the witness:
+    tilt it away and rerun.  The audit
     aborts exactly when the full census would hold such a point; the witness is
     the first one in seed order, so it can differ from the first in census
     order when the window holds two or more.

@@ -29,7 +29,7 @@ from . import __version__
 from .bifurcation import detect_branches, morse_inequality_audit, orbit_group
 from .catalog import MODEL_NAMES, _known, _read_json, load_problem
 from .errors import ConfigurationError, DegenerateCriticalPointError, VeldtError
-from .functional import VariationalProblem, _star_seeds
+from .functional import DEDUPE_TOL, VariationalProblem, _star_seeds
 from .galerkin import build_space, estimate_sobolev_constant, q_compactness_audit
 from .lagrangian import check_growth, ps_certificate
 from .reduction import (
@@ -353,11 +353,12 @@ def run_reduce(params, disc_block, model, rng, out_dir):
     z_count = int(params["z_count"])
     z_radius = params["z_radius"]
     z_radius = 0.5 * setup.trust_radius if z_radius is None else float(_typed(z_radius, 0.0, "config.params.z_radius"))
-    zs = [np.array([z]) for z in np.linspace(-z_radius, z_radius, z_count)] if setup.nullity == 1 else [
-        r * d
-        for r in np.linspace(0, z_radius, max(z_count // 4, 2))
-        for d in np.eye(setup.nullity)
-    ]
+    if setup.nullity == 1:
+        zs = [np.array([z]) for z in np.linspace(-z_radius, z_radius, z_count)]
+    else:
+        # the origin once, then the nonzero radii along each kernel axis
+        radii = np.linspace(0, z_radius, max(z_count // 4, 2))[1:]
+        zs = [np.zeros(setup.nullity)] + [r * d for r in radii for d in np.eye(setup.nullity)]
     rows = []
     max_res = 0.0
     for off in params["lambda_offsets"]:
@@ -482,6 +483,12 @@ def _census_seeds(problem, func, amplitudes, n_random, rng):
 
 def run_morse(params, disc_block, model, rng, out_dir):
     lam = float(params["lam"])
+    mp_cfg = params["marino_prodi"]
+    if mp_cfg is not None and not 0 < mp_cfg["delta_inner"] < mp_cfg["r"]:
+        raise ConfigurationError(
+            f"config.params.marino_prodi needs 0 < delta_inner < r, got delta_inner={mp_cfg['delta_inner']}, "
+            f"r={mp_cfg['r']}"
+        )
     problem = VariationalProblem(model=model, disc=_build_disc(disc_block, model))
     func = problem.at_parameter(lam)
     seeds = _census_seeds(problem, func, CENSUS_AMPLITUDES, int(params["n_random"]), rng)
@@ -490,8 +497,8 @@ def run_morse(params, disc_block, model, rng, out_dir):
     try:
         audit = morse_inequality_audit(func, seeds, window=window)
     except DegenerateCriticalPointError as exc:
-        mp_cfg = params["marino_prodi"]
-        if mp_cfg is None:
+        # the tilt is local to u0: a degenerate point elsewhere is reported, not tilted
+        if mp_cfg is None or problem.disc.norm(exc.witness.coeffs - problem.u0.coeffs) > DEDUPE_TOL:
             raise
         result = marino_prodi_perturb(
             problem, lam, r=float(mp_cfg["r"]), delta_inner=float(mp_cfg["delta_inner"]), rng=rng

@@ -155,19 +155,6 @@ class GrowthSpec:
             if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
                 raise ConfigurationError(f"envelope {name} must be nondecreasing")
 
-    @classmethod
-    def canonical(
-        cls,
-        n: int,
-        m: int,
-        p: float = 2.0,
-        g1: Optional[Callable] = None,
-        g2: Optional[Callable] = None,
-        p_border: Optional[float] = None,
-    ) -> "GrowthSpec":
-        """The growth data of an order-m integrand in n variables."""
-        return cls(enumerate_multi_indices(n, m), p, p_border=p_border, g1=g1, g2=g2)
-
 
 # ---------------------------------------------------------------------------
 # the integrand container

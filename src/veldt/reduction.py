@@ -45,7 +45,6 @@ __all__ = [
     "PsiSample",
     "ReductionResult",
     "solve_psi",
-    "reduced_value",
     "sample_reduced",
     "LipschitzAudit",
     "lipschitz_audit",
@@ -290,11 +289,6 @@ def solve_psi(
     )
 
 
-def reduced_value(setup: ReductionSetup, lam, z) -> float:
-    sample = solve_psi(setup, lam, z)
-    return float(setup.functional_at(sample.lam).value(sample.point))
-
-
 def sample_reduced(setup: ReductionSetup, lam, z_list: Sequence) -> ReductionResult:
     """Evaluate the reduced functional on a z-grid, warm-starting outward from 0, to ``COMPLEMENT_TOL``."""
     lam = setup.check_lambda(lam)
@@ -318,16 +312,9 @@ class LipschitzAudit:
     passed: bool
 
 
-def lipschitz_audit(
-    setup: ReductionSetup,
-    lam,
-    n_pairs: int = 25,
-    rng: Optional[np.random.Generator] = None,
-    radius: Optional[float] = None,
-) -> LipschitzAudit:
-    """Sampled Lipschitz ratio of the correction map; the contract is <= 3."""
-    rng = rng or np.random.default_rng(0)
-    radius = radius if radius is not None else setup.trust_radius
+def lipschitz_audit(setup: ReductionSetup, lam, n_pairs: int, rng: np.random.Generator) -> LipschitzAudit:
+    """Sampled Lipschitz ratio of the correction map on ``n_pairs`` pairs in the trust ball; the contract is <= 3."""
+    radius = setup.trust_radius
     nu = setup.nullity
     worst = 0.0
     for _ in range(n_pairs):
@@ -514,7 +501,7 @@ def marino_prodi_perturb(
     lam: float,
     r: float,
     delta_inner: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> MarinoProdiResult:
     """Tilt an isolated degenerate critical point of F - lam G into a nondegenerate census.
 
@@ -529,7 +516,6 @@ def marino_prodi_perturb(
     disc = problem.disc
     u0 = problem.u0
     func = problem.at_parameter(lam)
-    rng = rng or np.random.default_rng(0)
     dec = decompose(func.hessian_dual(u0), disc.gram)
     Z = dec.kernel_vectors
     nu = dec.nullity

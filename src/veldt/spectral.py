@@ -166,6 +166,7 @@ def _operator_norm(delta_dual: np.ndarray, gram: np.ndarray) -> float:
 # P + Q and the assembled B sum the same pair blocks in different orders
 SPLIT_DEFECT_TOL = 1e-12
 SPLIT_SAMPLES = 6  # points on the ray of the split-continuity audit
+SPLIT_RADIUS = 0.5  # distance from the base point of the first of those points
 
 
 def _split_at(lag, u: Field):
@@ -174,27 +175,22 @@ def _split_at(lag, u: Field):
     return split, _split_gap(assemble_hessian(lag, u), split.P, split.Q)
 
 
-def split_continuity_audit(
-    lag,
-    u0: Field,
-    radius: float = 0.5,
-    rng: Optional[np.random.Generator] = None,
-) -> SplitContinuityReport:
+def split_continuity_audit(lag, u0: Field, rng: np.random.Generator) -> SplitContinuityReport:
     """Probe continuity of the split and uniform positivity near a base point.
 
-    ``SPLIT_SAMPLES`` samples approach u0 along a random ray at geometrically
-    shrinking distances.  Reports the operator-norm deviation of P and Q from
-    their values at u0, the worst smallest eigenvalue of (P, gram) as the uniform
-    positivity estimate, and log-log slopes of the deviation trends.  At
-    every point P + Q must reproduce the second variation the solvers
-    assemble, which checks that the split's pair masks cover every pair once.
+    ``SPLIT_SAMPLES`` samples approach u0 along a random ray at distances
+    halving from ``SPLIT_RADIUS``.  Reports the operator-norm deviation of P
+    and Q from their values at u0, the worst smallest eigenvalue of (P, gram)
+    as the uniform positivity estimate, and log-log slopes of the deviation
+    trends.  At every point P + Q must reproduce the second variation the
+    solvers assemble, which checks that the split's pair masks cover every
+    pair once.
     """
-    rng = rng or np.random.default_rng(0)
     disc = u0.disc
     direction = rng.standard_normal(disc.dim)
     direction /= disc.norm(direction)
     base, defect = _split_at(lag, u0)
-    distances = radius * 0.5 ** np.arange(SPLIT_SAMPLES)
+    distances = SPLIT_RADIUS * 0.5 ** np.arange(SPLIT_SAMPLES)
     p_dev = np.empty(SPLIT_SAMPLES)
     q_dev = np.empty(SPLIT_SAMPLES)
     c0 = base.C0_estimate

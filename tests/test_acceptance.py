@@ -27,7 +27,6 @@ from veldt import (
     orbit_group,
     pencil_eigs,
     q_compactness_audit,
-    reduced_value,
     solve_psi,
 )
 from veldt.cli import _census_seeds, run
@@ -208,9 +207,8 @@ def test_criterion_6_reduced_normal_form():
     worst_quad = worst_quart = 0.0
     for lam in (0.95, 1.05):
         amps = np.linspace(0.0, 0.3, 13)
-        vals = [
-            reduced_value(setup, lam, np.array([a * np.sqrt(np.pi)])) for a in amps
-        ]
+        value = setup.functional_at(lam).value
+        vals = [value(solve_psi(setup, lam, np.array([a * np.sqrt(np.pi)])).point) for a in amps]
         design = np.stack([amps**2, amps**4], axis=1)
         coef, *_ = np.linalg.lstsq(design, np.asarray(vals), rcond=None)
         worst_quad = max(worst_quad, abs(coef[0] - (np.pi / 4) * (1 - lam)) / abs((np.pi / 4) * (1 - lam)))
@@ -226,7 +224,7 @@ def test_criterion_7_pitchfork_quantitative():
     t0 = time.time()
     disc = build_space((0.0, np.pi), 1, "dirichlet", 48)
     problem = _problem("P2", disc)
-    report = detect_branches(problem, (0.99, 1.1), grid=12, rng=np.random.default_rng(0))
+    report = detect_branches(problem, (0.99, 1.1), grid=12, amplitude_cap=3.0, rng=np.random.default_rng(0))
     cand = report.candidates[0]
     lams, amps = [], []
     for branch in cand.branches:
@@ -258,11 +256,11 @@ def test_criterion_8_morse_identity():
     rng = np.random.default_rng(8)
     func = problem.at_parameter(2.5)
     seeds = _census_seeds(problem, func, [0.25, 0.5, 1.0, 2.0, 3.0], 6, rng)
-    audit = morse_inequality_audit(func, seeds)
+    audit = morse_inequality_audit(func, seeds, window=None)
     mid_ok = audit.alternating_total == 1 and audit.counts == {0: 2, 1: 1}
     func_low = problem.at_parameter(0.5)
     seeds_low = _census_seeds(problem, func_low, [0.25, 0.5, 1.0, 2.0], 6, rng)
-    audit_low = morse_inequality_audit(func_low, seeds_low)
+    audit_low = morse_inequality_audit(func_low, seeds_low, window=None)
     low_ok = audit_low.counts == {0: 1} and audit_low.points[0].distance_from_center < 1e-9
     _report(
         8,

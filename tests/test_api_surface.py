@@ -37,7 +37,7 @@ PUBLIC_NAMES = {
         estimate_sobolev_constant hessian_split q_compactness_audit
         GrowthSpec Lagrangian check_growth enumerate_multi_indices ps_certificate
         ReductionSetup lipschitz_audit make_reduction_setup marino_prodi_perturb reduced_hessian_at_origin
-        reduced_value sample_reduced solve_psi
+        sample_reduced solve_psi
         PencilSpectrum SpectralDecomposition decompose split_continuity_audit index_jump morse_index_by_formula
         pencil_eigs
     """,
@@ -57,7 +57,7 @@ PUBLIC_NAMES = {
     """,
     "lagrangian": "MultiIndexSet enumerate_multi_indices GrowthSpec Lagrangian GrowthReport check_growth PSReport ps_certificate",
     "reduction": """
-        ReductionSetup make_reduction_setup PsiSample ReductionResult solve_psi reduced_value sample_reduced
+        ReductionSetup make_reduction_setup PsiSample ReductionResult solve_psi sample_reduced
         LipschitzAudit lipschitz_audit reduced_hessian_at_origin PerturbedFunctional MarinoProdiResult
         marino_prodi_perturb
     """,
@@ -69,20 +69,14 @@ PUBLIC_NAMES = {
 
 DEFAULTED = {
     "bifurcation.classify_reduced_origin": ("radii", "rng"),
-    "bifurcation.detect_branches": ("grid", "amplitude_cap", "rng"),
-    "bifurcation.morse_inequality_audit": ("window",),
     "cli.main": ("argv",),
     "cli.run": ("seed", "strict"),
     "functional.damped_newton": ("step_cap", "project"),
     "functional.multistart_census": ("center", "radius"),
     "galerkin.build_space": ("quad_order", "n_components"),
-    "lagrangian.GrowthSpec.canonical": ("p", "g1", "g2", "p_border"),
     "reduction.ReductionSetup.lift": ("y",),
-    "reduction.lipschitz_audit": ("n_pairs", "rng", "radius"),
-    "reduction.marino_prodi_perturb": ("rng",),
     "reduction.solve_psi": ("tol", "w0"),
     "spectral.decompose": ("kernel_dim_hint",),
-    "spectral.split_continuity_audit": ("radius", "rng"),
 }
 
 
@@ -129,7 +123,7 @@ def test_public_keyword_surface_is_pinned():
         if names:
             found[qualname] = names
     assert found == DEFAULTED
-    assert sum(len(names) for names in found.values()) == 29
+    assert sum(len(names) for names in found.values()) == 15
 
 
 def _module_constants():

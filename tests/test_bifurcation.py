@@ -46,14 +46,14 @@ def prob_p2(p2, disc32):
 
 @pytest.fixture(scope="module")
 def p2_report(prob_p2):
-    return detect_branches(prob_p2, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
+    return detect_branches(prob_p2, (0.8, 1.3), grid=11, amplitude_cap=3.0, rng=np.random.default_rng(0))
 
 
 def test_branch_sweep_keeps_one_combined_functional(p2, disc32):
     # a functional keeps its compiled polynomial's last power table, so a sweep that kept one per
     # grid parameter would hold them all once it returns
     problem = VariationalProblem(model=p2, disc=disc32)
-    report = detect_branches(problem, (0.8, 4.3), grid=41, rng=np.random.default_rng(0))
+    report = detect_branches(problem, (0.8, 4.3), grid=41, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert [round(c.lam_star, 9) for c in report.candidates] == [1.0, 4.0]
     assert len(problem._functionals) == 1
 
@@ -159,8 +159,8 @@ def test_branch_residual_contract(p2_report):
 
 
 def test_branch_refinement_stability(prob_p2):
-    fine = detect_branches(prob_p2, (0.99, 1.11), grid=13, rng=np.random.default_rng(1))
-    coarse = detect_branches(prob_p2, (0.99, 1.11), grid=7, rng=np.random.default_rng(1))
+    fine = detect_branches(prob_p2, (0.99, 1.11), grid=13, amplitude_cap=3.0, rng=np.random.default_rng(1))
+    coarse = detect_branches(prob_p2, (0.99, 1.11), grid=7, amplitude_cap=3.0, rng=np.random.default_rng(1))
 
     def amplitude_at(report, lam):
         out = []
@@ -195,7 +195,7 @@ def test_refinement_failure_is_recorded_as_gap(prob_p2, monkeypatch):
 
     monkeypatch.setattr(veldt.bifurcation, "solve_psi", failing_after_star)
     monkeypatch.setattr(veldt.bifurcation, "SOLUTION_CAP", 1)
-    report = detect_branches(prob_p2, (0.9, 1.1), grid=5, rng=np.random.default_rng(0))
+    report = detect_branches(prob_p2, (0.9, 1.1), grid=5, amplitude_cap=3.0, rng=np.random.default_rng(0))
     (cand,) = report.candidates
     assert [g["lam"] for g in cand.gaps] == pytest.approx([1.05, 1.1])
     assert all("refinement start refused" in g["reason"] for g in cand.gaps)
@@ -232,7 +232,7 @@ def test_shifted_p2_sweep_factors_the_gram_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     disc = build_space((0.0, np.pi), 1, "dirichlet", 32)
-    report = detect_branches(_shifted_p2(disc), (3.8, 4.2), grid=5, rng=np.random.default_rng(0))
+    report = detect_branches(_shifted_p2(disc), (3.8, 4.2), grid=5, amplitude_cap=3.0, rng=np.random.default_rng(0))
     (cand,) = report.candidates
     assert cand.condition.klass == "c"
     assert sum(a.shape == disc.gram.shape and np.array_equal(a, disc.gram) for a in factored) == 1
@@ -249,7 +249,7 @@ def test_solution_cap_does_not_invent_alternative_ii(transcritical, monkeypatch)
     # trivial one and those beyond the amplitude cap, so a cap of one changes
     # no label
     def label():
-        report = detect_branches(transcritical, (0.9999, 1.3), grid=4, rng=np.random.default_rng(0))
+        report = detect_branches(transcritical, (0.9999, 1.3), grid=4, amplitude_cap=3.0, rng=np.random.default_rng(0))
         (cand,) = report.candidates
         return cand.alternative
 
@@ -261,7 +261,7 @@ def test_solution_cap_does_not_invent_alternative_ii(transcritical, monkeypatch)
 def test_linearly_growing_branch_chains_into_one_branch_per_side(transcritical):
     # the sample two grid steps out lies 0.09 from the first (amplitude 0.10),
     # so a bound of 0.8 times the last amplitude alone split each side in two
-    report = detect_branches(transcritical, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
+    report = detect_branches(transcritical, (0.8, 1.3), grid=11, amplitude_cap=3.0, rng=np.random.default_rng(0))
     (cand,) = report.candidates
     assert cand.summary()["n_branches"] == 2
     grid = [float(l) for l in np.linspace(0.8, 1.3, 11) if abs(l - 1.0) > 1e-12]
@@ -272,7 +272,9 @@ def test_linearly_growing_branch_chains_into_one_branch_per_side(transcritical):
 
 def test_shifted_p2_reproduces_p2_branches(p2_report, disc32):
     # the crossing at -4 has negative inertia of F'' and a negative eigenvalue
-    report = detect_branches(_shifted_p2(disc32), (-4.2, -3.7), grid=11, rng=np.random.default_rng(0))
+    report = detect_branches(
+        _shifted_p2(disc32), (-4.2, -3.7), grid=11, amplitude_cap=3.0, rng=np.random.default_rng(0)
+    )
     (cand,) = report.candidates
     (ref,) = p2_report.candidates
     assert cand.lam_star + 5.0 == pytest.approx(ref.lam_star, abs=1e-12)
@@ -293,7 +295,7 @@ def test_p3_quasilinear_pitchfork(p3):
     # (pi/4)(1-lam) a^2 + (pi/16) a^4, so the branch amplitude is sqrt(2(lam-1))
     disc = build_space((0.0, np.pi), 1, "dirichlet", 24)
     problem = VariationalProblem(model=p3, disc=disc)
-    report = detect_branches(problem, (0.9, 1.12), grid=12, rng=np.random.default_rng(0))
+    report = detect_branches(problem, (0.9, 1.12), grid=12, amplitude_cap=3.0, rng=np.random.default_rng(0))
     cand = report.candidates[0]
     assert cand.alternative == "iv"
     checked = 0
@@ -308,7 +310,7 @@ def test_p3_quasilinear_pitchfork(p3):
 def test_p1_linear_problem_gives_kernel_ray(prob_p1_64, p1):
     disc32 = build_space((0.0, np.pi), 1, "dirichlet", 32)
     problem = VariationalProblem(model=p1, disc=disc32)
-    report = detect_branches(problem, (0.5, 1.5), grid=11, rng=np.random.default_rng(0))
+    report = detect_branches(problem, (0.5, 1.5), grid=11, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert len(report.candidates) == 1
     cand = report.candidates[0]
     assert cand.alternative == "i"
@@ -317,12 +319,12 @@ def test_p1_linear_problem_gives_kernel_ray(prob_p1_64, p1):
 
 
 def test_candidate_set_matches_pencil_in_window(prob_p2, prob_p1_64, p4, beam8):
-    report = detect_branches(prob_p2, (0.5, 5.0), grid=5, rng=np.random.default_rng(0))
+    report = detect_branches(prob_p2, (0.5, 5.0), grid=5, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert [round(c.lam_star, 6) for c in report.candidates] == [1.0, 4.0]
-    report1 = detect_branches(prob_p1_64, (0.5, 5.0), grid=3, rng=np.random.default_rng(0))
+    report1 = detect_branches(prob_p1_64, (0.5, 5.0), grid=3, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert [round(c.lam_star, 6) for c in report1.candidates] == [1.0, 4.0]
     problem4 = VariationalProblem(model=p4, disc=beam8)
-    report4 = detect_branches(problem4, (400.0, 600.0), grid=5, rng=np.random.default_rng(0))
+    report4 = detect_branches(problem4, (400.0, 600.0), grid=5, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert len(report4.candidates) == 1
     assert report4.candidates[0].lam_star == pytest.approx(500.5639017404, rel=1e-6)
 
@@ -347,7 +349,7 @@ def test_detect_branches_builds_one_reduction_setup_per_candidate(prob_p2, monke
         return setup
 
     monkeypatch.setattr(veldt.bifurcation, "make_reduction_setup", counted)
-    report = detect_branches(prob_p2, (0.9, 4.1), grid=3, rng=np.random.default_rng(0))
+    report = detect_branches(prob_p2, (0.9, 4.1), grid=3, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert [(c.lam_star, c.multiplicity) for c in report.candidates] == calls
     assert [round(lam, 6) for lam, _ in calls] == [1.0, 4.0]
 
@@ -442,7 +444,7 @@ def test_even_sweep_solves_each_start_pair_once(prob_p2, monkeypatch):
     # the README bifurcate config: 11 parameter values, each with the origin and
     # four plus starts solved and four minus starts mirrored; 99 without the mirror
     calls = _counting_reduced_solves(monkeypatch)
-    detect_branches(prob_p2, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
+    detect_branches(prob_p2, (0.8, 1.3), grid=11, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert len(calls) == 55
 
 
@@ -465,7 +467,7 @@ def test_reduced_sweep_makes_two_complement_solves_per_converged_start(p2, monke
     monkeypatch.setattr(veldt.bifurcation, "solve_psi", lambda *a, **kw: psi_calls.append(1) or solve_psi(*a, **kw))
     monkeypatch.setattr(veldt.functional, "assemble_hessian", lambda lag, u: hessians.append(1) or assemble_hessian(lag, u))
     monkeypatch.setattr(veldt.bifurcation, "_reduced_newton", counted_solve)
-    detect_branches(problem, (0.9, 1.1), grid=5, rng=np.random.default_rng(0))
+    detect_branches(problem, (0.9, 1.1), grid=5, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert len(per_start) == 25  # five parameter values, the origin and four plus starts each
     assert all(n == (2 if ok else 1) for ok, n in per_start)
     assert len(psi_calls) == sum(n for _, n in per_start) == 50
@@ -486,14 +488,14 @@ def test_even_sweep_makes_no_eigensolve_in_the_reduction(prob_p2, monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    detect_branches(prob_p2, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
+    detect_branches(prob_p2, (0.8, 1.3), grid=11, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert inside and sum(inside) == 0
 
 
 def test_cubic_sweep_solves_every_start_and_stays_asymmetric(disc32, monkeypatch):
     cubic = _mass_document(disc32, _term(0.5, 1, 2), _term(1.0 / 3.0, 0, 3), _term(0.25, 0, 4))
     calls = _counting_reduced_solves(monkeypatch)
-    report = detect_branches(cubic, (0.8, 1.3), grid=11, rng=np.random.default_rng(0))
+    report = detect_branches(cubic, (0.8, 1.3), grid=11, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert len(calls) == 99
     (cand,) = report.candidates
     assert sorted(b.side for b in cand.branches) == ["left", "right"]
@@ -573,7 +575,7 @@ def prob_p2_48(p2):
 def _audit(problem, lam, rng):
     func = problem.at_parameter(lam)
     seeds = _census_seeds(problem, func, [0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0], 8, rng)
-    return morse_inequality_audit(func, seeds)
+    return morse_inequality_audit(func, seeds, window=None)
 
 
 def test_census_convex_regime(prob_p2_48):
@@ -622,7 +624,7 @@ def test_census_stops_at_its_first_degenerate_find(prob_p2_48, monkeypatch):
     func = prob_p2_48.at_parameter(1.0)
     seeds = _census_seeds(prob_p2_48, func, [0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0], 8, np.random.default_rng(0))
     with pytest.raises(DegenerateCriticalPointError) as err:
-        morse_inequality_audit(func, seeds)
+        morse_inequality_audit(func, seeds, window=None)
     assert len(polished) == 1 < len(seeds)
     assert err.value.witness.nullity == 1
     np.testing.assert_array_equal(err.value.witness.coeffs, polished[-1])

@@ -11,6 +11,9 @@ from veldt.catalog import MODEL_NAMES, load_problem, model_problem
 from veldt.errors import ConfigurationError
 
 
+TOOL_CONFIGS = Path(__file__).resolve().parents[1] / "tools" / "configs"
+
+
 def _write(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -310,12 +313,13 @@ def test_readme_and_benchmark_configs_load(tmp_path):
 
 def test_tool_configs_load():
     # the extra configs of tools/same_outputs.py: an indefinite complement block, translation orbits on a
-    # periodic space, a multiplicity-2 kernel of a reduction, a non-square 2-D box and a fitted ellipticity
-    # envelope with tied samples
-    paths = sorted((Path(__file__).resolve().parents[1] / "tools" / "configs").glob("*.json"))
+    # periodic space, a degenerate census point off the base point of a tilt, a multiplicity-2 kernel of a
+    # reduction, a non-square 2-D box and a fitted ellipticity envelope with tied samples
+    paths = sorted(TOOL_CONFIGS.glob("*.json"))
     stems = [
         "p2_bifurcate_indefinite",
         "periodic_bifurcate_orbits",
+        "periodic_morse_tilt",
         "reduce_two_p2",
         "sine2d_spectrum_nonsquare",
         "validate_fitted_envelope",
@@ -599,6 +603,15 @@ def test_reduce_scenario(tmp_path):
     assert len(rows) == 1 + 3 * 9
 
 
+def test_reduce_lists_the_origin_once_on_a_two_dimensional_kernel(tmp_path):
+    # z_count 8 gives 2 radii, 0 and 0.45, along each of the 2 kernel axes: 3 distinct points per offset
+    out = tmp_path / "out"
+    assert run(TOOL_CONFIGS / "reduce_two_p2.json", out) == 0
+    rows = [tuple(r.split(",")[:3]) for r in (out / "reduced.csv").read_text().strip().splitlines()[1:]]
+    assert len(rows) == len(set(rows)) == 5 * 3
+    assert sum(row[1:] == ("0", "0") for row in rows) == 5
+
+
 def test_bifurcate_scenario(tmp_path):
     cfg = {
         "problem": "P2",
@@ -715,6 +728,40 @@ def test_morse_scenario_degenerate_without_tilt_exits_2(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "error"
     assert report["error"]["type"] == "DegenerateCriticalPointError"
+
+
+@pytest.mark.parametrize("lam", [2.5, 1.0])
+def test_bad_tilt_block_exits_3_before_the_census(tmp_path, capsys, monkeypatch, lam):
+    # at 2.5 the census needs no tilt, at 1.0 it does; the block is refused either way
+    import veldt.cli
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(veldt.cli, "morse_inequality_audit", no_census)
+    cfg = {
+        "problem": "P2",
+        "scenario": "morse",
+        "discretization": {"domain": [0, "pi"], "m": 1, "bc": "dirichlet", "K": 16},
+        "params": {"lam": lam, "marino_prodi": {"r": 0.1, "delta_inner": 0.4}},
+    }
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", cfg), out) == 3
+    assert "0 < delta_inner < r" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_tilt_leaves_a_degenerate_point_off_the_base_point_to_the_report(tmp_path):
+    # on the circle at lam 2.5 the degenerate census point is a translation orbit, not u0 = 0,
+    # so the tilt around u0 cannot remove it: the run reports the witness instead of tilting
+    out = tmp_path / "out"
+    assert run(TOOL_CONFIGS / "periodic_morse_tilt.json", out) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "error"
+    assert report["error"] == {
+        "type": "DegenerateCriticalPointError",
+        "message": "census found a degenerate critical point (nullity 1) at value -0.265318",
+    }
 
 
 def test_numeric_failure_exits_2(tmp_path):

@@ -226,7 +226,7 @@ def test_combined_names_the_first_failing_term_in_order(p2, disc16):
 
 
 def test_combined_hessian_requires_p2_of_every_term(p2, disc16):
-    cubic = _mass_functional(disc16, growth=GrowthSpec.canonical(1, 1, p=3.0))
+    cubic = _mass_functional(disc16, growth=GrowthSpec(enumerate_multi_indices(1, 1), 3.0))
     combined = CombinedFunctional(DiscretizedFunctional(p2.lagrangian, disc16), cubic, 1.05)
     c = np.full(disc16.dim, 0.05)
     combined.gradient_dual(c)
@@ -382,7 +382,7 @@ def test_carried_points_keep_the_typed_errors(p2, disc16):
             func.energy.gradient_dual(c0 + step)
     assert str(bad).startswith("grad_f produced a non-finite value") and str(bad) == str(alone.value)
     # a second variation at p != 2, of the energy and of the constraint
-    cubic = GrowthSpec.canonical(1, 1, p=3.0)
+    cubic = GrowthSpec(enumerate_multi_indices(1, 1), 3.0)
     message = r"^second variation assembly needs p = 2 \(directional-only differentiability at p = 3.0\)$"
     energy = DiscretizedFunctional(dataclasses.replace(p2.lagrangian, growth=cubic), disc16)
     constraint = DiscretizedFunctional(dataclasses.replace(p2.constraint, growth=cubic), disc16)

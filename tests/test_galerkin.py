@@ -16,7 +16,7 @@ from veldt import (
     model_problem,
     q_compactness_audit,
 )
-from veldt.lagrangian import GrowthSpec, Lagrangian, MultiIndexSet
+from veldt.lagrangian import GrowthSpec, Lagrangian, MultiIndexSet, enumerate_multi_indices
 from veldt.catalog import constant_envelope, load_problem, make_polynomial_lagrangian, shifted_power_envelope
 from veldt.errors import CapabilityError, ConfigurationError, DiscretizationError
 from veldt.galerkin import (
@@ -369,7 +369,7 @@ def test_hand_written_integrand_of_another_order_is_refused(disc16):
         f=lambda x, xi: np.zeros(xi.shape[0]),
         grad_f=lambda x, xi: np.zeros_like(xi),
         hess_f=lambda x, xi: np.zeros(xi.shape[:1] + (1, 2, 1, 2)),
-        growth=GrowthSpec.canonical(1, 2),
+        growth=GrowthSpec(enumerate_multi_indices(1, 2), 2.0),
     )
     for assemble in (assemble_functional, assemble_gradient, assemble_hessian):
         with pytest.raises(ConfigurationError, match=SIGNATURE_MISMATCH):

@@ -64,7 +64,7 @@ def test_enumeration_rejects_bad_arguments():
 
 def test_enumeration_gives_one_set_per_signature():
     assert enumerate_multi_indices(2, 3) is enumerate_multi_indices(2, 3)
-    assert GrowthSpec.canonical(1, 2).index_set is enumerate_multi_indices(1, 2)
+    assert GrowthSpec(enumerate_multi_indices(1, 2), 2.0).index_set is enumerate_multi_indices(1, 2)
     assert enumerate_multi_indices(1, 2) is not enumerate_multi_indices(2, 1)
 
 
@@ -77,7 +77,7 @@ def test_position_looks_up_a_tuple():
 
 
 def test_integrand_reads_its_signature_from_the_growth_data():
-    growth = GrowthSpec.canonical(2, 3)
+    growth = GrowthSpec(enumerate_multi_indices(2, 3), 2.0)
     lag = Lagrangian(N=2, f=None, grad_f=None, hess_f=None, growth=growth)
     assert (lag.n, lag.m, lag.N) == (2, 3, 2)
     assert lag.index_set is growth.index_set
@@ -131,7 +131,7 @@ def test_p3_jet_derivatives_at_ones():
 
 
 def test_non_finite_callback_is_reported_with_location():
-    growth = GrowthSpec.canonical(1, 1)
+    growth = GrowthSpec(enumerate_multi_indices(1, 1), 2.0)
     def inv(x, xi):
         with np.errstate(divide="ignore"):
             return 1.0 / xi[:, 0, 0]
@@ -149,7 +149,7 @@ def test_non_finite_callback_is_reported_with_location():
 
 
 def test_asymmetric_hessian_callback_is_rejected():
-    growth = GrowthSpec.canonical(1, 1)
+    growth = GrowthSpec(enumerate_multi_indices(1, 1), 2.0)
 
     def bad_hess(x, xi):
         h = np.zeros(xi.shape[:1] + (1, 2, 1, 2))
@@ -211,7 +211,7 @@ def test_repeated_factor_is_the_power_of_its_variable(rng):
 
 
 def test_growth_spec_exponents_m1_n1_p2():
-    spec = GrowthSpec.canonical(1, 1, p=2.0)
+    spec = GrowthSpec(enumerate_multi_indices(1, 1), 2.0)
     assert spec.p_gamma[1] == pytest.approx(2.0)
     assert not np.isfinite(spec.p_gamma[0])
     assert spec.p_pair[1, 1] == pytest.approx(0.0)
@@ -221,7 +221,7 @@ def test_growth_spec_exponents_m1_n1_p2():
 
 def test_growth_spec_exponents_m1_n2_borderline():
     # the zero-order grade sits exactly on the integrability cut
-    spec = GrowthSpec.canonical(2, 1, p=2.0, p_border=4.0)
+    spec = GrowthSpec(enumerate_multi_indices(2, 1), 2.0, p_border=4.0)
     iset = spec.index_set
     pos0 = iset.position((0, 0))
     pos1 = iset.position((1, 0))
@@ -243,7 +243,7 @@ def _pair_by_grade(spec):
 
 def test_growth_tables_n1_m2_p2_closed_form():
     # cut 2 - 1/2 = 1.5: grades 0 and 1 are low, grade 2 carries p
-    spec = GrowthSpec.canonical(1, 2, p=2.0)
+    spec = GrowthSpec(enumerate_multi_indices(1, 2), 2.0)
     assert spec.p_gamma.tolist() == [np.inf, np.inf, 2.0]
     pairs = _pair_by_grade(spec)
     assert pairs[0, 0] == pairs[0, 1] == pairs[1, 1] == 1.0
@@ -253,7 +253,7 @@ def test_growth_tables_n1_m2_p2_closed_form():
 
 def test_growth_tables_n3_m2_p2_closed_form():
     # cut 2 - 3/2 = 0.5: grade 1 carries 3*2/(3 - 2) = 6, grade 2 carries 6/3 = 2
-    spec = GrowthSpec.canonical(3, 2, p=2.0)
+    spec = GrowthSpec(enumerate_multi_indices(3, 2), 2.0)
     orders = spec.index_set.orders()
     assert not np.isfinite(spec.p_gamma[orders == 0]).any()
     assert spec.p_gamma[orders == 1] == pytest.approx([6.0] * 3)
@@ -267,7 +267,7 @@ def test_growth_tables_n3_m2_p2_closed_form():
 
 def test_growth_tables_n2_m2_p2_border_closed_form():
     # cut 2 - 2/2 = 1: grade 1 sits on it and takes the default p_border p + 2 = 4
-    spec = GrowthSpec.canonical(2, 2, p=2.0)
+    spec = GrowthSpec(enumerate_multi_indices(2, 2), 2.0)
     orders = spec.index_set.orders()
     assert spec.p_gamma[orders == 1].tolist() == [4.0, 4.0]
     pairs = _pair_by_grade(spec)
@@ -277,7 +277,7 @@ def test_growth_tables_n2_m2_p2_border_closed_form():
 
 
 def test_growth_tables_are_rederived_on_replace():
-    spec = GrowthSpec.canonical(2, 2, p=3.0, g1=constant_envelope(1.0), g2=constant_envelope(1.0))
+    spec = GrowthSpec(enumerate_multi_indices(2, 2), 3.0, g1=constant_envelope(1.0), g2=constant_envelope(1.0))
     bare = dataclasses.replace(spec, g1=None, g2=None)
     assert bare.g1 is None and bare.g2 is None
     assert bare.p_gamma is not spec.p_gamma
@@ -287,7 +287,7 @@ def test_growth_tables_are_rederived_on_replace():
 
 def test_growth_spec_rejects_tampered_exponents():
     # the tables are derived, so there is no way to pass inconsistent ones
-    spec = GrowthSpec.canonical(1, 1, p=2.0)
+    spec = GrowthSpec(enumerate_multi_indices(1, 1), 2.0)
     with pytest.raises(TypeError):
         GrowthSpec(spec.index_set, 2.0, p_gamma=np.array([np.inf, 3.0]))
     with pytest.raises(TypeError):
@@ -297,15 +297,16 @@ def test_growth_spec_rejects_tampered_exponents():
 def test_growth_spec_refuses_a_border_exponent_that_empties_an_interval():
     # (n, m, p) = (2, 1, 2) puts grade 0 on the cut; the border pair needs 1 - 2/p_border > 0
     with pytest.raises(ConfigurationError, match=r"p_border must lie in \(2, inf\)"):
-        GrowthSpec.canonical(2, 1, p=2.0, p_border=1.5)
+        GrowthSpec(enumerate_multi_indices(2, 1), 2.0, p_border=1.5)
     with pytest.raises(ConfigurationError, match="p_border"):
-        GrowthSpec.canonical(2, 1, p=2.0, p_border=np.inf)
-    assert GrowthSpec.canonical(1, 1, p=2.0, p_border=1.5).p_gamma.tolist() == [np.inf, 2.0]  # no grade on the cut
+        GrowthSpec(enumerate_multi_indices(2, 1), 2.0, p_border=np.inf)
+    # no grade on the cut
+    assert GrowthSpec(enumerate_multi_indices(1, 1), 2.0, p_border=1.5).p_gamma.tolist() == [np.inf, 2.0]
 
 
 def test_growth_spec_rejects_decreasing_envelope():
     with pytest.raises(ConfigurationError):
-        GrowthSpec.canonical(1, 1, g1=lambda t: 1.0 / (1.0 + t))
+        GrowthSpec(enumerate_multi_indices(1, 1), 2.0, g1=lambda t: 1.0 / (1.0 + t))
 
 
 def test_jet_low_order_part_depends_on_p_only():
@@ -416,7 +417,7 @@ def test_certificate_missing_embedding_constant():
 
 
 def _cosine_well():
-    growth = GrowthSpec.canonical(1, 1, g1=constant_envelope(1.0), g2=constant_envelope(1.0))
+    growth = GrowthSpec(enumerate_multi_indices(1, 1), 2.0, g1=constant_envelope(1.0), g2=constant_envelope(1.0))
 
     def f(x, xi):
         return 0.5 * xi[:, 0, 1] ** 2 + np.cos(xi[:, 0, 0])

@@ -10,7 +10,6 @@ from veldt import (
     make_reduction_setup,
     marino_prodi_perturb,
     reduced_hessian_at_origin,
-    reduced_value,
     sample_reduced,
     solve_psi,
 )
@@ -180,7 +179,8 @@ def test_reduced_normal_form_fit(setup_p2):
     lam = 1.05
     amps = np.linspace(0.0, 0.3, 13)
     zs = amps * np.sqrt(np.pi)
-    vals = [reduced_value(setup_p2, lam, np.array([z])) for z in zs]
+    value = setup_p2.functional_at(lam).value
+    vals = [value(solve_psi(setup_p2, lam, np.array([z])).point) for z in zs]
     design = np.stack([amps**2, amps**4], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.asarray(vals), rcond=None)
     assert coef[0] == pytest.approx((np.pi / 4) * (1 - lam), rel=0.01)
@@ -199,9 +199,8 @@ def test_reduced_gradient_matches_value_differences(setup_p2, rng):
         lam = 1.0 + rng.uniform(-0.5, 0.5)
         z = rng.uniform(-0.4, 0.4, size=1)
         g = solve_psi(setup_p2, lam, z).gradient
-        fd = (
-            reduced_value(setup_p2, lam, z + h) - reduced_value(setup_p2, lam, z - h)
-        ) / (2 * h)
+        value = setup_p2.functional_at(lam).value
+        fd = (value(solve_psi(setup_p2, lam, z + h).point) - value(solve_psi(setup_p2, lam, z - h).point)) / (2 * h)
         assert fd == pytest.approx(float(g[0]), rel=1e-5, abs=1e-9)
 
 
@@ -219,19 +218,24 @@ def test_sample_reduced_grid(setup_p2):
 
 
 def test_lipschitz_zero_for_linear(setup_p1):
-    audit = lipschitz_audit(setup_p1, 1.0, n_pairs=10)
+    audit = lipschitz_audit(setup_p1, 1.0, n_pairs=10, rng=np.random.default_rng(0))
     assert audit.max_ratio < 1e-12
     assert audit.passed
 
 
 def test_lipschitz_small_near_crossing(setup_p2):
-    audit = lipschitz_audit(setup_p2, 1.0, n_pairs=25, radius=0.2)
+    # the audit ball is the trust ball; a smaller one is a setup with a smaller trust radius
+    audit = lipschitz_audit(
+        dataclasses.replace(setup_p2, trust_radius=0.2), 1.0, n_pairs=25, rng=np.random.default_rng(0)
+    )
     assert audit.max_ratio < 0.5
     assert audit.passed
 
 
 def test_lipschitz_p3_within_contract(setup_p3):
-    audit = lipschitz_audit(setup_p3, 1.0, n_pairs=25, radius=0.1)
+    audit = lipschitz_audit(
+        dataclasses.replace(setup_p3, trust_radius=0.1), 1.0, n_pairs=25, rng=np.random.default_rng(0)
+    )
     assert audit.max_ratio <= 3.0
     assert audit.passed
 
@@ -358,13 +362,13 @@ def test_tilt_is_active_inside(degenerate_p2):
 def test_tilt_rejects_nondegenerate_base(p2, disc32):
     problem = VariationalProblem(model=p2, disc=disc32)
     with pytest.raises(ConfigurationError):
-        marino_prodi_perturb(problem, 0.5, r=0.5, delta_inner=0.25)
+        marino_prodi_perturb(problem, 0.5, r=0.5, delta_inner=0.25, rng=np.random.default_rng(0))
 
 
 def test_tilt_bad_radii(degenerate_p2):
     problem, _ = degenerate_p2
     with pytest.raises(ConfigurationError):
-        marino_prodi_perturb(problem, 1.0, r=0.2, delta_inner=0.4)
+        marino_prodi_perturb(problem, 1.0, r=0.2, delta_inner=0.4, rng=np.random.default_rng(0))
 
 
 class _FlippedHessian:

@@ -16,6 +16,7 @@ from veldt import (
     morse_index_by_formula,
     pencil_eigs,
 )
+import veldt.spectral
 from veldt.errors import (
     DegenerateKernelError,
     EigenvalueCollisionError,
@@ -147,33 +148,30 @@ def test_decompose_gap_reporting(p1_pencil):
 
 
 def test_split_audit_p3_uniform_positivity(p3, disc32):
-    report = split_continuity_audit(p3.lagrangian, disc32.zero_field(), radius=0.5)
+    report = split_continuity_audit(p3.lagrangian, disc32.zero_field(), rng=np.random.default_rng(0))
     assert report.passed
     assert report.c0_estimate >= 1.0 - 1e-9
     assert report.p_deviations[-1] <= 0.25 * report.p_deviations[0]
 
 
 def test_split_audit_p1_constant_coefficients(p1, disc32):
-    report = split_continuity_audit(p1.lagrangian, disc32.zero_field())
+    report = split_continuity_audit(p1.lagrangian, disc32.zero_field(), rng=np.random.default_rng(0))
     assert report.passed
     assert np.max(report.p_deviations) == 0.0
     assert np.max(report.q_deviations) == 0.0
 
 
-def test_split_audit_p2_linear_slope(p2, disc32):
+def test_split_audit_p2_linear_slope(p2, disc32, monkeypatch):
+    monkeypatch.setattr(veldt.spectral, "SPLIT_RADIUS", 0.25)
     u0 = disc32.field([1.0] + [0.0] * (disc32.dim - 1))
-    report = split_continuity_audit(p2.lagrangian, u0, radius=0.25)
+    report = split_continuity_audit(p2.lagrangian, u0, rng=np.random.default_rng(0))
     assert report.passed
     assert report.q_slope == pytest.approx(1.0, abs=0.2)
 
 
 def test_split_audit_fails_when_split_misses_assembled_hessian(p2, disc32, monkeypatch):
-    import dataclasses
-
-    import veldt.spectral
-
     hessian_split = veldt.spectral.hessian_split
-    report = split_continuity_audit(p2.lagrangian, disc32.zero_field())
+    report = split_continuity_audit(p2.lagrangian, disc32.zero_field(), rng=np.random.default_rng(0))
     assert report.passed and report.split_defect < 1e-14
 
     def unshifted(lag, u):
@@ -182,7 +180,7 @@ def test_split_audit_fails_when_split_misses_assembled_hessian(p2, disc32, monke
         return dataclasses.replace(split, Q=split.Q + u.disc.gram_lower)
 
     monkeypatch.setattr(veldt.spectral, "hessian_split", unshifted)
-    report = split_continuity_audit(p2.lagrangian, disc32.zero_field())
+    report = split_continuity_audit(p2.lagrangian, disc32.zero_field(), rng=np.random.default_rng(0))
     assert not report.passed
     assert report.split_defect > 1e-6
 
@@ -197,7 +195,7 @@ def test_split_defect_is_relative_to_the_split_of_a_tiny_hessian():
     split = hessian_split(model.lagrangian, disc.zero_field())
     assert 0.0 < np.max(np.abs(split.B)) < 1e-236
     assert split.split_defect <= SPLIT_DEFECT_TOL
-    report = split_continuity_audit(model.lagrangian, disc.zero_field())
+    report = split_continuity_audit(model.lagrangian, disc.zero_field(), rng=np.random.default_rng(0))
     assert report.passed and report.split_defect <= SPLIT_DEFECT_TOL
 
 
@@ -245,7 +243,7 @@ def test_gram_is_factored_once_per_space(p3, monkeypatch):
     decompose(F - 2.5 * G, disc.gram)
     pencil = pencil_eigs(F, G, disc.gram)
     decompose(pencil.b_lambda(4.5), pencil.gram)
-    assert split_continuity_audit(p3.lagrangian, problem.u0).passed
+    assert split_continuity_audit(p3.lagrangian, problem.u0, rng=np.random.default_rng(0)).passed
     assert sum(1 for a in factored if a.shape == disc.gram.shape and np.array_equal(a, disc.gram)) == 1
 
 

@@ -9,7 +9,9 @@ throwaway directory; the working tree runs from its own ``src/``.  Both sides
 run every config document of the README, every benchmark workload config,
 every config in ``tools/configs/`` (cases that no README block or workload
 reaches: a bifurcation with an indefinite complement block, translation orbits
-of a periodic bifurcation, a ``reduce`` run on the coupled two-component P2
+of a periodic bifurcation, a periodic ``morse`` run with a kernel tilt whose
+degenerate census point is a translation orbit away from the base point, so
+the run exits 2 without tilting, a ``reduce`` run on the coupled two-component P2
 whose kernel has dimension 2, a 2-D space on a non-square box, a ``validate``
 run whose fitted ellipticity envelope has tied samples) and each config path given on the command line, at seeds 0
 and 7, through ``python -m veldt.cli`` with BLAS on one thread.  For each run
