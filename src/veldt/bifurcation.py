@@ -332,7 +332,7 @@ def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
     return found
 
 
-def _assemble_branches(lam_star, side_samples, side):
+def _assemble_branches(lam_star, side_samples, side, gaps):
     """Chain per-parameter solutions into branches by kernel-coordinate proximity.
 
     Each branch accepts at most one sample per parameter value, the nearest
@@ -340,12 +340,14 @@ def _assemble_branches(lam_star, side_samples, side):
     a symmetric pair are a_last + a_new apart, more than that bound, so the
     pair stays apart, while a branch whose amplitude grows by a factor up to
     five between grid values (square-root or linear growth) stays one branch.
+    A sample within that bound of two or more unclaimed branches joins the
+    nearest, but the choice is a guess, so it is recorded in ``gaps``.
     """
     branches = []
     for lam in sorted(side_samples, key=lambda l: abs(l - lam_star)):
         taken = set()
         for sample in side_samples[lam]:
-            best = None
+            near = []
             for bi, branch in enumerate(branches):
                 if bi in taken:
                     continue
@@ -353,14 +355,23 @@ def _assemble_branches(lam_star, side_samples, side):
                 reach = max(np.linalg.norm(last.kernel_coords), np.linalg.norm(sample.kernel_coords))
                 bound = max(0.8 * float(reach), 1e-3)
                 dist = float(np.linalg.norm(sample.kernel_coords - last.kernel_coords))
-                if dist <= bound and (best is None or dist < best[0]):
-                    best = (dist, bi)
-            if best is None:
+                if dist <= bound:
+                    near.append((dist, bi))
+            if not near:
                 branches.append(Branch(lam_star=lam_star, side=side, samples=[sample]))
                 taken.add(len(branches) - 1)
-            else:
-                branches[best[1]].samples.append(sample)
-                taken.add(best[1])
+                continue
+            near.sort()
+            if len(near) > 1:
+                gaps.append(
+                    {
+                        "lam": float(lam),
+                        "reason": f"ambiguous chaining: {len(near)} unclaimed branches are within reach of a "
+                        f"sample, the nearest two at distances {near[0][0]:.3e} and {near[1][0]:.3e}",
+                    }
+                )
+            branches[near[0][1]].samples.append(sample)
+            taken.add(near[0][1])
     return branches
 
 
@@ -458,8 +469,8 @@ def detect_branches(
                     unbounded = True
                     break
 
-        branches = _assemble_branches(lam_star, side_samples["left"], "left")
-        branches += _assemble_branches(lam_star, side_samples["right"], "right")
+        branches = _assemble_branches(lam_star, side_samples["left"], "left", gaps)
+        branches += _assemble_branches(lam_star, side_samples["right"], "right", gaps)
         if at_star:
             branches.append(Branch(lam_star=lam_star, side="at", samples=at_star))
 

@@ -30,7 +30,7 @@ from .bifurcation import detect_branches, morse_inequality_audit, orbit_group
 from .catalog import MODEL_NAMES, _known, _read_json, load_problem
 from .errors import ConfigurationError, DegenerateCriticalPointError, VeldtError
 from .functional import DEDUPE_TOL, VariationalProblem, _star_seeds
-from .galerkin import build_space, estimate_sobolev_constant, q_compactness_audit
+from .galerkin import build_space, estimate_sobolev_constant, hessian_split, q_compactness_audit
 from .lagrangian import check_growth, ps_certificate
 from .reduction import (
     COMPLEMENT_TOL,
@@ -322,8 +322,10 @@ def run_spectrum(params, disc_block, model, rng, out_dir):
     if disc.bc == "dirichlet":
         report["sobolev_constant"] = estimate_sobolev_constant(disc)
         report["checks"].append("embedding-constant")
+    if params["split_audit"] or params["q_decay"]:
+        split = hessian_split(model.lagrangian, u0)
     if params["split_audit"]:
-        audit = split_continuity_audit(model.lagrangian, u0, rng=rng)
+        audit = split_continuity_audit(split, rng=rng)
         report["split_audit"] = {
             "passed": audit.passed,
             "c0_estimate": audit.c0_estimate,
@@ -332,7 +334,7 @@ def run_spectrum(params, disc_block, model, rng, out_dir):
         }
         report["checks"].append("split-continuity-audit")
     if params["q_decay"]:
-        profile = q_compactness_audit(model.lagrangian, u0)
+        profile = q_compactness_audit(split)
         report["q_decay"] = {"passed": profile.passed, "ratios_head": profile.ratios[:8].tolist()}
         report["checks"].append("compact-tail-decay")
     # eigenvalues dropped as complex leave the reported spectrum incomplete

@@ -541,19 +541,24 @@ def _second_variation(disc: Discretization, hess: np.ndarray, pairs: Optional[np
 
     ``D_q`` is the (A, K) derivative table at node q and ``H_q`` the jet
     Hessian there.  ``pairs`` is an optional (A, A) 0/1 mask that keeps only
-    the (alpha, beta) blocks it marks.  A batched matmul contracts beta at
-    every node; one (A*Q) x K GEMM then contracts the node and alpha axes
-    together.
+    the (alpha, beta) blocks it marks; only the derivatives of a marked block
+    are contracted, so a mask of the top-order pairs reads the top-order rows
+    of the tables and no others.  A batched matmul contracts beta at every
+    node; one (A*Q) x K GEMM then contracts the node and alpha axes together.
     """
     Q, N, A = hess.shape[:3]
     K = disc.K
-    wh = disc.weights[:, None, None, None, None] * hess
+    dtab = disc.dtab
     if pairs is not None:
-        wh = wh * pairs[None, None, :, None, :]
+        touched = pairs.any(axis=0) | pairs.any(axis=1)
+        hess = hess[:, :, touched][:, :, :, :, touched] * pairs[np.ix_(touched, touched)][None, None, :, None, :]
+        dtab = dtab[touched]
+        A = dtab.shape[0]
+    wh = disc.weights[:, None, None, None, None] * hess
     # half[q, i, a, j, l] = sum_b wh[q, i, a, j, b] dtab[b, q, l]
-    half = np.matmul(wh.reshape(Q, N * A * N, A), disc.dtab.transpose(1, 0, 2))
+    half = np.matmul(wh.reshape(Q, N * A * N, A), dtab.transpose(1, 0, 2))
     half = half.reshape(Q, N, A, N * K).transpose(2, 0, 1, 3).reshape(A * Q, N * N * K)
-    out = disc.dtab.reshape(A * Q, K).T @ half  # out[k, (i, j, l)]
+    out = dtab.reshape(A * Q, K).T @ half  # out[k, (i, j, l)]
     return out.reshape(K, N, N, K).transpose(1, 0, 2, 3).reshape(N * K, N * K)
 
 
@@ -568,20 +573,21 @@ def assemble_hessian(lag: Lagrangian, u: Field) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HessianSplit:
-    """Second variation at a field, with its positive/compact decomposition.
+    """The positive/compact decomposition of the second variation at a field.
 
-    ``B`` is the full bilinear form; ``P`` keeps the top-order block plus the
-    lower-order identity; ``Q`` collects every pair touching a lower-order
-    derivative minus that same identity, so B = P + Q holds by construction
-    and is re-verified entrywise.  ``C0_estimate`` is the smallest
+    ``lagrangian`` and ``u`` are the integrand and the field the split was
+    taken at, so an audit can take the split in their place.  ``P`` keeps the
+    top-order block plus the lower-order identity; ``Q`` collects every pair
+    touching a lower-order derivative minus that same identity, so P + Q is
+    the second variation B by construction.  ``C0_estimate`` is the smallest
     generalized eigenvalue of (P, gram).
     """
 
-    B: np.ndarray
+    lagrangian: Lagrangian
+    u: Field
     P: np.ndarray
     Q: np.ndarray
     C0_estimate: float
-    split_defect: float
 
 
 def hessian_split(lag: Lagrangian, u: Field) -> HessianSplit:
@@ -590,21 +596,17 @@ def hessian_split(lag: Lagrangian, u: Field) -> HessianSplit:
     The top-order and lower-order blocks come from the kernel of
     :func:`assemble_hessian` with complementary pair masks.  Every order is at
     most m, so the two masks cover every (alpha, beta) pair once and their sum
-    is B; ``split_defect`` is the entrywise gap between B and P + Q, relative to
-    the largest entry of the three.
+    is B.
     """
     disc = u.disc
     hess = _jet_hessian(lag, u)
     orders = disc.index_set.orders()
     top = orders == disc.m
-    B_top = _second_variation(disc, hess, np.outer(top, top))
-    B_low = _second_variation(disc, hess, np.add.outer(orders, orders) < 2 * disc.m)
-    P = _symmetric(B_top) + disc.gram_lower
-    Qm = _symmetric(B_low) - disc.gram_lower
-    B = _symmetric(B_top + B_low)
+    P = _symmetric(_second_variation(disc, hess, np.outer(top, top))) + disc.gram_lower
+    Qm = _symmetric(_second_variation(disc, hess, np.add.outer(orders, orders) < 2 * disc.m)) - disc.gram_lower
     _, W = _gram_factors(disc.gram)
     c0 = float(np.linalg.eigvalsh(W @ P @ W.T)[0])
-    return HessianSplit(B=B, P=P, Q=Qm, C0_estimate=c0, split_defect=_split_gap(B, P, Qm))
+    return HessianSplit(lagrangian=lag, u=u, P=P, Q=Qm, C0_estimate=c0)
 
 
 def _split_gap(B: np.ndarray, P: np.ndarray, Q: np.ndarray) -> float:
@@ -636,7 +638,7 @@ class QDecayProfile:
     passed: bool
 
 
-def q_compactness_audit(lag: Lagrangian, u: Field) -> QDecayProfile:
+def q_compactness_audit(split: HessianSplit) -> QDecayProfile:
     """Tail decay of the compact part: r_k = |Q e_k| / |e_k| in the Sobolev norm.
 
     A finite-dimensional stand-in for complete continuity: Q touches only
@@ -644,8 +646,8 @@ def q_compactness_audit(lag: Lagrangian, u: Field) -> QDecayProfile:
     vectors must fade.  Passes when the last ratio is below a tenth of the
     peak (meaningful for K >= 32; smaller spaces report data only).
     """
-    disc = u.disc
-    Qop = disc.solve_gram(hessian_split(lag, u).Q)
+    disc = split.u.disc
+    Qop = disc.solve_gram(split.Q)
     # the Sobolev norms of the columns Q e_k of Qop, over those of the e_k
     column_sq = np.einsum("ik,ik->k", disc.gram @ Qop, Qop)
     ratios = np.sqrt(np.maximum(column_sq, 0.0)) / np.sqrt(np.maximum(np.diag(disc.gram), 0.0))

@@ -22,7 +22,7 @@ from .errors import (
     HypothesisViolationError,
     IndexJumpMismatchError,
 )
-from .galerkin import Field, _gram_factors, _split_gap, assemble_hessian, hessian_split
+from .galerkin import HessianSplit, _gram_factors, _split_gap, assemble_hessian, hessian_split
 
 __all__ = [
     "SpectralDecomposition",
@@ -169,37 +169,37 @@ SPLIT_SAMPLES = 6  # points on the ray of the split-continuity audit
 SPLIT_RADIUS = 0.5  # distance from the base point of the first of those points
 
 
-def _split_at(lag, u: Field):
-    """The split at u and the entrywise relative gap of P + Q to the assembled B."""
-    split = hessian_split(lag, u)
-    return split, _split_gap(assemble_hessian(lag, u), split.P, split.Q)
+def _split_gap_at(split: HessianSplit) -> float:
+    """The entrywise relative gap of the split's P + Q to the second variation assembled at its field."""
+    return _split_gap(assemble_hessian(split.lagrangian, split.u), split.P, split.Q)
 
 
-def split_continuity_audit(lag, u0: Field, rng: np.random.Generator) -> SplitContinuityReport:
-    """Probe continuity of the split and uniform positivity near a base point.
+def split_continuity_audit(base: HessianSplit, rng: np.random.Generator) -> SplitContinuityReport:
+    """Probe continuity of the split and uniform positivity near its base point.
 
-    ``SPLIT_SAMPLES`` samples approach u0 along a random ray at distances
-    halving from ``SPLIT_RADIUS``.  Reports the operator-norm deviation of P
-    and Q from their values at u0, the worst smallest eigenvalue of (P, gram)
-    as the uniform positivity estimate, and log-log slopes of the deviation
-    trends.  At every point P + Q must reproduce the second variation the
-    solvers assemble, which checks that the split's pair masks cover every
-    pair once.
+    ``SPLIT_SAMPLES`` samples approach the base point u0 along a random ray at
+    distances halving from ``SPLIT_RADIUS``.  Reports the operator-norm
+    deviation of P and Q from their values at u0, the worst smallest
+    eigenvalue of (P, gram) as the uniform positivity estimate, and log-log
+    slopes of the deviation trends.  At every point, u0 included, P + Q must
+    reproduce the second variation the solvers assemble, which checks that the
+    split's pair masks cover every pair once.
     """
+    lag, u0 = base.lagrangian, base.u
     disc = u0.disc
     direction = rng.standard_normal(disc.dim)
     direction /= disc.norm(direction)
-    base, defect = _split_at(lag, u0)
+    defect = _split_gap_at(base)
     distances = SPLIT_RADIUS * 0.5 ** np.arange(SPLIT_SAMPLES)
     p_dev = np.empty(SPLIT_SAMPLES)
     q_dev = np.empty(SPLIT_SAMPLES)
     c0 = base.C0_estimate
     for j, t in enumerate(distances):
-        split, gap = _split_at(lag, disc.field(u0.coeffs + t * direction))
+        split = hessian_split(lag, disc.field(u0.coeffs + t * direction))
         p_dev[j] = _operator_norm(split.P - base.P, disc.gram)
         q_dev[j] = _operator_norm(split.Q - base.Q, disc.gram)
         c0 = min(c0, split.C0_estimate)
-        defect = max(defect, gap)
+        defect = max(defect, _split_gap_at(split))
 
     def slope(dev):
         mask = dev > 1e-13
@@ -288,10 +288,15 @@ def _gram_orthonormalize(vectors: np.ndarray, L: np.ndarray, W: np.ndarray, boun
     """Columns that are Gram-orthonormal and span, group by group, the groups ``vectors[:, lo:hi]`` of ``bounds``.
 
     ``L`` is the lower Cholesky factor of the Gram matrix and ``W`` its inverse.
-    Each group takes a QR in the image ``L.T @ vectors``; ``W.T`` maps them all back.
+    Each group takes a QR in the image ``L.T @ vectors``, one stacked QR for
+    all the groups of one size; ``W.T`` maps them all back.
     """
     image = L.T @ vectors
-    q = np.hstack([np.linalg.qr(image[:, lo:hi])[0] for lo, hi in bounds])
+    q = np.empty_like(image)
+    for size in {hi - lo for lo, hi in bounds} - {0}:
+        # cols[g] holds the columns of the g-th group of this size
+        cols = np.add.outer([lo for lo, hi in bounds if hi - lo == size], np.arange(size))
+        q[:, cols] = np.linalg.qr(image[:, cols].transpose(1, 0, 2))[0].transpose(1, 0, 2)
     return _sign_normalize(W.T @ q)
 
 

@@ -270,6 +270,32 @@ def test_linearly_growing_branch_chains_into_one_branch_per_side(transcritical):
         assert sorted(s.lam for s in branch.samples) == pytest.approx(on_side)
 
 
+def _sample(lam, coords):
+    coords = np.asarray(coords, dtype=float)
+    amplitude = float(np.linalg.norm(coords))
+    return veldt.bifurcation.BranchSample(
+        lam=lam, coeffs=coords, amplitude=amplitude, amplitude_sup=amplitude,
+        kernel_coords=coords, morse_index=0, nullity=0, residual=0.0,
+    )
+
+
+def test_ambiguous_chaining_is_recorded_as_a_gap():
+    # two branches 0.72 apart at amplitude 1, closer than 0.8 times it: the sample at 1.1
+    # is within reach of both, so which one it continues is a guess
+    samples = {1.05: [_sample(1.05, [1.0, 0.0]), _sample(1.05, [0.6, 0.6])], 1.1: [_sample(1.1, [0.85, 0.3])]}
+    gaps = []
+    branches = veldt.bifurcation._assemble_branches(1.0, samples, "right", gaps)
+    assert [len(b.samples) for b in branches] == [2, 1]  # the nearest branch still takes the sample
+    assert [g["lam"] for g in gaps] == [1.1]
+    assert gaps[0]["reason"].startswith("ambiguous chaining: 2 unclaimed branches")
+    # a symmetric pair stays apart, and each of its samples has one branch within reach
+    pair = {1.05: [_sample(1.05, [1.0, 0.0]), _sample(1.05, [-1.0, 0.0])],
+            1.1: [_sample(1.1, [1.2, 0.0]), _sample(1.1, [-1.2, 0.0])]}
+    gaps = []
+    assert [len(b.samples) for b in veldt.bifurcation._assemble_branches(1.0, pair, "right", gaps)] == [2, 2]
+    assert gaps == []
+
+
 def test_shifted_p2_reproduces_p2_branches(p2_report, disc32):
     # the crossing at -4 has negative inertia of F'' and a negative eigenvalue
     report = detect_branches(

@@ -314,7 +314,8 @@ def test_readme_and_benchmark_configs_load(tmp_path):
 def test_tool_configs_load():
     # the extra configs of tools/same_outputs.py: an indefinite complement block, translation orbits on a
     # periodic space, a degenerate census point off the base point of a tilt, a multiplicity-2 kernel of a
-    # reduction, a non-square 2-D box and a fitted ellipticity envelope with tied samples
+    # reduction, a non-square 2-D box, the split audits of a two-component system and a fitted ellipticity
+    # envelope with tied samples
     paths = sorted(TOOL_CONFIGS.glob("*.json"))
     stems = [
         "p2_bifurcate_indefinite",
@@ -322,6 +323,7 @@ def test_tool_configs_load():
         "periodic_morse_tilt",
         "reduce_two_p2",
         "sine2d_spectrum_nonsquare",
+        "spectrum_two_p2_audits",
         "validate_fitted_envelope",
     ]
     assert [path.stem for path in paths] == stems
@@ -654,6 +656,11 @@ def test_periodic_orbit_tags_group_translates_at_each_parameter(tmp_path):
         per_lam.setdefault(r[3], []).append(r[8])
     assert len(per_lam) >= 2 and all(len(tags) > 1 for tags in per_lam.values())
     assert {r[8] for r in rows} == {"0"}
+    # the solutions at one parameter value lie on one circle, so chaining them into branches is a guess
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "audit_failed"
+    gaps = report["result"]["bifurcation"]["candidates"][0]["gaps"]
+    assert gaps and all(g["reason"].startswith("ambiguous chaining") for g in gaps)
 
 
 def test_bifurcate_records_gap_when_every_start_fails(tmp_path, monkeypatch):

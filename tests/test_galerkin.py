@@ -25,6 +25,7 @@ from veldt.galerkin import (
     _fourier_tables,
     _leggauss,
     _sine_tables,
+    _split_gap,
     _tensor_modes,
     clamped_mode_parameters,
 )
@@ -494,10 +495,12 @@ def test_split_contract_on_random_fields(name, disc16, rng):
     for _ in range(17):
         u = rng.standard_normal(disc16.dim)
         u *= rng.uniform(0, 3.0) / disc16.norm(u)
-        split = hessian_split(lag, disc16.field(u))
-        assert split.split_defect < 1e-12
+        field = disc16.field(u)
+        split = hessian_split(lag, field)
+        B = assemble_hessian(lag, field)
+        assert _split_gap(B, split.P, split.Q) < 1e-12
         assert split.C0_estimate > 0
-        assert np.allclose(split.B, split.B.T)
+        assert np.allclose(B, B.T)
         assert np.allclose(split.P, split.P.T)
         assert np.allclose(split.Q, split.Q.T)
 
@@ -506,8 +509,9 @@ def test_split_contract_beam(beam8, p4, rng):
     for _ in range(5):
         u = rng.standard_normal(beam8.dim)
         u *= rng.uniform(0, 3.0) / beam8.norm(u)
-        split = hessian_split(p4.lagrangian, beam8.field(u))
-        assert split.split_defect < 1e-12
+        field = beam8.field(u)
+        split = hessian_split(p4.lagrangian, field)
+        assert _split_gap(assemble_hessian(p4.lagrangian, field), split.P, split.Q) < 1e-12
         assert split.C0_estimate > 0
 
 
@@ -531,18 +535,20 @@ def test_hessian_matches_gradient_differences(name, disc16, rng):
 def test_garding_bound_on_random_directions(disc32, p2, rng):
     u = rng.standard_normal(disc32.dim)
     u *= 1.0 / disc32.norm(u)
-    split = hessian_split(p2.lagrangian, disc32.field(u))
+    field = disc32.field(u)
+    split = hessian_split(p2.lagrangian, field)
+    B = assemble_hessian(p2.lagrangian, field)
     C1 = 0.5 * split.C0_estimate
     # calibrate the lower-order constant on one batch, then verify on a fresh one
     samples = rng.standard_normal((100, disc32.dim))
     deficits = []
     for v in samples:
-        quad = float(v @ split.B @ v)
+        quad = float(v @ B @ v)
         deficits.append((C1 * disc32.norm(v) ** 2 - quad) / max(disc32.norm_lower(v) ** 2, 1e-300))
     C2 = max(0.0, max(deficits)) * 1.1 + 1e-12
     fresh = rng.standard_normal((100, disc32.dim))
     for v in fresh:
-        quad = float(v @ split.B @ v)
+        quad = float(v @ B @ v)
         assert quad >= C1 * disc32.norm(v) ** 2 - C2 * disc32.norm_lower(v) ** 2 - 1e-10
 
 
@@ -573,18 +579,19 @@ def test_sobolev_constant_requires_dirichlet():
 
 
 def test_q_decay_closed_form(disc64, p1, p3):
-    profile = q_compactness_audit(p1.lagrangian, disc64.zero_field())
+    profile = q_compactness_audit(hessian_split(p1.lagrangian, disc64.zero_field()))
     expected = np.array([1.0 / (1 + k**2) for k in range(1, 65)])
     assert np.allclose(profile.ratios, expected, rtol=1e-10)
     assert profile.passed
-    profile3 = q_compactness_audit(p3.lagrangian, disc64.zero_field())
+    profile3 = q_compactness_audit(hessian_split(p3.lagrangian, disc64.zero_field()))
     assert np.allclose(profile3.ratios, expected, rtol=1e-10)
 
 
 def test_q_decay_ratios_are_column_norms(disc16, p2):
     u = disc16.field(np.random.default_rng(3).standard_normal(disc16.dim) * 0.3)
-    profile = q_compactness_audit(p2.lagrangian, u)
-    Qop = disc16.solve_gram(hessian_split(p2.lagrangian, u).Q)
+    split = hessian_split(p2.lagrangian, u)
+    profile = q_compactness_audit(split)
+    Qop = disc16.solve_gram(split.Q)
     for k, e in enumerate(np.eye(disc16.dim)):
         expected = disc16.norm(Qop @ e) / disc16.norm(e)
         assert abs(profile.ratios[k] - expected) <= 1e-14 * expected
@@ -592,7 +599,7 @@ def test_q_decay_ratios_are_column_norms(disc16, p2):
 
 def test_q_decay_p2_at_sine(disc64, p2):
     u = _mode_field(disc64, 1)
-    profile = q_compactness_audit(p2.lagrangian, u)
+    profile = q_compactness_audit(hessian_split(p2.lagrangian, u))
     assert profile.passed
     assert profile.ratios[-1] < 0.01 * np.max(profile.ratios)
 
@@ -652,8 +659,9 @@ def test_two_dimensional_gradient_consistency(rng):
             - assemble_functional(lag, disc.field(u - h * v))
         ) / (2 * h)
         assert fd == pytest.approx(float(ell @ v), rel=1e-6, abs=1e-10)
-    split = hessian_split(lag, disc.field(u))
-    assert split.split_defect < 1e-12
+    field = disc.field(u)
+    split = hessian_split(lag, field)
+    assert _split_gap(assemble_hessian(lag, field), split.P, split.Q) < 1e-12
     assert split.C0_estimate > 0
 
 
@@ -701,12 +709,14 @@ def test_system_cross_component_hessian_block():
 
     disc = build_space((0.0, np.pi), 1, "dirichlet", 4, n_components=2)
     lag = _coupled_system(enumerate_multi_indices(1, 1))
-    split = hessian_split(lag, disc.zero_field())
+    zero = disc.zero_field()
+    split = hessian_split(lag, zero)
+    B = assemble_hessian(lag, zero)
     K = disc.K
     # the coupling puts the scalar mass matrix in the off-diagonal block
     mass = np.diag([np.pi / 2] * K)
-    assert np.allclose(split.B[:K, K:], mass, atol=1e-12)
-    assert split.split_defect < 1e-12
+    assert np.allclose(B[:K, K:], mass, atol=1e-12)
+    assert _split_gap(B, split.P, split.Q) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +784,8 @@ def test_kernel_matches_pair_loop(case, rng):
         assert np.max(np.abs(B - reference)) <= 1e-13 * scale
 
         split = hessian_split(lag, u)
-        assert np.max(np.abs(split.B - B)) <= 1e-13 * scale
-        assert split.split_defect < 1e-12
+        assert np.max(np.abs(split.P + split.Q - B)) <= 1e-13 * scale
+        assert _split_gap(B, split.P, split.Q) < 1e-12
         assert np.array_equal(split.P, split.P.T)
         assert np.array_equal(split.Q, split.Q.T)
         P_ref = _pair_loop(disc, hess, lambda oa, ob: oa == m and ob == m) + disc.gram_lower

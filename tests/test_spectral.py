@@ -24,7 +24,7 @@ from veldt.errors import (
     IndexJumpMismatchError,
 )
 from veldt.functional import VariationalProblem
-from veldt.galerkin import clamped_mode_parameters
+from veldt.galerkin import _split_gap, clamped_mode_parameters
 from veldt.spectral import SPLIT_DEFECT_TOL, _condition_number
 
 from test_bifurcation import _shifted_p2, _two_p2
@@ -148,14 +148,14 @@ def test_decompose_gap_reporting(p1_pencil):
 
 
 def test_split_audit_p3_uniform_positivity(p3, disc32):
-    report = split_continuity_audit(p3.lagrangian, disc32.zero_field(), rng=np.random.default_rng(0))
+    report = split_continuity_audit(hessian_split(p3.lagrangian, disc32.zero_field()), rng=np.random.default_rng(0))
     assert report.passed
     assert report.c0_estimate >= 1.0 - 1e-9
     assert report.p_deviations[-1] <= 0.25 * report.p_deviations[0]
 
 
 def test_split_audit_p1_constant_coefficients(p1, disc32):
-    report = split_continuity_audit(p1.lagrangian, disc32.zero_field(), rng=np.random.default_rng(0))
+    report = split_continuity_audit(hessian_split(p1.lagrangian, disc32.zero_field()), rng=np.random.default_rng(0))
     assert report.passed
     assert np.max(report.p_deviations) == 0.0
     assert np.max(report.q_deviations) == 0.0
@@ -164,14 +164,13 @@ def test_split_audit_p1_constant_coefficients(p1, disc32):
 def test_split_audit_p2_linear_slope(p2, disc32, monkeypatch):
     monkeypatch.setattr(veldt.spectral, "SPLIT_RADIUS", 0.25)
     u0 = disc32.field([1.0] + [0.0] * (disc32.dim - 1))
-    report = split_continuity_audit(p2.lagrangian, u0, rng=np.random.default_rng(0))
+    report = split_continuity_audit(hessian_split(p2.lagrangian, u0), rng=np.random.default_rng(0))
     assert report.passed
     assert report.q_slope == pytest.approx(1.0, abs=0.2)
 
 
 def test_split_audit_fails_when_split_misses_assembled_hessian(p2, disc32, monkeypatch):
-    hessian_split = veldt.spectral.hessian_split
-    report = split_continuity_audit(p2.lagrangian, disc32.zero_field(), rng=np.random.default_rng(0))
+    report = split_continuity_audit(hessian_split(p2.lagrangian, disc32.zero_field()), rng=np.random.default_rng(0))
     assert report.passed and report.split_defect < 1e-14
 
     def unshifted(lag, u):
@@ -180,7 +179,7 @@ def test_split_audit_fails_when_split_misses_assembled_hessian(p2, disc32, monke
         return dataclasses.replace(split, Q=split.Q + u.disc.gram_lower)
 
     monkeypatch.setattr(veldt.spectral, "hessian_split", unshifted)
-    report = split_continuity_audit(p2.lagrangian, disc32.zero_field(), rng=np.random.default_rng(0))
+    report = split_continuity_audit(unshifted(p2.lagrangian, disc32.zero_field()), rng=np.random.default_rng(0))
     assert not report.passed
     assert report.split_defect > 1e-6
 
@@ -193,9 +192,10 @@ def test_split_defect_is_relative_to_the_split_of_a_tiny_hessian():
     )
     disc = build_space((0.0, np.pi), 1, "dirichlet", 8)
     split = hessian_split(model.lagrangian, disc.zero_field())
-    assert 0.0 < np.max(np.abs(split.B)) < 1e-236
-    assert split.split_defect <= SPLIT_DEFECT_TOL
-    report = split_continuity_audit(model.lagrangian, disc.zero_field(), rng=np.random.default_rng(0))
+    B = assemble_hessian(model.lagrangian, split.u)
+    assert 0.0 < np.max(np.abs(B)) < 1e-236
+    assert _split_gap(B, split.P, split.Q) <= SPLIT_DEFECT_TOL
+    report = split_continuity_audit(split, rng=np.random.default_rng(0))
     assert report.passed and report.split_defect <= SPLIT_DEFECT_TOL
 
 
@@ -228,6 +228,26 @@ def test_pencil_p4_clamped_spectrum_is_mu_to_the_fourth(p4):
     assert np.max(np.abs(pencil.eigenvalues - mu**4) / mu**4) <= 1e-12
 
 
+def _per_group_orthonormalize(vectors, L, W, bounds):
+    # one QR per group, in the order of ``bounds``
+    q = np.hstack([np.linalg.qr((L.T @ vectors)[:, lo:hi])[0] for lo, hi in bounds])
+    return veldt.spectral._sign_normalize(W.T @ q)
+
+
+@pytest.mark.parametrize("case", ["p3_k32", "two_p2"])
+def test_stacked_qr_equals_a_qr_per_group_bit_for_bit(case, p3, disc32, monkeypatch):
+    problem = VariationalProblem(model=p3, disc=disc32) if case == "p3_k32" else _two_p2()
+    F, G = _hessians(problem)
+    pencil = pencil_eigs(F, G, problem.disc.gram)
+    # every eigenspace of P3 has dimension 1, every one of the coupled pair dimension 2
+    assert set(pencil.multiplicities.tolist()) == ({1} if case == "p3_k32" else {2})
+    monkeypatch.setattr(veldt.spectral, "_gram_orthonormalize", _per_group_orthonormalize)
+    reference = pencil_eigs(F, G, problem.disc.gram)
+    assert len(pencil.eigenspaces) == len(reference.eigenspaces)
+    assert all(np.array_equal(got, want) for got, want in zip(pencil.eigenspaces, reference.eigenspaces))
+    assert np.array_equal(pencil.kernel, reference.kernel)
+
+
 def test_gram_is_factored_once_per_space(p3, monkeypatch):
     factored = []
     cholesky = np.linalg.cholesky
@@ -243,7 +263,7 @@ def test_gram_is_factored_once_per_space(p3, monkeypatch):
     decompose(F - 2.5 * G, disc.gram)
     pencil = pencil_eigs(F, G, disc.gram)
     decompose(pencil.b_lambda(4.5), pencil.gram)
-    assert split_continuity_audit(p3.lagrangian, problem.u0, rng=np.random.default_rng(0)).passed
+    assert split_continuity_audit(hessian_split(p3.lagrangian, problem.u0), rng=np.random.default_rng(0)).passed
     assert sum(1 for a in factored if a.shape == disc.gram.shape and np.array_equal(a, disc.gram)) == 1
 
 
