@@ -13,7 +13,6 @@ from .bifurcation import (
     BifurcationReport,
     Branch,
     classify_conditions,
-    classify_reduced_origin,
     detect_branches,
     morse_inequality_audit,
     necessary_test,

@@ -18,8 +18,6 @@ from .errors import (
     CapabilityError,
     ConfigurationError,
     DegenerateCriticalPointError,
-    IdentityViolationError,
-    NotIsolatedError,
     ReductionFailureError,
 )
 from .functional import (
@@ -31,14 +29,7 @@ from .functional import (
     damped_newton,
 )
 from .galerkin import Discretization, Field, _gram_factors
-from .reduction import (
-    COMPLEMENT_TOL,
-    ReductionSetup,
-    _directions,
-    make_reduction_setup,
-    reduced_hessian_at_origin,
-    solve_psi,
-)
+from .reduction import ReductionSetup, make_reduction_setup, solve_psi
 from .spectral import PencilSpectrum, _restricted_inertia, index_jump
 
 __all__ = [
@@ -51,7 +42,6 @@ __all__ = [
     "CandidateReport",
     "BifurcationReport",
     "detect_branches",
-    "classify_reduced_origin",
     "MorseAudit",
     "morse_inequality_audit",
     "OrbitGrouping",
@@ -59,10 +49,7 @@ __all__ = [
 ]
 
 INVARIANCE_TOL = 1e-8  # relative eigenspace-invariance defect that still counts as class (c)
-ORIGIN_PSI_TOL = 1e-12  # complement tolerance of the reduced-origin classification
-ORIGIN_DIRECTIONS = 8  # random sphere directions per radius when the kernel is not a line
-REDUCED_NEWTON_TOL = 1e-10  # reduced-gradient norm at which a reduced Newton solve has converged
-REDUCED_NEWTON_STOP_TOL = 1e-11  # full-gradient norm at which a reduced Newton solve stops, so its certificate seldom steps
+REDUCED_NEWTON_TOL = 1e-11  # full-gradient norm at which a reduced Newton solve has converged
 REDUCED_NEWTON_MAX_ITER = 40  # iteration budget of a reduced Newton solve
 REDUCED_DEDUPE_RTOL = 1e-7  # kernel distance over max(1, trust radius) below which two reduced critical points are one
 BRANCH_STARTS = 4  # deterministic reduced Newton starts per parameter value of a branch sweep
@@ -224,7 +211,7 @@ class BifurcationReport:
         }
 
 
-def _reduced_newton(setup: ReductionSetup, lam, z0, psi_tol=COMPLEMENT_TOL):
+def _reduced_newton(setup: ReductionSetup, lam, z0):
     """One-level Newton for a reduced critical point, on the full gradient in the coordinates (z, y).
 
     A reduced critical point is a critical point of L_lam in the reduction
@@ -233,15 +220,16 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, psi_tol=COMPLEMENT_TOL):
     the residual |V^T ell| for V = [Z W], the dual norm of the full gradient,
     and the step V^T B V dx = -V^T ell, whose block elimination is the Schur
     step for dz.  The state is ``(Field, load)``, z is projected into the
-    trust ball, and the iteration stops at ``REDUCED_NEWTON_STOP_TOL``.  One
-    warm complement solve certifies y = psi(z); the solve has converged when
-    its reduced gradient is at most ``REDUCED_NEWTON_TOL``.
+    trust ball, and the solve has converged when |V^T ell| is at most
+    ``REDUCED_NEWTON_TOL``.  Then |W^T ell| <= ``COMPLEMENT_TOL`` (1 + |ell|)
+    meets the complement contract of ``solve_psi``, so y = psi(z) with no
+    further complement solve.
     """
     nu = setup.nullity
     V = np.hstack([setup.kernel_basis, setup.complement_basis])
     rho = setup.trust_radius
     func = setup.functional_at(lam)
-    start = solve_psi(setup, lam, z0, tol=psi_tol)
+    start = solve_psi(setup, lam, z0)
 
     def evaluate(x, accepted):
         if accepted is None:
@@ -261,13 +249,9 @@ def _reduced_newton(setup: ReductionSetup, lam, z0, psi_tol=COMPLEMENT_TOL):
 
     x0 = np.concatenate([start.z, start.y])
     result = damped_newton(
-        evaluate, solve, x0, REDUCED_NEWTON_STOP_TOL, REDUCED_NEWTON_MAX_ITER, step_cap=0.5 * rho, project=project
+        evaluate, solve, x0, REDUCED_NEWTON_TOL, REDUCED_NEWTON_MAX_ITER, step_cap=0.5 * rho, project=project
     )
-    z, y = result.coeffs[:nu], result.coeffs[nu:]
-    if not result.converged:
-        return z, y, False
-    certificate = solve_psi(setup, lam, z, tol=psi_tol, w0=y)
-    return z, certificate.y, bool(np.linalg.norm(certificate.gradient) <= REDUCED_NEWTON_TOL)
+    return result.coeffs[:nu], result.coeffs[nu:], result.converged
 
 
 def _mirror(outcome):
@@ -284,7 +268,7 @@ def _mirror(outcome):
     return 0.0 - z, 0.0 - y, ok
 
 
-def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
+def _reduced_multistart(setup, lam, n_starts, rng):
     """Distinct reduced critical points from a deterministic + random start set.
 
     A start whose solve raises is skipped; when every start raised, the
@@ -312,7 +296,7 @@ def _reduced_multistart(setup, lam, n_starts, rng, psi_tol=COMPLEMENT_TOL):
             outcome = _mirror(outcome)
         else:
             try:
-                outcome = _reduced_newton(setup, lam, z0, psi_tol=psi_tol)
+                outcome = _reduced_newton(setup, lam, z0)
             except (ReductionFailureError, ConfigurationError) as exc:
                 outcome = exc
         if isinstance(outcome, Exception):
@@ -513,77 +497,6 @@ def _check_window(window) -> tuple:
     if not hi > lo:
         raise ConfigurationError(f"window must be [lo, hi] with lo < hi, got {window!r}")
     return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# reduced-origin classification
-
-
-def classify_reduced_origin(
-    setup: ReductionSetup,
-    lam,
-    radii: Optional[Sequence[float]] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> str:
-    """Classify the origin of the reduced functional as min, max, or saddle.
-
-    Samples reduced values on spheres of three radii around the origin and
-    compares with the center value; requires the origin to be isolated within
-    the smallest radius (checked by a multistart census) and cross-checks the
-    sign against the reduced Hessian when that is nonsingular.
-    """
-    rng = rng or np.random.default_rng(0)
-    lam = setup.check_lambda(lam)
-    nu = setup.nullity
-    rho = setup.trust_radius
-    radii = list(radii) if radii is not None else [0.02 * rho, 0.05 * rho, 0.1 * rho]
-    r_min = min(radii)
-
-    found = _reduced_multistart(setup, lam, 3, rng, psi_tol=ORIGIN_PSI_TOL)
-    # below the cube root of the gradient tolerance a degenerate origin cannot
-    # be told apart from a genuine neighbour; such finds count as the origin
-    origin_tol = max(1e-3 * r_min, (10 * REDUCED_NEWTON_TOL) ** (1.0 / 3.0))
-    for z, _ in found:
-        zn = float(np.linalg.norm(z))
-        if origin_tol < zn < r_min:
-            raise NotIsolatedError(
-                f"another reduced critical point at |z| = {zn:.3e} lies inside the smallest probe radius"
-            )
-
-    func = setup.functional_at(lam)
-    center = func.value(solve_psi(setup, lam, np.zeros(nu), tol=ORIGIN_PSI_TOL).point)
-
-    dirs = _directions(nu, ORIGIN_DIRECTIONS if nu > 1 else 0, rng)
-    above = below = 0
-    total = 0
-    for r in radii:
-        for d in dirs:
-            val = func.value(solve_psi(setup, lam, r * d, tol=ORIGIN_PSI_TOL).point)
-            total += 1
-            if val > center:
-                above += 1
-            elif val < center:
-                below += 1
-    if above == total:
-        label = "local_min"
-    elif below == total:
-        label = "local_max"
-    else:
-        label = "saddle"
-
-    try:
-        H = reduced_hessian_at_origin(setup, lam)
-    except ReductionFailureError:
-        return label  # a complement solve of the finite-difference probe failed; no cross-check
-    eigs = np.linalg.eigvalsh(H)
-    scale = max(float(np.max(np.abs(eigs))), 1e-300)
-    if np.min(np.abs(eigs)) > 1e-8 * scale:
-        expected = "local_min" if np.all(eigs > 0) else ("local_max" if np.all(eigs < 0) else "saddle")
-        if expected != label:
-            raise IdentityViolationError(
-                f"sphere classification {label} contradicts the nondegenerate reduced Hessian ({expected})"
-            )
-    return label
 
 
 # ---------------------------------------------------------------------------

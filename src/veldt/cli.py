@@ -75,9 +75,9 @@ CONFIG_KEYS = {
     },
 }
 SCENARIOS = tuple(CONFIG_KEYS["params"])
-# The lower bound of every count-like key, by key name: (bound, inclusive).  A
-# value below it, or on it when the bound is exclusive, is a configuration
-# error; the bound's JSON type is the value's.
+# The lower bound of every count-like or radius-like key, by key name: (bound,
+# inclusive).  A value below it, or on it when the bound is exclusive, is a
+# configuration error; the bound's JSON type is the value's.
 MINIMUMS = {
     "quad_order": (1, True),
     "sample_count": (1, True),
@@ -86,6 +86,8 @@ MINIMUMS = {
     "uniqueness_starts": (1, True),
     "grid": (1, True),
     "amplitude_cap": (0.0, False),
+    "sample_radius": (0.0, False),
+    "z_radius": (0.0, False),
     "n_random": (0, True),
 }
 
@@ -116,6 +118,8 @@ def _typed(value, example, where: str):
     if isinstance(example, list):
         extents = any(isinstance(item, str) for item in example)
         rows = value if extents and all(isinstance(row, list) for row in value) else [value]
+        if len({len(row) for row in rows}) > 1:
+            raise ConfigurationError(f"{where} must be an interval or rows of one length, got {value!r}")
         try:
             for item in (item for row in rows for item in row):
                 if isinstance(item, str) and not extents:
@@ -354,7 +358,7 @@ def run_reduce(params, disc_block, model, rng, out_dir):
     setup = make_reduction_setup(problem, float(_typed(params["lam_star"], 0.0, "config.params.lam_star")))
     z_count = int(params["z_count"])
     z_radius = params["z_radius"]
-    z_radius = 0.5 * setup.trust_radius if z_radius is None else float(_typed(z_radius, 0.0, "config.params.z_radius"))
+    z_radius = 0.5 * setup.trust_radius if z_radius is None else float(z_radius)
     if setup.nullity == 1:
         zs = [np.array([z]) for z in np.linspace(-z_radius, z_radius, z_count)]
     else:

@@ -66,10 +66,6 @@ class IdentityViolationError(VeldtError):
     """A closed-form identity disagrees with its finite-difference cross-check."""
 
 
-class NotIsolatedError(VeldtError):
-    """A critical point required to be isolated has close neighbours."""
-
-
 class DegenerateCriticalPointError(VeldtError):
     """A census found a degenerate critical point; carries the witness."""
 

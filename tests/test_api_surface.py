@@ -29,7 +29,7 @@ from test_cli import _dropped_complex_config, _dropped_complex_pencil, _readme_c
 PUBLIC_NAMES = {
     "veldt": """
         bifurcation catalog errors functional galerkin lagrangian reduction spectral
-        BifurcationReport Branch classify_conditions classify_reduced_origin detect_branches
+        BifurcationReport Branch classify_conditions detect_branches
         morse_inequality_audit necessary_test orbit_group
         ModelProblem load_problem model_problem
         CombinedFunctional DiscretizedFunctional VariationalProblem newton_polish
@@ -43,7 +43,7 @@ PUBLIC_NAMES = {
     """,
     "bifurcation": """
         NecessaryVerdict necessary_test ConditionClassification classify_conditions BranchSample Branch
-        CandidateReport BifurcationReport detect_branches classify_reduced_origin MorseAudit
+        CandidateReport BifurcationReport detect_branches MorseAudit
         morse_inequality_audit OrbitGrouping orbit_group
     """,
     "catalog": "PolynomialIntegrand ModelProblem model_problem load_problem shifted_power_envelope constant_envelope MODEL_NAMES",
@@ -68,7 +68,6 @@ PUBLIC_NAMES = {
 }
 
 DEFAULTED = {
-    "bifurcation.classify_reduced_origin": ("radii", "rng"),
     "cli.main": ("argv",),
     "cli.run": ("seed", "strict"),
     "functional.damped_newton": ("step_cap", "project"),
@@ -123,7 +122,7 @@ def test_public_keyword_surface_is_pinned():
         if names:
             found[qualname] = names
     assert found == DEFAULTED
-    assert sum(len(names) for names in found.values()) == 15
+    assert sum(len(names) for names in found.values()) == 13
 
 
 def _module_constants():

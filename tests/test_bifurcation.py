@@ -7,7 +7,6 @@ import pytest
 from veldt import (
     build_space,
     classify_conditions,
-    classify_reduced_origin,
     detect_branches,
     index_jump,
     make_reduction_setup,
@@ -21,9 +20,6 @@ import veldt.functional
 from veldt.errors import (
     CapabilityError,
     DegenerateCriticalPointError,
-    EvaluationError,
-    IdentityViolationError,
-    NotIsolatedError,
     ReductionFailureError,
 )
 from veldt.catalog import ModelProblem, load_problem
@@ -474,10 +470,10 @@ def test_even_sweep_solves_each_start_pair_once(prob_p2, monkeypatch):
     assert len(calls) == 55
 
 
-def test_reduced_sweep_makes_two_complement_solves_per_converged_start(p2, monkeypatch):
+def test_reduced_sweep_makes_one_complement_solve_per_start(p2, monkeypatch):
     # the small pitchfork of the benchmark self-check: P2 at K = 12, window [0.9, 1.1], grid 5.
-    # A solved start makes one cold complement solve and, when the one-level Newton
-    # converges, one warm certificate; the work is counted, so the pins hold on any machine
+    # A solved start makes one cold complement solve, converged or not, and no warm one;
+    # the work is counted, so the pins hold on any machine
     problem = VariationalProblem(model=p2, disc=build_space((0.0, np.pi), 1, "dirichlet", 12))
     psi_calls, hessians, per_start = [], [], []
     solve_psi = veldt.bifurcation.solve_psi
@@ -490,14 +486,22 @@ def test_reduced_sweep_makes_two_complement_solves_per_converged_start(p2, monke
         per_start.append((ok, len(psi_calls) - before))
         return z, y, ok
 
-    monkeypatch.setattr(veldt.bifurcation, "solve_psi", lambda *a, **kw: psi_calls.append(1) or solve_psi(*a, **kw))
+    monkeypatch.setattr(veldt.bifurcation, "solve_psi", lambda *a, **kw: psi_calls.append(kw) or solve_psi(*a, **kw))
     monkeypatch.setattr(veldt.functional, "assemble_hessian", lambda lag, u: hessians.append(1) or assemble_hessian(lag, u))
     monkeypatch.setattr(veldt.bifurcation, "_reduced_newton", counted_solve)
     detect_branches(problem, (0.9, 1.1), grid=5, amplitude_cap=3.0, rng=np.random.default_rng(0))
     assert len(per_start) == 25  # five parameter values, the origin and four plus starts each
-    assert all(n == (2 if ok else 1) for ok, n in per_start)
-    assert len(psi_calls) == sum(n for _, n in per_start) == 50
+    assert all(n == 1 for _, n in per_start)
+    assert len(psi_calls) == 25 and not any("w0" in kw for kw in psi_calls)
     assert len(hessians) == 204
+
+    # at lambda = 1.2 on the K = 32 space the branch leaves the trust ball: the solve
+    # stalls on its sphere after its one cold complement solve
+    setup = make_reduction_setup(VariationalProblem(model=p2, disc=build_space((0.0, np.pi), 1, "dirichlet", 32)), 1.0)
+    psi_calls.clear()
+    z, _, converged = reduced_newton(setup, 1.2, np.array([0.81]))
+    assert not converged and np.linalg.norm(z) == pytest.approx(setup.trust_radius)
+    assert len(psi_calls) == 1 and "w0" not in psi_calls[0]
 
 
 def test_even_sweep_makes_no_eigensolve_in_the_reduction(prob_p2, monkeypatch):
@@ -530,62 +534,6 @@ def test_cubic_sweep_solves_every_start_and_stays_asymmetric(disc32, monkeypatch
         assert len({s.lam for s in branch.samples}) == len(branch.samples)
         signs = {float(np.sign(s.kernel_coords[0])) for s in branch.samples}
         assert signs == ({-1.0} if branch.side == "left" else {1.0})
-
-
-# ---------------------------------------------------------------------------
-# reduced-origin classification
-
-
-@pytest.fixture(scope="module")
-def setup_p2_origin(prob_p2):
-    return make_reduction_setup(prob_p2, 1.0)
-
-
-def test_origin_is_minimum_below_crossing(setup_p2_origin):
-    assert classify_reduced_origin(setup_p2_origin, 0.95) == "local_min"
-
-
-def test_origin_is_maximum_above_crossing(setup_p2_origin):
-    assert classify_reduced_origin(setup_p2_origin, 1.05) == "local_max"
-
-
-def test_origin_at_crossing_is_minimum_of_quartic(setup_p2_origin):
-    # the reduced functional degenerates to its quartic part at the crossing
-    assert classify_reduced_origin(setup_p2_origin, 1.0) == "local_min"
-
-
-def test_origin_not_isolated_when_probe_radius_reaches_branch(setup_p2_origin):
-    rho = setup_p2_origin.trust_radius
-    with pytest.raises(NotIsolatedError):
-        classify_reduced_origin(setup_p2_origin, 1.05, radii=[0.6 * rho, 0.7 * rho, 0.8 * rho])
-
-
-def _raising(error):
-    def hessian(setup, lam):
-        raise error
-
-    return hessian
-
-
-def test_origin_hessian_cross_check_propagates_evaluation_error(setup_p2_origin, monkeypatch):
-    broken = _raising(EvaluationError("non-finite integrand output"))
-    monkeypatch.setattr(veldt.bifurcation, "reduced_hessian_at_origin", broken)
-    with pytest.raises(EvaluationError):
-        classify_reduced_origin(setup_p2_origin, 0.95)
-
-
-def test_origin_keeps_sphere_label_when_hessian_probe_solve_fails(setup_p2_origin, monkeypatch):
-    failed = _raising(ReductionFailureError("complement Newton stalled", residual=1.0, iterations=3))
-    monkeypatch.setattr(veldt.bifurcation, "reduced_hessian_at_origin", failed)
-    assert classify_reduced_origin(setup_p2_origin, 0.95) == "local_min"
-
-
-def test_origin_raises_when_sphere_label_contradicts_reduced_hessian(setup_p2_origin, monkeypatch):
-    # below the crossing the sphere finds a minimum; the negated Hessian says maximum
-    hessian = veldt.bifurcation.reduced_hessian_at_origin
-    monkeypatch.setattr(veldt.bifurcation, "reduced_hessian_at_origin", lambda setup, lam: -hessian(setup, lam))
-    with pytest.raises(IdentityViolationError, match="contradicts"):
-        classify_reduced_origin(setup_p2_origin, 0.95)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,7 @@ _SMALL_PARAMS = {
         pytest.param("spectrum", "params", "lambdas", ["a"], id="spectrum-lambdas"),
         pytest.param("spectrum", "discretization", "domain", [0, "tau"], id="spectrum-domain"),
         pytest.param("spectrum", "discretization", "domain", [[0, "pi"], [0, True]], id="spectrum-domain-2d"),
+        pytest.param("spectrum", "discretization", "domain", [[0, "pi"], [0]], id="spectrum-domain-ragged"),
         pytest.param("reduce", "params", "lambda_offsets", ["x"], id="reduce-lambda_offsets"),
     ],
 )
@@ -129,9 +130,13 @@ def test_mistyped_config_value_exits_3_naming_the_key(tmp_path, capsys, scenario
 
 _BOUND_CASES = [
     pytest.param("validate", "params", "sample_count", -1, "at least 1", id="validate-sample_count"),
+    pytest.param("validate", "params", "sample_radius", 0, "above 0.0", id="validate-sample_radius-zero"),
+    pytest.param("validate", "params", "sample_radius", -1.0, "above 0.0", id="validate-sample_radius"),
     pytest.param("spectrum", "discretization", "quad_order", -3, "at least 1", id="spectrum-quad_order"),
     pytest.param("spectrum", "discretization", "quad_order", 0, "at least 1", id="spectrum-quad_order-zero"),
     pytest.param("reduce", "params", "z_count", 0, "at least 1", id="reduce-z_count"),
+    pytest.param("reduce", "params", "z_radius", 0, "above 0.0", id="reduce-z_radius-zero"),
+    pytest.param("reduce", "params", "z_radius", -0.1, "above 0.0", id="reduce-z_radius"),
     pytest.param("reduce", "params", "lipschitz_pairs", -1, "at least 1", id="reduce-lipschitz_pairs"),
     pytest.param("reduce", "params", "uniqueness_starts", 0, "at least 1", id="reduce-uniqueness_starts"),
     pytest.param("bifurcate", "params", "grid", -2, "at least 1", id="bifurcate-grid"),
@@ -314,10 +319,11 @@ def test_readme_and_benchmark_configs_load(tmp_path):
 def test_tool_configs_load():
     # the extra configs of tools/same_outputs.py: an indefinite complement block, translation orbits on a
     # periodic space, a degenerate census point off the base point of a tilt, a multiplicity-2 kernel of a
-    # reduction, a non-square 2-D box, the split audits of a two-component system and a fitted ellipticity
-    # envelope with tied samples
+    # reduction and its bifurcation sweep, a non-square 2-D box, the split audits of a two-component system
+    # and a fitted ellipticity envelope with tied samples
     paths = sorted(TOOL_CONFIGS.glob("*.json"))
     stems = [
+        "bifurcate_two_p2",
         "p2_bifurcate_indefinite",
         "periodic_bifurcate_orbits",
         "periodic_morse_tilt",

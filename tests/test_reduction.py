@@ -451,15 +451,29 @@ def test_one_level_reduced_newton_lands_on_the_complement_map(setup_p2):
     assert np.linalg.norm(reference.gradient) <= veldt.bifurcation.REDUCED_NEWTON_TOL
 
 
-def test_unconverged_one_level_solve_makes_no_certificate(setup_p2, monkeypatch):
-    # at lambda = 1.2 the branch leaves the trust ball: the solve stalls on its
-    # sphere after the cold start solve, and no certifying solve follows
-    calls = []
-    original = veldt.bifurcation.solve_psi
-    monkeypatch.setattr(veldt.bifurcation, "solve_psi", lambda *args, **kw: calls.append(kw) or original(*args, **kw))
-    z, _, converged = veldt.bifurcation._reduced_newton(setup_p2, 1.2, np.array([0.81]))
-    assert not converged and np.linalg.norm(z) == pytest.approx(setup_p2.trust_radius)
-    assert len(calls) == 1 and "w0" not in calls[0]
+@pytest.mark.parametrize("case", ["p2", "two_p2"])
+def test_converged_reduced_solve_already_meets_the_complement_contract(case, prob_p2_32, monkeypatch):
+    # a converged start has |V^T ell| <= REDUCED_NEWTON_TOL, so a warm complement solve from
+    # its end point takes no step, returns its y bit for bit and meets the reduced tolerance.
+    # P2 is the README bifurcate config; the two-P2 sweep has nu = 2 and random extra starts
+    problem, window, grid = (prob_p2_32, (0.8, 1.3), 11) if case == "p2" else (_two_p2(), (0.9, 1.1), 5)
+    solved = []
+    reduced_newton = veldt.bifurcation._reduced_newton
+
+    def recorded(setup, lam, z0, **kwargs):
+        z, y, ok = reduced_newton(setup, lam, z0, **kwargs)
+        solved.append((setup, lam, z, y, ok))
+        return z, y, ok
+
+    monkeypatch.setattr(veldt.bifurcation, "_reduced_newton", recorded)
+    veldt.bifurcation.detect_branches(problem, window, grid=grid, amplitude_cap=3.0, rng=np.random.default_rng(0))
+    converged = [record for record in solved if record[4]]
+    assert converged
+    for setup, lam, z, y, _ in converged:
+        warm = solve_psi(setup, lam, z, w0=y)
+        assert warm.iterations == 0
+        assert np.array_equal(warm.y, y)
+        assert np.linalg.norm(warm.gradient) <= veldt.bifurcation.REDUCED_NEWTON_TOL
 
 
 def test_functional_at_builds_one_combined_functional_per_parameter(setup_p2, monkeypatch):

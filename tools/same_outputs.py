@@ -12,7 +12,8 @@ reaches: a bifurcation with an indefinite complement block, translation orbits
 of a periodic bifurcation, a periodic ``morse`` run with a kernel tilt whose
 degenerate census point is a translation orbit away from the base point, so
 the run exits 2 without tilting, a ``reduce`` run on the coupled two-component P2
-whose kernel has dimension 2, a 2-D space on a non-square box, a ``spectrum``
+whose kernel has dimension 2, a ``bifurcate`` sweep of that system, whose random
+extra starts and two-axis mirrored starts no P2 sweep reaches, a 2-D space on a non-square box, a ``spectrum``
 run with both split audits on that coupled system, whose eigenspaces all have
 dimension 2, a ``validate`` run whose fitted ellipticity envelope has tied
 samples) and each config path given on the command line, at seeds 0
