@@ -495,14 +495,6 @@ def test_reduced_sweep_makes_one_complement_solve_per_start(p2, monkeypatch):
     assert len(psi_calls) == 25 and not any("w0" in kw for kw in psi_calls)
     assert len(hessians) == 204
 
-    # at lambda = 1.2 on the K = 32 space the branch leaves the trust ball: the solve
-    # stalls on its sphere after its one cold complement solve
-    setup = make_reduction_setup(VariationalProblem(model=p2, disc=build_space((0.0, np.pi), 1, "dirichlet", 32)), 1.0)
-    psi_calls.clear()
-    z, _, converged = reduced_newton(setup, 1.2, np.array([0.81]))
-    assert not converged and np.linalg.norm(z) == pytest.approx(setup.trust_radius)
-    assert len(psi_calls) == 1 and "w0" not in psi_calls[0]
-
 
 def test_even_sweep_makes_no_eigensolve_in_the_reduction(prob_p2, monkeypatch):
     # the complement Newton step decides its condition check by Gershgorin discs;

@@ -451,6 +451,17 @@ def test_one_level_reduced_newton_lands_on_the_complement_map(setup_p2):
     assert np.linalg.norm(reference.gradient) <= veldt.bifurcation.REDUCED_NEWTON_TOL
 
 
+def test_unconverged_one_level_solve_makes_no_certificate(setup_p2, monkeypatch):
+    # at lambda = 1.2 the branch leaves the trust ball: the solve stalls on its
+    # sphere after the cold start solve, and no certifying solve follows
+    calls = []
+    original = veldt.bifurcation.solve_psi
+    monkeypatch.setattr(veldt.bifurcation, "solve_psi", lambda *args, **kw: calls.append(kw) or original(*args, **kw))
+    z, _, converged = veldt.bifurcation._reduced_newton(setup_p2, 1.2, np.array([0.81]))
+    assert not converged and np.linalg.norm(z) == pytest.approx(setup_p2.trust_radius)
+    assert len(calls) == 1 and "w0" not in calls[0]
+
+
 @pytest.mark.parametrize("case", ["p2", "two_p2"])
 def test_converged_reduced_solve_already_meets_the_complement_contract(case, prob_p2_32, monkeypatch):
     # a converged start has |V^T ell| <= REDUCED_NEWTON_TOL, so a warm complement solve from
