@@ -21,6 +21,8 @@ from .errors import (
     ReductionFailureError,
 )
 from .functional import (
+    DEDUPE_TOL,
+    NEWTON_MAX_ITER,
     RESIDUAL_CONTRACT,
     VariationalProblem,
     _census_order,
@@ -29,7 +31,7 @@ from .functional import (
     damped_newton,
 )
 from .galerkin import Discretization, Field, _gram_factors
-from .reduction import ReductionSetup, make_reduction_setup, solve_psi
+from .reduction import COMPLEMENT_TOL, ReductionSetup, make_reduction_setup, solve_psi
 from .spectral import PencilSpectrum, _restricted_inertia, index_jump
 
 __all__ = [
@@ -49,9 +51,6 @@ __all__ = [
 ]
 
 INVARIANCE_TOL = 1e-8  # relative eigenspace-invariance defect that still counts as class (c)
-REDUCED_NEWTON_TOL = 1e-11  # full-gradient norm at which a reduced Newton solve has converged
-REDUCED_NEWTON_MAX_ITER = 40  # iteration budget of a reduced Newton solve
-REDUCED_DEDUPE_RTOL = 1e-7  # kernel distance over max(1, trust radius) below which two reduced critical points are one
 BRANCH_STARTS = 4  # deterministic reduced Newton starts per parameter value of a branch sweep
 SOLUTION_CAP = 16  # solutions per parameter value from which a branch sweep refines its starts to test for (ii)
 ORBIT_TOL = 1e-6  # translation distance below which two periodic solutions are one orbit
@@ -221,7 +220,7 @@ def _reduced_newton(setup: ReductionSetup, lam, z0):
     and the step V^T B V dx = -V^T ell, whose block elimination is the Schur
     step for dz.  The state is ``(Field, load)``, z is projected into the
     trust ball, and the solve has converged when |V^T ell| is at most
-    ``REDUCED_NEWTON_TOL``.  Then |W^T ell| <= ``COMPLEMENT_TOL`` (1 + |ell|)
+    ``COMPLEMENT_TOL``.  Then |W^T ell| <= ``COMPLEMENT_TOL`` (1 + |ell|)
     meets the complement contract of ``solve_psi``, so y = psi(z) with no
     further complement solve.
     """
@@ -248,9 +247,7 @@ def _reduced_newton(setup: ReductionSetup, lam, z0):
         return np.concatenate([x[:nu] * (rho / norm), x[nu:]]) if norm > rho else x
 
     x0 = np.concatenate([start.z, start.y])
-    result = damped_newton(
-        evaluate, solve, x0, REDUCED_NEWTON_TOL, REDUCED_NEWTON_MAX_ITER, step_cap=0.5 * rho, project=project
-    )
+    result = damped_newton(evaluate, solve, x0, COMPLEMENT_TOL, NEWTON_MAX_ITER, step_cap=0.5 * rho, project=project)
     return result.coeffs[:nu], result.coeffs[nu:], result.converged
 
 
@@ -271,8 +268,11 @@ def _mirror(outcome):
 def _reduced_multistart(setup, lam, n_starts, rng):
     """Distinct reduced critical points from a deterministic + random start set.
 
-    A start whose solve raises is skipped; when every start raised, the
-    parameter value is unreachable and ``ReductionFailureError`` is raised.
+    The origin is no start, since u0 solves every parameter value.  A start
+    whose solve raises or stalls is skipped; when none converges, the value is
+    unreachable and ``ReductionFailureError`` names the last raised failure.
+    Points within ``DEDUPE_TOL`` in (z, y) are one: [Z W] is orthonormal, so
+    that is their Sobolev distance.
     On a sign-symmetric setup the minus start of each star pair is not solved:
     its outcome is the plus start's, mirrored (z and the correction negated,
     the same converged flag, or the same failure).  There every load is odd
@@ -281,9 +281,9 @@ def _reduced_multistart(setup, lam, n_starts, rng):
     """
     nu = setup.nullity
     rho = setup.trust_radius
-    starts = _star_seeds(np.zeros(nu), np.eye(nu), np.linspace(1.0 / n_starts, 0.9, n_starts) * rho)
-    # the star seeds are the origin, then (+, -) pairs: the minus starts sit at the even indices
-    mirrored = range(2, len(starts), 2) if setup.problem.sign_symmetric else range(0)
+    starts = _star_seeds(np.zeros(nu), np.eye(nu), np.linspace(1.0 / n_starts, 0.9, n_starts) * rho)[1:]
+    # past the origin the star seeds are (+, -) pairs: the minus starts sit at the odd indices
+    mirrored = range(1, len(starts), 2) if setup.problem.sign_symmetric else range(0)
     if nu > 1:
         extra = rng.standard_normal((2 * n_starts, nu))
         extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
@@ -305,14 +305,15 @@ def _reduced_multistart(setup, lam, n_starts, rng):
         z, y, ok = outcome
         if not ok:
             continue
-        if any(np.linalg.norm(z - zf) < REDUCED_DEDUPE_RTOL * max(1.0, rho) for zf, _ in found):
+        if any(np.linalg.norm(np.concatenate([z - zf, y - yf])) < DEDUPE_TOL for zf, yf in found):
             continue
         found.append((z, y))
-    if len(failures) == len(starts):
+    if not found:
+        last = failures[-1] if failures else None
+        raised = f"; {len(failures)} raised, the last: {last}" if failures else ""
         raise ReductionFailureError(
-            f"every one of the {len(starts)} reduced starts raised at lam = {[float(lam)]}; "
-            f"last: {failures[-1]}"
-        ) from failures[-1]
+            f"none of the {len(starts)} reduced starts converged at lam = {[float(lam)]}{raised}"
+        ) from last
     return found
 
 
@@ -400,7 +401,7 @@ def detect_branches(
         setup = make_reduction_setup(problem, lam_star)
         # below the cube root of the residual contract a degenerate origin is
         # numerically indistinguishable from the trivial solution
-        trivial_tol = max(1e-8, 1e-4 * setup.trust_radius, (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0))
+        trivial_tol = (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0)
         gaps = []
 
         def solutions_at(lam, n):

@@ -33,7 +33,7 @@ from .spectral import PencilSpectrum, decompose, pencil_eigs
 HALVINGS = 25  # step-length halvings before a Newton step counts as stalled
 PROJECTION_STALL_RTOL = 1e-15  # relative distance at which a projected trial is the iterate, to the projection's rounding
 NEWTON_TOL = 1e-12  # gradient norm at which a full-space polish has converged
-NEWTON_MAX_ITER = 50  # iteration budget of a full-space polish
+NEWTON_MAX_ITER = 50  # iteration budget of a damped Newton solve: polish, complement and reduced
 RESIDUAL_CONTRACT = 1e-9  # largest gradient norm a critical point may keep (census, branch, base point)
 DEDUPE_TOL = 1e-6  # Sobolev distance below which two critical points are one
 

@@ -27,6 +27,7 @@ from .errors import (
     ReductionFailureError,
 )
 from .functional import (
+    NEWTON_MAX_ITER,
     RESIDUAL_CONTRACT,
     CombinedFunctional,
     VariationalProblem,
@@ -37,7 +38,7 @@ from .functional import (
     multistart_census,
 )
 from .galerkin import Field
-from .spectral import _condition_number, decompose
+from .spectral import COND_LIMIT, _condition_number, decompose
 
 __all__ = [
     "ReductionSetup",
@@ -55,13 +56,10 @@ __all__ = [
 ]
 
 COMPLEMENT_TOL = 1e-11  # relative residual contract of the complement equation
-COMPLEMENT_MAX_ITER = 50  # iteration budget of a complement solve
+PROBE_PSI_TOL = 1e-13  # complement tolerance of a probe of the reduced gradient (Hessian differences, tilt annulus)
 HESSIAN_FD_STEP = 1e-4  # kernel step of the reduced-Hessian finite-difference probe
-HESSIAN_FD_PSI_TOL = 1e-13  # complement tolerance inside that probe
 HESSIAN_CHECK_TOL = 1e-4  # largest relative defect of the reduced-Hessian formula against that probe
-ANNULUS_PSI_TOL = 1e-12  # complement tolerance of the kernel-tilt annulus scan
 TILT_RETRIES = 5  # fresh tilt directions tried after a failed census
-COMPLEMENT_COND_LIMIT = 1e12  # largest condition number of the complement block a Newton step accepts
 
 
 @dataclass(eq=False)
@@ -223,7 +221,7 @@ def solve_psi(
     tol: float = COMPLEMENT_TOL,
     w0: Optional[np.ndarray] = None,
 ) -> PsiSample:
-    """Solve the complement equation at (lam, z) in at most ``COMPLEMENT_MAX_ITER`` damped Newton steps.
+    """Solve the complement equation at (lam, z) in at most ``NEWTON_MAX_ITER`` damped Newton steps.
 
     The Newton start is u0 + z + W y0 with y0 = ``w0`` (complement
     coordinates), or y0 = 0 when ``w0`` is not given.  The residual contract is
@@ -260,15 +258,15 @@ def solve_psi(
     def solve(y, state):
         point, ell = state
         J = W.T @ func.hessian_dual(point) @ W
-        cond = _condition_number(0.5 * (J + J.T), COMPLEMENT_COND_LIMIT)
-        if not np.isfinite(cond) or cond > COMPLEMENT_COND_LIMIT:
+        cond = _condition_number(0.5 * (J + J.T), COND_LIMIT)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise DegenerateKernelError(
                 f"complement block of the second variation is singular (cond {cond:.3e}); "
                 "the kernel basis is wrong or the nullity changed"
             )
         return np.linalg.solve(J, -(W.T @ ell))
 
-    result = damped_newton(evaluate, solve, y0, tol_abs, COMPLEMENT_MAX_ITER, step_cap=setup.trust_radius)
+    result = damped_newton(evaluate, solve, y0, tol_abs, NEWTON_MAX_ITER, step_cap=setup.trust_radius)
     if not result.converged:
         raise ReductionFailureError(
             f"complement Newton stalled at residual {result.residual:.3e} (tolerance {tol_abs:.3e}); "
@@ -354,15 +352,15 @@ def reduced_hessian_at_origin(setup: ReductionSetup, lam) -> np.ndarray:
         for b in range(nu):
             zp = np.zeros(nu)
             zp[b] = h
-            gp = solve_psi(setup, lam, zp, tol=HESSIAN_FD_PSI_TOL).gradient
-            gm = solve_psi(setup, lam, -zp, tol=HESSIAN_FD_PSI_TOL).gradient
+            gp = solve_psi(setup, lam, zp, tol=PROBE_PSI_TOL).gradient
+            gm = solve_psi(setup, lam, -zp, tol=PROBE_PSI_TOL).gradient
             fd[:, b] = (gp - gm) / (2 * h)
         return 0.5 * (fd + fd.T)
 
     # two-step probe with the quadratic truncation term extrapolated away,
     # so the check stays meaningful when the formula value is zero
     fd = (4.0 * probe(HESSIAN_FD_STEP) - probe(2.0 * HESSIAN_FD_STEP)) / 3.0
-    floor = 1e3 * HESSIAN_FD_PSI_TOL / HESSIAN_FD_STEP
+    floor = 1e3 * PROBE_PSI_TOL / HESSIAN_FD_STEP
     scale = max(float(np.max(np.abs(M))), float(np.max(np.abs(fd))), floor)
     defect = float(np.max(np.abs(M - fd))) / scale
     if defect > HESSIAN_CHECK_TOL:
@@ -532,7 +530,7 @@ def marino_prodi_perturb(
         for direction in _directions(nu, max(2 * nu, 4), rng):
             z = direction * delta_inner * radius_frac
             try:
-                g = solve_psi(probe_setup, func.lam, z, tol=ANNULUS_PSI_TOL).gradient
+                g = solve_psi(probe_setup, func.lam, z, tol=PROBE_PSI_TOL).gradient
             except ReductionFailureError:
                 continue
             grad_floor = min(grad_floor, float(np.linalg.norm(g)))

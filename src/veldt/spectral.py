@@ -36,6 +36,8 @@ __all__ = [
     "index_jump",
 ]
 
+COND_LIMIT = 1e12  # largest condition number of a block a solve accepts: the pencil's F'' and the complement block
+
 
 def _congruence_eigh(A: np.ndarray, W: np.ndarray):
     """Eigenpairs of A x = mu S x for S^-1 = W^T W: eigh of the congruence W A W^T, with x = W^T y."""
@@ -226,7 +228,6 @@ def split_continuity_audit(base: HessianSplit, rng: np.random.Generator) -> Spli
 # ---------------------------------------------------------------------------
 # the eigenvalue pencil F'' v = lambda G'' v
 
-PENCIL_COND_LIMIT = 1e12  # largest condition number of F'' the pencil accepts
 GROUP_RTOL = 1e-6  # relative spacing below which eigenvalues form one group
 PENCIL_KERNEL_RTOL = 1e-10  # |theta| / max|theta| below which a direction is kernel
 PENCIL_RESIDUAL_TOL = 1e-6  # largest relative eigenpair residual accepted
@@ -313,8 +314,8 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
     """
     F = 0.5 * (np.asarray(F_hess, dtype=float) + np.asarray(F_hess, dtype=float).T)
     G = 0.5 * (np.asarray(G_hess, dtype=float) + np.asarray(G_hess, dtype=float).T)
-    cond = _condition_number(F, PENCIL_COND_LIMIT)
-    if not np.isfinite(cond) or cond > PENCIL_COND_LIMIT:
+    cond = _condition_number(F, COND_LIMIT)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise HypothesisViolationError(
             f"the energy second variation is numerically singular (cond {cond:.3e}); "
             "the pencil needs an invertible base form"

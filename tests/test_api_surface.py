@@ -156,6 +156,7 @@ def _tolerance_table():
 
 def test_tolerance_table_lists_every_module_constant():
     assert _tolerance_table() == _module_constants()
+    assert len(_module_constants()) == 24  # one constant per numeric decision
 
 
 

@@ -358,6 +358,8 @@ def test_reduction_extent_follows_the_pencil_separation(prob_p2):
     setup = make_reduction_setup(prob_p2, float(pencil.eigenvalues[idx]))
     assert (setup.lambda_box, setup.trust_radius) == _reduction_extent(pencil.separation(idx))
     assert _reduction_extent(np.inf) == (0.45, 0.3)
+    # the cap keeps the trust radius at most 1, so no relative threshold needs a max(1, trust radius) scale
+    assert _reduction_extent(10.0) == (1.0, 1.0)
 
 
 def test_detect_branches_builds_one_reduction_setup_per_candidate(prob_p2, monkeypatch):
@@ -463,11 +465,11 @@ def _counting_reduced_solves(monkeypatch):
 
 
 def test_even_sweep_solves_each_start_pair_once(prob_p2, monkeypatch):
-    # the README bifurcate config: 11 parameter values, each with the origin and
-    # four plus starts solved and four minus starts mirrored; 99 without the mirror
+    # the README bifurcate config: 11 parameter values, each with four plus starts
+    # solved and four minus starts mirrored; 88 without the mirror (the origin is no start)
     calls = _counting_reduced_solves(monkeypatch)
     detect_branches(prob_p2, (0.8, 1.3), grid=11, amplitude_cap=3.0, rng=np.random.default_rng(0))
-    assert len(calls) == 55
+    assert len(calls) == 44
 
 
 def test_reduced_sweep_makes_one_complement_solve_per_start(p2, monkeypatch):
@@ -490,10 +492,11 @@ def test_reduced_sweep_makes_one_complement_solve_per_start(p2, monkeypatch):
     monkeypatch.setattr(veldt.functional, "assemble_hessian", lambda lag, u: hessians.append(1) or assemble_hessian(lag, u))
     monkeypatch.setattr(veldt.bifurcation, "_reduced_newton", counted_solve)
     detect_branches(problem, (0.9, 1.1), grid=5, amplitude_cap=3.0, rng=np.random.default_rng(0))
-    assert len(per_start) == 25  # five parameter values, the origin and four plus starts each
+    assert len(per_start) == 20  # five parameter values, four plus starts each
     assert all(n == 1 for _, n in per_start)
-    assert len(psi_calls) == 25 and not any("w0" in kw for kw in psi_calls)
-    assert len(hessians) == 204
+    assert len(psi_calls) == 20 and not any("w0" in kw for kw in psi_calls)
+    # 206: the first near-trivial solution is polished with one step, where the exact origin took none
+    assert len(hessians) == 206
 
 
 def test_even_sweep_makes_no_eigensolve_in_the_reduction(prob_p2, monkeypatch):
@@ -518,7 +521,7 @@ def test_cubic_sweep_solves_every_start_and_stays_asymmetric(disc32, monkeypatch
     cubic = _mass_document(disc32, _term(0.5, 1, 2), _term(1.0 / 3.0, 0, 3), _term(0.25, 0, 4))
     calls = _counting_reduced_solves(monkeypatch)
     report = detect_branches(cubic, (0.8, 1.3), grid=11, amplitude_cap=3.0, rng=np.random.default_rng(0))
-    assert len(calls) == 99
+    assert len(calls) == 88  # 11 parameter values, eight starts each
     (cand,) = report.candidates
     assert sorted(b.side for b in cand.branches) == ["left", "right"]
     for branch in cand.branches:

@@ -669,32 +669,65 @@ def test_periodic_orbit_tags_group_translates_at_each_parameter(tmp_path):
     assert gaps and all(g["reason"].startswith("ambiguous chaining") for g in gaps)
 
 
-def test_bifurcate_records_gap_when_every_start_fails(tmp_path, monkeypatch):
+_GAP_CFG = {
+    "problem": "P2",
+    "scenario": "bifurcate",
+    "discretization": {"domain": [0, "pi"], "m": 1, "bc": "dirichlet", "K": 12},
+    "params": {"window": [0.9, 1.1], "grid": 5},
+}
+
+
+def _strict_gaps(tmp_path):
+    """The gaps of a strict ``_GAP_CFG`` run, which must fail its audit."""
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", _GAP_CFG), out, strict=True) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] != "pass"
+    return report["result"]["bifurcation"]["candidates"][0]["gaps"]
+
+
+@pytest.mark.parametrize(
+    "refused, lams",
+    [
+        # off the eigenvalue every solve raises; at lambda* = 1 the starts converge
+        (lambda lam, z: abs(lam - 1.0) > 1e-9, [0.9, 0.95, 1.05, 1.1]),
+        # every solve at z != 0 raises, and the origin is no start, so no start converges
+        (lambda lam, z: bool(np.any(z)), [0.9, 0.95, 1.05, 1.1, 1.0]),
+    ],
+    ids=["off_the_eigenvalue", "off_the_origin"],
+)
+def test_bifurcate_records_gap_when_every_start_fails(tmp_path, monkeypatch, refused, lams):
     import veldt.bifurcation
     from veldt.errors import ReductionFailureError
 
     solve_psi = veldt.bifurcation.solve_psi
 
-    def failing_off_star(setup, lam, z, **kwargs):
-        if abs(float(np.atleast_1d(lam)[0]) - 1.0) > 1e-9:
-            raise ReductionFailureError("complement solve refused off the eigenvalue")
+    def failing(setup, lam, z, **kwargs):
+        if refused(float(np.atleast_1d(lam)[0]), np.atleast_1d(z)):
+            raise ReductionFailureError("complement solve refused")
         return solve_psi(setup, lam, z, **kwargs)
 
-    monkeypatch.setattr(veldt.bifurcation, "solve_psi", failing_off_star)
-    cfg = {
-        "problem": "P2",
-        "scenario": "bifurcate",
-        "discretization": {"domain": [0, "pi"], "m": 1, "bc": "dirichlet", "K": 12},
-        "params": {"window": [0.9, 1.1], "grid": 5},
-    }
-    path = _write(tmp_path, "cfg.json", cfg)
-    out = tmp_path / "out"
-    assert run(path, out, strict=True) == 2
-    report = json.loads((out / "report.json").read_text())
-    assert report["status"] != "pass"
-    gaps = report["result"]["bifurcation"]["candidates"][0]["gaps"]
-    assert [g["lam"] for g in gaps] == pytest.approx([0.9, 0.95, 1.05, 1.1])
+    monkeypatch.setattr(veldt.bifurcation, "solve_psi", failing)
+    gaps = _strict_gaps(tmp_path)
+    assert [g["lam"] for g in gaps] == pytest.approx(lams)
     assert all("complement solve refused" in g["reason"] for g in gaps)
+
+
+def test_bifurcate_records_gap_when_no_start_converges(tmp_path, monkeypatch):
+    # every reduced Newton solve stalls without raising: no parameter value has a solution, not even u0
+    import veldt.bifurcation
+
+    reduced_newton = veldt.bifurcation._reduced_newton
+
+    def stalled(setup, lam, z0):
+        z, y, _ = reduced_newton(setup, lam, z0)
+        return z, y, False
+
+    monkeypatch.setattr(veldt.bifurcation, "_reduced_newton", stalled)
+    gaps = _strict_gaps(tmp_path)
+    assert [g["lam"] for g in gaps] == pytest.approx([0.9, 0.95, 1.05, 1.1, 1.0])
+    assert all(g["reason"].startswith("none of the 8 reduced starts converged") for g in gaps)
+    assert not any("raised" in g["reason"] for g in gaps)
 
 
 def test_morse_scenario(tmp_path):

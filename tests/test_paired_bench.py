@@ -1,4 +1,4 @@
-"""The summary that tools/paired_bench.py prints per workload and metric."""
+"""What the tools print: tools/paired_bench.py per workload and metric, tools/same_outputs.py per differing CSV."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +43,25 @@ def test_bound_flag_marks_a_median_worse_than_the_bound_share(change, better, be
     s = summarize(parent, [change] * 5, better, 0.1)
     assert s["median_gap_exceeds_parent_iqr"]
     assert s["worse_beyond_bound"] is beyond
+
+
+def _same_outputs():
+    path = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "parent, change, line",
+    [
+        pytest.param(
+            "a,b\n1,0.5\n2,0.5\n", "a,b\n1,0.5\n2,0.25\n", "    row 2, b: 0.5 -> 0.25 (relative 5.00e-01)", id="number"
+        ),
+        pytest.param("a,side\n1,left\n", "a,side\n1,right\n", "    row 1, side: 'left' -> 'right'", id="text"),
+        pytest.param("a,b\n1,0.5\n2,0.5\n", "a,b\n1,0.5\n", "    2 -> 1 rows", id="row count"),
+    ],
+)
+def test_csv_difference_names_the_first_differing_cell(parent, change, line):
+    assert _same_outputs().csv_difference(parent, change) == line

@@ -143,7 +143,7 @@ def test_psi_outside_lambda_box(setup_p2):
 
 
 def test_psi_reports_nonconvergence(setup_p2, monkeypatch):
-    monkeypatch.setattr(veldt.reduction, "COMPLEMENT_MAX_ITER", 1)
+    monkeypatch.setattr(veldt.reduction, "NEWTON_MAX_ITER", 1)
     bad_start = 10.0 * np.ones(setup_p2.complement_basis.shape[1])
     with pytest.raises(ReductionFailureError) as err:
         solve_psi(setup_p2, 1.0, np.array([0.2]), w0=bad_start)
@@ -448,7 +448,7 @@ def test_one_level_reduced_newton_lands_on_the_complement_map(setup_p2):
     assert converged and z[0] == pytest.approx(0.6485, abs=1e-3)
     reference = solve_psi(setup_p2, 1.1, z)
     np.testing.assert_allclose(y, reference.y, rtol=0, atol=1e-10)
-    assert np.linalg.norm(reference.gradient) <= veldt.bifurcation.REDUCED_NEWTON_TOL
+    assert np.linalg.norm(reference.gradient) <= veldt.reduction.COMPLEMENT_TOL
 
 
 def test_unconverged_one_level_solve_makes_no_certificate(setup_p2, monkeypatch):
@@ -464,7 +464,7 @@ def test_unconverged_one_level_solve_makes_no_certificate(setup_p2, monkeypatch)
 
 @pytest.mark.parametrize("case", ["p2", "two_p2"])
 def test_converged_reduced_solve_already_meets_the_complement_contract(case, prob_p2_32, monkeypatch):
-    # a converged start has |V^T ell| <= REDUCED_NEWTON_TOL, so a warm complement solve from
+    # a converged start has |V^T ell| <= COMPLEMENT_TOL, so a warm complement solve from
     # its end point takes no step, returns its y bit for bit and meets the reduced tolerance.
     # P2 is the README bifurcate config; the two-P2 sweep has nu = 2 and random extra starts
     problem, window, grid = (prob_p2_32, (0.8, 1.3), 11) if case == "p2" else (_two_p2(), (0.9, 1.1), 5)
@@ -484,7 +484,7 @@ def test_converged_reduced_solve_already_meets_the_complement_contract(case, pro
         warm = solve_psi(setup, lam, z, w0=y)
         assert warm.iterations == 0
         assert np.array_equal(warm.y, y)
-        assert np.linalg.norm(warm.gradient) <= veldt.bifurcation.REDUCED_NEWTON_TOL
+        assert np.linalg.norm(warm.gradient) <= veldt.reduction.COMPLEMENT_TOL
 
 
 def test_functional_at_builds_one_combined_functional_per_parameter(setup_p2, monkeypatch):

@@ -20,15 +20,19 @@ samples) and each config path given on the command line, at seeds 0
 and 7, through ``python -m veldt.cli`` with BLAS on one thread.  For each run
 the script compares the exit code, ``report.json``, ``summary.txt`` and every
 CSV.  A differing ``report.json`` has each differing entry printed by its JSON
-path, numbers with their relative difference.  The script exits 1 when any
-run differs and 0 when every output is byte-identical.  All outputs go to the
+path, numbers with their relative difference; a differing CSV has its first
+differing cell printed by row and column header, the same way.  The script
+exits 1 when any run differs and 0 when every output is byte-identical.  All outputs go to the
 throwaway directory, which is removed at the end, also when a run fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
+import itertools
 import json
 import os
 import re
@@ -85,6 +89,26 @@ def describe(where, a, b) -> str:
     return f"    {where}: {a!r} -> {b!r}"
 
 
+def _cell(text):
+    """A CSV cell as a float when it reads as one, else as its text."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return text
+
+
+def csv_difference(a: str, b: str) -> str:
+    """The first cell where two CSV texts differ, by row (1 is the first after the header) and column header."""
+    parent, change = (list(csv.reader(io.StringIO(text))) for text in (a, b))
+    header = parent[0] if parent else []
+    for r, (row_a, row_b) in enumerate(zip(parent, change)):
+        for c, (x, y) in enumerate(itertools.zip_longest(row_a, row_b)):
+            if x != y:
+                column = header[c] if c < len(header) else f"#{c}"
+                return describe(f"row {r}, {column}", _cell(x), _cell(y))
+    return f"    {len(parent) - 1} -> {len(change) - 1} rows"
+
+
 def compare(parent: Path, change: Path, code_parent: int, code_change: int) -> list:
     """Lines that describe every difference between two output directories; empty when identical."""
     lines = [] if code_parent == code_change else [f"  exit code {code_parent} -> {code_change}"]
@@ -98,6 +122,8 @@ def compare(parent: Path, change: Path, code_parent: int, code_change: int) -> l
             if name == "report.json":
                 diffs = json_differences(json.loads(a.read_text()), json.loads(b.read_text()))
                 lines.extend(describe(*d) for d in diffs)
+            elif name.endswith(".csv"):
+                lines.append(csv_difference(a.read_text(), b.read_text()))
     return lines
 
 
