@@ -686,17 +686,8 @@ def _strict_gaps(tmp_path):
     return report["result"]["bifurcation"]["candidates"][0]["gaps"]
 
 
-@pytest.mark.parametrize(
-    "refused, lams",
-    [
-        # off the eigenvalue every solve raises; at lambda* = 1 the starts converge
-        (lambda lam, z: abs(lam - 1.0) > 1e-9, [0.9, 0.95, 1.05, 1.1]),
-        # every solve at z != 0 raises, and the origin is no start, so no start converges
-        (lambda lam, z: bool(np.any(z)), [0.9, 0.95, 1.05, 1.1, 1.0]),
-    ],
-    ids=["off_the_eigenvalue", "off_the_origin"],
-)
-def test_bifurcate_records_gap_when_every_start_fails(tmp_path, monkeypatch, refused, lams):
+def _refuse_solve_psi(monkeypatch, refused):
+    """Make every complement solve at ``(lam, z)`` with ``refused(lam, z)`` raise."""
     import veldt.bifurcation
     from veldt.errors import ReductionFailureError
 
@@ -708,8 +699,21 @@ def test_bifurcate_records_gap_when_every_start_fails(tmp_path, monkeypatch, ref
         return solve_psi(setup, lam, z, **kwargs)
 
     monkeypatch.setattr(veldt.bifurcation, "solve_psi", failing)
+
+
+def test_bifurcate_records_gap_when_every_start_fails(tmp_path, monkeypatch):
+    # off the eigenvalue every solve raises; at lambda* = 1 the starts converge
+    _refuse_solve_psi(monkeypatch, lambda lam, z: abs(lam - 1.0) > 1e-9)
     gaps = _strict_gaps(tmp_path)
-    assert [g["lam"] for g in gaps] == pytest.approx(lams)
+    assert [g["lam"] for g in gaps] == pytest.approx([0.9, 0.95, 1.05, 1.1])
+    assert all("complement solve refused" in g["reason"] for g in gaps)
+
+
+def test_bifurcate_records_gap_when_every_start_off_the_origin_fails(tmp_path, monkeypatch):
+    # every solve at z != 0 raises, and the origin is no start, so no start converges
+    _refuse_solve_psi(monkeypatch, lambda lam, z: bool(np.any(z)))
+    gaps = _strict_gaps(tmp_path)
+    assert [g["lam"] for g in gaps] == pytest.approx([0.9, 0.95, 1.05, 1.1, 1.0])
     assert all("complement solve refused" in g["reason"] for g in gaps)
 
 
