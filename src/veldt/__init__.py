@@ -15,7 +15,6 @@ from .bifurcation import (
     classify_conditions,
     detect_branches,
     morse_inequality_audit,
-    necessary_test,
     orbit_group,
 )
 from .catalog import ModelProblem, load_problem, model_problem

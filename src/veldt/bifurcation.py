@@ -1,10 +1,10 @@
 """End-to-end bifurcation analysis on the reduced problem.
 
-Candidates come from the pencil of second variations at a common critical
-point; each candidate gets a necessary test, a condition classification, an
-index-jump record, and a parameter sweep in which the reduced critical-point
-equation is solved by multistart Newton, lifted, polished in the full space,
-and assembled into branches.
+Candidates are the pencil eigenvalues of the second variations at a common
+critical point that lie in the window; each gets a condition classification,
+an index-jump record checked against the crossing count, and a parameter
+sweep in which the reduced critical-point equation is solved by multistart
+Newton, lifted, polished in the full space, and assembled into branches.
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ from .functional import (
 )
 from .galerkin import Discretization, Field, _gram_factors
 from .reduction import COMPLEMENT_TOL, ReductionSetup, make_reduction_setup, solve_psi
-from .spectral import PencilSpectrum, _restricted_inertia, index_jump
+from .spectral import PencilSpectrum, index_jump
 
 __all__ = [
-    "NecessaryVerdict",
-    "necessary_test",
     "ConditionClassification",
     "classify_conditions",
     "BranchSample",
@@ -57,40 +55,7 @@ ORBIT_TOL = 1e-6  # translation distance below which two periodic solutions are 
 
 
 # ---------------------------------------------------------------------------
-# necessary and sufficient conditions
-
-
-@dataclass
-class NecessaryVerdict:
-    lam_star: float
-    verdict: bool
-    nearest_eigenvalue: Optional[float]
-    distance: float
-
-    def summary(self) -> dict:
-        return {
-            "lam_star": self.lam_star,
-            "verdict": bool(self.verdict),
-            "nearest_eigenvalue": self.nearest_eigenvalue,
-            "distance": self.distance,
-        }
-
-
-def necessary_test(pencil: PencilSpectrum, lam_star: float) -> NecessaryVerdict:
-    """True iff lam_star sits on the pencil spectrum (within grouping tolerance).
-
-    A false verdict certifies, at this resolution, that no branch can leave
-    the base point at lam_star; a true verdict only licenses further analysis.
-    """
-    if pencil.eigenvalues.size == 0:
-        return NecessaryVerdict(lam_star=lam_star, verdict=False, nearest_eigenvalue=None, distance=np.inf)
-    idx, dist = pencil.nearest(lam_star)
-    return NecessaryVerdict(
-        lam_star=float(lam_star),
-        verdict=pencil.matches(lam_star),
-        nearest_eigenvalue=float(pencil.eigenvalues[idx]),
-        distance=dist,
-    )
+# sufficient conditions
 
 
 @dataclass
@@ -141,7 +106,7 @@ def classify_conditions(pencil: PencilSpectrum, lam_star: float) -> ConditionCla
         defect = max(defect, float(np.linalg.norm(R @ A @ Rinv, 2)))
     idx, _ = pencil.nearest(lam_star)
     # definite: F'' has one sign on the whole crossing eigenspace
-    definite = int(pencil.multiplicities[idx]) in _restricted_inertia(pencil, pencil.eigenspaces[idx])
+    definite = int(pencil.multiplicities[idx]) in pencil.inertia[idx].tolist()
     if defect <= INVARIANCE_TOL * max(scale, 1e-300) and definite:
         return ConditionClassification("c", n_pos, n_neg, defect, definite)
     return ConditionClassification("none", n_pos, n_neg, defect, definite)
@@ -174,7 +139,6 @@ class Branch:
 class CandidateReport:
     lam_star: float
     multiplicity: int
-    necessary: NecessaryVerdict
     condition: ConditionClassification
     jump: Optional[dict]
     branches: list
@@ -186,7 +150,6 @@ class CandidateReport:
         return {
             "lam_star": self.lam_star,
             "multiplicity": self.multiplicity,
-            "necessary": self.necessary.summary(),
             "condition": self.condition.summary(),
             "index_jump": self.jump,
             "n_branches": len(self.branches),
@@ -394,7 +357,6 @@ def detect_branches(
     reports = []
     for idx in np.flatnonzero((lo <= pencil.eigenvalues) & (pencil.eigenvalues <= hi)):
         lam_star, mult = float(pencil.eigenvalues[idx]), int(pencil.multiplicities[idx])
-        verdict = necessary_test(pencil, lam_star)
         condition = classify_conditions(pencil, lam_star)
         # a lone eigenvalue has infinite separation, which leaves eps at 0.1
         jump = index_jump(pencil, lam_star, min(0.1, 0.4 * pencil.separation(idx))).summary()
@@ -476,7 +438,6 @@ def detect_branches(
             CandidateReport(
                 lam_star=lam_star,
                 multiplicity=mult,
-                necessary=verdict,
                 condition=condition,
                 jump=jump,
                 branches=branches,

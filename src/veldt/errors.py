@@ -41,7 +41,7 @@ class HypothesisViolationError(VeldtError):
 
 
 class EigenvalueCollisionError(VeldtError):
-    """A query value collides with a pencil eigenvalue; offset it and retry."""
+    """A query value does not fit the pencil eigenvalues: none sits at it, or its offset reaches another group."""
 
 
 class IndexJumpMismatchError(VeldtError):

@@ -60,6 +60,7 @@ PROBE_PSI_TOL = 1e-13  # complement tolerance of a probe of the reduced gradient
 HESSIAN_FD_STEP = 1e-4  # kernel step of the reduced-Hessian finite-difference probe
 HESSIAN_CHECK_TOL = 1e-4  # largest relative defect of the reduced-Hessian formula against that probe
 TILT_RETRIES = 5  # fresh tilt directions tried after a failed census
+LIPSCHITZ_BOUND = 3.0  # largest sampled Lipschitz ratio of the correction map the Lipschitz audit accepts
 
 
 @dataclass(eq=False)
@@ -311,7 +312,8 @@ class LipschitzAudit:
 
 
 def lipschitz_audit(setup: ReductionSetup, lam, n_pairs: int, rng: np.random.Generator) -> LipschitzAudit:
-    """Sampled Lipschitz ratio of the correction map on ``n_pairs`` pairs in the trust ball; the contract is <= 3."""
+    """Sampled Lipschitz ratio of the correction map on ``n_pairs`` pairs in the trust ball; it passes at most
+    ``LIPSCHITZ_BOUND``."""
     radius = setup.trust_radius
     nu = setup.nullity
     worst = 0.0
@@ -327,7 +329,7 @@ def lipschitz_audit(setup: ReductionSetup, lam, n_pairs: int, rng: np.random.Gen
         s2 = solve_psi(setup, lam, z2)
         ratio = float(np.linalg.norm(s1.y - s2.y) / np.linalg.norm(z1 - z2))
         worst = max(worst, ratio)
-    return LipschitzAudit(max_ratio=worst, passed=worst <= 3.0)
+    return LipschitzAudit(max_ratio=worst, passed=worst <= LIPSCHITZ_BOUND)
 
 
 def reduced_hessian_at_origin(setup: ReductionSetup, lam) -> np.ndarray:

@@ -12,6 +12,7 @@ bifurcation tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -240,9 +241,10 @@ class PencilSpectrum:
     ``eigenvalues[i]`` is the representative of the i-th multiplicity group
     (ascending), ``eigenspaces[i]`` holds its basis columns, ``kernel`` a
     basis of the null space of the constraint form.  ``base_inertia`` counts
-    the positive and negative eigenvalues of F'' on the whole space.  The
-    defining matrices ride along so downstream index computations can
-    re-assemble B_lambda = F - lambda G.
+    the positive and negative eigenvalues of F'' on the whole space, and
+    ``inertia`` on each eigenspace and on the kernel.  The defining matrices
+    ride along so downstream index computations can re-assemble
+    B_lambda = F - lambda G.
     """
 
     eigenvalues: np.ndarray
@@ -274,6 +276,27 @@ class PencilSpectrum:
 
     def b_lambda(self, lam: float) -> np.ndarray:
         return self.F_hess - lam * self.G_hess
+
+    @cached_property
+    def inertia(self) -> np.ndarray:
+        """The (positive, negative) inertia of F'' on each eigenspace, in group order, then on the kernel.
+
+        Row ``i < len(eigenspaces)`` is eigenspace ``i``; the last row is the
+        kernel of the constraint form.  An eigenvalue of the restricted form
+        counts when its size exceeds 1e-12 times the largest of its space.
+        The spaces of one dimension share one stacked eigensolve.
+        """
+        spaces = [*self.eigenspaces, self.kernel]
+        table = np.zeros((len(spaces), 2), dtype=int)
+        for size in {basis.shape[1] for basis in spaces} - {0}:
+            rows = [i for i, basis in enumerate(spaces) if basis.shape[1] == size]
+            bases = np.stack([spaces[i] for i in rows])
+            R = bases.transpose(0, 2, 1) @ self.F_hess @ bases
+            vals = np.linalg.eigvalsh(0.5 * (R + R.transpose(0, 2, 1)))
+            tol = 1e-12 * np.maximum(np.abs(vals).max(axis=1, keepdims=True), 1e-300)
+            table[rows, 0] = np.count_nonzero(vals > tol, axis=1)
+            table[rows, 1] = np.count_nonzero(vals < -tol, axis=1)
+        return table
 
     def summary(self) -> dict:
         return {
@@ -407,40 +430,34 @@ def pencil_eigs(F_hess: np.ndarray, G_hess: np.ndarray, gram: np.ndarray) -> Pen
 # index bookkeeping
 
 
-def _restricted_inertia(pencil: PencilSpectrum, basis: np.ndarray):
-    if basis.shape[1] == 0:
-        return 0, 0
-    R = basis.T @ pencil.F_hess @ basis
-    vals = np.linalg.eigvalsh(0.5 * (R + R.T))
-    tol = 1e-12 * max(np.max(np.abs(vals)), 1e-300)
-    return int(np.count_nonzero(vals > tol)), int(np.count_nonzero(vals < -tol))
-
-
-def morse_index_by_formula(pencil: PencilSpectrum, lam: float) -> int:
-    """Morse index of F - lambda G at the base point, by signed crossing counts.
+def morse_index_by_formula(pencil: PencilSpectrum, lam: float) -> tuple:
+    """``(morse_index, nullity)`` of F - lambda G at the base point, by signed crossing counts.
 
     F'' is block diagonal on the pencil eigenspaces and the kernel of G'', and
     on the eigenspace at lambda_n the form F - lambda G is (1 - lambda /
     lambda_n) F''.  An eigenspace is crossed when lambda / lambda_n exceeds one:
     a crossed one contributes the positive inertia of F'' on it, an uncrossed
     one its negative inertia, and the kernel of G'' the negative inertia of F''
-    there.  For a definite F'' this is the familiar count of eigenvalues crossed
-    (positive) or not yet crossed (negative, plus the kernel).  Directions the
-    pencil dropped as complex lie in no eigenspace, so a pencil with any is refused.
+    there.  At a lambda the pencil ``matches``, the form vanishes on that
+    group's eigenspace: its multiplicity is the nullity, and it adds nothing to
+    the index.  For a definite F'' this is the familiar count of eigenvalues
+    crossed (positive) or not yet crossed (negative, plus the kernel).
+    Directions the pencil dropped as complex lie in no eigenspace, so a pencil
+    with any is refused.
     """
     if pencil.dropped_complex:
         raise HypothesisViolationError(
             f"the pencil dropped {pencil.dropped_complex} complex eigenvalues; their directions "
             "lie in no eigenspace, so the crossing count cannot see them"
         )
+    positive, negative = pencil.inertia[:-1].T
+    signed = np.where(lam / pencil.eigenvalues > 1.0, positive, negative)
+    nullity = 0
     if pencil.matches(lam):
-        raise EigenvalueCollisionError(
-            f"query value {lam} collides with pencil eigenvalue "
-            f"{pencil.eigenvalues[pencil.nearest(lam)[0]]}; offset it"
-        )
-    crossed = lam / pencil.eigenvalues > 1.0
-    signed = [_restricted_inertia(pencil, basis)[0 if cross else 1] for cross, basis in zip(crossed, pencil.eigenspaces)]
-    return sum(signed) + _restricted_inertia(pencil, pencil.kernel)[1]
+        idx, _ = pencil.nearest(lam)
+        signed[idx] = 0
+        nullity = int(pencil.multiplicities[idx])
+    return int(signed.sum() + pencil.inertia[-1, 1]), nullity
 
 
 @dataclass
@@ -450,8 +467,6 @@ class IndexJump:
     mu_minus: int
     mu_plus: int
     nullity: int
-    nullity_positive: int
-    nullity_negative: int
 
     def summary(self) -> dict:
         return {
@@ -480,7 +495,7 @@ def index_jump(pencil: PencilSpectrum, lam_star: float, eps: float) -> IndexJump
     dec_minus = decompose(pencil.b_lambda(lam_rep - eps), pencil.gram)
     dec_plus = decompose(pencil.b_lambda(lam_rep + eps), pencil.gram)
     nu: int = int(pencil.multiplicities[idx])
-    n_pos, n_neg = _restricted_inertia(pencil, pencil.eigenspaces[idx])
+    n_pos, n_neg = pencil.inertia[idx].tolist()
     direct = dec_plus.morse_index - dec_minus.morse_index
     expected = (1 if lam_rep > 0 else -1) * (n_pos - n_neg)
     if direct != expected:
@@ -495,6 +510,4 @@ def index_jump(pencil: PencilSpectrum, lam_star: float, eps: float) -> IndexJump
         mu_minus=dec_minus.morse_index,
         mu_plus=dec_plus.morse_index,
         nullity=nu,
-        nullity_positive=n_pos,
-        nullity_negative=n_neg,
     )

@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
     "veldt": """
         bifurcation catalog errors functional galerkin lagrangian reduction spectral
         BifurcationReport Branch classify_conditions detect_branches
-        morse_inequality_audit necessary_test orbit_group
+        morse_inequality_audit orbit_group
         ModelProblem load_problem model_problem
         CombinedFunctional DiscretizedFunctional VariationalProblem newton_polish
         Discretization Field HessianSplit assemble_functional assemble_gradient assemble_hessian build_space
@@ -42,7 +42,7 @@ PUBLIC_NAMES = {
         pencil_eigs
     """,
     "bifurcation": """
-        NecessaryVerdict necessary_test ConditionClassification classify_conditions BranchSample Branch
+        ConditionClassification classify_conditions BranchSample Branch
         CandidateReport BifurcationReport detect_branches MorseAudit
         morse_inequality_audit OrbitGrouping orbit_group
     """,
@@ -156,7 +156,7 @@ def _tolerance_table():
 
 def test_tolerance_table_lists_every_module_constant():
     assert _tolerance_table() == _module_constants()
-    assert len(_module_constants()) == 24  # one constant per numeric decision
+    assert len(_module_constants()) == 27  # one constant per numeric decision
 
 
 

@@ -11,7 +11,6 @@ from veldt import (
     index_jump,
     make_reduction_setup,
     morse_inequality_audit,
-    necessary_test,
     orbit_group,
     pencil_eigs,
 )
@@ -55,14 +54,18 @@ def test_branch_sweep_keeps_one_combined_functional(p2, disc32):
 
 
 # ---------------------------------------------------------------------------
-# necessary test and condition classes
+# pencil matching and condition classes
 
 
 def test_necessary_test_values(prob_p1_64):
+    # the eigenvalues are k^2: 1.0 lies on the spectrum, 1.5 and 0.0 lie off it, nearest the first eigenvalue
     pencil, _, _ = _pencil(prob_p1_64)
-    assert necessary_test(pencil, 1.0).verdict
-    assert not necessary_test(pencil, 1.5).verdict
-    assert not necessary_test(pencil, 0.0).verdict
+    assert pencil.matches(1.0)
+    assert not pencil.matches(1.5)
+    assert not pencil.matches(0.0)
+    assert pencil.nearest(1.0) == (0, pytest.approx(0.0, abs=1e-8))
+    assert pencil.nearest(1.5) == (0, pytest.approx(0.5, abs=1e-8))
+    assert pencil.nearest(0.0) == (0, pytest.approx(1.0, abs=1e-8))
 
 
 def test_classify_positive_definite(prob_p1_64):
@@ -105,7 +108,6 @@ def test_p2_window_detects_single_candidate(p2_report):
     assert len(p2_report.candidates) == 1
     cand = p2_report.candidates[0]
     assert cand.lam_star == pytest.approx(1.0, abs=1e-9)
-    assert cand.necessary.verdict
     assert cand.condition.klass == "a"
     assert not cand.gaps
 
@@ -499,9 +501,12 @@ def test_reduced_sweep_makes_one_complement_solve_per_start(p2, monkeypatch):
     assert len(hessians) == 206
 
 
-def test_even_sweep_makes_no_eigensolve_in_the_reduction(prob_p2, monkeypatch):
+def test_even_sweep_makes_no_eigensolve_in_the_reduction(p2, disc32, monkeypatch):
     # the complement Newton step decides its condition check by Gershgorin discs;
-    # an eigvalsh per step would count 343 calls made below veldt.reduction here
+    # an eigvalsh per step would count 343 calls made below veldt.reduction here.
+    # A fresh problem builds its pencil and the pencil's inertia table in the
+    # sweep, so the counter sees their eigvalsh calls, all outside the reduction
+    prob_p2 = VariationalProblem(model=p2, disc=disc32)
     inside = []
     eigvalsh = np.linalg.eigvalsh
 

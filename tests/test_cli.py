@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from veldt.cli import MINIMUMS, config_hash, load_config, main, run, to_jsonable
 from veldt.catalog import MODEL_NAMES, load_problem, model_problem
+from veldt.spectral import decompose
 from veldt.errors import ConfigurationError
 
 
@@ -319,8 +321,9 @@ def test_readme_and_benchmark_configs_load(tmp_path):
 def test_tool_configs_load():
     # the extra configs of tools/same_outputs.py: an indefinite complement block, translation orbits on a
     # periodic space, a degenerate census point off the base point of a tilt, a multiplicity-2 kernel of a
-    # reduction and its bifurcation sweep, a non-square 2-D box, the split audits of a two-component system
-    # and a fitted ellipticity envelope with tied samples
+    # reduction and its bifurcation sweep, a non-square 2-D box, the split audits of a two-component system,
+    # Morse counts of that system at and between its double eigenvalues and a fitted ellipticity envelope
+    # with tied samples
     paths = sorted(TOOL_CONFIGS.glob("*.json"))
     stems = [
         "bifurcate_two_p2",
@@ -330,6 +333,7 @@ def test_tool_configs_load():
         "reduce_two_p2",
         "sine2d_spectrum_nonsquare",
         "spectrum_two_p2_audits",
+        "spectrum_two_p2_morse",
         "validate_fitted_envelope",
     ]
     assert [path.stem for path in paths] == stems
@@ -510,6 +514,43 @@ def test_spectrum_scenario(tmp_path):
     table = report["result"]["morse_table"]
     assert table[0] == {"lam": 2.5, "morse_index": 1, "nullity": 0}
     assert table[1] == {"lam": 4.0, "morse_index": 1, "nullity": 1}
+
+
+def test_spectrum_counts_at_double_eigenvalues(tmp_path):
+    # the coupled two-component P2 has the double eigenvalues k^2
+    out = tmp_path / "out"
+    assert run(TOOL_CONFIGS / "spectrum_two_p2_morse.json", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "pass"
+    assert [(row["morse_index"], row["nullity"]) for row in report["result"]["morse_table"]] == [(0, 2), (2, 0), (2, 2)]
+
+
+def test_spectrum_mutant_decompose_that_drops_a_negative_eigenvalue_exits_2(tmp_path, monkeypatch):
+    # a decompose that loses one negative eigenvalue undercounts the Morse index;
+    # the crossing formula catches it
+    import veldt.cli
+
+    def dropping(B, gram, *args):
+        dec = decompose(B, gram, *args)
+        if dec.morse_index == 0:
+            return dec
+        keep = np.arange(dec.eigenvalues.size) != 0  # the most negative eigenvalue
+        return dataclasses.replace(
+            dec,
+            eigenvalues=dec.eigenvalues[keep],
+            eigenvectors=dec.eigenvectors[:, keep],
+            morse_index=dec.morse_index - 1,
+        )
+
+    monkeypatch.setattr(veldt.cli, "decompose", dropping)
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", _spectrum_config(K=64, lambdas=(0.5, 2.5, 4.0))), out) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "error"
+    assert report["error"] == {
+        "type": "IndexJumpMismatchError",
+        "message": "at lam = 2.5 decompose counts (morse index, nullity) (0, 0), the crossing formula (1, 0)",
+    }
 
 
 def _dropped_complex_config(scenario):
@@ -763,6 +804,27 @@ def test_morse_scenario_with_tilt_recovery(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["result"]["marino_prodi"]["passed"] is True
     assert report["result"]["audit"]["alternating_total"] == 1
+
+
+def test_morse_scenario_fails_when_the_kernel_tilt_census_fails(tmp_path, monkeypatch):
+    # a tilt whose local census fails leaves "kernel-tilt-census" unmet, so the run fails its audit
+    import veldt.cli
+
+    tilt = veldt.cli.marino_prodi_perturb
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(tilt(*args, **kwargs), passed=False)
+
+    monkeypatch.setattr(veldt.cli, "marino_prodi_perturb", failing)
+    census = next(cfg for cfg in _workload_configs() if cfg["scenario"] == "morse")
+    path = _write(tmp_path, "cfg.json", census)
+    assert run(path, tmp_path / "soft") == 0
+    report = json.loads((tmp_path / "soft" / "report.json").read_text())
+    assert "kernel-tilt-census" in report["result"]["checks"]
+    assert report["result"]["marino_prodi"]["passed"] is False
+    assert report["result"]["audit"]["identity_holds"] is True
+    assert report["status"] == "audit_failed"
+    assert run(path, tmp_path / "hard", strict=True) == 2
 
 
 def test_morse_scenario_degenerate_without_tilt_exits_2(tmp_path):

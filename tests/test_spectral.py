@@ -449,15 +449,29 @@ def test_morse_data_stable_under_refinement(name, lam):
 
 def test_morse_formula_values(p1_pencil):
     pencil, _, _, _ = p1_pencil
-    assert morse_index_by_formula(pencil, 2.5) == 1
-    assert morse_index_by_formula(pencil, 0.5) == 0
-    assert morse_index_by_formula(pencil, 10.0) == 3
+    assert morse_index_by_formula(pencil, 2.5) == (1, 0)
+    assert morse_index_by_formula(pencil, 0.5) == (0, 0)
+    assert morse_index_by_formula(pencil, 10.0) == (3, 0)
 
 
 def test_morse_formula_collision(p1_pencil):
-    pencil, _, _, _ = p1_pencil
-    with pytest.raises(EigenvalueCollisionError):
-        morse_index_by_formula(pencil, float(pencil.eigenvalues[1]))
+    # at an eigenvalue its group's multiplicity is the nullity and adds nothing to the index
+    pencil, F, G, disc = p1_pencil
+    for lam in pencil.eigenvalues[:3]:
+        dec = decompose(F - lam * G, disc.gram)
+        assert morse_index_by_formula(pencil, float(lam)) == (dec.morse_index, dec.nullity) == (
+            int(np.count_nonzero(pencil.eigenvalues < lam)),
+            1,
+        )
+    # the coupled two-component P2 has double eigenvalues k^2
+    problem = _two_p2()
+    F2, G2 = _hessians(problem)
+    double = pencil_eigs(F2, G2, problem.disc.gram)
+    assert double.multiplicities[:3].tolist() == [2, 2, 2]
+    for lam in (*double.eigenvalues[:3], 2.5):
+        dec = decompose(F2 - lam * G2, problem.disc.gram)
+        assert morse_index_by_formula(double, float(lam)) == (dec.morse_index, dec.nullity)
+    assert morse_index_by_formula(double, float(double.eigenvalues[1])) == (2, 2)
 
 
 def test_formula_matches_direct_on_grid(p1_pencil):
@@ -465,8 +479,8 @@ def test_formula_matches_direct_on_grid(p1_pencil):
     for lam in np.linspace(0.3, 26.0, 20):
         if np.min(np.abs(pencil.eigenvalues - lam)) < 0.1:
             continue
-        direct = decompose(F - lam * G, disc.gram).morse_index
-        assert direct == morse_index_by_formula(pencil, float(lam))
+        direct = decompose(F - lam * G, disc.gram)
+        assert (direct.morse_index, direct.nullity) == morse_index_by_formula(pencil, float(lam))
 
 
 def test_formula_matches_direct_beam(p4, beam8):
@@ -476,8 +490,28 @@ def test_formula_matches_direct_beam(p4, beam8):
     for lam in np.linspace(100.0, 4000.0, 20):
         if np.min(np.abs(pencil.eigenvalues - lam)) < 10.0:
             continue
-        direct = decompose(F - lam * G, beam8.gram).morse_index
-        assert direct == morse_index_by_formula(pencil, float(lam))
+        direct = decompose(F - lam * G, beam8.gram)
+        assert (direct.morse_index, direct.nullity) == morse_index_by_formula(pencil, float(lam))
+
+
+def _restricted_inertia(F, basis):
+    """(positive, negative) eigenvalue counts of F restricted to one basis, one eigensolve per space."""
+    vals = np.linalg.eigvalsh(basis.T @ F @ basis) if basis.shape[1] else np.zeros(0)
+    tol = 1e-12 * max(np.max(np.abs(vals), initial=0.0), 1e-300)
+    return [int(np.count_nonzero(vals > tol)), int(np.count_nonzero(vals < -tol))]
+
+
+@pytest.mark.parametrize("case", ["P3", "two_p2", "indefinite"])
+def test_inertia_table_matches_each_restricted_form(case, p3, disc32):
+    if case == "P3":
+        disc = build_space((0.0, np.pi), 1, "dirichlet", 128)
+        problem = VariationalProblem(model=p3, disc=disc)
+    else:
+        problem = _two_p2() if case == "two_p2" else _shifted_p2(disc32)
+    pencil = pencil_eigs(*_hessians(problem), problem.disc.gram)
+    spaces = [*pencil.eigenspaces, pencil.kernel]
+    assert pencil.inertia.tolist() == [_restricted_inertia(pencil.F_hess, basis) for basis in spaces]
+    assert pencil.inertia.sum(axis=0).tolist() == list(pencil.base_inertia)
 
 
 def test_index_jump_first_and_second_crossing(p1_pencil):
@@ -548,27 +582,29 @@ def test_index_jump_is_exact_beside_a_dropped_complex_pair():
     # jump at the real eigenvalue is the crossing count alone
     pencil, _, _ = _dropped_pair_pencil()
     jump = index_jump(pencil, 2.0, 0.1)
-    assert jump.mu_plus - jump.mu_minus == jump.nullity_positive - jump.nullity_negative == 1
+    n_pos, n_neg = pencil.inertia[pencil.nearest(2.0)[0]]
+    assert jump.mu_plus - jump.mu_minus == n_pos - n_neg == 1
 
 
 def test_invariant_subspace_morse_formula():
     pencil, F, G, gram = _synthetic_pencil()
     # between the crossings: crossed space contributes its positive part,
     # the uncrossed one its negative part
-    assert morse_index_by_formula(pencil, 2.5) == 2
+    assert morse_index_by_formula(pencil, 2.5) == (2, 0)
     direct = decompose(F - 2.5 * G, gram).morse_index
     assert direct == 2
-    assert morse_index_by_formula(pencil, 1.5) == 1
+    assert morse_index_by_formula(pencil, 1.5) == (1, 0)
     assert decompose(F - 1.5 * G, gram).morse_index == 1
 
 
 def test_signed_index_jump():
     pencil, _, _, _ = _synthetic_pencil()
     jump = index_jump(pencil, 2.0, 0.1)
-    assert jump.mu_plus - jump.mu_minus == jump.nullity_positive - jump.nullity_negative == 1
+    n_pos, n_neg = pencil.inertia[0]
+    assert jump.mu_plus - jump.mu_minus == n_pos - n_neg == 1
     jump3 = index_jump(pencil, 3.0, 0.1)
     assert jump3.mu_plus - jump3.mu_minus == -1
-    assert (jump3.nullity_positive, jump3.nullity_negative) == (0, 1)
+    assert pencil.inertia.tolist() == [[1, 0], [0, 1], [0, 0]]  # the two eigenspaces, then the empty kernel
 
 
 def test_index_jump_mismatch_raises_when_pencil_and_forms_disagree():
@@ -596,9 +632,10 @@ def test_morse_formula_matches_decompose_for_indefinite_base_form(disc32):
     F, G = _hessians(_shifted_p2(disc32))
     pencil = pencil_eigs(F, G, disc32.gram)
     assert pencil.eigenvalues[:4].tolist() == pytest.approx([-4.0, -1.0, 4.0, 11.0], abs=1e-9)
-    for lam in [*np.linspace(-6.0, 30.0, 32), -0.5, 0.0, 0.5]:
-        assert morse_index_by_formula(pencil, lam) == decompose(F - lam * G, disc32.gram).morse_index
-    assert morse_index_by_formula(pencil, 0.0) == 2  # k = 1, 2 have k^2 < 5
+    for lam in [*np.linspace(-6.0, 30.0, 32), -0.5, 0.0, 0.5, -4.0, 4.0]:
+        dec = decompose(F - lam * G, disc32.gram)
+        assert morse_index_by_formula(pencil, lam) == (dec.morse_index, dec.nullity)
+    assert morse_index_by_formula(pencil, 0.0) == (2, 0)  # k = 1, 2 have k^2 < 5
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ the run exits 2 without tilting, a ``reduce`` run on the coupled two-component P
 whose kernel has dimension 2, a ``bifurcate`` sweep of that system, whose random
 extra starts and two-axis mirrored starts no P2 sweep reaches, a 2-D space on a non-square box, a ``spectrum``
 run with both split audits on that coupled system, whose eigenspaces all have
-dimension 2, a ``validate`` run whose fitted ellipticity envelope has tied
-samples) and each config path given on the command line, at seeds 0
+dimension 2, a ``spectrum`` run of that system with Morse counts at two of
+those double eigenvalues and between them, so the crossing-formula check
+meets a multiplicity-2 collision, a ``validate`` run whose fitted ellipticity
+envelope has tied samples) and each config path given on the command line, at seeds 0
 and 7, through ``python -m veldt.cli`` with BLAS on one thread.  For each run
 the script compares the exit code, ``report.json``, ``summary.txt`` and every
 CSV.  A differing ``report.json`` has each differing entry printed by its JSON
