@@ -511,6 +511,7 @@ def run_morse(params, disc_block, model, rng, out_dir):
     seeds = _census_seeds(problem, func, CENSUS_AMPLITUDES, int(params["n_random"]), rng)
     window = params["window"]
     report: dict = {"lam": lam, "checks": ["morse-alternating-sum", "census-nondegeneracy"]}
+    tilt_passed = True
     try:
         audit = morse_inequality_audit(func, seeds, window=window)
     except DegenerateCriticalPointError as exc:
@@ -527,9 +528,10 @@ def run_morse(params, disc_block, model, rng, out_dir):
             "n_points": len(result.critical_points),
         }
         report["checks"].append("kernel-tilt-census")
+        tilt_passed = result.passed
         audit = morse_inequality_audit(result.perturbed, seeds, window=window)
     report["audit"] = audit.summary()
-    passed = audit.identity_holds and audit.partial_sums_hold and report.get("marino_prodi", {}).get("passed", True)
+    passed = audit.identity_holds and audit.partial_sums_hold and tilt_passed
     lines = [
         "scenario: morse",
         f"census: {len(audit.points)} points, counts {audit.summary()['counts']}",

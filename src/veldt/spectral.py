@@ -278,25 +278,32 @@ class PencilSpectrum:
         return self.F_hess - lam * self.G_hess
 
     @cached_property
-    def inertia(self) -> np.ndarray:
-        """The (positive, negative) inertia of F'' on each eigenspace, in group order, then on the kernel.
+    def _restricted_forms(self) -> tuple:
+        """``(inertia, scale)`` of F'' on each eigenspace, in group order, then on the kernel.
 
-        Row ``i < len(eigenspaces)`` is eigenspace ``i``; the last row is the
-        kernel of the constraint form.  An eigenvalue of the restricted form
-        counts when its size exceeds 1e-12 times the largest of its space.
-        The spaces of one dimension share one stacked eigensolve.
+        ``scale[i]`` is the largest |eigenvalue| of the form F'' restricted to
+        space ``i``, and ``inertia[i]`` counts its eigenvalues above 1e-12
+        times that scale and below minus it.  The spaces of one dimension
+        share one stacked eigensolve.
         """
         spaces = [*self.eigenspaces, self.kernel]
         table = np.zeros((len(spaces), 2), dtype=int)
+        scale = np.zeros(len(spaces))
         for size in {basis.shape[1] for basis in spaces} - {0}:
             rows = [i for i, basis in enumerate(spaces) if basis.shape[1] == size]
             bases = np.stack([spaces[i] for i in rows])
             R = bases.transpose(0, 2, 1) @ self.F_hess @ bases
             vals = np.linalg.eigvalsh(0.5 * (R + R.transpose(0, 2, 1)))
-            tol = 1e-12 * np.maximum(np.abs(vals).max(axis=1, keepdims=True), 1e-300)
+            scale[rows] = np.abs(vals).max(axis=1)
+            tol = 1e-12 * np.maximum(scale[rows], 1e-300)[:, None]
             table[rows, 0] = np.count_nonzero(vals > tol, axis=1)
             table[rows, 1] = np.count_nonzero(vals < -tol, axis=1)
-        return table
+        return table, scale
+
+    @property
+    def inertia(self) -> np.ndarray:
+        """The (positive, negative) inertia table of ``_restricted_forms``, computed once per pencil."""
+        return self._restricted_forms[0]
 
     def summary(self) -> dict:
         return {
@@ -438,10 +445,12 @@ def morse_index_by_formula(pencil: PencilSpectrum, lam: float) -> tuple:
     lambda_n) F''.  An eigenspace is crossed when lambda / lambda_n exceeds one:
     a crossed one contributes the positive inertia of F'' on it, an uncrossed
     one its negative inertia, and the kernel of G'' the negative inertia of F''
-    there.  At a lambda the pencil ``matches``, the form vanishes on that
-    group's eigenspace: its multiplicity is the nullity, and it adds nothing to
-    the index.  For a definite F'' this is the familiar count of eigenvalues
+    there.  For a definite F'' this is the familiar count of eigenvalues
     crossed (positive) or not yet crossed (negative, plus the kernel).
+    An eigenspace is null, adding its multiplicity to the nullity and nothing
+    to the index, when |1 - lambda / lambda_n| times the largest |F''| on it is
+    at most ``KERNEL_RTOL`` times the largest such size over all the spaces:
+    ``decompose``'s kernel rule, with that size for its spectral radius.
     Directions the pencil dropped as complex lie in no eigenspace, so a pencil
     with any is refused.
     """
@@ -450,14 +459,12 @@ def morse_index_by_formula(pencil: PencilSpectrum, lam: float) -> tuple:
             f"the pencil dropped {pencil.dropped_complex} complex eigenvalues; their directions "
             "lie in no eigenspace, so the crossing count cannot see them"
         )
-    positive, negative = pencil.inertia[:-1].T
-    signed = np.where(lam / pencil.eigenvalues > 1.0, positive, negative)
-    nullity = 0
-    if pencil.matches(lam):
-        idx, _ = pencil.nearest(lam)
-        signed[idx] = 0
-        nullity = int(pencil.multiplicities[idx])
-    return int(signed.sum() + pencil.inertia[-1, 1]), nullity
+    inertia, scale = pencil._restricted_forms
+    ratio = lam / pencil.eigenvalues
+    size = np.abs(1.0 - ratio) * scale[:-1]
+    null = size <= KERNEL_RTOL * max(float(np.max(size, initial=scale[-1])), 1e-300)
+    signed = np.where(ratio > 1.0, inertia[:-1, 0], inertia[:-1, 1])
+    return int(signed[~null].sum() + inertia[-1, 1]), int(pencil.multiplicities[null].sum())
 
 
 @dataclass

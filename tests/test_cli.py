@@ -525,6 +525,17 @@ def test_spectrum_counts_at_double_eigenvalues(tmp_path):
     assert [(row["morse_index"], row["nullity"]) for row in report["result"]["morse_table"]] == [(0, 2), (2, 0), (2, 2)]
 
 
+def test_spectrum_counts_beside_an_eigenvalue_follow_decompose(tmp_path):
+    # 4.00003 is within 10 GROUP_RTOL of the eigenvalue 4, yet the form on that
+    # eigenspace, about -7.5e-6 F'', is far above decompose's kernel threshold:
+    # the count is (2, 0) and the run passes; 4 + 4e-12 sits below it and is null
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", _spectrum_config(K=16, lambdas=(4.00003, 4.000000000004))), out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "pass"
+    assert [(row["morse_index"], row["nullity"]) for row in report["result"]["morse_table"]] == [(2, 0), (1, 1)]
+
+
 def test_spectrum_mutant_decompose_that_drops_a_negative_eigenvalue_exits_2(tmp_path, monkeypatch):
     # a decompose that loses one negative eigenvalue undercounts the Morse index;
     # the crossing formula catches it

@@ -474,6 +474,18 @@ def test_morse_formula_collision(p1_pencil):
     assert morse_index_by_formula(double, float(double.eigenvalues[1])) == (2, 2)
 
 
+def test_morse_formula_follows_decompose_through_the_kernel_threshold(p1_pencil):
+    # from 1e-15 to 1e-1 relative beside an eigenvalue the nullity turns on
+    # and off with decompose's KERNEL_RTOL rule, not with PencilSpectrum.matches
+    pencil, F, G, disc = p1_pencil
+    for ev in pencil.eigenvalues[:3]:
+        for d in np.concatenate([-np.logspace(-15, -1, 57), np.logspace(-15, -1, 57)]):
+            lam = float(ev * (1.0 + d))
+            dec = decompose(F - lam * G, disc.gram)
+            assert morse_index_by_formula(pencil, lam) == (dec.morse_index, dec.nullity)
+    assert pencil.matches(4.00003) and morse_index_by_formula(pencil, 4.00003) == (2, 0)
+
+
 def test_formula_matches_direct_on_grid(p1_pencil):
     pencil, F, G, disc = p1_pencil
     for lam in np.linspace(0.3, 26.0, 20):
