@@ -334,9 +334,9 @@ def detect_branches(
 
     For every pencil eigenvalue in the window: build the reduction, solve the
     reduced critical-point equation on ``grid`` evenly spaced parameter values
-    of the window through multistart Newton, lift and polish solutions in the
-    full space, keep those within ``amplitude_cap`` of u0, deduplicate, chain
-    them into branches, and label the observed alternative:
+    of the window through multistart Newton, keep the nontrivial solutions
+    within ``amplitude_cap`` of u0, lift and polish them in the full space,
+    deduplicate, chain them into branches, and label the observed alternative:
 
     * ``iii``  nontrivial solutions on both sides of the eigenvalue,
     * ``iv``   at least two distinct nontrivial solutions on one side,
@@ -361,8 +361,8 @@ def detect_branches(
         # a lone eigenvalue has infinite separation, which leaves eps at 0.1
         jump = index_jump(pencil, lam_star, min(0.1, 0.4 * pencil.separation(idx))).summary()
         setup = make_reduction_setup(problem, lam_star)
-        # below the cube root of the residual contract a degenerate origin is
-        # numerically indistinguishable from the trivial solution
+        # [Z W] is Sobolev-orthonormal, so |(z, y)| is a reduced solution's distance from u0; below the
+        # cube root of the residual contract a degenerate origin is numerically the trivial solution
         trivial_tol = (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0)
         gaps = []
 
@@ -373,10 +373,8 @@ def detect_branches(
             except ReductionFailureError as exc:
                 gaps.append({"lam": float(lam), "reason": str(exc)})
                 return None
-            lifted = [setup.lift(z, y) for z, y in found]
-            points = _distinct_points(
-                setup.functional_at(lam), lifted, center=u0, radius=amplitude_cap, inner=trivial_tol
-            )
+            kept = [(z, y) for z, y in found if trivial_tol <= np.linalg.norm(np.concatenate([z, y])) <= amplitude_cap]
+            points = _distinct_points(setup.functional_at(lam), [setup.lift(z, y) for z, y in kept], center=u0)
             return [
                 BranchSample(
                     lam=float(lam),

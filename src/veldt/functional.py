@@ -34,7 +34,7 @@ HALVINGS = 25  # step-length halvings before a Newton step counts as stalled
 PROJECTION_STALL_RTOL = 1e-15  # relative distance at which a projected trial is the iterate, to the projection's rounding
 NEWTON_TOL = 1e-12  # gradient norm at which a full-space polish has converged
 NEWTON_MAX_ITER = 50  # iteration budget of a damped Newton solve: polish, complement and reduced
-RESIDUAL_CONTRACT = 1e-9  # largest gradient norm a critical point may keep (census, branch, base point)
+RESIDUAL_CONTRACT = 1e-9  # largest gradient norm of a reduction's base point; sets the branch trivial radius
 DEDUPE_TOL = 1e-6  # Sobolev distance below which two critical points are one
 
 __all__ = [
@@ -299,26 +299,25 @@ class CriticalPoint:
     distance_from_center: float = 0.0
 
 
-def _distinct_points(func, seeds, center=None, radius=None, inner=0.0):
+def _distinct_points(func, seeds, center=None, radius=None):
     """Polish the seeds in order and yield each new distinct critical point.
 
-    A polished point is kept when it meets ``RESIDUAL_CONTRACT``, lies at
-    least ``inner`` from ``center`` (the branch sampler drops the trivial
-    solution this way), at most ``radius`` from it, and at least
-    ``DEDUPE_TOL`` from every point kept before; only kept points are
-    decomposed, and their value and second variation are assembled at the
-    Field the polish ended on.  The census, the Morse audit, the tilted
-    census and the branch sampler all collect their points here.
+    A polished point is kept when its polish converged (to ``NEWTON_TOL``),
+    it lies at most ``radius`` from ``center`` and at least ``DEDUPE_TOL``
+    from every point kept before; only kept points are decomposed, and their
+    value and second variation are assembled at the Field the polish ended
+    on.  The census, the Morse audit, the tilted census and the branch
+    sampler all collect their points here.
     """
     disc = func.disc
     center = np.zeros(disc.dim) if center is None else np.asarray(center, dtype=float)
     found = []
     for seed in seeds:
         result = newton_polish(func, seed)
-        if not result.converged or result.residual > RESIDUAL_CONTRACT:
+        if not result.converged:
             continue
         dist = disc.norm(result.coeffs - center)
-        if dist < inner or (radius is not None and dist > radius):
+        if radius is not None and dist > radius:
             continue
         if any(disc.norm(result.coeffs - other.coeffs) < DEDUPE_TOL for other in found):
             continue
@@ -359,7 +358,7 @@ def multistart_census(
 ) -> list:
     """Polish every seed and collect distinct critical points.
 
-    Keeps polished points within ``RESIDUAL_CONTRACT``; restricts to the ball
+    Keeps points whose polish converged (to ``NEWTON_TOL``); restricts to the ball
     of ``radius`` around ``center`` when given; deduplicates at
     ``DEDUPE_TOL`` in the Sobolev norm, in seed order; attaches Morse data
     from the spectral decomposition of the Hessian at each survivor; sorts

@@ -22,7 +22,7 @@ from veldt.errors import (
     ReductionFailureError,
 )
 from veldt.catalog import ModelProblem, load_problem
-from veldt.functional import RESIDUAL_CONTRACT, VariationalProblem, _star_seeds
+from veldt.functional import NEWTON_TOL, RESIDUAL_CONTRACT, VariationalProblem, _star_seeds
 from veldt.cli import _census_seeds
 from veldt.reduction import _reduction_extent
 
@@ -153,7 +153,8 @@ def test_branch_residual_contract(p2_report):
     for cand in p2_report.candidates:
         for branch in cand.branches:
             for s in branch.samples:
-                assert s.residual < RESIDUAL_CONTRACT
+                # every sample comes from a converged polish
+                assert s.residual <= NEWTON_TOL
 
 
 def test_branch_refinement_stability(prob_p2):
@@ -497,8 +498,23 @@ def test_reduced_sweep_makes_one_complement_solve_per_start(p2, monkeypatch):
     assert len(per_start) == 20  # five parameter values, four plus starts each
     assert all(n == 1 for _, n in per_start)
     assert len(psi_calls) == 20 and not any("w0" in kw for kw in psi_calls)
-    # 206: the first near-trivial solution is polished with one step, where the exact origin took none
-    assert len(hessians) == 206
+    # 188: a near-trivial reduced solution is dropped before any full-space polish
+    assert len(hessians) == 188
+
+
+def test_branch_sampler_polishes_no_trivial_solution(p2, monkeypatch):
+    # the same small pitchfork: a reduced solution within the trivial radius of u0 is dropped in the
+    # reduced coordinates, so no full-space polish starts there; the four that do are the branch samples
+    problem = VariationalProblem(model=p2, disc=build_space((0.0, np.pi), 1, "dirichlet", 12))
+    u0 = problem.u0.coeffs
+    starts = []
+    polish = veldt.functional.newton_polish
+    monkeypatch.setattr(veldt.functional, "newton_polish", lambda func, c: starts.append(c) or polish(func, c))
+    report = detect_branches(problem, (0.9, 1.1), grid=5, amplitude_cap=3.0, rng=np.random.default_rng(0))
+    trivial_radius = (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0)
+    assert len(starts) == 4
+    assert all(problem.disc.norm(c - u0) >= trivial_radius for c in starts)
+    assert sum(len(b.samples) for b in report.candidates[0].branches) == 4
 
 
 def test_even_sweep_makes_no_eigensolve_in_the_reduction(p2, disc32, monkeypatch):

@@ -322,11 +322,12 @@ def test_tool_configs_load():
     # the extra configs of tools/same_outputs.py: an indefinite complement block, translation orbits on a
     # periodic space, a degenerate census point off the base point of a tilt, a multiplicity-2 kernel of a
     # reduction and its bifurcation sweep, a non-square 2-D box, the split audits of a two-component system,
-    # Morse counts of that system at and between its double eigenvalues and a fitted ellipticity envelope
-    # with tied samples
+    # Morse counts of that system at and between its double eigenvalues, a fitted ellipticity envelope
+    # with tied samples and a kernel tilt at the second eigenvalue, where u0 has Morse index 1
     paths = sorted(TOOL_CONFIGS.glob("*.json"))
     stems = [
         "bifurcate_two_p2",
+        "morse_tilt_second_eigenvalue",
         "p2_bifurcate_indefinite",
         "periodic_bifurcate_orbits",
         "periodic_morse_tilt",
@@ -815,6 +816,23 @@ def test_morse_scenario_with_tilt_recovery(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["result"]["marino_prodi"]["passed"] is True
     assert report["result"]["audit"]["alternating_total"] == 1
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_kernel_tilt_at_a_crossed_eigenvalue(tmp_path, seed):
+    # at the second eigenvalue lam = 4 the base point has Morse index 1 and nullity 1, so the tilted
+    # census checks its point against the window [1, 2]; the other tilt runs are at lam = 1, index 0
+    cfg = json.loads((TOOL_CONFIGS / "morse_tilt_second_eigenvalue.json").read_text())
+    cfg["discretization"]["K"] = 16
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", cfg), out, seed=seed) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "pass"
+    assert report["result"]["audit"]["counts"] == {"0": 2, "1": 1}
+    tilt = report["result"]["marino_prodi"]
+    assert tilt["passed"] is True
+    assert tilt["morse_window"] == [1, 2]
+    assert tilt["n_points"] == 1
 
 
 def test_morse_scenario_fails_when_the_kernel_tilt_census_fails(tmp_path, monkeypatch):
