@@ -471,6 +471,7 @@ class MorseAudit:
     partial_sums_hold: bool
     points: list
     window: Optional[tuple]
+    captures: list  # (kernel tilt, polishes its capture ball stopped) per tilted witness, in census order
 
     def summary(self) -> dict:
         return {
@@ -487,6 +488,7 @@ def morse_inequality_audit(
     func,
     seeds: Sequence[np.ndarray],
     window: Optional[tuple],
+    tilt=None,
 ) -> MorseAudit:
     """Alternating-sum audit of a full critical-point census.
 
@@ -495,24 +497,62 @@ def morse_inequality_audit(
     alternating partial sums must stay at or above (-1)^l and the full
     alternating sum must equal one.  Only points with critical values in
     ``window`` ([lo, hi] with lo < hi) count, or every point when it is None.
-    A degenerate one aborts the audit as soon as it is found, before the
-    remaining seeds are polished, with the point attached as the witness:
-    tilt it away and rerun.  The audit
-    aborts exactly when the full census would hold such a point; the witness is
-    the first one in seed order, so it can differ from the first in census
-    order when the window holds two or more.
+
+    A degenerate one stops the census before the remaining seeds are
+    polished, and ``tilt(witness)`` is asked for a kernel tilt of it (a
+    ``MarinoProdiResult``).  Without ``tilt``, or when it returns None, the
+    audit raises with the point attached as the witness.  It then raises
+    exactly when the full census would hold such a point; the witness is the
+    first one in seed order, so it can differ from the first in census order
+    when the window holds two or more.
+
+    A tilt changes the functional only inside the ball of radius r around its
+    base point, so its local census owns that ball.  The census resumes
+    after the witness with a capture ball of radius delta around the base
+    point: a polish whose accepted iterate enters it stops unconverged and
+    counts as captured, and census points within r of the base point are
+    dropped.  The tilt's local points in the window count in their place; a
+    degenerate one raises as the witness.
     """
     window = None if window is None else _check_window(window)
+    disc = func.disc
+    tilts, captured = [], []  # per capture ball: the kernel tilt and the polishes the ball stopped
+
+    def capture(x) -> bool:
+        for i, result in enumerate(tilts):
+            if disc.norm(x - result.perturbed.u0.coeffs) < result.perturbed.delta:
+                captured[i] += 1
+                return True
+        return False
+
+    def owned(cp) -> bool:
+        return any(disc.norm(cp.coeffs - result.perturbed.u0.coeffs) <= result.perturbed.r for result in tilts)
+
+    def in_window(cp) -> bool:
+        return window is None or window[0] <= cp.value <= window[1]
+
+    def degenerate(cp) -> DegenerateCriticalPointError:
+        return DegenerateCriticalPointError(
+            f"census found a degenerate critical point (nullity {cp.nullity}) at value {cp.value:.6g}", witness=cp
+        )
+
     points = []
-    for cp in _distinct_points(func, seeds):
-        if window is not None and not window[0] <= cp.value <= window[1]:
+    for cp in _distinct_points(func, seeds, stop=capture):
+        if owned(cp) or not in_window(cp):
             continue
-        if cp.nullity > 0:
-            raise DegenerateCriticalPointError(
-                f"census found a degenerate critical point (nullity {cp.nullity}) at value {cp.value:.6g}",
-                witness=cp,
-            )
-        points.append(cp)
+        if cp.nullity == 0:
+            points.append(cp)
+            continue
+        result = None if tilt is None else tilt(cp)
+        if result is None:
+            raise degenerate(cp)
+        witness = next((p for p in result.critical_points if p.nullity > 0 and in_window(p)), None)
+        if witness is not None:
+            raise degenerate(witness)
+        tilts.append(result)
+        captured.append(0)
+    points = [cp for cp in points if not owned(cp)]  # a point found before its ball's witness
+    points += [cp for result in tilts for cp in result.critical_points if in_window(cp)]
     points.sort(key=_census_order)
     counts: dict = {}
     for cp in points:
@@ -531,6 +571,7 @@ def morse_inequality_audit(
         partial_sums_hold=partial_ok,
         points=points,
         window=window,
+        captures=list(zip(tilts, captured)),
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .bifurcation import detect_branches, morse_inequality_audit, orbit_group
 from .catalog import MODEL_NAMES, _known, _read_json, load_problem
-from .errors import ConfigurationError, DegenerateCriticalPointError, IndexJumpMismatchError, VeldtError
+from .errors import ConfigurationError, IndexJumpMismatchError, VeldtError
 from .functional import DEDUPE_TOL, VariationalProblem, _star_seeds
 from .galerkin import build_space, estimate_sobolev_constant, hessian_split, q_compactness_audit
 from .lagrangian import check_growth, ps_certificate
@@ -511,25 +511,27 @@ def run_morse(params, disc_block, model, rng, out_dir):
     seeds = _census_seeds(problem, func, CENSUS_AMPLITUDES, int(params["n_random"]), rng)
     window = params["window"]
     report: dict = {"lam": lam, "checks": ["morse-alternating-sum", "census-nondegeneracy"]}
-    tilt_passed = True
-    try:
-        audit = morse_inequality_audit(func, seeds, window=window)
-    except DegenerateCriticalPointError as exc:
+
+    def tilt_at_base(witness):
         # the tilt is local to u0: a degenerate point elsewhere is reported, not tilted
-        if mp_cfg is None or problem.disc.norm(exc.witness.coeffs - problem.u0.coeffs) > DEDUPE_TOL:
-            raise
-        result = marino_prodi_perturb(
+        if mp_cfg is None or problem.disc.norm(witness.coeffs - problem.u0.coeffs) > DEDUPE_TOL:
+            return None
+        return marino_prodi_perturb(
             problem, lam, r=float(mp_cfg["r"]), delta_inner=float(mp_cfg["delta_inner"]), rng=rng
         )
+
+    audit = morse_inequality_audit(func, seeds, window=window, tilt=tilt_at_base)
+    tilt_passed = True
+    for result, captured in audit.captures:  # at most one: once tilted, u0 lies in its capture ball
         report["marino_prodi"] = {
             "passed": result.passed,
             "attempts": result.attempts,
             "morse_window": list(result.morse_window),
             "n_points": len(result.critical_points),
+            "captured": captured,
         }
         report["checks"].append("kernel-tilt-census")
         tilt_passed = result.passed
-        audit = morse_inequality_audit(result.perturbed, seeds, window=window)
     report["audit"] = audit.summary()
     passed = audit.identity_holds and audit.partial_sums_hold and tilt_passed
     lines = [

@@ -221,7 +221,9 @@ class NewtonResult:
     state: Any = None  # what ``evaluate`` returned at ``coeffs``
 
 
-def damped_newton(evaluate, solve, x0, tol: float, max_iter: int, step_cap: Optional[float] = None, project=None):
+def damped_newton(
+    evaluate, solve, x0, tol: float, max_iter: int, step_cap: Optional[float] = None, project=None, stop=None
+):
     """Damped Newton iteration driven by a residual callback and a step callback.
 
     ``evaluate(x, state)`` returns ``(residual, state)`` at x, where the
@@ -233,13 +235,18 @@ def damped_newton(evaluate, solve, x0, tol: float, max_iter: int, step_cap: Opti
     residual decreases sufficiently.  The iteration stops converged once the
     residual is at most ``tol``, and unconverged on a singular system, a
     failed line search or a trial that projects back onto the current point
-    up to rounding (``iterations`` then counts the stalled step).
+    up to rounding (``iterations`` then counts the stalled step).  Before
+    each step, a point above ``tol`` at which ``stop(x)`` is true (``x0`` or
+    an accepted trial) also ends it unconverged; ``iterations`` then counts
+    the steps taken to that point.
     """
     x = np.array(x0, dtype=float)
     res, state = evaluate(x, None)
     for it in range(max_iter):
         if res <= tol:
             return NewtonResult(coeffs=x, residual=res, converged=True, iterations=it, state=state)
+        if stop is not None and stop(x):
+            return NewtonResult(coeffs=x, residual=res, converged=False, iterations=it, state=state)
         try:
             step = solve(x, state)
         except np.linalg.LinAlgError:
@@ -265,7 +272,7 @@ def damped_newton(evaluate, solve, x0, tol: float, max_iter: int, step_cap: Opti
     return NewtonResult(coeffs=x, residual=res, converged=res <= tol, iterations=max_iter, state=state)
 
 
-def newton_polish(func, coeffs0: np.ndarray) -> NewtonResult:
+def newton_polish(func, coeffs0: np.ndarray, stop=None) -> NewtonResult:
     """Damped Newton iteration on the gradient, in coefficient space.
 
     The step solves the dual Hessian system directly (geometry independent);
@@ -273,7 +280,8 @@ def newton_polish(func, coeffs0: np.ndarray) -> NewtonResult:
     evaluated point and its load vector, ``(Field, load)``: the step at an
     accepted trial assembles the Hessian at that same Field, from the jets its
     load was assembled from.  The iteration converges at a residual of
-    ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` steps.
+    ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` steps; ``stop`` ends it
+    unconverged as in ``damped_newton``.
     """
     disc = func.disc
 
@@ -286,7 +294,7 @@ def newton_polish(func, coeffs0: np.ndarray) -> NewtonResult:
         point, ell = state
         return np.linalg.solve(func.hessian_dual(point), -ell)
 
-    return damped_newton(evaluate, solve, coeffs0, NEWTON_TOL, NEWTON_MAX_ITER)
+    return damped_newton(evaluate, solve, coeffs0, NEWTON_TOL, NEWTON_MAX_ITER, stop=stop)
 
 
 @dataclass
@@ -299,21 +307,24 @@ class CriticalPoint:
     distance_from_center: float = 0.0
 
 
-def _distinct_points(func, seeds, center=None, radius=None):
+def _distinct_points(func, seeds, center=None, radius=None, stop=None):
     """Polish the seeds in order and yield each new distinct critical point.
 
     A polished point is kept when its polish converged (to ``NEWTON_TOL``),
     it lies at most ``radius`` from ``center`` and at least ``DEDUPE_TOL``
     from every point kept before; only kept points are decomposed, and their
     value and second variation are assembled at the Field the polish ended
-    on.  The census, the Morse audit, the tilted census and the branch
-    sampler all collect their points here.
+    on.  Every polish passes ``stop`` to ``newton_polish``, so a stop that
+    fires leaves its seed unkept.  The generator polishes a seed only when
+    the next point is asked for, so a consumer can change what ``stop``
+    reads between two points.  The census, the Morse audit, the tilted
+    census and the branch sampler all collect their points here.
     """
     disc = func.disc
     center = np.zeros(disc.dim) if center is None else np.asarray(center, dtype=float)
     found = []
     for seed in seeds:
-        result = newton_polish(func, seed)
+        result = newton_polish(func, seed, stop)
         if not result.converged:
             continue
         dist = disc.norm(result.coeffs - center)

@@ -24,7 +24,7 @@ from veldt.errors import (
 from veldt.catalog import ModelProblem, load_problem
 from veldt.functional import NEWTON_TOL, RESIDUAL_CONTRACT, VariationalProblem, _star_seeds
 from veldt.cli import _census_seeds
-from veldt.reduction import _reduction_extent
+from veldt.reduction import PerturbedFunctional, _reduction_extent, marino_prodi_perturb
 
 
 def _pencil(problem):
@@ -509,7 +509,7 @@ def test_branch_sampler_polishes_no_trivial_solution(p2, monkeypatch):
     u0 = problem.u0.coeffs
     starts = []
     polish = veldt.functional.newton_polish
-    monkeypatch.setattr(veldt.functional, "newton_polish", lambda func, c: starts.append(c) or polish(func, c))
+    monkeypatch.setattr(veldt.functional, "newton_polish", lambda func, c, *stop: starts.append(c) or polish(func, c, *stop))
     report = detect_branches(problem, (0.9, 1.1), grid=5, amplitude_cap=3.0, rng=np.random.default_rng(0))
     trivial_radius = (10 * RESIDUAL_CONTRACT) ** (1.0 / 3.0)
     assert len(starts) == 4
@@ -599,8 +599,8 @@ def _counting_polish(monkeypatch):
     polished = []
     polish = veldt.functional.newton_polish
 
-    def counting(func, seed):
-        result = polish(func, seed)
+    def counting(func, seed, *stop):
+        result = polish(func, seed, *stop)
         polished.append(result.coeffs)
         return result
 
@@ -627,6 +627,33 @@ def test_degenerate_point_outside_window_does_not_abort(prob_p2_48, monkeypatch)
     audit = morse_inequality_audit(func, seeds, window=(0.5, 1.0))  # the origin has value 0
     assert len(polished) == len(seeds)
     assert audit.points == [] and audit.counts == {}
+
+
+def test_tilt_ball_owns_the_census_points_within_r(p2):
+    # at lam = 4 the census holds the degenerate u0 (index 1) and two minima 3.78 from it; the seeds
+    # polish one minimum before the witness u0 and one after.  A tilt ball of radius 0.5 leaves both
+    # minima to the census; one of radius 5 owns them, wherever they come in seed order, so only the
+    # tilt's local point counts
+    problem = VariationalProblem(model=p2, disc=build_space((0.0, np.pi), 1, "dirichlet", 16))
+    func = problem.at_parameter(4.0)
+    stars = _census_seeds(problem, func, [3.0], 0, np.random.default_rng(0))
+    seeds = [stars[1], stars[0], stars[2]]
+
+    def tilt_of_radius(r):
+        def tilt(witness):
+            result = marino_prodi_perturb(problem, 4.0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(0))
+            ball = result.perturbed
+            return dataclasses.replace(
+                result, perturbed=PerturbedFunctional(func, ball.u0, ball.Z, r=r, delta=ball.delta, b_coords=ball.b)
+            )
+
+        return tilt
+
+    narrow = morse_inequality_audit(func, seeds, window=None, tilt=tilt_of_radius(0.5))
+    assert narrow.counts == {0: 2, 1: 1} and len(narrow.captures) == 1
+    wide = morse_inequality_audit(func, seeds, window=None, tilt=tilt_of_radius(5.0))
+    assert wide.counts == {1: 1}
+    assert wide.points == wide.captures[0][0].critical_points
 
 
 def test_census_window_filter(prob_p2_48):

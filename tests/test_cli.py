@@ -833,6 +833,8 @@ def test_kernel_tilt_at_a_crossed_eigenvalue(tmp_path, seed):
     assert tilt["passed"] is True
     assert tilt["morse_window"] == [1, 2]
     assert tilt["n_points"] == 1
+    # polishes that enter the capture ball stop there; the two minima outside it are still found
+    assert tilt["captured"] > 0
 
 
 def test_morse_scenario_fails_when_the_kernel_tilt_census_fails(tmp_path, monkeypatch):
@@ -854,6 +856,56 @@ def test_morse_scenario_fails_when_the_kernel_tilt_census_fails(tmp_path, monkey
     assert report["result"]["audit"]["identity_holds"] is True
     assert report["status"] == "audit_failed"
     assert run(path, tmp_path / "hard", strict=True) == 2
+
+
+def test_morse_scenario_fails_when_the_tilted_census_loses_its_point(tmp_path, monkeypatch):
+    # the resumed census drops every point within r of u0 and counts the tilt's local points instead,
+    # so a local census that loses its one point leaves no point to count and the alternating sum at 0
+    import veldt.cli
+
+    tilt = veldt.cli.marino_prodi_perturb
+
+    def lossy(*args, **kwargs):
+        return dataclasses.replace(tilt(*args, **kwargs), critical_points=[])
+
+    monkeypatch.setattr(veldt.cli, "marino_prodi_perturb", lossy)
+    census = next(cfg for cfg in _workload_configs() if cfg["scenario"] == "morse")
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", census), out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["result"]["marino_prodi"]["passed"] is True
+    assert report["result"]["audit"]["counts"] == {}
+    assert report["result"]["audit"]["identity_holds"] is False
+    assert report["status"] == "audit_failed"
+
+
+def test_census_resumes_past_the_tilt_without_a_re_census(tmp_path, monkeypatch):
+    # the census workload (P2, K = 32, lam = 1) at seed 0: after the degenerate witness u0 is tilted, the
+    # census resumes, and its 92 remaining polishes stop on entering the capture ball instead of
+    # converging there.  A re-census of every seed on the tilted functional would make about 1,480
+    # gradients and 842 polish iterations.  The work is counted, so the pins hold on any machine
+    import veldt.functional
+
+    gradients, iterations = [], []
+    assemble_gradient = veldt.functional.assemble_gradient
+    polish = veldt.functional.newton_polish
+
+    def counted_polish(*args):
+        result = polish(*args)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(veldt.functional, "assemble_gradient", lambda lag, u: gradients.append(1) or assemble_gradient(lag, u))
+    monkeypatch.setattr(veldt.functional, "newton_polish", counted_polish)
+    census = next(cfg for cfg in _workload_configs() if cfg["scenario"] == "morse")
+    assert census["discretization"]["K"] == 32
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", census), out, seed=0) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(gradients) <= 600
+    assert sum(iterations) <= 300
+    assert report["status"] == "pass"
+    assert report["result"]["marino_prodi"]["captured"] == 92
 
 
 def test_morse_scenario_degenerate_without_tilt_exits_2(tmp_path):

@@ -122,6 +122,28 @@ def test_projection_onto_the_iterate_stops_without_halvings():
         assert result.residual == 1.0
 
 
+def test_stop_ends_the_solve_unconverged_at_an_accepted_point():
+    # steps capped at 0.3 walk from 1.0 toward the root through 0.7 and 0.4: a stop inside radius 0.5
+    # fires at the second accepted point, so its two steps count and no third is solved
+    evaluate, solve = _affine(np.eye(2), np.zeros(2))
+    start = np.array([1.0, 0.0])
+    asked = []
+
+    def inside(x):
+        asked.append(x.copy())
+        return np.linalg.norm(x) < 0.5
+
+    result = damped_newton(evaluate, solve, start, tol=1e-12, max_iter=50, step_cap=0.3, stop=inside)
+    assert not result.converged and result.iterations == 2
+    np.testing.assert_allclose(result.coeffs, [0.4, 0.0])
+    assert result.residual == pytest.approx(0.4)
+    assert len(asked) == 3  # the start and the two accepted points
+    at_start = damped_newton(evaluate, solve, start, tol=1e-12, max_iter=50, stop=lambda x: True)
+    assert not at_start.converged and at_start.iterations == 0
+    at_root = damped_newton(evaluate, solve, np.zeros(2), tol=1e-12, max_iter=50, stop=lambda x: True)
+    assert at_root.converged  # a converged point is never stopped
+
+
 def test_newton_polish_linear_problem_one_iteration(p1, disc32):
     func = VariationalProblem(model=p1, disc=disc32).at_parameter(2.5)
     seed = np.random.default_rng(7).standard_normal(disc32.dim)
