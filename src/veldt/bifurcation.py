@@ -513,6 +513,13 @@ def morse_inequality_audit(
     counts as captured, and census points within r of the base point are
     dropped.  The tilt's local points in the window count in their place; a
     degenerate one raises as the witness.
+
+    On an even ``func`` the census polishes the plus seed of each ± pair and
+    takes the minus seed's outcome as its mirror (see ``_distinct_points``)
+    while every capture ball in force is centred at the coefficient origin,
+    so that capture is even.  A mirrored polish that the ball stopped asks
+    the capture rule once, at the mirrored end point, and counts as one
+    capture, as the polish it stands for would.
     """
     window = None if window is None else _check_window(window)
     disc = func.disc
@@ -524,6 +531,9 @@ def morse_inequality_audit(
                 captured[i] += 1
                 return True
         return False
+
+    def capture_even() -> bool:
+        return not any(np.any(result.perturbed.u0.coeffs) for result in tilts)
 
     def owned(cp) -> bool:
         return any(disc.norm(cp.coeffs - result.perturbed.u0.coeffs) <= result.perturbed.r for result in tilts)
@@ -537,7 +547,7 @@ def morse_inequality_audit(
         )
 
     points = []
-    for cp in _distinct_points(func, seeds, stop=capture):
+    for cp in _distinct_points(func, seeds, stop=capture, stop_even=capture_even):
         if owned(cp) or not in_window(cp):
             continue
         if cp.nullity == 0:

@@ -10,7 +10,7 @@ the Gram matrix.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -151,6 +151,20 @@ class CombinedFunctional(DiscretizedFunctional):
         return self._naming_terms("hessian_dual", u)
 
 
+def _even_polynomial(func) -> bool:
+    """True when ``func`` is a DiscretizedFunctional whose integrand is a compiled
+    polynomial with terms of even total degree only.
+
+    Its load is then odd and its second variation even in the coefficients,
+    bit for bit, since IEEE rounding is sign-symmetric.  A callback integrand,
+    an odd term or any other handle (a kernel tilt) counts as not even.
+    """
+    if not isinstance(func, DiscretizedFunctional):
+        return False
+    poly = PolynomialIntegrand.of(func.lagrangian)
+    return poly is not None and poly.even
+
+
 @dataclass(frozen=True, eq=False)
 class VariationalProblem:
     """A model problem bound to a discretization and a base point: the one place F - lambda G is built.
@@ -199,8 +213,7 @@ class VariationalProblem:
         compiled polynomial integrands whose terms all have even total degree.
         A callback integrand counts as not symmetric.
         """
-        polys = [PolynomialIntegrand.of(lag) for lag in (self.model.lagrangian, self.model.constraint)]
-        return not np.any(self.u0.coeffs) and all(poly is not None and poly.even for poly in polys)
+        return not np.any(self.u0.coeffs) and _even_polynomial(self.energy) and _even_polynomial(self.constraint)
 
 
 def _dual_norm(disc: Discretization, ell: np.ndarray) -> float:
@@ -219,6 +232,7 @@ class NewtonResult:
     converged: bool
     iterations: int
     state: Any = None  # what ``evaluate`` returned at ``coeffs``
+    stopped: bool = False  # the ``stop`` rule ended the solve
 
 
 def damped_newton(
@@ -237,8 +251,8 @@ def damped_newton(
     failed line search or a trial that projects back onto the current point
     up to rounding (``iterations`` then counts the stalled step).  Before
     each step, a point above ``tol`` at which ``stop(x)`` is true (``x0`` or
-    an accepted trial) also ends it unconverged; ``iterations`` then counts
-    the steps taken to that point.
+    an accepted trial) also ends it unconverged, with ``stopped`` set;
+    ``iterations`` then counts the steps taken to that point.
     """
     x = np.array(x0, dtype=float)
     res, state = evaluate(x, None)
@@ -246,7 +260,7 @@ def damped_newton(
         if res <= tol:
             return NewtonResult(coeffs=x, residual=res, converged=True, iterations=it, state=state)
         if stop is not None and stop(x):
-            return NewtonResult(coeffs=x, residual=res, converged=False, iterations=it, state=state)
+            return NewtonResult(coeffs=x, residual=res, converged=False, iterations=it, state=state, stopped=True)
         try:
             step = solve(x, state)
         except np.linalg.LinAlgError:
@@ -307,7 +321,17 @@ class CriticalPoint:
     distance_from_center: float = 0.0
 
 
-def _distinct_points(func, seeds, center=None, radius=None, stop=None):
+def _mirrored(result: NewtonResult, disc: Discretization) -> NewtonResult:
+    """The polish from the negated seed on an even functional, given the polish ``result``
+    of the seed: coefficients and load negated as 0.0 - v, so that a +0.0 stays
+    +0.0, the same residual, iteration count and flags, and a Field built at
+    the negated coefficients."""
+    _, ell = result.state
+    coeffs = 0.0 - result.coeffs
+    return replace(result, coeffs=coeffs, state=(disc.field(coeffs), 0.0 - ell))
+
+
+def _distinct_points(func, seeds, center=None, radius=None, stop=None, stop_even=None):
     """Polish the seeds in order and yield each new distinct critical point.
 
     A polished point is kept when its polish converged (to ``NEWTON_TOL``),
@@ -319,12 +343,43 @@ def _distinct_points(func, seeds, center=None, radius=None, stop=None):
     the next point is asked for, so a consumer can change what ``stop``
     reads between two points.  The census, the Morse audit, the tilted
     census and the branch sampler all collect their points here.
+
+    A seed is not polished when its outcome is the mirror of the seed before
+    it (``_mirrored``), which equals its polish bit for bit.  That holds when
+    all of these do:
+
+    - ``func`` is even (``_even_polynomial``);
+    - the seed is nonzero and has the bits of 0.0 - the seed before it,
+      which was polished and yielded no point, so ``stop`` is unchanged;
+    - ``stop`` is None, or ``stop_even()`` says that stop(-x) == stop(x)
+      for every x (a stop without ``stop_even`` counts as not even).
+
+    When the seed before it was stopped, ``stop`` is asked once at the
+    mirrored end point, as a polish of the seed would ask it last; if it does
+    not fire there, the seed is polished.
     """
     disc = func.disc
     center = np.zeros(disc.dim) if center is None else np.asarray(center, dtype=float)
+    even = _even_polynomial(func)
     found = []
+    plus = None  # (seed, its polish) while the next seed may mirror it
     for seed in seeds:
-        result = newton_polish(func, seed, stop)
+        seed = np.asarray(seed, dtype=float)
+        result = None
+        if (
+            plus is not None
+            and (stop is None or (stop_even is not None and stop_even()))
+            and np.any(seed)
+            and seed.tobytes() == (0.0 - plus[0]).tobytes()
+        ):
+            result = _mirrored(plus[1], disc)
+            if result.stopped and not stop(result.coeffs):
+                result = None
+        plus = None
+        if result is None:
+            result = newton_polish(func, seed, stop)
+            if even:
+                plus = (seed, result)
         if not result.converged:
             continue
         dist = disc.norm(result.coeffs - center)
@@ -332,6 +387,7 @@ def _distinct_points(func, seeds, center=None, radius=None, stop=None):
             continue
         if any(disc.norm(result.coeffs - other.coeffs) < DEDUPE_TOL for other in found):
             continue
+        plus = None
         point, _ = result.state
         dec = decompose(func.hessian_dual(point), disc.gram)
         found.append(

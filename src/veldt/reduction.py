@@ -511,7 +511,9 @@ def marino_prodi_perturb(
     functional is nondegenerate with Morse index inside [mu, mu + nu] for the
     Morse index mu and nullity nu of u0.  A degenerate find triggers a
     resample of the tilt vector, up to ``TILT_RETRIES`` times; persistent
-    failure is reported, not raised.
+    failure is reported, not raised.  The tilt's size comes from a scan of the
+    reduced gradient on the annulus of the cutoff, which probes each scanned
+    point once, and only one of z and -z on a sign-symmetric problem.
     """
     disc = problem.disc
     u0 = problem.u0
@@ -528,9 +530,13 @@ def marino_prodi_perturb(
         problem, func.lam, Z, dec.complement_vectors, lambda_box=0.0, trust_radius=max(delta_inner * 2, 1e-6)
     )
     grad_floor = np.inf
+    probed = set()  # bits of each z probed, and of -z where |g(-z)| = |g(z)| bit for bit
     for radius_frac in (0.5, 0.75, 1.0):
         for direction in _directions(nu, max(2 * nu, 4), rng):
             z = direction * delta_inner * radius_frac
+            if z.tobytes() in probed:
+                continue
+            probed.update((z.tobytes(), (-z).tobytes()) if problem.sign_symmetric else (z.tobytes(),))
             try:
                 g = solve_psi(probe_setup, func.lam, z, tol=PROBE_PSI_TOL).gradient
             except ReductionFailureError:

@@ -22,7 +22,7 @@ from veldt.errors import (
     ReductionFailureError,
 )
 from veldt.catalog import ModelProblem, load_problem
-from veldt.functional import NEWTON_TOL, RESIDUAL_CONTRACT, VariationalProblem, _star_seeds
+from veldt.functional import NEWTON_TOL, RESIDUAL_CONTRACT, VariationalProblem, _star_seeds, multistart_census
 from veldt.cli import _census_seeds
 from veldt.reduction import PerturbedFunctional, _reduction_extent, marino_prodi_perturb
 
@@ -595,16 +595,23 @@ def test_census_aborts_on_degenerate_point(prob_p2_48):
 
 
 def _counting_polish(monkeypatch):
-    """Record the coefficients of every full-space polish the census runs."""
+    """Record the coefficients of every seed outcome the census reaches: each full-space
+    polish, and each mirrored polish that stands in for the minus seed of a ± pair."""
     polished = []
-    polish = veldt.functional.newton_polish
+    polish, mirrored = veldt.functional.newton_polish, veldt.functional._mirrored
 
     def counting(func, seed, *stop):
         result = polish(func, seed, *stop)
         polished.append(result.coeffs)
         return result
 
+    def counting_mirror(result, disc):
+        result = mirrored(result, disc)
+        polished.append(result.coeffs)
+        return result
+
     monkeypatch.setattr(veldt.functional, "newton_polish", counting)
+    monkeypatch.setattr(veldt.functional, "_mirrored", counting_mirror)
     return polished
 
 
@@ -654,6 +661,57 @@ def test_tilt_ball_owns_the_census_points_within_r(p2):
     wide = morse_inequality_audit(func, seeds, window=None, tilt=tilt_of_radius(5.0))
     assert wide.counts == {1: 1}
     assert wide.points == wide.captures[0][0].critical_points
+
+
+def _polishes_of(monkeypatch):
+    """Record the functional of every full-space polish."""
+    funcs = []
+    polish = veldt.functional.newton_polish
+    monkeypatch.setattr(veldt.functional, "newton_polish", lambda func, *args: funcs.append(func) or polish(func, *args))
+    return funcs
+
+
+def test_census_of_an_odd_functional_polishes_every_seed(p2, transcritical, monkeypatch):
+    # the cubic term u^3/3 breaks the ± pairing, so both seeds of each pair are polished
+    seeds_of = lambda problem: _census_seeds(problem, problem.at_parameter(2.5), [0.25, 0.5, 1.0], 2, np.random.default_rng(0))
+    even = VariationalProblem(model=p2, disc=transcritical.disc)
+    polished = _polishes_of(monkeypatch)
+    for problem in (transcritical, even):
+        polished.clear()
+        seeds = seeds_of(problem)
+        multistart_census(problem.at_parameter(2.5), seeds)
+        assert (len(polished) == len(seeds)) is (problem is transcritical)
+
+
+def test_kernel_tilt_census_polishes_every_seed(p2, monkeypatch):
+    # the tilt is no even functional, although its star seeds are ± pairs about u0 = 0
+    problem = VariationalProblem(model=p2, disc=build_space((0.0, np.pi), 1, "dirichlet", 16))
+    polished = _polishes_of(monkeypatch)
+    result = marino_prodi_perturb(problem, 1.0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(0))
+    assert result.passed and result.attempts == 1
+    assert len(polished) == 13 and all(func is result.perturbed for func in polished)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-3])
+def test_capture_ball_off_the_origin_polishes_every_seed(p2, monkeypatch, shift):
+    # capture by a ball centred off the origin is not even in the coefficients, so once that ball is in
+    # force every census seed is polished; a ball at the origin leaves the minus seeds to the mirror
+    problem = VariationalProblem(model=p2, disc=build_space((0.0, np.pi), 1, "dirichlet", 16))
+    func = problem.at_parameter(1.0)
+    seeds = _census_seeds(problem, func, [0.25, 0.5, 1.0], 2, np.random.default_rng(0))
+
+    def tilt(witness):
+        result = marino_prodi_perturb(problem, 1.0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(0))
+        ball = result.perturbed
+        u0 = problem.disc.field(shift * ball.Z[:, 0])
+        return dataclasses.replace(result, perturbed=PerturbedFunctional(func, u0, ball.Z, r=ball.r, delta=ball.delta, b_coords=ball.b))
+
+    polished = _polishes_of(monkeypatch)
+    audit = morse_inequality_audit(func, seeds, window=None, tilt=tilt)
+    ((_, captured),) = audit.captures
+    census = sum(f is func for f in polished)
+    assert captured == len(seeds) - 1  # every seed past the witness, the first, enters the ball
+    assert (census == len(seeds)) is (shift != 0.0)
 
 
 def test_census_window_filter(prob_p2_48):

@@ -323,10 +323,12 @@ def test_tool_configs_load():
     # periodic space, a degenerate census point off the base point of a tilt, a multiplicity-2 kernel of a
     # reduction and its bifurcation sweep, a non-square 2-D box, the split audits of a two-component system,
     # Morse counts of that system at and between its double eigenvalues, a fitted ellipticity envelope
-    # with tied samples and a kernel tilt at the second eigenvalue, where u0 has Morse index 1
+    # with tied samples, a kernel tilt at the second eigenvalue, where u0 has Morse index 1, and a census
+    # of a functional with an odd cubic term, where no minus seed is mirrored
     paths = sorted(TOOL_CONFIGS.glob("*.json"))
     stems = [
         "bifurcate_two_p2",
+        "morse_odd_cubic",
         "morse_tilt_second_eigenvalue",
         "p2_bifurcate_indefinite",
         "periodic_bifurcate_orbits",
@@ -906,6 +908,34 @@ def test_census_resumes_past_the_tilt_without_a_re_census(tmp_path, monkeypatch)
     assert sum(iterations) <= 300
     assert report["status"] == "pass"
     assert report["result"]["marino_prodi"]["captured"] == 92
+
+
+def test_census_polishes_one_seed_of_each_pair(tmp_path, monkeypatch):
+    # the census workload at seed 0 again: P2 is even and the capture ball sits at u0 = 0, so each minus
+    # star seed past the witness takes the mirror of its plus seed's capture.  Polishing every seed makes
+    # 106 polishes and 459 gradients; the tilt annulus scan at nu = 1 probes 3 distinct points up to
+    # sign, where probing each scanned point made 18 complement solves
+    import veldt.functional
+    import veldt.reduction
+
+    gradients, polishes, probes = [], [], []
+    assemble_gradient, polish, solve_psi = (
+        veldt.functional.assemble_gradient,
+        veldt.functional.newton_polish,
+        veldt.reduction.solve_psi,
+    )
+    monkeypatch.setattr(veldt.functional, "assemble_gradient", lambda lag, u: gradients.append(1) or assemble_gradient(lag, u))
+    monkeypatch.setattr(veldt.functional, "newton_polish", lambda *args: polishes.append(1) or polish(*args))
+    monkeypatch.setattr(veldt.reduction, "solve_psi", lambda *args, **kw: probes.append(1) or solve_psi(*args, **kw))
+    census = next(cfg for cfg in _workload_configs() if cfg["scenario"] == "morse")
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", census), out, seed=0) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "pass"
+    assert report["result"]["marino_prodi"]["captured"] == 92
+    assert len(polishes) <= 64
+    assert len(gradients) <= 300
+    assert len(probes) == 3
 
 
 def test_morse_scenario_degenerate_without_tilt_exits_2(tmp_path):

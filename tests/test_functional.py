@@ -20,6 +20,7 @@ from veldt.functional import (
 from veldt.galerkin import Discretization, assemble_hessian, build_space
 from veldt.lagrangian import GrowthSpec, enumerate_multi_indices
 
+from test_bifurcation import _assert_bitwise_equal
 from test_galerkin import _coupled_system, _well2d
 
 
@@ -411,3 +412,92 @@ def test_carried_points_keep_the_typed_errors(p2, disc16):
     for f in (energy, CombinedFunctional(energy, func.constraint, 1.5), CombinedFunctional(func.energy, constraint, 1.5)):
         with pytest.raises(CapabilityError, match=message):
             newton_polish(f, c0)
+
+
+# ---------------------------------------------------------------------------
+# an even functional: the polish of a minus seed is the mirror of its plus seed's
+
+
+@pytest.mark.parametrize("lam, ball", [(1.0, 0.25), (2.5, None)], ids=["captured", "converged"])
+def test_mirrored_polish_is_the_minus_polish_bit_for_bit(p2, disc32, lam, ball, monkeypatch):
+    # lam = 1 is the census workload, whose polishes past the witness u0 = 0 all stop in the capture
+    # ball of radius 0.25 at the origin; lam = 2.5 is the README morse config, whose polishes converge
+    from veldt.cli import CENSUS_AMPLITUDES, _census_seeds
+
+    problem = VariationalProblem(model=p2, disc=disc32)
+    func = problem.at_parameter(lam)
+    seeds = _census_seeds(problem, func, CENSUS_AMPLITUDES, 8, np.random.default_rng(0))
+    stars = seeds[1 : 1 + 12 * len(CENSUS_AMPLITUDES)]
+    fired = []
+
+    def capture(x):
+        inside = ball is not None and disc32.norm(x) < ball
+        if inside:
+            fired.append(x)
+        return inside
+
+    outcomes = set()
+    for plus, minus in zip(stars[0::2], stars[1::2]):
+        assert minus.tobytes() == (0.0 - plus).tobytes()
+        mirrored = veldt.functional._mirrored(newton_polish(func, plus, capture), disc32)
+        polished = newton_polish(func, minus, capture)
+        _assert_bitwise_equal(mirrored.coeffs, polished.coeffs)
+        _assert_bitwise_equal(mirrored.state[0].coeffs, polished.state[0].coeffs)
+        _assert_bitwise_equal(mirrored.state[1], polished.state[1])
+        assert (mirrored.residual, mirrored.iterations) == (polished.residual, polished.iterations)
+        assert (mirrored.converged, mirrored.stopped) == (polished.converged, polished.stopped)
+        outcomes.add((polished.converged, polished.stopped))
+    assert outcomes == ({(False, True)} if ball else {(True, False)})
+
+    # the census keeps the same points, in the same order, and fires the capture rule as often, as
+    # polishing every seed
+    def census():
+        fired.clear()
+        polished = []
+        with monkeypatch.context() as m:
+            m.setattr(veldt.functional, "newton_polish", lambda *args: polished.append(1) or newton_polish(*args))
+            points = list(veldt.functional._distinct_points(func, seeds, stop=capture, stop_even=lambda: True))
+        return points, len(fired), len(polished)
+
+    points, captured, polishes = census()
+    with monkeypatch.context() as m:
+        m.setattr(veldt.functional, "_even_polynomial", lambda func: False)
+        reference, reference_captured, reference_polishes = census()
+    assert captured == reference_captured == (len(seeds) - 1 if ball else 0)
+    assert polishes < reference_polishes == len(seeds)
+    assert len(points) == len(reference)
+    for cp, ref in zip(points, reference):
+        _assert_bitwise_equal(cp.coeffs, ref.coeffs)
+        assert (cp.residual, cp.value, cp.morse_index, cp.nullity) == (ref.residual, ref.value, ref.morse_index, ref.nullity)
+
+
+def test_only_an_even_compiled_functional_is_mirrored(p2, disc16):
+    lag = p2.lagrangian
+    by_hand = DiscretizedFunctional(dataclasses.replace(lag, f=lambda x, xi: lag.f(x, xi)), disc16)
+    assert veldt.functional._even_polynomial(DiscretizedFunctional(lag, disc16))
+    assert veldt.functional._even_polynomial(VariationalProblem(model=p2, disc=disc16).at_parameter(1.0))
+    assert not veldt.functional._even_polynomial(by_hand)
+    assert not veldt.functional._even_polynomial(_ScaledHessian(DiscretizedFunctional(lag, disc16), 1.0))
+
+
+def test_a_mirrored_end_point_the_stop_rule_refuses_is_polished(p2, disc16, monkeypatch):
+    # a stop that fires on one side of the origin only, declared even: the plus seed stops where it
+    # starts, the mirrored end point is not stopped, so the minus seed is polished for real
+    func = VariationalProblem(model=p2, disc=disc16).at_parameter(0.5)
+    plus = np.zeros(disc16.dim)
+    plus[0] = 0.5
+    seeds = [plus, 0.0 - plus]
+    one_sided = lambda x: bool(x[0] > 0.25)
+
+    def census(stop_even):
+        polished = []
+        with monkeypatch.context() as m:
+            m.setattr(veldt.functional, "newton_polish", lambda *args: polished.append(args[1]) or newton_polish(*args))
+            points = list(veldt.functional._distinct_points(func, seeds, stop=one_sided, stop_even=stop_even))
+        return points, polished
+
+    points, polished = census(lambda: True)
+    reference, _ = census(None)
+    assert [seed.tolist() for seed in polished] == [seed.tolist() for seed in seeds]
+    assert len(points) == len(reference) == 1
+    _assert_bitwise_equal(points[0].coeffs, reference[0].coeffs)

@@ -531,6 +531,30 @@ def test_probe_directions_are_signed_axes_then_normalized_draws():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("case", ["p2", "two_p2"])
+def test_tilt_scan_probes_each_point_once_up_to_sign(case, p2, disc32, monkeypatch):
+    # the tilt's size is set by the least reduced gradient on its annulus scan: 3 radii times the signed
+    # axes and 4 unit draws.  At nu = 1 the draws are +-1, so each radius has 2 points, one up to sign;
+    # at nu = 2 it has 8, of which the 4 axis points are 2 up to sign.  |g(-z)| = |g(z)| on an even
+    # problem, so probing one of each pair leaves the floor, and the tilt vector, as it was
+    problem = VariationalProblem(model=p2, disc=disc32) if case == "p2" else _two_p2()
+    probes = []
+    solve = veldt.reduction.solve_psi
+    monkeypatch.setattr(veldt.reduction, "solve_psi", lambda *args, **kw: probes.append(1) or solve(*args, **kw))
+
+    def tilt():
+        probes.clear()
+        result = marino_prodi_perturb(problem, 1.0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(5))
+        return result.perturbed.b, len(probes)
+
+    b, probed = tilt()
+    with monkeypatch.context() as m:
+        m.setattr(VariationalProblem, "sign_symmetric", property(lambda self: False))
+        b_every_sign, probed_every_sign = tilt()
+    assert (probed, probed_every_sign) == ((3, 6) if case == "p2" else (18, 24))
+    np.testing.assert_array_equal(b, b_every_sign)
+
+
 # ---------------------------------------------------------------------------
 # a Newton point is evaluated once
 

@@ -19,7 +19,9 @@ dimension 2, a ``spectrum`` run of that system with Morse counts at two of
 those double eigenvalues and between them, so the crossing-formula check
 meets a multiplicity-2 collision, a ``validate`` run whose fitted ellipticity
 envelope has tied samples, a P2 ``morse`` run at its second eigenvalue lam = 4,
-whose kernel tilt starts from a base point of Morse index 1) and each config
+whose kernel tilt starts from a base point of Morse index 1, a ``morse`` run
+of a functional with an odd cubic term, whose census mirrors no minus seed,
+since only an even functional has its critical points in ± pairs) and each config
 path given on the command line, at seeds 0
 and 7, through ``python -m veldt.cli`` with BLAS on one thread.  For each run
 the script compares the exit code, ``report.json``, ``summary.txt`` and every
