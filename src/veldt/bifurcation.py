@@ -27,6 +27,7 @@ from .functional import (
     VariationalProblem,
     _census_order,
     _distinct_points,
+    _solve_once,
     _star_seeds,
     damped_newton,
 )
@@ -214,20 +215,6 @@ def _reduced_newton(setup: ReductionSetup, lam, z0):
     return result.coeffs[:nu], result.coeffs[nu:], result.converged
 
 
-def _mirror(outcome):
-    """The outcome of a reduced Newton solve from -z0 on a sign-symmetric setup,
-    given the outcome ``(z, y, converged)`` or the exception of the solve from z0.
-
-    The coordinates are negated as 0.0 - v, not -v: a component that the solve
-    leaves at +0.0 (the kernel direction a star start does not touch) is +0.0
-    from either start.
-    """
-    if isinstance(outcome, Exception):
-        return outcome
-    z, y, ok = outcome
-    return 0.0 - z, 0.0 - y, ok
-
-
 def _reduced_multistart(setup, lam, n_starts, rng):
     """Distinct reduced critical points from a deterministic + random start set.
 
@@ -235,33 +222,28 @@ def _reduced_multistart(setup, lam, n_starts, rng):
     whose solve raises or stalls is skipped; when none converges, the value is
     unreachable and ``ReductionFailureError`` names the last raised failure.
     Points within ``DEDUPE_TOL`` in (z, y) are one: [Z W] is orthonormal, so
-    that is their Sobolev distance.
-    On a sign-symmetric setup the minus start of each star pair is not solved:
-    its outcome is the plus start's, mirrored (z and the correction negated,
-    the same converged flag, or the same failure).  There every load is odd
-    and every second variation even in the coefficients, and IEEE rounding
-    is sign-symmetric, so the mirror equals the solve bit for bit.
+    that is their Sobolev distance.  Starts are solved through
+    ``_solve_once``, up to sign on a sign-symmetric setup.
     """
     nu = setup.nullity
     rho = setup.trust_radius
     starts = _star_seeds(np.zeros(nu), np.eye(nu), np.linspace(1.0 / n_starts, 0.9, n_starts) * rho)[1:]
-    # past the origin the star seeds are (+, -) pairs: the minus starts sit at the odd indices
-    mirrored = range(1, len(starts), 2) if setup.problem.sign_symmetric else range(0)
     if nu > 1:
         extra = rng.standard_normal((2 * n_starts, nu))
         extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
         for row, frac in zip(extra, np.linspace(0.2, 0.9, extra.shape[0])):
             starts.append(frac * rho * row)
-    found = []
-    failures = []
-    for i, z0 in enumerate(starts):
-        if i in mirrored:
-            outcome = _mirror(outcome)
-        else:
-            try:
-                outcome = _reduced_newton(setup, lam, z0)
-            except (ReductionFailureError, ConfigurationError) as exc:
-                outcome = exc
+
+    def solve(z0):
+        try:
+            return _reduced_newton(setup, lam, z0)
+        except (ReductionFailureError, ConfigurationError) as exc:
+            return exc
+
+    solve_once = _solve_once(solve, setup.problem.sign_symmetric)
+    found, failures = [], []
+    for z0 in starts:
+        outcome, _ = solve_once(z0)
         if isinstance(outcome, Exception):
             failures.append(outcome)
             continue
@@ -514,12 +496,9 @@ def morse_inequality_audit(
     dropped.  The tilt's local points in the window count in their place; a
     degenerate one raises as the witness.
 
-    On an even ``func`` the census polishes the plus seed of each ± pair and
-    takes the minus seed's outcome as its mirror (see ``_distinct_points``)
-    while every capture ball in force is centred at the coefficient origin,
-    so that capture is even.  A mirrored polish that the ball stopped asks
-    the capture rule once, at the mirrored end point, and counts as one
-    capture, as the polish it stands for would.
+    On an even ``func`` the census solves its seeds once up to sign (see
+    ``_distinct_points``) while every capture ball in force is centred at the
+    coefficient origin, so that capture is even.
     """
     window = None if window is None else _check_window(window)
     disc = func.disc

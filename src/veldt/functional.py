@@ -321,14 +321,48 @@ class CriticalPoint:
     distance_from_center: float = 0.0
 
 
-def _mirrored(result: NewtonResult, disc: Discretization) -> NewtonResult:
-    """The polish from the negated seed on an even functional, given the polish ``result``
-    of the seed: coefficients and load negated as 0.0 - v, so that a +0.0 stays
-    +0.0, the same residual, iteration count and flags, and a Field built at
-    the negated coefficients."""
-    _, ell = result.state
-    coeffs = 0.0 - result.coeffs
-    return replace(result, coeffs=coeffs, state=(disc.field(coeffs), 0.0 - ell))
+def _image(outcome):
+    """The image of a solve outcome under u -> -u: an array negated as 0.0 - v, so
+    that a +0.0 stays +0.0; a Field rebuilt at its negated coefficients; a
+    NewtonResult or a tuple mapped entry by entry.  Flags, numbers and
+    exceptions stay as they are."""
+    if isinstance(outcome, np.ndarray):
+        return 0.0 - outcome
+    if isinstance(outcome, Field):
+        return outcome.disc.field(0.0 - outcome.coeffs)
+    if isinstance(outcome, NewtonResult):
+        return replace(outcome, coeffs=_image(outcome.coeffs), state=_image(outcome.state))
+    if isinstance(outcome, tuple):
+        return tuple(_image(v) for v in outcome)
+    return outcome
+
+
+def _solve_once(solve, even: bool):
+    """``solve(start)`` wrapped to solve each start once, up to sign; the wrapper returns ``(outcome, reused)``.
+
+    A start with the bits of one solved before takes its outcome again.  When
+    ``even`` holds, a start with the bits of 0.0 - s, for a start s solved
+    before, takes ``_image`` of s's outcome: on an even problem every load is
+    odd and every second variation even in the coefficients, and IEEE rounding
+    is sign-symmetric, so that image is the solve bit for bit (critical points
+    come in ± pairs; Fadell and Rabinowitz, Invent. Math. 45, 1978).  ``solve``
+    returns a failure as its outcome, so a failure is its own image.
+    """
+    solved, images = {}, {}  # outcomes by the bits of their start, and by the bits of 0.0 - it
+
+    def solve_once(start):
+        start = np.asarray(start, dtype=float)
+        key = start.tobytes()
+        if key in solved:
+            return solved[key], True
+        if key in images:
+            return _image(images[key]), True
+        outcome = solved[key] = solve(start)
+        if even:
+            images[(0.0 - start).tobytes()] = outcome
+        return outcome, False
+
+    return solve_once
 
 
 def _distinct_points(func, seeds, center=None, radius=None, stop=None, stop_even=None):
@@ -344,42 +378,28 @@ def _distinct_points(func, seeds, center=None, radius=None, stop=None, stop_even
     reads between two points.  The census, the Morse audit, the tilted
     census and the branch sampler all collect their points here.
 
-    A seed is not polished when its outcome is the mirror of the seed before
-    it (``_mirrored``), which equals its polish bit for bit.  That holds when
-    all of these do:
-
-    - ``func`` is even (``_even_polynomial``);
-    - the seed is nonzero and has the bits of 0.0 - the seed before it,
-      which was polished and yielded no point, so ``stop`` is unchanged;
-    - ``stop`` is None, or ``stop_even()`` says that stop(-x) == stop(x)
-      for every x (a stop without ``stop_even`` counts as not even).
-
-    When the seed before it was stopped, ``stop`` is asked once at the
-    mirrored end point, as a polish of the seed would ask it last; if it does
-    not fire there, the seed is polished.
+    Seeds go through ``_solve_once``, anew after each kept point, where a
+    consumer may change ``stop``; images are taken when ``func`` is even and
+    ``stop`` is None or ``stop_even()`` says stop(-x) == stop(x) for every x.
+    A reused outcome that ``stop`` ended asks ``stop`` once at its end point,
+    as its polish would last; if it does not fire there, the seed is polished.
     """
     disc = func.disc
     center = np.zeros(disc.dim) if center is None else np.asarray(center, dtype=float)
     even = _even_polynomial(func)
+
+    def polish(seed):
+        return newton_polish(func, seed, stop)
+
+    def fresh_memo():
+        return _solve_once(polish, even and (stop is None or (stop_even is not None and stop_even())))
+
     found = []
-    plus = None  # (seed, its polish) while the next seed may mirror it
+    solve = fresh_memo()
     for seed in seeds:
-        seed = np.asarray(seed, dtype=float)
-        result = None
-        if (
-            plus is not None
-            and (stop is None or (stop_even is not None and stop_even()))
-            and np.any(seed)
-            and seed.tobytes() == (0.0 - plus[0]).tobytes()
-        ):
-            result = _mirrored(plus[1], disc)
-            if result.stopped and not stop(result.coeffs):
-                result = None
-        plus = None
-        if result is None:
-            result = newton_polish(func, seed, stop)
-            if even:
-                plus = (seed, result)
+        result, reused = solve(seed)
+        if reused and result.stopped and not stop(result.coeffs):
+            result = polish(seed)
         if not result.converged:
             continue
         dist = disc.norm(result.coeffs - center)
@@ -387,7 +407,6 @@ def _distinct_points(func, seeds, center=None, radius=None, stop=None, stop_even
             continue
         if any(disc.norm(result.coeffs - other.coeffs) < DEDUPE_TOL for other in found):
             continue
-        plus = None
         point, _ = result.state
         dec = decompose(func.hessian_dual(point), disc.gram)
         found.append(
@@ -401,6 +420,7 @@ def _distinct_points(func, seeds, center=None, radius=None, stop=None, stop_even
             )
         )
         yield found[-1]
+        solve = fresh_memo()
 
 
 def _star_seeds(center, directions, amplitudes) -> list:

@@ -32,6 +32,7 @@ from .functional import (
     CombinedFunctional,
     VariationalProblem,
     _dual_norm,
+    _solve_once,
     _star_seeds,
     damped_newton,
     gradient_norm,
@@ -513,7 +514,7 @@ def marino_prodi_perturb(
     resample of the tilt vector, up to ``TILT_RETRIES`` times; persistent
     failure is reported, not raised.  The tilt's size comes from a scan of the
     reduced gradient on the annulus of the cutoff, which probes each scanned
-    point once, and only one of z and -z on a sign-symmetric problem.
+    point through ``_solve_once``, once up to sign on a sign-symmetric problem.
     """
     disc = problem.disc
     u0 = problem.u0
@@ -529,19 +530,17 @@ def marino_prodi_perturb(
     probe_setup = ReductionSetup(
         problem, func.lam, Z, dec.complement_vectors, lambda_box=0.0, trust_radius=max(delta_inner * 2, 1e-6)
     )
-    grad_floor = np.inf
-    probed = set()  # bits of each z probed, and of -z where |g(-z)| = |g(z)| bit for bit
-    for radius_frac in (0.5, 0.75, 1.0):
-        for direction in _directions(nu, max(2 * nu, 4), rng):
-            z = direction * delta_inner * radius_frac
-            if z.tobytes() in probed:
-                continue
-            probed.update((z.tobytes(), (-z).tobytes()) if problem.sign_symmetric else (z.tobytes(),))
-            try:
-                g = solve_psi(probe_setup, func.lam, z, tol=PROBE_PSI_TOL).gradient
-            except ReductionFailureError:
-                continue
-            grad_floor = min(grad_floor, float(np.linalg.norm(g)))
+
+    def probe(z):
+        try:
+            return float(np.linalg.norm(solve_psi(probe_setup, func.lam, z, tol=PROBE_PSI_TOL).gradient))
+        except ReductionFailureError:
+            return np.inf  # a failed probe bounds nothing
+
+    probe_once = _solve_once(probe, problem.sign_symmetric)  # |g(-z)| = |g(z)| on an even problem
+    grad_floor = min(
+        probe_once(d * delta_inner * f)[0] for f in (0.5, 0.75, 1.0) for d in _directions(nu, max(2 * nu, 4), rng)
+    )
     tilt_bound = grad_floor / 5.0 if np.isfinite(grad_floor) else 0.0
 
     attempts = 0
@@ -567,11 +566,12 @@ def marino_prodi_perturb(
 
 
 def _directions(nu: int, n_random: int, rng) -> list:
-    """Probe directions in R^nu: the signed coordinate axes, then ``n_random``
-    normalized Gaussian rows drawn from ``rng`` (no draw when it is zero)."""
+    """Probe directions in R^nu: the signed coordinate axes, each minus axis 0.0 - e (the
+    image of its plus axis), then ``n_random`` normalized Gaussian rows drawn from ``rng``
+    (no draw when it is zero)."""
     dirs = []
     for e in np.eye(nu):
-        dirs.extend([e, -e])
+        dirs.extend([e, 0.0 - e])
     if n_random:
         dirs.extend(row / np.linalg.norm(row) for row in rng.standard_normal((n_random, nu)))
     return dirs

@@ -425,7 +425,7 @@ def test_mirrored_start_is_the_minus_solve_bit_for_bit(case, prob_p2, monkeypatc
     multistart = veldt.bifurcation._reduced_multistart
     for lam in (0.9, 1.05, 1.3):
         for plus, minus in zip(starts[1::2], starts[2::2]):
-            mirrored, solved = veldt.bifurcation._mirror(_solve_from(setup, lam, plus)), _solve_from(setup, lam, minus)
+            mirrored, solved = veldt.functional._image(_solve_from(setup, lam, plus)), _solve_from(setup, lam, minus)
             if isinstance(solved, Exception):
                 assert (type(mirrored), str(mirrored)) == (type(solved), str(solved))
                 continue
@@ -596,22 +596,21 @@ def test_census_aborts_on_degenerate_point(prob_p2_48):
 
 def _counting_polish(monkeypatch):
     """Record the coefficients of every seed outcome the census reaches: each full-space
-    polish, and each mirrored polish that stands in for the minus seed of a ± pair."""
+    polish, and each outcome taken up to sign from an earlier seed's polish."""
     polished = []
-    polish, mirrored = veldt.functional.newton_polish, veldt.functional._mirrored
+    solve_once = veldt.functional._solve_once
 
-    def counting(func, seed, *stop):
-        result = polish(func, seed, *stop)
-        polished.append(result.coeffs)
-        return result
+    def counting(solve, even):
+        once = solve_once(solve, even)
 
-    def counting_mirror(result, disc):
-        result = mirrored(result, disc)
-        polished.append(result.coeffs)
-        return result
+        def counted(seed):
+            outcome, reused = once(seed)
+            polished.append(outcome.coeffs)
+            return outcome, reused
 
-    monkeypatch.setattr(veldt.functional, "newton_polish", counting)
-    monkeypatch.setattr(veldt.functional, "_mirrored", counting_mirror)
+        return counted
+
+    monkeypatch.setattr(veldt.functional, "_solve_once", counting)
     return polished
 
 
@@ -712,6 +711,24 @@ def test_capture_ball_off_the_origin_polishes_every_seed(p2, monkeypatch, shift)
     census = sum(f is func for f in polished)
     assert captured == len(seeds) - 1  # every seed past the witness, the first, enters the ball
     assert (census == len(seeds)) is (shift != 0.0)
+
+
+def test_a_kept_point_opens_a_fresh_memo(p2, disc16):
+    # at lam = 1 the seed s polishes to the degenerate u0 = 0, whose kernel tilt adds a capture ball there.
+    # The minus seed 0.0 - s is then polished under that ball and is captured; the image of s's polish,
+    # made before the ball was in force, converges beside u0 and is never captured
+    problem = VariationalProblem(model=p2, disc=disc16)
+    func = problem.at_parameter(1.0)
+    s = np.zeros(disc16.dim)
+    s[0] = 0.2
+    assert disc16.norm(s) > 0.25  # the minus seed starts outside the ball
+
+    def tilt(witness):
+        return marino_prodi_perturb(problem, 1.0, r=0.5, delta_inner=0.25, rng=np.random.default_rng(0))
+
+    audit = morse_inequality_audit(func, [s, 0.0 - s], window=None, tilt=tilt)
+    assert [captured for _, captured in audit.captures] == [1]
+    assert audit.counts == {0: 1}
 
 
 def test_census_window_filter(prob_p2_48):

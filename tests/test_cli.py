@@ -323,13 +323,15 @@ def test_tool_configs_load():
     # periodic space, a degenerate census point off the base point of a tilt, a multiplicity-2 kernel of a
     # reduction and its bifurcation sweep, a non-square 2-D box, the split audits of a two-component system,
     # Morse counts of that system at and between its double eigenvalues, a fitted ellipticity envelope
-    # with tied samples, a kernel tilt at the second eigenvalue, where u0 has Morse index 1, and a census
-    # of a functional with an odd cubic term, where no minus seed is mirrored
+    # with tied samples, a kernel tilt at the second eigenvalue, where u0 has Morse index 1, a census
+    # of a functional with an odd cubic term, where no minus seed is mirrored, and a kernel tilt of the
+    # two-component system, whose annulus scan and census mirror run at nu = 2
     paths = sorted(TOOL_CONFIGS.glob("*.json"))
     stems = [
         "bifurcate_two_p2",
         "morse_odd_cubic",
         "morse_tilt_second_eigenvalue",
+        "morse_two_p2_tilt",
         "p2_bifurcate_indefinite",
         "periodic_bifurcate_orbits",
         "periodic_morse_tilt",

@@ -439,7 +439,7 @@ def test_mirrored_polish_is_the_minus_polish_bit_for_bit(p2, disc32, lam, ball, 
     outcomes = set()
     for plus, minus in zip(stars[0::2], stars[1::2]):
         assert minus.tobytes() == (0.0 - plus).tobytes()
-        mirrored = veldt.functional._mirrored(newton_polish(func, plus, capture), disc32)
+        mirrored = veldt.functional._image(newton_polish(func, plus, capture))
         polished = newton_polish(func, minus, capture)
         _assert_bitwise_equal(mirrored.coeffs, polished.coeffs)
         _assert_bitwise_equal(mirrored.state[0].coeffs, polished.state[0].coeffs)

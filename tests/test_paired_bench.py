@@ -1,4 +1,5 @@
-"""What the tools print: tools/paired_bench.py per workload and metric, tools/same_outputs.py per differing CSV."""
+"""What the tools print: tools/paired_bench.py per workload and metric, tools/same_outputs.py per differing CSV
+and per source tree."""
 
 import importlib.util
 from pathlib import Path
@@ -65,3 +66,11 @@ def _same_outputs():
 )
 def test_csv_difference_names_the_first_differing_cell(parent, change, line):
     assert _same_outputs().csv_difference(parent, change) == line
+
+
+def test_source_lines_counts_every_python_file_of_the_tree(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text("import os\n\nx = 1\n")
+    (tmp_path / "sub" / "b.py").write_text("y = 2\nz = 3")  # no final newline: still two lines
+    (tmp_path / "notes.txt").write_text("not\ncounted\n")
+    assert _same_outputs().source_lines(tmp_path) == 5

@@ -525,6 +525,8 @@ def test_probe_directions_are_signed_axes_then_normalized_draws():
     assert len(dirs) == len(expected)
     for got, want in zip(dirs, expected):
         np.testing.assert_array_equal(got, want)
+    # a minus axis is 0.0 - e: its zeros are +0.0, the bits of the image of its plus axis
+    assert not np.signbit(np.concatenate([d[d == 0.0] for d in dirs[:4]])).any()
     # no random rows, no draw: the generator state is left as it was
     state = rng.bit_generator.state
     assert [d.tolist() for d in _directions(1, 0, rng)] == [[1.0], [-1.0]]

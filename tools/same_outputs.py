@@ -21,15 +21,20 @@ meets a multiplicity-2 collision, a ``validate`` run whose fitted ellipticity
 envelope has tied samples, a P2 ``morse`` run at its second eigenvalue lam = 4,
 whose kernel tilt starts from a base point of Morse index 1, a ``morse`` run
 of a functional with an odd cubic term, whose census mirrors no minus seed,
-since only an even functional has its critical points in ± pairs) and each config
-path given on the command line, at seeds 0
-and 7, through ``python -m veldt.cli`` with BLAS on one thread.  For each run
-the script compares the exit code, ``report.json``, ``summary.txt`` and every
-CSV.  A differing ``report.json`` has each differing entry printed by its JSON
-path, numbers with their relative difference; a differing CSV has its first
-differing cell printed by row and column header, the same way.  The script
-exits 1 when any run differs and 0 when every output is byte-identical.  All outputs go to the
-throwaway directory, which is removed at the end, also when a run fails.
+since only an even functional has its critical points in ± pairs, a ``morse``
+run of the coupled two-component P2 at its double eigenvalue lam = 1, whose
+kernel tilt scans its annulus at nu = 2 and whose census mirrors the minus
+seeds of a two-component system) and each config path given on the command
+line, at seeds 0 and 7, through ``python -m veldt.cli`` with BLAS on one
+thread.  For each run the script compares the exit code, ``report.json``,
+``summary.txt`` and every CSV.  A differing ``report.json`` has each
+differing entry printed by its JSON path, numbers with their relative
+difference; a differing CSV has its first differing cell printed by row and
+column header, the same way.  Before its last line the script prints the
+line count of ``src/veldt`` on both sides, so that "less code" stands next
+to "same outputs".  The script exits 1 when
+any run differs and 0 when every output is byte-identical.  All outputs go to
+the throwaway directory, which is removed at the end, also when a run fails.
 """
 
 from __future__ import annotations
@@ -68,6 +73,11 @@ def workload_configs() -> dict:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return {name: config for name, (config, _) in module.WORKLOADS.items()}
+
+
+def source_lines(package: Path) -> int:
+    """The number of lines of every ``.py`` file under ``package``."""
+    return sum(len(path.read_text().splitlines()) for path in package.rglob("*.py"))
 
 
 def run_config(src: Path, config: Path, out: Path, seed: int) -> int:
@@ -162,6 +172,8 @@ def main(argv=None) -> int:
                 print(f"{label} seed {seed}: exit {code_change}, {'differs' if lines else 'identical'}", flush=True)
                 for line in lines:
                     print(line)
+        parent_lines, change_lines = (source_lines(root / "src" / "veldt") for root in (scratch / "parent", ROOT))
+        print(f"src/veldt lines: {parent_lines} at the parent, {change_lines} in the working tree")
         print(f"{differing} of {len(configs) * len(SEEDS)} runs differ")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
