@@ -29,7 +29,7 @@ from . import __version__
 from .bifurcation import detect_branches, morse_inequality_audit, orbit_group
 from .catalog import MODEL_NAMES, _known, _read_json, load_problem
 from .errors import ConfigurationError, IndexJumpMismatchError, VeldtError
-from .functional import DEDUPE_TOL, VariationalProblem, _star_seeds
+from .functional import DEDUPE_TOL, VariationalProblem, _primary_branch_ends, _star_seeds
 from .galerkin import build_space, estimate_sobolev_constant, hessian_split, q_compactness_audit
 from .lagrangian import check_growth, ps_certificate
 from .reduction import (
@@ -44,7 +44,7 @@ from .reduction import (
 )
 from .spectral import decompose, morse_index_by_formula, split_continuity_audit
 
-CENSUS_AMPLITUDES = (0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0)  # star-seed amplitudes of the morse census
+CENSUS_AMPLITUDES = (0.25, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0)  # star-seed amplitudes of the morse census's fallback ladder
 REDUCE_RESIDUAL_FACTOR = 10  # multiple of COMPLEMENT_TOL that the largest complement residual of a reduce run may reach
 UNIQUENESS_TOL = 1e-8  # distance between corrections from independent starts below which the reduce probe finds one
 
@@ -487,6 +487,8 @@ def _orbit_tags(cand, disc) -> dict:
 
 
 def _census_seeds(problem, func, amplitudes, n_random, rng):
+    """The fallback ladder of the morse census: u0, star seeds at ``amplitudes`` along the 6 lowest
+    eigenvectors of the second variation at u0, then ``n_random`` random seeds."""
     disc = problem.disc
     u0 = problem.u0
     dec = decompose(func.hessian_dual(u0), disc.gram)
@@ -507,20 +509,28 @@ def run_morse(params, disc_block, model, rng, out_dir):
             f"r={mp_cfg['r']}"
         )
     problem = VariationalProblem(model=model, disc=_build_disc(disc_block, model))
+    branches = _primary_branch_ends(problem, lam)
     func = problem.at_parameter(lam)
-    seeds = _census_seeds(problem, func, CENSUS_AMPLITUDES, int(params["n_random"]), rng)
+    # drawn before any census, so that the kernel tilt meets the generator as the ladder leaves it
+    ladder = _census_seeds(problem, func, CENSUS_AMPLITUDES, int(params["n_random"]), rng)
     window = params["window"]
     report: dict = {"lam": lam, "checks": ["morse-alternating-sum", "census-nondegeneracy"]}
+    tilts = []  # made once: a ladder census after a failed branch census meets the same tilt
 
     def tilt_at_base(witness):
         # the tilt is local to u0: a degenerate point elsewhere is reported, not tilted
         if mp_cfg is None or problem.disc.norm(witness.coeffs - problem.u0.coeffs) > DEDUPE_TOL:
             return None
-        return marino_prodi_perturb(
-            problem, lam, r=float(mp_cfg["r"]), delta_inner=float(mp_cfg["delta_inner"]), rng=rng
-        )
+        if not tilts:
+            r, delta = float(mp_cfg["r"]), float(mp_cfg["delta_inner"])
+            tilts.append(marino_prodi_perturb(problem, lam, r=r, delta_inner=delta, rng=rng))
+        return tilts[0]
 
+    # a callback integrand keeps the ladder; otherwise the ladder runs only when the branch census fails
+    seeds = ladder if branches is None else ladder[:1] + branches[0]
     audit = morse_inequality_audit(func, seeds, window=window, tilt=tilt_at_base)
+    if branches is not None and not (branches[1] and audit.identity_holds and audit.partial_sums_hold):
+        audit = morse_inequality_audit(func, seeds + ladder[1:], window=window, tilt=tilt_at_base)
     tilt_passed = True
     for result, captured in audit.captures:  # at most one: once tilted, u0 lies in its capture ball
         report["marino_prodi"] = {

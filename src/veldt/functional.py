@@ -36,6 +36,8 @@ NEWTON_TOL = 1e-12  # gradient norm at which a full-space polish has converged
 NEWTON_MAX_ITER = 50  # iteration budget of a damped Newton solve: polish, complement and reduced
 RESIDUAL_CONTRACT = 1e-9  # largest gradient norm of a reduction's base point; sets the branch trivial radius
 DEDUPE_TOL = 1e-6  # Sobolev distance below which two critical points are one
+BRANCH_START = 0.05  # share of lam - lam_k at which a primary branch starts from its one-mode amplitude
+BRANCH_STEPS = 8  # geometric parameter steps that continue a primary branch to the census parameter
 
 __all__ = [
     "DiscretizedFunctional",
@@ -421,6 +423,61 @@ def _distinct_points(func, seeds, center=None, radius=None, stop=None, stop_even
         )
         yield found[-1]
         solve = fresh_memo()
+
+
+def _one_mode_amplitudes(problem, v, lam: float, degree: int, even: bool) -> list:
+    """The critical points t of phi(t) = L_lam(u0 + t v) nearest 0 on each side (the positive side
+    only when ``even``), from ``degree`` + 1 values of the energy and the constraint.
+
+    phi is a polynomial of degree ``degree``; u0 is critical, so phi'(t) / t has the nonzero ones as roots.
+    """
+    ts = np.linspace(-1.0, 1.0, degree + 1)
+    points = [problem.u0.coeffs + t * v for t in ts]
+    values = [problem.energy.value(x) - lam * problem.constraint.value(x) for x in points]
+    phi = np.linalg.solve(np.vander(ts, increasing=True), values)
+    roots = np.polynomial.polynomial.polyroots(np.arange(2, degree + 1) * phi[2:])
+    real = roots.real[(roots.imag == 0) & (roots.real != 0)]
+    sides = [real[real > 0]] + ([] if even else [real[real < 0]])
+    return [side[np.argmin(np.abs(side))] for side in sides if side.size]
+
+
+def _primary_branch_ends(problem, lam: float):
+    """The end points at ``lam`` of the primary branches, and whether every continuation converged;
+    None when the energy or the constraint is not a compiled polynomial.
+
+    Each pencil eigenvalue lam_k < lam that ``pencil.matches(lam)`` does not accept puts out a branch
+    along each basis vector v of its eigenspace (Rabinowitz, J. Funct. Anal. 7, 1971).  Its start is
+    the one-mode critical point u0 + t v of ``_one_mode_amplitudes`` at lam_k + BRANCH_START (lam - lam_k);
+    ``BRANCH_STEPS`` polishes at geometric steps of the distance to lam_k carry it to lam, each from
+    the one before.  On a sign-symmetric problem the +v branch is continued and its end point's
+    ``_image`` taken; otherwise each side is continued.  A branch whose step does not converge is
+    dropped.
+    """
+    polys = [PolynomialIntegrand.of(lag) for lag in (problem.model.lagrangian, problem.model.constraint)]
+    if None in polys:
+        return None
+    degree = max(sum(p for _, p in factors) for poly in polys for _, factors in poly.terms)
+    pencil = problem.pencil
+    matched = pencil.nearest(lam)[0] if pencil.matches(lam) else None
+    even = problem.sign_symmetric
+    ends, complete = [], True
+    for k, (lam_k, basis) in enumerate(zip(pencil.eigenvalues, pencil.eigenspaces)):
+        if lam_k >= lam or k == matched:
+            continue
+        steps = lam_k + (lam - lam_k) * BRANCH_START ** (1.0 - np.arange(1, BRANCH_STEPS + 1) / BRANCH_STEPS)
+        steps[-1] = lam
+        for v in basis.T:
+            for t in _one_mode_amplitudes(problem, v, lam_k + BRANCH_START * (lam - lam_k), degree, even):
+                x = problem.u0.coeffs + t * v
+                for lam_j in steps:
+                    result = newton_polish(problem.at_parameter(lam_j), x)
+                    if not result.converged:
+                        complete = False
+                        break
+                    x = result.coeffs
+                else:
+                    ends += [x, _image(x)] if even else [x]
+    return ends, complete
 
 
 def _star_seeds(center, directions, amplitudes) -> list:

@@ -158,7 +158,7 @@ def _tolerance_table():
 
 def test_tolerance_table_lists_every_module_constant():
     assert _tolerance_table() == _module_constants()
-    assert len(_module_constants()) == 27  # one constant per numeric decision
+    assert len(_module_constants()) == 29  # one constant per numeric decision
 
 
 

@@ -22,7 +22,14 @@ from veldt.errors import (
     ReductionFailureError,
 )
 from veldt.catalog import ModelProblem, load_problem
-from veldt.functional import NEWTON_TOL, RESIDUAL_CONTRACT, VariationalProblem, _star_seeds, multistart_census
+from veldt.functional import (
+    NEWTON_TOL,
+    RESIDUAL_CONTRACT,
+    VariationalProblem,
+    _primary_branch_ends,
+    _star_seeds,
+    multistart_census,
+)
 from veldt.cli import _census_seeds
 from veldt.reduction import PerturbedFunctional, _reduction_extent, marino_prodi_perturb
 
@@ -592,6 +599,37 @@ def test_census_aborts_on_degenerate_point(prob_p2_48):
     with pytest.raises(DegenerateCriticalPointError) as err:
         _audit(prob_p2_48, 1.0, np.random.default_rng(0))
     assert err.value.witness is not None
+
+
+def _branch_audit(problem, lam):
+    ends, complete = _primary_branch_ends(problem, lam)
+    assert complete
+    return morse_inequality_audit(problem.at_parameter(lam), [problem.u0.coeffs] + ends, window=None)
+
+
+@pytest.mark.parametrize("lam, k", [(20.0, 4), (40.0, 6)])
+def test_branch_census_counts_match_chafee_infante(prob_p2_32, lam, k):
+    # for lam in (k^2, (k+1)^2), P2 on [0, pi] has exactly 2k + 1 critical points, and mode j has Morse
+    # index j - 1 (Chafee and Infante, Applicable Anal. 4, 1974); the ladder alone finds {3: 2, 4: 1}
+    # at lam = 20 and {4: 2, 5: 2, 6: 1} at lam = 40
+    audit = _branch_audit(prob_p2_32, lam)
+    assert audit.counts == {**{q: 2 for q in range(k)}, k: 1}
+    assert audit.identity_holds and audit.partial_sums_hold
+
+
+@pytest.mark.parametrize("lam, k", [(20.0, 4), (40.0, 6)])
+def test_branch_census_values_follow_the_mode_scaling(p2, disc64, lam, k):
+    # u_j(x; lam) = j u_1(jx; lam / j^2), so E_j(lam) = j^4 E_1(lam / j^2).  At K = 64 this holds to about
+    # 1e-14 relative.  At K = 32 the truncation leaves 1.2e-11 at lam = 20 and 4.0e-8 at lam = 40, which is
+    # the Galerkin error of the many-hump modes (ROADMAP item 2), not a census defect
+    problem = VariationalProblem(model=p2, disc=disc64)
+    points = _branch_audit(problem, lam).points
+    for j in range(1, k + 1):
+        ground = min(cp.value for cp in _branch_audit(problem, lam / j**2).points)
+        values = [cp.value for cp in points if cp.morse_index == j - 1]
+        assert len(values) == 2
+        for value in values:
+            assert abs(value - j**4 * ground) <= 1e-10 * abs(value)
 
 
 def _counting_polish(monkeypatch):

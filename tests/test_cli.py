@@ -9,6 +9,7 @@ import pytest
 
 from veldt.cli import MINIMUMS, config_hash, load_config, main, run, to_jsonable
 from veldt.catalog import MODEL_NAMES, load_problem, model_problem
+from veldt.galerkin import build_space
 from veldt.spectral import decompose
 from veldt.errors import ConfigurationError
 
@@ -324,12 +325,15 @@ def test_tool_configs_load():
     # reduction and its bifurcation sweep, a non-square 2-D box, the split audits of a two-component system,
     # Morse counts of that system at and between its double eigenvalues, a fitted ellipticity envelope
     # with tied samples, a kernel tilt at the second eigenvalue, where u0 has Morse index 1, a census
-    # of a functional with an odd cubic term, where no minus seed is mirrored, and a kernel tilt of the
-    # two-component system, whose annulus scan and census mirror run at nu = 2
+    # of a functional with an odd cubic term, where no minus seed is mirrored, a kernel tilt of the
+    # two-component system, whose annulus scan and census mirror run at nu = 2, and two censuses that
+    # the ladder leaves incomplete: P2 at lam = 20 and a fourth-order well at lam = 40
     paths = sorted(TOOL_CONFIGS.glob("*.json"))
     stems = [
         "bifurcate_two_p2",
+        "morse_m2_well",
         "morse_odd_cubic",
+        "morse_p2_lam20",
         "morse_tilt_second_eigenvalue",
         "morse_two_p2_tilt",
         "p2_bifurcate_indefinite",
@@ -837,8 +841,14 @@ def test_kernel_tilt_at_a_crossed_eigenvalue(tmp_path, seed):
     assert tilt["passed"] is True
     assert tilt["morse_window"] == [1, 2]
     assert tilt["n_points"] == 1
-    # polishes that enter the capture ball stop there; the two minima outside it are still found
-    assert tilt["captured"] > 0
+    # the census polishes u0 and the ends of the lam = 1 branch, which lie outside the capture ball
+    assert tilt["captured"] == 0
+    # on the fallback ladder, polishes that enter the capture ball stop there; the two minima outside it
+    # are still found
+    audit = _ladder_audit(cfg, seed)
+    assert audit.counts == {0: 2, 1: 1}
+    ((_, captured),) = audit.captures
+    assert captured > 0
 
 
 def test_morse_scenario_fails_when_the_kernel_tilt_census_fails(tmp_path, monkeypatch):
@@ -883,16 +893,39 @@ def test_morse_scenario_fails_when_the_tilted_census_loses_its_point(tmp_path, m
     assert report["status"] == "audit_failed"
 
 
-def test_census_resumes_past_the_tilt_without_a_re_census(tmp_path, monkeypatch):
-    # the census workload (P2, K = 32, lam = 1) at seed 0: after the degenerate witness u0 is tilted, the
-    # census resumes, and its 92 remaining polishes stop on entering the capture ball instead of
-    # converging there.  A re-census of every seed on the tilted functional would make about 1,480
-    # gradients and 842 polish iterations.  The work is counted, so the pins hold on any machine
-    import veldt.functional
+def _ladder_audit(cfg, seed):
+    """The census of a morse config from the fallback ladder alone, with ``run_morse``'s tilt at u0:
+    the seeds and the tilt draw from one generator at ``seed``, in the order ``run_morse`` draws."""
+    import veldt.cli
+    from veldt.bifurcation import morse_inequality_audit
+    from veldt.functional import VariationalProblem
 
-    gradients, iterations = [], []
-    assemble_gradient = veldt.functional.assemble_gradient
-    polish = veldt.functional.newton_polish
+    params = cfg["params"]
+    model = load_problem(cfg["problem"])
+    disc = veldt.cli._build_disc(dict(cfg["discretization"], quad_order=None), model)
+    problem = VariationalProblem(model=model, disc=disc)
+    rng = np.random.default_rng(seed)
+    func = problem.at_parameter(params["lam"])
+    seeds = veldt.cli._census_seeds(problem, func, veldt.cli.CENSUS_AMPLITUDES, 8, rng)
+
+    def tilt(witness):
+        assert problem.disc.norm(witness.coeffs - problem.u0.coeffs) <= veldt.cli.DEDUPE_TOL
+        return veldt.cli.marino_prodi_perturb(problem, params["lam"], rng=rng, **params["marino_prodi"])
+
+    return morse_inequality_audit(func, seeds, window=None, tilt=tilt)
+
+
+def _count_census_work(monkeypatch):
+    """Lists that grow by one per gradient assembly, polish (by its iterations) and complement solve."""
+    import veldt.functional
+    import veldt.reduction
+
+    gradients, iterations, probes = [], [], []
+    assemble_gradient, polish, solve_psi = (
+        veldt.functional.assemble_gradient,
+        veldt.functional.newton_polish,
+        veldt.reduction.solve_psi,
+    )
 
     def counted_polish(*args):
         result = polish(*args)
@@ -901,43 +934,130 @@ def test_census_resumes_past_the_tilt_without_a_re_census(tmp_path, monkeypatch)
 
     monkeypatch.setattr(veldt.functional, "assemble_gradient", lambda lag, u: gradients.append(1) or assemble_gradient(lag, u))
     monkeypatch.setattr(veldt.functional, "newton_polish", counted_polish)
+    monkeypatch.setattr(veldt.reduction, "solve_psi", lambda *args, **kw: probes.append(1) or solve_psi(*args, **kw))
+    return gradients, iterations, probes
+
+
+def _census_workload(tmp_path):
     census = next(cfg for cfg in _workload_configs() if cfg["scenario"] == "morse")
     assert census["discretization"]["K"] == 32
     out = tmp_path / "out"
     assert run(_write(tmp_path, "cfg.json", census), out, seed=0) == 0
-    report = json.loads((out / "report.json").read_text())
+    return json.loads((out / "report.json").read_text())
+
+
+def test_census_resumes_past_the_tilt_without_a_re_census(tmp_path, monkeypatch):
+    # the fallback ladder on the census workload's problem (P2, K = 32, lam = 1) at seed 0: after the
+    # degenerate witness u0 is tilted, the census resumes, and its 92 remaining polishes stop on entering
+    # the capture ball instead of converging there.  A re-census of every seed on the tilted functional
+    # would make about 1,480 gradients and 842 polish iterations.  The work is counted, so the pins hold
+    # on any machine
+    census = next(cfg for cfg in _workload_configs() if cfg["scenario"] == "morse")
+    gradients, iterations, _ = _count_census_work(monkeypatch)
+    audit = _ladder_audit(census, 0)
+    assert len(gradients) <= 600
+    assert sum(iterations) <= 300
+    assert audit.identity_holds and audit.partial_sums_hold
+    ((result, captured),) = audit.captures
+    assert result.passed
+    assert captured == 92
+    # lam = 1 is the first pencil eigenvalue, so the workload seeds u0 alone: it is tilted, and no
+    # polish is left for the capture ball
+    del gradients[:], iterations[:]
+    report = _census_workload(tmp_path)
     assert len(gradients) <= 600
     assert sum(iterations) <= 300
     assert report["status"] == "pass"
-    assert report["result"]["marino_prodi"]["captured"] == 92
+    assert report["result"]["marino_prodi"]["captured"] == 0
 
 
 def test_census_polishes_one_seed_of_each_pair(tmp_path, monkeypatch):
-    # the census workload at seed 0 again: P2 is even and the capture ball sits at u0 = 0, so each minus
-    # star seed past the witness takes the mirror of its plus seed's capture.  Polishing every seed makes
-    # 106 polishes and 459 gradients; the tilt annulus scan at nu = 1 probes 3 distinct points up to
-    # sign, where probing each scanned point made 18 complement solves
-    import veldt.functional
-    import veldt.reduction
-
-    gradients, polishes, probes = [], [], []
-    assemble_gradient, polish, solve_psi = (
-        veldt.functional.assemble_gradient,
-        veldt.functional.newton_polish,
-        veldt.reduction.solve_psi,
-    )
-    monkeypatch.setattr(veldt.functional, "assemble_gradient", lambda lag, u: gradients.append(1) or assemble_gradient(lag, u))
-    monkeypatch.setattr(veldt.functional, "newton_polish", lambda *args: polishes.append(1) or polish(*args))
-    monkeypatch.setattr(veldt.reduction, "solve_psi", lambda *args, **kw: probes.append(1) or solve_psi(*args, **kw))
+    # the fallback ladder on the census workload's problem at seed 0 again: P2 is even and the capture
+    # ball sits at u0 = 0, so each minus star seed past the witness takes the mirror of its plus seed's
+    # capture.  Polishing every seed makes 106 polishes and 459 gradients; the tilt annulus scan at nu = 1
+    # probes 3 distinct points up to sign, where probing each scanned point made 18 complement solves
     census = next(cfg for cfg in _workload_configs() if cfg["scenario"] == "morse")
-    out = tmp_path / "out"
-    assert run(_write(tmp_path, "cfg.json", census), out, seed=0) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["status"] == "pass"
-    assert report["result"]["marino_prodi"]["captured"] == 92
+    gradients, polishes, probes = _count_census_work(monkeypatch)
+    audit = _ladder_audit(census, 0)
+    assert [captured for _, captured in audit.captures] == [92]
     assert len(polishes) <= 64
     assert len(gradients) <= 300
     assert len(probes) == 3
+    # the workload polishes u0 and the tilt's local census only
+    del gradients[:], polishes[:], probes[:]
+    report = _census_workload(tmp_path)
+    assert report["status"] == "pass"
+    assert report["result"]["marino_prodi"]["captured"] == 0
+    assert len(polishes) <= 15
+    assert len(gradients) <= 300
+    assert len(probes) == 3
+
+
+def _morse_runs():
+    readme = next(cfg for cfg in _readme_configs() if cfg["scenario"] == "morse")
+    runs = {
+        "readme": readme,
+        "readme-lam9.5": dict(readme, params=dict(readme["params"], lam=9.5)),
+        "census": next(cfg for cfg in _workload_configs() if cfg["scenario"] == "morse"),
+    }
+    for path in sorted(TOOL_CONFIGS.glob("morse_*.json")) + [TOOL_CONFIGS / "periodic_morse_tilt.json"]:
+        runs[path.stem] = json.loads(path.read_text())
+    return runs
+
+
+# every morse config at seed 0: (exit code, status, counts, polishes at most).  A census from the
+# primary branches makes BRANCH_STEPS polishes per branch and one per census seed up to sign; a ladder
+# fallback would add up to 93 seeds.  lam = 9.5 crosses three eigenvalues, 24 + 7 polishes
+MORSE_RUNS = {
+    "readme": (0, "pass", {0: 2, 1: 1}, 11),
+    "readme-lam9.5": (0, "pass", {0: 2, 1: 2, 2: 2, 3: 1}, 31),
+    "census": (0, "pass", {0: 1}, 14),
+    "morse_m2_well": (0, "pass", {0: 2, 1: 2, 2: 1}, 21),
+    "morse_odd_cubic": (0, "pass", {0: 2, 1: 1}, 19),
+    "morse_p2_lam20": (0, "pass", {0: 2, 1: 2, 2: 2, 3: 2, 4: 1}, 41),
+    "morse_tilt_second_eigenvalue": (0, "pass", {0: 2, 1: 1}, 24),
+    "morse_two_p2_tilt": (0, "pass", {0: 1}, 22),
+    "periodic_morse_tilt": (2, "error", None, 28),
+}
+
+
+def test_morse_runs_list_every_morse_config():
+    assert sorted(_morse_runs()) == sorted(MORSE_RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(MORSE_RUNS))
+def test_morse_config_counts_and_polishes(tmp_path, monkeypatch, name):
+    import veldt.functional
+
+    code, status, counts, ceiling = MORSE_RUNS[name]
+    polishes = []
+    polish = veldt.functional.newton_polish
+    monkeypatch.setattr(veldt.functional, "newton_polish", lambda *args: polishes.append(1) or polish(*args))
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", _morse_runs()[name]), out, seed=0) == code
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == status
+    if counts is not None:
+        assert report["result"]["audit"]["counts"] == {str(q): n for q, n in counts.items()}
+    assert len(polishes) <= ceiling
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.0 + 1e-9])
+def test_an_eigenvalue_that_matches_lam_puts_out_no_branch(tmp_path, lam):
+    # lam_1 = 1 matches lam, so its branch belongs to the kernel tilt.  At lam = 1 + 1e-9 a branch from
+    # lam_1, which rounds below lam, would end 1.4e-5 from u0: there the census can count the degenerate
+    # minimum u0 twice, and only the tilt ball around u0, polished first, drops those ends
+    from veldt.functional import VariationalProblem, _primary_branch_ends
+
+    census = next(cfg for cfg in _workload_configs() if cfg["scenario"] == "morse")
+    problem = VariationalProblem(model=model_problem("P2"), disc=build_space((0.0, np.pi), 1, "dirichlet", 32))
+    assert _primary_branch_ends(problem, lam) == ([], True)
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, "cfg.json", dict(census, params=dict(census["params"], lam=lam))), out, seed=0) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "pass"
+    assert report["result"]["marino_prodi"]["passed"] is True
+    assert report["result"]["audit"]["counts"] == {"0": 1}
 
 
 def test_morse_scenario_degenerate_without_tilt_exits_2(tmp_path):

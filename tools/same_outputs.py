@@ -24,10 +24,12 @@ of a functional with an odd cubic term, whose census mirrors no minus seed,
 since only an even functional has its critical points in ± pairs, a ``morse``
 run of the coupled two-component P2 at its double eigenvalue lam = 1, whose
 kernel tilt scans its annulus at nu = 2 and whose census mirrors the minus
-seeds of a two-component system) and each config path given on the command
-line, at seeds 0 and 7, through ``python -m veldt.cli`` with BLAS on one
-thread.  For each run the script compares the exit code, ``report.json``,
-``summary.txt`` and every CSV.  A differing ``report.json`` has each
+seeds of a two-component system, a P2 ``morse`` run at lam = 20 and a
+``morse`` run of the fourth-order well u''^2/2 + u^4/4 at lam = 40, two
+censuses that only the primary-branch seeds complete) and each config path
+given on the command line, at seeds 0 and 7, through ``python -m veldt.cli``
+with BLAS on one thread.  For each run the script compares the exit code,
+``report.json``, ``summary.txt`` and every CSV.  A differing ``report.json`` has each
 differing entry printed by its JSON path, numbers with their relative
 difference; a differing CSV has its first differing cell printed by row and
 column header, the same way.  Before its last line the script prints the
